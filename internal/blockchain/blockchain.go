@@ -62,8 +62,11 @@ func DecodePayload(p []byte) ([]Tx, error) {
 // concurrent use (the TCP runtime submits from client goroutines while the
 // consensus loop drains).
 type Mempool struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// queue[head:] are the pending transactions; queue[:head] are drained
+	// slots, already cleared, waiting for the next compaction.
 	queue []Tx
+	head  int
 	limit int
 }
 
@@ -80,7 +83,7 @@ func NewMempool(limit int) *Mempool {
 func (m *Mempool) Submit(tx Tx) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.queue) >= m.limit {
+	if len(m.queue)-m.head >= m.limit {
 		return false
 	}
 	cp := make(Tx, len(tx))
@@ -93,18 +96,31 @@ func (m *Mempool) Submit(tx Tx) bool {
 func (m *Mempool) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue)
+	return len(m.queue) - m.head
 }
 
 // Drain removes and returns up to max transactions (max <= 0 means all).
+// The cost is proportional to the batch, not to the backlog: the head index
+// advances, and the pending tail is moved to the front only once the
+// drained part is more than half the slice (amortised O(1) per
+// transaction).
 func (m *Mempool) Drain(max int) []Tx {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if max <= 0 || max > len(m.queue) {
-		max = len(m.queue)
+	pending := m.queue[m.head:]
+	if max <= 0 || max > len(pending) {
+		max = len(pending)
 	}
-	out := m.queue[:max]
-	m.queue = append([]Tx(nil), m.queue[max:]...)
+	out := make([]Tx, max)
+	copy(out, pending)
+	clear(pending[:max]) // drained payloads must not stay reachable from the queue
+	m.head += max
+	if m.head > len(m.queue)/2 {
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue = m.queue[:n]
+		m.head = 0
+	}
 	return out
 }
 

@@ -1,7 +1,9 @@
 package blockchain
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +101,70 @@ func TestMempoolFIFOAndBounds(t *testing.T) {
 	}
 	if rest := m.Drain(0); len(rest) != 1 || string(rest[0]) != "c" {
 		t.Fatalf("Drain(0) = %v", rest)
+	}
+}
+
+// TestMempoolHeadIndex drives the head-indexed queue through many
+// compactions against a plain-slice model: FIFO order, Len and the limit
+// count pending transactions only, and a drain leaves no drained payload
+// reachable from the queue.
+func TestMempoolHeadIndex(t *testing.T) {
+	const limit = 50
+	m := NewMempool(limit)
+	var model []string
+	next := 0
+	for step := 0; step < 2000; step++ {
+		for i := 0; i < step%7; i++ {
+			tx := fmt.Sprintf("tx-%d", next)
+			if ok := m.Submit(Tx(tx)); ok != (len(model) < limit) {
+				t.Fatalf("step %d: Submit = %v with %d pending (limit %d)", step, ok, len(model), limit)
+			} else if ok {
+				model = append(model, tx)
+				next++
+			}
+		}
+		max := step%5 - 1 // -1 and 0 drain everything
+		want := len(model)
+		if max > 0 && max < want {
+			want = max
+		}
+		got := m.Drain(max)
+		if len(got) != want {
+			t.Fatalf("step %d: Drain(%d) returned %d txs, want %d", step, max, len(got), want)
+		}
+		for i, tx := range got {
+			if string(tx) != model[i] {
+				t.Fatalf("step %d: tx %d = %q, want %q", step, i, tx, model[i])
+			}
+		}
+		model = model[want:]
+		if m.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, m.Len(), len(model))
+		}
+		for i, tx := range m.queue[:cap(m.queue)] {
+			if pending := i >= m.head && i < len(m.queue); (tx != nil) != pending {
+				t.Fatalf("step %d: queue slot %d (head %d, len %d) set = %v", step, i, m.head, len(m.queue), tx != nil)
+			}
+		}
+	}
+}
+
+// TestMempoolDrainCostBound: a bounded drain allocates its result and
+// nothing proportional to the backlog.
+func TestMempoolDrainCostBound(t *testing.T) {
+	const backlog, runs, budget = 1 << 17, 1000, 8*24 + 64
+	m := NewMempool(backlog)
+	for i := 0; i < backlog; i++ {
+		m.Submit(Tx("tx"))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m.Drain(8)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Fatalf("%d bytes per Drain(8) at a %d backlog, want <= %d", per, backlog, budget)
 	}
 }
 

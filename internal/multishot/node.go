@@ -931,7 +931,7 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 		return
 	}
 	vr.sentVote = true
-	n.recordImplicitVotes(s, v, vr.proposal)
+	n.recordImplicitVotes(s, v, vr.proposalID, vr.proposal)
 	if !n.persist() {
 		return
 	}
@@ -957,8 +957,9 @@ func (n *Node) parentLinkOK(b types.Block) bool {
 // phases a single multi-shot vote represents (Section 6.3: "every vote
 // serves multiple purposes"). Phases landing on already-finalized slots are
 // skipped: their state is recycled and never persisted or consulted again.
-func (n *Node) recordImplicitVotes(s types.Slot, v types.View, b types.Block) {
-	n.slot(s).votes.Record(1, v, b.ID().Value())
+// id is b.ID(), already hashed when the proposal arrived.
+func (n *Node) recordImplicitVotes(s types.Slot, v types.View, id types.BlockID, b types.Block) {
+	n.slot(s).votes.Record(1, v, id.Value())
 	cur := b
 	for phase := uint8(2); phase <= 4; phase++ {
 		prevSlot := s - types.Slot(phase) + 1

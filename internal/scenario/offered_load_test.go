@@ -2,10 +2,16 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"tetrabft/internal/blockchain"
 	"tetrabft/internal/types"
+	"tetrabft/internal/workload"
 )
 
 // TestBatchedPipelineScenario drives the offered-load path end to end on the
@@ -163,5 +169,135 @@ func TestResultTxStats(t *testing.T) {
 	r2.txStats([]types.Block{{Slot: 3, Txs: [][]byte{[]byte("x")}}}, nil, nil)
 	if !reflect.DeepEqual(r2, Result{DecidedTxs: 1}) {
 		t.Fatalf("unexpected fold on unmatched chain: %+v", r2)
+	}
+}
+
+// randomSchedule draws an arrival schedule with ties in At, bursts and empty
+// gaps; payloads are unique.
+func randomSchedule(rng *rand.Rand, count int) []workload.Arrival {
+	gaps := []types.Time{0, 0, 0, 1, 2, 40}
+	sched := make([]workload.Arrival, count)
+	at := types.Time(rng.Intn(5))
+	for i := range sched {
+		at += gaps[rng.Intn(len(gaps))]
+		sched[i] = workload.Arrival{At: at, Payload: []byte(fmt.Sprintf("tx-%d", i))}
+	}
+	return sched
+}
+
+// TestOfferedMatchesTimedMempool is the differential test of the cursor
+// stream against its reference: over seeded random schedules and random
+// (now, max) sequences — max <= 0, now before the first arrival and now
+// moving backwards included — offered.drain and TimedMempool.DrainReady
+// return identical batches until the stream is exhausted, and so do the two
+// multishot batch sources.
+func TestOfferedMatchesTimedMempool(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sched := randomSchedule(rng, rng.Intn(400))
+		ref := blockchain.NewTimedMempool(len(sched))
+		for _, a := range sched {
+			ref.Submit(a.At, a.Payload)
+		}
+		load := newOffered(sched)
+		if len(load.arrivals) != len(sched) {
+			t.Fatalf("seed %d: %d arrival times for %d arrivals", seed, len(load.arrivals), len(sched))
+		}
+		refSrc, loadSrc := ref.BatchSource(7), load.batchSource(7)
+		var now types.Time
+		for step := 0; ref.Len() > 0 || step == 0; step++ {
+			var want []blockchain.Tx
+			var got [][]byte
+			if seed%2 == 0 && step%3 == 0 {
+				for _, tx := range refSrc(0, now) {
+					want = append(want, tx)
+				}
+				got = loadSrc(0, now)
+			} else {
+				max := []int{-1, 0, 1, 3, 64}[rng.Intn(5)]
+				want, got = ref.DrainReady(now, max), load.drain(now, max)
+			}
+			if len(got) != len(want) || (got == nil) != (want == nil) {
+				t.Fatalf("seed %d step %d now %d: got %d txs (nil=%v), want %d (nil=%v)", seed, step, now, len(got), got == nil, len(want), want == nil)
+			}
+			for i := range want {
+				if string(got[i]) != string(want[i]) {
+					t.Fatalf("seed %d step %d: tx %d = %q, want %q", seed, step, i, got[i], want[i])
+				}
+			}
+			now += types.Time(rng.Intn(30)) - 5
+		}
+		if got := load.drain(1<<40, 0); got != nil {
+			t.Fatalf("seed %d: %d txs left after the reference ran dry", seed, len(got))
+		}
+	}
+}
+
+// TestOfferedDrainCostBound pins the O(batch) drain: taking 64 transactions
+// from a 50,000-arrival stream costs at most one allocation and 64 slice
+// headers, whether nearly all of the stream or nearly none of it remains.
+func TestOfferedDrainCostBound(t *testing.T) {
+	const batch, budget = 64, 64*24 + 64
+	rng := rand.New(rand.NewSource(1))
+	load := newOffered(randomSchedule(rng, 50000))
+	far := types.Time(1 << 40)
+	measure := func(label string) {
+		const runs = 100
+		if allocs := testing.AllocsPerRun(runs, func() { load.drain(far, batch) }); allocs > 1 {
+			t.Errorf("%s: %.1f allocs per drain, want <= 1", label, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if got := load.drain(far, batch); len(got) != batch {
+				t.Fatalf("%s: drained %d, want %d", label, len(got), batch)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+			t.Errorf("%s: %d bytes per drain, want <= %d", label, per, budget)
+		}
+	}
+	measure("full backlog")
+	for len(load.payloads)-load.head > 15000 {
+		load.drain(far, 1000)
+	}
+	measure("short backlog")
+}
+
+// TestOfferedConcurrentDrain: four goroutines (the TCP engines' event loops)
+// draining one stream hand out every payload exactly once.
+func TestOfferedConcurrentDrain(t *testing.T) {
+	sched := randomSchedule(rand.New(rand.NewSource(2)), 20000)
+	load := newOffered(sched)
+	var wg sync.WaitGroup
+	got := make([][][]byte, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				batch := load.drain(1<<40, 1+g*7)
+				if batch == nil {
+					return
+				}
+				got[g] = append(got[g], batch...)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]int, len(sched))
+	for _, txs := range got {
+		for _, tx := range txs {
+			seen[string(tx)]++
+		}
+	}
+	if len(seen) != len(sched) {
+		t.Fatalf("%d distinct payloads handed out, want %d", len(seen), len(sched))
+	}
+	for tx, n := range seen {
+		if n != 1 {
+			t.Fatalf("payload %q handed out %d times", tx, n)
+		}
 	}
 }

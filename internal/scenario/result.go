@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"tetrabft/internal/obs"
+	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/types"
 )
@@ -207,6 +208,20 @@ func (r *Result) txStats(chain []types.Block, commitAt map[types.Slot]int64, arr
 	txs, lats := txLatencies(chain, commitAt, arrivals)
 	r.DecidedTxs += txs
 	r.TxLatencyP50, r.TxLatencyP99 = latencyPercentiles(lats)
+}
+
+// earliestCommits maps each slot to its earliest decision time among the
+// honest nodes of one simulator run.
+func earliestCommits(decisions map[types.NodeID]map[types.Slot]sim.Decision, honest []types.NodeID) map[types.Slot]int64 {
+	out := make(map[types.Slot]int64)
+	for _, id := range honest {
+		for s, d := range decisions[id] {
+			if c, ok := out[s]; !ok || int64(d.At) < c {
+				out[s] = int64(d.At)
+			}
+		}
+	}
+	return out
 }
 
 // txLatencies walks a finalized chain and returns its transaction count

@@ -68,31 +68,7 @@ type cluster struct {
 	chains    []*multishot.Node // honest multi-shot nodes, member order
 	reporters []storageReporter // baseline nodes with a storage probe
 	mempools  map[types.NodeID]*blockchain.Mempool
-	// timed is the cluster-shared offered-load stream (Workload.TxCount):
-	// whoever leads a slot drains the arrived transactions into its block's
-	// batch, so each transaction is proposed at most once.
-	timed *blockchain.TimedMempool
-	// arrivals maps an offered transaction's payload to its arrival tick,
-	// for the per-transaction commit-latency fold.
-	arrivals map[string]types.Time
-}
-
-// offeredLoad builds the shared arrival-gated stream when the workload
-// declares one. Submission is in arrival order (the timed pool's contract);
-// the schedule itself (legacy tx_rate pacing or an arrival process) comes
-// from the one plan.offeredSchedule entry point shared with the TCP and
-// sharded engines.
-func (cl *cluster) offeredLoad(p *plan) {
-	count := p.sc.Workload.TxCount
-	if !p.multi || count <= 0 {
-		return
-	}
-	cl.timed = blockchain.NewTimedMempool(count)
-	cl.arrivals = make(map[string]types.Time, count)
-	for _, a := range p.offeredSchedule(count, 1) {
-		cl.timed.Submit(a.At, a.Payload)
-		cl.arrivals[string(a.Payload)] = a.At
-	}
+	load      *offered // cluster-shared offered-load stream (Workload.TxCount)
 }
 
 func runSim(p *plan) (*Result, error) {
@@ -153,7 +129,7 @@ func runSim(p *plan) (*Result, error) {
 		DecidedCount:    r.DecidedCount(0),
 		TotalSentBytes:  r.TotalSentBytes(),
 		Dropped:         r.DroppedMessages(),
-		OfferedTxs:      len(cl.arrivals),
+		OfferedTxs:      len(cl.load.arrivals),
 	}
 	decisions := r.Decisions()
 	for _, m := range p.members {
@@ -189,15 +165,7 @@ func runSim(p *plan) (*Result, error) {
 	}
 	if len(cl.chains) > 0 {
 		chain := cl.chains[0].FinalizedChain()
-		commitAt := make(map[types.Slot]int64)
-		for _, m := range p.honest {
-			for s, d := range decisions[m] {
-				if c, ok := commitAt[s]; !ok || int64(d.At) < c {
-					commitAt[s] = int64(d.At)
-				}
-			}
-		}
-		res.txStats(chain, commitAt, cl.arrivals)
+		res.txStats(chain, earliestCommits(decisions, p.honest), cl.load.arrivals)
 		if p.sc.Collect.Chain {
 			res.Chain = chain
 		}
@@ -224,12 +192,11 @@ func runSim(p *plan) (*Result, error) {
 // where the fault schedule says so. Machines are added in member order, so
 // runs are reproducible across assembly sites.
 func buildCluster(p *plan, r *sim.Runner, tracer trace.Tracer, reg *obs.Registry) (*cluster, error) {
-	cl := &cluster{}
+	cl := &cluster{load: p.offeredLoad()}
 	n := len(p.members)
 	if len(p.sc.Workload.Transactions) > 0 || p.sc.Workload.TxsPerBlock > 0 {
 		cl.mempools = make(map[types.NodeID]*blockchain.Mempool, len(p.honest))
 	}
-	cl.offeredLoad(p)
 	for _, id := range p.members {
 		if f := p.byzByID[id]; f != nil {
 			r.Add(buildByz(p, f))
@@ -276,15 +243,12 @@ func buildHonest(p *plan, id types.NodeID, n int, tracer trace.Tracer, reg *obs.
 			}
 			payload = mp.PayloadSource(per)
 		}
-		var batch func(types.Slot, types.Time) [][]byte
-		if cl.timed != nil {
-			batch = cl.timed.BatchSource(p.batchSize())
-		}
 		node, err := multishot.NewNode(multishot.Config{
 			ID: id, Quorum: p.qs, Nodes: n, Delta: delta,
 			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: p.maxSlot,
 			Window:  p.sc.Workload.Window,
-			Payload: payload, Batch: batch, Tracer: tracer, Metrics: reg,
+			Payload: payload, Batch: cl.load.batchSource(p.batchSize()),
+			Tracer: tracer, Metrics: reg,
 		})
 		if err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ import (
 // runSeq drives the PBFT and IT-HotStuff baselines at offered load by
 // chaining single-shot instances: global slot s is a fresh single-shot
 // cluster whose shared proposal is the batch drained from the cluster's
-// timed mempool at the slot's start, and the decided batches fold into
+// offered-load stream at the slot's start, and the decided batches fold into
 // Result.Chain exactly as a multishot run would. Neither baseline has a
 // native multi-shot mode (and IT-HotStuff repurposes the vote Slot field
 // internally, so instances cannot be multiplexed inside one run); chaining
@@ -29,17 +29,8 @@ import (
 // but never loses transactions that were already proposed.
 func runSeq(p *plan) (*Result, error) {
 	w := p.sc.Workload
-	var timed *blockchain.TimedMempool
-	arrivals := make(map[string]types.Time)
-	if count := w.TxCount; count > 0 {
-		timed = blockchain.NewTimedMempool(count)
-		for _, a := range p.offeredSchedule(count, 1) {
-			timed.Submit(a.At, a.Payload)
-			arrivals[string(a.Payload)] = a.At
-		}
-	}
-
-	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(arrivals)}
+	load := p.offeredLoad()
+	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.arrivals)}
 	horizon := types.Time(p.sc.Stop.Horizon)
 	n := len(p.members)
 	sent := make(map[types.NodeID]int64, n)
@@ -50,9 +41,10 @@ func runSeq(p *plan) (*Result, error) {
 	decided := types.Slot(0)
 
 	for s := int64(0); s < w.Slots && offset < horizon; s++ {
-		var batch []blockchain.Tx
-		if timed != nil {
-			batch = timed.DrainReady(offset, p.batchSize())
+		txs := load.drain(offset, p.batchSize())
+		batch := make([]blockchain.Tx, len(txs))
+		for i, tx := range txs {
+			batch[i] = tx
 		}
 		payload := types.Value(blockchain.EncodePayload(batch))
 
@@ -124,11 +116,8 @@ func runSeq(p *plan) (*Result, error) {
 			}
 		}
 		commitAt[types.Slot(s)] = earliest
-		txs := make([][]byte, len(batch))
-		for i, tx := range batch {
-			txs[i] = tx
-		}
-		chain = append(chain, types.Block{Slot: types.Slot(s), Payload: []byte(payload), Txs: txs})
+		// Txs is never nil here: an empty slot marshals as [], not null.
+		chain = append(chain, types.Block{Slot: types.Slot(s), Payload: []byte(payload), Txs: append([][]byte{}, txs...)})
 		decided++
 
 		// Advance the shared clock by the sub-run's span. A zero-delay
@@ -152,7 +141,7 @@ func runSeq(p *plan) (*Result, error) {
 	for _, m := range p.honest {
 		res.Finalized = append(res.Finalized, NodeSlot{Node: m, Slot: decided})
 	}
-	res.txStats(chain, commitAt, arrivals)
+	res.txStats(chain, commitAt, load.arrivals)
 	if p.sc.Collect.Chain {
 		res.Chain = chain
 	}

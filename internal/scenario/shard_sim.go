@@ -11,6 +11,7 @@ import (
 	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/types"
+	"tetrabft/internal/workload"
 )
 
 // The sharded sim engine runs S shard clusters plus the anchor cluster as
@@ -32,9 +33,9 @@ type simShardCluster struct {
 
 // newSimShardCluster builds one cluster: n replicas on a fresh runner,
 // silent ones replaced per the fault schedule, the rest drawing batches
-// from the cluster's arrival-gated pool. tracer (per-cluster, for the stage
-// fold) and reg (run-shared metrics) may be nil.
-func newSimShardCluster(p *plan, n int, seed int64, maxSlot types.Slot, silent map[types.NodeID]bool, timed *blockchain.TimedMempool, batch int, tracer trace.Tracer, reg *obs.Registry) (*simShardCluster, error) {
+// from the cluster's arrival-gated batch source. tracer (per-cluster, for
+// the stage fold) and reg (run-shared metrics) may be nil.
+func newSimShardCluster(p *plan, n int, seed int64, maxSlot types.Slot, silent map[types.NodeID]bool, batch func(types.Slot, types.Time) [][]byte, tracer trace.Tracer, reg *obs.Registry) (*simShardCluster, error) {
 	r := sim.New(sim.Config{
 		Seed:          seed,
 		Delay:         buildDelay(p.sc.Network.Delay),
@@ -52,7 +53,7 @@ func newSimShardCluster(p *plan, n int, seed int64, maxSlot types.Slot, silent m
 			ID: id, Nodes: n, Delta: p.delta(),
 			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: maxSlot,
 			Window: p.sc.Workload.Window,
-			Batch:  timed.BatchSource(batch),
+			Batch:  batch,
 			Tracer: tracer, Metrics: reg,
 		})
 		if err != nil {
@@ -83,20 +84,6 @@ func (cl *simShardCluster) minFinalized() int64 {
 	return min
 }
 
-// commitAt maps each slot to its earliest honest decision time.
-func (cl *simShardCluster) commitAt() map[types.Slot]int64 {
-	out := make(map[types.Slot]int64)
-	decisions := cl.r.Decisions()
-	for _, id := range cl.honest {
-		for s, d := range decisions[id] {
-			if c, ok := out[s]; !ok || int64(d.At) < c {
-				out[s] = int64(d.At)
-			}
-		}
-	}
-	return out
-}
-
 // shardSilent collects the silent-replica fault schedule of one shard.
 func shardSilent(p *plan, s int) map[types.NodeID]bool {
 	out := make(map[types.NodeID]bool)
@@ -117,18 +104,11 @@ func shardSilent(p *plan, s int) map[types.NodeID]bool {
 // own router, modeling realistic imbalance. Arrival-process streams route
 // every transaction by its cohort key instead: small cohort key spaces
 // concentrate on few shards (hot-shard workloads) and the cross-mix knob is
-// subsumed by key placement. Each shard gets its own arrival-gated pool
-// plus the arrival map for the latency fold; submissions are in arrival
-// order (the pool's contract).
-func buildShardWorkload(p *plan) (pools []*blockchain.TimedMempool, arrivals []map[string]types.Time) {
+// subsumed by key placement. Each shard's stream stays in arrival order.
+func buildShardWorkload(p *plan) []*offered {
 	sh := p.sc.Shards
 	s := sh.count()
-	pools = make([]*blockchain.TimedMempool, s)
-	arrivals = make([]map[string]types.Time, s)
-	for i := range pools {
-		pools[i] = blockchain.NewTimedMempool(s * p.sc.Workload.TxCount)
-		arrivals[i] = make(map[string]types.Time)
-	}
+	scheds := make([][]workload.Arrival, s)
 	router := shard.Router{Shards: s}
 	roamPct := int(sh.CrossMix*100 + 0.5)
 	byKey := p.sc.Workload.Arrival != nil
@@ -137,16 +117,19 @@ func buildShardWorkload(p *plan) (pools []*blockchain.TimedMempool, arrivals []m
 		if byKey || j%100 < roamPct {
 			home = router.Shard(a.Key)
 		}
-		pools[home].Submit(a.At, a.Payload)
-		arrivals[home][string(a.Payload)] = a.At
+		scheds[home] = append(scheds[home], a)
 	}
-	return pools, arrivals
+	loads := make([]*offered, s)
+	for i, sched := range scheds {
+		loads[i] = newOffered(sched)
+	}
+	return loads
 }
 
 func runShardSim(p *plan) (*Result, error) {
 	sh := p.sc.Shards
 	s := sh.count()
-	pools, arrivals := buildShardWorkload(p)
+	loads := buildShardWorkload(p)
 	anchorPool := blockchain.NewTimedMempool(0)
 
 	// Per-shard trace logs feed the stage fold (the anchor cluster's
@@ -170,7 +153,7 @@ func runShardSim(p *plan) (*Result, error) {
 		if logs != nil {
 			tracer = logs[i]
 		}
-		cl, err := newSimShardCluster(p, sh.nodesPerShard(), p.seed()+int64(i), p.maxSlot, shardSilent(p, i), pools[i], p.batchSize(), tracer, reg)
+		cl, err := newSimShardCluster(p, sh.nodesPerShard(), p.seed()+int64(i), p.maxSlot, shardSilent(p, i), loads[i].batchSource(p.batchSize()), tracer, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +163,7 @@ func runShardSim(p *plan) (*Result, error) {
 	// filling slots with empty blocks between anchor arrivals, and a cap
 	// would be exhausted before the last shard's final anchor lands. Its
 	// batch size admits every shard anchoring in the same round.
-	anchorCl, err := newSimShardCluster(p, sh.anchorNodes(), p.seed()+int64(s), 0, nil, anchorPool, s, nil, reg)
+	anchorCl, err := newSimShardCluster(p, sh.anchorNodes(), p.seed()+int64(s), 0, nil, anchorPool.BatchSource(s), nil, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +230,7 @@ loop:
 			}
 		}
 	}
-	return foldShardResult(p, clusters, anchorCl, logs, reg, arrivals, submitAt, int64(now), runErr)
+	return foldShardResult(p, clusters, anchorCl, logs, reg, loads, submitAt, int64(now), runErr)
 }
 
 // committedEpochs scans the anchor cluster's decided log and returns the
@@ -283,16 +266,16 @@ type shardFoldInput struct {
 // foldShardResult builds the sharded Result from the sim clusters and
 // verifies the cross-shard consistency invariant. runErr, when non-nil,
 // takes precedence over (but does not suppress) the fold.
-func foldShardResult(p *plan, clusters []*simShardCluster, anchorCl *simShardCluster, logs []*trace.Log, reg *obs.Registry, arrivals []map[string]types.Time, submitAt map[string]types.Time, finishedAt int64, runErr error) (*Result, error) {
+func foldShardResult(p *plan, clusters []*simShardCluster, anchorCl *simShardCluster, logs []*trace.Log, reg *obs.Registry, loads []*offered, submitAt map[string]types.Time, finishedAt int64, runErr error) (*Result, error) {
 	inputs := make([]shardFoldInput, len(clusters))
 	for i, cl := range clusters {
-		inputs[i] = shardFoldInput{chain: cl.refChain(), commitAt: cl.commitAt(), finalized: cl.minFinalized()}
+		inputs[i] = shardFoldInput{chain: cl.refChain(), commitAt: earliestCommits(cl.r.Decisions(), cl.honest), finalized: cl.minFinalized()}
 		if logs != nil {
 			inputs[i].stages = stageSamples(logs[i].Events())
 		}
 	}
-	anchorIn := shardFoldInput{chain: anchorCl.refChain(), commitAt: anchorCl.commitAt(), finalized: anchorCl.minFinalized()}
-	res := foldShards(p, inputs, anchorIn, arrivals, submitAt, finishedAt)
+	anchorIn := shardFoldInput{chain: anchorCl.refChain(), commitAt: earliestCommits(anchorCl.r.Decisions(), anchorCl.honest), finalized: anchorCl.minFinalized()}
+	res := foldShards(p, inputs, anchorIn, loads, submitAt, finishedAt)
 	for _, cl := range append(append([]*simShardCluster(nil), clusters...), anchorCl) {
 		res.Events += cl.r.Events()
 		res.TotalSentBytes += cl.r.TotalSentBytes()
@@ -312,20 +295,20 @@ func foldShardResult(p *plan, clusters []*simShardCluster, anchorCl *simShardClu
 
 // foldShards assembles the per-shard and aggregate measurements shared by
 // both engines.
-func foldShards(p *plan, inputs []shardFoldInput, anchorIn shardFoldInput, arrivals []map[string]types.Time, submitAt map[string]types.Time, finishedAt int64) *Result {
+func foldShards(p *plan, inputs []shardFoldInput, anchorIn shardFoldInput, loads []*offered, submitAt map[string]types.Time, finishedAt int64) *Result {
 	res := &Result{
 		Name:            p.sc.Name,
 		FinishedAt:      finishedAt,
 		FirstDecisionAt: -1,
 	}
-	for _, m := range arrivals {
-		res.OfferedTxs += len(m)
+	for _, load := range loads {
+		res.OfferedTxs += len(load.arrivals)
 	}
 	var allLats []int64
 	pooledStages := make(map[string][]int64)
 	stagesOn := false
 	for i, in := range inputs {
-		txs, lats := txLatencies(in.chain, in.commitAt, arrivals[i])
+		txs, lats := txLatencies(in.chain, in.commitAt, loads[i].arrivals)
 		p50, p99 := latencyPercentiles(lats)
 		sr := ShardResult{
 			Shard: i, Finalized: in.finalized, DecidedTxs: txs,

@@ -36,7 +36,7 @@ type shardTCPCluster struct {
 	// quorum math but never run).
 	nodes    int
 	replicas []*tcpReplica
-	timed    *blockchain.TimedMempool
+	batch    func(types.Slot, types.Time) [][]byte // cluster-shared Config.Batch: a shard's stream, or the anchor pool
 	// log collects the cluster's trace events for the stage fold
 	// (Collect.Stages); nil when off, and always nil for the anchor cluster.
 	log *trace.Log
@@ -122,7 +122,7 @@ func runShardTCP(p *plan, onReady func(url string)) (*Result, error) {
 	}
 	defer os.RemoveAll(walRoot)
 
-	pools, arrivals := buildShardWorkload(p)
+	loads := buildShardWorkload(p)
 	anchorPool := blockchain.NewTimedMempool(0)
 	crashes := shardCrashSchedule(p)
 	start := time.Now()
@@ -147,16 +147,17 @@ func runShardTCP(p *plan, onReady func(url string)) (*Result, error) {
 	for i := 0; i < s; i++ {
 		cl := &shardTCPCluster{
 			name: fmt.Sprintf("shard %d", i), nodes: sh.nodesPerShard(),
-			timed: pools[i], commitAt: make(map[types.Slot]int64),
+			batch: loads[i].batchSource(p.batchSize()), commitAt: make(map[types.Slot]int64),
 		}
 		if p.sc.Collect.Stages {
 			cl.log = &trace.Log{}
 		}
 		clusters = append(clusters, cl)
 	}
+	// The anchor batch size admits every shard anchoring in the same round.
 	anchorCl := &shardTCPCluster{
 		name: "anchor cluster", nodes: sh.anchorNodes(),
-		timed: anchorPool, commitAt: make(map[types.Slot]int64),
+		batch: anchorPool.BatchSource(s), commitAt: make(map[types.Slot]int64),
 	}
 	clusters = append(clusters, anchorCl)
 	for ci, cl := range clusters {
@@ -183,23 +184,22 @@ func runShardTCP(p *plan, onReady func(url string)) (*Result, error) {
 
 	// newRuntime launches (or relaunches) one replica of one cluster. The
 	// anchor cluster proposes without a slot cap — a cap would be exhausted
-	// by pipelined empty blocks before late anchors arrive — and its batch
-	// size admits every shard anchoring in the same round.
+	// by pipelined empty blocks before late anchors arrive.
 	newRuntime := func(cl *shardTCPCluster, rep *tcpReplica, restore bool) (*multishot.Node, *transport.Runtime, error) {
 		store, err := wal.OpenMulti(rep.walDir)
 		if err != nil {
 			return nil, nil, err
 		}
-		maxSlot, batch := p.maxSlot, p.batchSize()
+		maxSlot := p.maxSlot
 		if cl == anchorCl {
-			maxSlot, batch = 0, s
+			maxSlot = 0
 		}
 		cfg := multishot.Config{
 			ID: rep.id, Nodes: cl.nodes, Delta: p.delta(),
 			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: maxSlot,
 			Window:  p.sc.Workload.Window,
 			Payload: rep.mempool.PayloadSource(8),
-			Batch:   cl.timed.BatchSource(batch),
+			Batch:   cl.batch,
 			Persist: store,
 			Metrics: reg,
 		}
@@ -520,7 +520,7 @@ func runShardTCP(p *plan, onReady func(url string)) (*Result, error) {
 		}
 	}
 	anchorMu.Lock()
-	res := foldShards(p, inputs, anchorIn, arrivals, submitAt, finishedAt)
+	res := foldShards(p, inputs, anchorIn, loads, submitAt, finishedAt)
 	anchorMu.Unlock()
 	res.MaxStorageBytes = maxStorage
 	if reg != nil {

@@ -90,20 +90,9 @@ func runTCP(p *plan) (*Result, error) {
 	if per == 0 {
 		per = 8
 	}
-	// The offered-load stream (Workload.TxCount) is one cluster-shared
-	// arrival-gated pool, exactly as on the simulator: replicas race to
-	// drain it under its mutex, so each transaction rides at most one
-	// proposal. Arrival times are in ticks = transport milliseconds.
-	var timed *blockchain.TimedMempool
-	var arrivals map[string]types.Time
-	if count := p.sc.Workload.TxCount; count > 0 {
-		timed = blockchain.NewTimedMempool(count)
-		arrivals = make(map[string]types.Time, count)
-		for _, a := range p.offeredSchedule(count, 1) {
-			timed.Submit(a.At, a.Payload)
-			arrivals[string(a.Payload)] = a.At
-		}
-	}
+	// One cluster-shared offered-load stream (Workload.TxCount), exactly as
+	// on the simulator; arrival times are in ticks = transport milliseconds.
+	load := p.offeredLoad()
 	// commitAt records the earliest wall-clock commit of each slot across
 	// all replica incarnations, feeding the per-transaction latency fold.
 	var commitMu sync.Mutex
@@ -150,10 +139,8 @@ func runTCP(p *plan) (*Result, error) {
 			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: p.maxSlot,
 			Window:  p.sc.Workload.Window,
 			Payload: rep.mempool.PayloadSource(per), Persist: store,
+			Batch:  load.batchSource(p.batchSize()),
 			Tracer: tracer, Metrics: reg,
-		}
-		if timed != nil {
-			cfg.Batch = timed.BatchSource(p.batchSize())
 		}
 		var node *multishot.Node
 		if restore {
@@ -380,8 +367,8 @@ func runTCP(p *plan) (*Result, error) {
 		}
 	}
 	sort.Slice(res.Transport, func(i, j int) bool { return res.Transport[i].Node < res.Transport[j].Node })
-	res.OfferedTxs = len(arrivals)
-	res.txStats(ref, commitAt, arrivals)
+	res.OfferedTxs = len(load.arrivals)
+	res.txStats(ref, commitAt, load.arrivals)
 	if p.sc.Collect.Chain && len(live) > 0 {
 		res.Chain = ref
 	}
