@@ -71,15 +71,23 @@ type PersistentState struct {
 	Votes     VoteState
 }
 
-// MarshalBinary encodes the persistent state.
+// MarshalBinary encodes the persistent state into a fresh slice of exactly
+// PersistentSize bytes.
 func (p PersistentState) MarshalBinary() ([]byte, error) {
-	var buf []byte
-	buf = binary.AppendVarint(buf, int64(p.View))
-	buf = binary.AppendVarint(buf, int64(p.HighestVC))
-	for _, r := range []types.VoteRef{p.Votes.Vote1, p.Votes.PrevVote1, p.Votes.Vote2, p.Votes.PrevVote2, p.Votes.Vote3, p.Votes.Vote4} {
-		buf = appendRef(buf, r)
-	}
-	return buf, nil
+	return p.AppendBinary(make([]byte, 0, p.PersistentSize()))
+}
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (p PersistentState) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(p.View))
+	b = binary.AppendVarint(b, int64(p.HighestVC))
+	b = appendRef(b, p.Votes.Vote1)
+	b = appendRef(b, p.Votes.PrevVote1)
+	b = appendRef(b, p.Votes.Vote2)
+	b = appendRef(b, p.Votes.PrevVote2)
+	b = appendRef(b, p.Votes.Vote3)
+	b = appendRef(b, p.Votes.Vote4)
+	return b, nil
 }
 
 // UnmarshalBinary decodes state encoded by MarshalBinary.
@@ -100,10 +108,27 @@ func (p *PersistentState) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// PersistentSize returns the encoded byte size of the state.
+// PersistentSize returns the encoded byte size of the state, computed from
+// the field widths without encoding.
 func (p PersistentState) PersistentSize() int {
-	data, _ := p.MarshalBinary()
-	return len(data)
+	return varintSize(int64(p.View)) + varintSize(int64(p.HighestVC)) +
+		refSize(p.Votes.Vote1) + refSize(p.Votes.PrevVote1) +
+		refSize(p.Votes.Vote2) + refSize(p.Votes.PrevVote2) +
+		refSize(p.Votes.Vote3) + refSize(p.Votes.Vote4)
+}
+
+func varintSize(v int64) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return binary.PutVarint(tmp[:], v)
+}
+
+// refSize mirrors appendRef.
+func refSize(r types.VoteRef) int {
+	if !r.Valid {
+		return 1
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	return 1 + varintSize(int64(r.View)) + binary.PutUvarint(tmp[:], uint64(len(r.Val))) + len(r.Val)
 }
 
 func appendRef(buf []byte, r types.VoteRef) []byte {

@@ -150,6 +150,10 @@ func TestQuickPersistentStateRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// One exactly sized allocation: the analytic size is the encoded size.
+		if want.PersistentSize() != len(data) || cap(data) != len(data) {
+			return false
+		}
 		var got PersistentState
 		if err := got.UnmarshalBinary(data); err != nil {
 			return false

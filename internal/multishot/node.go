@@ -215,6 +215,21 @@ type Node struct {
 	freeSlots []*slotState
 	freeViews []*viewRec
 
+	// out buffers the sends of the current turn in call order, and dirty
+	// records that durable state changed since the last successful write;
+	// endTurn writes once and then releases them (see turn.go). durable is
+	// the length of the prefix of out that a write already covers: zero
+	// between turns, and only ever consulted when an Env hands a released
+	// broadcast straight back to Deliver. outBuf backs out for the usual
+	// vote-plus-proposal turn, so a fresh node allocates nothing for it.
+	out     []outMsg
+	outBuf  [4]outMsg
+	durable int
+	dirty   bool
+	// persistSlots is the scratch the per-turn write fills in place of a
+	// fresh Slots slice (Snapshot keeps returning an independent copy).
+	persistSlots []SlotPersist
+
 	// halted is set when a Persist fails: a node that cannot write ahead
 	// must stop participating (see core.Persister).
 	halted bool
@@ -296,6 +311,7 @@ func NewNode(cfg Config) (*Node, error) {
 		claims:    make(map[types.Slot]map[types.NodeID]types.BlockID),
 		timers:    make(map[types.TimerID]timerRef),
 	}
+	n.out = n.outBuf[:0]
 	if t, ok := cfg.Quorum.(quorum.Threshold); ok {
 		n.isThr = true
 		n.thrQuorum = t.QuorumSize()
@@ -377,10 +393,11 @@ func (n *Node) Start(env types.Env) {
 		// can anchor.
 		n.startSlot(env, n.finalized+1)
 		n.callForViewChange(env)
-		return
+	} else {
+		n.startSlot(env, 1)
+		n.tryPropose(env, 1)
 	}
-	n.startSlot(env, 1)
-	n.tryPropose(env, 1)
+	n.endTurn(env)
 }
 
 // Deliver implements types.Machine.
@@ -405,6 +422,7 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 	default:
 		// Foreign message kinds are ignored.
 	}
+	n.endTurn(env)
 }
 
 // Tick implements types.Machine: a per-slot view timer expired. If the slot
@@ -428,6 +446,7 @@ func (n *Node) Tick(env types.Env, id types.TimerID) {
 	}
 	n.callForViewChange(env)
 	n.armTimer(env, ref.slot, ref.view)
+	n.endTurn(env)
 }
 
 // callForViewChange calls for the next view on the lowest aborted slot
@@ -442,15 +461,13 @@ func (n *Node) callForViewChange(env types.Env) {
 	want := ls.view + 1
 	if want > ls.highestVC {
 		ls.highestVC = want
-		if !n.persist() {
-			return
-		}
+		n.dirty = true
 		n.mViewChanges.Inc()
 		n.emit(env, "view-change", lowest, want)
-		env.Broadcast(types.MSViewChange{Slot: lowest, View: want})
+		n.broadcast(types.MSViewChange{Slot: lowest, View: want})
 	} else {
 		// Retransmit the pending call (it may have been lost pre-GST).
-		env.Broadcast(types.MSViewChange{Slot: lowest, View: ls.highestVC})
+		n.broadcast(types.MSViewChange{Slot: lowest, View: ls.highestVC})
 	}
 }
 
@@ -531,7 +548,7 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.MSViewChan
 			last = n.finalized
 		}
 		for s := m.Slot; s <= last; s++ {
-			env.Send(from, types.MSFinal{Block: n.chain[s-1]})
+			n.send(from, types.MSFinal{Block: n.chain[s-1]})
 		}
 		return
 	}
@@ -551,10 +568,8 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.MSViewChan
 	// Echo on f+1 unless already sent for this slot at this view or higher.
 	if m.View > st.highestVC && n.bitsBlocking(vr.vcVotes) {
 		st.highestVC = m.View
-		if !n.persist() {
-			return
-		}
-		env.Broadcast(types.MSViewChange{Slot: m.Slot, View: m.View})
+		n.dirty = true
+		n.broadcast(types.MSViewChange{Slot: m.Slot, View: m.View})
 	}
 	// Apply on n−f.
 	if m.View > st.view && n.bitsQuorum(vr.vcVotes) {
@@ -564,39 +579,28 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.MSViewChan
 
 // applyViewChange moves every unfinalized slot in [s, maxSlot] to view v,
 // resets their timers, and broadcasts per-slot proof/suggest histories
-// (Algorithm 2 lines 7-11). Slots never started stay in view 0.
+// (Algorithm 2 lines 7-11). Slots never started stay in view 0. However many
+// slots move, the turn writes them in one snapshot before any history leaves.
 func (n *Node) applyViewChange(env types.Env, s types.Slot, v types.View) {
-	// Two passes: first move every affected slot to the new view, then
-	// persist once, then broadcast — the write-ahead discipline with one
-	// snapshot write for the whole batch instead of one per slot. The vote
-	// histories are captured in the first pass because the broadcast
-	// cascade below can finalize (and recycle) a slot mid-loop.
-	type entered struct {
-		slot  types.Slot
-		votes core.VoteState
-	}
-	var batch []entered
+	// Two passes keep the event order: every slot enters the view and
+	// re-arms before the first history (or re-proposal) is issued.
+	var moved []*slotState
 	for k := s; k <= n.maxSlot; k++ {
 		st := n.peekSlot(k)
 		if st == nil || !st.started || st.view >= v {
 			continue
 		}
 		st.view = v
+		n.dirty = true
 		n.emit(env, "enter-view", k, v)
 		n.armTimer(env, k, v)
-		batch = append(batch, entered{slot: k, votes: st.votes})
+		moved = append(moved, st)
 	}
-	if len(batch) == 0 {
-		return
-	}
-	if !n.persist() {
-		return
-	}
-	for _, e := range batch {
-		env.Broadcast(msProof(e.slot, v, e.votes))
-		env.Send(n.Leader(e.slot, v), msSuggest(e.slot, v, e.votes))
-		if n.Leader(e.slot, v) == n.cfg.ID {
-			n.tryPropose(env, e.slot)
+	for _, st := range moved {
+		n.broadcast(msProof(st.slot, v, st.votes))
+		n.send(n.Leader(st.slot, v), msSuggest(st.slot, v, st.votes))
+		if n.Leader(st.slot, v) == n.cfg.ID {
+			n.tryPropose(env, st.slot)
 		}
 	}
 }
@@ -688,9 +692,7 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 		adopted = true
 	}
 	if adopted {
-		if !n.persist() {
-			return
-		}
+		n.dirty = true
 		// Keep the recovery loop alive: the next unfinalized slot needs a
 		// running timer to request the following catch-up window (or to
 		// rejoin the live pipeline).
@@ -797,7 +799,7 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 	n.blocks[id] = block
 	n.mProposals.Inc()
 	n.emitB(env, "propose", s, v, id)
-	env.Broadcast(types.MSPropose{View: v, Block: block})
+	n.broadcast(types.MSPropose{View: v, Block: block})
 }
 
 // freshBlock assembles a new proposal body: the payload header plus the
@@ -932,12 +934,10 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 	}
 	vr.sentVote = true
 	n.recordImplicitVotes(s, v, vr.proposalID, vr.proposal)
-	if !n.persist() {
-		return
-	}
+	n.dirty = true
 	n.mVotes.Inc()
 	n.emitB(env, "vote", s, v, vr.proposalID)
-	env.Broadcast(types.MSVote{Slot: s, View: v, Block: vr.proposalID})
+	n.broadcast(types.MSVote{Slot: s, View: v, Block: vr.proposalID})
 }
 
 // parentLinkOK checks conditions 1) and 2) of Section 6.1: the parent block
@@ -1090,8 +1090,9 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 		env.Decide(s, path[i].id.Value())
 		n.releaseSlot(s)
 	}
-	// Advancing the finalized watermark also shrinks the persisted window.
-	n.persist()
+	// The advanced watermark shrinks the persisted window; no message
+	// depends on it, so it rides on the next turn that has something to send.
+	n.dirty = true
 	return true
 }
 

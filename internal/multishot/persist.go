@@ -9,8 +9,12 @@ import (
 )
 
 // Persister stores the multi-shot node's durable state. Persist is invoked
-// before any message that depends on the new state is sent (write-ahead
-// discipline, as in core.Persister). A failing Persister halts the node.
+// once per turn, before any message of that turn is sent, and only by a turn
+// that both changed durable state (since the last write) and sends something
+// (write-ahead discipline, as in core.Persister; see turn.go). A failing
+// Persister halts the node. state.Slots aliases a buffer the node refills on
+// its next write: an implementation that keeps the state past the call
+// copies it (encoding it, as the WAL does, is such a copy).
 type Persister interface {
 	Persist(state PersistentState) error
 }
@@ -40,24 +44,30 @@ type SlotPersist struct {
 	Votes     core.VoteState
 }
 
-// MarshalBinary encodes the persistent state. Each slot's inner state
-// reuses core.PersistentState's encoding — the single-shot durable record
-// is exactly what one pipeline slot must remember.
+// MarshalBinary encodes the persistent state into a fresh slice of exactly
+// PersistentSize bytes. Each slot's inner state reuses
+// core.PersistentState's encoding — the single-shot durable record is
+// exactly what one pipeline slot must remember.
 func (p PersistentState) MarshalBinary() ([]byte, error) {
-	var buf []byte
-	buf = binary.AppendVarint(buf, int64(p.Finalized))
-	buf = append(buf, p.FinalHead[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Slots)))
-	for _, s := range p.Slots {
-		inner, err := core.PersistentState{View: s.View, HighestVC: s.HighestVC, Votes: s.Votes}.MarshalBinary()
-		if err != nil {
+	return p.AppendBinary(make([]byte, 0, p.PersistentSize()))
+}
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (p PersistentState) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(p.Finalized))
+	b = append(b, p.FinalHead[:]...)
+	b = binary.AppendUvarint(b, uint64(len(p.Slots)))
+	for i := range p.Slots {
+		s := &p.Slots[i]
+		inner := core.PersistentState{View: s.View, HighestVC: s.HighestVC, Votes: s.Votes}
+		b = binary.AppendVarint(b, int64(s.Slot))
+		b = binary.AppendUvarint(b, uint64(inner.PersistentSize()))
+		var err error
+		if b, err = inner.AppendBinary(b); err != nil {
 			return nil, fmt.Errorf("multishot: encode slot %d: %w", s.Slot, err)
 		}
-		buf = binary.AppendVarint(buf, int64(s.Slot))
-		buf = binary.AppendUvarint(buf, uint64(len(inner)))
-		buf = append(buf, inner...)
 	}
-	return buf, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes state encoded by MarshalBinary.
@@ -108,16 +118,36 @@ func (p *PersistentState) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// PersistentSize returns the encoded byte size of the state.
+// PersistentSize returns the encoded byte size of the state, computed from
+// the field widths without encoding (as types.EncodedSize is).
 func (p PersistentState) PersistentSize() int {
-	data, _ := p.MarshalBinary()
-	return len(data)
+	var tmp [binary.MaxVarintLen64]byte
+	size := binary.PutVarint(tmp[:], int64(p.Finalized)) + len(p.FinalHead) +
+		binary.PutUvarint(tmp[:], uint64(len(p.Slots)))
+	for i := range p.Slots {
+		s := &p.Slots[i]
+		inner := core.PersistentState{View: s.View, HighestVC: s.HighestVC, Votes: s.Votes}.PersistentSize()
+		size += binary.PutVarint(tmp[:], int64(s.Slot)) + binary.PutUvarint(tmp[:], uint64(inner)) + inner
+	}
+	return size
 }
 
 // Snapshot captures the node's durable state: the finalized watermark plus
-// every in-flight slot's constant-size vote state.
-func (n *Node) Snapshot() PersistentState {
-	st := PersistentState{Finalized: n.finalized}
+// every in-flight slot's constant-size vote state. The result shares nothing
+// with the node.
+func (n *Node) Snapshot() PersistentState { return n.snapshotInto(nil) }
+
+// persistView is the snapshot the per-turn write hands to the Persister:
+// its Slots live in the node's scratch and are overwritten by the next one.
+func (n *Node) persistView() PersistentState {
+	st := n.snapshotInto(n.persistSlots[:0])
+	n.persistSlots = st.Slots
+	return st
+}
+
+// snapshotInto captures the durable state, appending the slots to slots.
+func (n *Node) snapshotInto(slots []SlotPersist) PersistentState {
+	st := PersistentState{Finalized: n.finalized, Slots: slots}
 	if n.finalized >= 1 {
 		st.FinalHead = n.chainIDs[n.finalized-1]
 	}
@@ -168,17 +198,3 @@ func Restore(cfg Config, state PersistentState) (*Node, error) {
 
 // Halted reports whether the node stopped after a failed persist.
 func (n *Node) Halted() bool { return n.halted }
-
-// persist writes the durable state through the configured Persister. On
-// failure the node halts: continuing without durability could violate
-// safety after a crash. Returns false when halted.
-func (n *Node) persist() bool {
-	if n.cfg.Persist == nil {
-		return true
-	}
-	if err := n.cfg.Persist.Persist(n.Snapshot()); err != nil {
-		n.halted = true
-		return false
-	}
-	return true
-}

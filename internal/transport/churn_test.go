@@ -89,7 +89,7 @@ func TestHeldFrameSurvivesReconnect(t *testing.T) {
 		t.Fatalf("hello from node %d, want 0", got)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := readFrame(conn)
+	payload, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("the held frame never arrived: %v", err)
 	}

@@ -1,0 +1,216 @@
+package transport
+
+import (
+	"encoding/binary"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tetrabft/internal/types"
+)
+
+// sinkMachine hands every delivered message to the test.
+type sinkMachine struct {
+	id  types.NodeID
+	got chan types.Message
+}
+
+func (m *sinkMachine) ID() types.NodeID              { return m.id }
+func (m *sinkMachine) Start(types.Env)               {}
+func (m *sinkMachine) Tick(types.Env, types.TimerID) {}
+func (m *sinkMachine) Deliver(_ types.Env, _ types.NodeID, msg types.Message) {
+	m.got <- msg
+}
+
+func newSink(t *testing.T) (*Runtime, *sinkMachine) {
+	t.Helper()
+	m := &sinkMachine{id: 9, got: make(chan types.Message, 64)}
+	rt, err := New(m, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	t.Cleanup(rt.Close)
+	return rt, m
+}
+
+// expect waits for the sink's next message and compares it.
+func (m *sinkMachine) expect(t *testing.T, want types.Message) {
+	t.Helper()
+	select {
+	case got := <-m.got:
+		if got != want {
+			t.Fatalf("delivered %v, want %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%v was never delivered", want)
+	}
+}
+
+// dialRaw connects to rt as node 1 and sends the hello.
+func dialRaw(t *testing.T, rt *Runtime) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", rt.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	var hello [8]byte
+	binary.BigEndian.PutUint64(hello[:], 1)
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestFramesSharingASegment: several frames written back to back — what a
+// peer's writer does with everything queued at a wake-up — are all delivered,
+// in order.
+func TestFramesSharingASegment(t *testing.T) {
+	rt, sink := newSink(t)
+	conn := dialRaw(t, rt)
+	msgs := []types.Message{
+		types.MSVote{Slot: 4, View: 0, Block: types.Block{Slot: 4}.ID()},
+		types.MSViewChange{Slot: 5, View: 2},
+		types.MSVote{Slot: 6, View: 1, Block: types.Block{Slot: 6}.ID()},
+	}
+	var segment []byte
+	for _, m := range msgs {
+		segment = append(segment, encodeFrame(m)...)
+	}
+	if _, err := conn.Write(segment); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		sink.expect(t, m)
+	}
+}
+
+// TestFrameSplitAcrossSegments: a frame whose header and payload arrive in
+// separate segments (cut inside the length prefix, then inside the payload)
+// is delivered once it is whole.
+func TestFrameSplitAcrossSegments(t *testing.T) {
+	rt, sink := newSink(t)
+	conn := dialRaw(t, rt)
+	want := types.MSVote{Slot: 7, View: 3, Block: types.Block{Slot: 7}.ID()}
+	frame := encodeFrame(want)
+	for _, part := range [][]byte{frame[:2], frame[2:10], frame[10:]} {
+		if _, err := conn.Write(part); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond) // let the segment leave on its own
+	}
+	sink.expect(t, want)
+}
+
+// TestOversizedFrameClosesConnection: a length above maxFrame is a protocol
+// violation and still ends the connection.
+func TestOversizedFrameClosesConnection(t *testing.T) {
+	rt, _ := newSink(t)
+	conn := dialRaw(t, rt)
+	var header [frameHeader]byte
+	binary.BigEndian.PutUint32(header[:], maxFrame+1)
+	if _, err := conn.Write(header[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the runtime kept a connection that announced an oversized frame")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the runtime never closed the connection after an oversized frame")
+	}
+}
+
+// TestGarbagePayloadKeepsConnection: a well-framed payload that does not
+// decode is skipped and the frames after it are still delivered.
+func TestGarbagePayloadKeepsConnection(t *testing.T) {
+	rt, sink := newSink(t)
+	conn := dialRaw(t, rt)
+	garbage := []byte{0, 0, 0, 3, 0xff, 0xfe, 0xfd}
+	want := types.MSViewChange{Slot: 2, View: 1}
+	if _, err := conn.Write(append(garbage, encodeFrame(want)...)); err != nil {
+		t.Fatal(err)
+	}
+	sink.expect(t, want)
+}
+
+// countingConn counts Write calls on an outbound connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerWakeUp: everything queued for a peer when its writer wakes
+// goes out in a single Write (after the hello that opens the connection).
+func TestOneWritePerWakeUp(t *testing.T) {
+	sinkRT, sink := newSink(t)
+	rt, err := New(&idleMachine{id: 0}, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var writes atomic.Int64
+	rt.dial = func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		return countingConn{Conn: c, writes: &writes}, err
+	}
+	rt.SetPeers(map[types.NodeID]string{9: sinkRT.Addr()})
+	// Queue before the writer exists, so that one wake-up finds all of it.
+	e := &env{r: rt}
+	const frames = 5
+	for i := 1; i <= frames; i++ {
+		e.Send(9, types.MSViewChange{Slot: types.Slot(i), View: 1})
+	}
+	rt.Run()
+	for i := 1; i <= frames; i++ {
+		sink.expect(t, types.MSViewChange{Slot: types.Slot(i), View: 1})
+	}
+	if got := writes.Load(); got != 2 {
+		t.Errorf("%d queued frames took %d writes, want 2 (the hello, then one for all of them)", frames, got)
+	}
+}
+
+// TestBroadcastEncodesOnce: a broadcast builds one frame and every link
+// queues that same frame. The CI perf job runs this by name.
+func TestBroadcastEncodesOnce(t *testing.T) {
+	rt, err := New(&idleMachine{id: 0}, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.SetPeers(map[types.NodeID]string{0: rt.Addr(), 1: "127.0.0.1:1", 2: "127.0.0.1:2", 3: "127.0.0.1:3"})
+	if len(rt.links) != 3 {
+		t.Fatalf("%d outbound links, want 3 (self is served locally)", len(rt.links))
+	}
+	e := &env{r: rt}
+	var msg types.Message = types.MSVote{Slot: 3, View: 0, Block: types.Block{Slot: 3}.ID()}
+	e.Broadcast(msg)
+	var first []byte
+	for i, p := range rt.links {
+		frame := <-p.queue
+		if i == 0 {
+			first = frame
+		} else if &frame[0] != &first[0] {
+			t.Errorf("link %d queued a frame of its own; a broadcast shares one", p.id)
+		}
+	}
+	if got, want := first[frameHeader:], types.Encode(msg); string(got) != string(want) || int(binary.BigEndian.Uint32(first)) != len(want) {
+		t.Errorf("broadcast frame is % x, want length prefix + % x", first, want)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Broadcast(msg)
+		for _, p := range rt.links {
+			<-p.queue
+		}
+		e.self = e.self[:0]
+	})
+	if allocs > 1 {
+		t.Errorf("a broadcast to 3 peers allocates %.1f times, want at most 1 (the shared frame)", allocs)
+	}
+}

@@ -6,13 +6,17 @@
 // authenticated messages): each connection starts with a hello frame naming
 // the sender, standing in for the channel authentication a production
 // deployment would get from mTLS or a fixed mesh. Framing is 4-byte
-// big-endian length + the shared wire encoding of internal/types.
+// big-endian length + the shared wire encoding of internal/types; a frame
+// is built once, in one buffer, and shared by every peer it goes to.
 //
 // Concurrency model: one event loop goroutine owns the Machine (deliveries
 // and timer fires are serialized through one channel, so Machines stay
 // single-threaded as required); one reader goroutine per inbound
-// connection; one writer goroutine per peer with reconnect-and-retry. All
-// goroutines are owned by the Runtime and joined by Close.
+// connection, reading through a small buffer so a frame's length and
+// payload are one system call; one writer goroutine per peer with
+// reconnect-and-retry, which puts everything queued for its peer at a
+// wake-up into one write. All goroutines are owned by the Runtime and joined
+// by Close.
 //
 // Fault injection: Kill hard-stops a runtime the way a crashing process
 // would (listener gone, connections reset mid-stream), and Config.Chaos
@@ -21,12 +25,14 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +43,15 @@ import (
 
 // maxFrame bounds a single wire frame (defense against bogus lengths).
 const maxFrame = 1 << 20
+
+// frameHeader is the length prefix of a frame.
+const frameHeader = 4
+
+// linkBuf is where a writer stops adding queued frames to one write, and the
+// largest buffer a reader or writer keeps between frames (a larger frame
+// gets a buffer of its own that is dropped afterwards). Every link of every
+// replica holds one in each direction, so it stays small.
+const linkBuf = 16 << 10
 
 const (
 	initialBackoff = 10 * time.Millisecond
@@ -77,8 +92,15 @@ type Runtime struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
+	// peers and links are the same outbound links by id and in id order.
+	// SetPeers fills them before Run and nothing changes them afterwards, so
+	// the event loop reads both without the lock.
+	peers map[types.NodeID]*peer
+	links []*peer
+	// dial opens an outbound connection (net.Dial; tests count its writes).
+	dial func(network, addr string) (net.Conn, error)
+
 	mu       sync.Mutex
-	peers    map[types.NodeID]*peer
 	timers   map[uint64]*time.Timer
 	timerSeq uint64
 	conns    map[net.Conn]struct{}
@@ -139,7 +161,10 @@ func (r *Runtime) Do(fn func()) bool {
 
 // peer is one outbound link. ordinal is touched only from the event loop
 // goroutine (env.Send); the counters are shared with the writer goroutine.
+// queue carries whole frames (header + payload), read-only once queued: a
+// broadcast puts the same frame on every link.
 type peer struct {
+	id      types.NodeID
 	addr    string
 	queue   chan []byte
 	ordinal uint64
@@ -182,6 +207,7 @@ func New(machine types.Machine, cfg Config) (*Runtime, error) {
 		events:  make(chan event, 4096),
 		done:    make(chan struct{}),
 		peers:   make(map[types.NodeID]*peer),
+		dial:    net.Dial,
 		timers:  make(map[uint64]*time.Timer),
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -206,8 +232,13 @@ func (r *Runtime) SetPeers(addrs map[types.NodeID]string) {
 		if id == r.machine.ID() {
 			continue
 		}
-		r.peers[id] = &peer{addr: addr, queue: make(chan []byte, 1024)}
+		r.peers[id] = &peer{id: id, addr: addr, queue: make(chan []byte, 1024)}
 	}
+	r.links = r.links[:0]
+	for _, p := range r.peers {
+		r.links = append(r.links, p)
+	}
+	sort.Slice(r.links, func(i, j int) bool { return r.links[i].id < r.links[j].id })
 }
 
 // Run starts the accept loop, peer writers and the event loop. It returns
@@ -216,12 +247,10 @@ func (r *Runtime) Run() {
 	r.started = time.Now()
 	r.wg.Add(1)
 	go r.acceptLoop()
-	r.mu.Lock()
-	for _, p := range r.peers {
+	for _, p := range r.links {
 		r.wg.Add(1)
 		go r.writeLoop(p)
 	}
-	r.mu.Unlock()
 	r.wg.Add(1)
 	go r.eventLoop()
 }
@@ -369,16 +398,22 @@ func (r *Runtime) readLoop(conn net.Conn) {
 	// Hello frame: the peer's declared identity (the "authenticated
 	// channel" stand-in; see the package comment). Close/Kill unblock the
 	// reads below by closing the tracked connection.
+	br := bufio.NewReader(conn)
 	var hello [8]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	if _, err := io.ReadFull(br, hello[:]); err != nil {
 		return
 	}
 	from := types.NodeID(binary.BigEndian.Uint64(hello[:]))
 
+	// Decode copies what it keeps, so one payload buffer serves every frame.
+	var buf []byte
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br, buf)
 		if err != nil {
 			return
+		}
+		if cap(payload) <= linkBuf {
+			buf = payload
 		}
 		r.mFramesRecv.Inc()
 		r.mBytesRecv.Add(int64(len(payload)))
@@ -394,11 +429,15 @@ func (r *Runtime) readLoop(conn net.Conn) {
 	}
 }
 
-// writeLoop owns one outbound link. A frame pulled from the queue is held
-// until it is written to a live connection or it ages past HeldFrameTTL —
-// a dial failure, a failed hello, or a mid-stream write error no longer
-// loses it silently; it rides to the next reconnect. Reconnects use
-// exponential backoff with jitter, capped at maxBackoff.
+// writeLoop owns one outbound link. Each wake-up takes everything queued
+// for the peer (up to linkBuf bytes) and puts it on the wire in one
+// write: a leader's vote for slot s and its proposal for s+1 leave together.
+// What was taken is held until it is written to a live connection or it ages
+// past HeldFrameTTL — a dial failure, a failed hello, or a mid-stream write
+// error does not lose it silently; it rides to the next reconnect (frames at
+// the front of a write that broke midway may then arrive twice; the
+// protocols' messages are idempotent). Reconnects use exponential backoff
+// with jitter, capped at maxBackoff.
 func (r *Runtime) writeLoop(p *peer) {
 	defer r.wg.Done()
 	var conn net.Conn
@@ -409,19 +448,24 @@ func (r *Runtime) writeLoop(p *peer) {
 		}
 	}()
 	backoff := initialBackoff
-	var held []byte
+	var held []byte // the frames of one write, back to back
+	var heldFrames int
 	var heldSince time.Time
 	for {
-		if held == nil {
+		if heldFrames == 0 {
+			if cap(held) > linkBuf {
+				held = nil
+			}
 			select {
 			case <-r.done:
 				return
-			case held = <-p.queue:
+			case frame := <-p.queue:
+				held, heldFrames = gather(held[:0], frame, p.queue)
 				heldSince = time.Now()
 			}
 		}
 		if conn == nil {
-			c, err := net.Dial("tcp", p.addr)
+			c, err := r.dial("tcp", p.addr)
 			if err == nil {
 				var hello [8]byte
 				binary.BigEndian.PutUint64(hello[:], uint64(r.machine.ID()))
@@ -438,13 +482,13 @@ func (r *Runtime) writeLoop(p *peer) {
 				}
 			}
 			if conn == nil {
-				// Degrade gracefully while the peer stays down: a frame
-				// held past its TTL is stale (the protocol will have
-				// retransmitted), so drop it, count it, and move on.
+				// Degrade gracefully while the peer stays down: frames
+				// held past their TTL are stale (the protocol will have
+				// retransmitted), so drop them, count them, and move on.
 				if time.Since(heldSince) > r.cfg.HeldFrameTTL {
-					held = nil
-					p.droppedFrames.Add(1)
-					r.mDropped.Inc()
+					p.droppedFrames.Add(int64(heldFrames))
+					r.mDropped.Add(int64(heldFrames))
+					heldFrames = 0
 				}
 				select {
 				case <-r.done:
@@ -457,16 +501,34 @@ func (r *Runtime) writeLoop(p *peer) {
 				continue
 			}
 		}
-		if err := writeFrame(conn, held); err != nil {
+		if _, err := conn.Write(held); err != nil {
 			r.untrack(conn)
 			conn.Close()
 			conn = nil
-			continue // the held frame retries on the next reconnect
+			continue // the held frames retry on the next reconnect
 		}
-		r.mFramesSent.Inc()
-		r.mBytesSent.Add(int64(len(held)))
-		held = nil
+		r.mFramesSent.Add(int64(heldFrames))
+		r.mBytesSent.Add(int64(len(held) - frameHeader*heldFrames))
+		heldFrames = 0
 	}
+}
+
+// gather appends first and then whatever else is already queued to buf,
+// stopping once buf holds linkBuf bytes, and returns it with the number
+// of frames it holds.
+func gather(buf, first []byte, queue <-chan []byte) ([]byte, int) {
+	buf = append(buf, first...)
+	frames := 1
+	for len(buf) < linkBuf {
+		select {
+		case frame := <-queue:
+			buf = append(buf, frame...)
+			frames++
+		default:
+			return buf, frames
+		}
+	}
+	return buf, frames
 }
 
 // jitter spreads reconnect attempts over [d/2, d) so a cluster of writers
@@ -478,30 +540,34 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)))
 }
 
-func readFrame(conn net.Conn) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+// readFrame reads one frame's payload into buf, growing it when the frame
+// does not fit.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	var lenBuf [frameHeader]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	size := binary.BigEndian.Uint32(lenBuf[:])
 	if size > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	if uint32(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return buf, nil
 }
 
-func writeFrame(conn net.Conn, payload []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	if _, err := conn.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
-	return err
+// encodeFrame builds msg's wire frame — length prefix and payload — in one
+// exactly sized buffer.
+func encodeFrame(msg types.Message) []byte {
+	size := types.EncodedSize(msg)
+	frame := make([]byte, frameHeader, frameHeader+size)
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	return types.AppendEncode(frame, msg)
 }
 
 // env implements types.Env for the hosted machine. Self-deliveries are
@@ -521,35 +587,44 @@ func (e *env) Send(to types.NodeID, msg types.Message) {
 		e.self = append(e.self, event{from: to, msg: msg})
 		return
 	}
-	e.r.mu.Lock()
-	p, ok := e.r.peers[to]
-	e.r.mu.Unlock()
-	if !ok {
-		return // unknown peer: drop, as the simulator does
+	if p, ok := e.r.peers[to]; ok { // unknown peer: drop, as the simulator does
+		e.r.post(p, encodeFrame(msg))
 	}
-	frame := types.Encode(msg)
-	if ch := e.r.cfg.Chaos; ch != nil {
+}
+
+// Broadcast encodes msg once; every link queues the same frame.
+func (e *env) Broadcast(msg types.Message) {
+	frame := encodeFrame(msg)
+	for _, p := range e.r.links {
+		e.r.post(p, frame)
+	}
+	e.Send(e.r.machine.ID(), msg)
+}
+
+// post puts one frame on one link, through the chaos policy if there is one.
+// Called from the event loop only.
+func (r *Runtime) post(p *peer, frame []byte) {
+	if ch := r.cfg.Chaos; ch != nil {
 		// The per-link frame ordinal keys the chaos decision, so a fixed
 		// seed yields the same drop/dup/delay verdict for the k-th frame
 		// on each link regardless of wall-clock interleaving.
 		ord := p.ordinal
 		p.ordinal++
-		act := ch.Decide(e.r.machine.ID(), to, ord, time.Since(e.r.started))
+		act := ch.Decide(r.machine.ID(), p.id, ord, time.Since(r.started))
 		if act.Drop {
 			p.chaosDropped.Add(1)
 			return
 		}
 		if act.Duplicate {
 			p.chaosDuplicated.Add(1)
-			e.r.enqueue(p, frame)
+			r.enqueue(p, frame)
 		}
 		if act.Delay > 0 {
-			rt := e.r
-			time.AfterFunc(act.Delay, func() { rt.enqueue(p, frame) })
+			time.AfterFunc(act.Delay, func() { r.enqueue(p, frame) })
 			return
 		}
 	}
-	e.r.enqueue(p, frame)
+	r.enqueue(p, frame)
 }
 
 // enqueue hands a frame to the peer's writer, dropping (and counting) on
@@ -561,19 +636,6 @@ func (r *Runtime) enqueue(p *peer, frame []byte) {
 		p.droppedFrames.Add(1)
 		r.mDropped.Inc()
 	}
-}
-
-func (e *env) Broadcast(msg types.Message) {
-	e.r.mu.Lock()
-	ids := make([]types.NodeID, 0, len(e.r.peers))
-	for id := range e.r.peers {
-		ids = append(ids, id)
-	}
-	e.r.mu.Unlock()
-	for _, id := range ids {
-		e.Send(id, msg)
-	}
-	e.Send(e.r.machine.ID(), msg)
 }
 
 func (e *env) SetTimer(id types.TimerID, d types.Duration) {

@@ -350,6 +350,20 @@ func (r *reader) value() Value {
 	return v
 }
 
+// bytes reads a length-prefixed byte string into a slice of its own: one
+// copy, and nothing returned aliases the input.
+func (r *reader) bytes() []byte {
+	n := r.uvarint()
+	if r.err != nil || n > uint64(len(r.buf)) {
+		r.fail()
+		return nil
+	}
+	b := make([]byte, n)
+	copy(b, r.buf)
+	r.buf = r.buf[n:]
+	return b
+}
+
 func (r *reader) fixed(dst []byte) {
 	if r.err != nil || len(r.buf) < len(dst) {
 		r.fail()
@@ -364,7 +378,7 @@ func (r *reader) block(batch bool) Block {
 	var b Block
 	b.Slot = Slot(r.int64())
 	r.fixed(b.Parent[:])
-	b.Payload = []byte(r.value())
+	b.Payload = r.bytes()
 	if !batch {
 		return b
 	}
@@ -376,7 +390,7 @@ func (r *reader) block(batch bool) Block {
 	if n > 0 {
 		b.Txs = make([][]byte, 0, n)
 		for i := uint64(0); i < n; i++ {
-			b.Txs = append(b.Txs, []byte(r.value()))
+			b.Txs = append(b.Txs, r.bytes())
 		}
 	}
 	return b

@@ -226,3 +226,34 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDecodeCopiesBytesOnce: a decoded block owns its byte strings — the
+// caller may reuse the buffer it decoded from — and each of them costs one
+// allocation, so a batch proposal decodes in txs + O(1) allocations.
+func TestDecodeCopiesBytesOnce(t *testing.T) {
+	const txs = 128
+	want := MSPropose{View: 2, Block: Block{Slot: 5, Parent: Block{Slot: 4}.ID(), Payload: []byte("header")}}
+	for i := 0; i < txs; i++ {
+		want.Block.Txs = append(want.Block.Txs, bytes.Repeat([]byte{byte(i)}, 24))
+	}
+	frame := Encode(want)
+	got, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xff
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the decoded proposal aliases the buffer it was decoded from")
+	}
+	frame = Encode(want)
+	// The payload, the batch slice, the boxed message, and one per transaction.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > txs+3 {
+		t.Errorf("decoding a %d-transaction proposal allocates %.0f times, want at most %d", txs, allocs, txs+3)
+	}
+}
