@@ -47,12 +47,16 @@ type Config struct {
 	// TimeoutFactor scales the per-slot view timeout (default 9 → 9Δ).
 	TimeoutFactor int
 	// Payload produces the block body this node proposes for a slot.
-	// Nil yields a deterministic placeholder payload.
+	// Nil yields a deterministic placeholder payload. Called where Batch is.
 	Payload func(slot types.Slot) []byte
 	// Batch produces the ordered transaction batch a proposal for the slot
 	// carries (nil = headers only). Batching changes only what rides inside
 	// a block, never the consensus rules: an empty batch keeps the block
-	// byte-identical to an unbatched one.
+	// byte-identical to an unbatched one. The source is called on the
+	// node's event loop when the proposing turn releases its messages —
+	// after that turn's durable write, with now read then — at most once
+	// per fresh proposal and never for a re-proposed body; a turn whose
+	// write fails calls it not at all (see turn.go).
 	Batch func(slot types.Slot, now types.Time) [][]byte
 	// Window is the pipeline depth: how many consecutive unnotarized
 	// current-view proposals a leader may stack when extending the chain
@@ -221,9 +225,14 @@ type Node struct {
 	// the length of the prefix of out that a write already covers: zero
 	// between turns, and only ever consulted when an Env hands a released
 	// broadcast straight back to Deliver. outBuf backs out for the usual
-	// vote-plus-proposal turn, so a fresh node allocates nothing for it.
+	// vote-plus-proposal turn, so a fresh node allocates nothing for it. late
+	// lists the fresh proposals among out whose bodies the release still has
+	// to draw (see turn.go); a turn rarely decides on more than one, which
+	// lateBuf holds.
 	out     []outMsg
 	outBuf  [4]outMsg
+	late    []lateProposal
+	lateBuf [1]lateProposal
 	durable int
 	dirty   bool
 	// persistSlots is the scratch the per-turn write fills in place of a
@@ -312,6 +321,7 @@ func NewNode(cfg Config) (*Node, error) {
 		timers:    make(map[types.TimerID]timerRef),
 	}
 	n.out = n.outBuf[:0]
+	n.late = n.lateBuf[:0]
 	if t, ok := cfg.Quorum.(quorum.Threshold); ok {
 		n.isThr = true
 		n.thrQuorum = t.QuorumSize()
@@ -750,7 +760,8 @@ func (n *Node) armTimer(env types.Env, s types.Slot, v types.View) {
 }
 
 // tryPropose proposes a block for slot s if this node leads (s, view) and
-// the pipeline/view-change preconditions hold.
+// the pipeline/view-change preconditions hold. Every decision is taken here;
+// only the body of a fresh block is left to the turn's release (turn.go).
 func (n *Node) tryPropose(env types.Env, s types.Slot) {
 	if s < 1 || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
 		return
@@ -771,17 +782,16 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 	if !ok {
 		return
 	}
+	fresh := v == 0
 	var block types.Block
-	if v == 0 {
-		block = n.freshBlock(env, s, parent)
-	} else {
+	if !fresh {
 		// Rule 1 over the per-slot suggest histories (Algorithm 4).
 		val, safe := core.LeaderSafeValue(n.qs, n.cfg.ID, vr.suggests, v, types.Value("*any*"))
 		if !safe {
 			return
 		}
 		if val == "*any*" {
-			block = n.freshBlock(env, s, parent)
+			fresh = true
 		} else {
 			id, idOK := types.BlockIDFromValue(val)
 			if !idOK {
@@ -795,21 +805,16 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 		}
 	}
 	vr.proposed = true
+	n.mProposals.Inc()
+	if fresh {
+		n.proposeFresh(s, v, parent) // assembled when the turn releases it
+		return
+	}
+	// A re-proposed body is known already: nothing to bind late.
 	id := block.ID()
 	n.blocks[id] = block
-	n.mProposals.Inc()
 	n.emitB(env, "propose", s, v, id)
 	n.broadcast(types.MSPropose{View: v, Block: block})
-}
-
-// freshBlock assembles a new proposal body: the payload header plus the
-// transaction batch the configured source offers for this slot.
-func (n *Node) freshBlock(env types.Env, s types.Slot, parent types.BlockID) types.Block {
-	b := types.Block{Slot: s, Parent: parent, Payload: n.cfg.Payload(s)}
-	if n.cfg.Batch != nil {
-		b.Txs = n.cfg.Batch(s, env.Now())
-	}
-	return b
 }
 
 // parentFor returns the parent block ID a slot-s proposal must extend, and

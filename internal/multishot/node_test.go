@@ -158,6 +158,14 @@ func TestSilentLeaderRecovery(t *testing.T) {
 	}
 }
 
+// loseProposal drops every copy of the view-0 proposal for slot s.
+func loseProposal(s types.Slot) sim.Adversary {
+	return adversaryFunc(func(_, _ types.NodeID, msg types.Message, _ types.Time) sim.Verdict {
+		p, ok := msg.(types.MSPropose)
+		return sim.Verdict{Drop: ok && p.Block.Slot == s && p.View == 0}
+	})
+}
+
 // TestRecoveryPreservesNotarizedValues: the silent leader strikes after
 // slots carrying implicit vote-3/vote-4 history exist; Rule 1 must force
 // re-proposing protected blocks so finalized prefixes never fork.
@@ -165,13 +173,7 @@ func TestRecoveryPreservesNotarizedValues(t *testing.T) {
 	// Deliver everything in view 0 but silence slot-5's leader by making
 	// node 0 (leader of slot 5 at view 0: (5+0)%4 = 1... use an adversary
 	// dropping slot-5 proposals instead, so votes for earlier slots exist.
-	drop := adversaryFunc(func(_, _ types.NodeID, msg types.Message, _ types.Time) sim.Verdict {
-		if p, ok := msg.(types.MSPropose); ok && p.Block.Slot == 5 && p.View == 0 {
-			return sim.Verdict{Drop: true}
-		}
-		return sim.Verdict{}
-	})
-	r := sim.New(sim.Config{Seed: 1, Adversary: drop})
+	r := sim.New(sim.Config{Seed: 1, Adversary: loseProposal(5)})
 	nodes := make([]*Node, 4)
 	for i := range nodes {
 		nodes[i] = addNode(t, r, types.NodeID(i), 4, 10)

@@ -11,10 +11,13 @@ import (
 // Persister stores the multi-shot node's durable state. Persist is invoked
 // once per turn, before any message of that turn is sent, and only by a turn
 // that both changed durable state (since the last write) and sends something
-// (write-ahead discipline, as in core.Persister; see turn.go). A failing
-// Persister halts the node. state.Slots aliases a buffer the node refills on
-// its next write: an implementation that keeps the state past the call
-// copies it (encoding it, as the WAL does, is such a copy).
+// (write-ahead discipline, as in core.Persister; see turn.go). The turn's
+// fresh proposals are assembled after Persist returns: Config.Payload and
+// Config.Batch run between the write and the first send, so the time a write
+// takes is time the batch source still collects. A failing Persister halts
+// the node, with no batch drawn. state.Slots aliases a buffer the node
+// refills on its next write: an implementation that keeps the state past the
+// call copies it (encoding it, as the WAL does, is such a copy).
 type Persister interface {
 	Persist(state PersistentState) error
 }

@@ -228,12 +228,19 @@ func TestRestoredNodeNeverDoubleVotes(t *testing.T) {
 }
 
 // TestHaltOnPersistFailure: a node whose Persister fails must stop before
-// sending anything of the failing turn, and ignore all further input.
+// sending anything of the failing turn, and ignore all further input. The
+// failing turn takes no batch with it: a proposal is assembled after the
+// write, so transactions the node cannot propose stay with their source.
 func TestHaltOnPersistFailure(t *testing.T) {
 	store := &memPersister{fail: true}
+	drawn := 0
+	batch := func(types.Slot, types.Time) [][]byte {
+		drawn++
+		return [][]byte{[]byte("tx")}
+	}
 	// Node 2 leads slot 2: the proposal for slot 1 makes it vote for slot 1
 	// and propose slot 2 in the same turn.
-	node, err := NewNode(Config{ID: 2, Nodes: 4, Persist: store})
+	node, err := NewNode(Config{ID: 2, Nodes: 4, Persist: store, Batch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +259,16 @@ func TestHaltOnPersistFailure(t *testing.T) {
 	if len(env.broadcasts) != 0 || env.sends != 0 {
 		t.Fatalf("the failing turn released %d broadcasts and %d sends, want none", len(env.broadcasts), env.sends)
 	}
+	if drawn != 0 {
+		t.Fatalf("the failing turn drew %d batches for a proposal it never sent", drawn)
+	}
 	// Further deliveries and ticks are no-ops, even with the disk back.
 	store.fail = false
 	node.Deliver(env, 1, types.MSPropose{View: 0, Block: b})
 	node.Deliver(env, 0, types.MSViewChange{Slot: 1, View: 1})
 	node.Tick(env, 1)
-	if len(env.broadcasts) != 0 || env.sends != 0 || len(store.states) != 0 {
-		t.Error("halted node still emits messages or writes")
+	if len(env.broadcasts) != 0 || env.sends != 0 || len(store.states) != 0 || drawn != 0 {
+		t.Error("halted node still emits messages, writes or draws batches")
 	}
 }
 
@@ -285,13 +295,15 @@ func countVotes(e *recordEnv) int {
 	return n
 }
 
-// recordEnv captures broadcasts and counts sends for unit tests.
+// recordEnv captures broadcasts and counts sends for unit tests; its clock
+// stands where the test puts it.
 type recordEnv struct {
 	broadcasts []types.Message
 	sends      int
+	now        types.Time
 }
 
-func (e *recordEnv) Now() types.Time                        { return 0 }
+func (e *recordEnv) Now() types.Time                        { return e.now }
 func (e *recordEnv) Send(types.NodeID, types.Message)       { e.sends++ }
 func (e *recordEnv) Broadcast(m types.Message)              { e.broadcasts = append(e.broadcasts, m) }
 func (e *recordEnv) SetTimer(types.TimerID, types.Duration) {}

@@ -18,11 +18,13 @@ type auditStore struct {
 	pending *PersistentState
 	late    bool
 	writes  int
+	wrote   func() // called as a write returns
 }
 
 func (s *auditStore) Persist(st PersistentState) error {
 	st.Slots = append([]SlotPersist(nil), st.Slots...) // the node reuses the array
 	s.writes++
+	defer s.wrote()
 	if s.late {
 		s.pending = &st
 		return nil
@@ -46,12 +48,35 @@ type audited struct {
 
 	votes      int
 	violations []string
+
+	// steps is the host's turn log: the writes that returned, the batches
+	// cfg.Batch handed out and the proposals handed to the Env, in order.
+	turns int
+	steps []step
+}
+
+// step is one entry of a host's turn log.
+type step struct {
+	turn int
+	kind string // "persist", "batch" or "propose"
+	txs  [][]byte
+	// slot and view of a proposal.
+	slot types.Slot
+	view types.View
 }
 
 func newAudited(t *testing.T, cfg Config, late bool) *audited {
 	t.Helper()
 	a := &audited{cfg: cfg, store: &auditStore{late: late}}
+	a.store.wrote = func() { a.steps = append(a.steps, step{turn: a.turns, kind: "persist"}) }
 	a.cfg.Persist = a.store
+	if source := cfg.Batch; source != nil {
+		a.cfg.Batch = func(s types.Slot, now types.Time) [][]byte {
+			txs := source(s, now)
+			a.steps = append(a.steps, step{turn: a.turns, kind: "batch", txs: txs})
+			return txs
+		}
+	}
 	a.env.a = a
 	node, err := NewNode(a.cfg)
 	if err != nil {
@@ -66,6 +91,7 @@ func (a *audited) ID() types.NodeID { return a.cfg.ID }
 // turn runs one handler and, for the late store, lets its write land.
 func (a *audited) turn(env types.Env, run func(types.Env)) {
 	a.env.Env = env
+	a.turns++
 	if a.restoreAt > 0 && env.Now() >= a.crashAt {
 		if env.Now() < a.restoreAt {
 			return // down
@@ -107,6 +133,9 @@ func (e *auditEnv) Send(to types.NodeID, msg types.Message) {
 
 func (e *auditEnv) Broadcast(msg types.Message) {
 	e.a.check(msg)
+	if p, ok := msg.(types.MSPropose); ok {
+		e.a.steps = append(e.a.steps, step{turn: e.a.turns, kind: "propose", slot: p.Block.Slot, view: p.View, txs: p.Block.Txs})
+	}
 	e.Env.Broadcast(msg)
 }
 
@@ -160,11 +189,18 @@ func (a *audited) check(msg types.Message) {
 }
 
 // auditRun drives one named fault scenario on n nodes and returns the hosts
-// of the honest ones.
-func auditRun(t *testing.T, scenario string, n int, late bool) []*audited {
+// of the honest ones. opts adjust each honest node's Config.
+func auditRun(t *testing.T, scenario string, n int, late bool, opts ...func(*Config)) []*audited {
 	t.Helper()
 	const maxSlot = 24
-	r := sim.New(sim.Config{Seed: 1})
+	simCfg := sim.Config{Seed: 1}
+	if scenario == "lost-proposal" {
+		// Slot 5 never sees its view-0 proposal while slots 2-4 are voted on:
+		// the view change hands their new leaders a value to re-propose
+		// (Rule 1), as in TestRecoveryPreservesNotarizedValues.
+		simCfg.Adversary = loseProposal(5)
+	}
+	r := sim.New(simCfg)
 	var hosts []*audited
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
@@ -180,7 +216,11 @@ func auditRun(t *testing.T, scenario string, n int, late bool) []*audited {
 			r.Add(&blockEquivocator{id: id, n: n, peers: peers})
 			continue
 		}
-		a := newAudited(t, Config{ID: id, Nodes: n, Delta: 10, MaxSlot: maxSlot}, late)
+		cfg := Config{ID: id, Nodes: n, Delta: 10, MaxSlot: maxSlot}
+		for _, o := range opts {
+			o(&cfg)
+		}
+		a := newAudited(t, cfg, late)
 		if scenario == "crash-restore" && i == 1 {
 			a.crashAt, a.restoreAt = 8, 120
 		}
@@ -340,5 +380,126 @@ func TestNestedTurnWritesAhead(t *testing.T) {
 	}
 	if a.store.writes != 2 {
 		t.Errorf("%d writes for two votes, want 2", a.store.writes)
+	}
+}
+
+// sameBatch reports whether a and b are one batch: the same transactions in
+// the same backing array, not merely equal bytes.
+func sameBatch(a, b [][]byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestBatchDrawnAfterWrite pins the turn's second rule — a fresh proposal is
+// assembled at release. In every turn that both writes and proposes, the
+// order is Persist → Batch → Broadcast(MSPropose); the proposal carries
+// exactly the batch that call returned; and the source is asked once per
+// fresh proposal, never for a body Rule 1 makes a new leader re-propose
+// (lost-proposal). The CI perf job runs this by name.
+func TestBatchDrawnAfterWrite(t *testing.T) {
+	for _, scenario := range []string{"good-case", "lost-proposal"} {
+		t.Run(scenario, func(t *testing.T) {
+			// Every call hands out a batch of its own, so a proposal's
+			// transactions name the call that drew them.
+			calls := 0
+			source := func(s types.Slot, _ types.Time) [][]byte {
+				calls++
+				return [][]byte{[]byte(fmt.Sprintf("call-%d-slot-%d", calls, s))}
+			}
+			hosts := auditRun(t, scenario, 4, false, func(c *Config) { c.Batch = source })
+
+			wroteAndProposed, reproposed, proposals := 0, 0, 0
+			for _, a := range hosts {
+				for _, v := range a.violations {
+					t.Error(v)
+				}
+				// Walk the log turn by turn; open holds the batches the turn
+				// has drawn and not yet put in a proposal.
+				turn, wrote, open := 0, false, [][][]byte(nil)
+				for _, st := range append(a.steps, step{turn: -1}) {
+					if st.turn != turn {
+						if len(open) != 0 {
+							t.Errorf("node %d turn %d: %d drawn batches left in no proposal", a.cfg.ID, turn, len(open))
+						}
+						turn, wrote, open = st.turn, false, nil
+					}
+					switch st.kind {
+					case "persist":
+						wrote = true
+						if len(open) != 0 {
+							t.Errorf("node %d turn %d: a batch was drawn before the turn's write", a.cfg.ID, turn)
+						}
+					case "batch":
+						open = append(open, st.txs)
+					case "propose":
+						proposals++
+						i := 0
+						for i < len(open) && !sameBatch(open[i], st.txs) {
+							i++
+						}
+						switch {
+						case i < len(open): // fresh: assembled in this turn
+							open = append(open[:i], open[i+1:]...)
+							if wrote {
+								wroteAndProposed++
+							}
+						case st.view == 0:
+							t.Errorf("node %d turn %d: view-0 proposal for slot %d carries a batch this turn did not draw", a.cfg.ID, turn, st.slot)
+						default:
+							reproposed++
+						}
+					}
+				}
+			}
+			if wroteAndProposed == 0 {
+				t.Fatal("no turn both wrote and proposed: the ordering was never exercised")
+			}
+			if calls != proposals-reproposed {
+				t.Errorf("%d batch calls for %d proposals of which %d re-proposed a known body, want one per fresh proposal", calls, proposals, reproposed)
+			}
+			if (scenario == "lost-proposal") != (reproposed > 0) {
+				t.Errorf("%s: %d proposals re-proposed a known body", scenario, reproposed)
+			}
+		})
+	}
+}
+
+// tickingDisk is a Persister whose writes take time: each one advances the
+// clock of the Env the node runs on by one tick, as a wall clock moves
+// during a durable write. The simulator's clock stands still (ticks 0).
+type tickingDisk struct {
+	memPersister
+	env   *recordEnv
+	ticks types.Time
+}
+
+func (d *tickingDisk) Persist(s PersistentState) error {
+	d.env.now += d.ticks
+	return d.memPersister.Persist(s)
+}
+
+// TestBatchSeesReleaseClock: the now handed to Config.Batch is the clock
+// after the turn's write, so an arrival-gated pool hands out what arrived
+// during the write. With a clock that stands still inside a turn (the
+// simulator's) it equals the handler's, which is why no golden moves.
+func TestBatchSeesReleaseClock(t *testing.T) {
+	for _, ticks := range []types.Time{1, 0} {
+		env := &recordEnv{now: 7}
+		var asked []types.Time
+		// Node 2 leads slot 2: the proposal for slot 1 makes it vote for
+		// slot 1 (a write) and propose slot 2 in one turn.
+		node, err := NewNode(Config{ID: 2, Nodes: 4, Persist: &tickingDisk{env: env, ticks: ticks},
+			Batch: func(_ types.Slot, now types.Time) [][]byte {
+				asked = append(asked, now)
+				return nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Start(env)
+		b := types.Block{Slot: 1, Parent: types.ZeroBlockID, Payload: []byte("p")}
+		node.Deliver(env, 1, types.MSPropose{View: 0, Block: b})
+		if len(asked) != 1 || asked[0] != 7+ticks {
+			t.Errorf("a write of %d ticks begun at t=7: the batch source was asked at %v, want once at t=%d", ticks, asked, 7+ticks)
+		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"testing/quick"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// roundTripMsgs is one message of every kind, some in several shapes.
+func roundTripMsgs() []Message {
 	blk := Block{Slot: 7, Parent: Block{Slot: 6}.ID(), Payload: []byte("txns")}
-	msgs := []Message{
+	return []Message{
 		Proposal{View: 0, Val: "a"},
 		Proposal{View: 12, Val: ""},
 		VoteMsg{Phase: 1, View: 3, Val: "x"},
@@ -34,7 +35,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			Evidence: []VoteRef{Vote(0, "a"), Vote(1, "b"), {}}},
 		Evidence{Proto: ProtoITHS, Phase: 9, View: 0, Val: ""},
 	}
-	for _, m := range msgs {
+}
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	for _, m := range roundTripMsgs() {
 		data := Encode(m)
 		got, err := Decode(data)
 		if err != nil {
@@ -131,15 +135,20 @@ func TestDecodeRejectsEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsTruncations(t *testing.T) {
-	msgs := []Message{
+// truncationMsgs are the messages whose every proper prefix must not decode
+// back to them.
+func truncationMsgs() []Message {
+	return []Message{
 		SuggestMsg{View: 5, Vote2: Vote(3, "abc"), PrevVote2: Vote(1, "b"), Vote3: Vote(2, "a")},
 		MSPropose{View: 1, Block: Block{Slot: 2, Payload: []byte("p")}},
 		MSPropose{View: 1, Block: Block{Slot: 2, Payload: []byte("p"),
 			Txs: [][]byte{[]byte("tx1"), []byte("tx2")}}},
 		Evidence{Proto: ProtoPBFT, Phase: 1, View: 2, Val: "r", Evidence: []VoteRef{Vote(0, "a")}},
 	}
-	for _, m := range msgs {
+}
+
+func TestDecodeRejectsTruncations(t *testing.T) {
+	for _, m := range truncationMsgs() {
 		full := Encode(m)
 		for cut := 1; cut < len(full); cut++ {
 			if got, err := Decode(full[:cut]); err == nil && reflect.DeepEqual(got, m) {
@@ -227,15 +236,21 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	}
 }
 
+// batchProposal is a proposal carrying txs 24-byte transactions.
+func batchProposal(txs int) MSPropose {
+	p := MSPropose{View: 2, Block: Block{Slot: 5, Parent: Block{Slot: 4}.ID(), Payload: []byte("header")}}
+	for i := 0; i < txs; i++ {
+		p.Block.Txs = append(p.Block.Txs, bytes.Repeat([]byte{byte(i)}, 24))
+	}
+	return p
+}
+
 // TestDecodeCopiesBytesOnce: a decoded block owns its byte strings — the
 // caller may reuse the buffer it decoded from — and each of them costs one
 // allocation, so a batch proposal decodes in txs + O(1) allocations.
 func TestDecodeCopiesBytesOnce(t *testing.T) {
 	const txs = 128
-	want := MSPropose{View: 2, Block: Block{Slot: 5, Parent: Block{Slot: 4}.ID(), Payload: []byte("header")}}
-	for i := 0; i < txs; i++ {
-		want.Block.Txs = append(want.Block.Txs, bytes.Repeat([]byte{byte(i)}, 24))
-	}
+	want := batchProposal(txs)
 	frame := Encode(want)
 	got, err := Decode(frame)
 	if err != nil {
@@ -256,4 +271,43 @@ func TestDecodeCopiesBytesOnce(t *testing.T) {
 	}); allocs > txs+3 {
 		t.Errorf("decoding a %d-transaction proposal allocates %.0f times, want at most %d", txs, allocs, txs+3)
 	}
+}
+
+// FuzzDecode faces Decode with the bytes a peer may put on the socket. It
+// never panics, and whatever it accepts is a well-formed message: the
+// analytic size matches the encoding, the encoding decodes to the same
+// message, and the message shares nothing with the frame it was read from
+// (transport's readLoop reuses that buffer for the next frame).
+func FuzzDecode(f *testing.F) {
+	seeds := append(roundTripMsgs(), truncationMsgs()...)
+	seeds = append(seeds, batchProposal(128))
+	for _, m := range seeds {
+		data := Encode(m)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := append([]byte(nil), data...) // the engine's bytes are not ours to overwrite
+		m, err := Decode(frame)
+		if err != nil {
+			return
+		}
+		enc := Encode(m)
+		if EncodedSize(m) != len(enc) {
+			t.Fatalf("EncodedSize(%#v) = %d, Encode gives %d bytes", m, EncodedSize(m), len(enc))
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode(Encode(%#v)): %v", m, err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("Decode(Encode(m)) = %#v, want m = %#v", again, m)
+		}
+		for i := range frame {
+			frame[i] ^= 0xff
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("overwriting the frame changed the message decoded from it: now %#v, was %#v", m, again)
+		}
+	})
 }
