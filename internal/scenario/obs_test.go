@@ -162,6 +162,7 @@ func TestStagesTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP runtimes in -short mode")
 	}
+	noLeaks(t)
 	sc := Scenario{
 		Name:     "stages-tcp",
 		Protocol: TetraBFTMulti,

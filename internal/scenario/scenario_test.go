@@ -301,6 +301,7 @@ func TestTCPScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run")
 	}
+	noLeaks(t)
 	res, err := Run(Scenario{
 		Protocol: TetraBFTMulti,
 		Engine:   EngineTCP,

@@ -3,11 +3,14 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/url"
 	"strings"
 	"testing"
 	"time"
+
+	"tetrabft/internal/shard"
 )
 
 // shardedBase is a minimal valid sharded sim spec the validation table
@@ -192,6 +195,7 @@ func TestRunCachedBypassesTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP runtimes in -short mode")
 	}
+	noLeaks(t)
 	simSpec := Scenario{
 		Name: "cache-probe-sim", Protocol: TetraBFTMulti, Nodes: 4,
 		Workload: WorkloadSpec{Slots: 3},
@@ -235,6 +239,7 @@ func TestShardFaultIsolationTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP runtimes in -short mode")
 	}
+	noLeaks(t)
 	sc := Scenario{
 		Name:     "shard-fault-isolation",
 		Protocol: TetraBFTMulti,
@@ -282,6 +287,7 @@ func TestRunWithGateway(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP runtimes in -short mode")
 	}
+	noLeaks(t)
 	sc := Scenario{
 		Name:     "gateway",
 		Protocol: TetraBFTMulti,
@@ -365,5 +371,100 @@ func TestRunWithGateway(t *testing.T) {
 		if sr.Finalized < sc.Workload.Slots {
 			t.Errorf("shard %d finalized %d < target %d", sr.Shard, sr.Finalized, sc.Workload.Slots)
 		}
+	}
+}
+
+// TestGatewaySkipsDeadReplica: shard 0's replica 2 crashes at the start of
+// the run and never comes back. A key the gateway would hand to that
+// replica's mempool must still commit — the backend gives it to the next
+// live replica — and so must become readable through /query.
+func TestGatewaySkipsDeadReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP runtimes in -short mode")
+	}
+	noLeaks(t)
+	sc := Scenario{
+		Name:     "gateway-dead-replica",
+		Protocol: TetraBFTMulti,
+		Engine:   EngineTCP,
+		Shards:   &ShardsSpec{Count: 2, AnchorInterval: 30},
+		Workload: WorkloadSpec{Slots: 16, Window: 2},
+		Faults:   []FaultSpec{{Type: FaultCrashRestart, Shard: 0, Node: 2}},
+		Stop:     StopSpec{WallClockMS: 30000},
+	}
+	// Keys whose hash is 2 mod 4 live on shard 0 (hash mod 2) and map to
+	// its replica 2 (hash mod 4).
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		key := fmt.Sprintf("acct-%d", i)
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if h.Sum32()%4 == 2 {
+			keys = append(keys, key)
+		}
+	}
+	var gwErr error
+	_, err := RunWithGateway(sc, func(base string) {
+		gwErr = func() error {
+			// The crash fires as the run starts; by the time shard 0 has
+			// finalized a few slots without replica 2, it is long dead.
+			for {
+				resp, err := http.Get(base + "/status")
+				if err != nil {
+					return err
+				}
+				var st shard.Status
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil {
+					return err
+				}
+				if st.Shards[0].Finalized >= 3 {
+					break
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			for _, key := range keys {
+				resp, err := http.PostForm(base+"/submit", url.Values{"key": {key}, "value": {"v-" + key}})
+				if err != nil {
+					return err
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					return fmt.Errorf("submit %s: %s", key, resp.Status)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for _, key := range keys {
+				for {
+					resp, err := http.Get(base + "/query?key=" + url.QueryEscape(key))
+					if err != nil {
+						return err
+					}
+					var q struct {
+						Found bool `json:"found"`
+					}
+					err = json.NewDecoder(resp.Body).Decode(&q)
+					resp.Body.Close()
+					if err != nil {
+						return err
+					}
+					if q.Found {
+						break
+					}
+					if time.Now().After(deadline) {
+						return fmt.Errorf("key %s, acknowledged by the gateway, never committed", key)
+					}
+					time.Sleep(20 * time.Millisecond)
+				}
+			}
+			return nil
+		}()
+	})
+	if gwErr != nil {
+		t.Fatal(gwErr)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,11 +1,130 @@
 package scenario
 
 import (
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"tetrabft/internal/types"
 )
+
+// noLeaks fails t unless the goroutine count, once t has finished, falls
+// back within 2 s to what it was when noLeaks was called. Idle HTTP
+// keep-alive connections are closed first: they belong to the test's
+// client, not to the run.
+func noLeaks(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		if err := goroutinesBack(before, 2*time.Second); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// goroutinesBack waits up to d for the goroutine count to fall to n, and
+// dumps every goroutine if it does not.
+func goroutinesBack(n int, d time.Duration) error {
+	deadline := time.Now().Add(d)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			return fmt.Errorf("%d goroutines still running, %d before:\n%s", runtime.NumGoroutine(), n, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return nil
+}
+
+// testCluster registers a four-replica cluster with a fresh TCP run, with
+// the given crash-restart faults, and closes the run when t ends.
+func testCluster(t *testing.T, crashes ...FaultSpec) *tcpCluster {
+	t.Helper()
+	p, err := Scenario{
+		Protocol: TetraBFTMulti, Engine: EngineTCP, Nodes: 4,
+		Workload: WorkloadSpec{Slots: 3}, Faults: crashes,
+	}.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newTCPRun(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.close)
+	return r.add(&tcpCluster{nodes: 4, maxSlot: p.maxSlot, perBlock: 8}, p.honest, p.crashes)
+}
+
+// refuses fails t if anything accepts connections on addr.
+func refuses(t *testing.T, addr, what string) {
+	t.Helper()
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Errorf("%s: %s still accepts connections", what, addr)
+	}
+}
+
+// TestLaunchFailureClosesLaunched: when the third replica cannot open its
+// WAL (its directory would sit under a regular file), the launch fails and
+// takes down the replicas it had already started — nothing listens on
+// their addresses and none of their goroutines is left.
+func TestLaunchFailureClosesLaunched(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cl := testCluster(t)
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cl.replicas[2].walDir = filepath.Join(blocker, "wal")
+	if err := cl.launch(); err == nil {
+		t.Fatal("launch succeeded with an unopenable WAL directory")
+	}
+	refuses(t, cl.addrs[0], "first replica after the failed launch")
+	if err := goroutinesBack(before, 2*time.Second); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRelaunchAfterClose: a restart that fires while the run shuts down
+// must not outlive it. A relaunch invoked after close closes the runtime it
+// started; and a cluster closed while its crash and restart timers are due
+// leaves nothing listening, whichever way the callbacks interleave.
+func TestRelaunchAfterClose(t *testing.T) {
+	noLeaks(t)
+	cl := testCluster(t)
+	if err := cl.run.launch(); err != nil {
+		t.Fatal(err)
+	}
+	rep := cl.replicas[1]
+	cl.kill(rep)
+	cl.close()
+	if err := cl.relaunch(rep, false); err != nil {
+		t.Fatal(err)
+	}
+	refuses(t, cl.addrs[rep.id], "replica relaunched after close")
+	if _, rt := cl.live(rep); rt != nil {
+		t.Error("a relaunch after close installed a runtime")
+	}
+
+	for delay := range 5 {
+		cl := testCluster(t, FaultSpec{Type: FaultCrashRestart, Node: 1, CrashAtMS: 0, RestartAtMS: 1})
+		if err := cl.run.launch(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(delay) * time.Millisecond) // vary where close lands among the callbacks
+		cl.close()
+		for _, rep := range cl.replicas {
+			refuses(t, cl.addrs[rep.id], fmt.Sprintf("replica %d of a cluster closed %d ms in", rep.id, delay))
+		}
+	}
+}
 
 // TestTCPCrashRestartCatchup is the end-to-end crash-recovery check: the
 // bundled tcp-crash-restart scenario hard-kills replica 2 mid-run (its
@@ -16,6 +135,7 @@ func TestTCPCrashRestartCatchup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run with a scheduled restart")
 	}
+	noLeaks(t)
 	sc, ok := ByName("tcp-crash-restart")
 	if !ok {
 		t.Fatal("bundled tcp-crash-restart scenario missing")
@@ -77,6 +197,7 @@ func TestTCPWipedWALRestartsFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run with a scheduled restart")
 	}
+	noLeaks(t)
 	res, err := Run(Scenario{
 		Name:     "wiped-wal",
 		Engine:   EngineTCP,
@@ -107,6 +228,7 @@ func TestTCPSilentReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run")
 	}
+	noLeaks(t)
 	res, err := Run(Scenario{
 		Name:     "tcp-silent",
 		Engine:   EngineTCP,
@@ -136,6 +258,7 @@ func TestTCPPartitionHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run")
 	}
+	noLeaks(t)
 	res, err := Run(Scenario{
 		Name:     "tcp-partition-heal",
 		Engine:   EngineTCP,
@@ -168,6 +291,7 @@ func TestTCPChaosRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run")
 	}
+	noLeaks(t)
 	sc, ok := ByName("tcp-chaos")
 	if !ok {
 		t.Fatal("bundled tcp-chaos scenario missing")
@@ -196,6 +320,7 @@ func TestTCPChaosRun(t *testing.T) {
 // interleaving is out of scope by design). A different seed must yield a
 // different pattern.
 func TestTCPChaosCompiledTwiceIdentical(t *testing.T) {
+	noLeaks(t)
 	sc, ok := ByName("tcp-chaos")
 	if !ok {
 		t.Fatal("bundled tcp-chaos scenario missing")
@@ -247,6 +372,7 @@ func TestTCPWindowedBatchedCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP run with a scheduled restart")
 	}
+	noLeaks(t)
 	sc := Scenario{
 		Engine:   EngineTCP,
 		Protocol: TetraBFTMulti,
