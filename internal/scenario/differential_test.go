@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -102,6 +103,92 @@ func TestGoldenNamedScenarios(t *testing.T) {
 		gj, _ := json.Marshal(g)
 		if string(wj) != string(gj) {
 			t.Errorf("%s seed %d diverged from the pre-refactor engine:\n  want %s\n  got  %s", w.Scenario, w.Seed, wj, gj)
+		}
+	}
+}
+
+const goldenShardPath = "testdata/golden_shard_runs.json"
+
+// goldenShardRun is one sharded simulator run pinned to its full marshaled
+// Result.
+type goldenShardRun struct {
+	Scenario string          `json:"scenario"`
+	Seed     int64           `json:"seed"`
+	Result   json.RawMessage `json:"result"`
+}
+
+// TestGoldenShardRuns pins the sharded simulator the way
+// TestGoldenNamedScenarios pins the flat one, but on the whole Result:
+// every named sharded simulator scenario at seeds 1-3, plus one variant with
+// a silent replica (shard 1, node 2) and stage and metric collection on.
+// TestShardedSimDeterministic only checks that two runs agree with each
+// other; this checks that they agree with the recorded runs.
+func TestGoldenShardRuns(t *testing.T) {
+	var specs []Scenario
+	for _, base := range Named() {
+		if base.Shards == nil || base.Engine == EngineTCP {
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			sc := base
+			sc.Seed = seed
+			specs = append(specs, sc)
+		}
+	}
+	variant, ok := ByName("sharded-service")
+	if !ok {
+		t.Fatal("sharded-service scenario missing from the bundle")
+	}
+	variant.Name = "sharded-service-silent-collect"
+	variant.Faults = []FaultSpec{{Type: FaultSilent, Shard: 1, Node: 2}}
+	variant.Collect = CollectSpec{Stages: true, Metrics: true}
+	specs = append(specs, variant)
+
+	var got []goldenShardRun
+	for _, sc := range specs {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", sc.Name, sc.Seed, err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, goldenShardRun{Scenario: sc.Name, Seed: sc.Seed, Result: b})
+	}
+
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenShardPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden sharded runs to %s", len(got), goldenShardPath)
+		return
+	}
+
+	data, err := os.ReadFile(goldenShardPath)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update to regenerate): %v", err)
+	}
+	var want []goldenShardRun
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d sharded runs, fixture has %d (regenerate with -update)", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		var wc bytes.Buffer
+		if err := json.Compact(&wc, w.Result); err != nil {
+			t.Fatal(err)
+		}
+		if w.Scenario != g.Scenario || w.Seed != g.Seed || wc.String() != string(g.Result) {
+			t.Errorf("%s seed %d diverged from the recorded sharded run:\n  want %s seed %d %s\n  got  %s seed %d %s",
+				g.Scenario, g.Seed, w.Scenario, w.Seed, wc.String(), g.Scenario, g.Seed, g.Result)
 		}
 	}
 }
