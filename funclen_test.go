@@ -20,16 +20,27 @@ const maxFuncLines = 150
 // lower its entry, or delete the entry once the function fits the limit.
 // Keys are "file:Func", or "file:Recv.Method" for a method.
 var longFuncs = map[string]int{
-	"internal/scenario/spec.go:Scenario.compile":    333,
-	"internal/sweep/named.go:Named":                 216,
-	"internal/scenario/named.go:Named":              211,
-	"cmd/tetrabft-bench/main.go:run":                170,
-	"internal/scenario/spec.go:plan.compileSharded": 158,
+	"internal/scenario/spec.go:Scenario.compile": 239,
+	"internal/sweep/named.go:Named":              216,
+	"internal/scenario/named.go:Named":           211,
+	"cmd/tetrabft-bench/main.go:run":             170,
+}
+
+// engineFuncLines is the longest function accepted in engineFiles, the
+// scenario engines' runners and cluster types.
+const engineFuncLines = 120
+
+var engineFiles = map[string]bool{
+	"internal/scenario/run.go":       true,
+	"internal/scenario/shard_sim.go": true,
+	"internal/scenario/shard_tcp.go": true,
+	"internal/scenario/tcp.go":       true,
 }
 
 // TestFunctionLengthRatchet parses every non-test Go file of this module (a
 // directory with its own go.mod, such as benchmark/, is another module)
-// and holds each function to maxFuncLines, or to its cap in longFuncs.
+// and holds each function to maxFuncLines, or to its cap in longFuncs, and
+// each function of engineFiles to engineFuncLines.
 func TestFunctionLengthRatchet(t *testing.T) {
 	fset := token.NewFileSet()
 	seen := make(map[string]bool)
@@ -53,16 +64,20 @@ func TestFunctionLengthRatchet(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		file := filepath.ToSlash(path)
+		seen[file] = true
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			key := filepath.ToSlash(path) + ":" + funcName(fn)
+			key := file + ":" + funcName(fn)
 			lines := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
 			limit, capped := longFuncs[key]
 			seen[key] = capped
 			switch {
+			case engineFiles[file] && lines > engineFuncLines:
+				t.Errorf("%s is %d lines, over the %d-line limit of the engine files", key, lines, engineFuncLines)
 			case !capped && lines > maxFuncLines:
 				t.Errorf("%s is %d lines, over the %d-line limit", key, lines, maxFuncLines)
 			case capped && lines > limit:
@@ -79,6 +94,11 @@ func TestFunctionLengthRatchet(t *testing.T) {
 	for key := range longFuncs {
 		if !seen[key] {
 			t.Errorf("%s is capped but no longer exists: drop its entry", key)
+		}
+	}
+	for file := range engineFiles {
+		if !seen[file] {
+			t.Errorf("engine file %s no longer exists: drop its entry", file)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"tetrabft/internal/obs"
-	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/types"
 )
@@ -210,20 +209,6 @@ func (r *Result) txStats(chain []types.Block, commitAt map[types.Slot]int64, arr
 	r.TxLatencyP50, r.TxLatencyP99 = latencyPercentiles(lats)
 }
 
-// earliestCommits maps each slot to its earliest decision time among the
-// honest nodes of one simulator run.
-func earliestCommits(decisions map[types.NodeID]map[types.Slot]sim.Decision, honest []types.NodeID) map[types.Slot]int64 {
-	out := make(map[types.Slot]int64)
-	for _, id := range honest {
-		for s, d := range decisions[id] {
-			if c, ok := out[s]; !ok || int64(d.At) < c {
-				out[s] = int64(d.At)
-			}
-		}
-	}
-	return out
-}
-
 // txLatencies walks a finalized chain and returns its transaction count
 // plus the commit latency of every transaction whose arrival is known. The
 // sharded fold calls it per shard and pools the samples for the aggregate
@@ -277,13 +262,6 @@ func stageSamples(events []trace.Event) map[string][]int64 {
 		m[trace.StageViewChangeDwell] = append(m[trace.StageViewChangeDwell], dwells...)
 	}
 	return m
-}
-
-// mergeStageSamples pools src's samples into dst (the sharded aggregate).
-func mergeStageSamples(dst, src map[string][]int64) {
-	for stage, lats := range src {
-		dst[stage] = append(dst[stage], lats...)
-	}
 }
 
 // stageDists converts pooled samples into the result's breakdown, in

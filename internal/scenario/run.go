@@ -62,63 +62,156 @@ type storageReporter interface {
 	StorageBytes() int64
 }
 
-// cluster holds the probes the engine keeps on the machines it built.
-type cluster struct {
+// A simCluster is one cluster of a run on the simulator — the flat run's
+// only cluster, or one shard or the anchor cluster of a sharded run — and
+// keeps the simulator's half of the contract tcpCluster keeps over TCP
+// (tcp.go). newSimCluster builds it: one runner seeded with the cluster's
+// seed, one machine per member in member order, a Byzantine machine where
+// the plan replaces one, every honest multi-shot replica drawing batches
+// from the one source the runner hands in. The runner advances it to a
+// virtual instant t (r.Run); refChain, minFinalized and reached read its
+// progress between instants; fold, once the run is over, checks agreement
+// and sums the cluster up into the shardFoldInput the TCP cluster's fold
+// returns too.
+type simCluster struct {
+	*cluster
+	r         *sim.Runner
+	log       *trace.Log        // nil = untraced
 	tetras    []*core.Node      // honest single-shot TetraBFT nodes
 	chains    []*multishot.Node // honest multi-shot nodes, member order
 	reporters []storageReporter // baseline nodes with a storage probe
 	mempools  map[types.NodeID]*blockchain.Mempool
-	load      *offered // cluster-shared offered-load stream (Workload.TxCount)
 }
 
-func runSim(p *plan) (*Result, error) {
-	var log *trace.Log
-	var tracer trace.Tracer
-	if p.sc.Collect.Trace || p.sc.Collect.Stages {
-		log = &trace.Log{}
-		tracer = log
-	}
-	var reg *obs.Registry
-	if p.sc.Collect.Metrics {
-		reg = obs.NewRegistry()
-	}
-
-	r := sim.New(sim.Config{
-		Seed:          p.seed(),
+func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]byte, log *trace.Log, reg *obs.Registry) (*simCluster, error) {
+	cl := &simCluster{cluster: c, log: log, r: sim.New(sim.Config{
+		Seed:          c.seed,
 		Delay:         buildDelay(p.sc.Network.Delay),
 		GST:           types.Time(p.sc.Network.GST),
 		DropBeforeGST: p.sc.Network.DropBeforeGST,
 		Adversary:     buildAdversary(p),
 		EventBudget:   p.sc.Network.EventBudget,
 		Metrics:       reg,
-	})
-	cl, err := buildCluster(p, r, tracer, reg)
+	})}
+	if len(p.sc.Workload.Transactions) > 0 || p.sc.Workload.TxsPerBlock > 0 {
+		cl.mempools = make(map[types.NodeID]*blockchain.Mempool, len(c.honest))
+	}
+	for _, id := range c.members {
+		if f := c.byzByID[id]; f != nil {
+			cl.r.Add(buildByz(c, f))
+			continue
+		}
+		m, err := cl.buildHonest(p, id, batch, reg)
+		if err != nil {
+			return nil, err
+		}
+		cl.r.Add(m)
+	}
+	for _, tx := range p.sc.Workload.Transactions {
+		cl.mempools[tx.Node].Submit(buildTx(tx))
+	}
+	return cl, nil
+}
+
+// refChain is the first honest replica's finalized chain (read-only: it is
+// the node's own cache); ok is false when the cluster runs no multi-shot
+// replica.
+func (cl *simCluster) refChain() (chain []types.Block, ok bool) {
+	if len(cl.chains) == 0 {
+		return nil, false
+	}
+	return cl.chains[0].FinalizedChain(), true
+}
+
+// minFinalized is the finalized slot every honest replica has reached.
+func (cl *simCluster) minFinalized() int64 {
+	var min int64
+	for i, node := range cl.chains {
+		if s := int64(node.FinalizedSlot()); i == 0 || s < min {
+			min = s
+		}
+	}
+	return min
+}
+
+// reached reports whether every honest replica has finalized target. It
+// stops at the first replica below it and allocates nothing: it is the
+// stop predicate, run on every event.
+func (cl *simCluster) reached(target types.Slot) bool {
+	for _, node := range cl.chains {
+		if node.FinalizedSlot() < target {
+			return false
+		}
+	}
+	return true
+}
+
+// fold checks the cluster's agreement and sums it up: the reference chain,
+// each slot's earliest honest commit in decisions (the runner's), the slot
+// every honest replica has finalized and, when traced, the stage samples.
+// A violation comes back labelled with the scenario and cluster names.
+func (cl *simCluster) fold(p *plan, decisions map[types.NodeID]map[types.Slot]sim.Decision) (shardFoldInput, error) {
+	chain, _ := cl.refChain()
+	in := shardFoldInput{chain: chain, commitAt: make(map[types.Slot]int64), finalized: cl.minFinalized()}
+	for _, id := range cl.honest {
+		for s, d := range decisions[id] {
+			if c, ok := in.commitAt[s]; !ok || int64(d.At) < c {
+				in.commitAt[s] = int64(d.At)
+			}
+		}
+	}
+	if cl.log != nil {
+		in.stages = stageSamples(cl.log.Events())
+	}
+	if err := cl.r.AgreementViolation(); err != nil {
+		return in, p.fail(cl.cluster, agreementError{err})
+	}
+	return in, nil
+}
+
+// traced is log as a node's tracer: nil, not a nil *trace.Log, when the
+// cluster is untraced, so nodes skip building the events.
+func traced(log *trace.Log) trace.Tracer {
+	if log == nil {
+		return nil
+	}
+	return log
+}
+
+func runSim(p *plan) (*Result, error) {
+	var log *trace.Log
+	if p.sc.Collect.Trace || p.sc.Collect.Stages {
+		log = &trace.Log{}
+	}
+	var reg *obs.Registry
+	if p.sc.Collect.Metrics {
+		reg = obs.NewRegistry()
+	}
+	load := p.offeredLoad()
+	cl, err := newSimCluster(p, p.clusters[0], load.batchSource(p.batchSize()), log, reg)
 	if err != nil {
 		return nil, err
 	}
+	r := cl.r
 
 	var stop func() bool
 	if p.sc.Stop.AllDecided {
 		if p.multi {
 			target := types.Slot(p.sc.Workload.Slots)
-			stop = func() bool {
-				for _, node := range cl.chains {
-					if node.FinalizedSlot() < target {
-						return false
-					}
-				}
-				return true
-			}
+			stop = func() bool { return cl.reached(target) }
 		} else {
-			honest := len(p.honest)
+			honest := len(cl.honest)
 			stop = func() bool { return r.DecidedCount(0) >= honest }
 		}
 	}
-	var runErr error
-	if err := r.Run(types.Time(p.sc.Stop.Horizon), stop); err != nil {
-		runErr = fmt.Errorf("scenario %q: %w", p.sc.Name, err)
-	} else if err := r.AgreementViolation(); err != nil {
-		runErr = fmt.Errorf("scenario %q: %w", p.sc.Name, agreementError{err})
+	runErr := r.Run(types.Time(p.sc.Stop.Horizon), stop)
+	if runErr != nil {
+		runErr = p.fail(cl.cluster, runErr)
+	}
+	decisions := r.Decisions()
+	in, err := cl.fold(p, decisions)
+	if runErr == nil {
+		runErr = err
 	}
 
 	res := &Result{
@@ -129,10 +222,9 @@ func runSim(p *plan) (*Result, error) {
 		DecidedCount:    r.DecidedCount(0),
 		TotalSentBytes:  r.TotalSentBytes(),
 		Dropped:         r.DroppedMessages(),
-		OfferedTxs:      len(cl.load.arrivals),
+		OfferedTxs:      len(load.arrivals),
 	}
-	decisions := r.Decisions()
-	for _, m := range p.members {
+	for _, m := range cl.members {
 		slots := make([]types.Slot, 0, len(decisions[m]))
 		for s := range decisions[m] {
 			slots = append(slots, s)
@@ -163,68 +255,30 @@ func runSim(p *plan) (*Result, error) {
 			res.MaxView = v
 		}
 	}
-	if len(cl.chains) > 0 {
-		chain := cl.chains[0].FinalizedChain()
-		res.txStats(chain, earliestCommits(decisions, p.honest), cl.load.arrivals)
-		if p.sc.Collect.Chain {
-			res.Chain = chain
-		}
+	res.txStats(in.chain, in.commitAt, load.arrivals)
+	if p.sc.Collect.Chain {
+		res.Chain = in.chain
 	}
-	if log != nil {
-		events := log.Events()
-		if p.sc.Collect.Trace {
-			res.Trace = events
-		}
-		if p.sc.Collect.Stages {
-			res.Stages = stageDists(stageSamples(events))
-		}
+	if p.sc.Collect.Trace {
+		res.Trace = log.Events()
+	}
+	if p.sc.Collect.Stages {
+		res.Stages = stageDists(in.stages)
 	}
 	if reg != nil {
 		res.Metrics = reg.Snapshot()
 	}
-	if runErr != nil {
-		return res, runErr
-	}
-	return res, nil
+	return res, runErr
 }
 
-// buildCluster adds one machine per member, substituting Byzantine machines
-// where the fault schedule says so. Machines are added in member order, so
-// runs are reproducible across assembly sites.
-func buildCluster(p *plan, r *sim.Runner, tracer trace.Tracer, reg *obs.Registry) (*cluster, error) {
-	cl := &cluster{load: p.offeredLoad()}
-	n := len(p.members)
-	if len(p.sc.Workload.Transactions) > 0 || p.sc.Workload.TxsPerBlock > 0 {
-		cl.mempools = make(map[types.NodeID]*blockchain.Mempool, len(p.honest))
-	}
-	for _, id := range p.members {
-		if f := p.byzByID[id]; f != nil {
-			r.Add(buildByz(p, f))
-			continue
-		}
-		m, err := buildHonest(p, id, n, tracer, reg, cl)
-		if err != nil {
-			return nil, err
-		}
-		r.Add(m)
-	}
-	for _, tx := range p.sc.Workload.Transactions {
-		mp := cl.mempools[tx.Node]
-		if mp == nil {
-			return nil, fmt.Errorf("scenario: transaction targets faulty node %d", tx.Node)
-		}
-		mp.Submit(buildTx(tx))
-	}
-	return cl, nil
-}
-
-func buildHonest(p *plan, id types.NodeID, n int, tracer trace.Tracer, reg *obs.Registry, cl *cluster) (types.Machine, error) {
+func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slot, types.Time) [][]byte, reg *obs.Registry) (types.Machine, error) {
 	delta := p.delta()
+	n := len(cl.members)
 	switch p.sc.Protocol {
 	case "", TetraBFT:
 		node, err := core.NewNode(core.Config{
-			ID: id, Quorum: p.qs, Nodes: n, InitialValue: p.initialValue(id),
-			Delta: delta, TimeoutFactor: p.sc.TimeoutFactor, Tracer: tracer,
+			ID: id, Quorum: cl.qs, Nodes: n, InitialValue: p.initialValue(id),
+			Delta: delta, TimeoutFactor: p.sc.TimeoutFactor, Tracer: traced(cl.log),
 			Mutation: buildMutation(p.sc.Mutation),
 		})
 		if err != nil {
@@ -237,18 +291,14 @@ func buildHonest(p *plan, id types.NodeID, n int, tracer trace.Tracer, reg *obs.
 		if cl.mempools != nil {
 			mp := blockchain.NewMempool(0)
 			cl.mempools[id] = mp
-			per := p.sc.Workload.TxsPerBlock
-			if per == 0 {
-				per = 8
-			}
-			payload = mp.PayloadSource(per)
+			payload = mp.PayloadSource(p.txsPerBlock())
 		}
 		node, err := multishot.NewNode(multishot.Config{
-			ID: id, Quorum: p.qs, Nodes: n, Delta: delta,
-			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: p.maxSlot,
+			ID: id, Quorum: cl.qs, Nodes: n, Delta: delta,
+			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
 			Window:  p.sc.Workload.Window,
-			Payload: payload, Batch: cl.load.batchSource(p.batchSize()),
-			Tracer: tracer, Metrics: reg,
+			Payload: payload, Batch: batch,
+			Tracer: traced(cl.log), Metrics: reg,
 		})
 		if err != nil {
 			return nil, err
@@ -302,11 +352,11 @@ func buildMutation(m Mutation) core.Mutation {
 	return core.MutationNone
 }
 
-func buildByz(p *plan, f *FaultSpec) types.Machine {
+func buildByz(c *cluster, f *FaultSpec) types.Machine {
 	switch f.Type {
 	case FaultEquivocator:
-		peers := make([]types.NodeID, 0, len(p.members)-1)
-		for _, m := range p.members {
+		peers := make([]types.NodeID, 0, len(c.members)-1)
+		for _, m := range c.members {
 			if m != f.Node {
 				peers = append(peers, m)
 			}
@@ -322,7 +372,7 @@ func buildByz(p *plan, f *FaultSpec) types.Machine {
 	case FaultRandom:
 		seed := f.Seed
 		if seed == 0 {
-			seed = p.seed()
+			seed = c.seed
 		}
 		return &byz.Random{
 			NodeID: f.Node, Seed: seed, Burst: f.Burst, Budget: f.Budget,

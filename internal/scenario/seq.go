@@ -29,10 +29,11 @@ import (
 // but never loses transactions that were already proposed.
 func runSeq(p *plan) (*Result, error) {
 	w := p.sc.Workload
+	c := p.clusters[0]
 	load := p.offeredLoad()
 	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.arrivals)}
 	horizon := types.Time(p.sc.Stop.Horizon)
-	n := len(p.members)
+	n := len(c.members)
 	sent := make(map[types.NodeID]int64, n)
 	recv := make(map[types.NodeID]int64, n)
 	commitAt := make(map[types.Slot]int64)
@@ -56,8 +57,8 @@ func runSeq(p *plan) (*Result, error) {
 			Delay: buildDelay(p.sc.Network.Delay),
 		})
 		var reporters []storageReporter
-		for _, id := range p.members {
-			if p.byzByID[id] != nil {
+		for _, id := range c.members {
+			if c.byzByID[id] != nil {
 				r.Add(byz.Silent{NodeID: id})
 				continue
 			}
@@ -68,7 +69,7 @@ func runSeq(p *plan) (*Result, error) {
 			reporters = append(reporters, rep)
 			r.Add(m)
 		}
-		honest := len(p.honest)
+		honest := len(c.honest)
 		if err := r.Run(horizon-offset, func() bool { return r.DecidedCount(0) >= honest }); err != nil {
 			return res, fmt.Errorf("scenario %q slot %d: %w", p.sc.Name, s, err)
 		}
@@ -79,7 +80,7 @@ func runSeq(p *plan) (*Result, error) {
 		res.Events += r.Events()
 		res.TotalSentBytes += r.TotalSentBytes()
 		res.Dropped += r.DroppedMessages()
-		for _, m := range p.members {
+		for _, m := range c.members {
 			sent[m] += r.SentBytes(m)
 			recv[m] += r.RecvBytes(m)
 		}
@@ -101,7 +102,7 @@ func runSeq(p *plan) (*Result, error) {
 		}
 
 		earliest := int64(-1)
-		for _, m := range p.honest {
+		for _, m := range c.honest {
 			d, ok := r.Decision(m, 0)
 			if !ok {
 				continue
@@ -131,14 +132,14 @@ func runSeq(p *plan) (*Result, error) {
 	}
 
 	res.FinishedAt = int64(offset)
-	res.DecidedCount = len(p.honest)
+	res.DecidedCount = len(c.honest)
 	if decided == 0 {
 		res.DecidedCount = 0
 	}
-	for _, m := range p.members {
+	for _, m := range c.members {
 		res.Traffic = append(res.Traffic, NodeTraffic{Node: m, Sent: sent[m], Recv: recv[m]})
 	}
-	for _, m := range p.honest {
+	for _, m := range c.honest {
 		res.Finalized = append(res.Finalized, NodeSlot{Node: m, Slot: decided})
 	}
 	res.txStats(chain, commitAt, load.arrivals)

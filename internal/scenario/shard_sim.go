@@ -2,97 +2,36 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"tetrabft/internal/blockchain"
-	"tetrabft/internal/byz"
-	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
 	"tetrabft/internal/shard"
-	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/types"
 	"tetrabft/internal/workload"
 )
 
-// The sharded sim engine runs S shard clusters plus the anchor cluster as
-// S+1 independent simulator instances advanced in lockstep: one goroutine
-// drives every runner to the same virtual instant (a quantum of
-// shards.anchor_interval ticks), then performs the anchoring round —
-// digesting each grown shard log and submitting the anchor transaction into
-// the anchor cluster's arrival-gated mempool at the current instant. Because
-// nothing ever runs concurrently, a sharded sim run is exactly as
-// deterministic as a plain one: same spec + same seed = byte-identical
-// result at any GOMAXPROCS.
+// A sharded run is S shard clusters plus the anchor cluster (plan.clusters)
+// and one protocol on top of them, written here once for both engines: the
+// workload split (buildShardWorkload), the anchoring round, the completion
+// rule and the fold (sharded). The engines differ only in how they drive it.
+//
+// The simulator runs the S+1 clusters as independent runners advanced in
+// lockstep: one goroutine drives every runner to the same virtual instant
+// (a quantum of shards.anchor_interval ticks), then performs the anchoring
+// round at that instant and checks completion. Because nothing ever runs
+// concurrently, a sharded sim run is exactly as deterministic as a plain
+// one: same spec + same seed = byte-identical result at any GOMAXPROCS. The
+// TCP engine (shard_tcp.go) runs the round from a ticker goroutine and the
+// completion check from its wait loop.
 
-// simShardCluster is one cluster (a shard or the anchor) on the simulator.
-type simShardCluster struct {
-	r      *sim.Runner
-	nodes  []*multishot.Node // honest replicas, ID order
-	honest []types.NodeID
-}
-
-// newSimShardCluster builds one cluster: n replicas on a fresh runner,
-// silent ones replaced per the fault schedule, the rest drawing batches
-// from the cluster's arrival-gated batch source. tracer (per-cluster, for
-// the stage fold) and reg (run-shared metrics) may be nil.
-func newSimShardCluster(p *plan, n int, seed int64, maxSlot types.Slot, silent map[types.NodeID]bool, batch func(types.Slot, types.Time) [][]byte, tracer trace.Tracer, reg *obs.Registry) (*simShardCluster, error) {
-	r := sim.New(sim.Config{
-		Seed:          seed,
-		Delay:         buildDelay(p.sc.Network.Delay),
-		GST:           types.Time(p.sc.Network.GST),
-		DropBeforeGST: p.sc.Network.DropBeforeGST,
-		Metrics:       reg,
-	})
-	cl := &simShardCluster{r: r}
-	for id := types.NodeID(0); int(id) < n; id++ {
-		if silent[id] {
-			r.Add(byz.Silent{NodeID: id})
-			continue
-		}
-		node, err := multishot.NewNode(multishot.Config{
-			ID: id, Nodes: n, Delta: p.delta(),
-			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: maxSlot,
-			Window: p.sc.Workload.Window,
-			Batch:  batch,
-			Tracer: tracer, Metrics: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cl.nodes = append(cl.nodes, node)
-		cl.honest = append(cl.honest, id)
-		r.Add(node)
-	}
-	return cl, nil
-}
-
-// refChain is the cluster's reference finalized chain (first honest
-// replica). Read-only: it is the node's internal cache.
-func (cl *simShardCluster) refChain() []types.Block { return cl.nodes[0].FinalizedChain() }
-
-// minFinalized is the finalized slot every honest replica has reached.
-func (cl *simShardCluster) minFinalized() int64 {
-	min := int64(-1)
-	for _, node := range cl.nodes {
-		if s := int64(node.FinalizedSlot()); min < 0 || s < min {
-			min = s
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
-// shardSilent collects the silent-replica fault schedule of one shard.
-func shardSilent(p *plan, s int) map[types.NodeID]bool {
-	out := make(map[types.NodeID]bool)
-	for _, f := range p.sc.Faults {
-		if f.Type == FaultSilent && f.Shard == s {
-			out[f.Node] = true
-		}
-	}
-	return out
+// shardCluster is what the sharded protocol reads from a cluster of either
+// engine: its reference finalized chain and the slot every required
+// replica has finalized.
+type shardCluster interface {
+	refChain() ([]types.Block, bool)
+	minFinalized() int64
 }
 
 // buildShardWorkload splits the global offered-load stream across shards.
@@ -107,7 +46,7 @@ func shardSilent(p *plan, s int) map[types.NodeID]bool {
 // subsumed by key placement. Each shard's stream stays in arrival order.
 func buildShardWorkload(p *plan) []*offered {
 	sh := p.sc.Shards
-	s := sh.count()
+	s := sh.Count
 	scheds := make([][]workload.Arrival, s)
 	router := shard.Router{Shards: s}
 	roamPct := int(sh.CrossMix*100 + 0.5)
@@ -126,126 +65,176 @@ func buildShardWorkload(p *plan) []*offered {
 	return loads
 }
 
-func runShardSim(p *plan) (*Result, error) {
-	sh := p.sc.Shards
-	s := sh.count()
-	loads := buildShardWorkload(p)
-	anchorPool := blockchain.NewTimedMempool(0)
+// sharded is the sharded protocol's state, the same on both engines.
+type sharded struct {
+	p        *plan
+	clusters []shardCluster           // the shards in order, then the anchor cluster
+	loads    []*offered               // each shard's part of the offered load
+	pool     *blockchain.TimedMempool // the anchor cluster's arrival-gated pool
+	last     []int                    // decided-log length last digested per shard
+	submitAt map[string]types.Time    // anchor transaction → submit time
 
-	// Per-shard trace logs feed the stage fold (the anchor cluster's
-	// lifecycle is mostly empty filler slots, so it stays untraced); one
-	// registry is shared by every cluster.
-	var logs []*trace.Log
-	if p.sc.Collect.Stages {
-		logs = make([]*trace.Log, s)
-		for i := range logs {
-			logs[i] = &trace.Log{}
+	// mu guards epochs, the anchors submitted per shard: on TCP the
+	// completion check reads them while the ticker goroutine runs rounds.
+	// Chain reads, which block on a replica's event loop, stay outside it.
+	mu     sync.Mutex
+	epochs []int64
+}
+
+func newSharded(p *plan) *sharded {
+	s := p.sc.Shards.Count
+	return &sharded{
+		p: p, loads: buildShardWorkload(p), pool: blockchain.NewTimedMempool(0),
+		epochs: make([]int64, s), last: make([]int, s), submitAt: make(map[string]types.Time),
+	}
+}
+
+// feed is what cluster i of the plan proposes from and traces to. A shard
+// draws batches from its part of the offered load and is traced when
+// stages are collected. The anchor cluster draws from the anchor pool, with
+// room for every shard anchoring in the same round, and stays untraced:
+// its lifecycle is mostly empty filler slots.
+func (sd *sharded) feed(i int) (func(types.Slot, types.Time) [][]byte, *trace.Log) {
+	if i == len(sd.loads) {
+		return sd.pool.BatchSource(len(sd.loads)), nil
+	}
+	var log *trace.Log
+	if sd.p.sc.Collect.Stages {
+		log = &trace.Log{}
+	}
+	return sd.loads[i].batchSource(sd.p.batchSize()), log
+}
+
+// round is one anchoring round at time at: each shard whose decided log
+// grew since the last round gets its next epoch, whose anchor — the digest
+// of the whole log — is submitted into the anchor pool. One caller at a
+// time, in time order (the pool's contract).
+func (sd *sharded) round(at types.Time) {
+	for i, cl := range sd.clusters[:len(sd.loads)] {
+		chain, _ := cl.refChain()
+		if len(chain) <= sd.last[i] {
+			continue
+		}
+		sd.mu.Lock()
+		sd.epochs[i]++
+		sd.mu.Unlock()
+		a := shard.Anchor{Shard: i, Epoch: sd.epochs[i], Slots: int64(len(chain)),
+			Digest: shard.PrefixDigest(chain, len(chain))}
+		tx := a.Encode()
+		sd.pool.Submit(at, tx)
+		sd.submitAt[string(tx)] = at
+		sd.last[i] = len(chain)
+	}
+}
+
+// done is the completion rule: every shard has finalized the slot target
+// and — only then worth the anchor-log scan — the anchor cluster has
+// committed every anchor submitted so far, at least one per shard.
+func (sd *sharded) done() bool {
+	s := len(sd.loads)
+	for _, cl := range sd.clusters[:s] {
+		if cl.minFinalized() < sd.p.sc.Workload.Slots {
+			return false
 		}
 	}
+	chain, _ := sd.clusters[s].refChain()
+	committed, _ := anchorProgress(chain, s)
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	for i, e := range sd.epochs {
+		if e == 0 || committed[i] < e {
+			return false
+		}
+	}
+	return true
+}
+
+// fold builds the sharded Result from every cluster's fold (the shards in
+// order, then the anchor cluster): the per-shard and aggregate
+// measurements, the metrics snapshot, then — unless runErr already failed
+// the run — the cross-shard consistency check.
+func (sd *sharded) fold(inputs []shardFoldInput, finishedAt int64, reg *obs.Registry, runErr error) (*Result, error) {
+	shards, anchorIn := inputs[:len(sd.loads)], inputs[len(sd.loads)]
+	res := foldShards(sd.p, shards, anchorIn, sd.loads, sd.submitAt, finishedAt)
+	if reg != nil {
+		res.Metrics = reg.Snapshot()
+	}
+	if runErr != nil {
+		return res, runErr
+	}
+	return res, verifyShardAnchors(sd.p, res, shards, anchorIn)
+}
+
+func runShardSim(p *plan) (*Result, error) {
 	var reg *obs.Registry
 	if p.sc.Collect.Metrics {
 		reg = obs.NewRegistry()
 	}
-
-	clusters := make([]*simShardCluster, s)
-	for i := range clusters {
-		var tracer trace.Tracer
-		if logs != nil {
-			tracer = logs[i]
-		}
-		cl, err := newSimShardCluster(p, sh.nodesPerShard(), p.seed()+int64(i), p.maxSlot, shardSilent(p, i), loads[i].batchSource(p.batchSize()), tracer, reg)
+	sd := newSharded(p)
+	clusters := make([]*simCluster, len(p.clusters))
+	for i, c := range p.clusters {
+		batch, log := sd.feed(i)
+		cl, err := newSimCluster(p, c, batch, log, reg)
 		if err != nil {
 			return nil, err
 		}
 		clusters[i] = cl
+		sd.clusters = append(sd.clusters, cl)
 	}
-	// The anchor cluster proposes without a slot cap: its pipeline keeps
-	// filling slots with empty blocks between anchor arrivals, and a cap
-	// would be exhausted before the last shard's final anchor lands. Its
-	// batch size admits every shard anchoring in the same round.
-	anchorCl, err := newSimShardCluster(p, sh.anchorNodes(), p.seed()+int64(s), 0, nil, anchorPool.BatchSource(s), nil, reg)
-	if err != nil {
-		return nil, err
-	}
-	all := append(append([]*simShardCluster(nil), clusters...), anchorCl)
 
 	// Lockstep quanta: advance everyone to t, anchor what grew, check
-	// completion — every shard at the slot target and every submitted
-	// anchor committed.
-	quantum := types.Time(sh.anchorInterval())
+	// completion.
+	quantum := types.Time(p.sc.Shards.anchorInterval())
 	horizon := types.Time(p.sc.Stop.Horizon)
-	target := p.sc.Workload.Slots
-	epochs := make([]int64, s)       // anchors submitted per shard
-	lastAnchored := make([]int64, s) // decided-log length last digested
-	submitAt := make(map[string]types.Time)
-	var now types.Time
+	var t types.Time
 	var runErr error
-
 loop:
-	for t := quantum; ; t += quantum {
-		if t > horizon {
-			t = horizon
-		}
-		now = t
-		for _, cl := range all {
+	for {
+		t = min(t+quantum, horizon)
+		for _, cl := range clusters {
 			if err := cl.r.Run(t, nil); err != nil {
 				runErr = fmt.Errorf("scenario %q: %w", p.sc.Name, err)
 				break loop
 			}
 		}
-		for i, cl := range clusters {
-			chain := cl.refChain()
-			if int64(len(chain)) <= lastAnchored[i] {
-				continue
-			}
-			epochs[i]++
-			a := shard.Anchor{Shard: i, Epoch: epochs[i], Slots: int64(len(chain)),
-				Digest: shard.PrefixDigest(chain, len(chain))}
-			tx := a.Encode()
-			anchorPool.Submit(t, tx)
-			submitAt[string(tx)] = t
-			lastAnchored[i] = int64(len(chain))
-		}
-		done := true
-		committed := committedEpochs(anchorCl.refChain(), s)
-		for i, cl := range clusters {
-			if cl.minFinalized() < target || epochs[i] == 0 || committed[i] < epochs[i] {
-				done = false
-				break
-			}
-		}
-		if done || t >= horizon {
+		sd.round(t)
+		if sd.done() || t >= horizon {
 			break
 		}
 	}
-	if runErr == nil {
-		for i, cl := range all {
-			if err := cl.r.AgreementViolation(); err != nil {
-				label := fmt.Sprintf("shard %d", i)
-				if i == s {
-					label = "anchor cluster"
-				}
-				runErr = fmt.Errorf("scenario %q: %s: %w", p.sc.Name, label, agreementError{err})
-				break
-			}
+
+	inputs := make([]shardFoldInput, len(clusters))
+	for i, cl := range clusters {
+		in, err := cl.fold(p, cl.r.Decisions())
+		if runErr == nil {
+			runErr = err
 		}
+		inputs[i] = in
 	}
-	return foldShardResult(p, clusters, anchorCl, logs, reg, loads, submitAt, int64(now), runErr)
+	res, err := sd.fold(inputs, int64(t), reg, runErr)
+	for _, cl := range clusters {
+		res.Events += cl.r.Events()
+		res.TotalSentBytes += cl.r.TotalSentBytes()
+		res.Dropped += cl.r.DroppedMessages()
+	}
+	return res, err
 }
 
-// committedEpochs scans the anchor cluster's decided log and returns the
-// highest epoch committed per shard (well-formedness is checked at fold
-// time; here malformed transactions are simply not progress).
-func committedEpochs(anchorChain []types.Block, s int) []int64 {
-	out := make([]int64, s)
+// anchorProgress scans the anchor cluster's decided log and returns, per
+// shard, the highest epoch committed and the longest prefix anchored
+// (well-formedness is checked at fold time; here malformed transactions
+// are simply not progress).
+func anchorProgress(anchorChain []types.Block, s int) (epochs, slots []int64) {
+	epochs, slots = make([]int64, s), make([]int64, s)
 	for _, b := range anchorChain {
 		for _, tx := range b.Txs {
-			if a, ok := shard.DecodeAnchor(tx); ok && a.Shard < s && a.Epoch > out[a.Shard] {
-				out[a.Shard] = a.Epoch
+			if a, ok := shard.DecodeAnchor(tx); ok && a.Shard < s {
+				epochs[a.Shard] = max(epochs[a.Shard], a.Epoch)
+				slots[a.Shard] = max(slots[a.Shard], a.Slots)
 			}
 		}
 	}
-	return out
+	return epochs, slots
 }
 
 // shardFoldInput is what the fold needs from one cluster, engine-neutral:
@@ -261,36 +250,6 @@ type shardFoldInput struct {
 	// stages holds the cluster's per-stage latency samples (Collect.Stages);
 	// nil when stage collection is off.
 	stages map[string][]int64
-}
-
-// foldShardResult builds the sharded Result from the sim clusters and
-// verifies the cross-shard consistency invariant. runErr, when non-nil,
-// takes precedence over (but does not suppress) the fold.
-func foldShardResult(p *plan, clusters []*simShardCluster, anchorCl *simShardCluster, logs []*trace.Log, reg *obs.Registry, loads []*offered, submitAt map[string]types.Time, finishedAt int64, runErr error) (*Result, error) {
-	inputs := make([]shardFoldInput, len(clusters))
-	for i, cl := range clusters {
-		inputs[i] = shardFoldInput{chain: cl.refChain(), commitAt: earliestCommits(cl.r.Decisions(), cl.honest), finalized: cl.minFinalized()}
-		if logs != nil {
-			inputs[i].stages = stageSamples(logs[i].Events())
-		}
-	}
-	anchorIn := shardFoldInput{chain: anchorCl.refChain(), commitAt: earliestCommits(anchorCl.r.Decisions(), anchorCl.honest), finalized: anchorCl.minFinalized()}
-	res := foldShards(p, inputs, anchorIn, loads, submitAt, finishedAt)
-	for _, cl := range append(append([]*simShardCluster(nil), clusters...), anchorCl) {
-		res.Events += cl.r.Events()
-		res.TotalSentBytes += cl.r.TotalSentBytes()
-		res.Dropped += cl.r.DroppedMessages()
-	}
-	if reg != nil {
-		res.Metrics = reg.Snapshot()
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	if err := verifyShardAnchors(p, res, inputs, anchorIn); err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
 // foldShards assembles the per-shard and aggregate measurements shared by
@@ -318,7 +277,9 @@ func foldShards(p *plan, inputs []shardFoldInput, anchorIn shardFoldInput, loads
 		if in.stages != nil {
 			stagesOn = true
 			sr.Stages = stageDists(in.stages)
-			mergeStageSamples(pooledStages, in.stages)
+			for stage, lats := range in.stages {
+				pooledStages[stage] = append(pooledStages[stage], lats...)
+			}
 		}
 		res.Shards = append(res.Shards, sr)
 		res.DecidedTxs += txs

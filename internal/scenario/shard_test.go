@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -117,6 +118,75 @@ func TestShardsSpecParseErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name the problem (want substring %q)", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestValidationParity applies each mistake in a field that flat and
+// sharded specs share to a flat base (tetrabft-multi, 4 nodes) and to
+// shardedBase: one check serves both, so both must reject it the same way.
+func TestValidationParity(t *testing.T) {
+	base := func(sharded bool, engine Engine) Scenario {
+		sc := Scenario{Protocol: TetraBFTMulti, Nodes: 4, Workload: WorkloadSpec{Slots: 2}}
+		if sharded {
+			var err error
+			if sc, err = Parse([]byte(shardedBase)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc.Engine = engine
+		if engine == EngineTCP {
+			sc.Stop.Horizon = 0
+		}
+		return sc
+	}
+	crash := func(crashAt, restartAt int64) FaultSpec {
+		return FaultSpec{Type: FaultCrashRestart, Node: 1, CrashAtMS: crashAt, RestartAtMS: restartAt}
+	}
+	cases := []struct {
+		name    string
+		engine  Engine
+		mistake func(*Scenario)
+		want    string
+	}{
+		{"negative seed", EngineSim, func(sc *Scenario) { sc.Seed = -1 }, "negative seed"},
+		{"negative delta", EngineSim, func(sc *Scenario) { sc.Delta = -1 }, "negative delta"},
+		{"drop_before_gst 1.5", EngineSim, func(sc *Scenario) { sc.Network.DropBeforeGST = 1.5 }, "drop_before_gst"},
+		{"negative gst", EngineSim, func(sc *Scenario) { sc.Network.GST = -1 }, "negative gst"},
+		{"negative constant delay", EngineSim, func(sc *Scenario) {
+			sc.Network.Delay = &DelaySpec{Model: DelayConstant, D: -1}
+		}, "negative delay"},
+		{"unknown delay model", EngineSim, func(sc *Scenario) { sc.Network.Delay = &DelaySpec{Model: "warp"} }, "unknown delay model"},
+		{"duplicate on sim", EngineSim, func(sc *Scenario) { sc.Network.Duplicate = 0.1 }, "applies only to engine"},
+		{"duplicate 1.5 on tcp", EngineTCP, func(sc *Scenario) { sc.Network.Duplicate = 1.5 }, "network.duplicate"},
+		{"negative wall_clock_ms", EngineSim, func(sc *Scenario) { sc.Stop.WallClockMS = -1 }, "negative stop bound"},
+		{"tx_rate without tx_count", EngineSim, func(sc *Scenario) { sc.Workload.TxRate = 100 }, ErrRateWithoutCount.Error()},
+		{"crash-restart on sim", EngineSim, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 0)} }, "requires engine"},
+		{"restart before crash", EngineTCP, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 50)} }, "before its crash"},
+		{"two crash-restarts on one node", EngineTCP, func(sc *Scenario) {
+			sc.Faults = []FaultSpec{crash(50, 100), crash(200, 0)}
+		}, "two crash-restart"},
+	}
+	for _, sharded := range []bool{false, true} {
+		for _, engine := range []Engine{EngineSim, EngineTCP} {
+			if err := base(sharded, engine).Validate(); err != nil {
+				t.Fatalf("sharded=%v engine %q: base spec rejected: %v", sharded, engine, err)
+			}
+		}
+	}
+	for _, tc := range cases {
+		for _, sharded := range []bool{false, true} {
+			sc := base(sharded, tc.engine)
+			tc.mistake(&sc)
+			err := sc.Validate()
+			switch {
+			case err == nil:
+				t.Errorf("%s (sharded=%v): spec accepted", tc.name, sharded)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s (sharded=%v): error %q does not contain %q", tc.name, sharded, err, tc.want)
+			case tc.want == ErrRateWithoutCount.Error() && !errors.Is(err, ErrRateWithoutCount):
+				t.Errorf("%s (sharded=%v): error %q is not ErrRateWithoutCount", tc.name, sharded, err)
+			}
 		}
 	}
 }

@@ -157,9 +157,6 @@ type ShardsSpec struct {
 	CrossMix float64 `json:"cross_mix,omitempty"`
 }
 
-// count is the shard count S.
-func (s *ShardsSpec) count() int { return s.Count }
-
 // nodesPerShard is the defaulted shard cluster size.
 func (s *ShardsSpec) nodesPerShard() int {
 	if s.NodesPerShard == 0 {
@@ -473,16 +470,105 @@ func (sc Scenario) MarshalIndent() ([]byte, error) {
 // engines execute. Building it never mutates the user's spec, so a spec
 // round-trips through JSON unchanged.
 type plan struct {
-	sc      Scenario
-	qs      quorum.System // nil = threshold over members
+	sc Scenario
+	// clusters is every cluster the run deploys: the flat run's one, or a
+	// sharded run's S shard clusters followed by the anchor cluster.
+	clusters []*cluster
+	netwk    []FaultSpec // message-level faults, in schedule order
+	multi    bool        // multi-shot protocol
+	seq      bool        // chained single-shot baseline (pbft/it-hotstuff multi)
+}
+
+// cluster is what compile states about one cluster, whichever engine runs
+// it. A flat run is one cluster named "" with the scenario's seed, members
+// and quorum system; a sharded run is S shard clusters ("shard i", seed +
+// i) and the anchor cluster ("anchor cluster", seed + S, no faults, no slot
+// cap). Node IDs are local to their cluster.
+type cluster struct {
+	name    string // labels errors: "shard 3", "anchor cluster"; "" for a flat run
+	seed    int64
 	members []types.NodeID
 	honest  []types.NodeID // members without a node-replacing fault
 	byzByID map[types.NodeID]*FaultSpec
-	netwk   []FaultSpec // message-level faults, in schedule order
-	crashes []FaultSpec // crash-restart schedule (EngineTCP)
-	multi   bool        // multi-shot protocol
-	seq     bool        // chained single-shot baseline (pbft/it-hotstuff multi)
-	maxSlot types.Slot  // derived proposal cap for multi-shot
+	crashes []FaultSpec   // crash-restart schedule (EngineTCP)
+	qs      quorum.System // nil = threshold over members
+	maxSlot types.Slot    // proposal cap, 0 = none
+}
+
+// newCluster is a fault-free cluster of members.
+func newCluster(name string, seed int64, members []types.NodeID, qs quorum.System, maxSlot types.Slot) *cluster {
+	return &cluster{name: name, seed: seed, members: members, byzByID: make(map[types.NodeID]*FaultSpec), qs: qs, maxSlot: maxSlot}
+}
+
+// nodeIDs is the membership 0, 1, …, n-1.
+func nodeIDs(n int) []types.NodeID {
+	ids := make([]types.NodeID, n)
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+	}
+	return ids
+}
+
+// label names member id of c in errors: "node 2", or "shard 1 replica 2".
+func (c *cluster) label(noun string, id types.NodeID) string {
+	return strings.TrimSpace(fmt.Sprintf("%s %s %d", c.name, noun, id))
+}
+
+// place records f, a node-replacing or crash-restart fault aimed at one of
+// c's members.
+func (c *cluster) place(f *FaultSpec, engine Engine) error {
+	if f.Type != FaultCrashRestart {
+		if engine == EngineTCP && f.Type != FaultSilent {
+			return fmt.Errorf("scenario: engine %q supports only silent node faults", EngineTCP)
+		}
+		if c.byzByID[f.Node] != nil {
+			return fmt.Errorf("scenario: %s has two node-replacing faults", c.label("node", f.Node))
+		}
+		c.byzByID[f.Node] = f
+		return nil
+	}
+	if engine != EngineTCP {
+		return fmt.Errorf("scenario: crash-restart requires engine %q (the simulator has no processes to kill)", EngineTCP)
+	}
+	if f.CrashAtMS < 0 || f.RestartAtMS < 0 {
+		return fmt.Errorf("scenario: negative crash-restart schedule")
+	}
+	if f.RestartAtMS != 0 && f.RestartAtMS <= f.CrashAtMS {
+		return fmt.Errorf("scenario: %s restarts at %dms, before its crash at %dms", c.label("node", f.Node), f.RestartAtMS, f.CrashAtMS)
+	}
+	for _, x := range c.crashes {
+		if x.Node == f.Node {
+			return fmt.Errorf("scenario: %s has two crash-restart faults", c.label("node", f.Node))
+		}
+	}
+	c.crashes = append(c.crashes, *f)
+	return nil
+}
+
+// seal derives c's honest members once every fault is placed.
+func (c *cluster) seal() error {
+	for _, f := range c.crashes {
+		if c.byzByID[f.Node] != nil {
+			return fmt.Errorf("scenario: %s is both Byzantine and crash-restarted", c.label("node", f.Node))
+		}
+	}
+	for _, m := range c.members {
+		if c.byzByID[m] == nil {
+			c.honest = append(c.honest, m)
+		}
+	}
+	if len(c.honest) == 0 {
+		return fmt.Errorf("scenario: every node is faulty")
+	}
+	return nil
+}
+
+// fail labels a failed run's err with the scenario's name and the cluster's.
+func (p *plan) fail(c *cluster, err error) error {
+	if c.name == "" {
+		return fmt.Errorf("scenario %q: %w", p.sc.Name, err)
+	}
+	return fmt.Errorf("scenario %q: %s: %w", p.sc.Name, c.name, err)
 }
 
 // Validate checks the spec without running it.
@@ -493,7 +579,7 @@ func (sc Scenario) Validate() error {
 
 // compile validates the spec and derives the execution plan.
 func (sc Scenario) compile() (*plan, error) {
-	p := &plan{sc: sc, byzByID: make(map[types.NodeID]*FaultSpec)}
+	p := &plan{sc: sc}
 
 	switch sc.Protocol {
 	case "", TetraBFT, ITHotStuff, ITHotStuffBlog, PBFT, PBFTUnbounded, LiConsensus:
@@ -514,10 +600,12 @@ func (sc Scenario) compile() (*plan, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown engine %q", sc.Engine)
 	}
+	if err := p.checkShared(); err != nil {
+		return nil, err
+	}
 
 	// Sharded runs have no flat membership — each cluster owns node IDs
-	// [0, nodesPerShard) locally — so they validate separately and leave
-	// members/honest empty.
+	// [0, n) locally — so they build their clusters separately.
 	if sc.Shards != nil {
 		if err := p.compileSharded(); err != nil {
 			return nil, err
@@ -526,6 +614,8 @@ func (sc Scenario) compile() (*plan, error) {
 	}
 
 	// Membership: explicit Nodes, or derived from the quorum slices.
+	var qs quorum.System
+	var members []types.NodeID
 	if sc.Quorum != nil {
 		switch sc.Protocol {
 		case "", TetraBFT, TetraBFTMulti:
@@ -546,61 +636,35 @@ func (sc Scenario) compile() (*plan, error) {
 			}
 			slices[s.Node] = sets
 		}
-		qs, err := quorum.NewSlices(slices)
-		if err != nil {
+		var err error
+		if qs, err = quorum.NewSlices(slices); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		p.qs = qs
-		p.members = qs.Members()
-		if sc.Nodes != 0 && sc.Nodes != len(p.members) {
-			return nil, fmt.Errorf("scenario: nodes = %d but the quorum spec names %d members", sc.Nodes, len(p.members))
+		members = qs.Members()
+		if sc.Nodes != 0 && sc.Nodes != len(members) {
+			return nil, fmt.Errorf("scenario: nodes = %d but the quorum spec names %d members", sc.Nodes, len(members))
 		}
 	} else {
 		if sc.Nodes <= 0 {
 			return nil, fmt.Errorf("scenario: cluster size missing (set nodes or a quorum spec)")
 		}
-		p.members = make([]types.NodeID, sc.Nodes)
-		for i := range p.members {
-			p.members[i] = types.NodeID(i)
-		}
+		members = nodeIDs(sc.Nodes)
 	}
-	isMember := make(map[types.NodeID]bool, len(p.members))
-	for _, m := range p.members {
+	c := newCluster("", p.seed(), members, qs, p.proposalCap())
+	p.clusters = []*cluster{c}
+	isMember := make(map[types.NodeID]bool, len(members))
+	for _, m := range members {
 		isMember[m] = true
 	}
 
-	if sc.Seed < 0 {
-		return nil, fmt.Errorf("scenario: negative seed %d", sc.Seed)
-	}
-	if sc.Delta < 0 || sc.TimeoutFactor < 0 {
-		return nil, fmt.Errorf("scenario: negative delta or timeout_factor")
-	}
-
-	// Network regime.
-	nw := sc.Network
-	if nw.DropBeforeGST < 0 || nw.DropBeforeGST > 1 {
-		return nil, fmt.Errorf("scenario: drop_before_gst = %v outside [0, 1]", nw.DropBeforeGST)
-	}
-	if nw.GST < 0 || nw.EventBudget < 0 {
-		return nil, fmt.Errorf("scenario: negative gst or event_budget")
-	}
-	if nw.Delay != nil {
-		if nw.Delay.D < 0 || nw.Delay.Min < 0 || nw.Delay.Max < 0 || nw.Delay.Default < 0 {
-			return nil, fmt.Errorf("scenario: negative delay")
-		}
-		switch nw.Delay.Model {
-		case DelayConstant, DelayUniform:
-		case DelayPerLink:
-			for _, l := range nw.Delay.Links {
-				if !isMember[l.From] || !isMember[l.To] {
-					return nil, fmt.Errorf("scenario: per-link delay names non-member link %d→%d", l.From, l.To)
-				}
-				if l.D < 0 {
-					return nil, fmt.Errorf("scenario: negative delay on link %d→%d", l.From, l.To)
-				}
+	if d := sc.Network.Delay; d != nil && d.Model == DelayPerLink {
+		for _, l := range d.Links {
+			if !isMember[l.From] || !isMember[l.To] {
+				return nil, fmt.Errorf("scenario: per-link delay names non-member link %d→%d", l.From, l.To)
 			}
-		default:
-			return nil, fmt.Errorf("scenario: unknown delay model %q", nw.Delay.Model)
+			if l.D < 0 {
+				return nil, fmt.Errorf("scenario: negative delay on link %d→%d", l.From, l.To)
+			}
 		}
 	}
 
@@ -618,9 +682,9 @@ func (sc Scenario) compile() (*plan, error) {
 
 	// Fault schedule.
 	for i := range sc.Faults {
-		f := sc.Faults[i]
+		f := &sc.Faults[i]
 		switch f.Type {
-		case FaultSilent, FaultEquivocator, FaultRandom, FaultForgedHistory:
+		case FaultSilent, FaultEquivocator, FaultRandom, FaultForgedHistory, FaultCrashRestart:
 			if f.Type == FaultForgedHistory {
 				if f.View < 0 {
 					return nil, fmt.Errorf("scenario: forged-history view is negative")
@@ -637,12 +701,11 @@ func (sc Scenario) compile() (*plan, error) {
 			if !isMember[f.Node] {
 				return nil, fmt.Errorf("scenario: %s fault targets non-member node %d", f.Type, f.Node)
 			}
-			if _, dup := p.byzByID[f.Node]; dup {
-				return nil, fmt.Errorf("scenario: node %d has two node-replacing faults", f.Node)
+			if err := c.place(f, sc.Engine); err != nil {
+				return nil, err
 			}
-			p.byzByID[f.Node] = &sc.Faults[i]
 		case FaultSuppressFinalPhase:
-			p.netwk = append(p.netwk, f)
+			p.netwk = append(p.netwk, *f)
 		case FaultStarveDecision:
 			if !isMember[f.Node] {
 				return nil, fmt.Errorf("scenario: starve-decision spares non-member node %d", f.Node)
@@ -657,12 +720,12 @@ func (sc Scenario) compile() (*plan, error) {
 			default:
 				return nil, fmt.Errorf("scenario: starve-decision applies only to protocols %q, %q and %q", TetraBFT, PBFT, PBFTUnbounded)
 			}
-			p.netwk = append(p.netwk, f)
+			p.netwk = append(p.netwk, *f)
 		case FaultSuppressProposals:
 			if f.BelowView < 0 {
 				return nil, fmt.Errorf("scenario: suppress-proposals below_view is negative")
 			}
-			p.netwk = append(p.netwk, f)
+			p.netwk = append(p.netwk, *f)
 		case FaultPartition:
 			if len(f.Groups) == 0 {
 				return nil, fmt.Errorf("scenario: partition fault declares no groups")
@@ -682,39 +745,15 @@ func (sc Scenario) compile() (*plan, error) {
 			if f.From < 0 || (f.To != 0 && f.To <= f.From) {
 				return nil, fmt.Errorf("scenario: partition window [%d, %d) is empty", f.From, f.To)
 			}
-			p.netwk = append(p.netwk, f)
-		case FaultCrashRestart:
-			if sc.Engine != EngineTCP {
-				return nil, fmt.Errorf("scenario: crash-restart requires engine %q (the simulator has no processes to kill)", EngineTCP)
-			}
-			if !isMember[f.Node] {
-				return nil, fmt.Errorf("scenario: crash-restart targets non-member node %d", f.Node)
-			}
-			if f.CrashAtMS < 0 || f.RestartAtMS < 0 {
-				return nil, fmt.Errorf("scenario: negative crash-restart schedule")
-			}
-			if f.RestartAtMS != 0 && f.RestartAtMS <= f.CrashAtMS {
-				return nil, fmt.Errorf("scenario: node %d restarts at %dms, before its crash at %dms", f.Node, f.RestartAtMS, f.CrashAtMS)
-			}
-			for _, c := range p.crashes {
-				if c.Node == f.Node {
-					return nil, fmt.Errorf("scenario: node %d has two crash-restart faults", f.Node)
-				}
-			}
-			p.crashes = append(p.crashes, f)
+			p.netwk = append(p.netwk, *f)
 		default:
 			return nil, fmt.Errorf("scenario: unknown fault type %q", f.Type)
 		}
 	}
-	for _, c := range p.crashes {
-		if p.byzByID[c.Node] != nil {
-			return nil, fmt.Errorf("scenario: node %d is both Byzantine and crash-restarted", c.Node)
-		}
+	if err := c.seal(); err != nil {
+		return nil, err
 	}
 	if sc.Engine == EngineTCP {
-		if hasNonSilent(p.byzByID) {
-			return nil, fmt.Errorf("scenario: engine %q supports only silent node faults", EngineTCP)
-		}
 		// Message-level adversaries need to inspect decoded protocol
 		// traffic; over TCP only link-level partitions are honored (the
 		// chaos transport severs frames, not messages).
@@ -723,48 +762,13 @@ func (sc Scenario) compile() (*plan, error) {
 				return nil, fmt.Errorf("scenario: engine %q supports only partition network faults, not %q", EngineTCP, f.Type)
 			}
 		}
-		// Reject knobs the TCP engine cannot honor rather than silently
-		// dropping them. The network regime maps onto the chaos transport
-		// (constant/uniform delay, pre-GST loss, duplication); per-link
-		// delay, event budgets and virtual-time stops stay sim-only.
-		if nw.EventBudget != 0 {
-			return nil, fmt.Errorf("scenario: engine %q has no event budget", EngineTCP)
-		}
-		if nw.Delay != nil && nw.Delay.Model == DelayPerLink {
-			return nil, fmt.Errorf("scenario: engine %q does not support per-link delays", EngineTCP)
-		}
-		if sc.Stop.Horizon != 0 || sc.Stop.AllDecided {
-			return nil, fmt.Errorf("scenario: engine %q stops on workload.slots + stop.wall_clock_ms only", EngineTCP)
-		}
-	} else if nw.Duplicate != 0 {
-		return nil, fmt.Errorf("scenario: network.duplicate applies only to engine %q", EngineTCP)
-	}
-	if nw.Duplicate < 0 || nw.Duplicate >= 1 {
-		return nil, fmt.Errorf("scenario: network.duplicate = %v outside [0, 1)", nw.Duplicate)
 	}
 
 	// Workload.
 	w := sc.Workload
-	if w.Slots < 0 || w.MaxSlot < 0 || w.TxsPerBlock < 0 {
-		return nil, fmt.Errorf("scenario: negative slots, max_slot or txs_per_block")
-	}
-	if w.TxCount < 0 || w.TxRate < 0 || w.BatchSize < 0 || w.Window < 0 {
-		return nil, fmt.Errorf("scenario: negative tx_count, tx_rate, batch_size or window")
-	}
-	if w.TxCount > 0 && len(w.Transactions) > 0 {
-		return nil, fmt.Errorf("scenario: tx_count (offered-load stream) and transactions (explicit mempool) are mutually exclusive")
-	}
-	if err := validateOfferedLoad(w); err != nil {
-		return nil, err
-	}
-	if p.multi {
-		p.maxSlot = types.Slot(w.MaxSlot)
-		if p.maxSlot == 0 && w.Slots > 0 {
-			p.maxSlot = types.Slot(w.Slots + 3) // keep the ≤5-deep pipeline from overshooting the target
-		}
-	} else if w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
+	if !p.multi && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
 		w.TxCount != 0 || w.TxRate != 0 || w.BatchSize != 0 || w.Window != 0 ||
-		w.Arrival != nil || len(w.Cohorts) != 0 || len(w.Phases) != 0 {
+		w.Arrival != nil || len(w.Cohorts) != 0 || len(w.Phases) != 0) {
 		return nil, fmt.Errorf("scenario: slots/max_slot/transactions/tx_count/arrival/window require a multi-shot protocol")
 	}
 	for _, tx := range w.Transactions {
@@ -774,16 +778,13 @@ func (sc Scenario) compile() (*plan, error) {
 		if !isMember[tx.Node] {
 			return nil, fmt.Errorf("scenario: transaction targets non-member node %d", tx.Node)
 		}
+		if c.byzByID[tx.Node] != nil {
+			return nil, fmt.Errorf("scenario: transaction targets faulty node %d", tx.Node)
+		}
 	}
 
-	if sc.Stop.Horizon < 0 || sc.Stop.WallClockMS < 0 {
-		return nil, fmt.Errorf("scenario: negative stop bound")
-	}
 	if sc.Stop.AllDecided && p.multi && w.Slots == 0 {
 		return nil, fmt.Errorf("scenario: stop.all_decided on a multi-shot run needs workload.slots")
-	}
-	if sc.Engine == EngineTCP && w.Slots == 0 {
-		return nil, fmt.Errorf("scenario: engine %q needs workload.slots", EngineTCP)
 	}
 
 	// The chained single-shot baselines run whole sub-instances per slot on
@@ -799,10 +800,10 @@ func (sc Scenario) compile() (*plan, error) {
 		if w.Window != 0 || w.MaxSlot != 0 || w.TxsPerBlock != 0 || len(w.Transactions) != 0 {
 			return nil, fmt.Errorf("scenario: protocol %q supports only the offered-load workload (no window/max_slot/transactions)", sc.Protocol)
 		}
-		if nw.GST != 0 || nw.DropBeforeGST != 0 || nw.EventBudget != 0 {
+		if nw := sc.Network; nw.GST != 0 || nw.DropBeforeGST != 0 || nw.EventBudget != 0 {
 			return nil, fmt.Errorf("scenario: protocol %q does not support gst/drop_before_gst/event_budget", sc.Protocol)
 		}
-		for _, f := range p.byzByID {
+		for _, f := range c.byzByID {
 			if f.Type != FaultSilent {
 				return nil, fmt.Errorf("scenario: protocol %q supports only silent faults, not %q", sc.Protocol, f.Type)
 			}
@@ -814,21 +815,88 @@ func (sc Scenario) compile() (*plan, error) {
 			return nil, fmt.Errorf("scenario: protocol %q does not collect traces, stages or metrics", sc.Protocol)
 		}
 	}
-
-	for _, m := range p.members {
-		if p.byzByID[m] == nil {
-			p.honest = append(p.honest, m)
-		}
-	}
-	if len(p.honest) == 0 {
-		return nil, fmt.Errorf("scenario: every node is faulty")
-	}
 	return p, nil
 }
 
-// compileSharded validates a sharded-service spec (Scenario.Shards). The
-// shard engines read the fault schedule straight from the spec, scoped by
-// FaultSpec.Shard; the plan's members, honest and byzByID stay empty.
+// checkShared checks what flat and sharded specs have in common: seed and
+// delta, the network regime, the knobs the TCP engine cannot honor, the
+// workload's counts and offered load, and the stop bounds.
+func (p *plan) checkShared() error {
+	sc := p.sc
+	if sc.Seed < 0 {
+		return fmt.Errorf("scenario: negative seed %d", sc.Seed)
+	}
+	if sc.Delta < 0 || sc.TimeoutFactor < 0 {
+		return fmt.Errorf("scenario: negative delta or timeout_factor")
+	}
+
+	// Network regime.
+	nw := sc.Network
+	if nw.DropBeforeGST < 0 || nw.DropBeforeGST > 1 {
+		return fmt.Errorf("scenario: drop_before_gst = %v outside [0, 1]", nw.DropBeforeGST)
+	}
+	if nw.GST < 0 || nw.EventBudget < 0 {
+		return fmt.Errorf("scenario: negative gst or event_budget")
+	}
+	if nw.Delay != nil {
+		if nw.Delay.D < 0 || nw.Delay.Min < 0 || nw.Delay.Max < 0 || nw.Delay.Default < 0 {
+			return fmt.Errorf("scenario: negative delay")
+		}
+		switch nw.Delay.Model {
+		case DelayConstant, DelayUniform, DelayPerLink:
+		default:
+			return fmt.Errorf("scenario: unknown delay model %q", nw.Delay.Model)
+		}
+	}
+	if sc.Engine == EngineTCP {
+		// Reject knobs the TCP engine cannot honor rather than silently
+		// dropping them. The network regime maps onto the chaos transport
+		// (constant/uniform delay, pre-GST loss, duplication); per-link
+		// delay, event budgets and virtual-time stops stay sim-only.
+		if nw.EventBudget != 0 {
+			return fmt.Errorf("scenario: engine %q has no event budget", EngineTCP)
+		}
+		if nw.Delay != nil && nw.Delay.Model == DelayPerLink {
+			return fmt.Errorf("scenario: engine %q does not support per-link delays", EngineTCP)
+		}
+		if sc.Stop.Horizon != 0 || sc.Stop.AllDecided {
+			return fmt.Errorf("scenario: engine %q stops on workload.slots + stop.wall_clock_ms only", EngineTCP)
+		}
+		if sc.Workload.Slots == 0 {
+			return fmt.Errorf("scenario: engine %q needs workload.slots", EngineTCP)
+		}
+	} else if nw.Duplicate != 0 {
+		return fmt.Errorf("scenario: network.duplicate applies only to engine %q", EngineTCP)
+	}
+	if nw.Duplicate < 0 || nw.Duplicate >= 1 {
+		return fmt.Errorf("scenario: network.duplicate = %v outside [0, 1)", nw.Duplicate)
+	}
+
+	// Workload.
+	w := sc.Workload
+	if w.Slots < 0 || w.MaxSlot < 0 || w.TxsPerBlock < 0 {
+		return fmt.Errorf("scenario: negative slots, max_slot or txs_per_block")
+	}
+	if w.TxCount < 0 || w.TxRate < 0 || w.BatchSize < 0 || w.Window < 0 {
+		return fmt.Errorf("scenario: negative tx_count, tx_rate, batch_size or window")
+	}
+	if w.TxCount > 0 && len(w.Transactions) > 0 {
+		return fmt.Errorf("scenario: tx_count (offered-load stream) and transactions (explicit mempool) are mutually exclusive")
+	}
+	if err := validateOfferedLoad(w); err != nil {
+		return err
+	}
+
+	if sc.Stop.Horizon < 0 || sc.Stop.WallClockMS < 0 {
+		return fmt.Errorf("scenario: negative stop bound")
+	}
+	return nil
+}
+
+// compileSharded checks what is specific to a sharded-service spec
+// (Scenario.Shards) and builds its clusters: S shard clusters, each with
+// the silent and crash-restart faults scoped to it by FaultSpec.Shard, then
+// the anchor cluster.
 func (p *plan) compileSharded() error {
 	sc := p.sc
 	sh := sc.Shards
@@ -860,43 +928,14 @@ func (p *plan) compileSharded() error {
 		return fmt.Errorf("scenario: shards.cross_mix = %v outside [0, 1)", sh.CrossMix)
 	}
 
-	if sc.Seed < 0 {
-		return fmt.Errorf("scenario: negative seed %d", sc.Seed)
-	}
-	if sc.Delta < 0 || sc.TimeoutFactor < 0 {
-		return fmt.Errorf("scenario: negative delta or timeout_factor")
-	}
-
 	// Network regime: the same model is applied inside every cluster.
 	// Per-link delays are rejected because node IDs are cluster-local —
 	// a link spec could not say which cluster it means.
-	nw := sc.Network
-	if nw.DropBeforeGST < 0 || nw.DropBeforeGST > 1 {
-		return fmt.Errorf("scenario: drop_before_gst = %v outside [0, 1]", nw.DropBeforeGST)
-	}
-	if nw.GST < 0 || nw.EventBudget < 0 {
-		return fmt.Errorf("scenario: negative gst or event_budget")
-	}
-	if nw.EventBudget != 0 {
+	if sc.Network.EventBudget != 0 {
 		return fmt.Errorf("scenario: shards do not support an event budget")
 	}
-	if nw.Delay != nil {
-		if nw.Delay.D < 0 || nw.Delay.Min < 0 || nw.Delay.Max < 0 {
-			return fmt.Errorf("scenario: negative delay")
-		}
-		switch nw.Delay.Model {
-		case DelayConstant, DelayUniform:
-		case DelayPerLink:
-			return fmt.Errorf("scenario: shards do not support per-link delays (node IDs are cluster-local)")
-		default:
-			return fmt.Errorf("scenario: unknown delay model %q", nw.Delay.Model)
-		}
-	}
-	if sc.Engine != EngineTCP && nw.Duplicate != 0 {
-		return fmt.Errorf("scenario: network.duplicate applies only to engine %q", EngineTCP)
-	}
-	if nw.Duplicate < 0 || nw.Duplicate >= 1 {
-		return fmt.Errorf("scenario: network.duplicate = %v outside [0, 1)", nw.Duplicate)
+	if d := sc.Network.Delay; d != nil && d.Model == DelayPerLink {
+		return fmt.Errorf("scenario: shards do not support per-link delays (node IDs are cluster-local)")
 	}
 
 	// Workload: the offered-load stream is the only input shape (per-shard
@@ -911,25 +950,12 @@ func (p *plan) compileSharded() error {
 	if len(w.Transactions) != 0 || w.TxsPerBlock != 0 {
 		return fmt.Errorf("scenario: shards support only the offered-load stream (tx_count), not explicit transactions")
 	}
-	if w.TxCount < 0 || w.TxRate < 0 || w.BatchSize < 0 || w.Window < 0 {
-		return fmt.Errorf("scenario: negative tx_count, tx_rate, batch_size or window")
-	}
-	if err := validateOfferedLoad(w); err != nil {
-		return err
-	}
 
 	// Stop condition: virtual horizon on sim, slots + wall clock on TCP.
-	if sc.Stop.Horizon < 0 || sc.Stop.WallClockMS < 0 {
-		return fmt.Errorf("scenario: negative stop bound")
-	}
 	if sc.Stop.AllDecided {
 		return fmt.Errorf("scenario: shards stop on their own completion rule; stop.all_decided must be false")
 	}
-	if sc.Engine == EngineTCP {
-		if sc.Stop.Horizon != 0 {
-			return fmt.Errorf("scenario: engine %q stops on workload.slots + stop.wall_clock_ms only", EngineTCP)
-		}
-	} else if sc.Stop.Horizon == 0 {
+	if sc.Engine != EngineTCP && sc.Stop.Horizon == 0 {
 		return fmt.Errorf("scenario: sharded sim runs need stop.horizon (lockstep clusters never drain the event queue)")
 	}
 	// Raw traces and chains stay per-cluster artifacts; the fold keeps only
@@ -943,58 +969,34 @@ func (p *plan) compileSharded() error {
 	// (TCP), scoped to one shard cluster each. The anchor cluster cannot be
 	// faulted — it is the trust root the cross-shard consistency check
 	// hangs off.
-	type target struct{ shard, node int }
-	replaced := make(map[target]bool)
-	crashed := make(map[target]bool)
-	for _, f := range sc.Faults {
-		if f.Shard < 0 || f.Shard >= sh.count() {
-			return fmt.Errorf("scenario: %s fault targets shard %d outside [0, %d)", f.Type, f.Shard, sh.count())
+	for i := range sh.Count {
+		p.clusters = append(p.clusters, newCluster(fmt.Sprintf("shard %d", i), p.seed()+int64(i), nodeIDs(sh.nodesPerShard()), nil, p.proposalCap()))
+	}
+	for i := range sc.Faults {
+		f := &sc.Faults[i]
+		if f.Shard < 0 || f.Shard >= sh.Count {
+			return fmt.Errorf("scenario: %s fault targets shard %d outside [0, %d)", f.Type, f.Shard, sh.Count)
 		}
 		if f.Node < 0 || int(f.Node) >= sh.nodesPerShard() {
 			return fmt.Errorf("scenario: %s fault targets node %d outside shard %d's membership [0, %d)", f.Type, f.Node, f.Shard, sh.nodesPerShard())
 		}
-		tg := target{f.Shard, int(f.Node)}
-		switch f.Type {
-		case FaultSilent:
-			if replaced[tg] {
-				return fmt.Errorf("scenario: shard %d node %d has two node-replacing faults", f.Shard, f.Node)
-			}
-			replaced[tg] = true
-		case FaultCrashRestart:
-			if sc.Engine != EngineTCP {
-				return fmt.Errorf("scenario: crash-restart requires engine %q (the simulator has no processes to kill)", EngineTCP)
-			}
-			if f.CrashAtMS < 0 || f.RestartAtMS < 0 {
-				return fmt.Errorf("scenario: negative crash-restart schedule")
-			}
-			if f.RestartAtMS != 0 && f.RestartAtMS <= f.CrashAtMS {
-				return fmt.Errorf("scenario: shard %d node %d restarts at %dms, before its crash at %dms", f.Shard, f.Node, f.RestartAtMS, f.CrashAtMS)
-			}
-			if crashed[tg] {
-				return fmt.Errorf("scenario: shard %d node %d has two crash-restart faults", f.Shard, f.Node)
-			}
-			crashed[tg] = true
-		default:
+		if f.Type != FaultSilent && f.Type != FaultCrashRestart {
 			return fmt.Errorf("scenario: shards support only silent and crash-restart faults, not %q", f.Type)
 		}
-	}
-	for tg := range crashed {
-		if replaced[tg] {
-			return fmt.Errorf("scenario: shard %d node %d is both silent and crash-restarted", tg.shard, tg.node)
+		if err := p.clusters[f.Shard].place(f, sc.Engine); err != nil {
+			return err
 		}
 	}
-
-	p.maxSlot = types.Slot(w.Slots + 3) // keep the ≤5-deep pipeline from overshooting the target
+	// The anchor cluster proposes without a slot cap: its pipeline keeps
+	// filling slots with empty blocks between anchor arrivals, and a cap
+	// would be exhausted before the last shard's final anchor lands.
+	p.clusters = append(p.clusters, newCluster("anchor cluster", p.seed()+int64(sh.Count), nodeIDs(sh.anchorNodes()), nil, 0))
+	for _, c := range p.clusters {
+		if err := c.seal(); err != nil {
+			return err
+		}
+	}
 	return nil
-}
-
-func hasNonSilent(byz map[types.NodeID]*FaultSpec) bool {
-	for _, f := range byz {
-		if f.Type != FaultSilent {
-			return true
-		}
-	}
-	return false
 }
 
 // Defaulted parameters.
@@ -1021,16 +1023,33 @@ func (p *plan) batchSize() int {
 	return 8
 }
 
+// txsPerBlock is the per-block cap on a replica's own mempool transactions.
+func (p *plan) txsPerBlock() int {
+	if n := p.sc.Workload.TxsPerBlock; n > 0 {
+		return n
+	}
+	return 8
+}
+
+// proposalCap is the multi-shot proposal cap: workload.max_slot, or else
+// slots + 3, which keeps the ≤5-deep pipeline from overshooting the target.
+func (p *plan) proposalCap() types.Slot {
+	w := p.sc.Workload
+	if w.MaxSlot == 0 && w.Slots > 0 {
+		return types.Slot(w.Slots + 3)
+	}
+	return types.Slot(w.MaxSlot)
+}
+
 // offeredTx is the i-th offered transaction's deterministic opaque payload
 // (the legacy tx_rate stream; arrival-process streams carry their own).
 func offeredTx(i int) []byte {
 	return []byte(fmt.Sprintf("otx-%08d", i))
 }
 
-// validateOfferedLoad checks the offered-load knob interactions shared by
-// the flat and sharded compile paths: pacing without a count is
-// ErrRateWithoutCount, arrival replaces (not composes with) tx_rate, and
-// cohorts/phases only shape an arrival-process stream.
+// validateOfferedLoad checks the offered-load knob interactions: pacing
+// without a count is ErrRateWithoutCount, arrival replaces (not composes
+// with) tx_rate, and cohorts/phases only shape an arrival-process stream.
 func validateOfferedLoad(w WorkloadSpec) error {
 	if (w.TxRate > 0 || w.Arrival != nil) && w.TxCount == 0 {
 		return ErrRateWithoutCount

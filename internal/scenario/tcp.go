@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
-	"tetrabft/internal/quorum"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/transport"
 	"tetrabft/internal/types"
@@ -21,9 +19,12 @@ import (
 )
 
 // Both TCP runners drive one cluster type: a tcpCluster of WAL-backed
-// multishot replicas on localhost ports. The flat run is one cluster; a
-// sharded run is S shard clusters plus the anchor cluster. launch starts
-// every replica (WAL open → restored or fresh node → runtime) and wires the
+// multishot replicas on localhost ports, one per cluster of the plan — the
+// flat run's one, or a sharded run's S shard clusters plus the anchor
+// cluster. The simulator keeps the same contract with simCluster (run.go).
+// add builds one from the plan's cluster, a batch source and a trace log
+// (nil = untraced): one replica per honest member. launch starts every
+// replica (WAL open → restored or fresh node → runtime) and wires the
 // peers, and a launch that fails closes whatever it started; begin runs
 // them and arms the crash-restart timers. kill hard-stops a replica the way
 // a crashing process dies; relaunch brings it back on its old address from
@@ -31,9 +32,9 @@ import (
 // waits for a fault callback already running and closes every runtime; a
 // relaunch that finds the cluster closed closes what it started. fold,
 // after close, checks shared-prefix agreement among the required replicas
-// and sums the cluster up. What differs between clusters is set by the
-// runner; what the clusters of one run share — WAL root, chaos policy,
-// metrics, the pending-fault count and the completion wait — is a tcpRun.
+// and sums the cluster up. What the clusters of one run share — WAL root,
+// chaos policy, metrics, the pending-fault count and the completion wait —
+// is a tcpRun.
 
 // tcpRun is the plumbing every cluster of one TCP run shares.
 type tcpRun struct {
@@ -70,14 +71,12 @@ func newTCPRun(p *plan) (*tcpRun, error) {
 	return r, nil
 }
 
-// add registers cl with the run: one replica per id in ids (a silent member
-// never runs), each with its own mempool and WAL directory.
-func (r *tcpRun) add(cl *tcpCluster, ids []types.NodeID, crashes []FaultSpec) *tcpCluster {
-	cl.run = r
-	cl.crashes = crashes
-	cl.commitAt = make(map[types.Slot]int64)
+// add registers cluster c with the run: one replica per honest member (a
+// silent member never runs), each with its own mempool and WAL directory.
+func (r *tcpRun) add(c *cluster, batch func(types.Slot, types.Time) [][]byte, log *trace.Log) *tcpCluster {
+	cl := &tcpCluster{cluster: c, batch: batch, log: log, run: r, commitAt: make(map[types.Slot]int64)}
 	dir := filepath.Join(r.walRoot, fmt.Sprintf("cluster-%d", len(r.clusters)))
-	for _, id := range ids {
+	for _, id := range c.honest {
 		cl.replicas = append(cl.replicas, &tcpReplica{
 			id:       id,
 			walDir:   filepath.Join(dir, fmt.Sprintf("replica-%d", id)),
@@ -85,8 +84,8 @@ func (r *tcpRun) add(cl *tcpCluster, ids []types.NodeID, crashes []FaultSpec) *t
 			required: true,
 		})
 	}
-	for _, c := range crashes {
-		cl.replica(c.Node).required = c.RestartAtMS > 0
+	for _, f := range c.crashes {
+		cl.replica(f.Node).required = f.RestartAtMS > 0
 	}
 	r.clusters = append(r.clusters, cl)
 	return cl
@@ -126,7 +125,7 @@ func (r *tcpRun) wait(done func() bool, what string) error {
 			var marks []string
 			for _, cl := range r.clusters {
 				for _, rep := range cl.replicas {
-					marks = append(marks, fmt.Sprintf("%s:%d", cl.who(rep), rep.watermark.Load()))
+					marks = append(marks, fmt.Sprintf("%s:%d", cl.label("replica", rep.id), rep.watermark.Load()))
 				}
 			}
 			return fmt.Errorf("scenario %q: timed out before %s (watermarks %v)", r.p.sc.Name, what, marks)
@@ -149,20 +148,14 @@ func (r *tcpRun) close() {
 	os.RemoveAll(r.walRoot)
 }
 
-// tcpCluster is one cluster of a TCP run: the runner sets the fields above
-// run, add the rest.
+// tcpCluster is one cluster of a TCP run.
 type tcpCluster struct {
-	name     string        // labels errors: "shard 3", "anchor cluster", "" for the flat run
-	nodes    int           // membership size; silent members count toward quorum math but never run
-	quorum   quorum.System // nil = threshold over nodes
-	maxSlot  types.Slot    // proposal cap, 0 = none
-	perBlock int           // mempool transactions per block payload
-	batch    func(types.Slot, types.Time) [][]byte
-	tracer   trace.Tracer
+	*cluster
+	batch func(types.Slot, types.Time) [][]byte
+	log   *trace.Log // nil = untraced
 
 	run      *tcpRun
 	replicas []*tcpReplica
-	crashes  []FaultSpec
 	addrs    map[types.NodeID]string // pinned listen addresses, reused across restarts
 
 	// commitAt records each slot's earliest wall-clock commit across every
@@ -215,11 +208,6 @@ func (cl *tcpCluster) replica(id types.NodeID) *tcpReplica {
 	return nil
 }
 
-// who names rep in errors: "replica 2", or "shard 1 replica 2".
-func (cl *tcpCluster) who(rep *tcpReplica) string {
-	return strings.TrimSpace(fmt.Sprintf("%s replica %d", cl.name, rep.id))
-}
-
 // start opens rep's WAL and builds a runtime for it, restoring the node
 // from the WAL's snapshot if there is one (none at launch or after a
 // wipe). A relaunch rebinds rep's address, so peers' reconnect loops find
@@ -231,16 +219,16 @@ func (cl *tcpCluster) start(rep *tcpReplica) (incarnation, error) {
 	}
 	state, found, err := store.Load()
 	if err != nil {
-		return incarnation{}, fmt.Errorf("%s: %w", cl.who(rep), err)
+		return incarnation{}, fmt.Errorf("%s: %w", cl.label("replica", rep.id), err)
 	}
 	p := cl.run.p
 	cfg := multishot.Config{
-		ID: rep.id, Quorum: cl.quorum, Nodes: cl.nodes, Delta: p.delta(),
+		ID: rep.id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),
 		TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
 		Window:  p.sc.Workload.Window,
-		Payload: rep.mempool.PayloadSource(cl.perBlock), Persist: store,
+		Payload: rep.mempool.PayloadSource(p.txsPerBlock()), Persist: store,
 		Batch:  cl.batch,
-		Tracer: cl.tracer, Metrics: cl.run.reg,
+		Tracer: traced(cl.log), Metrics: cl.run.reg,
 	}
 	var node *multishot.Node
 	if found {
@@ -249,7 +237,7 @@ func (cl *tcpCluster) start(rep *tcpReplica) (incarnation, error) {
 		node, err = multishot.NewNode(cfg)
 	}
 	if err != nil {
-		return incarnation{}, fmt.Errorf("%s: %w", cl.who(rep), err)
+		return incarnation{}, fmt.Errorf("%s: %w", cl.label("replica", rep.id), err)
 	}
 	listen := cl.addrs[rep.id]
 	if listen == "" {
@@ -289,7 +277,7 @@ func (cl *tcpCluster) launch() error {
 		inc, err := cl.start(rep)
 		if err != nil {
 			cl.close()
-			return fmt.Errorf("scenario: launch %s: %w", cl.who(rep), err)
+			return fmt.Errorf("scenario: launch %s: %w", cl.label("replica", rep.id), err)
 		}
 		rep.incarnation = inc
 		cl.addrs[rep.id] = inc.runtime.Addr()
@@ -363,12 +351,12 @@ func (cl *tcpCluster) kill(rep *tcpReplica) {
 func (cl *tcpCluster) relaunch(rep *tcpReplica, wipe bool) error {
 	if wipe {
 		if err := os.RemoveAll(rep.walDir); err != nil {
-			return fmt.Errorf("scenario: wipe wal of %s: %w", cl.who(rep), err)
+			return fmt.Errorf("scenario: wipe wal of %s: %w", cl.label("replica", rep.id), err)
 		}
 	}
 	inc, err := cl.start(rep)
 	if err != nil {
-		return fmt.Errorf("scenario: restart %s: %w", cl.who(rep), err)
+		return fmt.Errorf("scenario: restart %s: %w", cl.label("replica", rep.id), err)
 	}
 	inc.runtime.SetPeers(cl.addrs)
 	cl.mu.Lock()
@@ -426,8 +414,8 @@ func (cl *tcpCluster) refChain() (chain []types.Block, ok bool) {
 	return nil, false
 }
 
-// minWatermark is the lowest finalized watermark across required replicas.
-func (cl *tcpCluster) minWatermark() int64 {
+// minFinalized is the lowest finalized watermark across required replicas.
+func (cl *tcpCluster) minFinalized() int64 {
 	min := int64(-1)
 	for _, rep := range cl.replicas {
 		if !rep.required {
@@ -448,11 +436,16 @@ func (cl *tcpCluster) minWatermark() int64 {
 // it up, with the largest WAL beside the sum. Chains may disagree in
 // length (stragglers keep catching up) but never in content: each required
 // replica's chain is checked against the first one's over their shared
-// prefix, like the simulator's agreement monitor does per slot. A replica
-// that crashed for good is skipped there: its node was abandoned mid-run.
+// prefix, like the simulator's agreement monitor does per slot, and a
+// divergence comes back labelled with the scenario and cluster names. A
+// replica that crashed for good is skipped there: its node was abandoned
+// mid-run.
 func (cl *tcpCluster) fold() (in shardFoldInput, maxWAL int64, err error) {
 	cl.close()
 	in = shardFoldInput{commitAt: cl.commitAt, finalized: -1}
+	if cl.log != nil {
+		in.stages = stageSamples(cl.log.Events())
+	}
 	var ref *tcpReplica
 	for _, rep := range cl.replicas {
 		stats := rep.stats()
@@ -470,7 +463,7 @@ func (cl *tcpCluster) fold() (in shardFoldInput, maxWAL int64, err error) {
 		}
 		for i := range chain {
 			if rep != ref && i < len(in.chain) && chain[i].ID() != in.chain[i].ID() {
-				return in, maxWAL, agreementError{fmt.Errorf("replicas %d and %d diverge at slot %d", ref.id, rep.id, chain[i].Slot)}
+				return in, maxWAL, cl.run.p.fail(cl.cluster, agreementError{fmt.Errorf("replicas %d and %d diverge at slot %d", ref.id, rep.id, chain[i].Slot)})
 			}
 		}
 		if s := int64(rep.node.FinalizedSlot()); in.finalized < 0 || s < in.finalized {
@@ -503,10 +496,6 @@ func runTCP(p *plan) (*Result, error) {
 	}
 	defer r.close()
 
-	cl := &tcpCluster{nodes: len(p.members), quorum: p.qs, maxSlot: p.maxSlot, perBlock: 8}
-	if per := p.sc.Workload.TxsPerBlock; per > 0 {
-		cl.perBlock = per
-	}
 	// One shared trace log across every replica (and every incarnation):
 	// trace.Log is mutex-guarded, so the event loops feed it concurrently.
 	// Event times are transport ticks ≈ milliseconds, so the stage fold
@@ -515,33 +504,27 @@ func runTCP(p *plan) (*Result, error) {
 	var log *trace.Log
 	if p.sc.Collect.Trace || p.sc.Collect.Stages {
 		log = &trace.Log{}
-		cl.tracer = log
 	}
 	// One cluster-shared offered-load stream (Workload.TxCount), exactly as
 	// on the simulator; arrival times are in ticks = transport milliseconds.
 	load := p.offeredLoad()
-	cl.batch = load.batchSource(p.batchSize())
-	r.add(cl, p.honest, p.crashes)
+	cl := r.add(p.clusters[0], load.batchSource(p.batchSize()), log)
 	for _, tx := range p.sc.Workload.Transactions {
-		rep := cl.replica(tx.Node)
-		if rep == nil {
-			return nil, fmt.Errorf("scenario: transaction targets faulty node %d", tx.Node)
-		}
-		rep.mempool.Submit(buildTx(tx))
+		cl.replica(tx.Node).mempool.Submit(buildTx(tx))
 	}
 	if err := r.launch(); err != nil {
 		return nil, err
 	}
 
 	target := p.sc.Workload.Slots
-	done := func() bool { return cl.minWatermark() >= target }
+	done := func() bool { return cl.minFinalized() >= target }
 	if err := r.wait(done, fmt.Sprintf("all replicas finalized slot %d", target)); err != nil {
 		return nil, err
 	}
 	finishedAt := time.Since(r.start).Milliseconds()
 	in, maxWAL, err := cl.fold()
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", p.sc.Name, err)
+		return nil, err
 	}
 	res := &Result{
 		Name:            p.sc.Name,
@@ -572,10 +555,9 @@ func runTCP(p *plan) (*Result, error) {
 	if p.sc.Collect.Chain {
 		res.Chain = in.chain
 	}
-	if log != nil {
+	if p.sc.Collect.Trace {
 		// Event-loop interleaving makes the raw append order nondeterministic;
-		// sort by (time, node, type, slot) for a stable artifact. The stage
-		// fold is min-based and order-insensitive either way.
+		// sort by (time, node, type, slot) for a stable artifact.
 		events := log.Events()
 		sort.SliceStable(events, func(i, j int) bool {
 			a, b := events[i], events[j]
@@ -590,12 +572,10 @@ func runTCP(p *plan) (*Result, error) {
 			}
 			return a.Slot < b.Slot
 		})
-		if p.sc.Collect.Trace {
-			res.Trace = events
-		}
-		if p.sc.Collect.Stages {
-			res.Stages = stageDists(stageSamples(events))
-		}
+		res.Trace = events
+	}
+	if p.sc.Collect.Stages {
+		res.Stages = stageDists(in.stages)
 	}
 	if r.reg != nil {
 		res.Metrics = r.reg.Snapshot()

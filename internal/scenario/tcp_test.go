@@ -59,7 +59,7 @@ func testCluster(t *testing.T, crashes ...FaultSpec) *tcpCluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.close)
-	return r.add(&tcpCluster{nodes: 4, maxSlot: p.maxSlot, perBlock: 8}, p.honest, p.crashes)
+	return r.add(p.clusters[0], nil, nil)
 }
 
 // refuses fails t if anything accepts connections on addr.
