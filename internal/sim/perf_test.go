@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
 	"tetrabft/internal/types"
 )
@@ -115,29 +116,142 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEventQueueOrdering cross-checks the 4-ary heap against the (at, seq)
-// total order on an adversarial interleaving.
+// TestEventQueueOrdering cross-checks the calendar queue, and the oracle,
+// against the (at, seq) total order on adversarial rounds: each round pushes
+// a pattern, then pops part of the queue. Between rounds nothing orders the
+// pops (a push may land behind an earlier pop, as in the allocation tests),
+// so order is checked within a round and identity with the oracle across all.
 func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
+	var o heapQueue
 	var seq uint64
-	push := func(at types.Time) {
-		q.push(event{at: at, seq: seq})
+	push := func(at types.Time, timer bool) {
+		e := event{at: at, seq: seq, timer: timer}
+		q.push(e)
+		o.push(e)
 		seq++
 	}
-	// Descending, ascending, duplicates, interleaved pops.
-	for i := 50; i > 0; i-- {
-		push(types.Time(i))
+	rounds := []struct {
+		name   string
+		pushes func()
+		pops   int // -1 = drain
+	}{
+		{"descending, ascending, duplicates", func() {
+			for i := 50; i > 0; i-- {
+				push(types.Time(i), false)
+			}
+			for i := 0; i < 50; i++ {
+				push(types.Time(i%7), false)
+			}
+		}, 60},
+		{"far timers and the ring's edge", func() {
+			for i := 0; i < 40; i++ {
+				push(types.Time(200+i%3), true)
+				push(q.base+nearTicks-1, false)
+				push(q.base+nearTicks, false)
+			}
+		}, 70},
+		{"behind base", func() {
+			for i := 0; i < 30; i++ {
+				push(q.base-types.Time(i%5), false)
+				push(q.base, false)
+			}
+		}, -1},
+		{"far only, then the ring from the jumped base", func() {
+			for i := 0; i < 20; i++ {
+				push(types.Time(1000+10*i), true)
+			}
+		}, 1},
+		{"same tick as the far events", func() {
+			for i := 0; i < 20; i++ {
+				push(types.Time(1000+10*i), false)
+				push(q.base+1, false)
+			}
+		}, -1},
 	}
-	for i := 0; i < 50; i++ {
-		push(types.Time(i % 7))
-	}
-	prevAt, prevSeq := types.Time(-1), uint64(0)
-	for q.len() > 0 {
-		ev := q.pop()
-		if ev.at < prevAt || (ev.at == prevAt && ev.seq <= prevSeq && prevAt >= 0) {
-			t.Fatalf("pop order violated: (%d,%d) after (%d,%d)", ev.at, ev.seq, prevAt, prevSeq)
+	for _, rd := range rounds {
+		rd.pushes()
+		prevAt, prevSeq := types.Time(0), uint64(0)
+		for i := 0; (rd.pops < 0 || i < rd.pops) && o.len() > 0; i++ {
+			want := o.pop()
+			ev := q.pop()
+			if ev != want {
+				t.Fatalf("%s: popped (%d,%d), oracle (%d,%d)", rd.name, ev.at, ev.seq, want.at, want.seq)
+			}
+			if i > 0 && (ev.at < prevAt || (ev.at == prevAt && ev.seq <= prevSeq)) {
+				t.Fatalf("%s: pop order violated: (%d,%d) after (%d,%d)", rd.name, ev.at, ev.seq, prevAt, prevSeq)
+			}
+			prevAt, prevSeq = ev.at, ev.seq
 		}
-		prevAt, prevSeq = ev.at, ev.seq
+		if q.len() != o.len() {
+			t.Fatalf("%s: %d events left, oracle %d", rd.name, q.len(), o.len())
+		}
+	}
+}
+
+// TestEventQueueZeroAllocs pins a warm calendar cycle at zero allocations:
+// n² = 256 events into one bucket, a far timer, and the drain that pops them
+// and jumps base to the timer. Emptied buckets keep their capacity.
+func TestEventQueueZeroAllocs(t *testing.T) {
+	var q eventQueue
+	var seq uint64
+	cycle := func() {
+		for i := 0; i < 256; i++ {
+			q.push(event{at: q.base + 1, seq: seq})
+			seq++
+		}
+		q.push(event{at: q.base + 3*nearTicks, seq: seq, timer: true})
+		seq++
+		for q.len() > 0 {
+			q.pop()
+		}
+	}
+	for i := 0; i < nearTicks; i++ { // every bucket and the far heap once
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("warm push/pop cycle allocates %.2f times, want 0", allocs)
+	}
+}
+
+// TestMessagesNeverTakeFarPath pins the calendar queue's premise on the
+// workload it was built for: in an n=16 tetrabft-multi run with a constant
+// delay below W, base follows the clock and every message event lands in the
+// ring. Only the 9Δ view timers may use the far heap. With node 15 silent,
+// every slot it leads stalls until the ring is empty and a timer pops from
+// the far heap; the view change that follows must land in the ring too.
+func TestMessagesNeverTakeFarPath(t *testing.T) {
+	for _, tc := range []struct {
+		delay  types.Duration
+		silent bool
+	}{{1, false}, {1, true}, {7, true}} {
+		r := New(Config{Seed: 1, Delay: ConstantDelay{D: tc.delay}})
+		var nodes []*multishot.Node
+		for i := 0; i < 16; i++ {
+			if tc.silent && i == 15 {
+				r.Add(&sink{id: 15})
+				continue
+			}
+			// A pipeline finalizes up to MaxSlot−3.
+			n, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: 16, Delta: 10, MaxSlot: 103})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, n)
+			r.Add(n)
+		}
+		if err := r.Run(10000, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			if n.FinalizedSlot() < 100 {
+				t.Fatalf("%+v: node %d finalized %d of 100 slots", tc, n.ID(), n.FinalizedSlot())
+			}
+		}
+		if r.queue.farMsgs != 0 {
+			t.Errorf("%+v: %d of %d events were messages pushed to the far heap, want 0",
+				tc, r.queue.farMsgs, r.Events())
+		}
 	}
 }
 
@@ -196,6 +310,45 @@ func BenchmarkBroadcast(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEventQueue measures one pop plus one push (ns/op per event) at
+// the queue shape of an n=16 multishot run: n² = 256 messages per tick at
+// unit delay and n timers per tick armed 9Δ = 90 ticks ahead, ≈ 1.7k queued.
+// "heap" is the pre-calendar queue (the oracle) on the same schedule.
+func BenchmarkEventQueue(b *testing.B) {
+	b.Run("calendar", func(b *testing.B) { benchQueue(b, &eventQueue{}) })
+	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}) })
+}
+
+func benchQueue[Q interface {
+	push(event)
+	pop() event
+}](b *testing.B, q Q) {
+	const n, timeout = 16, 90
+	var seq uint64
+	push := func(at types.Time, timer bool) {
+		q.push(event{at: at, seq: seq, timer: timer})
+		seq++
+	}
+	for i := 0; i < n*n; i++ {
+		push(1, false)
+	}
+	for at := types.Time(1); at <= timeout; at++ {
+		for i := 0; i < n; i++ {
+			push(at, true)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := q.pop()
+		if e.timer {
+			push(e.at+timeout, true)
+		} else {
+			push(e.at+1, false)
+		}
 	}
 }
 

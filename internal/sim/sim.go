@@ -9,8 +9,17 @@
 // accounts every byte that crosses the network using the shared wire
 // encoding, which is how the communication column of Table 1 is measured.
 //
-// Runs are fully deterministic given a seed: the event queue breaks time
-// ties by sequence number and all randomness flows from one seeded source.
+// Runs are fully deterministic given a seed: events pop in (time, sequence
+// number) order and all randomness flows from one seeded source.
+//
+// The event queue is a calendar queue (see eventQueue): a ring of 64
+// per-tick FIFO buckets starting at the current tick, where nearly every
+// event lands, and a 4-ary heap for events 64 or more ticks ahead (long
+// timers, large delays, GST) or behind the ring. Push and pop are O(1) for
+// ring events; the pop order is exactly (time, sequence number), the order of
+// a single heap, so replacing the heap changed no simulation output. The
+// ring costs 2 KiB of bucket headers plus, per bucket, the capacity of the
+// busiest tick it has held.
 package sim
 
 import (
@@ -176,7 +185,7 @@ func New(cfg Config) *Runner {
 		sentMsgs:  make(map[types.Kind]int64, 16),
 		armed:     make(map[timerKey]struct{}, 64),
 	}
-	r.queue.ev = make([]event, 0, 1024)
+	r.queue.far.ev = make([]event, 0, 64)
 	r.mSent = cfg.Metrics.Counter("sim_messages_sent_total")
 	r.mDropped = cfg.Metrics.Counter("sim_messages_dropped_total")
 	r.mEvents = cfg.Metrics.Counter("sim_events_total")
@@ -219,7 +228,7 @@ func (r *Runner) Run(until types.Time, stop func() bool) error {
 		if stop != nil && stop() {
 			return nil
 		}
-		if until > 0 && r.queue.ev[0].at > until {
+		if until > 0 && r.queue.peekAt() > until {
 			return nil
 		}
 		ev := r.queue.pop()
@@ -275,27 +284,33 @@ func (r *Runner) DecidedCount(slot types.Slot) int {
 	return count
 }
 
-// AgreementViolation returns an error describing the first pair of nodes
-// that decided different values for the same slot, or nil. This is the
-// Agreement property of Definition 1 (and per-slot Consistency for
-// multi-shot runs).
+// AgreementViolation returns an error describing a pair of nodes that
+// decided different values for the same slot, or nil. This is the Agreement
+// property of Definition 1 (and per-slot Consistency for multi-shot runs).
+// The report is deterministic: the lowest divergent slot, its first decider
+// in member order, and the first member after it that decided otherwise.
 func (r *Runner) AgreementViolation() error {
 	chosen := make(map[types.Slot]types.Value)
 	owner := make(map[types.Slot]types.NodeID)
+	var err error
+	var low types.Slot
 	for _, id := range r.order {
+		// A node's slots come in map order, so keep the lowest divergent
+		// slot rather than the first one met; nodes come in member order,
+		// so the first node to differ at a slot is the one reported.
 		for slot, d := range r.decisions[id] {
-			if prev, ok := chosen[slot]; ok {
-				if prev != d.Val {
-					return fmt.Errorf("sim: agreement violated in slot %d: node %d decided %q, node %d decided %q",
-						slot, owner[slot], prev, id, d.Val)
-				}
-				continue
+			prev, ok := chosen[slot]
+			switch {
+			case !ok:
+				chosen[slot], owner[slot] = d.Val, id
+			case prev != d.Val && (err == nil || slot < low):
+				low = slot
+				err = fmt.Errorf("sim: agreement violated in slot %d: node %d decided %q, node %d decided %q",
+					slot, owner[slot], prev, id, d.Val)
 			}
-			chosen[slot] = d.Val
-			owner[slot] = id
 		}
 	}
-	return nil
+	return err
 }
 
 // SentBytes returns the bytes node put on the wire (per receiver: a
@@ -455,28 +470,126 @@ type event struct {
 	msg  types.Message
 }
 
-// eventQueue is an inlined, value-typed 4-ary min-heap ordered by
-// (at, seq). Compared with container/heap it avoids boxing every event
-// through the `any` interface (an allocation per push) and the dynamic
-// dispatch on Less/Swap; the 4-ary layout halves the tree depth, trading
-// slightly more comparisons per level for far fewer cache-missing swaps.
-// The (at, seq) key is a total order (seq is unique), so the pop sequence —
-// and therefore every simulation — is identical to the binary heap's.
-type eventQueue struct {
-	ev []event
-}
-
-func (q *eventQueue) len() int { return len(q.ev) }
-
-func (q *eventQueue) less(i, j int) bool {
-	a, b := &q.ev[i], &q.ev[j]
+// before reports whether a pops ahead of b: the (at, seq) total order.
+func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
+// nearTicks is W, the calendar ring's width in ticks. A power of two, so a
+// tick's bucket is at & (W-1). Under the unit delay model almost every event
+// lands 0 or 1 tick ahead, and delays up to Δ (10 ticks by default) stay well
+// inside the ring; 9Δ view timers and GST jumps go to the far heap.
+const nearTicks = 64
+
+// eventQueue is a calendar queue ordered by (at, seq): a ring of nearTicks
+// per-tick FIFO buckets covering [base, base+W), plus a far heap for
+// everything else — long timers, delays of W or more, GST jumps, and pushes
+// behind base (a test that pops outside Run without advancing the clock).
+//
+// The order is exactly (at, seq), the pop sequence of the single heap this
+// replaced, so every simulation is unchanged: a bucket holds one tick, and
+// the runner stamps seq in push order, so a bucket's FIFO order is its seq
+// order; pop compares the first non-empty bucket's head with the far heap's
+// top and takes the smaller. base only moves forward, to the tick of the
+// event just popped — every queued event is at or after it — so ring events
+// stay inside [base, base+W) and, inside Run, base equals the clock: a
+// message with delay < W is never pushed to the far heap. When the ring is
+// empty the far top is popped and base jumps to it.
+//
+// Memory: W bucket headers (32 B each) plus, per bucket, the capacity of the
+// busiest tick it has held; emptied buckets keep their capacity, so a steady
+// push/pop cycle allocates nothing. An n=16 multishot run (up to ≈ 350 events
+// in the ring, ≈ 1,440 timers in the far heap) retains about 1.3 MiB of
+// buckets; a single heap of its 1,791 events peaked at 0.1 MiB.
+type eventQueue struct {
+	ring [nearTicks]bucket
+	base types.Time
+	near int // events in the ring
+	far  farHeap
+
+	// farMsgs counts message (non-timer) events pushed to the far heap; the
+	// tests pin it at 0 for constant-delay runs.
+	farMsgs int
+}
+
+// bucket is the FIFO of one tick: ev[head:] are pending.
+type bucket struct {
+	ev   []event
+	head int
+}
+
+func (q *eventQueue) len() int { return q.near + len(q.far.ev) }
+
 func (q *eventQueue) push(e event) {
+	if e.at >= q.base && e.at-q.base < nearTicks {
+		b := &q.ring[e.at&(nearTicks-1)]
+		b.ev = append(b.ev, e)
+		q.near++
+		return
+	}
+	if !e.timer {
+		q.farMsgs++
+	}
+	q.far.push(e)
+}
+
+// first returns the ring's earliest non-empty bucket, or nil if the ring is
+// empty. Inside Run it is found at base or base+1.
+func (q *eventQueue) first() *bucket {
+	if q.near == 0 {
+		return nil
+	}
+	for t := q.base; ; t++ {
+		if b := &q.ring[t&(nearTicks-1)]; b.head < len(b.ev) {
+			return b
+		}
+	}
+}
+
+// peekAt returns the time of the next event. The queue must not be empty.
+func (q *eventQueue) peekAt() types.Time {
+	b := q.first()
+	if b == nil || (len(q.far.ev) > 0 && q.far.ev[0].at < b.ev[b.head].at) {
+		return q.far.ev[0].at
+	}
+	return b.ev[b.head].at
+}
+
+// pop removes and returns the next event. The queue must not be empty.
+func (q *eventQueue) pop() event {
+	b := q.first()
+	if b == nil || (len(q.far.ev) > 0 && q.far.ev[0].before(&b.ev[b.head])) {
+		e := q.far.pop()
+		if e.at > q.base {
+			q.base = e.at
+		}
+		return e
+	}
+	e := b.ev[b.head]
+	b.ev[b.head] = event{} // release the msg reference for the GC
+	b.head++
+	if b.head == len(b.ev) {
+		b.ev, b.head = b.ev[:0], 0
+	}
+	q.near--
+	q.base = e.at
+	return e
+}
+
+// farHeap is an inlined, value-typed 4-ary min-heap ordered by (at, seq).
+// Compared with container/heap it avoids boxing every event through the
+// `any` interface (an allocation per push) and the dynamic dispatch on
+// Less/Swap; the 4-ary layout halves the tree depth.
+type farHeap struct {
+	ev []event
+}
+
+func (q *farHeap) less(i, j int) bool { return q.ev[i].before(&q.ev[j]) }
+
+func (q *farHeap) push(e event) {
 	q.ev = append(q.ev, e)
 	i := len(q.ev) - 1
 	for i > 0 {
@@ -489,7 +602,7 @@ func (q *eventQueue) push(e event) {
 	}
 }
 
-func (q *eventQueue) pop() event {
+func (q *farHeap) pop() event {
 	top := q.ev[0]
 	n := len(q.ev) - 1
 	q.ev[0] = q.ev[n]

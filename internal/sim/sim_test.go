@@ -248,6 +248,48 @@ func TestAgreementViolationDetection(t *testing.T) {
 	}
 }
 
+// TestAgreementViolationDeterministic builds divergences in several slots,
+// spread over several nodes, and requires one report on every call: the
+// lowest divergent slot (9), its first decider in member order (node 0) and
+// the first later member that decided otherwise (node 2, not node 3).
+func TestAgreementViolationDeterministic(t *testing.T) {
+	r := New(Config{Seed: 1})
+	diverge := map[types.NodeID][]types.Slot{2: {9, 30, 41, 57}, 3: {9, 12, 20, 64}}
+	for id := types.NodeID(0); id < 4; id++ {
+		r.Add(&slotDecider{id: id, slots: 80, diverge: diverge[id]})
+	}
+	if err := r.Run(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	const want = `sim: agreement violated in slot 9: node 0 decided "v9", node 2 decided "x9-2"`
+	for i := 0; i < 100; i++ {
+		err := r.AgreementViolation()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: AgreementViolation() = %v, want %s", i, err, want)
+		}
+	}
+}
+
+// slotDecider decides slots 0..slots-1 at start: "v<slot>", except "x<slot>-<id>"
+// in the diverge slots.
+type slotDecider struct {
+	id      types.NodeID
+	slots   types.Slot
+	diverge []types.Slot
+}
+
+func (d *slotDecider) ID() types.NodeID { return d.id }
+func (d *slotDecider) Start(env types.Env) {
+	for _, s := range d.diverge { // first: decisions are final
+		env.Decide(s, types.Value(fmt.Sprintf("x%d-%d", s, d.id)))
+	}
+	for s := types.Slot(0); s < d.slots; s++ {
+		env.Decide(s, types.Value(fmt.Sprintf("v%d", s)))
+	}
+}
+func (d *slotDecider) Deliver(types.Env, types.NodeID, types.Message) {}
+func (d *slotDecider) Tick(types.Env, types.TimerID)                  {}
+
 type decider struct {
 	id  types.NodeID
 	val types.Value

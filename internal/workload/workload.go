@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"tetrabft/internal/types"
 )
@@ -188,14 +189,17 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 		cohorts = []CohortSpec{{}}
 	}
 	weights := make([]float64, len(cohorts))
+	names := make([]string, len(cohorts))
 	totalW := 0.0
 	for i, c := range cohorts {
 		weights[i] = cohortWeight(c)
+		names[i] = cohortName(i, c)
 		totalW += weights[i]
 	}
 
 	r := newRNG(seed)
 	out := make([]Arrival, 0, count)
+	var buf []byte // one arrival's payload prefix, reused
 	t := 0.0
 	for i := 0; i < count; i++ {
 		dt, ok := s.interArrival(r, t)
@@ -215,14 +219,33 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 			}
 		}
 		c := cohorts[ci]
-		key := fmt.Sprintf("%s-k%04d", cohortName(ci, c), r.intn(cohortKeys(c)))
-		payload := []byte(fmt.Sprintf("wtx-%08d|%s|", i, key))
-		for len(payload) < c.TxBytes {
-			payload = append(payload, '.')
+		// Payload "wtx-<i, 8 digits>|<key>|" padded with '.' to TxBytes, key
+		// "<cohort>-k<n, 4 digits>" (both widths are minimums).
+		buf = appendZeroPad(append(buf[:0], "wtx-"...), i, 8)
+		buf = append(buf, '|')
+		keyAt := len(buf)
+		buf = append(append(buf, names[ci]...), "-k"...)
+		buf = appendZeroPad(buf, r.intn(cohortKeys(c)), 4)
+		key := string(buf[keyAt:])
+		buf = append(buf, '|')
+		payload := make([]byte, max(len(buf), c.TxBytes))
+		for j := copy(payload, buf); j < len(payload); j++ {
+			payload[j] = '.'
 		}
 		out = append(out, Arrival{At: types.Time(t), Cohort: ci, Key: key, Payload: payload})
 	}
 	return out, nil
+}
+
+// appendZeroPad appends the decimal form of v ≥ 0, left-padded with zeros to
+// at least width digits: fmt's %0<width>d without fmt.
+func appendZeroPad(b []byte, v, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // interArrival samples the gap to the next arrival at time t, honoring the

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"tetrabft/internal/types"
 )
 
 func mustSchedule(t *testing.T, s Spec, count int, seed int64) []Arrival {
@@ -286,6 +288,95 @@ func TestScheduleArrivalTimesQuantizeStably(t *testing.T) {
 	for i := 1; i < len(arr); i++ {
 		if arr[i].At < arr[i-1].At {
 			t.Fatalf("non-monotone arrival times at %d", i)
+		}
+	}
+}
+
+// scheduleFmt is Schedule as it was written with fmt, kept as the reference
+// for the byte-level format of keys and payloads.
+func scheduleFmt(s Spec, count int, seed int64) []Arrival {
+	cohorts := s.Cohorts
+	if len(cohorts) == 0 {
+		cohorts = []CohortSpec{{}}
+	}
+	weights := make([]float64, len(cohorts))
+	totalW := 0.0
+	for i, c := range cohorts {
+		weights[i] = cohortWeight(c)
+		totalW += weights[i]
+	}
+	r := newRNG(seed)
+	out := make([]Arrival, 0, count)
+	t := 0.0
+	for i := 0; i < count; i++ {
+		dt, ok := s.interArrival(r, t)
+		if !ok {
+			break
+		}
+		t += dt
+		ci := 0
+		if len(cohorts) > 1 {
+			x := r.uniform() * totalW
+			for ci = 0; ci < len(weights)-1; ci++ {
+				x -= weights[ci]
+				if x <= 0 {
+					break
+				}
+			}
+		}
+		c := cohorts[ci]
+		name := c.Name
+		if name == "" {
+			name = fmt.Sprintf("c%d", ci)
+		}
+		key := fmt.Sprintf("%s-k%04d", name, r.intn(cohortKeys(c)))
+		payload := []byte(fmt.Sprintf("wtx-%08d|%s|", i, key))
+		for len(payload) < c.TxBytes {
+			payload = append(payload, '.')
+		}
+		out = append(out, Arrival{At: types.Time(t), Cohort: ci, Key: key, Payload: payload})
+	}
+	return out
+}
+
+// TestScheduleMatchesFmtFormula compares Schedule byte for byte with the fmt
+// formulation across named and default cohort names (c0..c11, so two-digit
+// indices too), key spaces from 1 to 5-digit keys, and TxBytes below, at and
+// above the natural payload length.
+func TestScheduleMatchesFmtFormula(t *testing.T) {
+	many := make([]CohortSpec, 12)
+	for i := range many {
+		many[i] = CohortSpec{Keys: 1 + i*i*i*20, TxBytes: i * 7}
+	}
+	specs := []Spec{
+		{Arrival: ArrivalSpec{Rate: 50}},
+		{Arrival: ArrivalSpec{Rate: 50}, Cohorts: []CohortSpec{{Name: "hot", Keys: 1}, {Name: "wide", Keys: 99999, TxBytes: 300}}},
+		{Arrival: ArrivalSpec{Rate: 50}, Cohorts: []CohortSpec{{TxBytes: 10}, {TxBytes: 24}, {TxBytes: 25}, {Name: "x"}}},
+		{Arrival: ArrivalSpec{Process: ProcessGamma, Rate: 5, Shape: 0.5}, Cohorts: many},
+	}
+	for i, s := range specs {
+		for _, seed := range []int64{1, 2, 77} {
+			got := mustSchedule(t, s, 3000, seed)
+			want := scheduleFmt(s, 3000, seed)
+			for j := range want {
+				g, w := got[j], want[j]
+				if g.At != w.At || g.Cohort != w.Cohort || g.Key != w.Key || string(g.Payload) != string(w.Payload) {
+					t.Fatalf("spec %d seed %d arrival %d: got %+v (payload %q), fmt formula gives %+v (payload %q)",
+						i, seed, j, g, g.Payload, w, w.Payload)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendZeroPad covers the widths Schedule uses beyond the counts a
+// schedule test can reach (arrival indices of 9+ digits).
+func TestAppendZeroPad(t *testing.T) {
+	for _, width := range []int{4, 8} {
+		for _, v := range []int{0, 7, 42, 999, 1000, 9999, 10000, 12345678, 99999999, 100000000, 1 << 40} {
+			if got, want := string(appendZeroPad([]byte("p"), v, width)), fmt.Sprintf("p%0*d", width, v); got != want {
+				t.Errorf("appendZeroPad(%d, %d) = %q, want %q", v, width, got, want)
+			}
 		}
 	}
 }
