@@ -536,14 +536,18 @@ func (q *eventQueue) push(e event) {
 	q.far.push(e)
 }
 
-// first returns the ring's earliest non-empty bucket, or nil if the ring is
-// empty. Inside Run it is found at base or base+1.
-func (q *eventQueue) first() *bucket {
+// next returns the bucket whose head is the next event, or nil when the next
+// event is the far heap's top. The ring's first non-empty bucket is, inside
+// Run, at base or base+1. The queue must not be empty.
+func (q *eventQueue) next() *bucket {
 	if q.near == 0 {
 		return nil
 	}
 	for t := q.base; ; t++ {
 		if b := &q.ring[t&(nearTicks-1)]; b.head < len(b.ev) {
+			if len(q.far.ev) > 0 && q.far.ev[0].before(&b.ev[b.head]) {
+				return nil
+			}
 			return b
 		}
 	}
@@ -551,17 +555,16 @@ func (q *eventQueue) first() *bucket {
 
 // peekAt returns the time of the next event. The queue must not be empty.
 func (q *eventQueue) peekAt() types.Time {
-	b := q.first()
-	if b == nil || (len(q.far.ev) > 0 && q.far.ev[0].at < b.ev[b.head].at) {
-		return q.far.ev[0].at
+	if b := q.next(); b != nil {
+		return b.ev[b.head].at
 	}
-	return b.ev[b.head].at
+	return q.far.ev[0].at
 }
 
 // pop removes and returns the next event. The queue must not be empty.
 func (q *eventQueue) pop() event {
-	b := q.first()
-	if b == nil || (len(q.far.ev) > 0 && q.far.ev[0].before(&b.ev[b.head])) {
+	b := q.next()
+	if b == nil {
 		e := q.far.pop()
 		if e.at > q.base {
 			q.base = e.at
