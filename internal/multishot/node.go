@@ -90,9 +90,17 @@ type tally struct {
 // reached a quorum in. The per-slot list is kept sorted by block ID bytes
 // so every "pick some notarized block" site enumerates deterministically
 // (Go map iteration is randomized; see the note on slotState.notarized).
+//
+// parent caches the block's parent ID once childNotarizedOf has found the
+// body (hasParent), so the 4-chain scans of tryFinalize stop re-hashing
+// BlockID keys into the blocks map. It cannot go stale: an ID is the hash of
+// the whole block, parent included, so every body with this ID names this
+// parent. A record whose body has not arrived is looked up again next scan.
 type notRec struct {
-	id   types.BlockID
-	view types.View
+	id        types.BlockID
+	view      types.View
+	parent    types.BlockID
+	hasParent bool
 }
 
 // viewRec is the consensus state of one (slot, view): the flat replacement
@@ -174,10 +182,10 @@ type Node struct {
 	cfg     Config
 	qs      quorum.System
 	members []types.NodeID
-	// memberIdx maps identities to dense indices for the bitset tallies;
-	// non-members (forged senders) miss and are dropped, the same guard
-	// Threshold.countMembers applies to Sets.
-	memberIdx map[types.NodeID]int
+	// memberIdx maps identities to dense indices for the bitset tallies.
+	// Deliver drops non-members (forged senders) before any handler runs,
+	// so they neither move a tally nor leave an entry behind.
+	memberIdx memberIndex
 	// thrQuorum/thrBlocking cache the threshold cardinalities so the hot
 	// path answers quorum questions with a popcount; isThr is false for
 	// heterogeneous systems (Slices), which fall back to materialized Sets.
@@ -210,6 +218,9 @@ type Node struct {
 	// per sender. f+1 matching claims let a straggler adopt a finalized
 	// block it missed (see onFinal).
 	claims map[types.Slot]map[types.NodeID]types.BlockID
+	// claimCounts is blockingClaim's scratch on the threshold system: one
+	// entry per distinct block claimed for the slot it is asked about.
+	claimCounts []claimCount
 
 	timers    map[types.TimerID]timerRef
 	nextTimer types.TimerID
@@ -298,11 +309,8 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 	}
 	members := cfg.Quorum.Members()
-	idx := make(map[types.NodeID]int, len(members))
-	for i, m := range members {
-		idx[m] = i
-	}
-	if _, ok := idx[cfg.ID]; !ok {
+	idx := newMemberIndex(members)
+	if _, ok := idx.of(cfg.ID); !ok {
 		return nil, fmt.Errorf("multishot: node %d is not a member of the quorum system", cfg.ID)
 	}
 	window := types.Slot(cfg.Window)
@@ -416,13 +424,17 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 		return
 	}
 	n.mDeliver.Inc()
+	idx, member := n.memberIdx.of(from)
+	if !member {
+		return // a forged identity moves nothing and leaves no state behind
+	}
 	switch m := msg.(type) {
 	case types.MSPropose:
 		n.onPropose(env, from, m)
 	case types.MSVote:
-		n.onVote(env, from, m)
+		n.onVote(env, idx, m)
 	case types.MSViewChange:
-		n.onViewChange(env, from, m)
+		n.onViewChange(env, from, idx, m)
 	case types.MSSuggest:
 		n.onSuggest(env, from, m)
 	case types.MSProof:
@@ -524,13 +536,10 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
 	n.tryPropose(env, s+1)
 }
 
-func (n *Node) onVote(env types.Env, from types.NodeID, m types.MSVote) {
+// onVote counts a vote from the member at position idx.
+func (n *Node) onVote(env types.Env, idx int, m types.MSVote) {
 	if m.Slot < 1 || m.Slot <= n.finalized || m.Slot > n.finalized+catchupWindow {
 		return
-	}
-	idx, member := n.memberIdx[from]
-	if !member {
-		return // forged identities can never move a tally
 	}
 	st := n.slot(m.Slot)
 	vr := n.rec(st, m.View)
@@ -546,7 +555,8 @@ func (n *Node) onVote(env types.Env, from types.NodeID, m types.MSVote) {
 	}
 }
 
-func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.MSViewChange) {
+// onViewChange handles a view-change call from member from, at position idx.
+func (n *Node) onViewChange(env types.Env, from types.NodeID, idx int, m types.MSViewChange) {
 	if m.Slot < 1 || m.View <= 0 {
 		return
 	}
@@ -563,10 +573,6 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.MSViewChan
 		return
 	}
 	if m.Slot > n.finalized+catchupWindow {
-		return
-	}
-	idx, member := n.memberIdx[from]
-	if !member {
 		return
 	}
 	st := n.slot(m.Slot)
@@ -711,9 +717,47 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 	}
 }
 
+// claimCount is one distinct block claimed final and how many senders claim it.
+type claimCount struct {
+	id    types.BlockID
+	count int
+}
+
 // blockingClaim returns a block claimed final for slot s by a blocking set
-// (f+1 senders), if any.
+// (f+1 senders), if any: the lowest in byte order when several are. On the
+// threshold system it counts the distinct claimed IDs in reused scratch —
+// every claimant is a member (Deliver drops the rest), so a count is the
+// blocking test — and allocates nothing. Other systems materialize a Set per
+// ID (claimSets).
 func (n *Node) blockingClaim(s types.Slot) (types.BlockID, bool) {
+	if !n.isThr {
+		return n.claimSets(s)
+	}
+	counts := n.claimCounts[:0]
+	for _, id := range n.claims[s] {
+		i := 0
+		for i < len(counts) && counts[i].id != id {
+			i++
+		}
+		if i == len(counts) {
+			counts = append(counts, claimCount{id: id})
+		}
+		counts[i].count++
+	}
+	n.claimCounts = counts
+	best, found := types.ZeroBlockID, false
+	for _, c := range counts {
+		if c.count >= n.thrBlocking && (!found || bytes.Compare(c.id[:], best[:]) < 0) {
+			best, found = c.id, true
+		}
+	}
+	return best, found
+}
+
+// claimSets is blockingClaim for any quorum system: the claimants of each
+// distinct ID as a Set, asked of IsBlocking in ID byte order. On the
+// threshold system it is the fast path's reference.
+func (n *Node) claimSets(s types.Slot) (types.BlockID, bool) {
 	byNode := n.claims[s]
 	counts := make(map[types.BlockID]quorum.Set)
 	for sender, id := range byNode {
@@ -1031,15 +1075,24 @@ func (n *Node) chainAt(k types.Slot) (types.BlockID, bool) {
 	return types.ZeroBlockID, false
 }
 
-// childNotarizedOf finds a notarized block at slot s whose parent is id.
+// childNotarizedOf finds a notarized block at slot s whose parent is id. A
+// record's parent is read from its body once and cached on the record.
 func (n *Node) childNotarizedOf(s types.Slot, id types.BlockID) (types.BlockID, bool) {
 	st := n.peekSlot(s)
 	if st == nil {
 		return types.ZeroBlockID, false
 	}
 	for i := range st.notarized {
-		if b, known := n.blocks[st.notarized[i].id]; known && b.Parent == id {
-			return st.notarized[i].id, true
+		r := &st.notarized[i]
+		if !r.hasParent {
+			b, known := n.blocks[r.id]
+			if !known {
+				continue
+			}
+			r.parent, r.hasParent = b.Parent, true
+		}
+		if r.parent == id {
+			return r.id, true
 		}
 	}
 	return types.ZeroBlockID, false

@@ -30,7 +30,7 @@ func checkQueueOps(t testing.TB, ops []byte) {
 	var seq uint64
 	var now types.Time
 	push := func(at types.Time, timer bool) {
-		e := event{at: at, seq: seq, node: types.NodeID(seq % 16), timer: timer}
+		e := event{at: at, seq: seq, node: int32(seq % 16), timer: timer}
 		seq++
 		q.push(e)
 		o.push(e)

@@ -20,11 +20,18 @@
 // a single heap, so replacing the heap changed no simulation output. The
 // ring costs 2 KiB of bucket headers plus, per bucket, the capacity of the
 // busiest tick it has held.
+//
+// Nodes are indices inside and NodeIDs at the API. The runner keeps one slot
+// per machine in Add order, and an event names its destination by slot
+// index, so delivering an event or a broadcast hashes nothing. A NodeID is
+// looked up only by Add, by a unicast Send and by the getters; every
+// callback (Watch, Adversary, DelayModel) and every getter speaks NodeIDs.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 
 	"tetrabft/internal/obs"
@@ -126,12 +133,16 @@ type Decision struct {
 }
 
 // Runner executes a set of Machines against the simulated network.
+//
+// envs holds one slot per machine in Add order (see env): the machine, its
+// byte counters and its decisions. Events address a node by its index in
+// envs; byID maps a NodeID to its slot and is consulted only by Add, a
+// unicast Send and the NodeID-keyed getters.
 type Runner struct {
-	cfg      Config
-	rng      *rand.Rand
-	machines map[types.NodeID]types.Machine
-	envs     map[types.NodeID]*env
-	order    []types.NodeID
+	cfg  Config
+	rng  *rand.Rand
+	envs []*env
+	byID map[types.NodeID]*env
 
 	queue   eventQueue
 	seq     uint64
@@ -146,12 +157,8 @@ type Runner struct {
 	armed     map[timerKey]struct{}
 	coalesced int64
 
-	decisions map[types.NodeID]map[types.Slot]Decision
-
-	sentBytes map[types.NodeID]int64
-	recvBytes map[types.NodeID]int64
-	sentMsgs  map[types.Kind]int64
-	dropped   int64
+	sentMsgs [256]int64 // by types.Kind
+	dropped  int64
 
 	// Watch, when non-nil, observes every delivered message (after the
 	// adversary). Used by invariant monitors in tests.
@@ -175,15 +182,10 @@ func New(cfg Config) *Runner {
 		cfg.EventBudget = 5_000_000
 	}
 	r := &Runner{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		machines:  make(map[types.NodeID]types.Machine, 16),
-		envs:      make(map[types.NodeID]*env, 16),
-		decisions: make(map[types.NodeID]map[types.Slot]Decision, 16),
-		sentBytes: make(map[types.NodeID]int64, 16),
-		recvBytes: make(map[types.NodeID]int64, 16),
-		sentMsgs:  make(map[types.Kind]int64, 16),
-		armed:     make(map[timerKey]struct{}, 64),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		byID:  make(map[types.NodeID]*env, 16),
+		armed: make(map[timerKey]struct{}, 64),
 	}
 	r.queue.far.ev = make([]event, 0, 64)
 	r.mSent = cfg.Metrics.Counter("sim_messages_sent_total")
@@ -197,12 +199,12 @@ func New(cfg Config) *Runner {
 // Add registers a machine. Machines must be added before Run.
 func (r *Runner) Add(m types.Machine) {
 	id := m.ID()
-	if _, dup := r.machines[id]; dup {
+	if _, dup := r.byID[id]; dup {
 		panic(fmt.Sprintf("sim: duplicate machine id %d", id))
 	}
-	r.machines[id] = m
-	r.envs[id] = &env{r: r, self: id}
-	r.order = append(r.order, id)
+	e := &env{r: r, m: m, self: id, idx: int32(len(r.envs))}
+	r.envs = append(r.envs, e)
+	r.byID[id] = e
 }
 
 // Now returns the current virtual time.
@@ -220,8 +222,8 @@ func (r *Runner) Now() types.Time { return r.now }
 func (r *Runner) Run(until types.Time, stop func() bool) error {
 	if !r.started {
 		r.started = true
-		for _, id := range r.order {
-			r.machines[id].Start(r.envs[id])
+		for _, e := range r.envs {
+			e.m.Start(e)
 		}
 	}
 	for r.queue.len() > 0 {
@@ -237,47 +239,48 @@ func (r *Runner) Run(until types.Time, stop func() bool) error {
 		if r.events > r.cfg.EventBudget {
 			return fmt.Errorf("%w (%d events)", ErrEventBudget, r.events)
 		}
-		m := r.machines[ev.node]
-		env := r.envs[ev.node]
+		e := r.envs[ev.node]
 		r.mEvents.Inc()
 		if ev.timer {
 			delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
 			r.mTimers.Inc()
-			m.Tick(env, ev.timerID)
+			e.m.Tick(e, ev.timerID)
 			continue
 		}
 		if r.Watch != nil {
-			r.Watch(ev.from, ev.node, ev.msg, ev.at)
+			r.Watch(ev.from, e.self, ev.msg, ev.at)
 		}
-		m.Deliver(env, ev.from, ev.msg)
+		e.m.Deliver(e, ev.from, ev.msg)
 	}
 	return nil
 }
 
-// Decisions returns a copy of every recorded decision.
+// Decisions returns a copy of every recorded decision, keyed by the NodeIDs
+// of the nodes that decided something.
 func (r *Runner) Decisions() map[types.NodeID]map[types.Slot]Decision {
-	out := make(map[types.NodeID]map[types.Slot]Decision, len(r.decisions))
-	for id, slots := range r.decisions {
-		cp := make(map[types.Slot]Decision, len(slots))
-		for s, d := range slots {
-			cp[s] = d
+	out := make(map[types.NodeID]map[types.Slot]Decision, len(r.envs))
+	for _, e := range r.envs {
+		if e.decisions != nil {
+			out[e.self] = maps.Clone(e.decisions)
 		}
-		out[id] = cp
 	}
 	return out
 }
 
 // Decision returns node's decision for slot, if any.
 func (r *Runner) Decision(node types.NodeID, slot types.Slot) (Decision, bool) {
-	d, ok := r.decisions[node][slot]
-	return d, ok
+	if e := r.byID[node]; e != nil {
+		d, ok := e.decisions[slot]
+		return d, ok
+	}
+	return Decision{}, false
 }
 
 // DecidedCount returns how many machines have decided slot.
 func (r *Runner) DecidedCount(slot types.Slot) int {
 	count := 0
-	for _, slots := range r.decisions {
-		if _, ok := slots[slot]; ok {
+	for _, e := range r.envs {
+		if _, ok := e.decisions[slot]; ok {
 			count++
 		}
 	}
@@ -294,19 +297,19 @@ func (r *Runner) AgreementViolation() error {
 	owner := make(map[types.Slot]types.NodeID)
 	var err error
 	var low types.Slot
-	for _, id := range r.order {
+	for _, e := range r.envs {
 		// A node's slots come in map order, so keep the lowest divergent
 		// slot rather than the first one met; nodes come in member order,
 		// so the first node to differ at a slot is the one reported.
-		for slot, d := range r.decisions[id] {
+		for slot, d := range e.decisions {
 			prev, ok := chosen[slot]
 			switch {
 			case !ok:
-				chosen[slot], owner[slot] = d.Val, id
+				chosen[slot], owner[slot] = d.Val, e.self
 			case prev != d.Val && (err == nil || slot < low):
 				low = slot
 				err = fmt.Errorf("sim: agreement violated in slot %d: node %d decided %q, node %d decided %q",
-					slot, owner[slot], prev, id, d.Val)
+					slot, owner[slot], prev, e.self, d.Val)
 			}
 		}
 	}
@@ -316,16 +319,26 @@ func (r *Runner) AgreementViolation() error {
 // SentBytes returns the bytes node put on the wire (per receiver: a
 // broadcast to n nodes costs n× the message size, matching the paper's
 // "communicated bits" accounting).
-func (r *Runner) SentBytes(node types.NodeID) int64 { return r.sentBytes[node] }
+func (r *Runner) SentBytes(node types.NodeID) int64 {
+	if e := r.byID[node]; e != nil {
+		return e.sentBytes
+	}
+	return 0
+}
 
 // RecvBytes returns the bytes delivered to node.
-func (r *Runner) RecvBytes(node types.NodeID) int64 { return r.recvBytes[node] }
+func (r *Runner) RecvBytes(node types.NodeID) int64 {
+	if e := r.byID[node]; e != nil {
+		return e.recvBytes
+	}
+	return 0
+}
 
 // TotalSentBytes sums SentBytes over all nodes.
 func (r *Runner) TotalSentBytes() int64 {
 	var total int64
-	for _, b := range r.sentBytes {
-		total += b
+	for _, e := range r.envs {
+		total += e.sentBytes
 	}
 	return total
 }
@@ -343,16 +356,26 @@ func (r *Runner) Events() int { return r.events }
 // an already-pending heap entry.
 func (r *Runner) CoalescedTimers() int64 { return r.coalesced }
 
-// env implements types.Env for a single machine.
+// env is one node's slot in the runner and the types.Env its machine sees:
+// the machine, its NodeID and its index in Runner.envs, the bytes it sent
+// and received, and its decisions (nil until the first).
 type env struct {
 	r    *Runner
+	m    types.Machine
 	self types.NodeID
+	idx  int32
+
+	sentBytes int64
+	recvBytes int64
+	decisions map[types.Slot]Decision
 }
 
 func (e *env) Now() types.Time { return e.r.now }
 
+// Send resolves the destination's slot; an unregistered one is nil, which
+// send bills and drops.
 func (e *env) Send(to types.NodeID, msg types.Message) {
-	e.r.send(e.self, to, msg, int64(types.EncodedSize(msg)))
+	e.r.send(e, e.r.byID[to], msg, int64(types.EncodedSize(msg)))
 }
 
 func (e *env) Broadcast(msg types.Message) {
@@ -360,8 +383,8 @@ func (e *env) Broadcast(msg types.Message) {
 	// size, so a broadcast still costs n× on the wire (the paper's
 	// "communicated bits" accounting) without n serializations.
 	size := int64(types.EncodedSize(msg))
-	for _, id := range e.r.order {
-		e.r.send(e.self, id, msg, size)
+	for _, to := range e.r.envs {
+		e.r.send(e, to, msg, size)
 	}
 }
 
@@ -372,49 +395,47 @@ func (e *env) SetTimer(id types.TimerID, d types.Duration) {
 	// Protocols that re-arm on every delivery (retransmission timers,
 	// per-view timers under message storms) stay O(live timers) instead of
 	// O(arms).
-	key := timerKey{node: e.self, id: id, at: at}
+	key := timerKey{node: e.idx, id: id, at: at}
 	if _, dup := e.r.armed[key]; dup {
 		e.r.coalesced++
 		e.r.mCoalesced.Inc()
 		return
 	}
 	e.r.armed[key] = struct{}{}
-	e.r.push(event{at: at, node: e.self, timer: true, timerID: id})
+	e.r.push(event{at: at, node: e.idx, timer: true, timerID: id})
 }
 
 func (e *env) Decide(slot types.Slot, val types.Value) {
-	slots := e.r.decisions[e.self]
-	if slots == nil {
-		slots = make(map[types.Slot]Decision, 8)
-		e.r.decisions[e.self] = slots
+	if e.decisions == nil {
+		e.decisions = make(map[types.Slot]Decision, 8)
 	}
-	if _, already := slots[slot]; already {
+	if _, already := e.decisions[slot]; already {
 		return // decisions are final; repeated Decide calls are ignored
 	}
-	slots[slot] = Decision{Val: val, At: e.r.now}
+	e.decisions[slot] = Decision{Val: val, At: e.r.now}
 }
 
 // send routes one message with a precomputed encoded size (callers size a
-// broadcast once for all n receivers). When the adversary replaces the
-// message, the receiver is billed at the *replacement's* encoded size — the
-// substituted bytes are what actually cross the wire — while the sender
-// keeps the original-size charge.
-func (r *Runner) send(from, to types.NodeID, msg types.Message, size int64) {
-	r.sentBytes[from] += size
+// broadcast once for all n receivers). A nil to is an unregistered
+// destination: the sender is billed, the message counts as dropped, and the
+// adversary never sees it. When the adversary replaces the message, the
+// receiver is billed at the *replacement's* encoded size — the substituted
+// bytes are what actually cross the wire — while the sender keeps the
+// original-size charge.
+func (r *Runner) send(from, to *env, msg types.Message, size int64) {
+	from.sentBytes += size
 	r.sentMsgs[msg.Kind()]++
 	r.mSent.Inc()
-	if _, known := r.machines[to]; !known {
-		r.dropped++
-		r.mDropped.Inc()
+	if to == nil {
+		r.drop()
 		return
 	}
 
 	var extra types.Duration
 	if r.cfg.Adversary != nil {
-		v := r.cfg.Adversary.Intercept(from, to, msg, r.now)
+		v := r.cfg.Adversary.Intercept(from.self, to.self, msg, r.now)
 		if v.Drop {
-			r.dropped++
-			r.mDropped.Inc()
+			r.drop()
 			return
 		}
 		if v.Replace != nil {
@@ -428,20 +449,24 @@ func (r *Runner) send(from, to types.NodeID, msg types.Message, size int64) {
 	if to != from { // self-delivery is immediate: nodes count their own votes
 		if r.now < r.cfg.GST {
 			if r.rng.Float64() < r.cfg.DropBeforeGST {
-				r.dropped++
-				r.mDropped.Inc()
+				r.drop()
 				return
 			}
 			if r.cfg.GST > at {
 				at = r.cfg.GST
 			}
 		}
-		at += types.Time(r.cfg.Delay.Delay(r.rng, from, to))
+		at += types.Time(r.cfg.Delay.Delay(r.rng, from.self, to.self))
 	}
 	at += types.Time(extra)
 
-	r.recvBytes[to] += size
-	r.push(event{at: at, node: to, from: from, msg: msg})
+	to.recvBytes += size
+	r.push(event{at: at, node: to.idx, from: from.self, msg: msg})
+}
+
+func (r *Runner) drop() {
+	r.dropped++
+	r.mDropped.Inc()
 }
 
 func (r *Runner) push(ev event) {
@@ -452,18 +477,19 @@ func (r *Runner) push(ev event) {
 
 // timerKey identifies one pending timer event for coalescing.
 type timerKey struct {
-	node types.NodeID
+	node int32 // index in Runner.envs
 	id   types.TimerID
 	at   types.Time
 }
 
-// event is either a message delivery or a timer fire for one node.
+// event is either a message delivery or a timer fire for one node, named by
+// its index in Runner.envs; from is the sender's NodeID, as Deliver takes it.
 type event struct {
-	at   types.Time
-	seq  uint64
-	node types.NodeID
+	at    types.Time
+	seq   uint64
+	node  int32
+	timer bool
 
-	timer   bool
 	timerID types.TimerID
 
 	from types.NodeID
@@ -502,8 +528,9 @@ const nearTicks = 64
 // Memory: W bucket headers (32 B each) plus, per bucket, the capacity of the
 // busiest tick it has held; emptied buckets keep their capacity, so a steady
 // push/pop cycle allocates nothing. An n=16 multishot run (up to ≈ 350 events
-// in the ring, ≈ 1,440 timers in the far heap) retains about 1.3 MiB of
-// buckets; a single heap of its 1,791 events peaked at 0.1 MiB.
+// in the ring, ≈ 1,440 timers in the far heap) retains about 1.1 MiB of
+// buckets (56-byte events); a single heap of its 1,791 events peaked at
+// 0.1 MiB.
 type eventQueue struct {
 	ring [nearTicks]bucket
 	base types.Time
