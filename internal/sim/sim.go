@@ -269,11 +269,18 @@ func (r *Runner) Decisions() map[types.NodeID]map[types.Slot]Decision {
 
 // Decision returns node's decision for slot, if any.
 func (r *Runner) Decision(node types.NodeID, slot types.Slot) (Decision, bool) {
+	d, ok := r.slotOf(node).decisions[slot]
+	return d, ok
+}
+
+// unregistered is the empty slot the getters read for a NodeID never added.
+var unregistered env
+
+func (r *Runner) slotOf(node types.NodeID) *env {
 	if e := r.byID[node]; e != nil {
-		d, ok := e.decisions[slot]
-		return d, ok
+		return e
 	}
-	return Decision{}, false
+	return &unregistered
 }
 
 // DecidedCount returns how many machines have decided slot.
@@ -319,20 +326,10 @@ func (r *Runner) AgreementViolation() error {
 // SentBytes returns the bytes node put on the wire (per receiver: a
 // broadcast to n nodes costs n× the message size, matching the paper's
 // "communicated bits" accounting).
-func (r *Runner) SentBytes(node types.NodeID) int64 {
-	if e := r.byID[node]; e != nil {
-		return e.sentBytes
-	}
-	return 0
-}
+func (r *Runner) SentBytes(node types.NodeID) int64 { return r.slotOf(node).sentBytes }
 
 // RecvBytes returns the bytes delivered to node.
-func (r *Runner) RecvBytes(node types.NodeID) int64 {
-	if e := r.byID[node]; e != nil {
-		return e.recvBytes
-	}
-	return 0
-}
+func (r *Runner) RecvBytes(node types.NodeID) int64 { return r.slotOf(node).recvBytes }
 
 // TotalSentBytes sums SentBytes over all nodes.
 func (r *Runner) TotalSentBytes() int64 {
