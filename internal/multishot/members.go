@@ -1,26 +1,16 @@
 package multishot
 
-import (
-	"cmp"
-	"slices"
-
-	"tetrabft/internal/types"
-)
+import "tetrabft/internal/types"
 
 // memberIndex maps a sender's NodeID to its position in the membership: the
 // index of its bit in every vote tally and view-change set, and the one test
 // of whether a sender is a member at all. The threshold system's members are
 // 0..n−1 and index themselves, a bounds check with no lookup. Other systems
-// (Slices) name arbitrary IDs; those are found by binary search. A forged
-// sender — negative, huge, or between two members — misses either way.
+// (Slices) name arbitrary IDs and keep a map. A forged sender — negative,
+// huge, or between two members — misses either way.
 type memberIndex struct {
-	n    int
-	byID []memberPos // ascending by id; nil when members are exactly 0..n−1
-}
-
-type memberPos struct {
-	id  types.NodeID
-	pos int
+	n   int
+	idx map[types.NodeID]int // nil when members are exactly 0..n−1
 }
 
 func newMemberIndex(members []types.NodeID) memberIndex {
@@ -29,11 +19,10 @@ func newMemberIndex(members []types.NodeID) memberIndex {
 		if m == types.NodeID(i) {
 			continue
 		}
-		ix.byID = make([]memberPos, len(members))
+		ix.idx = make(map[types.NodeID]int, len(members))
 		for j, m := range members {
-			ix.byID[j] = memberPos{id: m, pos: j}
+			ix.idx[m] = j
 		}
-		slices.SortFunc(ix.byID, func(a, b memberPos) int { return cmp.Compare(a.id, b.id) })
 		break
 	}
 	return ix
@@ -41,14 +30,9 @@ func newMemberIndex(members []types.NodeID) memberIndex {
 
 // of returns id's position in the membership, or false for a non-member.
 func (ix *memberIndex) of(id types.NodeID) (int, bool) {
-	if ix.byID == nil {
+	if ix.idx == nil {
 		return int(id), uint(id) < uint(ix.n)
 	}
-	i, found := slices.BinarySearchFunc(ix.byID, id, func(p memberPos, id types.NodeID) int {
-		return cmp.Compare(p.id, id)
-	})
-	if !found {
-		return 0, false
-	}
-	return ix.byID[i].pos, true
+	pos, ok := ix.idx[id]
+	return pos, ok
 }

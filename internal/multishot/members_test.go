@@ -1,8 +1,6 @@
 package multishot
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"tetrabft/internal/quorum"
@@ -16,8 +14,8 @@ var forgedSenders = []types.NodeID{-1, 1 << 40, 20}
 
 func TestMemberIndex(t *testing.T) {
 	dense := newMemberIndex([]types.NodeID{0, 1, 2, 3})
-	if dense.byID != nil {
-		t.Error("members 0..n−1 built a search table")
+	if dense.idx != nil {
+		t.Error("members 0..n−1 built a lookup map")
 	}
 	for id, want := range map[types.NodeID]bool{0: true, 3: true, -1: false, 4: false, 1 << 40: false} {
 		if pos, ok := dense.of(id); ok != want || (ok && pos != int(id)) {
@@ -179,81 +177,6 @@ func TestNonMembersLeaveNoState(t *testing.T) {
 	}
 	if n.claims[1][1] != final.ID() {
 		t.Error("a member's finality claim left no entry")
-	}
-}
-
-// TestBlockingClaimMatchesSets is a randomized differential: on the threshold
-// system the counting fast path picks exactly what the Set-materializing
-// path (claimSets: sorted IDs, IsBlocking) picks, over random claim maps with
-// ties, lone claims and no blocking set at all.
-func TestBlockingClaimMatchesSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	found := 0
-	for iter := 0; iter < 3000; iter++ {
-		size := []int{4, 7, 10, 16}[iter%4]
-		n, err := NewNode(Config{ID: 0, Nodes: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]types.BlockID, 1+rng.Intn(4))
-		for i := range ids {
-			rng.Read(ids[i][:])
-			if i > 0 && rng.Intn(2) == 0 { // share a prefix: order is decided late
-				copy(ids[i][:31], ids[0][:31])
-			}
-		}
-		byNode := make(map[types.NodeID]types.BlockID)
-		for _, sender := range rng.Perm(size)[:rng.Intn(size+1)] {
-			byNode[types.NodeID(sender)] = ids[rng.Intn(len(ids))]
-		}
-		n.claims[1] = byNode
-		got, gotOK := n.blockingClaim(1)
-		want, wantOK := n.claimSets(1)
-		if got != want || gotOK != wantOK {
-			t.Fatalf("iter %d (n=%d, %d claims): fast path %x/%v, Sets %x/%v", iter, size, len(byNode), got[:4], gotOK, want[:4], wantOK)
-		}
-		if gotOK {
-			found++
-		}
-	}
-	if found < 1000 || found > 2500 {
-		t.Errorf("%d of 3000 cases had a blocking claim: the generator misses one side", found)
-	}
-}
-
-// TestBlockingClaimZeroAllocs pins the threshold path of blockingClaim at 0
-// allocations per call once its scratch is warm: sixteen claims split 7/7/2
-// over three blocks, the lower of the two blocking ones (f+1 = 6) picked.
-func TestBlockingClaimZeroAllocs(t *testing.T) {
-	n, err := NewNode(Config{ID: 0, Nodes: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []types.BlockID{{3}, {1}, {2}}
-	byNode := make(map[types.NodeID]types.BlockID)
-	for i := 0; i < 16; i++ {
-		id := ids[i%2]
-		if i >= 14 {
-			id = ids[2]
-		}
-		byNode[types.NodeID(i)] = id
-	}
-	n.claims[1] = byNode
-	want, _ := n.claimSets(1)
-	n.blockingClaim(1)
-	var got types.BlockID
-	var ok bool
-	allocs := testing.AllocsPerRun(1000, func() {
-		got, ok = n.blockingClaim(1)
-	})
-	if !ok || got != want {
-		t.Fatalf("blockingClaim = %x/%v, want %x", got[:1], ok, want[:1])
-	}
-	if allocs != 0 {
-		t.Errorf("blockingClaim allocates %.2f times per call, want 0", allocs)
-	}
-	if !bytes.Equal(want[:], ids[1][:]) {
-		t.Errorf("picked %x, want the lowest blocking ID %x", want[:1], ids[1][:1])
 	}
 }
 

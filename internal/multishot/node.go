@@ -218,9 +218,6 @@ type Node struct {
 	// per sender. f+1 matching claims let a straggler adopt a finalized
 	// block it missed (see onFinal).
 	claims map[types.Slot]map[types.NodeID]types.BlockID
-	// claimCounts is blockingClaim's scratch on the threshold system: one
-	// entry per distinct block claimed for the slot it is asked about.
-	claimCounts []claimCount
 
 	timers    map[types.TimerID]timerRef
 	nextTimer types.TimerID
@@ -717,47 +714,9 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 	}
 }
 
-// claimCount is one distinct block claimed final and how many senders claim it.
-type claimCount struct {
-	id    types.BlockID
-	count int
-}
-
 // blockingClaim returns a block claimed final for slot s by a blocking set
-// (f+1 senders), if any: the lowest in byte order when several are. On the
-// threshold system it counts the distinct claimed IDs in reused scratch —
-// every claimant is a member (Deliver drops the rest), so a count is the
-// blocking test — and allocates nothing. Other systems materialize a Set per
-// ID (claimSets).
+// (f+1 senders), if any.
 func (n *Node) blockingClaim(s types.Slot) (types.BlockID, bool) {
-	if !n.isThr {
-		return n.claimSets(s)
-	}
-	counts := n.claimCounts[:0]
-	for _, id := range n.claims[s] {
-		i := 0
-		for i < len(counts) && counts[i].id != id {
-			i++
-		}
-		if i == len(counts) {
-			counts = append(counts, claimCount{id: id})
-		}
-		counts[i].count++
-	}
-	n.claimCounts = counts
-	best, found := types.ZeroBlockID, false
-	for _, c := range counts {
-		if c.count >= n.thrBlocking && (!found || bytes.Compare(c.id[:], best[:]) < 0) {
-			best, found = c.id, true
-		}
-	}
-	return best, found
-}
-
-// claimSets is blockingClaim for any quorum system: the claimants of each
-// distinct ID as a Set, asked of IsBlocking in ID byte order. On the
-// threshold system it is the fast path's reference.
-func (n *Node) claimSets(s types.Slot) (types.BlockID, bool) {
 	byNode := n.claims[s]
 	counts := make(map[types.BlockID]quorum.Set)
 	for sender, id := range byNode {
