@@ -32,6 +32,7 @@ const engineFuncLines = 120
 
 var engineFiles = map[string]bool{
 	"internal/scenario/run.go":       true,
+	"internal/scenario/seq.go":       true,
 	"internal/scenario/shard_sim.go": true,
 	"internal/scenario/shard_tcp.go": true,
 	"internal/scenario/tcp.go":       true,

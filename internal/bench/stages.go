@@ -52,7 +52,7 @@ func StageDecomposition() (StagesResult, error) {
 		silent bool
 		dst    *[]StageRow
 	}{{false, &out.Good}, {true, &out.Crash}} {
-		res, err := scenario.RunCached(stageScenario(c.silent))
+		res, err := scenario.Run(stageScenario(c.silent))
 		if err != nil {
 			return StagesResult{}, fmt.Errorf("bench: stage decomposition (silent=%v): %w", c.silent, err)
 		}

@@ -47,7 +47,7 @@ func throughputScenario(batch, window int) scenario.Scenario {
 func Throughput(batches []int) ([]ThroughputRow, error) {
 	const window = 2
 	return par.Map(batches, func(_ int, batch int) (ThroughputRow, error) {
-		res, err := scenario.RunCached(throughputScenario(batch, window))
+		res, err := scenario.Run(throughputScenario(batch, window))
 		if err != nil {
 			return ThroughputRow{}, fmt.Errorf("bench: throughput batch %d: %w", batch, err)
 		}

@@ -82,6 +82,38 @@ func TestQuickDecodePayloadNeverPanics(t *testing.T) {
 	}
 }
 
+// FuzzDecodePayload faces DecodePayload with the block payloads a peer may
+// propose. It never panics, and whatever it accepts survives a round trip:
+// the decoded transactions re-encode into a payload that decodes to the same
+// transactions (the input itself need not be canonical: a varint may carry
+// redundant continuation bytes).
+func FuzzDecodePayload(f *testing.F) {
+	for _, txs := range [][]Tx{nil, {Tx("")}, {Tx("a"), Tx("otx-00000001"), Tx("set|k|v")}} {
+		p := EncodePayload(txs)
+		f.Add(p)
+		f.Add(p[:len(p)/2])
+	}
+	f.Add([]byte{0x80, 0x00})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		txs, err := DecodePayload(p)
+		if err != nil {
+			return
+		}
+		again, err := DecodePayload(EncodePayload(txs))
+		if err != nil {
+			t.Fatalf("DecodePayload(EncodePayload(%q)): %v", txs, err)
+		}
+		if len(again) != len(txs) {
+			t.Fatalf("round trip of %q gave %d transactions, want %d", txs, len(again), len(txs))
+		}
+		for i := range txs {
+			if string(again[i]) != string(txs[i]) {
+				t.Fatalf("round trip tx %d: got %q, want %q", i, again[i], txs[i])
+			}
+		}
+	})
+}
+
 func TestMempoolFIFOAndBounds(t *testing.T) {
 	m := NewMempool(3)
 	for i, tx := range []string{"a", "b", "c"} {

@@ -187,6 +187,9 @@ func (n *Node) Snapshot() PersistentState {
 	return PersistentState{View: n.view, HighestVC: n.highestVC, Votes: n.votes}
 }
 
+// StorageBytes reports the durable footprint: the size of Snapshot().
+func (n *Node) StorageBytes() int64 { return int64(n.Snapshot().PersistentSize()) }
+
 // Leader returns the (round-robin) leader of a view.
 func (n *Node) Leader(v types.View) types.NodeID {
 	return n.members[int(int64(v)%int64(len(n.members)))]

@@ -99,35 +99,6 @@ func TestOfferedLoadValidation(t *testing.T) {
 	}
 }
 
-// TestRunCached verifies the sweep-level result cache: a repeat run is served
-// from cache with an identical result, and the returned value is a private
-// copy the caller may mutate.
-func TestRunCached(t *testing.T) {
-	sc, _ := ByName("batched-pipeline")
-	a, err := RunCached(sc)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	a.Chain = nil // mutate the caller's copy
-	a.DecidedTxs = -1
-	b, err := RunCached(sc)
-	if err != nil {
-		t.Fatalf("cached run: %v", err)
-	}
-	if b.DecidedTxs <= 0 || len(b.Chain) == 0 {
-		t.Fatal("cache returned the mutated copy, not a fresh one")
-	}
-	direct, err := Run(sc)
-	if err != nil {
-		t.Fatalf("direct run: %v", err)
-	}
-	jc, _ := json.Marshal(b)
-	jd, _ := json.Marshal(direct)
-	if string(jc) != string(jd) {
-		t.Fatal("cached result differs from a direct run")
-	}
-}
-
 // TestTimedArrivalGating checks the arrival schedule: with a finite rate no
 // transaction is proposable before its arrival tick, so the earliest commit
 // of the last transaction is bounded below by its arrival.

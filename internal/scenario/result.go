@@ -56,8 +56,10 @@ type Result struct {
 	// MaxStorageBytes is the largest persistent footprint across honest
 	// nodes (Table 1's storage column).
 	MaxStorageBytes int64 `json:"max_storage_bytes,omitempty"`
-	// MaxView is the highest view an honest single-shot TetraBFT node
-	// reached (0 = no view change was needed).
+	// MaxView is the highest view an honest single-shot node reached —
+	// TetraBFT, PBFT or IT-HotStuff, each chained slot of a pbft-multi or
+	// it-hotstuff-multi run included (0 = no view change was needed; Li et
+	// al. has no views).
 	MaxView int64 `json:"max_view,omitempty"`
 	// Transport reports each replica's aggregated TCP link health
 	// (EngineTCP): reconnects and frame drops across all its outbound

@@ -56,8 +56,8 @@ func Run(sc Scenario) (*Result, error) {
 	return runSim(p)
 }
 
-// storageReporter is implemented by baseline nodes exposing their durable
-// footprint.
+// storageReporter is implemented by every honest single-shot node: it
+// exposes its durable footprint, and all but liconsensus also a View.
 type storageReporter interface {
 	StorageBytes() int64
 }
@@ -77,9 +77,8 @@ type simCluster struct {
 	*cluster
 	r         *sim.Runner
 	log       *trace.Log        // nil = untraced
-	tetras    []*core.Node      // honest single-shot TetraBFT nodes
 	chains    []*multishot.Node // honest multi-shot nodes, member order
-	reporters []storageReporter // baseline nodes with a storage probe
+	reporters []storageReporter // honest single-shot nodes
 	mempools  map[types.NodeID]*blockchain.Mempool
 }
 
@@ -246,13 +245,8 @@ func runSim(p *plan) (*Result, error) {
 		if b := rep.StorageBytes(); b > res.MaxStorageBytes {
 			res.MaxStorageBytes = b
 		}
-	}
-	for _, node := range cl.tetras {
-		if b := int64(node.Snapshot().PersistentSize()); b > res.MaxStorageBytes {
-			res.MaxStorageBytes = b
-		}
-		if v := int64(node.View()); v > res.MaxView {
-			res.MaxView = v
+		if v, ok := rep.(interface{ View() types.View }); ok {
+			res.MaxView = max(res.MaxView, int64(v.View()))
 		}
 	}
 	res.txStats(in.chain, in.commitAt, load.arrivals)
@@ -274,18 +268,18 @@ func runSim(p *plan) (*Result, error) {
 func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slot, types.Time) [][]byte, reg *obs.Registry) (types.Machine, error) {
 	delta := p.delta()
 	n := len(cl.members)
+	var node interface {
+		types.Machine
+		storageReporter
+	}
+	var err error
 	switch p.sc.Protocol {
 	case "", TetraBFT:
-		node, err := core.NewNode(core.Config{
+		node, err = core.NewNode(core.Config{
 			ID: id, Quorum: cl.qs, Nodes: n, InitialValue: p.initialValue(id),
 			Delta: delta, TimeoutFactor: p.sc.TimeoutFactor, Tracer: traced(cl.log),
 			Mutation: buildMutation(p.sc.Mutation),
 		})
-		if err != nil {
-			return nil, err
-		}
-		cl.tetras = append(cl.tetras, node)
-		return node, nil
 	case TetraBFTMulti:
 		var payload func(types.Slot) []byte
 		if cl.mempools != nil {
@@ -293,7 +287,7 @@ func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slo
 			cl.mempools[id] = mp
 			payload = mp.PayloadSource(p.txsPerBlock())
 		}
-		node, err := multishot.NewNode(multishot.Config{
+		chain, err := multishot.NewNode(multishot.Config{
 			ID: id, Quorum: cl.qs, Nodes: n, Delta: delta,
 			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
 			Window:  p.sc.Workload.Window,
@@ -303,42 +297,33 @@ func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slo
 		if err != nil {
 			return nil, err
 		}
-		cl.chains = append(cl.chains, node)
-		return node, nil
+		cl.chains = append(cl.chains, chain)
+		return chain, nil
 	case ITHotStuff, ITHotStuffBlog:
 		variant := ithotstuff.Full
 		if p.sc.Protocol == ITHotStuffBlog {
 			variant = ithotstuff.Blog
 		}
-		node, err := ithotstuff.NewNode(ithotstuff.Config{
+		node, err = ithotstuff.NewNode(ithotstuff.Config{
 			ID: id, Nodes: n, Variant: variant, InitialValue: p.initialValue(id), Delta: delta,
 		})
-		if err != nil {
-			return nil, err
-		}
-		cl.reporters = append(cl.reporters, node)
-		return node, nil
 	case PBFT, PBFTUnbounded:
-		node, err := pbft.NewNode(pbft.Config{
+		node, err = pbft.NewNode(pbft.Config{
 			ID: id, Nodes: n, InitialValue: p.initialValue(id), Delta: delta,
 			Unbounded: p.sc.Protocol == PBFTUnbounded,
 		})
-		if err != nil {
-			return nil, err
-		}
-		cl.reporters = append(cl.reporters, node)
-		return node, nil
 	case LiConsensus:
-		node, err := liconsensus.NewNode(liconsensus.Config{
+		node, err = liconsensus.NewNode(liconsensus.Config{
 			ID: id, Nodes: n, Leader: 0, InitialValue: p.initialValue(id),
 		})
-		if err != nil {
-			return nil, err
-		}
-		cl.reporters = append(cl.reporters, node)
-		return node, nil
+	default:
+		return nil, fmt.Errorf("scenario: unknown protocol %q", p.sc.Protocol)
 	}
-	return nil, fmt.Errorf("scenario: unknown protocol %q", p.sc.Protocol)
+	if err != nil {
+		return nil, err
+	}
+	cl.reporters = append(cl.reporters, node)
+	return node, nil
 }
 
 // buildMutation maps the spec's mutation name onto the core knob.
@@ -439,9 +424,9 @@ func buildAdversary(p *plan) sim.Adversary {
 	for _, f := range p.netwk {
 		switch f.Type {
 		case FaultSuppressFinalPhase:
-			advs = append(advs, suppressFinalPhase{})
+			advs = append(advs, finalPhaseDrop{})
 		case FaultStarveDecision:
-			advs = append(advs, starveDecision{spare: f.Node, until: types.Time(f.To)})
+			advs = append(advs, finalPhaseDrop{spare: &f.Node, until: types.Time(f.To)})
 		case FaultSuppressProposals:
 			advs = append(advs, suppressProposals{below: types.View(f.BelowView)})
 		case FaultPartition:
@@ -481,38 +466,20 @@ func (c chainAdversary) Intercept(from, to types.NodeID, msg types.Message, now 
 	return out
 }
 
-// suppressFinalPhase drops the decision-completing phase of view 0 in both
-// TetraBFT (vote-4) and PBFT (commit), so nodes reach the prepared state
-// and the subsequent view change carries maximal evidence.
-type suppressFinalPhase struct{}
-
-// Intercept implements sim.Adversary.
-func (suppressFinalPhase) Intercept(_, _ types.NodeID, msg types.Message, _ types.Time) sim.Verdict {
-	switch m := msg.(type) {
-	case types.VoteMsg:
-		if m.Phase == 4 && m.View == 0 {
-			return sim.Verdict{Drop: true}
-		}
-	case types.GenericVote:
-		if m.Proto == types.ProtoPBFT && m.Phase == 3 && m.View == 0 { // commit
-			return sim.Verdict{Drop: true}
-		}
-	}
-	return sim.Verdict{}
-}
-
-// starveDecision drops the decision-completing phase of view 0 for every
-// receiver except one node, optionally only before a deadline: exactly one
-// node decides in view 0 while the rest are forced through a view change —
-// the Lemma 8 cross-view safety setup.
-type starveDecision struct {
-	spare types.NodeID
-	until types.Time // 0 = no deadline
+// finalPhaseDrop drops the decision-completing phase of view 0 — TetraBFT
+// vote-4, PBFT commit — for every receiver except spare, and only before
+// until. Without a spare or a deadline (suppress-final-phase) nodes reach the
+// prepared state and the view change carries maximal evidence; sparing one
+// node (starve-decision) lets exactly it decide in view 0 while the rest are
+// forced through a view change — the Lemma 8 cross-view safety setup.
+type finalPhaseDrop struct {
+	spare *types.NodeID // nil = no node is spared
+	until types.Time    // 0 = no deadline
 }
 
 // Intercept implements sim.Adversary.
-func (s starveDecision) Intercept(_, to types.NodeID, msg types.Message, now types.Time) sim.Verdict {
-	if to == s.spare || (s.until > 0 && now >= s.until) {
+func (d finalPhaseDrop) Intercept(_, to types.NodeID, msg types.Message, now types.Time) sim.Verdict {
+	if (d.spare != nil && to == *d.spare) || (d.until > 0 && now >= d.until) {
 		return sim.Verdict{}
 	}
 	switch m := msg.(type) {

@@ -176,6 +176,31 @@ func TestAllDecidedStops(t *testing.T) {
 	}
 }
 
+// TestBaselinesReportViewChange checks that every single-shot node with
+// views reports them: a silent first leader forces each baseline through a
+// view change, and MaxView must show it. Li et al. has no views and stays 0.
+func TestBaselinesReportViewChange(t *testing.T) {
+	for _, proto := range []Protocol{PBFT, PBFTUnbounded, ITHotStuff, ITHotStuffBlog, LiConsensus} {
+		t.Run(string(proto), func(t *testing.T) {
+			res, err := Run(Scenario{
+				Protocol: proto, Nodes: 4,
+				Faults: []FaultSpec{{Type: FaultSilent, Node: 0}},
+				Stop:   StopSpec{Horizon: 4000},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if proto == LiConsensus {
+				if res.MaxView != 0 {
+					t.Errorf("max view %d on a protocol without views", res.MaxView)
+				}
+			} else if res.MaxView < 1 {
+				t.Errorf("max view %d after a silent first leader, want ≥ 1", res.MaxView)
+			}
+		})
+	}
+}
+
 // TestAllDecidedStopsMulti checks the multi-shot form of the stop
 // condition: finish when every honest node reaches the slot target.
 func TestAllDecidedStopsMulti(t *testing.T) {

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"tetrabft/internal/sim"
 	"tetrabft/internal/workload"
 )
 
@@ -116,6 +118,20 @@ func TestSeqHorizonBacklog(t *testing.T) {
 	}
 	if res.DecidedTxs >= res.OfferedTxs {
 		t.Fatalf("expected backlog under a tight horizon, decided %d of %d", res.DecidedTxs, res.OfferedTxs)
+	}
+}
+
+// TestSeqSlotErrorLabel checks that a failing slot run comes back labelled
+// with the chained scenario and the slot, its cause still matchable.
+func TestSeqSlotErrorLabel(t *testing.T) {
+	p, err := seqScenario(PBFTMulti).compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.sc.Network.EventBudget = 10 // refused on a chained spec, honoured by a slot run
+	_, err = runSeq(p)
+	if !errors.Is(err, sim.ErrEventBudget) || !strings.HasPrefix(err.Error(), `scenario "seq-pbft-multi" slot 0: sim:`) {
+		t.Fatalf("err = %v, want the slot-labelled event-budget error", err)
 	}
 }
 

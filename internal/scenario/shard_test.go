@@ -257,49 +257,6 @@ func TestShardedSimProgress(t *testing.T) {
 	}
 }
 
-// TestRunCachedBypassesTCP pins the cache contract the TCP engines depend
-// on: EngineTCP results carry wall-clock timings and must never be served
-// from (or stored into) the deterministic-run cache, while an identical sim
-// spec is cached after one run.
-func TestRunCachedBypassesTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP runtimes in -short mode")
-	}
-	noLeaks(t)
-	simSpec := Scenario{
-		Name: "cache-probe-sim", Protocol: TetraBFTMulti, Nodes: 4,
-		Workload: WorkloadSpec{Slots: 3},
-		Stop:     StopSpec{Horizon: 3000},
-	}
-	tcpSpec := Scenario{
-		Name: "cache-probe-tcp", Protocol: TetraBFTMulti, Engine: EngineTCP, Nodes: 4,
-		Workload: WorkloadSpec{Slots: 3},
-		Stop:     StopSpec{WallClockMS: 20000},
-	}
-	cached := func(sc Scenario) bool {
-		key, err := json.Marshal(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runCache.Lock()
-		defer runCache.Unlock()
-		_, ok := runCache.m[string(key)]
-		return ok
-	}
-	if _, err := RunCached(simSpec); err != nil {
-		t.Fatal(err)
-	}
-	if !cached(simSpec) {
-		t.Error("sim run was not cached")
-	}
-	if _, err := RunCached(tcpSpec); err != nil {
-		t.Fatal(err)
-	}
-	if cached(tcpSpec) {
-		t.Error("EngineTCP run was stored in the deterministic-run cache")
-	}
-}
-
 // TestShardFaultIsolationTCP crash-restarts one replica inside shard 0
 // mid-run over real TCP and checks the blast radius: shard 1 and the
 // anchor cluster never notice (no reconnects outside the faulted shard),

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 )
@@ -34,7 +35,9 @@ func (a Anchor) Encode() []byte {
 }
 
 // DecodeAnchor parses a transaction payload as an anchor commitment; ok is
-// false for ordinary (non-anchor) transactions or malformed anchors. The
+// false for ordinary (non-anchor) transactions and for anything but the
+// exact bytes Encode produces (a sign, a leading zero, upper-case hex or
+// trailing bytes make a malformed anchor, not another spelling of one). The
 // fold uses it to pick the anchor transactions out of the anchor cluster's
 // decided blocks.
 func DecodeAnchor(tx []byte) (Anchor, bool) {
@@ -50,7 +53,7 @@ func DecodeAnchor(tx []byte) (Anchor, bool) {
 		return Anchor{}, false
 	}
 	copy(a.Digest[:], raw)
-	if a.Shard < 0 || a.Epoch < 1 || a.Slots < 1 {
+	if a.Shard < 0 || a.Epoch < 1 || a.Slots < 1 || !bytes.Equal(a.Encode(), tx) {
 		return Anchor{}, false
 	}
 	return a, true

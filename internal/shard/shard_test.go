@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"tetrabft/internal/types"
@@ -120,4 +122,48 @@ func TestAnchorRoundTrip(t *testing.T) {
 			t.Fatalf("DecodeAnchor(%q) must fail", bad)
 		}
 	}
+}
+
+// TestDecodeAnchorRejectsNonCanonical feeds DecodeAnchor other spellings of a
+// valid anchor: a lenient scanner reads each as that anchor, but only the
+// exact bytes Encode produces are one.
+func TestDecodeAnchorRejectsNonCanonical(t *testing.T) {
+	a := Anchor{Shard: 0, Epoch: 1, Slots: 3, Digest: PrefixDigest(testChain(3), 3)}
+	digest := hex.EncodeToString(a.Digest[:])
+	if got, ok := DecodeAnchor(a.Encode()); !ok || got != a {
+		t.Fatalf("canonical anchor: got %+v ok=%v, want %+v", got, ok, a)
+	}
+	for _, tc := range []struct{ name, tx string }{
+		{"sign and leading zero", "anchor|s=+0|e=01|k=3|d=" + digest},
+		{"trailing word", string(a.Encode()) + " trailing"},
+		{"upper-case digest", "anchor|s=0|e=1|k=3|d=" + strings.ToUpper(digest)},
+		{"trailing line", string(a.Encode()) + "\nx"},
+	} {
+		if got, ok := DecodeAnchor([]byte(tc.tx)); ok {
+			t.Errorf("%s: DecodeAnchor(%q) accepted %+v", tc.name, tc.tx, got)
+		}
+	}
+}
+
+// FuzzDecodeAnchor faces DecodeAnchor with arbitrary transaction payloads —
+// the anchor fold reads every transaction the anchor cluster decided. It
+// never panics, and whatever it accepts is canonical: Encode of the decoded
+// anchor gives back the input byte for byte.
+func FuzzDecodeAnchor(f *testing.F) {
+	for _, a := range []Anchor{
+		{Shard: 0, Epoch: 1, Slots: 1},
+		{Shard: 3, Epoch: 7, Slots: 12, Digest: PrefixDigest(testChain(12), 12)},
+		{Shard: 15, Epoch: 1 << 40, Slots: 1 << 33, Digest: [32]byte{0xff, 1, 2}},
+	} {
+		f.Add(a.Encode())
+	}
+	f.Add([]byte("otx-00000001"))
+	f.Add([]byte("k=v"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, tx []byte) {
+		a, ok := DecodeAnchor(tx)
+		if ok && !bytes.Equal(a.Encode(), tx) {
+			t.Fatalf("DecodeAnchor(%q) accepted %+v, which encodes as %q", tx, a, a.Encode())
+		}
+	})
 }

@@ -200,8 +200,8 @@ func (cp Capacity) probeSweep(rate int64) Sweep {
 // RunCapacity executes the knee search: probe the bracket ends, then bisect
 // between the highest passing and lowest failing rate until the bracket is
 // within tolerance. Every probe is a full one-cell sweep (replicated,
-// asserted, cached), so the search is deterministic and rerunning it is
-// cheap. Probe failures (SLO violations, run errors) steer the search; only
+// asserted), so the search is deterministic: rerunning it reproduces every
+// probe. Probe failures (SLO violations, run errors) steer the search; only
 // an invalid plan is an error.
 func RunCapacity(cp Capacity) (*CapacityResult, error) {
 	if err := cp.Validate(); err != nil {

@@ -10,10 +10,16 @@ import (
 
 // TestRunTwiceByteIdentical marshals two runs of the same sweep and
 // requires byte equality — the snapshot-regression methodology depends on
-// identical runs producing identical files.
+// identical runs producing identical files. The sweep draws every message
+// delay from the replicate's seed, so a run that drifted from its seed shows
+// in the snapshot; smallSweep's constant unit delay depends on no seed and
+// would hide it.
 func TestRunTwiceByteIdentical(t *testing.T) {
+	sw := smallSweep()
+	sw.Base.Network.Delay = &scenario.DelaySpec{Model: scenario.DelayUniform, Min: 1, Max: 5}
+	sw.Assert = []string{"min_decided >= 4"}
 	run := func() []byte {
-		res, err := Run(smallSweep())
+		res, err := Run(sw)
 		if err != nil {
 			t.Fatal(err)
 		}

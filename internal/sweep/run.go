@@ -70,7 +70,7 @@ func (c CellResult) LabelString() string { return labelString(c.Labels) }
 //	decided   — how many nodes decided slot 0
 //	traffic   — total bytes on the wire
 //	storage   — max persistent footprint across honest nodes
-//	max_view  — highest view a single-shot TetraBFT node reached
+//	max_view  — highest view an honest single-shot node reached
 //	events    — processed simulator events
 //	dropped   — messages lost to network or adversary
 //	finalized — the laggard honest node's finalized slot (multi-shot);
@@ -199,7 +199,7 @@ func RunObserved(sw Sweep, observe Observer) (*Result, error) {
 		err error
 	}
 	outs, _ := par.Map(jobs, func(_ int, j job) (out, error) {
-		res, err := scenario.RunCached(j.sc)
+		res, err := scenario.Run(j.sc)
 		return out{res: res, err: err}, nil
 	})
 
