@@ -246,6 +246,9 @@ type Node struct {
 	// persistSlots is the scratch the per-turn write fills in place of a
 	// fresh Slots slice (Snapshot keeps returning an independent copy).
 	persistSlots []SlotPersist
+	// path is finalizePrefix's scratch for the ancestry it walks; it is
+	// cleared after every call, so it pins no block bodies.
+	path []pathEnt
 
 	// halted is set when a Persist fails: a node that cannot write ahead
 	// must stop participating (see core.Persister).
@@ -1067,18 +1070,18 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 	}
 	// Walk ancestors down to the finalized boundary, keeping the bodies:
 	// the commit loop below recycles each slot's state as it goes.
-	type ent struct {
-		id   types.BlockID
-		body types.Block
-	}
-	path := make([]ent, 0, k-n.finalized)
+	path := n.path[:0]
+	defer func() {
+		clear(path)
+		n.path = path[:0]
+	}()
 	cur := head
 	for s := k; s > n.finalized; s-- {
 		b, known := n.blocks[cur]
 		if !known {
 			return false
 		}
-		path = append(path, ent{id: cur, body: b})
+		path = append(path, pathEnt{id: cur, body: b})
 		if s == n.finalized+1 {
 			// Must anchor on the previous final block (or genesis).
 			want := types.ZeroBlockID
@@ -1111,6 +1114,12 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 	// depends on it, so it rides on the next turn that has something to send.
 	n.dirty = true
 	return true
+}
+
+// pathEnt is one block of the ancestry finalizePrefix commits.
+type pathEnt struct {
+	id   types.BlockID
+	body types.Block
 }
 
 // releaseSlot retires a just-finalized slot: its claim and proposal bodies

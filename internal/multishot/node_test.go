@@ -92,6 +92,30 @@ func TestGoodCasePipeline(t *testing.T) {
 	}
 }
 
+// TestFinalizePathPinsNothing: finalizePrefix reuses one scratch for the
+// ancestry it walks, and leaves it cleared, so no finalized or abandoned
+// block body stays reachable through it.
+func TestFinalizePathPinsNothing(t *testing.T) {
+	r := sim.New(sim.Config{Seed: 1})
+	nodes := make([]*Node, 4)
+	for i := range nodes {
+		nodes[i] = addNode(t, r, types.NodeID(i), 4, 23)
+	}
+	if err := r.Run(2000, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if cap(n.path) == 0 {
+			t.Fatalf("node %d never used the path scratch", n.ID())
+		}
+		for i, e := range n.path[:cap(n.path)] {
+			if e.body.Payload != nil || e.body.Txs != nil || e.id != (types.BlockID{}) {
+				t.Fatalf("node %d: path scratch cell %d still holds block %v", n.ID(), i, e.id)
+			}
+		}
+	}
+}
+
 // TestPipelineBoundedInFlight checks the Section 6.2 bound: at most ~5
 // blocks are in flight (started but unfinalized) at any instant.
 func TestPipelineBoundedInFlight(t *testing.T) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"sync"
 
 	"tetrabft/internal/types"
@@ -15,20 +16,31 @@ import (
 // order, and hands each transaction out at most once — whoever leads a slot
 // takes the arrived transactions as its block's batch. A drain costs
 // O(batch) whatever the backlog: batches are sub-slices of payloads.
+//
+// The latency folds find a committed transaction's arrival through batches,
+// one entry per batch handed out (latencies): building the stream costs the
+// same few allocations whatever its length. Payloads are unique in every
+// schedule the plan builds — each carries its index — so a payload names
+// one arrival.
 type offered struct {
-	at       []types.Time          // arrival ticks, schedule order (non-decreasing)
-	payloads [][]byte              // payloads[i] arrived at at[i]
-	arrivals map[string]types.Time // payload → arrival tick, for the latency folds
-	mu       sync.Mutex            // the TCP engines drain from several event loops
-	head     int                   // payloads[:head] have been handed out
+	at       []types.Time // arrival ticks, schedule order (non-decreasing)
+	payloads [][]byte     // payloads[i] arrived at at[i]
+	mu       sync.Mutex   // the TCP engines drain from several event loops
+	head     int          // payloads[:head] have been handed out
+	// batches maps the first payload of every batch drain handed out to
+	// its schedule index.
+	batches map[string]int
+	// index maps every payload to its schedule index. It is built only when
+	// a committed transaction is neither where its block's batch puts it
+	// nor a batch's first (latencies), which no honest run produces.
+	index map[string]int
 }
 
 func newOffered(sched []workload.Arrival) *offered {
 	n := len(sched)
-	o := &offered{at: make([]types.Time, n), payloads: make([][]byte, n), arrivals: make(map[string]types.Time, n)}
+	o := &offered{at: make([]types.Time, n), payloads: make([][]byte, n), batches: make(map[string]int)}
 	for i, a := range sched {
 		o.at[i], o.payloads[i] = a.At, a.Payload
-		o.arrivals[string(a.Payload)] = a.At
 	}
 	return o
 }
@@ -37,8 +49,9 @@ func newOffered(sched []workload.Arrival) *offered {
 func (p *plan) offeredLoad() *offered { return newOffered(p.offeredSchedule(p.sc.Workload.TxCount, 1)) }
 
 // drain hands out up to max transactions that had arrived by now (max <= 0:
-// all of them), nil when there are none. The result's capacity is clipped,
-// so appending to it cannot reach the next batch.
+// all of them), nil when there are none, and records the batch's first
+// payload against its schedule index. The result's capacity is clipped, so
+// appending to it cannot reach the next batch.
 func (o *offered) drain(now types.Time, max int) [][]byte {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -50,6 +63,7 @@ func (o *offered) drain(now types.Time, max int) [][]byte {
 		return nil
 	}
 	out := o.payloads[o.head:end:end]
+	o.batches[string(out[0])] = o.head
 	o.head = end
 	return out
 }
@@ -58,4 +72,45 @@ func (o *offered) drain(now types.Time, max int) [][]byte {
 // carries up to txPerBlock transactions that have arrived by proposal time.
 func (o *offered) batchSource(txPerBlock int) func(types.Slot, types.Time) [][]byte {
 	return func(_ types.Slot, now types.Time) [][]byte { return o.drain(now, txPerBlock) }
+}
+
+// latencies appends commit − arrival for each of txs the stream holds, in
+// order, skipping the ones it does not. A block that is a drained batch, or
+// a run of consecutive ones, is matched position by position from its first
+// transaction's batch entry, each payload checked byte for byte; a
+// transaction that matches neither its position nor a batch's start is
+// looked up in the full index.
+func (o *offered) latencies(lats []int64, txs [][]byte, commit int64) []int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	next := -1 // schedule index the next transaction sits at in a batch
+	for _, tx := range txs {
+		i, ok := next, next >= 0 && next < len(o.payloads) && bytes.Equal(o.payloads[next], tx)
+		if !ok {
+			i, ok = o.batches[string(tx)]
+		}
+		if !ok {
+			i, ok = o.lookup(tx)
+		}
+		if !ok {
+			next = -1
+			continue
+		}
+		lats = append(lats, commit-int64(o.at[i]))
+		next = i + 1
+	}
+	return lats
+}
+
+// lookup finds tx anywhere in the schedule through the full index, building
+// it on first use. The caller holds mu.
+func (o *offered) lookup(tx []byte) (int, bool) {
+	if o.index == nil {
+		o.index = make(map[string]int, len(o.payloads))
+		for i, p := range o.payloads {
+			o.index[string(p)] = i
+		}
+	}
+	i, ok := o.index[string(tx)]
+	return i, ok
 }

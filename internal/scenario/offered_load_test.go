@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,9 +125,9 @@ func TestResultTxStats(t *testing.T) {
 		{Slot: 2, Txs: [][]byte{[]byte("c")}},
 	}
 	commit := map[types.Slot]int64{1: 10, 2: 30}
-	arrivals := map[string]types.Time{"a": 0, "b": 5, "c": 10}
+	load := newOffered([]workload.Arrival{{At: 0, Payload: []byte("a")}, {At: 5, Payload: []byte("b")}, {At: 10, Payload: []byte("c")}})
 	var r Result
-	r.txStats(blocks, commit, arrivals)
+	r.txStats(blocks, commit, load)
 	if r.DecidedTxs != 3 {
 		t.Fatalf("DecidedTxs = %d, want 3", r.DecidedTxs)
 	}
@@ -137,7 +138,7 @@ func TestResultTxStats(t *testing.T) {
 	// A slot with no commit record or an unknown tx contributes to the count
 	// but not the percentiles.
 	var r2 Result
-	r2.txStats([]types.Block{{Slot: 3, Txs: [][]byte{[]byte("x")}}}, nil, nil)
+	r2.txStats([]types.Block{{Slot: 3, Txs: [][]byte{[]byte("x")}}}, nil, newOffered(nil))
 	if !reflect.DeepEqual(r2, Result{DecidedTxs: 1}) {
 		t.Fatalf("unexpected fold on unmatched chain: %+v", r2)
 	}
@@ -171,8 +172,8 @@ func TestOfferedMatchesTimedMempool(t *testing.T) {
 			ref.Submit(a.At, a.Payload)
 		}
 		load := newOffered(sched)
-		if len(load.arrivals) != len(sched) {
-			t.Fatalf("seed %d: %d arrival times for %d arrivals", seed, len(load.arrivals), len(sched))
+		if len(load.at) != len(sched) {
+			t.Fatalf("seed %d: %d arrival times for %d arrivals", seed, len(load.at), len(sched))
 		}
 		refSrc, loadSrc := ref.BatchSource(7), load.batchSource(7)
 		var now types.Time
@@ -205,8 +206,9 @@ func TestOfferedMatchesTimedMempool(t *testing.T) {
 }
 
 // TestOfferedDrainCostBound pins the O(batch) drain: taking 64 transactions
-// from a 50,000-arrival stream costs at most one allocation and 64 slice
-// headers, whether nearly all of the stream or nearly none of it remains.
+// from a 50,000-arrival stream costs at most one allocation (the batch's
+// index key) and 64 slice headers, whether nearly all of the stream or
+// nearly none of it remains.
 func TestOfferedDrainCostBound(t *testing.T) {
 	const batch, budget = 64, 64*24 + 64
 	rng := rand.New(rand.NewSource(1))
@@ -270,5 +272,125 @@ func TestOfferedConcurrentDrain(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("payload %q handed out %d times", tx, n)
 		}
+	}
+}
+
+// mapTxLatencies is the latency fold as it was before offered kept a batch
+// index: a map from every scheduled payload to its arrival tick, built up
+// front. TestTxLatenciesMatchArrivalMap holds txLatencies to it.
+func mapTxLatencies(chain []types.Block, commitAt map[types.Slot]int64, sched []workload.Arrival) (txs int, lats []int64) {
+	arrivals := make(map[string]types.Time, len(sched))
+	for _, a := range sched {
+		arrivals[string(a.Payload)] = a.At
+	}
+	for _, b := range chain {
+		txs += b.NumTxs()
+		c, ok := commitAt[b.Slot]
+		if !ok {
+			continue
+		}
+		for _, tx := range b.Txs {
+			at, ok := arrivals[string(tx)]
+			if !ok {
+				continue
+			}
+			lats = append(lats, c-int64(at))
+		}
+	}
+	return txs, lats
+}
+
+// copyTxs deep-copies a batch, as a decoded TCP proposal carries it.
+func copyTxs(txs [][]byte) [][]byte {
+	out := make([][]byte, len(txs))
+	for i, tx := range txs {
+		out[i] = append([]byte(nil), tx...)
+	}
+	return out
+}
+
+// TestTxLatenciesMatchArrivalMap drains seeded random schedules at random
+// (now, max) steps, builds chains from the drained batches and requires the
+// same (txs, lats) from txLatencies as from the map fold it replaced. Blocks
+// are drained batches (shared or copied bytes), two consecutive batches in
+// one block, reordered batches, batches with a foreign or an out-of-place
+// (often never-drained) transaction mixed in, and empty blocks; some slots have no commit record.
+// A chain of whole batches must be folded from the batch index alone.
+func TestTxLatenciesMatchArrivalMap(t *testing.T) {
+	for seed := int64(1); seed <= 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sched := randomSchedule(rng, rng.Intn(600))
+		load := newOffered(sched)
+		var batches [][][]byte
+		var now types.Time
+		for load.head < len(sched) {
+			if b := load.drain(now, []int{-1, 1, 4, 64}[rng.Intn(4)]); b != nil {
+				batches = append(batches, b)
+			}
+			now += types.Time(rng.Intn(20))
+			if rng.Intn(4) == 0 {
+				break // leave part of the schedule undrained
+			}
+		}
+		commitAt := make(map[types.Slot]int64)
+		var honest, mixed []types.Block
+		for i, b := range batches {
+			slot := types.Slot(i + 1)
+			if rng.Intn(8) != 0 {
+				commitAt[slot] = int64(now) + int64(rng.Intn(50))
+			}
+			txs := b
+			if seed%2 == 0 {
+				txs = copyTxs(b)
+			}
+			honest = append(honest, types.Block{Slot: slot, Txs: txs})
+
+			switch rng.Intn(6) {
+			case 0: // this batch and the next in one block
+				if i+1 < len(batches) {
+					txs = append(append([][]byte(nil), b...), batches[i+1]...)
+				}
+			case 1: // reordered
+				txs = copyTxs(b)
+				rng.Shuffle(len(txs), func(x, y int) { txs[x], txs[y] = txs[y], txs[x] })
+			case 2: // a foreign transaction at a random position
+				txs = copyTxs(b)
+				at := rng.Intn(len(txs) + 1)
+				txs = append(txs[:at], append([][]byte{[]byte(fmt.Sprintf("foreign-%d", i))}, txs[at:]...)...)
+			case 3: // the schedule's last transaction, out of place and often never drained
+				if len(sched) > 0 {
+					txs = append(copyTxs(b), sched[len(sched)-1].Payload)
+				}
+			case 4:
+				txs = nil
+			}
+			mixed = append(mixed, types.Block{Slot: slot, Txs: txs})
+		}
+
+		gotTxs, gotLats := txLatencies(honest, commitAt, load)
+		wantTxs, wantLats := mapTxLatencies(honest, commitAt, sched)
+		if gotTxs != wantTxs || !slices.Equal(gotLats, wantLats) {
+			t.Fatalf("seed %d, drained batches: (%d, %v), map fold (%d, %v)", seed, gotTxs, gotLats, wantTxs, wantLats)
+		}
+		if load.index != nil {
+			t.Fatalf("seed %d: a chain of drained batches built the full payload index", seed)
+		}
+		gotTxs, gotLats = txLatencies(mixed, commitAt, load)
+		wantTxs, wantLats = mapTxLatencies(mixed, commitAt, sched)
+		if gotTxs != wantTxs || !slices.Equal(gotLats, wantLats) {
+			t.Fatalf("seed %d, mixed blocks: (%d, %v), map fold (%d, %v)", seed, gotTxs, gotLats, wantTxs, wantLats)
+		}
+	}
+}
+
+// TestNewOfferedAllocsFlat pins the stream's set-up cost: the same number of
+// allocations for 50,000 arrivals as for 10 — no per-transaction index.
+func TestNewOfferedAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	small, large := randomSchedule(rng, 10), randomSchedule(rng, 50000)
+	a := testing.AllocsPerRun(20, func() { newOffered(small) })
+	b := testing.AllocsPerRun(20, func() { newOffered(large) })
+	if a != b || b > 4 {
+		t.Fatalf("newOffered: %.0f allocations for 10 arrivals, %.0f for 50,000; want equal and <= 4", a, b)
 	}
 }

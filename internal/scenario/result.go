@@ -201,12 +201,12 @@ func (r *Result) FinalizedSlot(node types.NodeID) types.Slot {
 
 // txStats folds the offered-load transaction accounting into the result:
 // chain is the reference finalized chain, commitAt maps each slot to its
-// earliest honest commit time, and arrivals maps a transaction's payload to
-// its arrival time. Both engines share this fold, so the sim's tick-based
-// and TCP's millisecond-based latencies use the same percentile definition
+// earliest honest commit time, and load is the stream the transactions
+// arrived on. Both engines share this fold, so the sim's tick-based and
+// TCP's millisecond-based latencies use the same percentile definition
 // (nearest rank, matching the sweep package's Dist).
-func (r *Result) txStats(chain []types.Block, commitAt map[types.Slot]int64, arrivals map[string]types.Time) {
-	txs, lats := txLatencies(chain, commitAt, arrivals)
+func (r *Result) txStats(chain []types.Block, commitAt map[types.Slot]int64, load *offered) {
+	txs, lats := txLatencies(chain, commitAt, load)
 	r.DecidedTxs += txs
 	r.TxLatencyP50, r.TxLatencyP99 = latencyPercentiles(lats)
 }
@@ -215,19 +215,11 @@ func (r *Result) txStats(chain []types.Block, commitAt map[types.Slot]int64, arr
 // plus the commit latency of every transaction whose arrival is known. The
 // sharded fold calls it per shard and pools the samples for the aggregate
 // percentiles.
-func txLatencies(chain []types.Block, commitAt map[types.Slot]int64, arrivals map[string]types.Time) (txs int, lats []int64) {
+func txLatencies(chain []types.Block, commitAt map[types.Slot]int64, load *offered) (txs int, lats []int64) {
 	for _, b := range chain {
 		txs += b.NumTxs()
-		c, ok := commitAt[b.Slot]
-		if !ok {
-			continue
-		}
-		for _, tx := range b.Txs {
-			at, ok := arrivals[string(tx)]
-			if !ok {
-				continue
-			}
-			lats = append(lats, c-int64(at))
+		if c, ok := commitAt[b.Slot]; ok {
+			lats = load.latencies(lats, b.Txs, c)
 		}
 	}
 	return txs, lats

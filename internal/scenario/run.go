@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/byz"
@@ -146,14 +145,14 @@ func (cl *simCluster) reached(target types.Slot) bool {
 }
 
 // fold checks the cluster's agreement and sums it up: the reference chain,
-// each slot's earliest honest commit in decisions (the runner's), the slot
+// each slot's earliest honest commit among the runner's decisions, the slot
 // every honest replica has finalized and, when traced, the stage samples.
 // A violation comes back labelled with the scenario and cluster names.
-func (cl *simCluster) fold(p *plan, decisions map[types.NodeID]map[types.Slot]sim.Decision) (shardFoldInput, error) {
+func (cl *simCluster) fold(p *plan) (shardFoldInput, error) {
 	chain, _ := cl.refChain()
-	in := shardFoldInput{chain: chain, commitAt: make(map[types.Slot]int64), finalized: cl.minFinalized()}
+	in := shardFoldInput{chain: chain, commitAt: make(map[types.Slot]int64, len(chain)), finalized: cl.minFinalized()}
 	for _, id := range cl.honest {
-		for s, d := range decisions[id] {
+		for s, d := range cl.r.NodeDecisions(id) {
 			if c, ok := in.commitAt[s]; !ok || int64(d.At) < c {
 				in.commitAt[s] = int64(d.At)
 			}
@@ -207,8 +206,7 @@ func runSim(p *plan) (*Result, error) {
 	if runErr != nil {
 		runErr = p.fail(cl.cluster, runErr)
 	}
-	decisions := r.Decisions()
-	in, err := cl.fold(p, decisions)
+	in, err := cl.fold(p)
 	if runErr == nil {
 		runErr = err
 	}
@@ -221,16 +219,10 @@ func runSim(p *plan) (*Result, error) {
 		DecidedCount:    r.DecidedCount(0),
 		TotalSentBytes:  r.TotalSentBytes(),
 		Dropped:         r.DroppedMessages(),
-		OfferedTxs:      len(load.arrivals),
+		OfferedTxs:      len(load.at),
 	}
 	for _, m := range cl.members {
-		slots := make([]types.Slot, 0, len(decisions[m]))
-		for s := range decisions[m] {
-			slots = append(slots, s)
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		for _, s := range slots {
-			d := decisions[m][s]
+		for s, d := range r.NodeDecisions(m) {
 			res.Decisions = append(res.Decisions, NodeDecision{Node: m, Slot: s, Value: d.Val, At: int64(d.At)})
 			if s == 0 && (res.FirstDecisionAt < 0 || int64(d.At) < res.FirstDecisionAt) {
 				res.FirstDecisionAt = int64(d.At)
@@ -249,7 +241,7 @@ func runSim(p *plan) (*Result, error) {
 			res.MaxView = max(res.MaxView, int64(v.View()))
 		}
 	}
-	res.txStats(in.chain, in.commitAt, load.arrivals)
+	res.txStats(in.chain, in.commitAt, load)
 	if p.sc.Collect.Chain {
 		res.Chain = in.chain
 	}

@@ -28,7 +28,7 @@ import (
 func runSeq(p *plan) (*Result, error) {
 	c := p.clusters[0]
 	load := p.offeredLoad()
-	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.arrivals)}
+	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.at)}
 	for _, m := range c.members {
 		res.Traffic = append(res.Traffic, NodeTraffic{Node: m})
 	}
@@ -92,7 +92,7 @@ func runSeq(p *plan) (*Result, error) {
 	for _, m := range c.honest {
 		res.Finalized = append(res.Finalized, NodeSlot{Node: m, Slot: types.Slot(len(chain))})
 	}
-	res.txStats(chain, commitAt, load.arrivals)
+	res.txStats(chain, commitAt, load)
 	if p.sc.Collect.Chain {
 		res.Chain = chain
 	}

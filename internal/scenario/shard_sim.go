@@ -205,7 +205,7 @@ loop:
 
 	inputs := make([]shardFoldInput, len(clusters))
 	for i, cl := range clusters {
-		in, err := cl.fold(p, cl.r.Decisions())
+		in, err := cl.fold(p)
 		if runErr == nil {
 			runErr = err
 		}
@@ -261,13 +261,13 @@ func foldShards(p *plan, inputs []shardFoldInput, anchorIn shardFoldInput, loads
 		FirstDecisionAt: -1,
 	}
 	for _, load := range loads {
-		res.OfferedTxs += len(load.arrivals)
+		res.OfferedTxs += len(load.at)
 	}
 	var allLats []int64
 	pooledStages := make(map[string][]int64)
 	stagesOn := false
 	for i, in := range inputs {
-		txs, lats := txLatencies(in.chain, in.commitAt, loads[i].arrivals)
+		txs, lats := txLatencies(in.chain, in.commitAt, loads[i])
 		p50, p99 := latencyPercentiles(lats)
 		sr := ShardResult{
 			Shard: i, Finalized: in.finalized, DecidedTxs: txs,

@@ -531,7 +531,7 @@ func runTCP(p *plan) (*Result, error) {
 		FinishedAt:      finishedAt,
 		FirstDecisionAt: -1,
 		MaxStorageBytes: maxWAL,
-		OfferedTxs:      len(load.arrivals),
+		OfferedTxs:      len(load.at),
 	}
 	// Replicas are in member order, which is node order.
 	for _, rep := range cl.replicas {
@@ -551,7 +551,7 @@ func runTCP(p *plan) (*Result, error) {
 			res.Chains = append(res.Chains, NodeChain{Node: rep.id, Blocks: rep.node.FinalizedChain()})
 		}
 	}
-	res.txStats(in.chain, in.commitAt, load.arrivals)
+	res.txStats(in.chain, in.commitAt, load)
 	if p.sc.Collect.Chain {
 		res.Chain = in.chain
 	}

@@ -31,8 +31,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"math/rand"
+	"slices"
 
 	"tetrabft/internal/obs"
 	"tetrabft/internal/types"
@@ -260,17 +262,23 @@ func (r *Runner) Run(until types.Time, stop func() bool) error {
 func (r *Runner) Decisions() map[types.NodeID]map[types.Slot]Decision {
 	out := make(map[types.NodeID]map[types.Slot]Decision, len(r.envs))
 	for _, e := range r.envs {
-		if e.decisions != nil {
-			out[e.self] = maps.Clone(e.decisions)
+		if e.decisions.len() > 0 {
+			out[e.self] = maps.Collect(e.decisions.all)
 		}
 	}
 	return out
 }
 
+// NodeDecisions iterates over node's decisions in ascending slot order; a
+// NodeID never added has none. It copies nothing, so the run folds read
+// decisions through it rather than through Decisions.
+func (r *Runner) NodeDecisions(node types.NodeID) iter.Seq2[types.Slot, Decision] {
+	return r.slotOf(node).decisions.all
+}
+
 // Decision returns node's decision for slot, if any.
 func (r *Runner) Decision(node types.NodeID, slot types.Slot) (Decision, bool) {
-	d, ok := r.slotOf(node).decisions[slot]
-	return d, ok
+	return r.slotOf(node).decisions.get(slot)
 }
 
 // unregistered is the empty slot the getters read for a NodeID never added.
@@ -287,7 +295,7 @@ func (r *Runner) slotOf(node types.NodeID) *env {
 func (r *Runner) DecidedCount(slot types.Slot) int {
 	count := 0
 	for _, e := range r.envs {
-		if _, ok := e.decisions[slot]; ok {
+		if _, ok := e.decisions.get(slot); ok {
 			count++
 		}
 	}
@@ -305,10 +313,10 @@ func (r *Runner) AgreementViolation() error {
 	var err error
 	var low types.Slot
 	for _, e := range r.envs {
-		// A node's slots come in map order, so keep the lowest divergent
-		// slot rather than the first one met; nodes come in member order,
-		// so the first node to differ at a slot is the one reported.
-		for slot, d := range e.decisions {
+		// Keep the lowest divergent slot over all nodes; nodes come in
+		// member order, so the first node to differ at a slot is the one
+		// reported.
+		for slot, d := range e.decisions.all {
 			prev, ok := chosen[slot]
 			switch {
 			case !ok:
@@ -355,7 +363,7 @@ func (r *Runner) CoalescedTimers() int64 { return r.coalesced }
 
 // env is one node's slot in the runner and the types.Env its machine sees:
 // the machine, its NodeID and its index in Runner.envs, the bytes it sent
-// and received, and its decisions (nil until the first).
+// and received, and its decisions, indexed by slot (see decisionLog).
 type env struct {
 	r    *Runner
 	m    types.Machine
@@ -364,7 +372,7 @@ type env struct {
 
 	sentBytes int64
 	recvBytes int64
-	decisions map[types.Slot]Decision
+	decisions decisionLog
 }
 
 func (e *env) Now() types.Time { return e.r.now }
@@ -403,13 +411,84 @@ func (e *env) SetTimer(id types.TimerID, d types.Duration) {
 }
 
 func (e *env) Decide(slot types.Slot, val types.Value) {
-	if e.decisions == nil {
-		e.decisions = make(map[types.Slot]Decision, 8)
+	// Decisions are final: put ignores a repeated Decide for a slot.
+	e.decisions.put(slot, Decision{Val: val, At: e.r.now})
+}
+
+// decisionLog is one node's decisions. Slots 0, 1, 2, … — a single-shot
+// decision and a multi-shot log — are indices into dense, which grows with
+// the slots decided: it never exceeds 2·count + denseSlack cells, so a stray
+// huge slot cannot allocate beyond what the node's real decisions justify.
+// Every other slot (negative, or past that bound when decided) lives in
+// sparse. A slot is in at most one of the two.
+type decisionLog struct {
+	dense  []denseDecision
+	count  int // decided cells in dense
+	sparse map[types.Slot]Decision
+}
+
+// denseDecision is one cell of decisionLog.dense; set marks a decided slot.
+type denseDecision struct {
+	Decision
+	set bool
+}
+
+// denseSlack is how far past twice its decided count dense may grow: a log
+// that starts at slot 1, or skips a few slots, stays dense.
+const denseSlack = 64
+
+func (l *decisionLog) len() int { return l.count + len(l.sparse) }
+
+func (l *decisionLog) get(slot types.Slot) (Decision, bool) {
+	if slot >= 0 && slot < types.Slot(len(l.dense)) {
+		if c := l.dense[slot]; c.set {
+			return c.Decision, true
+		}
 	}
-	if _, already := e.decisions[slot]; already {
-		return // decisions are final; repeated Decide calls are ignored
+	d, ok := l.sparse[slot]
+	return d, ok
+}
+
+// put records d for slot unless slot is already decided.
+func (l *decisionLog) put(slot types.Slot, d Decision) {
+	if _, ok := l.get(slot); ok {
+		return
 	}
-	e.decisions[slot] = Decision{Val: val, At: e.r.now}
+	if slot < 0 || slot >= types.Slot(max(len(l.dense), 2*l.count+denseSlack)) {
+		if l.sparse == nil {
+			l.sparse = make(map[types.Slot]Decision)
+		}
+		l.sparse[slot] = d
+		return
+	}
+	i := int(slot)
+	if i >= len(l.dense) {
+		l.dense = append(l.dense, make([]denseDecision, i+1-len(l.dense))...)
+	}
+	l.dense[i] = denseDecision{Decision: d, set: true}
+	l.count++
+}
+
+// all yields every decision in ascending slot order, merging the sparse
+// slots (sorted on each call; they are rare) around the dense ones.
+func (l *decisionLog) all(yield func(types.Slot, Decision) bool) {
+	keys := slices.Sorted(maps.Keys(l.sparse))
+	k := 0
+	for i, c := range l.dense {
+		for ; k < len(keys) && keys[k] < types.Slot(i); k++ {
+			if !yield(keys[k], l.sparse[keys[k]]) {
+				return
+			}
+		}
+		if c.set && !yield(types.Slot(i), c.Decision) {
+			return
+		}
+	}
+	for _, s := range keys[k:] {
+		if !yield(s, l.sparse[s]) {
+			return
+		}
+	}
 }
 
 // send routes one message with a precomputed encoded size (callers size a
