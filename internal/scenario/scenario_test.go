@@ -16,125 +16,125 @@ func TestValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		sc   Scenario
-		want string // substring of the expected error
+		want string // the exact error text
 	}{
-		{"unknown protocol", Scenario{Protocol: "raft", Nodes: 4}, "unknown protocol"},
-		{"unknown engine", Scenario{Nodes: 4, Engine: "quantum"}, "unknown engine"},
-		{"no cluster", Scenario{}, "cluster size missing"},
-		{"negative seed", Scenario{Nodes: 4, Seed: -1}, "negative seed"},
-		{"bad drop", Scenario{Nodes: 4, Network: NetworkSpec{DropBeforeGST: 1.5}}, "drop_before_gst"},
-		{"bad delay model", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{Model: "warp"}}}, "unknown delay model"},
+		{"unknown protocol", Scenario{Protocol: "raft", Nodes: 4}, "scenario: unknown protocol \"raft\""},
+		{"unknown engine", Scenario{Nodes: 4, Engine: "quantum"}, "scenario: unknown engine \"quantum\""},
+		{"no cluster", Scenario{}, "scenario: cluster size missing (set nodes or a quorum spec)"},
+		{"negative seed", Scenario{Nodes: 4, Seed: -1}, "scenario: negative seed -1"},
+		{"bad drop", Scenario{Nodes: 4, Network: NetworkSpec{DropBeforeGST: 1.5}}, "scenario: drop_before_gst = 1.5 outside [0, 1]"},
+		{"bad delay model", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{Model: "warp"}}}, "scenario: unknown delay model \"warp\""},
 		{"negative delay", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{
 			Model: DelayConstant, D: -5,
-		}}}, "negative delay"},
+		}}}, "scenario: negative delay"},
 		{"negative link delay", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{
 			Model: DelayPerLink, Default: 1, Links: []LinkDelaySpec{{From: 0, To: 1, D: -2}},
-		}}}, "negative delay"},
+		}}}, "scenario: negative delay on link 0→1"},
 		{"per-link non-member", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{
 			Model: DelayPerLink, Links: []LinkDelaySpec{{From: 0, To: 9, D: 2}},
-		}}}, "non-member link"},
-		{"unknown fault", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: "gremlin"}}}, "unknown fault"},
-		{"fault non-member", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: FaultSilent, Node: 7}}}, "non-member"},
+		}}}, "scenario: per-link delay names non-member link 0→9"},
+		{"unknown fault", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: "gremlin"}}}, "scenario: unknown fault type \"gremlin\""},
+		{"fault non-member", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: FaultSilent, Node: 7}}}, "scenario: silent fault targets non-member node 7"},
 		{"two faults one node", Scenario{Nodes: 4, Faults: []FaultSpec{
 			{Type: FaultSilent, Node: 0}, {Type: FaultRandom, Node: 0},
-		}}, "two node-replacing faults"},
-		{"partition no groups", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: FaultPartition}}}, "no groups"},
+		}}, "scenario: node 0 has two node-replacing faults"},
+		{"partition no groups", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: FaultPartition}}}, "scenario: partition fault declares no groups"},
 		{"partition non-member", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultPartition, Groups: [][]types.NodeID{{0, 9}},
-		}}}, "non-member"},
+		}}}, "scenario: partition group names non-member node 9"},
 		{"partition overlapping groups", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultPartition, Groups: [][]types.NodeID{{0, 1}, {1, 2}},
-		}}}, "two partition groups"},
+		}}}, "scenario: node 1 appears in two partition groups"},
 		{"partition empty window", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultPartition, Groups: [][]types.NodeID{{0}, {1}}, From: 10, To: 5,
-		}}}, "empty"},
-		{"all faulty", Scenario{Nodes: 1, Faults: []FaultSpec{{Type: FaultSilent, Node: 0}}}, "every node is faulty"},
+		}}}, "scenario: partition window [10, 5) is empty"},
+		{"all faulty", Scenario{Nodes: 1, Faults: []FaultSpec{{Type: FaultSilent, Node: 0}}}, "scenario: every node is faulty"},
 		{"slices on pbft", Scenario{Protocol: PBFT, Quorum: &QuorumSpec{
 			Slices: []SliceSpec{{Node: 0, Slices: [][]types.NodeID{{0}}}},
-		}}, "does not support quorum slices"},
+		}}, "scenario: protocol \"pbft\" does not support quorum slices"},
 		{"nodes vs quorum mismatch", Scenario{Nodes: 3, Quorum: &QuorumSpec{
 			Slices: []SliceSpec{{Node: 0, Slices: [][]types.NodeID{{0}}}},
-		}}, "names 1 members"},
+		}}, "scenario: nodes = 3 but the quorum spec names 1 members"},
 		{"duplicate slice decl", Scenario{Quorum: &QuorumSpec{Slices: []SliceSpec{
 			{Node: 0, Slices: [][]types.NodeID{{0}}},
 			{Node: 0, Slices: [][]types.NodeID{{0}}},
-		}}}, "twice"},
+		}}}, "scenario: node 0 declares slices twice"},
 		{"txs on single-shot", Scenario{Nodes: 4, Workload: WorkloadSpec{
 			Transactions: []TxSpec{{Node: 0, Op: "set", Key: "k"}},
-		}}, "multi-shot"},
+		}}, "scenario: slots/max_slot/transactions/tx_count/arrival/window require a multi-shot protocol"},
 		{"bad tx op", Scenario{Protocol: TetraBFTMulti, Nodes: 4, Workload: WorkloadSpec{
 			Slots: 2, Transactions: []TxSpec{{Node: 0, Op: "swap", Key: "k"}},
-		}}, "unknown transaction op"},
+		}}, "scenario: unknown transaction op \"swap\" (want set or del)"},
 		{"all-decided without slots", Scenario{Protocol: TetraBFTMulti, Nodes: 4,
-			Stop: StopSpec{AllDecided: true}}, "needs workload.slots"},
-		{"tcp single-shot", Scenario{Engine: EngineTCP, Nodes: 4}, "supports only protocol"},
+			Stop: StopSpec{AllDecided: true}}, "scenario: stop.all_decided on a multi-shot run needs workload.slots"},
+		{"tcp single-shot", Scenario{Engine: EngineTCP, Nodes: 4}, "scenario: engine \"tcp\" supports only protocol \"tetrabft-multi\""},
 		{"tcp with byzantine", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
-			Faults:   []FaultSpec{{Type: FaultEquivocator, Node: 0}}}, "only silent node faults"},
+			Faults:   []FaultSpec{{Type: FaultEquivocator, Node: 0}}}, "scenario: engine \"tcp\" supports only silent node faults"},
 		{"tcp with message adversary", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
-			Faults:   []FaultSpec{{Type: FaultSuppressFinalPhase}}}, "only partition network faults"},
-		{"tcp without slots", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4}, "needs workload.slots"},
+			Faults:   []FaultSpec{{Type: FaultSuppressFinalPhase}}}, "scenario: engine \"tcp\" supports only partition network faults, not \"suppress-final-phase\""},
+		{"tcp without slots", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4}, "scenario: engine \"tcp\" needs workload.slots"},
 		{"tcp with per-link delay", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
 			Network: NetworkSpec{Delay: &DelaySpec{Model: DelayPerLink,
-				Links: []LinkDelaySpec{{From: 0, To: 1, D: 2}}}}}, "per-link"},
+				Links: []LinkDelaySpec{{From: 0, To: 1, D: 2}}}}}, "scenario: engine \"tcp\" does not support per-link delays"},
 		{"tcp with event budget", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
-			Network:  NetworkSpec{EventBudget: 100}}, "event budget"},
+			Network:  NetworkSpec{EventBudget: 100}}, "scenario: engine \"tcp\" has no event budget"},
 		{"crash-restart on sim", Scenario{Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
 			Faults:   []FaultSpec{{Type: FaultCrashRestart, Node: 0, CrashAtMS: 50}}},
-			"requires engine"},
+			"scenario: crash-restart requires engine \"tcp\" (the simulator has no processes to kill)"},
 		{"crash-restart restart before crash", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti,
 			Nodes: 4, Workload: WorkloadSpec{Slots: 2},
 			Faults: []FaultSpec{{Type: FaultCrashRestart, Node: 0, CrashAtMS: 100, RestartAtMS: 50}}},
-			"before its crash"},
+			"scenario: node 0 restarts at 50ms, before its crash at 100ms"},
 		{"crash-restart twice on one node", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti,
 			Nodes: 4, Workload: WorkloadSpec{Slots: 2},
 			Faults: []FaultSpec{
 				{Type: FaultCrashRestart, Node: 0, CrashAtMS: 50, RestartAtMS: 100},
 				{Type: FaultCrashRestart, Node: 0, CrashAtMS: 200},
-			}}, "two crash-restart"},
+			}}, "scenario: node 0 has two crash-restart faults"},
 		{"duplicate on sim", Scenario{Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
-			Network:  NetworkSpec{Duplicate: 0.1}}, "applies only to engine"},
+			Network:  NetworkSpec{Duplicate: 0.1}}, "scenario: network.duplicate applies only to engine \"tcp\""},
 		{"duplicate out of range", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
-			Network:  NetworkSpec{Duplicate: 1.5}}, "duplicate"},
+			Network:  NetworkSpec{Duplicate: 1.5}}, "scenario: network.duplicate = 1.5 outside [0, 1)"},
 		{"tcp with horizon", Scenario{Engine: EngineTCP, Protocol: TetraBFTMulti, Nodes: 4,
 			Workload: WorkloadSpec{Slots: 2},
-			Stop:     StopSpec{Horizon: 100}}, "wall_clock_ms"},
-		{"unknown mutation", Scenario{Nodes: 4, Mutation: "skip-rule-4"}, "unknown mutation"},
+			Stop:     StopSpec{Horizon: 100}}, "scenario: engine \"tcp\" stops on workload.slots + stop.wall_clock_ms only"},
+		{"unknown mutation", Scenario{Nodes: 4, Mutation: "skip-rule-4"}, "scenario: unknown mutation \"skip-rule-4\""},
 		{"mutation on pbft", Scenario{Protocol: PBFT, Nodes: 4, Mutation: MutationSkipRule3},
-			"applies only to protocol"},
+			"scenario: mutation \"skip-rule-3\" applies only to protocol \"tetrabft\""},
 		{"starve-decision non-member", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultStarveDecision, Node: 9,
-		}}}, "non-member"},
+		}}}, "scenario: starve-decision spares non-member node 9"},
 		{"starve-decision negative window", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultStarveDecision, Node: 0, To: -1,
-		}}}, "negative"},
+		}}}, "scenario: starve-decision to is negative"},
 		{"forged-history non-member", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultForgedHistory, Node: 9,
-		}}}, "non-member"},
+		}}}, "scenario: forged-history fault targets non-member node 9"},
 		{"forged-history negative view", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultForgedHistory, Node: 1, View: -1,
-		}}}, "negative"},
+		}}}, "scenario: forged-history view is negative"},
 		{"starve-decision on it-hotstuff", Scenario{Protocol: ITHotStuff, Nodes: 4,
 			Faults: []FaultSpec{{Type: FaultStarveDecision, Node: 0}}},
-			"applies only to protocols"},
+			"scenario: starve-decision applies only to protocols \"tetrabft\", \"pbft\" and \"pbft-unbounded\""},
 		{"forged-history on pbft", Scenario{Protocol: PBFT, Nodes: 4,
 			Faults: []FaultSpec{{Type: FaultForgedHistory, Node: 1}}},
-			"applies only to protocol"},
+			"scenario: forged-history applies only to protocol \"tetrabft\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.sc.Validate()
 			if err == nil {
-				t.Fatalf("spec accepted, want error containing %q", tc.want)
+				t.Fatalf("spec accepted, want error %q", tc.want)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not contain %q", err, tc.want)
+			if err.Error() != tc.want {
+				t.Errorf("error %q, want %q", err, tc.want)
 			}
 		})
 	}

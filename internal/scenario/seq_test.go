@@ -142,26 +142,26 @@ func TestSeqValidation(t *testing.T) {
 		mutate func(*Scenario)
 		want   string
 	}{
-		{"no slots", func(sc *Scenario) { sc.Workload.Slots = 0 }, "needs workload.slots"},
-		{"no horizon", func(sc *Scenario) { sc.Stop.Horizon = 0 }, "needs stop.horizon"},
-		{"window", func(sc *Scenario) { sc.Workload.Window = 2 }, "offered-load workload"},
-		{"gst", func(sc *Scenario) { sc.Network.GST = 100 }, "does not support gst"},
+		{"no slots", func(sc *Scenario) { sc.Workload.Slots = 0 }, "scenario: protocol \"pbft-multi\" needs workload.slots"},
+		{"no horizon", func(sc *Scenario) { sc.Stop.Horizon = 0 }, "scenario: protocol \"pbft-multi\" needs stop.horizon (the shared clock's budget)"},
+		{"window", func(sc *Scenario) { sc.Workload.Window = 2 }, "scenario: protocol \"pbft-multi\" supports only the offered-load workload (no window/max_slot/transactions)"},
+		{"gst", func(sc *Scenario) { sc.Network.GST = 100 }, "scenario: protocol \"pbft-multi\" does not support gst/drop_before_gst/event_budget"},
 		{"equivocator", func(sc *Scenario) {
 			sc.Faults = []FaultSpec{{Type: FaultEquivocator, Node: 1}}
-		}, "only silent faults"},
-		{"stages", func(sc *Scenario) { sc.Collect.Stages = true }, "does not collect"},
+		}, "scenario: protocol \"pbft-multi\" supports only silent faults, not \"equivocator\""},
+		{"stages", func(sc *Scenario) { sc.Collect.Stages = true }, "scenario: protocol \"pbft-multi\" does not collect traces, stages or metrics"},
 		{"tcp engine", func(sc *Scenario) {
 			sc.Engine = EngineTCP
 			sc.Stop = StopSpec{WallClockMS: 1000}
-		}, "supports only protocol"},
+		}, "scenario: engine \"tcp\" supports only protocol \"tetrabft-multi\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := seqScenario(PBFTMulti)
 			tc.mutate(&sc)
 			_, err := Run(sc)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error %v, want %q", err, tc.want)
 			}
 		})
 	}

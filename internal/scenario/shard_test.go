@@ -36,79 +36,79 @@ func TestShardsSpecParseErrors(t *testing.T) {
 	}{
 		{"unknown shards field",
 			`{"protocol":"tetrabft-multi","shards":{"count":2,"bogus":1},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"unknown field"},
+			"scenario: parse: json: unknown field \"bogus\""},
 		{"wrong protocol",
 			`{"protocol":"tetrabft","shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"shards require protocol"},
+			"scenario: shards require protocol \"tetrabft-multi\""},
 		{"default protocol",
 			`{"shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"shards require protocol"},
+			"scenario: shards require protocol \"tetrabft-multi\""},
 		{"nodes and shards",
 			`{"protocol":"tetrabft-multi","nodes":4,"shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"mutually exclusive"},
+			"scenario: shards and nodes are mutually exclusive (size clusters with shards.nodes_per_shard)"},
 		{"quorum slices",
 			`{"protocol":"tetrabft-multi","quorum":{"slices":[{"node":0,"slices":[[0]]}]},"shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"quorum slices"},
+			"scenario: shards do not support quorum slices"},
 		{"zero count",
 			`{"protocol":"tetrabft-multi","shards":{"count":0},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"shards.count"},
+			"scenario: shards.count = 0 outside [1, 16]"},
 		{"count too large",
 			`{"protocol":"tetrabft-multi","shards":{"count":17},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"shards.count"},
+			"scenario: shards.count = 17 outside [1, 16]"},
 		{"undersized shard",
 			`{"protocol":"tetrabft-multi","shards":{"count":2,"nodes_per_shard":3},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"nodes_per_shard"},
+			"scenario: shards.nodes_per_shard = 3 below the n ≥ 3f+1 minimum of 4"},
 		{"undersized anchor",
 			`{"protocol":"tetrabft-multi","shards":{"count":2,"anchor_nodes":3},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"anchor_nodes"},
+			"scenario: shards.anchor_nodes = 3 below the n ≥ 3f+1 minimum of 4"},
 		{"cross mix out of range",
 			`{"protocol":"tetrabft-multi","shards":{"count":2,"cross_mix":1.0},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"cross_mix"},
+			"scenario: shards.cross_mix = 1 outside [0, 1)"},
 		{"missing slots",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"stop":{"horizon":4000}}`,
-			"workload.slots"},
+			"scenario: shards need workload.slots (the per-shard finalized-slot target)"},
 		{"explicit max_slot",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"workload":{"slots":6,"max_slot":9},"stop":{"horizon":4000}}`,
-			"max_slot"},
+			"scenario: shards derive the proposal cap from workload.slots; max_slot must be 0"},
 		{"explicit transactions",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"workload":{"slots":6,"transactions":[{"node":0,"op":"set","key":"k"}]},"stop":{"horizon":4000}}`,
-			"offered-load"},
+			"scenario: shards support only the offered-load stream (tx_count), not explicit transactions"},
 		{"all_decided stop",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000,"all_decided":true}}`,
-			"all_decided"},
+			"scenario: shards stop on their own completion rule; stop.all_decided must be false"},
 		{"sim without horizon",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"workload":{"slots":6}}`,
-			"stop.horizon"},
+			"scenario: sharded sim runs need stop.horizon (lockstep clusters never drain the event queue)"},
 		{"tcp with horizon",
 			`{"protocol":"tetrabft-multi","engine":"tcp","shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"wall_clock_ms"},
+			"scenario: engine \"tcp\" stops on workload.slots + stop.wall_clock_ms only"},
 		{"collect chain",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"workload":{"slots":6},"stop":{"horizon":4000},"collect":{"chain":true}}`,
-			"do not collect"},
+			"scenario: shards do not collect traces or chains (the result folds per-shard stats)"},
 		{"per-link delay",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"network":{"delay":{"model":"per-link","default":1}},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"per-link"},
+			"scenario: shards do not support per-link delays (node IDs are cluster-local)"},
 		{"event budget",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"network":{"event_budget":1000},"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"event budget"},
+			"scenario: shards do not support an event budget"},
 		{"equivocator fault",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"faults":[{"type":"equivocator","node":0}],"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"only silent and crash-restart"},
+			"scenario: shards support only silent and crash-restart faults, not \"equivocator\""},
 		{"fault shard out of range",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"faults":[{"type":"silent","shard":2,"node":0}],"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"outside [0, 2)"},
+			"scenario: silent fault targets shard 2 outside [0, 2)"},
 		{"fault node out of range",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"faults":[{"type":"silent","shard":0,"node":4}],"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"membership"},
+			"scenario: silent fault targets node 4 outside shard 0's membership [0, 4)"},
 		{"crash-restart on sim",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"faults":[{"type":"crash-restart","shard":0,"node":1,"crash_at_ms":100}],"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"crash-restart requires engine"},
+			"scenario: crash-restart requires engine \"tcp\" (the simulator has no processes to kill)"},
 		{"duplicate silent fault",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"faults":[{"type":"silent","shard":1,"node":2},{"type":"silent","shard":1,"node":2}],"workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"two node-replacing faults"},
+			"scenario: shard 1 node 2 has two node-replacing faults"},
 		{"mutation",
 			`{"protocol":"tetrabft-multi","shards":{"count":2},"mutation":"skip-rule-3","workload":{"slots":6},"stop":{"horizon":4000}}`,
-			"mutation"},
+			"scenario: shards do not support mutations"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.spec))
@@ -116,15 +116,16 @@ func TestShardsSpecParseErrors(t *testing.T) {
 			t.Errorf("%s: Parse accepted an invalid sharded spec", tc.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not name the problem (want substring %q)", tc.name, err, tc.want)
+		if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 }
 
 // TestValidationParity applies each mistake in a field that flat and
 // sharded specs share to a flat base (tetrabft-multi, 4 nodes) and to
-// shardedBase: one check serves both, so both must reject it the same way.
+// shardedBase: one check serves both, so both must reject it with the same
+// text, save that a sharded run names a node by its cluster ("shard 0 node 1").
 func TestValidationParity(t *testing.T) {
 	base := func(sharded bool, engine Engine) Scenario {
 		sc := Scenario{Protocol: TetraBFTMulti, Nodes: 4, Workload: WorkloadSpec{Slots: 2}}
@@ -149,23 +150,23 @@ func TestValidationParity(t *testing.T) {
 		mistake func(*Scenario)
 		want    string
 	}{
-		{"negative seed", EngineSim, func(sc *Scenario) { sc.Seed = -1 }, "negative seed"},
-		{"negative delta", EngineSim, func(sc *Scenario) { sc.Delta = -1 }, "negative delta"},
-		{"drop_before_gst 1.5", EngineSim, func(sc *Scenario) { sc.Network.DropBeforeGST = 1.5 }, "drop_before_gst"},
-		{"negative gst", EngineSim, func(sc *Scenario) { sc.Network.GST = -1 }, "negative gst"},
+		{"negative seed", EngineSim, func(sc *Scenario) { sc.Seed = -1 }, "scenario: negative seed -1"},
+		{"negative delta", EngineSim, func(sc *Scenario) { sc.Delta = -1 }, "scenario: negative delta or timeout_factor"},
+		{"drop_before_gst 1.5", EngineSim, func(sc *Scenario) { sc.Network.DropBeforeGST = 1.5 }, "scenario: drop_before_gst = 1.5 outside [0, 1]"},
+		{"negative gst", EngineSim, func(sc *Scenario) { sc.Network.GST = -1 }, "scenario: negative gst or event_budget"},
 		{"negative constant delay", EngineSim, func(sc *Scenario) {
 			sc.Network.Delay = &DelaySpec{Model: DelayConstant, D: -1}
-		}, "negative delay"},
-		{"unknown delay model", EngineSim, func(sc *Scenario) { sc.Network.Delay = &DelaySpec{Model: "warp"} }, "unknown delay model"},
-		{"duplicate on sim", EngineSim, func(sc *Scenario) { sc.Network.Duplicate = 0.1 }, "applies only to engine"},
-		{"duplicate 1.5 on tcp", EngineTCP, func(sc *Scenario) { sc.Network.Duplicate = 1.5 }, "network.duplicate"},
-		{"negative wall_clock_ms", EngineSim, func(sc *Scenario) { sc.Stop.WallClockMS = -1 }, "negative stop bound"},
+		}, "scenario: negative delay"},
+		{"unknown delay model", EngineSim, func(sc *Scenario) { sc.Network.Delay = &DelaySpec{Model: "warp"} }, "scenario: unknown delay model \"warp\""},
+		{"duplicate on sim", EngineSim, func(sc *Scenario) { sc.Network.Duplicate = 0.1 }, "scenario: network.duplicate applies only to engine \"tcp\""},
+		{"duplicate 1.5 on tcp", EngineTCP, func(sc *Scenario) { sc.Network.Duplicate = 1.5 }, "scenario: network.duplicate = 1.5 outside [0, 1)"},
+		{"negative wall_clock_ms", EngineSim, func(sc *Scenario) { sc.Stop.WallClockMS = -1 }, "scenario: negative stop bound"},
 		{"tx_rate without tx_count", EngineSim, func(sc *Scenario) { sc.Workload.TxRate = 100 }, ErrRateWithoutCount.Error()},
-		{"crash-restart on sim", EngineSim, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 0)} }, "requires engine"},
-		{"restart before crash", EngineTCP, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 50)} }, "before its crash"},
+		{"crash-restart on sim", EngineSim, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 0)} }, "scenario: crash-restart requires engine \"tcp\" (the simulator has no processes to kill)"},
+		{"restart before crash", EngineTCP, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 50)} }, "scenario: node 1 restarts at 50ms, before its crash at 100ms"},
 		{"two crash-restarts on one node", EngineTCP, func(sc *Scenario) {
 			sc.Faults = []FaultSpec{crash(50, 100), crash(200, 0)}
-		}, "two crash-restart"},
+		}, "scenario: node 1 has two crash-restart faults"},
 	}
 	for _, sharded := range []bool{false, true} {
 		for _, engine := range []Engine{EngineSim, EngineTCP} {
@@ -178,12 +179,16 @@ func TestValidationParity(t *testing.T) {
 		for _, sharded := range []bool{false, true} {
 			sc := base(sharded, tc.engine)
 			tc.mistake(&sc)
+			want := tc.want
+			if sharded {
+				want = strings.Replace(want, "scenario: node", "scenario: shard 0 node", 1)
+			}
 			err := sc.Validate()
 			switch {
 			case err == nil:
 				t.Errorf("%s (sharded=%v): spec accepted", tc.name, sharded)
-			case !strings.Contains(err.Error(), tc.want):
-				t.Errorf("%s (sharded=%v): error %q does not contain %q", tc.name, sharded, err, tc.want)
+			case err.Error() != want:
+				t.Errorf("%s (sharded=%v): error %q, want %q", tc.name, sharded, err, want)
 			case tc.want == ErrRateWithoutCount.Error() && !errors.Is(err, ErrRateWithoutCount):
 				t.Errorf("%s (sharded=%v): error %q is not ErrRateWithoutCount", tc.name, sharded, err)
 			}
