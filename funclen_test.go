@@ -20,7 +20,7 @@ const maxFuncLines = 150
 // lower its entry, or delete the entry once the function fits the limit.
 // Keys are "file:Func", or "file:Recv.Method" for a method.
 var longFuncs = map[string]int{
-	"internal/scenario/spec.go:Scenario.compile": 239,
+	"internal/scenario/spec.go:Scenario.compile": 224,
 	"internal/sweep/named.go:Named":              216,
 	"internal/scenario/named.go:Named":           211,
 	"cmd/tetrabft-bench/main.go:run":             170,
@@ -38,34 +38,13 @@ var engineFiles = map[string]bool{
 	"internal/scenario/tcp.go":       true,
 }
 
-// TestFunctionLengthRatchet parses every non-test Go file of this module (a
-// directory with its own go.mod, such as benchmark/, is another module)
-// and holds each function to maxFuncLines, or to its cap in longFuncs, and
-// each function of engineFiles to engineFuncLines.
+// TestFunctionLengthRatchet holds each function of the module to
+// maxFuncLines, or to its cap in longFuncs, and each function of engineFiles
+// to engineFuncLines.
 func TestFunctionLengthRatchet(t *testing.T) {
 	fset := token.NewFileSet()
 	seen := make(map[string]bool)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		file := filepath.ToSlash(path)
+	eachModuleFile(t, fset, func(file string, f *ast.File) {
 		seen[file] = true
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -87,11 +66,7 @@ func TestFunctionLengthRatchet(t *testing.T) {
 				t.Errorf("%s is down to %d lines: lower its cap from %d (or drop it at %d or fewer)", key, lines, limit, maxFuncLines)
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for key := range longFuncs {
 		if !seen[key] {
 			t.Errorf("%s is capped but no longer exists: drop its entry", key)
@@ -101,6 +76,39 @@ func TestFunctionLengthRatchet(t *testing.T) {
 		if !seen[file] {
 			t.Errorf("engine file %s no longer exists: drop its entry", file)
 		}
+	}
+}
+
+// eachModuleFile parses every non-test Go file of this module (a directory
+// with its own go.mod, such as benchmark/, is another module) and hands it
+// to fn under its slash-separated path.
+func eachModuleFile(t *testing.T, fset *token.FileSet, fn func(file string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

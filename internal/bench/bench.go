@@ -42,43 +42,16 @@ import (
 // by job index, which keeps the emitted tables byte-identical with a
 // sequential execution (asserted by TestSweepsDeterministic).
 
-// Protocol names a measured protocol.
-type Protocol string
-
-// Measured protocols.
-const (
-	TetraBFT      Protocol = "TetraBFT"
-	ITHS          Protocol = "IT-HS"
-	ITHSBlog      Protocol = "IT-HS (blog)"
-	PBFTBounded   Protocol = "PBFT (bounded)"
-	PBFTUnbounded Protocol = "PBFT (unbounded)"
-	LiEtAl        Protocol = "Li et al."
-)
-
-// scenarioProtocol maps a table row's protocol name to its scenario spec
-// name.
-func scenarioProtocol(p Protocol) scenario.Protocol {
-	switch p {
-	case TetraBFT:
-		return scenario.TetraBFT
-	case ITHS:
-		return scenario.ITHotStuff
-	case ITHSBlog:
-		return scenario.ITHotStuffBlog
-	case PBFTBounded:
-		return scenario.PBFT
-	case PBFTUnbounded:
-		return scenario.PBFTUnbounded
-	case LiEtAl:
-		return scenario.LiConsensus
-	}
-	return scenario.Protocol(p) // unknown: let scenario.Run reject it
+// label is protocol p's Table 1 label, the name every table here prints.
+func label(p scenario.Protocol) string {
+	d, _ := scenario.Lookup(p)
+	return d.Label
 }
 
 // Table1Row is one measured protocol row. (The storage column has its own
 // experiment: StorageSweep.)
 type Table1Row struct {
-	Protocol         Protocol
+	Protocol         string
 	Responsive       string
 	GoodCaseDelays   int64
 	ViewChangeDelays int64 // -1 when the protocol has no view-change path
@@ -93,25 +66,25 @@ type Table1Row struct {
 func Table1(n int) ([]Table1Row, error) {
 	const delta = types.Duration(10)
 	specs := []struct {
-		proto      Protocol
+		proto      scenario.Protocol
 		responsive string
 		paperGood  int64
 		paperVC    int64
-		hasVC      bool
 		// deadWait is non-message waiting baked into the protocol's view
 		// change (the blog IT-HS leader's fixed Δ). The paper's latency
 		// column counts message delays only, so the wait is subtracted
 		// here; the Responsiveness experiment measures it explicitly.
 		deadWait int64
 	}{
-		{proto: ITHSBlog, responsive: "non-responsive", paperGood: 4, paperVC: 5, hasVC: true, deadWait: int64(delta)},
-		{proto: ITHS, responsive: "responsive", paperGood: 6, paperVC: 9, hasVC: true},
-		{proto: PBFTBounded, responsive: "responsive", paperGood: 3, paperVC: 7, hasVC: true},
-		{proto: LiEtAl, responsive: "non-responsive", paperGood: 6, paperVC: 6},
-		{proto: TetraBFT, responsive: "responsive", paperGood: 5, paperVC: 7, hasVC: true},
+		{proto: scenario.ITHotStuffBlog, responsive: "non-responsive", paperGood: 4, paperVC: 5, deadWait: int64(delta)},
+		{proto: scenario.ITHotStuff, responsive: "responsive", paperGood: 6, paperVC: 9},
+		{proto: scenario.PBFT, responsive: "responsive", paperGood: 3, paperVC: 7},
+		{proto: scenario.LiConsensus, responsive: "non-responsive", paperGood: 6, paperVC: 6},
+		{proto: scenario.TetraBFT, responsive: "responsive", paperGood: 5, paperVC: 7},
 	}
 	// One job per (protocol, scenario) measurement so the slow view-change
-	// runs overlap with the good-case runs.
+	// runs overlap with the good-case runs; a protocol without views has no
+	// view-change run.
 	type job struct {
 		specIdx int
 		silent  bool
@@ -119,7 +92,7 @@ func Table1(n int) ([]Table1Row, error) {
 	var jobs []job
 	for i, spec := range specs {
 		jobs = append(jobs, job{specIdx: i})
-		if spec.hasVC {
+		if d, _ := scenario.Lookup(spec.proto); d.Views {
 			jobs = append(jobs, job{specIdx: i, silent: true})
 		}
 	}
@@ -131,7 +104,7 @@ func Table1(n int) ([]Table1Row, error) {
 			if j.silent {
 				scenarioName = "view change"
 			}
-			return 0, fmt.Errorf("bench: %s %s: %w", spec.proto, scenarioName, err)
+			return 0, fmt.Errorf("bench: %s %s: %w", label(spec.proto), scenarioName, err)
 		}
 		return at, nil
 	})
@@ -141,7 +114,7 @@ func Table1(n int) ([]Table1Row, error) {
 	rows := make([]Table1Row, len(specs))
 	for i, spec := range specs {
 		rows[i] = Table1Row{
-			Protocol:         spec.proto,
+			Protocol:         label(spec.proto),
 			Responsive:       spec.responsive,
 			ViewChangeDelays: -1,
 			PaperGoodCase:    spec.paperGood,
@@ -161,9 +134,9 @@ func Table1(n int) ([]Table1Row, error) {
 
 // latencyScenario is the Table 1 measurement spec: one protocol instance
 // at cluster size n, optionally with a crashed view-0 leader.
-func latencyScenario(proto Protocol, n int, delta types.Duration, silentLeader bool) scenario.Scenario {
+func latencyScenario(proto scenario.Protocol, n int, delta types.Duration, silentLeader bool) scenario.Scenario {
 	sc := scenario.Scenario{
-		Protocol: scenarioProtocol(proto),
+		Protocol: proto,
 		Nodes:    n,
 		Seed:     1,
 		Delta:    int64(delta),
@@ -177,7 +150,7 @@ func latencyScenario(proto Protocol, n int, delta types.Duration, silentLeader b
 
 // decideTime runs one instance and returns the earliest honest decision
 // time (ticks = message delays under unit delay).
-func decideTime(proto Protocol, n int, delta types.Duration, silentLeader bool) (int64, error) {
+func decideTime(proto scenario.Protocol, n int, delta types.Duration, silentLeader bool) (int64, error) {
 	res, err := scenario.Run(latencyScenario(proto, n, delta, silentLeader))
 	if err != nil {
 		return 0, err
@@ -190,7 +163,7 @@ func decideTime(proto Protocol, n int, delta types.Duration, silentLeader bool) 
 
 // CommRow is one point of the communication sweep.
 type CommRow struct {
-	Protocol     Protocol
+	Protocol     string
 	N            int
 	Scenario     string // "good-case" or "view-change"
 	TotalBytes   int64
@@ -203,25 +176,25 @@ type CommRow struct {
 // view-change messages produce the O(n³) worst case).
 func CommunicationSweep(sizes []int) ([]CommRow, error) {
 	type job struct {
-		proto    Protocol
+		proto    scenario.Protocol
 		n        int
 		scenario string
 	}
 	var jobs []job
 	for _, n := range sizes {
-		for _, proto := range []Protocol{TetraBFT, ITHS, PBFTBounded} {
+		for _, proto := range []scenario.Protocol{scenario.TetraBFT, scenario.ITHotStuff, scenario.PBFT} {
 			jobs = append(jobs, job{proto: proto, n: n, scenario: "good-case"})
 		}
 		// Worst-case view change: the view-0 instance reaches the prepared
 		// state (so PBFT view-change messages carry full O(n) evidence)
 		// but the final phase is suppressed, forcing the view change.
-		for _, proto := range []Protocol{TetraBFT, PBFTBounded} {
+		for _, proto := range []scenario.Protocol{scenario.TetraBFT, scenario.PBFT} {
 			jobs = append(jobs, job{proto: proto, n: n, scenario: "view-change"})
 		}
 	}
 	return par.Map(jobs, func(_ int, j job) (CommRow, error) {
 		sc := scenario.Scenario{
-			Protocol: scenarioProtocol(j.proto),
+			Protocol: j.proto,
 			Nodes:    j.n,
 			Seed:     1,
 			Delta:    10,
@@ -235,7 +208,7 @@ func CommunicationSweep(sizes []int) ([]CommRow, error) {
 			return CommRow{}, err
 		}
 		return CommRow{
-			Protocol:     j.proto,
+			Protocol:     label(j.proto),
 			N:            j.n,
 			Scenario:     j.scenario,
 			TotalBytes:   res.TotalSentBytes,
@@ -246,7 +219,7 @@ func CommunicationSweep(sizes []int) ([]CommRow, error) {
 
 // StorageRow is one protocol's storage measurement.
 type StorageRow struct {
-	Protocol Protocol
+	Protocol string
 	Views    int
 	Bytes    int64
 }
@@ -256,10 +229,10 @@ type StorageRow struct {
 // the maximum persistent footprint — constant for TetraBFT/IT-HS/bounded
 // PBFT, growing for the unbounded PBFT row.
 func StorageSweep(failedViews int) ([]StorageRow, error) {
-	protos := []Protocol{TetraBFT, ITHS, PBFTBounded, PBFTUnbounded}
-	return par.Map(protos, func(_ int, proto Protocol) (StorageRow, error) {
+	protos := []scenario.Protocol{scenario.TetraBFT, scenario.ITHotStuff, scenario.PBFT, scenario.PBFTUnbounded}
+	return par.Map(protos, func(_ int, proto scenario.Protocol) (StorageRow, error) {
 		sc := scenario.Scenario{
-			Protocol: scenarioProtocol(proto),
+			Protocol: proto,
 			Nodes:    4,
 			Seed:     1,
 			Delta:    10,
@@ -272,14 +245,14 @@ func StorageSweep(failedViews int) ([]StorageRow, error) {
 		if err != nil {
 			return StorageRow{}, err
 		}
-		return StorageRow{Protocol: proto, Views: failedViews, Bytes: res.MaxStorageBytes}, nil
+		return StorageRow{Protocol: label(proto), Views: failedViews, Bytes: res.MaxStorageBytes}, nil
 	})
 }
 
 // RespRow is one point of the responsiveness experiment.
 type RespRow struct {
 	Delta    types.Duration
-	Protocol Protocol
+	Protocol string
 	Recovery int64 // ticks from the view-change timeout to decision
 	Delays   int64 // pure message count for reference (paper's currency)
 }
@@ -292,19 +265,19 @@ type RespRow struct {
 func Responsiveness(deltas []types.Duration) ([]RespRow, error) {
 	type job struct {
 		delta  types.Duration
-		proto  Protocol
+		proto  scenario.Protocol
 		delays int64
 	}
 	var jobs []job
 	for _, delta := range deltas {
 		for _, spec := range []struct {
-			proto  Protocol
+			proto  scenario.Protocol
 			delays int64
 		}{
-			{TetraBFT, 7},
-			{ITHS, 9},
-			{ITHSBlog, 5},
-			{PBFTBounded, 7},
+			{scenario.TetraBFT, 7},
+			{scenario.ITHotStuff, 9},
+			{scenario.ITHotStuffBlog, 5},
+			{scenario.PBFT, 7},
 		} {
 			jobs = append(jobs, job{delta: delta, proto: spec.proto, delays: spec.delays})
 		}
@@ -312,11 +285,11 @@ func Responsiveness(deltas []types.Duration) ([]RespRow, error) {
 	return par.Map(jobs, func(_ int, j job) (RespRow, error) {
 		at, err := decideTime(j.proto, 4, j.delta, true)
 		if err != nil {
-			return RespRow{}, fmt.Errorf("bench: responsiveness %s Δ=%d: %w", j.proto, j.delta, err)
+			return RespRow{}, fmt.Errorf("bench: responsiveness %s Δ=%d: %w", label(j.proto), j.delta, err)
 		}
 		return RespRow{
 			Delta:    j.delta,
-			Protocol: j.proto,
+			Protocol: label(j.proto),
 			Recovery: at - int64(9*j.delta),
 			Delays:   j.delays,
 		}, nil
@@ -362,7 +335,7 @@ func Fig2Pipeline(slots int) (Fig2Result, error) {
 		count++
 	}
 	mean := float64(last-first) / float64(count-1)
-	single, err := decideTime(TetraBFT, 4, 10, false)
+	single, err := decideTime(scenario.TetraBFT, 4, 10, false)
 	if err != nil {
 		return Fig2Result{}, err
 	}

@@ -37,7 +37,7 @@ func TestCommunicationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(proto Protocol, n int, scenario string) int64 {
+	get := func(proto string, n int, scenario string) int64 {
 		for _, row := range rows {
 			if row.Protocol == proto && row.N == n && row.Scenario == scenario {
 				return row.TotalBytes
@@ -47,13 +47,13 @@ func TestCommunicationShape(t *testing.T) {
 		return 0
 	}
 	// TetraBFT good case: 4× nodes ⇒ ≈16× bytes (quadratic).
-	tetraRatio := float64(get(TetraBFT, 16, "good-case")) / float64(get(TetraBFT, 4, "good-case"))
+	tetraRatio := float64(get("TetraBFT", 16, "good-case")) / float64(get("TetraBFT", 4, "good-case"))
 	if tetraRatio < 8 || tetraRatio > 32 {
 		t.Errorf("TetraBFT bytes scaled %.1f× for 4× nodes; want ≈16 (quadratic)", tetraRatio)
 	}
 	// PBFT view change grows strictly faster than TetraBFT's.
-	pbftRatio := float64(get(PBFTBounded, 16, "view-change")) / float64(get(PBFTBounded, 4, "view-change"))
-	tetraVCRatio := float64(get(TetraBFT, 16, "view-change")) / float64(get(TetraBFT, 4, "view-change"))
+	pbftRatio := float64(get("PBFT (bounded)", 16, "view-change")) / float64(get("PBFT (bounded)", 4, "view-change"))
+	tetraVCRatio := float64(get("TetraBFT", 16, "view-change")) / float64(get("TetraBFT", 4, "view-change"))
 	if pbftRatio <= tetraVCRatio {
 		t.Errorf("PBFT view-change bytes scaled %.1f×, TetraBFT %.1f×; expected PBFT to grow faster (cubic vs quadratic)",
 			pbftRatio, tetraVCRatio)
@@ -67,17 +67,17 @@ func TestStorageShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byProto := make(map[Protocol]int64)
+	byProto := make(map[string]int64)
 	for _, row := range rows {
 		byProto[row.Protocol] = row.Bytes
 	}
-	for _, proto := range []Protocol{TetraBFT, ITHS, PBFTBounded} {
+	for _, proto := range []string{"TetraBFT", "IT-HS", "PBFT (bounded)"} {
 		if byProto[proto] > 256 {
 			t.Errorf("%s stored %d bytes after 6 failed views; want constant", proto, byProto[proto])
 		}
 	}
-	if byProto[PBFTUnbounded] <= byProto[PBFTBounded] {
-		t.Errorf("unbounded PBFT stored %d bytes, bounded %d; expected growth", byProto[PBFTUnbounded], byProto[PBFTBounded])
+	if byProto["PBFT (unbounded)"] <= byProto["PBFT (bounded)"] {
+		t.Errorf("unbounded PBFT stored %d bytes, bounded %d; expected growth", byProto["PBFT (unbounded)"], byProto["PBFT (bounded)"])
 	}
 
 	// The unbounded log must keep growing with more failed views while the
@@ -86,15 +86,15 @@ func TestStorageShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	longerByProto := make(map[Protocol]int64)
+	longerByProto := make(map[string]int64)
 	for _, row := range longer {
 		longerByProto[row.Protocol] = row.Bytes
 	}
-	if longerByProto[PBFTUnbounded] <= byProto[PBFTUnbounded] {
+	if longerByProto["PBFT (unbounded)"] <= byProto["PBFT (unbounded)"] {
 		t.Errorf("unbounded PBFT did not grow from 6 to 12 failed views (%d → %d)",
-			byProto[PBFTUnbounded], longerByProto[PBFTUnbounded])
+			byProto["PBFT (unbounded)"], longerByProto["PBFT (unbounded)"])
 	}
-	for _, proto := range []Protocol{TetraBFT, ITHS, PBFTBounded} {
+	for _, proto := range []string{"TetraBFT", "IT-HS", "PBFT (bounded)"} {
 		if longerByProto[proto] != byProto[proto] {
 			t.Errorf("%s footprint changed with more views (%d → %d); want constant",
 				proto, byProto[proto], longerByProto[proto])
@@ -109,7 +109,7 @@ func TestResponsivenessShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := func(proto Protocol, delta types.Duration) int64 {
+	rec := func(proto string, delta types.Duration) int64 {
 		for _, row := range rows {
 			if row.Protocol == proto && row.Delta == delta {
 				return row.Recovery
@@ -118,17 +118,17 @@ func TestResponsivenessShape(t *testing.T) {
 		t.Fatalf("missing row %s/Δ=%d", proto, delta)
 		return 0
 	}
-	for _, proto := range []Protocol{TetraBFT, ITHS, PBFTBounded} {
+	for _, proto := range []string{"TetraBFT", "IT-HS", "PBFT (bounded)"} {
 		if rec(proto, 10) != rec(proto, 50) {
 			t.Errorf("%s recovery changed with Δ (%d vs %d); responsive protocols must not", proto, rec(proto, 10), rec(proto, 50))
 		}
 	}
-	blogSmall, blogLarge := rec(ITHSBlog, 10), rec(ITHSBlog, 50)
+	blogSmall, blogLarge := rec("IT-HS (blog)", 10), rec("IT-HS (blog)", 50)
 	if blogLarge-blogSmall != 40 {
 		t.Errorf("blog IT-HS recovery grew by %d for ΔΔ=40; want exactly the Δ increase", blogLarge-blogSmall)
 	}
-	if rec(TetraBFT, 10) != 7 {
-		t.Errorf("TetraBFT recovery = %d delays, want 7", rec(TetraBFT, 10))
+	if rec("TetraBFT", 10) != 7 {
+		t.Errorf("TetraBFT recovery = %d delays, want 7", rec("TetraBFT", 10))
 	}
 }
 
@@ -182,7 +182,7 @@ func TestVerificationRuns(t *testing.T) {
 
 func TestWriteComm(t *testing.T) {
 	var sb strings.Builder
-	WriteComm(&sb, []CommRow{{Protocol: TetraBFT, N: 4, Scenario: "good-case", TotalBytes: 100, PerNodeBytes: 25}})
+	WriteComm(&sb, []CommRow{{Protocol: "TetraBFT", N: 4, Scenario: "good-case", TotalBytes: 100, PerNodeBytes: 25}})
 	if !strings.Contains(sb.String(), "good-case") {
 		t.Error("rendered sweep missing scenario")
 	}

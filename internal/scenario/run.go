@@ -2,16 +2,11 @@ package scenario
 
 import (
 	"errors"
-	"fmt"
 
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/byz"
-	"tetrabft/internal/core"
-	"tetrabft/internal/ithotstuff"
-	"tetrabft/internal/liconsensus"
 	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
-	"tetrabft/internal/pbft"
 	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/types"
@@ -49,16 +44,10 @@ func Run(sc Scenario) (*Result, error) {
 	if sc.Engine == EngineTCP {
 		return runTCP(p)
 	}
-	if p.seq {
+	if p.proto.Chains != "" {
 		return runSeq(p)
 	}
 	return runSim(p)
-}
-
-// storageReporter is implemented by every honest single-shot node: it
-// exposes its durable footprint, and all but liconsensus also a View.
-type storageReporter interface {
-	StorageBytes() int64
 }
 
 // A simCluster is one cluster of a run on the simulator — the flat run's
@@ -77,7 +66,7 @@ type simCluster struct {
 	r         *sim.Runner
 	log       *trace.Log        // nil = untraced
 	chains    []*multishot.Node // honest multi-shot nodes, member order
-	reporters []storageReporter // honest single-shot nodes
+	reporters []singleNode      // honest single-shot nodes
 	mempools  map[types.NodeID]*blockchain.Mempool
 }
 
@@ -194,13 +183,7 @@ func runSim(p *plan) (*Result, error) {
 
 	var stop func() bool
 	if p.sc.Stop.AllDecided {
-		if p.multi {
-			target := types.Slot(p.sc.Workload.Slots)
-			stop = func() bool { return cl.reached(target) }
-		} else {
-			honest := len(cl.honest)
-			stop = func() bool { return r.DecidedCount(0) >= honest }
-		}
+		stop = p.proto.allDecided(p, cl)
 	}
 	runErr := r.Run(types.Time(p.sc.Stop.Horizon), stop)
 	if runErr != nil {
@@ -258,75 +241,36 @@ func runSim(p *plan) (*Result, error) {
 }
 
 func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slot, types.Time) [][]byte, reg *obs.Registry) (types.Machine, error) {
-	delta := p.delta()
-	n := len(cl.members)
-	var node interface {
-		types.Machine
-		storageReporter
-	}
-	var err error
-	switch p.sc.Protocol {
-	case "", TetraBFT:
-		node, err = core.NewNode(core.Config{
-			ID: id, Quorum: cl.qs, Nodes: n, InitialValue: p.initialValue(id),
-			Delta: delta, TimeoutFactor: p.sc.TimeoutFactor, Tracer: traced(cl.log),
-			Mutation: buildMutation(p.sc.Mutation),
-		})
-	case TetraBFTMulti:
-		var payload func(types.Slot) []byte
-		if cl.mempools != nil {
-			mp := blockchain.NewMempool(0)
-			cl.mempools[id] = mp
-			payload = mp.PayloadSource(p.txsPerBlock())
-		}
-		chain, err := multishot.NewNode(multishot.Config{
-			ID: id, Quorum: cl.qs, Nodes: n, Delta: delta,
-			TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
-			Window:  p.sc.Workload.Window,
-			Payload: payload, Batch: batch,
-			Tracer: traced(cl.log), Metrics: reg,
+	if !p.proto.Multishot {
+		node, err := p.proto.single(nodeConfig{
+			ID: id, Nodes: len(cl.members), Quorum: cl.qs, InitialValue: p.initialValue(id),
+			Delta: p.delta(), TimeoutFactor: p.sc.TimeoutFactor, Tracer: traced(cl.log),
+			Mutation: p.sc.Mutation,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cl.chains = append(cl.chains, chain)
-		return chain, nil
-	case ITHotStuff, ITHotStuffBlog:
-		variant := ithotstuff.Full
-		if p.sc.Protocol == ITHotStuffBlog {
-			variant = ithotstuff.Blog
-		}
-		node, err = ithotstuff.NewNode(ithotstuff.Config{
-			ID: id, Nodes: n, Variant: variant, InitialValue: p.initialValue(id), Delta: delta,
-		})
-	case PBFT, PBFTUnbounded:
-		node, err = pbft.NewNode(pbft.Config{
-			ID: id, Nodes: n, InitialValue: p.initialValue(id), Delta: delta,
-			Unbounded: p.sc.Protocol == PBFTUnbounded,
-		})
-	case LiConsensus:
-		node, err = liconsensus.NewNode(liconsensus.Config{
-			ID: id, Nodes: n, Leader: 0, InitialValue: p.initialValue(id),
-		})
-	default:
-		return nil, fmt.Errorf("scenario: unknown protocol %q", p.sc.Protocol)
+		cl.reporters = append(cl.reporters, node)
+		return node, nil
 	}
+	var payload func(types.Slot) []byte
+	if cl.mempools != nil {
+		mp := blockchain.NewMempool(0)
+		cl.mempools[id] = mp
+		payload = mp.PayloadSource(p.txsPerBlock())
+	}
+	chain, err := multishot.NewNode(multishot.Config{
+		ID: id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),
+		TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
+		Window:  p.sc.Workload.Window,
+		Payload: payload, Batch: batch,
+		Tracer: traced(cl.log), Metrics: reg,
+	})
 	if err != nil {
 		return nil, err
 	}
-	cl.reporters = append(cl.reporters, node)
-	return node, nil
-}
-
-// buildMutation maps the spec's mutation name onto the core knob.
-func buildMutation(m Mutation) core.Mutation {
-	switch m {
-	case MutationSkipRule3:
-		return core.MutationSkipRule3
-	case MutationNoPrevVote:
-		return core.MutationNoPrevVote
-	}
-	return core.MutationNone
+	cl.chains = append(cl.chains, chain)
+	return chain, nil
 }
 
 func buildByz(c *cluster, f *FaultSpec) types.Machine {

@@ -201,6 +201,39 @@ func TestBaselinesReportViewChange(t *testing.T) {
 	}
 }
 
+// TestTimeoutFactorReachesEveryProtocolWithViews checks that timeout_factor
+// scales the view timeout of every protocol with views, chained slots
+// included: with a silent first leader (n = 4, Δ = 10) the first decision
+// waits out one timeout, so doubling the factor from 9 to 18 must move it
+// later by 9Δ.
+func TestTimeoutFactorReachesEveryProtocolWithViews(t *testing.T) {
+	decideAt := func(proto Protocol, factor int) int64 {
+		sc := Scenario{
+			Protocol: proto, Nodes: 4, Delta: 10, TimeoutFactor: factor,
+			Faults: []FaultSpec{{Type: FaultSilent, Node: 0}},
+			Stop:   StopSpec{Horizon: 4000},
+		}
+		if proto == PBFTMulti || proto == ITHotStuffMulti {
+			sc.Workload.Slots = 1
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FirstDecisionAt < 0 {
+			t.Fatalf("no decision at timeout_factor %d", factor)
+		}
+		return res.FirstDecisionAt
+	}
+	for _, proto := range []Protocol{TetraBFT, PBFT, PBFTUnbounded, ITHotStuff, ITHotStuffBlog, PBFTMulti, ITHotStuffMulti} {
+		t.Run(string(proto), func(t *testing.T) {
+			if at9, at18 := decideAt(proto, 9), decideAt(proto, 18); at18-at9 != 90 {
+				t.Errorf("first decision at t=%d with factor 9 and t=%d with 18, want 9Δ = 90 later", at9, at18)
+			}
+		})
+	}
+}
+
 // TestAllDecidedStopsMulti checks the multi-shot form of the stop
 // condition: finish when every honest node reaches the slot target.
 func TestAllDecidedStopsMulti(t *testing.T) {

@@ -106,19 +106,16 @@ func runSeq(p *plan) (*Result, error) {
 // but the whole run stays a pure function of spec and seed), and the shared
 // clock's remaining budget as its horizon.
 func (p *plan) slotScenario(s int64, payload string, remaining types.Time) Scenario {
-	proto := PBFT
-	if p.sc.Protocol == ITHotStuffMulti {
-		proto = ITHotStuff
-	}
 	return Scenario{
-		Name:     p.sc.Name,
-		Protocol: proto,
-		Nodes:    p.sc.Nodes,
-		Seed:     p.seed() + (s+1)<<20,
-		Delta:    p.sc.Delta,
-		Network:  p.sc.Network,
-		Faults:   p.sc.Faults,
-		Workload: WorkloadSpec{InitialValues: slices.Repeat([]string{payload}, p.sc.Nodes)},
-		Stop:     StopSpec{Horizon: int64(remaining), AllDecided: true},
+		Name:          p.sc.Name,
+		Protocol:      p.proto.Chains,
+		Nodes:         p.sc.Nodes,
+		Seed:          p.seed() + (s+1)<<20,
+		Delta:         p.sc.Delta,
+		TimeoutFactor: p.sc.TimeoutFactor,
+		Network:       p.sc.Network,
+		Faults:        p.sc.Faults,
+		Workload:      WorkloadSpec{InitialValues: slices.Repeat([]string{payload}, p.sc.Nodes)},
+		Stop:          StopSpec{Horizon: int64(remaining), AllDecided: true},
 	}
 }

@@ -31,37 +31,6 @@ import (
 // vacuous "0 tx decided, SLO green" result as a real measurement.
 var ErrRateWithoutCount = errors.New("scenario: tx_rate/arrival pace the offered-load stream but tx_count is 0 (tx_count bounds the stream and always wins; set workload.tx_count)")
 
-// Protocol names a consensus protocol the scenario engine can run.
-type Protocol string
-
-// Runnable protocols.
-const (
-	// TetraBFT is single-shot TetraBFT (the paper's Section 3).
-	TetraBFT Protocol = "tetrabft"
-	// TetraBFTMulti is multi-shot, pipelined TetraBFT (Section 6).
-	TetraBFTMulti Protocol = "tetrabft-multi"
-	// ITHotStuff is the full IT-HotStuff baseline.
-	ITHotStuff Protocol = "it-hotstuff"
-	// ITHotStuffBlog is the non-responsive blog variant of IT-HotStuff.
-	ITHotStuffBlog Protocol = "it-hotstuff-blog"
-	// ITHotStuffMulti chains single-shot IT-HotStuff instances on one
-	// virtual clock so the baseline consumes the offered-load stream:
-	// every slot pays the full commit latency (no pipelining), which is
-	// the throughput gap the protocol shootout measures against
-	// TetraBFTMulti.
-	ITHotStuffMulti Protocol = "it-hotstuff-multi"
-	// PBFT is unauthenticated PBFT with bounded (checkpointed) storage.
-	PBFT Protocol = "pbft"
-	// PBFTUnbounded is PBFT retaining its full message log (Table 1's
-	// unbounded-storage row).
-	PBFTUnbounded Protocol = "pbft-unbounded"
-	// PBFTMulti chains single-shot PBFT instances on one virtual clock —
-	// the PBFT row of the offered-load protocol shootout.
-	PBFTMulti Protocol = "pbft-multi"
-	// LiConsensus is the Li et al. baseline.
-	LiConsensus Protocol = "liconsensus"
-)
-
 // Engine selects the execution substrate.
 type Engine string
 
@@ -475,8 +444,7 @@ type plan struct {
 	// sharded run's S shard clusters followed by the anchor cluster.
 	clusters []*cluster
 	netwk    []FaultSpec // message-level faults, in schedule order
-	multi    bool        // multi-shot protocol
-	seq      bool        // chained single-shot baseline (pbft/it-hotstuff multi)
+	proto    protocol    // the protocol's row of the table
 }
 
 // cluster is what compile states about one cluster, whichever engine runs
@@ -579,23 +547,16 @@ func (sc Scenario) Validate() error {
 
 // compile validates the spec and derives the execution plan.
 func (sc Scenario) compile() (*plan, error) {
-	p := &plan{sc: sc}
-
-	switch sc.Protocol {
-	case "", TetraBFT, ITHotStuff, ITHotStuffBlog, PBFT, PBFTUnbounded, LiConsensus:
-	case TetraBFTMulti:
-		p.multi = true
-	case PBFTMulti, ITHotStuffMulti:
-		p.multi = true
-		p.seq = true
-	default:
+	row, ok := lookup(sc.Protocol)
+	if !ok {
 		return nil, fmt.Errorf("scenario: unknown protocol %q", sc.Protocol)
 	}
+	p := &plan{sc: sc, proto: row}
 	switch sc.Engine {
 	case "", EngineSim:
 	case EngineTCP:
-		if sc.Protocol != TetraBFTMulti {
-			return nil, fmt.Errorf("scenario: engine %q supports only protocol %q", EngineTCP, TetraBFTMulti)
+		if !row.TCP {
+			return nil, fmt.Errorf("scenario: engine %q supports only %s", EngineTCP, rowNames(func(d Descriptor) bool { return d.TCP }))
 		}
 	default:
 		return nil, fmt.Errorf("scenario: unknown engine %q", sc.Engine)
@@ -617,9 +578,7 @@ func (sc Scenario) compile() (*plan, error) {
 	var qs quorum.System
 	var members []types.NodeID
 	if sc.Quorum != nil {
-		switch sc.Protocol {
-		case "", TetraBFT, TetraBFTMulti:
-		default:
+		if !row.Slices {
 			return nil, fmt.Errorf("scenario: protocol %q does not support quorum slices", sc.Protocol)
 		}
 		if len(sc.Quorum.Slices) == 0 {
@@ -671,10 +630,8 @@ func (sc Scenario) compile() (*plan, error) {
 	switch sc.Mutation {
 	case MutationNone:
 	case MutationSkipRule3, MutationNoPrevVote:
-		switch sc.Protocol {
-		case "", TetraBFT:
-		default:
-			return nil, fmt.Errorf("scenario: mutation %q applies only to protocol %q", sc.Mutation, TetraBFT)
+		if !row.Mutations {
+			return nil, fmt.Errorf("scenario: mutation %q applies only to %s", sc.Mutation, rowNames(func(d Descriptor) bool { return d.Mutations }))
 		}
 	default:
 		return nil, fmt.Errorf("scenario: unknown mutation %q", sc.Mutation)
@@ -692,10 +649,8 @@ func (sc Scenario) compile() (*plan, error) {
 				// The forged messages are single-shot TetraBFT traffic;
 				// against any other protocol the attack would silently be
 				// a crashed node, a misleading experiment.
-				switch sc.Protocol {
-				case "", TetraBFT:
-				default:
-					return nil, fmt.Errorf("scenario: forged-history applies only to protocol %q", TetraBFT)
+				if !row.ForgedHistory {
+					return nil, fmt.Errorf("scenario: forged-history applies only to %s", rowNames(func(d Descriptor) bool { return d.ForgedHistory }))
 				}
 			}
 			if !isMember[f.Node] {
@@ -715,10 +670,8 @@ func (sc Scenario) compile() (*plan, error) {
 			}
 			// The adversary matches TetraBFT vote-4 and PBFT commit only;
 			// on other protocols it would silently drop nothing.
-			switch sc.Protocol {
-			case "", TetraBFT, PBFT, PBFTUnbounded:
-			default:
-				return nil, fmt.Errorf("scenario: starve-decision applies only to protocols %q, %q and %q", TetraBFT, PBFT, PBFTUnbounded)
+			if !row.StarveDecision {
+				return nil, fmt.Errorf("scenario: starve-decision applies only to %s", rowNames(func(d Descriptor) bool { return d.StarveDecision }))
 			}
 			p.netwk = append(p.netwk, *f)
 		case FaultSuppressProposals:
@@ -766,7 +719,7 @@ func (sc Scenario) compile() (*plan, error) {
 
 	// Workload.
 	w := sc.Workload
-	if !p.multi && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
+	if !row.multiSlot() && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
 		w.TxCount != 0 || w.TxRate != 0 || w.BatchSize != 0 || w.Window != 0 ||
 		w.Arrival != nil || len(w.Cohorts) != 0 || len(w.Phases) != 0) {
 		return nil, fmt.Errorf("scenario: slots/max_slot/transactions/tx_count/arrival/window require a multi-shot protocol")
@@ -783,14 +736,14 @@ func (sc Scenario) compile() (*plan, error) {
 		}
 	}
 
-	if sc.Stop.AllDecided && p.multi && w.Slots == 0 {
+	if sc.Stop.AllDecided && row.multiSlot() && w.Slots == 0 {
 		return nil, fmt.Errorf("scenario: stop.all_decided on a multi-shot run needs workload.slots")
 	}
 
 	// The chained single-shot baselines run whole sub-instances per slot on
 	// one virtual clock, so knobs whose semantics span slots (pipelining,
 	// mid-run faults, GST epochs) have no meaning there.
-	if p.seq {
+	if row.Chains != "" {
 		if w.Slots <= 0 {
 			return nil, fmt.Errorf("scenario: protocol %q needs workload.slots", sc.Protocol)
 		}
@@ -900,8 +853,8 @@ func (p *plan) checkShared() error {
 func (p *plan) compileSharded() error {
 	sc := p.sc
 	sh := sc.Shards
-	if sc.Protocol != TetraBFTMulti {
-		return fmt.Errorf("scenario: shards require protocol %q", TetraBFTMulti)
+	if !p.proto.Shards {
+		return fmt.Errorf("scenario: shards require %s", rowNames(func(d Descriptor) bool { return d.Shards }))
 	}
 	if sc.Nodes != 0 {
 		return fmt.Errorf("scenario: shards and nodes are mutually exclusive (size clusters with shards.nodes_per_shard)")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"tetrabft/internal/par"
 	"tetrabft/internal/scenario"
@@ -113,8 +114,12 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	}
 	// Reject bad pool entries up front: a typo'd protocol or mutation is a
 	// config error and must not surface later as a "generated an invalid
-	// scenario" generator bug.
+	// scenario" generator bug, nor a protocol outside the envelope as a
+	// string of findings.
 	for _, p := range cfg.Protocols {
+		if err := outsideEnvelope(p); err != nil {
+			return nil, fmt.Errorf("sweep: fuzz protocol pool: %w", err)
+		}
 		if err := (scenario.Scenario{Protocol: p, Nodes: 4}).Validate(); err != nil {
 			return nil, fmt.Errorf("sweep: fuzz protocol pool: %w", err)
 		}
@@ -189,39 +194,33 @@ func classify(sc scenario.Scenario) (kind, detail string) {
 		}
 		return "", ""
 	}
-	honest := len(honestNodes(sc))
-	if sc.Protocol == scenario.TetraBFTMulti {
-		target := sc.Workload.Slots
-		for _, f := range res.Finalized {
-			if int64(f.Slot) < target {
-				return FailStall, fmt.Sprintf("node %d finalized %d/%d slots by t=%d", f.Node, f.Slot, target, res.FinishedAt)
-			}
-		}
-		return "", ""
-	}
-	if res.DecidedCount < honest {
-		return FailStall, fmt.Sprintf("%d/%d honest nodes decided by t=%d", res.DecidedCount, honest, res.FinishedAt)
+	d, _ := scenario.Lookup(sc.Protocol)
+	if shortfall := d.Shortfall(sc, res); shortfall != "" {
+		return FailStall, shortfall
 	}
 	return "", ""
 }
 
-// honestNodes lists the cluster members without a node-replacing fault.
-func honestNodes(sc scenario.Scenario) []int {
-	faulty := make(map[int]bool)
-	for _, f := range sc.Faults {
-		switch f.Type {
-		case scenario.FaultSilent, scenario.FaultEquivocator, scenario.FaultRandom,
-			scenario.FaultForgedHistory:
-			faulty[int(f.Node)] = true
-		}
+// ErrOutsideEnvelope rejects a pool protocol the fuzz envelope does not fit.
+// The envelope's faults — a silent or equivocating leader, a lossy prefix, a
+// partition — assume a view change to recover through, and it samples each
+// protocol as one flat run, where a chained row would need its workload
+// drawn too.
+var ErrOutsideEnvelope = errors.New("outside the fuzz envelope")
+
+// outsideEnvelope reads p's row: nil for a protocol the envelope fits (or
+// one the table does not hold, which validation names), else why not.
+func outsideEnvelope(p scenario.Protocol) error {
+	d, ok := scenario.Lookup(p)
+	switch {
+	case !ok:
+		return nil
+	case d.Chains != "":
+		return fmt.Errorf("protocol %q is %w: it chains single-shot %q runs; fuzz %q", p, ErrOutsideEnvelope, d.Chains, d.Chains)
+	case !d.Views:
+		return fmt.Errorf("protocol %q is %w: it has no view change to recover through", p, ErrOutsideEnvelope)
 	}
-	var out []int
-	for i := 0; i < sc.Nodes; i++ {
-		if !faulty[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+	return nil
 }
 
 // generate samples one valid scenario from the envelope. All draws come
@@ -229,10 +228,11 @@ func honestNodes(sc scenario.Scenario) []int {
 func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 	sc := scenario.Scenario{}
 	sc.Protocol = cfg.Protocols[rng.Intn(len(cfg.Protocols))]
-	if sc.Protocol == scenario.TetraBFTMulti && rng.Intn(4) == 0 {
-		// A quarter of the multishot draws sample the sharded service
-		// layer instead of a flat cluster.
-		return generateSharded(rng)
+	d, _ := scenario.Lookup(sc.Protocol)
+	if d.Shards && rng.Intn(4) == 0 {
+		// A quarter of the draws of a shardable protocol sample the sharded
+		// service layer instead of a flat cluster.
+		return generateSharded(rng, sc.Protocol)
 	}
 	sc.Nodes = 4 + rng.Intn(cfg.MaxNodes-3)
 	f := (sc.Nodes - 1) / 3
@@ -240,8 +240,7 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 	sc.Delta = []int64{5, 10, 20}[rng.Intn(3)]
 	sc.TimeoutFactor = []int{0, 9, 12}[rng.Intn(3)] // 0 = the default 9
 
-	singleShotTetra := sc.Protocol == scenario.TetraBFT || sc.Protocol == ""
-	if singleShotTetra && len(cfg.Mutations) > 0 {
+	if d.Mutations && len(cfg.Mutations) > 0 {
 		sc.Mutation = cfg.Mutations[rng.Intn(len(cfg.Mutations))]
 	}
 
@@ -288,7 +287,7 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 	// bound f, so a correct protocol must tolerate whatever is scheduled.
 	budget := f
 	var partitionEnd int64
-	if singleShotTetra && budget > 0 && rng.Intn(4) == 0 {
+	if d.ForgedHistory && d.StarveDecision && budget > 0 && rng.Intn(4) == 0 {
 		// The Lemma 8 cross-view attack pattern: starve everyone but one
 		// honest node of the view-0 decision, then the Byzantine leader of
 		// view 1 pushes a conflicting value with a forged history. A
@@ -349,8 +348,8 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 						}
 						groups[g] = append(groups[g], types.NodeID(p))
 					}
-					sortNodeIDs(groups[0])
-					sortNodeIDs(groups[1])
+					slices.Sort(groups[0])
+					slices.Sort(groups[1])
 					partitionEnd = from + 5*sc.Delta + rng.Int63n(10*sc.Delta)
 					sc.Faults = append(sc.Faults, scenario.FaultSpec{
 						Type: scenario.FaultPartition, Groups: groups, From: from, To: partitionEnd,
@@ -368,7 +367,7 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 	if tf == 0 {
 		tf = 9
 	}
-	if sc.Protocol == scenario.TetraBFTMulti {
+	if d.Multishot {
 		sc.Workload.Slots = 1 + rng.Int63n(4)
 	}
 	sc.Stop.AllDecided = true
@@ -383,8 +382,8 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 // most one silent replica per shard — within each cluster's own f = 1
 // budget, so every shard stays live and must reach its slot target and
 // anchor at least once.
-func generateSharded(rng *rand.Rand) scenario.Scenario {
-	sc := scenario.Scenario{Protocol: scenario.TetraBFTMulti}
+func generateSharded(rng *rand.Rand, proto scenario.Protocol) scenario.Scenario {
+	sc := scenario.Scenario{Protocol: proto}
 	sc.Seed = 1 + rng.Int63n(1<<30)
 	sc.Delta = []int64{5, 10}[rng.Intn(2)]
 
@@ -428,14 +427,4 @@ func generateSharded(rng *rand.Rand) scenario.Scenario {
 	sc.Stop.Horizon = 9*sc.Delta*(8+6*int64(len(sc.Faults))+4*sc.Workload.Slots) +
 		8*anchorInterval
 	return sc
-}
-
-// sortNodeIDs is a tiny insertion sort for partition groups (rng.Perm
-// output); a spec should read the same no matter the draw order.
-func sortNodeIDs(ids []types.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -197,6 +197,27 @@ func TestFuzzRejectsBadPools(t *testing.T) {
 	}
 }
 
+// TestFuzzRejectsProtocolsOutsideEnvelope pins that a chained protocol, or
+// one without views, is refused up front by one named error read from its
+// row — not by validation of a field the user never wrote (pbft-multi's
+// workload.slots), and not as stalls the envelope's view-change assumption
+// makes (Li et al. after a silent leader).
+func TestFuzzRejectsProtocolsOutsideEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		proto scenario.Protocol
+		want  string
+	}{
+		{scenario.PBFTMulti, `sweep: fuzz protocol pool: protocol "pbft-multi" is outside the fuzz envelope: it chains single-shot "pbft" runs; fuzz "pbft"`},
+		{scenario.ITHotStuffMulti, `sweep: fuzz protocol pool: protocol "it-hotstuff-multi" is outside the fuzz envelope: it chains single-shot "it-hotstuff" runs; fuzz "it-hotstuff"`},
+		{scenario.LiConsensus, `sweep: fuzz protocol pool: protocol "liconsensus" is outside the fuzz envelope: it has no view change to recover through`},
+	} {
+		_, err := Fuzz(FuzzConfig{Runs: 5, Protocols: []scenario.Protocol{scenario.TetraBFT, tc.proto}})
+		if !errors.Is(err, ErrOutsideEnvelope) || err.Error() != tc.want {
+			t.Errorf("pool with %q: err = %v, want %q", tc.proto, err, tc.want)
+		}
+	}
+}
+
 // TestFuzzStallDetection pins the stall classifier: a spec that cannot
 // decide before its horizon (an unhealed partition) is reported as a stall,
 // not silently passed.
