@@ -11,6 +11,7 @@ type (
 // Register appends a single-shot row to the protocol table and returns the
 // function that removes it again (for t.Cleanup).
 func Register(d Descriptor, build func(NodeConfig) (SingleNode, error)) (remove func()) {
-	table = append(table, protocol{Descriptor: d, single: build})
+	d.single = build
+	table = append(table, d)
 	return func() { table = table[:len(table)-1] }
 }

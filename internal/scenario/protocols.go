@@ -45,16 +45,17 @@ const (
 	LiConsensus Protocol = "liconsensus"
 )
 
-// Descriptor is what a protocol is: its row of the protocol table, minus the
-// builder. Lookup hands out copies, so nothing outside this package can
-// change the table.
+// Descriptor is what a protocol is: one row of the protocol table. Lookup
+// hands out copies, so nothing outside this package can change the table.
 type Descriptor struct {
 	Name  Protocol // the spec's protocol field
 	Label string   // the row's name in the paper's Table 1 ("" off the table)
-	// Multishot builds each node as a pipelined internal/multishot replica
-	// instead of the row's single-shot machine.
+	// Multishot builds each node as a pipelined internal/multishot replica;
+	// single builds a single-shot one; Chains names the single-shot
+	// protocol a chained row runs once per slot instead.
 	Multishot bool
-	Chains    Protocol // the single-shot protocol a chained row runs per slot
+	single    func(nodeConfig) (singleNode, error)
+	Chains    Protocol
 	// The capabilities: the engine, spec knobs and faults the row accepts.
 	// ForgedHistory: the forged-history leader forges the row's traffic.
 	// StarveDecision: starve-decision drops its decision phase. Views:
@@ -62,13 +63,6 @@ type Descriptor struct {
 	// view change rather than liveness.
 	TCP, Slices, Shards, Mutations       bool
 	ForgedHistory, StarveDecision, Views bool
-}
-
-// protocol is one row of the protocol table: a Descriptor and, on a
-// single-shot row, its builder.
-type protocol struct {
-	Descriptor
-	single func(nodeConfig) (singleNode, error)
 }
 
 // nodeConfig is what a single-shot builder gets: one honest member of one
@@ -93,44 +87,39 @@ type singleNode interface {
 
 // table is every runnable protocol, in the order error texts list them.
 // Adding a protocol is one row here plus its package.
-var table = []protocol{
-	{Descriptor: Descriptor{Name: TetraBFT, Label: "TetraBFT", Slices: true, Mutations: true, ForgedHistory: true, StarveDecision: true, Views: true}, single: coreNode},
-	{Descriptor: Descriptor{Name: TetraBFTMulti, Multishot: true, TCP: true, Slices: true, Shards: true, Views: true}},
-	{Descriptor: Descriptor{Name: ITHotStuff, Label: "IT-HS", Views: true}, single: itHotStuffNode(ithotstuff.Full)},
-	{Descriptor: Descriptor{Name: ITHotStuffBlog, Label: "IT-HS (blog)", Views: true}, single: itHotStuffNode(ithotstuff.Blog)},
-	{Descriptor: Descriptor{Name: ITHotStuffMulti, Chains: ITHotStuff, Views: true}},
-	{Descriptor: Descriptor{Name: PBFT, Label: "PBFT (bounded)", StarveDecision: true, Views: true}, single: pbftNode(false)},
-	{Descriptor: Descriptor{Name: PBFTUnbounded, Label: "PBFT (unbounded)", StarveDecision: true, Views: true}, single: pbftNode(true)},
-	{Descriptor: Descriptor{Name: PBFTMulti, Chains: PBFT, Views: true}},
-	{Descriptor: Descriptor{Name: LiConsensus, Label: "Li et al."}, single: liNode},
+var table = []Descriptor{
+	{Name: TetraBFT, Label: "TetraBFT", single: coreNode, Slices: true, Mutations: true, ForgedHistory: true, StarveDecision: true, Views: true},
+	{Name: TetraBFTMulti, Multishot: true, TCP: true, Slices: true, Shards: true, Views: true},
+	{Name: ITHotStuff, Label: "IT-HS", single: itHotStuffNode(ithotstuff.Full), Views: true},
+	{Name: ITHotStuffBlog, Label: "IT-HS (blog)", single: itHotStuffNode(ithotstuff.Blog), Views: true},
+	{Name: ITHotStuffMulti, Chains: ITHotStuff, Views: true},
+	{Name: PBFT, Label: "PBFT (bounded)", single: pbftNode(false), StarveDecision: true, Views: true},
+	{Name: PBFTUnbounded, Label: "PBFT (unbounded)", single: pbftNode(true), StarveDecision: true, Views: true},
+	{Name: PBFTMulti, Chains: PBFT, Views: true},
+	{Name: LiConsensus, Label: "Li et al.", single: liNode},
 }
 
-// Lookup returns the descriptor of protocol p ("" is TetraBFT, the spec's
+// Lookup returns the row of protocol p ("" is TetraBFT, the spec's
 // default); ok is false for a name the table does not hold.
 func Lookup(p Protocol) (d Descriptor, ok bool) {
-	row, ok := lookup(p)
-	return row.Descriptor, ok
-}
-
-func lookup(p Protocol) (protocol, bool) {
 	if p == "" {
 		p = TetraBFT
 	}
-	for _, row := range table {
-		if row.Name == p {
-			return row, true
+	for _, d := range table {
+		if d.Name == p {
+			return d, true
 		}
 	}
-	return protocol{}, false
+	return Descriptor{}, false
 }
 
 // rowNames lists the rows that have a capability, in table order, the way
 // an error text reads them: protocol "a", or protocols "a", "b" and "c".
 func rowNames(has func(Descriptor) bool) string {
 	var names []string
-	for _, row := range table {
-		if has(row.Descriptor) {
-			names = append(names, strconv.Quote(string(row.Name)))
+	for _, d := range table {
+		if has(d) {
+			names = append(names, strconv.Quote(string(d.Name)))
 		}
 	}
 	if len(names) == 1 {
@@ -145,12 +134,9 @@ func (d Descriptor) multiSlot() bool { return d.Multishot || d.Chains != "" }
 
 // The progress rule: a row that runs slots has progressed once every honest
 // node has finalized workload.slots, any other row once every honest node
-// has decided slot 0. runSim stops on it under stop.all_decided, and the
-// fuzzer calls a run that misses it a stall.
-
-// allDecided is the rule as runSim's stop predicate. It runs on every
-// event, so on a multishot row it is cl.reached: no allocation, and it stops
-// at the first replica short of the target.
+// has decided slot 0. allDecided is the rule as runSim's stop.all_decided
+// predicate. It runs on every event, so on a multishot row it is cl.reached:
+// no allocation, and it stops at the first replica short of the target.
 func (d Descriptor) allDecided(p *plan, cl *simCluster) func() bool {
 	if d.multiSlot() {
 		target := types.Slot(p.sc.Workload.Slots)

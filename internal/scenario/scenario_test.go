@@ -213,7 +213,7 @@ func TestTimeoutFactorReachesEveryProtocolWithViews(t *testing.T) {
 			Faults: []FaultSpec{{Type: FaultSilent, Node: 0}},
 			Stop:   StopSpec{Horizon: 4000},
 		}
-		if proto == PBFTMulti || proto == ITHotStuffMulti {
+		if d, _ := Lookup(proto); d.Chains != "" {
 			sc.Workload.Slots = 1
 		}
 		res, err := Run(sc)

@@ -444,7 +444,7 @@ type plan struct {
 	// sharded run's S shard clusters followed by the anchor cluster.
 	clusters []*cluster
 	netwk    []FaultSpec // message-level faults, in schedule order
-	proto    protocol    // the protocol's row of the table
+	proto    Descriptor  // the protocol's row of the table
 }
 
 // cluster is what compile states about one cluster, whichever engine runs
@@ -547,7 +547,7 @@ func (sc Scenario) Validate() error {
 
 // compile validates the spec and derives the execution plan.
 func (sc Scenario) compile() (*plan, error) {
-	row, ok := lookup(sc.Protocol)
+	row, ok := Lookup(sc.Protocol)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown protocol %q", sc.Protocol)
 	}

@@ -28,7 +28,8 @@ type FuzzConfig struct {
 	// MaxNodes bounds the cluster size (default 7, minimum 4).
 	MaxNodes int `json:"max_nodes,omitempty"`
 	// Protocols is the sampling pool (default: the fault-tolerant set —
-	// tetrabft, tetrabft-multi, it-hotstuff, pbft).
+	// tetrabft, tetrabft-multi, it-hotstuff, pbft). A chained protocol, or
+	// one without views, is refused with ErrOutsideEnvelope.
 	Protocols []scenario.Protocol `json:"protocols,omitempty"`
 	// Mutations optionally mixes deliberately broken protocol variants
 	// into the pool (TetraBFT only). This is how the fuzzer's own teeth
@@ -60,6 +61,13 @@ const (
 	// FailError is any other run error.
 	FailError = "error"
 )
+
+// ErrOutsideEnvelope rejects a pool protocol the fuzz envelope does not fit,
+// read from its row: a chained protocol, whose slots are single-shot runs
+// the envelope samples directly, or one without views, since the envelope's
+// faults (a silent or equivocating leader, a lossy prefix, a partition)
+// assume a view change to recover through.
+var ErrOutsideEnvelope = errors.New("outside the fuzz envelope")
 
 // Failure is one failing scenario, shrunk to a minimal reproducer.
 type Failure struct {
@@ -117,8 +125,11 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	// scenario" generator bug, nor a protocol outside the envelope as a
 	// string of findings.
 	for _, p := range cfg.Protocols {
-		if err := outsideEnvelope(p); err != nil {
-			return nil, fmt.Errorf("sweep: fuzz protocol pool: %w", err)
+		switch d, ok := scenario.Lookup(p); {
+		case ok && d.Chains != "":
+			return nil, fmt.Errorf("sweep: fuzz protocol pool: protocol %q is %w: it chains single-shot %q runs; fuzz %q", p, ErrOutsideEnvelope, d.Chains, d.Chains)
+		case ok && !d.Views:
+			return nil, fmt.Errorf("sweep: fuzz protocol pool: protocol %q is %w: it has no view change to recover through", p, ErrOutsideEnvelope)
 		}
 		if err := (scenario.Scenario{Protocol: p, Nodes: 4}).Validate(); err != nil {
 			return nil, fmt.Errorf("sweep: fuzz protocol pool: %w", err)
@@ -199,28 +210,6 @@ func classify(sc scenario.Scenario) (kind, detail string) {
 		return FailStall, shortfall
 	}
 	return "", ""
-}
-
-// ErrOutsideEnvelope rejects a pool protocol the fuzz envelope does not fit.
-// The envelope's faults — a silent or equivocating leader, a lossy prefix, a
-// partition — assume a view change to recover through, and it samples each
-// protocol as one flat run, where a chained row would need its workload
-// drawn too.
-var ErrOutsideEnvelope = errors.New("outside the fuzz envelope")
-
-// outsideEnvelope reads p's row: nil for a protocol the envelope fits (or
-// one the table does not hold, which validation names), else why not.
-func outsideEnvelope(p scenario.Protocol) error {
-	d, ok := scenario.Lookup(p)
-	switch {
-	case !ok:
-		return nil
-	case d.Chains != "":
-		return fmt.Errorf("protocol %q is %w: it chains single-shot %q runs; fuzz %q", p, ErrOutsideEnvelope, d.Chains, d.Chains)
-	case !d.Views:
-		return fmt.Errorf("protocol %q is %w: it has no view change to recover through", p, ErrOutsideEnvelope)
-	}
-	return nil
 }
 
 // generate samples one valid scenario from the envelope. All draws come
