@@ -11,8 +11,9 @@ import (
 // oneRound is the smallest protocol the table can hold. In view v node
 // v mod n broadcasts its value, every node decides the first value its
 // current view's leader sends it, and a node still undecided at the view
-// timeout moves to the next view. It tolerates crashes but no Byzantine
-// node, so a fuzz campaign against it is expected to find violations.
+// timeout moves to the next view. Nodes that decide in different views can
+// decide different values, so a fuzz campaign against it is expected to
+// find agreement violations.
 type oneRound struct {
 	cfg     scenario.NodeConfig
 	view    types.View
