@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"tetrabft/internal/par"
 	"tetrabft/internal/scenario"
@@ -337,8 +336,8 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 						}
 						groups[g] = append(groups[g], types.NodeID(p))
 					}
-					slices.Sort(groups[0])
-					slices.Sort(groups[1])
+					sortNodeIDs(groups[0])
+					sortNodeIDs(groups[1])
 					partitionEnd = from + 5*sc.Delta + rng.Int63n(10*sc.Delta)
 					sc.Faults = append(sc.Faults, scenario.FaultSpec{
 						Type: scenario.FaultPartition, Groups: groups, From: from, To: partitionEnd,
@@ -416,4 +415,14 @@ func generateSharded(rng *rand.Rand, proto scenario.Protocol) scenario.Scenario 
 	sc.Stop.Horizon = 9*sc.Delta*(8+6*int64(len(sc.Faults))+4*sc.Workload.Slots) +
 		8*anchorInterval
 	return sc
+}
+
+// sortNodeIDs is a tiny insertion sort for partition groups (rng.Perm
+// output); a spec should read the same no matter the draw order.
+func sortNodeIDs(ids []types.NodeID) {
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
 }
