@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"tetrabft/internal/types"
+	"tetrabft/internal/workload"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata golden files")
@@ -189,6 +191,139 @@ func TestGoldenShardRuns(t *testing.T) {
 		if w.Scenario != g.Scenario || w.Seed != g.Seed || wc.String() != string(g.Result) {
 			t.Errorf("%s seed %d diverged from the recorded sharded run:\n  want %s seed %d %s\n  got  %s seed %d %s",
 				g.Scenario, g.Seed, w.Scenario, w.Seed, wc.String(), g.Scenario, g.Seed, g.Result)
+		}
+	}
+}
+
+const goldenFlatPath = "testdata/golden_flat_results.json"
+
+// goldenFlatRun is one flat simulator run pinned to its whole marshaled
+// Result — or, for a traced run, the Result's SHA-256 — and to the error
+// text of a run that failed.
+type goldenFlatRun struct {
+	Scenario string          `json:"scenario"`
+	Seed     int64           `json:"seed"`
+	Error    string          `json:"error,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"`
+	SHA256   string          `json:"sha256,omitempty"`
+}
+
+// flatGoldenSpecs are the runs TestGoldenFlatResults pins: every flat named
+// simulator scenario at seeds 1-3, a multishot and a single-shot run with
+// each of the trace, stages and metrics collectors on alone, an
+// arrival-process stream, a pbft-multi run at offered load and a run that
+// exhausts its event budget.
+func flatGoldenSpecs(t *testing.T) []Scenario {
+	t.Helper()
+	var specs []Scenario
+	for _, base := range Named() {
+		if base.Shards != nil || base.Engine == EngineTCP {
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			sc := base
+			sc.Seed = seed
+			specs = append(specs, sc)
+		}
+	}
+	bases := []Scenario{
+		{Name: "collect-multi", Protocol: TetraBFTMulti, Nodes: 4, Seed: 5,
+			Workload: WorkloadSpec{Slots: 8, TxCount: 80, TxRate: 200, BatchSize: 4},
+			Stop:     StopSpec{AllDecided: true}},
+		{Name: "collect-single", Protocol: TetraBFT, Nodes: 4, Seed: 2,
+			Faults: []FaultSpec{{Type: FaultSilent, Node: 0}},
+			Stop:   StopSpec{AllDecided: true}},
+	}
+	for _, base := range bases {
+		for _, c := range []struct {
+			name    string
+			collect CollectSpec
+		}{
+			{"trace", CollectSpec{Trace: true}},
+			{"stages", CollectSpec{Stages: true}},
+			{"metrics", CollectSpec{Metrics: true}},
+		} {
+			sc := base
+			sc.Name += "-" + c.name
+			sc.Collect = c.collect
+			specs = append(specs, sc)
+		}
+	}
+	return append(specs,
+		Scenario{Name: "arrival-stream", Protocol: TetraBFTMulti, Nodes: 7, Seed: 11,
+			Workload: WorkloadSpec{Slots: 20, TxCount: 400, BatchSize: 16, Window: 3,
+				Arrival: &workload.ArrivalSpec{Process: workload.ProcessPoisson, Rate: 300}},
+			Stop: StopSpec{AllDecided: true}},
+		Scenario{Name: "pbft-multi-load", Protocol: PBFTMulti, Nodes: 4, Seed: 3,
+			Faults:   []FaultSpec{{Type: FaultSilent, Node: 1}},
+			Workload: WorkloadSpec{Slots: 4, TxCount: 40, TxRate: 100, BatchSize: 8},
+			Stop:     StopSpec{Horizon: 5000}, Collect: CollectSpec{Chain: true}},
+		Scenario{Name: "event-budget", Protocol: TetraBFTMulti, Nodes: 4, Seed: 1,
+			Network:  NetworkSpec{EventBudget: 300},
+			Workload: WorkloadSpec{Slots: 20, TxCount: 50, TxRate: 100},
+			Stop:     StopSpec{AllDecided: true}},
+	)
+}
+
+// TestGoldenFlatResults pins flat simulator runs the way TestGoldenShardRuns
+// pins sharded ones: on the whole Result, so the fields the fingerprint of
+// TestGoldenNamedScenarios leaves out — finish and first-decision times,
+// traffic, offered and decided transactions and their latencies, storage,
+// stages and metrics — are held too.
+func TestGoldenFlatResults(t *testing.T) {
+	var got []goldenFlatRun
+	for _, sc := range flatGoldenSpecs(t) {
+		res, err := Run(sc)
+		g := goldenFlatRun{Scenario: sc.Name, Seed: sc.Seed}
+		if err != nil {
+			g.Error = err.Error()
+		}
+		b, merr := json.Marshal(res)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if sc.Collect.Trace {
+			g.SHA256 = fmt.Sprintf("%x", sha256.Sum256(b))
+		} else {
+			g.Result = b
+		}
+		got = append(got, g)
+	}
+
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFlatPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden flat runs to %s", len(got), goldenFlatPath)
+		return
+	}
+
+	data, err := os.ReadFile(goldenFlatPath)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update to regenerate): %v", err)
+	}
+	var want []goldenFlatRun
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d flat runs, fixture has %d (regenerate with -update)", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		var wc bytes.Buffer
+		if len(w.Result) > 0 {
+			if err := json.Compact(&wc, w.Result); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w.Scenario != g.Scenario || w.Seed != g.Seed || w.Error != g.Error || w.SHA256 != g.SHA256 || wc.String() != string(g.Result) {
+			t.Errorf("%s seed %d diverged from the recorded flat run:\n  want %s seed %d error %q sha256 %s %s\n  got  %s seed %d error %q sha256 %s %s",
+				g.Scenario, g.Seed, w.Scenario, w.Seed, w.Error, w.SHA256, wc.String(), g.Scenario, g.Seed, g.Error, g.SHA256, g.Result)
 		}
 	}
 }
