@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,15 +28,14 @@ var longFuncs = map[string]int{
 }
 
 // engineFuncLines is the longest function accepted in engineFiles, the
-// scenario engines' runners and cluster types.
+// files of the scenario engines' runners (runSim, runSeq, runTCP) and
+// cluster types.
 const engineFuncLines = 120
 
 var engineFiles = map[string]bool{
-	"internal/scenario/run.go":       true,
-	"internal/scenario/seq.go":       true,
-	"internal/scenario/shard_sim.go": true,
-	"internal/scenario/shard_tcp.go": true,
-	"internal/scenario/tcp.go":       true,
+	"internal/scenario/run.go": true,
+	"internal/scenario/seq.go": true,
+	"internal/scenario/tcp.go": true,
 }
 
 // TestFunctionLengthRatchet holds each function of the module to
@@ -75,6 +75,35 @@ func TestFunctionLengthRatchet(t *testing.T) {
 	for file := range engineFiles {
 		if !seen[file] {
 			t.Errorf("engine file %s no longer exists: drop its entry", file)
+		}
+	}
+}
+
+// packageLines caps the non-test lines of the packages whose size is
+// tracked, each at its count today. A cap may only go down: when a package
+// shrinks, lower its entry to the new count.
+var packageLines = map[string]int{
+	"internal/multishot": 1663,
+	"internal/scenario":  3649,
+	"internal/sweep":     2207,
+}
+
+// TestPackageLinesRatchet holds each package of packageLines to its cap,
+// counting lines the way wc -l does.
+func TestPackageLinesRatchet(t *testing.T) {
+	fset := token.NewFileSet()
+	lines := make(map[string]int)
+	eachModuleFile(t, fset, func(file string, f *ast.File) {
+		lines[path.Dir(file)] += fset.File(f.FileStart).LineCount()
+	})
+	for pkg, limit := range packageLines {
+		switch got := lines[pkg]; {
+		case got == 0:
+			t.Errorf("package %s has no non-test lines: drop its entry", pkg)
+		case got > limit:
+			t.Errorf("package %s has %d non-test lines, over its cap of %d", pkg, got, limit)
+		case got < limit:
+			t.Errorf("package %s is down to %d non-test lines: lower its cap from %d", pkg, got, limit)
 		}
 	}
 }

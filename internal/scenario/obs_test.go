@@ -128,6 +128,61 @@ func TestCollectOffUnchanged(t *testing.T) {
 	}
 }
 
+// TestCollectExactly checks that every runner returns exactly the payloads
+// the collect flags ask for: each of trace, stages, metrics and chain is
+// present when requested and absent otherwise — a traced run yields stage
+// samples but reports no stages unless they were asked for.
+func TestCollectExactly(t *testing.T) {
+	flat := Scenario{Protocol: TetraBFTMulti, Nodes: 4, Workload: WorkloadSpec{Slots: 6, TxCount: 20, TxRate: 100}}
+	sim := flat
+	sim.Stop = StopSpec{Horizon: 5000}
+	tcp := flat
+	tcp.Engine, tcp.Stop = EngineTCP, StopSpec{WallClockMS: 30000}
+	sharded := Scenario{Protocol: TetraBFTMulti, Shards: &ShardsSpec{Count: 2, AnchorInterval: 40},
+		Workload: WorkloadSpec{Slots: 6, TxCount: 20, TxRate: 100}, Stop: StopSpec{Horizon: 4000}}
+	all := []CollectSpec{{Trace: true}, {Stages: true}, {Metrics: true}, {Chain: true}}
+	for _, run := range []struct {
+		name     string
+		sc       Scenario
+		collects []CollectSpec
+	}{
+		{"sim", sim, all},
+		{"tcp", tcp, all},
+		{"sharded-sim", sharded, []CollectSpec{{Stages: true}, {Metrics: true}}},
+	} {
+		if run.sc.Engine == EngineTCP && testing.Short() {
+			continue
+		}
+		for _, c := range run.collects {
+			sc := run.sc
+			sc.Collect = c
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", run.name, c, err)
+			}
+			shardStages := false
+			for _, sr := range res.Shards {
+				shardStages = shardStages || sr.Stages != nil
+			}
+			for _, payload := range []struct {
+				name      string
+				want, got bool
+			}{
+				{"trace", c.Trace, res.Trace != nil},
+				{"stages", c.Stages, res.Stages != nil},
+				{"shard stages", c.Stages && sc.Shards != nil, shardStages},
+				{"metrics", c.Metrics, res.Metrics != nil},
+				{"chain", c.Chain, res.Chain != nil},
+				{"chains", c.Chain && sc.Engine == EngineTCP, res.Chains != nil},
+			} {
+				if payload.got != payload.want {
+					t.Errorf("%s collecting %+v: %s present = %v, want %v", run.name, c, payload.name, payload.got, payload.want)
+				}
+			}
+		}
+	}
+}
+
 // TestMetricsSim checks the registry snapshot reaches the result with the
 // hot-path counters the run must have exercised.
 func TestMetricsSim(t *testing.T) {

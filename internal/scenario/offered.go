@@ -45,9 +45,6 @@ func newOffered(sched []workload.Arrival) *offered {
 	return o
 }
 
-// offeredLoad is an unsharded run's stream (empty unless TxCount is set).
-func (p *plan) offeredLoad() *offered { return newOffered(p.offeredSchedule(p.sc.Workload.TxCount, 1)) }
-
 // drain hands out up to max transactions that had arrived by now (max <= 0:
 // all of them), nil when there are none, and records the batch's first
 // payload against its schedule index. The result's capacity is clipped, so

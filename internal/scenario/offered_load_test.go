@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -126,10 +127,17 @@ func TestResultTxStats(t *testing.T) {
 	}
 	commit := map[types.Slot]int64{1: 10, 2: 30}
 	load := newOffered([]workload.Arrival{{At: 0, Payload: []byte("a")}, {At: 5, Payload: []byte("b")}, {At: 10, Payload: []byte("c")}})
-	var r Result
-	r.txStats(blocks, commit, load)
-	if r.DecidedTxs != 3 {
-		t.Fatalf("DecidedTxs = %d, want 3", r.DecidedTxs)
+	fold := func(chain []types.Block, commitAt map[types.Slot]int64, load *offered) Result {
+		var r Result
+		dep := &deployment{p: &plan{}, loads: []*offered{load}}
+		if err := dep.fold(&r, []foldInput{{chain: chain, commitAt: commitAt}}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := fold(blocks, commit, load)
+	if r.DecidedTxs != 3 || r.OfferedTxs != 3 {
+		t.Fatalf("DecidedTxs = %d, OfferedTxs = %d, want 3 and 3", r.DecidedTxs, r.OfferedTxs)
 	}
 	// latencies: a=10, b=5, c=20 → sorted {5,10,20}; p50 = 2nd = 10, p99 = 3rd = 20.
 	if r.TxLatencyP50 != 10 || r.TxLatencyP99 != 20 {
@@ -137,8 +145,7 @@ func TestResultTxStats(t *testing.T) {
 	}
 	// A slot with no commit record or an unknown tx contributes to the count
 	// but not the percentiles.
-	var r2 Result
-	r2.txStats([]types.Block{{Slot: 3, Txs: [][]byte{[]byte("x")}}}, nil, newOffered(nil))
+	r2 := fold([]types.Block{{Slot: 3, Txs: [][]byte{[]byte("x")}}}, nil, newOffered(nil))
 	if !reflect.DeepEqual(r2, Result{DecidedTxs: 1}) {
 		t.Fatalf("unexpected fold on unmatched chain: %+v", r2)
 	}
@@ -393,4 +400,33 @@ func TestNewOfferedAllocsFlat(t *testing.T) {
 	if a != b || b > 4 {
 		t.Fatalf("newOffered: %.0f allocations for 10 arrivals, %.0f for 50,000; want equal and <= 4", a, b)
 	}
+}
+
+// streamSink keeps the streams TestUnshardedStreamAllocs builds on the heap,
+// as a run's deployment keeps them.
+var streamSink []*offered
+
+// TestUnshardedStreamAllocs pins the one-stream case of the stream builder:
+// an unsharded plan's stream costs what newOffered over the plan's schedule
+// costs, allocation for allocation, at 10 arrivals and at 50,000. A routing
+// pass over the schedule, or a copy of it, fails the test. The collector is
+// off while it counts, so that its own allocations do not blur the counts.
+func TestUnshardedStreamAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations blur the counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, n := range []int{10, 50000} {
+		p := &plan{sc: Scenario{Workload: WorkloadSpec{TxCount: n, Arrival: &workload.ArrivalSpec{Rate: 300}}}}
+		runtime.GC()
+		want := testing.AllocsPerRun(2, func() {
+			streamSink = []*offered{newOffered(p.offeredSchedule(n, 1))}
+		})
+		runtime.GC()
+		got := testing.AllocsPerRun(2, func() { streamSink = buildShardWorkload(p) })
+		if got != want {
+			t.Errorf("%d arrivals: the stream builder made %.0f allocations, newOffered over the schedule %.0f", n, got, want)
+		}
+	}
+	streamSink = nil
 }

@@ -134,9 +134,11 @@ func (d Descriptor) multiSlot() bool { return d.Multishot || d.Chains != "" }
 
 // The progress rule: a row that runs slots has progressed once every honest
 // node has finalized workload.slots, any other row once every honest node
-// has decided slot 0. allDecided is the rule as runSim's stop.all_decided
-// predicate. It runs on every event, so on a multishot row it is cl.reached:
-// no allocation, and it stops at the first replica short of the target.
+// has decided slot 0. A sharded run has progressed once every shard has
+// finalized workload.slots and committed at least one anchor epoch.
+// allDecided is the flat rule as runSim's stop.all_decided predicate. It
+// runs on every event, so on a multishot row it is cl.reached: no
+// allocation, and it stops at the first replica short of the target.
 func (d Descriptor) allDecided(p *plan, cl *simCluster) func() bool {
 	if d.multiSlot() {
 		target := types.Slot(p.sc.Workload.Slots)
@@ -146,9 +148,21 @@ func (d Descriptor) allDecided(p *plan, cl *simCluster) func() bool {
 	return func() bool { return cl.r.DecidedCount(0) >= honest }
 }
 
-// Shortfall is the rule applied to res, a finished flat run of sc: "" when
-// the run reached it, else which node, or how many, fell short and when.
+// Shortfall is the rule applied to res, a finished run of sc: "" when the
+// run reached it, else which node or shard, or how many nodes, fell short
+// and when.
 func (d Descriptor) Shortfall(sc Scenario, res *Result) string {
+	if sc.Shards != nil {
+		for _, s := range res.Shards {
+			if s.Finalized < sc.Workload.Slots {
+				return fmt.Sprintf("shard %d finalized %d/%d slots by t=%d", s.Shard, s.Finalized, sc.Workload.Slots, res.FinishedAt)
+			}
+			if s.AnchorEpochs < 1 {
+				return fmt.Sprintf("shard %d committed no anchor epoch by t=%d", s.Shard, res.FinishedAt)
+			}
+		}
+		return ""
+	}
 	if d.multiSlot() {
 		target := sc.Workload.Slots
 		for _, f := range res.Finalized {

@@ -199,22 +199,11 @@ func (r *Result) FinalizedSlot(node types.NodeID) types.Slot {
 	return 0
 }
 
-// txStats folds the offered-load transaction accounting into the result:
-// chain is the reference finalized chain, commitAt maps each slot to its
-// earliest honest commit time, and load is the stream the transactions
-// arrived on. Both engines share this fold, so the sim's tick-based and
-// TCP's millisecond-based latencies use the same percentile definition
-// (nearest rank, matching the sweep package's Dist).
-func (r *Result) txStats(chain []types.Block, commitAt map[types.Slot]int64, load *offered) {
-	txs, lats := txLatencies(chain, commitAt, load)
-	r.DecidedTxs += txs
-	r.TxLatencyP50, r.TxLatencyP99 = latencyPercentiles(lats)
-}
-
 // txLatencies walks a finalized chain and returns its transaction count
 // plus the commit latency of every transaction whose arrival is known. The
-// sharded fold calls it per shard and pools the samples for the aggregate
-// percentiles.
+// fold (deployment.fold) calls it per stream and pools the samples for the
+// aggregate percentiles, so the sim's tick-based and TCP's
+// millisecond-based latencies use one percentile definition.
 func txLatencies(chain []types.Block, commitAt map[types.Slot]int64, load *offered) (txs int, lats []int64) {
 	for _, b := range chain {
 		txs += b.NumTxs()

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/byz"
@@ -29,23 +30,19 @@ func (e agreementError) Is(target error) bool { return target == ErrAgreement }
 // an exhausted event budget, or an invalid spec is an error. When the run
 // itself failed (violation, exhausted budget) the measurements collected up
 // to the failure — including any requested trace — are returned alongside
-// the error, so the evidence of what went wrong is not lost.
+// the error, so the evidence of what went wrong is not lost. A chained row
+// runs slot by slot (runSeq); any other plan, flat or sharded, runs on its
+// engine's one runner, runSim or runTCP.
 func Run(sc Scenario) (*Result, error) {
 	p, err := sc.compile()
 	if err != nil {
 		return nil, err
 	}
-	if sc.Shards != nil {
-		if sc.Engine == EngineTCP {
-			return runShardTCP(p, nil)
-		}
-		return runShardSim(p)
-	}
-	if sc.Engine == EngineTCP {
-		return runTCP(p)
-	}
 	if p.proto.Chains != "" {
 		return runSeq(p)
+	}
+	if sc.Engine == EngineTCP {
+		return runTCP(p, nil)
 	}
 	return runSim(p)
 }
@@ -59,8 +56,8 @@ func Run(sc Scenario) (*Result, error) {
 // from the one source the runner hands in. The runner advances it to a
 // virtual instant t (r.Run); refChain, minFinalized and reached read its
 // progress between instants; fold, once the run is over, checks agreement
-// and sums the cluster up into the shardFoldInput the TCP cluster's fold
-// returns too.
+// and sums the cluster up into the foldInput the TCP cluster's fold returns
+// too.
 type simCluster struct {
 	*cluster
 	r         *sim.Runner
@@ -137,9 +134,9 @@ func (cl *simCluster) reached(target types.Slot) bool {
 // each slot's earliest honest commit among the runner's decisions, the slot
 // every honest replica has finalized and, when traced, the stage samples.
 // A violation comes back labelled with the scenario and cluster names.
-func (cl *simCluster) fold(p *plan) (shardFoldInput, error) {
+func (cl *simCluster) fold(p *plan) (foldInput, error) {
 	chain, _ := cl.refChain()
-	in := shardFoldInput{chain: chain, commitAt: make(map[types.Slot]int64, len(chain)), finalized: cl.minFinalized()}
+	in := foldInput{chain: chain, commitAt: make(map[types.Slot]int64, len(chain)), finalized: cl.minFinalized()}
 	for _, id := range cl.honest {
 		for s, d := range cl.r.NodeDecisions(id) {
 			if c, ok := in.commitAt[s]; !ok || int64(d.At) < c {
@@ -165,45 +162,85 @@ func traced(log *trace.Log) trace.Tracer {
 	return log
 }
 
+// runSim drives every cluster of the plan on the simulator, each on a
+// runner of its own and all on one goroutine. A sharded plan advances them
+// in lockstep quanta of shards.anchor_interval ticks: every runner to the
+// same instant t, then the anchoring round at t and the completion check,
+// and the run finishes at the last quantum boundary. A flat plan's one
+// cluster runs one quantum, the whole horizon, ended early by
+// stop.all_decided, and finishes at its runner's clock.
 func runSim(p *plan) (*Result, error) {
-	var log *trace.Log
-	if p.sc.Collect.Trace || p.sc.Collect.Stages {
-		log = &trace.Log{}
-	}
 	var reg *obs.Registry
 	if p.sc.Collect.Metrics {
 		reg = obs.NewRegistry()
 	}
-	load := p.offeredLoad()
-	cl, err := newSimCluster(p, p.clusters[0], load.batchSource(p.batchSize()), log, reg)
-	if err != nil {
-		return nil, err
+	dep := newDeployment(p)
+	clusters := make([]*simCluster, len(p.clusters))
+	for i, c := range p.clusters {
+		batch, log := dep.feed(i)
+		cl, err := newSimCluster(p, c, batch, log, reg)
+		if err != nil {
+			return nil, err
+		}
+		clusters[i] = cl
+		dep.clusters = append(dep.clusters, cl)
 	}
-	r := cl.r
 
+	horizon := types.Time(p.sc.Stop.Horizon)
+	quantum := horizon
 	var stop func() bool
-	if p.sc.Stop.AllDecided {
-		stop = p.proto.allDecided(p, cl)
+	if dep.anchored() {
+		quantum = types.Time(p.sc.Shards.anchorInterval())
+	} else if p.sc.Stop.AllDecided {
+		stop = p.proto.allDecided(p, clusters[0])
 	}
-	runErr := r.Run(types.Time(p.sc.Stop.Horizon), stop)
-	if runErr != nil {
-		runErr = p.fail(cl.cluster, runErr)
-	}
-	in, err := cl.fold(p)
-	if runErr == nil {
-		runErr = err
+	var t types.Time
+	var runErr error
+loop:
+	for {
+		t = min(t+quantum, horizon)
+		for _, cl := range clusters {
+			if err := cl.r.Run(t, stop); err != nil {
+				runErr = fmt.Errorf("scenario %q: %w", p.sc.Name, err)
+				break loop
+			}
+		}
+		if dep.anchored() {
+			dep.round(t)
+			if dep.done() {
+				break
+			}
+		}
+		if t >= horizon {
+			break
+		}
 	}
 
-	res := &Result{
-		Name:            p.sc.Name,
-		FinishedAt:      int64(r.Now()),
-		Events:          r.Events(),
-		FirstDecisionAt: -1,
-		DecidedCount:    r.DecidedCount(0),
-		TotalSentBytes:  r.TotalSentBytes(),
-		Dropped:         r.DroppedMessages(),
-		OfferedTxs:      len(load.at),
+	res := &Result{Name: p.sc.Name, FinishedAt: int64(t), FirstDecisionAt: -1}
+	inputs := make([]foldInput, len(clusters))
+	for i, cl := range clusters {
+		in, err := cl.fold(p)
+		if runErr == nil {
+			runErr = err
+		}
+		inputs[i] = in
+		res.Events += cl.r.Events()
+		res.TotalSentBytes += cl.r.TotalSentBytes()
+		res.Dropped += cl.r.DroppedMessages()
 	}
+	if !dep.anchored() {
+		clusters[0].report(p, res)
+	}
+	return res, dep.fold(res, inputs, reg, runErr)
+}
+
+// report adds a flat run's per-node fields to res: its finish time on the
+// runner's clock, every decision, the traffic, the finalized slots, the
+// storage and views of the single-shot nodes, and the trace.
+func (cl *simCluster) report(p *plan, res *Result) {
+	r := cl.r
+	res.FinishedAt = int64(r.Now())
+	res.DecidedCount = r.DecidedCount(0)
 	for _, m := range cl.members {
 		for s, d := range r.NodeDecisions(m) {
 			res.Decisions = append(res.Decisions, NodeDecision{Node: m, Slot: s, Value: d.Val, At: int64(d.At)})
@@ -224,20 +261,9 @@ func runSim(p *plan) (*Result, error) {
 			res.MaxView = max(res.MaxView, int64(v.View()))
 		}
 	}
-	res.txStats(in.chain, in.commitAt, load)
-	if p.sc.Collect.Chain {
-		res.Chain = in.chain
-	}
 	if p.sc.Collect.Trace {
-		res.Trace = log.Events()
+		res.Trace = cl.log.Events()
 	}
-	if p.sc.Collect.Stages {
-		res.Stages = stageDists(in.stages)
-	}
-	if reg != nil {
-		res.Metrics = reg.Snapshot()
-	}
-	return res, runErr
 }
 
 func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slot, types.Time) [][]byte, reg *obs.Registry) (types.Machine, error) {

@@ -27,7 +27,8 @@ import (
 // but never loses transactions that were already proposed.
 func runSeq(p *plan) (*Result, error) {
 	c := p.clusters[0]
-	load := p.offeredLoad()
+	dep := newDeployment(p)
+	load := dep.loads[0]
 	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.at)}
 	for _, m := range c.members {
 		res.Traffic = append(res.Traffic, NodeTraffic{Node: m})
@@ -92,11 +93,7 @@ func runSeq(p *plan) (*Result, error) {
 	for _, m := range c.honest {
 		res.Finalized = append(res.Finalized, NodeSlot{Node: m, Slot: types.Slot(len(chain))})
 	}
-	res.txStats(chain, commitAt, load)
-	if p.sc.Collect.Chain {
-		res.Chain = chain
-	}
-	return res, nil
+	return res, dep.fold(res, []foldInput{{chain: chain, commitAt: commitAt}}, nil, nil)
 }
 
 // slotScenario is global slot s of a chained baseline as an ordinary

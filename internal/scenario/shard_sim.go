@@ -12,18 +12,20 @@ import (
 	"tetrabft/internal/workload"
 )
 
-// A sharded run is S shard clusters plus the anchor cluster (plan.clusters)
-// and one protocol on top of them, written here once for both engines: the
-// workload split (buildShardWorkload), the anchoring round, the completion
-// rule and the fold (sharded). The engines differ only in how they drive it.
+// A run deploys the plan's clusters (plan.clusters) with one protocol on
+// top, written here once for both engines: the offered-load streams
+// (buildShardWorkload), the fold that sums a run up (deployment.fold) and,
+// for a sharded plan, the anchoring round and the completion rule. A flat
+// run is the one-stream case: its only cluster carries the whole stream,
+// and there is no anchor cluster, round or completion rule. Each engine has
+// one runner that drives every cluster of the plan, runSim (run.go) and
+// runTCP (tcp.go); each adds only its own measurements to what the fold
+// fills in, and per-node ones only for a flat run.
 //
-// The simulator runs the S+1 clusters as independent runners advanced in
-// lockstep: one goroutine drives every runner to the same virtual instant
-// (a quantum of shards.anchor_interval ticks), then performs the anchoring
-// round at that instant and checks completion. Because nothing ever runs
-// concurrently, a sharded sim run is exactly as deterministic as a plain
-// one: same spec + same seed = byte-identical result at any GOMAXPROCS. The
-// TCP engine (shard_tcp.go) runs the round from a ticker goroutine and the
+// On the simulator a sharded run advances its S+1 runners in lockstep on
+// one goroutine, so it is exactly as deterministic as a flat one: same
+// spec + same seed = byte-identical result at any GOMAXPROCS. The TCP
+// engine runs the round from a ticker goroutine (shard_tcp.go) and the
 // completion check from its wait loop.
 
 // shardCluster is what the sharded protocol reads from a cluster of either
@@ -34,24 +36,33 @@ type shardCluster interface {
 	minFinalized() int64
 }
 
-// buildShardWorkload splits the global offered-load stream across shards.
-// Workload.TxCount and TxRate (or Arrival.Rate) are per shard, so the
-// service-wide stream is S × both — one plan.offeredSchedule call shared
-// with the flat engines. Legacy tx_rate streams pin transaction j
-// round-robin (j mod S, exactly equal per-shard rate) unless the cross-mix
-// says it roams — then its synthetic account key is placed by the gateway's
-// own router, modeling realistic imbalance. Arrival-process streams route
-// every transaction by its cohort key instead: small cohort key spaces
-// concentrate on few shards (hot-shard workloads) and the cross-mix knob is
-// subsumed by key placement. Each shard's stream stays in arrival order.
+// buildShardWorkload builds the offered-load stream of every cluster that
+// carries one. A flat plan's one cluster takes the whole schedule as it is.
+// A sharded plan's Workload.TxCount and TxRate (or Arrival.Rate) are per
+// shard, so its service-wide stream is S × both — one plan.offeredSchedule
+// call either way — split across the shards. Legacy tx_rate streams pin
+// transaction j round-robin (j mod S, exactly equal per-shard rate) unless
+// the cross-mix says it roams — then its synthetic account key is placed by
+// the gateway's own router, modeling realistic imbalance. Arrival-process
+// streams route every transaction by its cohort key instead: small cohort
+// key spaces concentrate on few shards (hot-shard workloads) and the
+// cross-mix knob is subsumed by key placement. Each shard's stream stays in
+// arrival order.
 func buildShardWorkload(p *plan) []*offered {
 	sh := p.sc.Shards
-	s := sh.Count
+	s := 1
+	if sh != nil {
+		s = sh.Count
+	}
+	sched := p.offeredSchedule(s*p.sc.Workload.TxCount, s)
+	if s == 1 {
+		return []*offered{newOffered(sched)}
+	}
 	scheds := make([][]workload.Arrival, s)
 	router := shard.Router{Shards: s}
 	roamPct := int(sh.CrossMix*100 + 0.5)
 	byKey := p.sc.Workload.Arrival != nil
-	for j, a := range p.offeredSchedule(s*p.sc.Workload.TxCount, s) {
+	for j, a := range sched {
 		home := j % s
 		if byKey || j%100 < roamPct {
 			home = router.Shard(a.Key)
@@ -65,11 +76,13 @@ func buildShardWorkload(p *plan) []*offered {
 	return loads
 }
 
-// sharded is the sharded protocol's state, the same on both engines.
-type sharded struct {
+// deployment is the protocol on top of a run's clusters, the same on both
+// engines. The anchoring state — pool to epochs — exists only for a
+// sharded plan.
+type deployment struct {
 	p        *plan
-	clusters []shardCluster           // the shards in order, then the anchor cluster
-	loads    []*offered               // each shard's part of the offered load
+	clusters []shardCluster           // the stream clusters in order, then the anchor cluster
+	loads    []*offered               // each stream cluster's part of the offered load
 	pool     *blockchain.TimedMempool // the anchor cluster's arrival-gated pool
 	last     []int                    // decided-log length last digested per shard
 	submitAt map[string]types.Time    // anchor transaction → submit time
@@ -81,143 +94,78 @@ type sharded struct {
 	epochs []int64
 }
 
-func newSharded(p *plan) *sharded {
-	s := p.sc.Shards.Count
-	return &sharded{
-		p: p, loads: buildShardWorkload(p), pool: blockchain.NewTimedMempool(0),
-		epochs: make([]int64, s), last: make([]int, s), submitAt: make(map[string]types.Time),
+func newDeployment(p *plan) *deployment {
+	dep := &deployment{p: p, loads: buildShardWorkload(p)}
+	if s := len(dep.loads); p.sc.Shards != nil {
+		dep.pool, dep.last, dep.epochs = blockchain.NewTimedMempool(0), make([]int, s), make([]int64, s)
+		dep.submitAt = make(map[string]types.Time)
 	}
+	return dep
 }
 
-// feed is what cluster i of the plan proposes from and traces to. A shard
-// draws batches from its part of the offered load and is traced when
-// stages are collected. The anchor cluster draws from the anchor pool, with
-// room for every shard anchoring in the same round, and stays untraced:
-// its lifecycle is mostly empty filler slots.
-func (sd *sharded) feed(i int) (func(types.Slot, types.Time) [][]byte, *trace.Log) {
-	if i == len(sd.loads) {
-		return sd.pool.BatchSource(len(sd.loads)), nil
+// anchored reports whether the plan is sharded: its clusters end with the
+// anchor cluster.
+func (dep *deployment) anchored() bool { return dep.pool != nil }
+
+// feed is what cluster i of the plan proposes from and traces to. A stream
+// cluster draws batches from its part of the offered load and is traced
+// when a trace or stages are collected (a sharded plan collects no trace).
+// The anchor cluster draws from the anchor pool, with room for every shard
+// anchoring in the same round, and stays untraced: its lifecycle is mostly
+// empty filler slots.
+func (dep *deployment) feed(i int) (func(types.Slot, types.Time) [][]byte, *trace.Log) {
+	if i == len(dep.loads) {
+		return dep.pool.BatchSource(len(dep.loads)), nil
 	}
 	var log *trace.Log
-	if sd.p.sc.Collect.Stages {
+	if dep.p.sc.Collect.Trace || dep.p.sc.Collect.Stages {
 		log = &trace.Log{}
 	}
-	return sd.loads[i].batchSource(sd.p.batchSize()), log
+	return dep.loads[i].batchSource(dep.p.batchSize()), log
 }
 
 // round is one anchoring round at time at: each shard whose decided log
 // grew since the last round gets its next epoch, whose anchor — the digest
 // of the whole log — is submitted into the anchor pool. One caller at a
 // time, in time order (the pool's contract).
-func (sd *sharded) round(at types.Time) {
-	for i, cl := range sd.clusters[:len(sd.loads)] {
+func (dep *deployment) round(at types.Time) {
+	for i, cl := range dep.clusters[:len(dep.loads)] {
 		chain, _ := cl.refChain()
-		if len(chain) <= sd.last[i] {
+		if len(chain) <= dep.last[i] {
 			continue
 		}
-		sd.mu.Lock()
-		sd.epochs[i]++
-		sd.mu.Unlock()
-		a := shard.Anchor{Shard: i, Epoch: sd.epochs[i], Slots: int64(len(chain)),
+		dep.mu.Lock()
+		dep.epochs[i]++
+		dep.mu.Unlock()
+		a := shard.Anchor{Shard: i, Epoch: dep.epochs[i], Slots: int64(len(chain)),
 			Digest: shard.PrefixDigest(chain, len(chain))}
 		tx := a.Encode()
-		sd.pool.Submit(at, tx)
-		sd.submitAt[string(tx)] = at
-		sd.last[i] = len(chain)
+		dep.pool.Submit(at, tx)
+		dep.submitAt[string(tx)] = at
+		dep.last[i] = len(chain)
 	}
 }
 
 // done is the completion rule: every shard has finalized the slot target
 // and — only then worth the anchor-log scan — the anchor cluster has
 // committed every anchor submitted so far, at least one per shard.
-func (sd *sharded) done() bool {
-	s := len(sd.loads)
-	for _, cl := range sd.clusters[:s] {
-		if cl.minFinalized() < sd.p.sc.Workload.Slots {
+func (dep *deployment) done() bool {
+	s := len(dep.loads)
+	for _, cl := range dep.clusters[:s] {
+		if cl.minFinalized() < dep.p.sc.Workload.Slots {
 			return false
 		}
 	}
-	chain, _ := sd.clusters[s].refChain()
+	chain, _ := dep.clusters[s].refChain()
 	committed, _ := anchorProgress(chain, s)
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	for i, e := range sd.epochs {
+	dep.mu.Lock()
+	defer dep.mu.Unlock()
+	for i, e := range dep.epochs {
 		if e == 0 || committed[i] < e {
 			return false
 		}
 	}
 	return true
-}
-
-// fold builds the sharded Result from every cluster's fold (the shards in
-// order, then the anchor cluster): the per-shard and aggregate
-// measurements, the metrics snapshot, then — unless runErr already failed
-// the run — the cross-shard consistency check.
-func (sd *sharded) fold(inputs []shardFoldInput, finishedAt int64, reg *obs.Registry, runErr error) (*Result, error) {
-	shards, anchorIn := inputs[:len(sd.loads)], inputs[len(sd.loads)]
-	res := foldShards(sd.p, shards, anchorIn, sd.loads, sd.submitAt, finishedAt)
-	if reg != nil {
-		res.Metrics = reg.Snapshot()
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	return res, verifyShardAnchors(sd.p, res, shards, anchorIn)
-}
-
-func runShardSim(p *plan) (*Result, error) {
-	var reg *obs.Registry
-	if p.sc.Collect.Metrics {
-		reg = obs.NewRegistry()
-	}
-	sd := newSharded(p)
-	clusters := make([]*simCluster, len(p.clusters))
-	for i, c := range p.clusters {
-		batch, log := sd.feed(i)
-		cl, err := newSimCluster(p, c, batch, log, reg)
-		if err != nil {
-			return nil, err
-		}
-		clusters[i] = cl
-		sd.clusters = append(sd.clusters, cl)
-	}
-
-	// Lockstep quanta: advance everyone to t, anchor what grew, check
-	// completion.
-	quantum := types.Time(p.sc.Shards.anchorInterval())
-	horizon := types.Time(p.sc.Stop.Horizon)
-	var t types.Time
-	var runErr error
-loop:
-	for {
-		t = min(t+quantum, horizon)
-		for _, cl := range clusters {
-			if err := cl.r.Run(t, nil); err != nil {
-				runErr = fmt.Errorf("scenario %q: %w", p.sc.Name, err)
-				break loop
-			}
-		}
-		sd.round(t)
-		if sd.done() || t >= horizon {
-			break
-		}
-	}
-
-	inputs := make([]shardFoldInput, len(clusters))
-	for i, cl := range clusters {
-		in, err := cl.fold(p)
-		if runErr == nil {
-			runErr = err
-		}
-		inputs[i] = in
-	}
-	res, err := sd.fold(inputs, int64(t), reg, runErr)
-	for _, cl := range clusters {
-		res.Events += cl.r.Events()
-		res.TotalSentBytes += cl.r.TotalSentBytes()
-		res.Dropped += cl.r.DroppedMessages()
-	}
-	return res, err
 }
 
 // anchorProgress scans the anchor cluster's decided log and returns, per
@@ -237,9 +185,8 @@ func anchorProgress(anchorChain []types.Block, s int) (epochs, slots []int64) {
 	return epochs, slots
 }
 
-// shardFoldInput is what the fold needs from one cluster, engine-neutral:
-// the TCP engine supplies the same shape from its live runtimes.
-type shardFoldInput struct {
+// foldInput is what the fold needs from one cluster, engine-neutral.
+type foldInput struct {
 	chain    []types.Block
 	commitAt map[types.Slot]int64
 	// finalized is the min finalized slot across the cluster's honest
@@ -247,49 +194,65 @@ type shardFoldInput struct {
 	finalized int64
 	// reconnects and droppedFrames are TCP link counters (zero on sim).
 	reconnects, droppedFrames int64
-	// stages holds the cluster's per-stage latency samples (Collect.Stages);
-	// nil when stage collection is off.
+	// stages holds the cluster's per-stage latency samples when it was
+	// traced; nil otherwise.
 	stages map[string][]int64
 }
 
-// foldShards assembles the per-shard and aggregate measurements shared by
-// both engines.
-func foldShards(p *plan, inputs []shardFoldInput, anchorIn shardFoldInput, loads []*offered, submitAt map[string]types.Time, finishedAt int64) *Result {
-	res := &Result{
-		Name:            p.sc.Name,
-		FinishedAt:      finishedAt,
-		FirstDecisionAt: -1,
-	}
-	for _, load := range loads {
-		res.OfferedTxs += len(load.at)
-	}
-	var allLats []int64
-	pooledStages := make(map[string][]int64)
-	stagesOn := false
-	for i, in := range inputs {
-		txs, lats := txLatencies(in.chain, in.commitAt, loads[i])
-		p50, p99 := latencyPercentiles(lats)
-		sr := ShardResult{
-			Shard: i, Finalized: in.finalized, DecidedTxs: txs,
-			TxLatencyP50: p50, TxLatencyP99: p99,
-			Reconnects: in.reconnects, DroppedFrames: in.droppedFrames,
-		}
-		if in.stages != nil {
-			stagesOn = true
-			sr.Stages = stageDists(in.stages)
-			for stage, lats := range in.stages {
-				pooledStages[stage] = append(pooledStages[stage], lats...)
+// fold fills in res's engine-neutral fields from every cluster's fold (the
+// stream clusters in order, then a sharded plan's anchor cluster): the
+// offered and decided transactions and their latency percentiles, the
+// stages, the chain and the metrics snapshot. Stages are reported when they
+// were collected, not whenever a trace yielded samples. A sharded plan adds
+// per-shard entries and anchor latencies, then — unless runErr already
+// failed the run — the cross-shard consistency check. fold returns the
+// run's error.
+func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, runErr error) error {
+	p, streams := dep.p, inputs[:len(dep.loads)]
+	offered, decided := 0, 0
+	var lats []int64
+	pooled := make(map[string][]int64)
+	for i, in := range streams {
+		txs, own := txLatencies(in.chain, in.commitAt, dep.loads[i])
+		offered += len(dep.loads[i].at)
+		decided += txs
+		if dep.anchored() {
+			p50, p99 := latencyPercentiles(own)
+			sr := ShardResult{
+				Shard: i, Finalized: in.finalized, DecidedTxs: txs,
+				TxLatencyP50: p50, TxLatencyP99: p99,
+				Reconnects: in.reconnects, DroppedFrames: in.droppedFrames,
 			}
+			if p.sc.Collect.Stages {
+				sr.Stages = stageDists(in.stages)
+			}
+			res.Shards = append(res.Shards, sr)
 		}
-		res.Shards = append(res.Shards, sr)
-		res.DecidedTxs += txs
-		allLats = append(allLats, lats...)
+		if lats == nil { // one stream's samples are not copied
+			lats = own
+		} else {
+			lats = append(lats, own...)
+		}
+		for stage, l := range in.stages {
+			pooled[stage] = append(pooled[stage], l...)
+		}
 	}
-	res.TxLatencyP50, res.TxLatencyP99 = latencyPercentiles(allLats)
-	if stagesOn {
-		res.Stages = stageDists(pooledStages)
+	res.OfferedTxs, res.DecidedTxs = offered, decided
+	res.TxLatencyP50, res.TxLatencyP99 = latencyPercentiles(lats)
+	if p.sc.Collect.Stages {
+		res.Stages = stageDists(pooled)
+	}
+	if p.sc.Collect.Chain {
+		res.Chain = inputs[0].chain
+	}
+	if reg != nil {
+		res.Metrics = reg.Snapshot()
+	}
+	if !dep.anchored() {
+		return runErr
 	}
 
+	anchorIn := inputs[len(dep.loads)]
 	var anchorLats []int64
 	for _, b := range anchorIn.chain {
 		c, ok := anchorIn.commitAt[b.Slot]
@@ -297,20 +260,23 @@ func foldShards(p *plan, inputs []shardFoldInput, anchorIn shardFoldInput, loads
 			continue
 		}
 		for _, tx := range b.Txs {
-			if at, ok := submitAt[string(tx)]; ok {
+			if at, ok := dep.submitAt[string(tx)]; ok {
 				anchorLats = append(anchorLats, c-int64(at))
 			}
 		}
 	}
 	res.AnchorLatencyP50, res.AnchorLatencyP99 = latencyPercentiles(anchorLats)
-	return res
+	if runErr != nil {
+		return runErr
+	}
+	return verifyShardAnchors(p, res, streams, anchorIn)
 }
 
 // verifyShardAnchors runs the cross-shard consistency check and writes the
 // verified per-shard anchor progress into the result. A violation — any
 // anchored digest that does not match a prefix of its shard's decided log —
 // is reported as an agreement error.
-func verifyShardAnchors(p *plan, res *Result, inputs []shardFoldInput, anchorIn shardFoldInput) error {
+func verifyShardAnchors(p *plan, res *Result, inputs []foldInput, anchorIn foldInput) error {
 	chains := make([][]types.Block, len(inputs))
 	for i, in := range inputs {
 		chains[i] = in.chain

