@@ -126,6 +126,18 @@ func TestValidation(t *testing.T) {
 		{"forged-history on pbft", Scenario{Protocol: PBFT, Nodes: 4,
 			Faults: []FaultSpec{{Type: FaultForgedHistory, Node: 1}}},
 			"scenario: forged-history applies only to protocol \"tetrabft\""},
+		{"quorum without slices", Scenario{Quorum: &QuorumSpec{}}, "scenario: quorum spec declares no slices"},
+		{"suppress-proposals negative view", Scenario{Nodes: 4, Faults: []FaultSpec{{
+			Type: FaultSuppressProposals, BelowView: -1,
+		}}}, "scenario: suppress-proposals below_view is negative"},
+		{"tx non-member", Scenario{Protocol: TetraBFTMulti, Nodes: 4, Workload: WorkloadSpec{
+			Slots: 2, Transactions: []TxSpec{{Node: 9, Op: "set", Key: "k"}},
+		}}, "scenario: transaction targets non-member node 9"},
+		{"tx faulty node", Scenario{Protocol: TetraBFTMulti, Nodes: 4,
+			Faults: []FaultSpec{{Type: FaultSilent, Node: 0}},
+			Workload: WorkloadSpec{
+				Slots: 2, Transactions: []TxSpec{{Node: 0, Op: "set", Key: "k"}},
+			}}, "scenario: transaction targets faulty node 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tetrabft/internal/shard"
+	"tetrabft/internal/workload"
 )
 
 // shardedBase is a minimal valid sharded sim spec the validation table
@@ -61,6 +62,9 @@ func TestShardsSpecParseErrors(t *testing.T) {
 		{"undersized anchor",
 			`{"protocol":"tetrabft-multi","shards":{"count":2,"anchor_nodes":3},"workload":{"slots":6},"stop":{"horizon":4000}}`,
 			"scenario: shards.anchor_nodes = 3 below the n ≥ 3f+1 minimum of 4"},
+		{"negative anchor interval",
+			`{"protocol":"tetrabft-multi","shards":{"count":2,"anchor_interval":-1},"workload":{"slots":6},"stop":{"horizon":4000}}`,
+			"scenario: negative shards.anchor_interval"},
 		{"cross mix out of range",
 			`{"protocol":"tetrabft-multi","shards":{"count":2,"cross_mix":1.0},"workload":{"slots":6},"stop":{"horizon":4000}}`,
 			"scenario: shards.cross_mix = 1 outside [0, 1)"},
@@ -162,7 +166,21 @@ func TestValidationParity(t *testing.T) {
 		{"duplicate 1.5 on tcp", EngineTCP, func(sc *Scenario) { sc.Network.Duplicate = 1.5 }, "scenario: network.duplicate = 1.5 outside [0, 1)"},
 		{"negative wall_clock_ms", EngineSim, func(sc *Scenario) { sc.Stop.WallClockMS = -1 }, "scenario: negative stop bound"},
 		{"tx_rate without tx_count", EngineSim, func(sc *Scenario) { sc.Workload.TxRate = 100 }, ErrRateWithoutCount.Error()},
+		{"negative txs_per_block", EngineSim, func(sc *Scenario) { sc.Workload.TxsPerBlock = -1 }, "scenario: negative slots, max_slot or txs_per_block"},
+		{"negative batch_size", EngineSim, func(sc *Scenario) { sc.Workload.BatchSize = -1 }, "scenario: negative tx_count, tx_rate, batch_size or window"},
+		{"tx_count with transactions", EngineSim, func(sc *Scenario) {
+			sc.Workload.TxCount = 10
+			sc.Workload.Transactions = []TxSpec{{Node: 0, Op: "set", Key: "k"}}
+		}, "scenario: tx_count (offered-load stream) and transactions (explicit mempool) are mutually exclusive"},
+		{"arrival with tx_rate", EngineSim, func(sc *Scenario) {
+			sc.Workload.TxCount, sc.Workload.TxRate = 10, 5
+			sc.Workload.Arrival = &workload.ArrivalSpec{Rate: 1}
+		}, "scenario: workload.arrival and tx_rate are mutually exclusive (the arrival process is the pacing)"},
+		{"cohorts without arrival", EngineSim, func(sc *Scenario) {
+			sc.Workload.Cohorts = []workload.CohortSpec{{Weight: 1}}
+		}, "scenario: workload.cohorts/phases require workload.arrival"},
 		{"crash-restart on sim", EngineSim, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 0)} }, "scenario: crash-restart requires engine \"tcp\" (the simulator has no processes to kill)"},
+		{"negative crash_at_ms", EngineTCP, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(-1, 0)} }, "scenario: negative crash-restart schedule"},
 		{"restart before crash", EngineTCP, func(sc *Scenario) { sc.Faults = []FaultSpec{crash(100, 50)} }, "scenario: node 1 restarts at 50ms, before its crash at 100ms"},
 		{"two crash-restarts on one node", EngineTCP, func(sc *Scenario) {
 			sc.Faults = []FaultSpec{crash(50, 100), crash(200, 0)}
