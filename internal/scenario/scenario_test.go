@@ -35,6 +35,7 @@ func TestValidation(t *testing.T) {
 		}}}, "scenario: per-link delay names non-member link 0→9"},
 		{"unknown fault", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: "gremlin"}}}, "scenario: unknown fault type \"gremlin\""},
 		{"fault non-member", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: FaultSilent, Node: 7}}}, "scenario: silent fault targets non-member node 7"},
+		{"fault shard on a flat run", Scenario{Nodes: 4, Faults: []FaultSpec{{Type: FaultSilent, Shard: 3}}}, "scenario: silent fault targets shard 3 outside [0, 1)"},
 		{"two faults one node", Scenario{Nodes: 4, Faults: []FaultSpec{
 			{Type: FaultSilent, Node: 0}, {Type: FaultRandom, Node: 0},
 		}}, "scenario: node 0 has two node-replacing faults"},

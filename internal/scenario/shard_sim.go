@@ -49,18 +49,14 @@ type shardCluster interface {
 // cross-mix knob is subsumed by key placement. Each shard's stream stays in
 // arrival order.
 func buildShardWorkload(p *plan) []*offered {
-	sh := p.sc.Shards
-	s := 1
-	if sh != nil {
-		s = sh.Count
-	}
+	s := p.streams()
 	sched := p.offeredSchedule(s*p.sc.Workload.TxCount, s)
 	if s == 1 {
 		return []*offered{newOffered(sched)}
 	}
 	scheds := make([][]workload.Arrival, s)
 	router := shard.Router{Shards: s}
-	roamPct := int(sh.CrossMix*100 + 0.5)
+	roamPct := int(p.sc.Shards.CrossMix*100 + 0.5)
 	byKey := p.sc.Workload.Arrival != nil
 	for j, a := range sched {
 		home := j % s

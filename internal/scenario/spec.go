@@ -6,8 +6,8 @@
 // The paper's evaluation is a matrix of exactly such scenarios (protocol ×
 // cluster size × fault behavior × network regime, Table 1 and Figures 2-3),
 // and every assembly site in the repository builds on this package: the
-// experiment sweeps in internal/bench, the tetrabft-sim command (both its
-// flags and its -scenario file.json mode), and the examples/ programs.
+// experiment sweeps in internal/bench, the tetrabft-sim command (whose only
+// input is a -scenario file.json spec), and the examples/ programs.
 // Because a spec plus its seed pins the entire run, sharing the JSON is
 // sharing the experiment: anyone can reproduce the numbers byte for byte.
 package scenario
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"tetrabft/internal/quorum"
@@ -276,8 +277,8 @@ type FaultSpec struct {
 	// random).
 	Node types.NodeID `json:"node,omitempty"`
 	// Shard scopes the fault to one shard cluster in a sharded run
-	// (Scenario.Shards): Node then names a replica inside that cluster.
-	// Ignored outside sharded runs.
+	// (Scenario.Shards): Node then names a replica inside that cluster. A
+	// flat run has one stream, so its faults leave Shard at 0.
 	Shard int `json:"shard,omitempty"`
 	// ValueA and ValueB are the equivocator's two proposals.
 	ValueA string `json:"value_a,omitempty"`
@@ -303,16 +304,6 @@ type FaultSpec struct {
 	CrashAtMS   int64 `json:"crash_at_ms,omitempty"`
 	RestartAtMS int64 `json:"restart_at_ms,omitempty"`
 	WipeWAL     bool  `json:"wipe_wal,omitempty"`
-}
-
-// replacesNode reports whether the fault substitutes a Byzantine machine
-// for a cluster node (as opposed to intercepting network traffic).
-func (f FaultSpec) replacesNode() bool {
-	switch f.Type {
-	case FaultSilent, FaultEquivocator, FaultRandom, FaultForgedHistory:
-		return true
-	}
-	return false
 }
 
 // WorkloadSpec declares the run's inputs.
@@ -545,237 +536,41 @@ func (sc Scenario) Validate() error {
 	return err
 }
 
-// compile validates the spec and derives the execution plan.
+// compile validates the spec and derives the execution plan. A flat spec is
+// the one-stream, no-anchor case of a sharded one: the same steps check and
+// build both.
 func (sc Scenario) compile() (*plan, error) {
 	row, ok := Lookup(sc.Protocol)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown protocol %q", sc.Protocol)
 	}
 	p := &plan{sc: sc, proto: row}
-	switch sc.Engine {
-	case "", EngineSim:
-	case EngineTCP:
-		if !row.TCP {
-			return nil, fmt.Errorf("scenario: engine %q supports only %s", EngineTCP, rowNames(func(d Descriptor) bool { return d.TCP }))
-		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown engine %q", sc.Engine)
-	}
-	if err := p.checkShared(); err != nil {
-		return nil, err
-	}
-
-	// Sharded runs have no flat membership — each cluster owns node IDs
-	// [0, n) locally — so they build their clusters separately.
+	deploy := p.deployFlat
 	if sc.Shards != nil {
-		if err := p.compileSharded(); err != nil {
+		deploy = p.deploySharded
+	}
+	for _, step := range []func() error{p.checkShared, deploy, p.placeFaults, p.checkWorkload} {
+		if err := step(); err != nil {
 			return nil, err
-		}
-		return p, nil
-	}
-
-	// Membership: explicit Nodes, or derived from the quorum slices.
-	var qs quorum.System
-	var members []types.NodeID
-	if sc.Quorum != nil {
-		if !row.Slices {
-			return nil, fmt.Errorf("scenario: protocol %q does not support quorum slices", sc.Protocol)
-		}
-		if len(sc.Quorum.Slices) == 0 {
-			return nil, fmt.Errorf("scenario: quorum spec declares no slices")
-		}
-		slices := make(map[types.NodeID][]quorum.Set, len(sc.Quorum.Slices))
-		for _, s := range sc.Quorum.Slices {
-			if _, dup := slices[s.Node]; dup {
-				return nil, fmt.Errorf("scenario: node %d declares slices twice", s.Node)
-			}
-			sets := make([]quorum.Set, 0, len(s.Slices))
-			for _, members := range s.Slices {
-				sets = append(sets, quorum.NewSet(members...))
-			}
-			slices[s.Node] = sets
-		}
-		var err error
-		if qs, err = quorum.NewSlices(slices); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		members = qs.Members()
-		if sc.Nodes != 0 && sc.Nodes != len(members) {
-			return nil, fmt.Errorf("scenario: nodes = %d but the quorum spec names %d members", sc.Nodes, len(members))
-		}
-	} else {
-		if sc.Nodes <= 0 {
-			return nil, fmt.Errorf("scenario: cluster size missing (set nodes or a quorum spec)")
-		}
-		members = nodeIDs(sc.Nodes)
-	}
-	c := newCluster("", p.seed(), members, qs, p.proposalCap())
-	p.clusters = []*cluster{c}
-	isMember := make(map[types.NodeID]bool, len(members))
-	for _, m := range members {
-		isMember[m] = true
-	}
-
-	if d := sc.Network.Delay; d != nil && d.Model == DelayPerLink {
-		for _, l := range d.Links {
-			if !isMember[l.From] || !isMember[l.To] {
-				return nil, fmt.Errorf("scenario: per-link delay names non-member link %d→%d", l.From, l.To)
-			}
-			if l.D < 0 {
-				return nil, fmt.Errorf("scenario: negative delay on link %d→%d", l.From, l.To)
-			}
-		}
-	}
-
-	switch sc.Mutation {
-	case MutationNone:
-	case MutationSkipRule3, MutationNoPrevVote:
-		if !row.Mutations {
-			return nil, fmt.Errorf("scenario: mutation %q applies only to %s", sc.Mutation, rowNames(func(d Descriptor) bool { return d.Mutations }))
-		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown mutation %q", sc.Mutation)
-	}
-
-	// Fault schedule.
-	for i := range sc.Faults {
-		f := &sc.Faults[i]
-		switch f.Type {
-		case FaultSilent, FaultEquivocator, FaultRandom, FaultForgedHistory, FaultCrashRestart:
-			if f.Type == FaultForgedHistory {
-				if f.View < 0 {
-					return nil, fmt.Errorf("scenario: forged-history view is negative")
-				}
-				// The forged messages are single-shot TetraBFT traffic;
-				// against any other protocol the attack would silently be
-				// a crashed node, a misleading experiment.
-				if !row.ForgedHistory {
-					return nil, fmt.Errorf("scenario: forged-history applies only to %s", rowNames(func(d Descriptor) bool { return d.ForgedHistory }))
-				}
-			}
-			if !isMember[f.Node] {
-				return nil, fmt.Errorf("scenario: %s fault targets non-member node %d", f.Type, f.Node)
-			}
-			if err := c.place(f, sc.Engine); err != nil {
-				return nil, err
-			}
-		case FaultSuppressFinalPhase:
-			p.netwk = append(p.netwk, *f)
-		case FaultStarveDecision:
-			if !isMember[f.Node] {
-				return nil, fmt.Errorf("scenario: starve-decision spares non-member node %d", f.Node)
-			}
-			if f.To < 0 {
-				return nil, fmt.Errorf("scenario: starve-decision to is negative")
-			}
-			// The adversary matches TetraBFT vote-4 and PBFT commit only;
-			// on other protocols it would silently drop nothing.
-			if !row.StarveDecision {
-				return nil, fmt.Errorf("scenario: starve-decision applies only to %s", rowNames(func(d Descriptor) bool { return d.StarveDecision }))
-			}
-			p.netwk = append(p.netwk, *f)
-		case FaultSuppressProposals:
-			if f.BelowView < 0 {
-				return nil, fmt.Errorf("scenario: suppress-proposals below_view is negative")
-			}
-			p.netwk = append(p.netwk, *f)
-		case FaultPartition:
-			if len(f.Groups) == 0 {
-				return nil, fmt.Errorf("scenario: partition fault declares no groups")
-			}
-			seen := make(map[types.NodeID]bool)
-			for _, g := range f.Groups {
-				for _, n := range g {
-					if !isMember[n] {
-						return nil, fmt.Errorf("scenario: partition group names non-member node %d", n)
-					}
-					if seen[n] {
-						return nil, fmt.Errorf("scenario: node %d appears in two partition groups", n)
-					}
-					seen[n] = true
-				}
-			}
-			if f.From < 0 || (f.To != 0 && f.To <= f.From) {
-				return nil, fmt.Errorf("scenario: partition window [%d, %d) is empty", f.From, f.To)
-			}
-			p.netwk = append(p.netwk, *f)
-		default:
-			return nil, fmt.Errorf("scenario: unknown fault type %q", f.Type)
-		}
-	}
-	if err := c.seal(); err != nil {
-		return nil, err
-	}
-	if sc.Engine == EngineTCP {
-		// Message-level adversaries need to inspect decoded protocol
-		// traffic; over TCP only link-level partitions are honored (the
-		// chaos transport severs frames, not messages).
-		for _, f := range p.netwk {
-			if f.Type != FaultPartition {
-				return nil, fmt.Errorf("scenario: engine %q supports only partition network faults, not %q", EngineTCP, f.Type)
-			}
-		}
-	}
-
-	// Workload.
-	w := sc.Workload
-	if !row.multiSlot() && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
-		w.TxCount != 0 || w.TxRate != 0 || w.BatchSize != 0 || w.Window != 0 ||
-		w.Arrival != nil || len(w.Cohorts) != 0 || len(w.Phases) != 0) {
-		return nil, fmt.Errorf("scenario: slots/max_slot/transactions/tx_count/arrival/window require a multi-shot protocol")
-	}
-	for _, tx := range w.Transactions {
-		if tx.Op != "set" && tx.Op != "del" {
-			return nil, fmt.Errorf("scenario: unknown transaction op %q (want set or del)", tx.Op)
-		}
-		if !isMember[tx.Node] {
-			return nil, fmt.Errorf("scenario: transaction targets non-member node %d", tx.Node)
-		}
-		if c.byzByID[tx.Node] != nil {
-			return nil, fmt.Errorf("scenario: transaction targets faulty node %d", tx.Node)
-		}
-	}
-
-	if sc.Stop.AllDecided && row.multiSlot() && w.Slots == 0 {
-		return nil, fmt.Errorf("scenario: stop.all_decided on a multi-shot run needs workload.slots")
-	}
-
-	// The chained single-shot baselines run whole sub-instances per slot on
-	// one virtual clock, so knobs whose semantics span slots (pipelining,
-	// mid-run faults, GST epochs) have no meaning there.
-	if row.Chains != "" {
-		if w.Slots <= 0 {
-			return nil, fmt.Errorf("scenario: protocol %q needs workload.slots", sc.Protocol)
-		}
-		if sc.Stop.Horizon <= 0 {
-			return nil, fmt.Errorf("scenario: protocol %q needs stop.horizon (the shared clock's budget)", sc.Protocol)
-		}
-		if w.Window != 0 || w.MaxSlot != 0 || w.TxsPerBlock != 0 || len(w.Transactions) != 0 {
-			return nil, fmt.Errorf("scenario: protocol %q supports only the offered-load workload (no window/max_slot/transactions)", sc.Protocol)
-		}
-		if nw := sc.Network; nw.GST != 0 || nw.DropBeforeGST != 0 || nw.EventBudget != 0 {
-			return nil, fmt.Errorf("scenario: protocol %q does not support gst/drop_before_gst/event_budget", sc.Protocol)
-		}
-		for _, f := range c.byzByID {
-			if f.Type != FaultSilent {
-				return nil, fmt.Errorf("scenario: protocol %q supports only silent faults, not %q", sc.Protocol, f.Type)
-			}
-		}
-		if len(p.netwk) != 0 {
-			return nil, fmt.Errorf("scenario: protocol %q does not support message-level adversaries", sc.Protocol)
-		}
-		if sc.Collect.Trace || sc.Collect.Stages || sc.Collect.Metrics {
-			return nil, fmt.Errorf("scenario: protocol %q does not collect traces, stages or metrics", sc.Protocol)
 		}
 	}
 	return p, nil
 }
 
-// checkShared checks what flat and sharded specs have in common: seed and
-// delta, the network regime, the knobs the TCP engine cannot honor, the
-// workload's counts and offered load, and the stop bounds.
+// checkShared checks what flat and sharded specs have in common: the
+// engine, seed and delta, the network regime, the knobs the TCP engine
+// cannot honor, the workload's counts and offered load, and the stop bounds.
 func (p *plan) checkShared() error {
 	sc := p.sc
+	switch sc.Engine {
+	case "", EngineSim:
+	case EngineTCP:
+		if !p.proto.TCP {
+			return fmt.Errorf("scenario: engine %q supports only %s", EngineTCP, rowNames(func(d Descriptor) bool { return d.TCP }))
+		}
+	default:
+		return fmt.Errorf("scenario: unknown engine %q", sc.Engine)
+	}
 	if sc.Seed < 0 {
 		return fmt.Errorf("scenario: negative seed %d", sc.Seed)
 	}
@@ -846,11 +641,74 @@ func (p *plan) checkShared() error {
 	return nil
 }
 
-// compileSharded checks what is specific to a sharded-service spec
-// (Scenario.Shards) and builds its clusters: S shard clusters, each with
-// the silent and crash-restart faults scoped to it by FaultSpec.Shard, then
-// the anchor cluster.
-func (p *plan) compileSharded() error {
+// deployFlat checks the membership, per-link delays and mutation of a flat
+// spec and builds its one cluster.
+func (p *plan) deployFlat() error {
+	sc := p.sc
+	// Membership: explicit Nodes, or derived from the quorum slices.
+	var qs quorum.System
+	var members []types.NodeID
+	if sc.Quorum != nil {
+		if !p.proto.Slices {
+			return fmt.Errorf("scenario: protocol %q does not support quorum slices", sc.Protocol)
+		}
+		if len(sc.Quorum.Slices) == 0 {
+			return fmt.Errorf("scenario: quorum spec declares no slices")
+		}
+		byNode := make(map[types.NodeID][]quorum.Set, len(sc.Quorum.Slices))
+		for _, s := range sc.Quorum.Slices {
+			if _, dup := byNode[s.Node]; dup {
+				return fmt.Errorf("scenario: node %d declares slices twice", s.Node)
+			}
+			sets := make([]quorum.Set, 0, len(s.Slices))
+			for _, members := range s.Slices {
+				sets = append(sets, quorum.NewSet(members...))
+			}
+			byNode[s.Node] = sets
+		}
+		var err error
+		if qs, err = quorum.NewSlices(byNode); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
+		members = qs.Members()
+		if sc.Nodes != 0 && sc.Nodes != len(members) {
+			return fmt.Errorf("scenario: nodes = %d but the quorum spec names %d members", sc.Nodes, len(members))
+		}
+	} else {
+		if sc.Nodes <= 0 {
+			return fmt.Errorf("scenario: cluster size missing (set nodes or a quorum spec)")
+		}
+		members = nodeIDs(sc.Nodes)
+	}
+	p.clusters = []*cluster{newCluster("", p.seed(), members, qs, p.proposalCap())}
+
+	if d := sc.Network.Delay; d != nil && d.Model == DelayPerLink {
+		for _, l := range d.Links {
+			if !slices.Contains(members, l.From) || !slices.Contains(members, l.To) {
+				return fmt.Errorf("scenario: per-link delay names non-member link %d→%d", l.From, l.To)
+			}
+			if l.D < 0 {
+				return fmt.Errorf("scenario: negative delay on link %d→%d", l.From, l.To)
+			}
+		}
+	}
+
+	switch sc.Mutation {
+	case MutationNone:
+	case MutationSkipRule3, MutationNoPrevVote:
+		if !p.proto.Mutations {
+			return fmt.Errorf("scenario: mutation %q applies only to %s", sc.Mutation, rowNames(func(d Descriptor) bool { return d.Mutations }))
+		}
+	default:
+		return fmt.Errorf("scenario: unknown mutation %q", sc.Mutation)
+	}
+	return nil
+}
+
+// deploySharded checks what is specific to a sharded-service spec
+// (Scenario.Shards) and builds its clusters: S shard clusters, then the
+// anchor cluster.
+func (p *plan) deploySharded() error {
 	sc := p.sc
 	sh := sc.Shards
 	if !p.proto.Shards {
@@ -918,41 +776,187 @@ func (p *plan) compileSharded() error {
 		return fmt.Errorf("scenario: shards do not collect traces or chains (the result folds per-shard stats)")
 	}
 
-	// Fault schedule: silent replicas (both engines) and crash-restarts
-	// (TCP), scoped to one shard cluster each. The anchor cluster cannot be
-	// faulted — it is the trust root the cross-shard consistency check
-	// hangs off.
 	for i := range sh.Count {
 		p.clusters = append(p.clusters, newCluster(fmt.Sprintf("shard %d", i), p.seed()+int64(i), nodeIDs(sh.nodesPerShard()), nil, p.proposalCap()))
-	}
-	for i := range sc.Faults {
-		f := &sc.Faults[i]
-		if f.Shard < 0 || f.Shard >= sh.Count {
-			return fmt.Errorf("scenario: %s fault targets shard %d outside [0, %d)", f.Type, f.Shard, sh.Count)
-		}
-		if f.Node < 0 || int(f.Node) >= sh.nodesPerShard() {
-			return fmt.Errorf("scenario: %s fault targets node %d outside shard %d's membership [0, %d)", f.Type, f.Node, f.Shard, sh.nodesPerShard())
-		}
-		if f.Type != FaultSilent && f.Type != FaultCrashRestart {
-			return fmt.Errorf("scenario: shards support only silent and crash-restart faults, not %q", f.Type)
-		}
-		if err := p.clusters[f.Shard].place(f, sc.Engine); err != nil {
-			return err
-		}
 	}
 	// The anchor cluster proposes without a slot cap: its pipeline keeps
 	// filling slots with empty blocks between anchor arrivals, and a cap
 	// would be exhausted before the last shard's final anchor lands.
 	p.clusters = append(p.clusters, newCluster("anchor cluster", p.seed()+int64(sh.Count), nodeIDs(sh.anchorNodes()), nil, 0))
+	return nil
+}
+
+// placeFaults puts each node fault into the stream cluster its shard names
+// and each message-level fault into p.netwk, then seals every cluster. A
+// flat run has one stream, so its faults name shard 0. A sharded run takes
+// only silent replicas (both engines) and crash-restarts (TCP), and the
+// anchor cluster cannot be faulted: it is the trust root the cross-shard
+// consistency check hangs off.
+func (p *plan) placeFaults() error {
+	sc := p.sc
+	for i := range sc.Faults {
+		f := &sc.Faults[i]
+		if f.Shard < 0 || f.Shard >= p.streams() {
+			return fmt.Errorf("scenario: %s fault targets shard %d outside [0, %d)", f.Type, f.Shard, p.streams())
+		}
+		c := p.clusters[f.Shard]
+		if sc.Shards != nil {
+			if !slices.Contains(c.members, f.Node) {
+				return fmt.Errorf("scenario: %s fault targets node %d outside shard %d's membership [0, %d)", f.Type, f.Node, f.Shard, len(c.members))
+			}
+			if f.Type != FaultSilent && f.Type != FaultCrashRestart {
+				return fmt.Errorf("scenario: shards support only silent and crash-restart faults, not %q", f.Type)
+			}
+		}
+		switch f.Type {
+		case FaultSilent, FaultEquivocator, FaultRandom, FaultForgedHistory, FaultCrashRestart:
+			if f.Type == FaultForgedHistory {
+				if f.View < 0 {
+					return fmt.Errorf("scenario: forged-history view is negative")
+				}
+				// The forged messages are single-shot TetraBFT traffic;
+				// against any other protocol the attack would silently be
+				// a crashed node, a misleading experiment.
+				if !p.proto.ForgedHistory {
+					return fmt.Errorf("scenario: forged-history applies only to %s", rowNames(func(d Descriptor) bool { return d.ForgedHistory }))
+				}
+			}
+			if !slices.Contains(c.members, f.Node) {
+				return fmt.Errorf("scenario: %s fault targets non-member node %d", f.Type, f.Node)
+			}
+			if err := c.place(f, sc.Engine); err != nil {
+				return err
+			}
+		case FaultSuppressFinalPhase:
+			p.netwk = append(p.netwk, *f)
+		case FaultStarveDecision:
+			if !slices.Contains(c.members, f.Node) {
+				return fmt.Errorf("scenario: starve-decision spares non-member node %d", f.Node)
+			}
+			if f.To < 0 {
+				return fmt.Errorf("scenario: starve-decision to is negative")
+			}
+			// The adversary matches TetraBFT vote-4 and PBFT commit only;
+			// on other protocols it would silently drop nothing.
+			if !p.proto.StarveDecision {
+				return fmt.Errorf("scenario: starve-decision applies only to %s", rowNames(func(d Descriptor) bool { return d.StarveDecision }))
+			}
+			p.netwk = append(p.netwk, *f)
+		case FaultSuppressProposals:
+			if f.BelowView < 0 {
+				return fmt.Errorf("scenario: suppress-proposals below_view is negative")
+			}
+			p.netwk = append(p.netwk, *f)
+		case FaultPartition:
+			if len(f.Groups) == 0 {
+				return fmt.Errorf("scenario: partition fault declares no groups")
+			}
+			seen := make(map[types.NodeID]bool)
+			for _, g := range f.Groups {
+				for _, n := range g {
+					if !slices.Contains(c.members, n) {
+						return fmt.Errorf("scenario: partition group names non-member node %d", n)
+					}
+					if seen[n] {
+						return fmt.Errorf("scenario: node %d appears in two partition groups", n)
+					}
+					seen[n] = true
+				}
+			}
+			if f.From < 0 || (f.To != 0 && f.To <= f.From) {
+				return fmt.Errorf("scenario: partition window [%d, %d) is empty", f.From, f.To)
+			}
+			p.netwk = append(p.netwk, *f)
+		default:
+			return fmt.Errorf("scenario: unknown fault type %q", f.Type)
+		}
+	}
 	for _, c := range p.clusters {
 		if err := c.seal(); err != nil {
 			return err
+		}
+	}
+	if sc.Engine == EngineTCP {
+		// Message-level adversaries need to inspect decoded protocol
+		// traffic; over TCP only link-level partitions are honored (the
+		// chaos transport severs frames, not messages).
+		for _, f := range p.netwk {
+			if f.Type != FaultPartition {
+				return fmt.Errorf("scenario: engine %q supports only partition network faults, not %q", EngineTCP, f.Type)
+			}
+		}
+	}
+	return nil
+}
+
+// checkWorkload checks the workload and stop against the protocol, and the
+// knobs a chained row cannot honor. A sharded spec passes: its protocol is
+// multi-shot and unchained, and it has no transactions or all_decided stop.
+func (p *plan) checkWorkload() error {
+	sc, row, c := p.sc, p.proto, p.clusters[0]
+	w := sc.Workload
+	if !row.multiSlot() && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
+		w.TxCount != 0 || w.TxRate != 0 || w.BatchSize != 0 || w.Window != 0 ||
+		w.Arrival != nil || len(w.Cohorts) != 0 || len(w.Phases) != 0) {
+		return fmt.Errorf("scenario: slots/max_slot/transactions/tx_count/arrival/window require a multi-shot protocol")
+	}
+	for _, tx := range w.Transactions {
+		if tx.Op != "set" && tx.Op != "del" {
+			return fmt.Errorf("scenario: unknown transaction op %q (want set or del)", tx.Op)
+		}
+		if !slices.Contains(c.members, tx.Node) {
+			return fmt.Errorf("scenario: transaction targets non-member node %d", tx.Node)
+		}
+		if c.byzByID[tx.Node] != nil {
+			return fmt.Errorf("scenario: transaction targets faulty node %d", tx.Node)
+		}
+	}
+
+	if sc.Stop.AllDecided && row.multiSlot() && w.Slots == 0 {
+		return fmt.Errorf("scenario: stop.all_decided on a multi-shot run needs workload.slots")
+	}
+
+	// The chained single-shot baselines run whole sub-instances per slot on
+	// one virtual clock, so knobs whose semantics span slots (pipelining,
+	// mid-run faults, GST epochs) have no meaning there.
+	if row.Chains != "" {
+		if w.Slots <= 0 {
+			return fmt.Errorf("scenario: protocol %q needs workload.slots", sc.Protocol)
+		}
+		if sc.Stop.Horizon <= 0 {
+			return fmt.Errorf("scenario: protocol %q needs stop.horizon (the shared clock's budget)", sc.Protocol)
+		}
+		if w.Window != 0 || w.MaxSlot != 0 || w.TxsPerBlock != 0 || len(w.Transactions) != 0 {
+			return fmt.Errorf("scenario: protocol %q supports only the offered-load workload (no window/max_slot/transactions)", sc.Protocol)
+		}
+		if nw := sc.Network; nw.GST != 0 || nw.DropBeforeGST != 0 || nw.EventBudget != 0 {
+			return fmt.Errorf("scenario: protocol %q does not support gst/drop_before_gst/event_budget", sc.Protocol)
+		}
+		for _, f := range c.byzByID {
+			if f.Type != FaultSilent {
+				return fmt.Errorf("scenario: protocol %q supports only silent faults, not %q", sc.Protocol, f.Type)
+			}
+		}
+		if len(p.netwk) != 0 {
+			return fmt.Errorf("scenario: protocol %q does not support message-level adversaries", sc.Protocol)
+		}
+		if sc.Collect.Trace || sc.Collect.Stages || sc.Collect.Metrics {
+			return fmt.Errorf("scenario: protocol %q does not collect traces, stages or metrics", sc.Protocol)
 		}
 	}
 	return nil
 }
 
 // Defaulted parameters.
+
+// streams is how many clusters carry the offered load and the faults: the
+// flat run's one, or a sharded run's S shard clusters.
+func (p *plan) streams() int {
+	if p.sc.Shards == nil {
+		return 1
+	}
+	return p.sc.Shards.Count
+}
 
 func (p *plan) seed() int64 {
 	if p.sc.Seed == 0 {
