@@ -1,16 +1,15 @@
-// Command tetrabft-sim runs TetraBFT scenarios on the deterministic
-// discrete-event simulator and prints what happened: decision times (in
-// message delays), per-node traffic, and optionally the full protocol
-// trace.
+// Command tetrabft-sim runs one TetraBFT scenario on the deterministic
+// discrete-event simulator (or, when the spec says so, on real TCP) and
+// prints what happened: decision times (in message delays), per-node
+// traffic, and optionally the full protocol trace.
 //
-// Scenarios come from two equivalent sources: the flags below (quick
-// one-liners), or a declarative JSON spec via -scenario file.json (the
-// full cluster × faults × network × workload matrix; see EXPERIMENTS.md
-// for the spec reference and examples/scenarios/ for ready-made specs).
-// The flags themselves just assemble a spec, so a flag-driven run and its
-// JSON equivalent produce identical output.
+// The run is a declarative JSON spec, -scenario file.json, and nothing
+// else: the full cluster × faults × network × workload matrix. See
+// EXPERIMENTS.md for the spec reference and examples/scenarios/ for
+// ready-made specs; examples/scenarios/good-case.json is the paper's
+// 4-node good case.
 //
-// Observability flags compose with either source: -v adds the stage
+// The other flags report on the run the spec declares: -v adds the stage
 // latency breakdown and the metrics snapshot, -trace-out exports the
 // protocol trace as Chrome trace-event JSON (load it in Perfetto or
 // chrome://tracing), and -cpuprofile/-memprofile capture pprof profiles
@@ -21,81 +20,39 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"tetrabft/internal/obs"
 	"tetrabft/internal/scenario"
 	"tetrabft/internal/trace"
-	"tetrabft/internal/types"
 )
-
-// outputFlags shape what the run reports, not what it does; they compose
-// with -scenario instead of clashing with it.
-var outputFlags = map[string]bool{
-	"scenario":   true,
-	"v":          true,
-	"trace-out":  true,
-	"cpuprofile": true,
-	"memprofile": true,
-}
 
 func main() {
 	var (
-		n            = flag.Int("n", 4, "cluster size")
-		silent       = flag.Int("silent", 0, "number of silent (crashed) nodes, taken from the lowest IDs")
-		multi        = flag.Bool("multi", false, "run multi-shot (pipelined) TetraBFT instead of single-shot")
-		shards       = flag.Int("shards", 0, "run the sharded service layer with this many shard clusters plus an anchor cluster (implies -multi)")
-		slots        = flag.Int("slots", 10, "finalized slots to target in multi-shot mode")
-		txs          = flag.Int("txs", 0, "multi-shot offered load: this many transactions streamed through batched blocks")
-		rate         = flag.Int64("rate", 0, "offered-load arrival rate, transactions per 100 ticks (0 = all at t=0)")
-		batch        = flag.Int("batch", 0, "per-block transaction batch cap (0 = default 8)")
-		window       = flag.Int("window", 0, "pipeline window: slots proposed optimistically ahead of the notarization rule (0 = paper's rule)")
-		seed         = flag.Int64("seed", 1, "simulation seed")
-		delta        = flag.Int64("delta", 10, "network bound Δ in ticks (timeout = 9Δ)")
-		gst          = flag.Int64("gst", 0, "global stabilization time (0 = synchronous from the start)")
-		drop         = flag.Float64("drop", 0.9, "pre-GST message loss probability")
-		showTrace    = flag.Bool("trace", false, "print the protocol event trace")
-		horizon      = flag.Int64("horizon", 100000, "simulation horizon in ticks")
-		scenarioPath = flag.String("scenario", "", "run a declarative JSON scenario spec instead of the flags")
+		scenarioPath = flag.String("scenario", "", "the JSON scenario spec to run (required)")
 		verbose      = flag.Bool("v", false, "print the stage latency breakdown and the metrics snapshot")
 		traceOut     = flag.String("trace-out", "", "write the protocol trace as Chrome trace-event JSON to this file (Perfetto-loadable)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
 	flag.Parse()
-
-	var sc scenario.Scenario
-	if *scenarioPath != "" {
-		// The spec file is the whole run; silently dropping other
-		// explicitly-set scenario flags would mislead. Output-side flags
-		// (-v, -trace-out, profiles) are exempt: they report on the run
-		// the spec declares.
-		var clash []string
-		flag.Visit(func(f *flag.Flag) {
-			if !outputFlags[f.Name] {
-				clash = append(clash, "-"+f.Name)
-			}
-		})
-		if len(clash) > 0 {
-			fmt.Fprintf(os.Stderr, "tetrabft-sim: -scenario cannot be combined with %s (the spec file declares the whole run)\n", strings.Join(clash, " "))
-			os.Exit(1)
-		}
-		data, err := os.ReadFile(*scenarioPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tetrabft-sim:", err)
-			os.Exit(1)
-		}
-		sc, err = scenario.Parse(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tetrabft-sim:", err)
-			os.Exit(1)
-		}
-	} else {
-		sc = fromFlags(*n, *silent, *multi, *shards, *slots, *txs, *rate, *batch, *window, *seed, *delta, *gst, *drop, *showTrace, *horizon)
+	if *scenarioPath == "" {
+		fmt.Fprintln(os.Stderr, "tetrabft-sim: -scenario is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	data, err := os.ReadFile(*scenarioPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tetrabft-sim:", err)
+		os.Exit(1)
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tetrabft-sim:", err)
+		os.Exit(1)
 	}
 	// printTrace is the pre-observability contract: the raw trace goes to
-	// stdout only when the flags or the spec asked for it, not when
-	// -trace-out quietly turns collection on for the export.
+	// stdout only when the spec asked for it, not when -trace-out quietly
+	// turns collection on for the export.
 	printTrace := sc.Collect.Trace
 	if *verbose {
 		sc.Collect.Stages = true
@@ -119,45 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tetrabft-sim:", runErr)
 		os.Exit(1)
 	}
-}
-
-// fromFlags assembles the declarative spec the flag set describes.
-func fromFlags(n, silent int, multi bool, shards, slots, txs int, rate int64, batch, window int, seed, delta, gst int64, drop float64, showTrace bool, horizon int64) scenario.Scenario {
-	sc := scenario.Scenario{
-		Protocol: scenario.TetraBFT,
-		Nodes:    n,
-		Seed:     seed,
-		Delta:    delta,
-		Network:  scenario.NetworkSpec{GST: gst, DropBeforeGST: drop},
-		Workload: scenario.WorkloadSpec{ValuePattern: "value-of-node-%d"},
-		Stop:     scenario.StopSpec{Horizon: horizon},
-		Collect:  scenario.CollectSpec{Trace: showTrace},
-	}
-	if shards > 0 {
-		// The sharded service layer: no flat membership, per-shard offered
-		// load, horizon-only stop; chains and traces are per-shard and not
-		// collectable, so validation rejects -trace here.
-		sc.Protocol = scenario.TetraBFTMulti
-		sc.Nodes = 0
-		sc.Shards = &scenario.ShardsSpec{Count: shards}
-		sc.Workload = scenario.WorkloadSpec{
-			Slots:   int64(slots),
-			TxCount: txs, TxRate: rate, BatchSize: batch, Window: window,
-		}
-		return sc
-	}
-	if multi {
-		sc.Protocol = scenario.TetraBFTMulti
-		sc.Workload = scenario.WorkloadSpec{
-			MaxSlot: int64(slots + 3),
-			TxCount: txs, TxRate: rate, BatchSize: batch, Window: window,
-		}
-		sc.Collect.Chain = true
-	}
-	for i := 0; i < silent; i++ {
-		sc.Faults = append(sc.Faults, scenario.FaultSpec{Type: scenario.FaultSilent, Node: types.NodeID(i)})
-	}
-	return sc
 }
 
 func run(sc scenario.Scenario, printTrace, verbose bool, traceOut string) error {
