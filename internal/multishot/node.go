@@ -937,7 +937,7 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 	if st.votes.Vote1.Valid && st.votes.Vote1.View >= v {
 		return
 	}
-	if !n.parentLinkOK(vr.proposal) {
+	if !n.pipelineAnchored(vr.proposal, 0) {
 		return
 	}
 	if v > 0 && !core.ProposalSafe(n.qs, n.cfg.ID, vr.proofs, v, vr.proposalID.Value()) {
@@ -949,19 +949,6 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 	n.mVotes.Inc()
 	n.emitB(env, "vote", s, v, vr.proposalID)
 	n.broadcast(types.MSVote{Slot: s, View: v, Block: vr.proposalID})
-}
-
-// parentLinkOK checks conditions 1) and 2) of Section 6.1: the parent block
-// at slot s−1 is notarized (or finalized) and b extends it.
-func (n *Node) parentLinkOK(b types.Block) bool {
-	if b.Slot == 1 {
-		return b.Parent == types.ZeroBlockID
-	}
-	if b.Slot-1 <= n.finalized {
-		return n.chainIDs[b.Slot-2] == b.Parent
-	}
-	prev := n.peekSlot(b.Slot - 1)
-	return prev != nil && prev.isNotarized(b.Parent)
 }
 
 // recordImplicitVotes updates the per-slot vote histories for the four

@@ -410,6 +410,49 @@ func TestPersistEncodingMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzPersistentState faces UnmarshalBinary with arbitrary bytes — what
+// wal.MultiWAL.Load hands over once a record passes its CRC check, and which
+// reach core.PersistentState.UnmarshalBinary slot by slot. It never panics,
+// and whatever it accepts re-encodes to exactly PersistentSize bytes that
+// decode to the same state.
+func FuzzPersistentState(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range []PersistentState{
+		{},
+		{Finalized: 9, Slots: []SlotPersist{{Slot: 10}, {Slot: 11}}},
+		randomPersistentState(rng, 1),
+		randomPersistentState(rng, 5),
+	} {
+		data, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st PersistentState
+		if st.UnmarshalBinary(data) != nil {
+			return
+		}
+		enc, err := st.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted state %+v does not encode: %v", st, err)
+		}
+		if len(enc) != st.PersistentSize() {
+			t.Fatalf("accepted state encodes to %d bytes, PersistentSize says %d", len(enc), st.PersistentSize())
+		}
+		var back PersistentState
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back, st) {
+			t.Fatalf("round trip changed the state:\n got %+v\nwant %+v", back, st)
+		}
+	})
+}
+
 // TestPersistEncodeAllocs pins the persist path's allocations: encoding a
 // snapshot is one allocation (the slice the Persister keeps), appending to a
 // buffer that fits is none, and a node's per-turn snapshot reuses its
