@@ -147,7 +147,10 @@ type Slices struct {
 var _ System = (*Slices)(nil)
 
 // NewSlices builds a heterogeneous system. Every node must declare at least
-// one non-empty slice; slices may only mention members.
+// one non-empty slice; slices may only mention members. A system with
+// several faults reports the first one met checking nodes in ascending
+// order, each node's slices in order and each slice's members in ascending
+// order, so the error text does not depend on map iteration.
 func NewSlices(slices map[types.NodeID][]Set) (*Slices, error) {
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("quorum: empty slice system")
@@ -156,7 +159,9 @@ func NewSlices(slices map[types.NodeID][]Set) (*Slices, error) {
 	for n := range slices {
 		membership.Add(n)
 	}
-	for n, ss := range slices {
+	members := membership.Sorted()
+	for _, n := range members {
+		ss := slices[n]
 		if len(ss) == 0 {
 			return nil, fmt.Errorf("quorum: node %d has no slices", n)
 		}
@@ -164,14 +169,14 @@ func NewSlices(slices map[types.NodeID][]Set) (*Slices, error) {
 			if s.Len() == 0 {
 				return nil, fmt.Errorf("quorum: node %d has an empty slice", n)
 			}
-			for m := range s {
+			for _, m := range s.Sorted() {
 				if !membership.Has(m) {
 					return nil, fmt.Errorf("quorum: node %d's slice mentions non-member %d", n, m)
 				}
 			}
 		}
 	}
-	return &Slices{members: membership.Sorted(), slices: slices}, nil
+	return &Slices{members: members, slices: slices}, nil
 }
 
 // Members implements System.

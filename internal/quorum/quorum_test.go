@@ -136,6 +136,34 @@ func TestSlicesValidation(t *testing.T) {
 	}
 }
 
+// TestSlicesValidationTextIsStable builds systems with two faults of one
+// kind each, many times over, and pins the one text each must report: the
+// lowest faulty node, and in a slice its lowest non-member. Map iteration
+// order must not pick the text.
+func TestSlicesValidationTextIsStable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		slices map[types.NodeID][]Set
+		want   string
+	}{
+		{"no slices", map[types.NodeID][]Set{1: {NewSet(1, 2, 3)}, 2: nil, 3: nil, 4: {NewSet(1, 2)}},
+			"quorum: node 2 has no slices"},
+		{"empty slice", map[types.NodeID][]Set{1: {NewSet(1, 2)}, 2: {NewSet(1, 2), NewSet()}, 3: {NewSet()}, 4: {NewSet()}},
+			"quorum: node 2 has an empty slice"},
+		{"non-member", map[types.NodeID][]Set{1: {NewSet(1, 2, 9)}, 2: {NewSet(1, 2, 8)}, 3: {NewSet(1, 2, 3)}},
+			"quorum: node 1's slice mentions non-member 9"},
+		{"non-members in one slice", map[types.NodeID][]Set{1: {NewSet(1)}, 2: {NewSet(1, 2), NewSet(12, 2, 7, 30, 11)}},
+			"quorum: node 2's slice mentions non-member 7"},
+	} {
+		for i := 0; i < 50; i++ {
+			_, err := NewSlices(tc.slices)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s, construction %d: error %v, want %q", tc.name, i, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestSlicesQuorum(t *testing.T) {
 	// 4 nodes, each node's only slice is any 3-of-4 superset containing it:
 	// model the tier-1 ring {0,1,2,3} where each trusts 2 specific peers.
