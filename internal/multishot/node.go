@@ -24,7 +24,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 
 	"tetrabft/internal/core"
@@ -114,6 +115,7 @@ type viewRec struct {
 	hasProposal bool
 	proposal    types.Block
 	proposalID  types.BlockID // proposal.ID(), hashed once on arrival
+	value       types.Value   // proposalID.Value(), converted once on arrival (see valueOf)
 
 	// suggests and proofs stay as lazily allocated maps: they are only
 	// populated on the view-change path, and core.LeaderSafeValue /
@@ -131,7 +133,7 @@ type viewRec struct {
 //
 // notarized is kept sorted by block ID bytes: chainAt, childNotarizedOf and
 // someNotarized all enumerate it in order, which preserves the fixed
-// iteration order the map-based implementation got from sortedBlockIDs
+// iteration order the map-based implementation got from sorting its keys
 // (observable as a flaky TestBlockEquivocatingLeader otherwise: with an
 // equivocating leader several notarized blocks coexist at a slot and the
 // picked one steers the run).
@@ -356,6 +358,15 @@ func (n *Node) Leader(slot types.Slot, view types.View) types.NodeID {
 // FinalizedSlot returns the highest finalized slot.
 func (n *Node) FinalizedSlot() types.Slot { return n.finalized }
 
+// finalHead is the finalized block at FinalizedSlot, the one the next slot
+// to finalize must extend (ZeroBlockID, genesis's parent, before any).
+func (n *Node) finalHead() types.BlockID {
+	if n.finalized < 1 {
+		return types.ZeroBlockID
+	}
+	return n.chainIDs[n.finalized-1]
+}
+
 // FinalizedChain returns the finalized blocks in slot order. The slice is
 // the node's incrementally maintained cache — callers must treat it as
 // read-only.
@@ -525,6 +536,7 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
 	vr.hasProposal = true
 	vr.proposal = m.Block
 	vr.proposalID = m.Block.ID()
+	vr.value = vr.proposalID.Value()
 	n.blocks[vr.proposalID] = m.Block
 	// Receiving the proposal for slot s starts slot s+1 (Section 6.2).
 	if !st.started {
@@ -688,17 +700,10 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 		if !known {
 			break
 		}
-		want := types.ZeroBlockID
-		if n.finalized >= 1 {
-			want = n.chainIDs[n.finalized-1]
-		}
-		if b.Parent != want {
+		if b.Parent != n.finalHead() {
 			break
 		}
-		view := types.View(0)
-		if st := n.peekSlot(next); st != nil {
-			view = st.view
-		}
+		view := n.ViewOf(next)
 		n.chain = append(n.chain, b)
 		n.chainIDs = append(n.chainIDs, candidate)
 		n.finalized = next
@@ -730,7 +735,9 @@ func (n *Node) blockingClaim(s types.Slot) (types.BlockID, bool) {
 		}
 		set.Add(sender)
 	}
-	for _, id := range sortedBlockIDs(counts) {
+	// Go randomizes map iteration; trying the candidates in ID byte order
+	// keeps same-seed runs identical.
+	for _, id := range slices.SortedFunc(maps.Keys(counts), compareIDs) {
 		if n.qs.IsBlocking(n.cfg.ID, counts[id]) {
 			return id, true
 		}
@@ -740,10 +747,7 @@ func (n *Node) blockingClaim(s types.Slot) (types.BlockID, bool) {
 
 // startSlot begins slot s: it becomes in-flight with a fresh 9Δ timer.
 func (n *Node) startSlot(env types.Env, s types.Slot) {
-	if s < 1 || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
-		return
-	}
-	if s <= n.finalized || !n.inWindow(s) {
+	if !n.inWindow(s) || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
 		return
 	}
 	st := n.slot(s)
@@ -769,10 +773,7 @@ func (n *Node) armTimer(env types.Env, s types.Slot, v types.View) {
 // the pipeline/view-change preconditions hold. Every decision is taken here;
 // only the body of a fresh block is left to the turn's release (turn.go).
 func (n *Node) tryPropose(env types.Env, s types.Slot) {
-	if s < 1 || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
-		return
-	}
-	if s <= n.finalized || !n.inWindow(s) {
+	if !n.inWindow(s) || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
 		return
 	}
 	st := n.slot(s)
@@ -884,19 +885,8 @@ func (n *Node) pipelineAnchored(b types.Block, budget types.Slot) bool {
 	}
 }
 
-// sortedBlockIDs returns m's keys in byte order. Go randomizes map
-// iteration, so every place that picks "some" block from a set must
-// enumerate in a fixed order or same-seed runs diverge.
-func sortedBlockIDs[T any](m map[types.BlockID]T) []types.BlockID {
-	ids := make([]types.BlockID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		return bytes.Compare(ids[i][:], ids[j][:]) < 0
-	})
-	return ids
-}
+// compareIDs orders block IDs by their bytes.
+func compareIDs(a, b types.BlockID) int { return bytes.Compare(a[:], b[:]) }
 
 // someNotarized returns a deterministic notarized block at the slot, if
 // any: the first in ID byte order among those notarized in the highest view
@@ -940,11 +930,11 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 	if !n.pipelineAnchored(vr.proposal, 0) {
 		return
 	}
-	if v > 0 && !core.ProposalSafe(n.qs, n.cfg.ID, vr.proofs, v, vr.proposalID.Value()) {
+	if v > 0 && !core.ProposalSafe(n.qs, n.cfg.ID, vr.proofs, v, vr.value) {
 		return
 	}
 	vr.sentVote = true
-	n.recordImplicitVotes(s, v, vr.proposalID, vr.proposal)
+	n.recordImplicitVotes(s, v, vr.value, vr.proposal)
 	n.dirty = true
 	n.mVotes.Inc()
 	n.emitB(env, "vote", s, v, vr.proposalID)
@@ -955,9 +945,9 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 // phases a single multi-shot vote represents (Section 6.3: "every vote
 // serves multiple purposes"). Phases landing on already-finalized slots are
 // skipped: their state is recycled and never persisted or consulted again.
-// id is b.ID(), already hashed when the proposal arrived.
-func (n *Node) recordImplicitVotes(s types.Slot, v types.View, id types.BlockID, b types.Block) {
-	n.slot(s).votes.Record(1, v, id.Value())
+// val is b's value, converted when the proposal arrived.
+func (n *Node) recordImplicitVotes(s types.Slot, v types.View, val types.Value, b types.Block) {
+	n.slot(s).votes.Record(1, v, val)
 	cur := b
 	for phase := uint8(2); phase <= 4; phase++ {
 		prevSlot := s - types.Slot(phase) + 1
@@ -968,9 +958,23 @@ func (n *Node) recordImplicitVotes(s types.Slot, v types.View, id types.BlockID,
 		if !known {
 			return // cannot attribute deeper phases without the body
 		}
-		n.slot(prevSlot).votes.Record(phase, v, cur.Parent.Value())
+		n.slot(prevSlot).votes.Record(phase, v, n.valueOf(prevSlot, cur.Parent))
 		cur = parent
 	}
+}
+
+// valueOf returns id's consensus value: the string slot s's record of id's
+// proposal holds, so a block converts its ID once per node and not once per
+// vote phase, or a fresh id.Value() when the slot holds no such proposal.
+func (n *Node) valueOf(s types.Slot, id types.BlockID) types.Value {
+	if st := n.peekSlot(s); st != nil {
+		for _, vr := range st.views {
+			if vr.hasProposal && vr.proposalID == id {
+				return vr.value
+			}
+		}
+	}
+	return id.Value()
 }
 
 // tryFinalize finalizes the longest provable prefix: the first block of any
@@ -1071,11 +1075,7 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 		path = append(path, pathEnt{id: cur, body: b})
 		if s == n.finalized+1 {
 			// Must anchor on the previous final block (or genesis).
-			want := types.ZeroBlockID
-			if n.finalized >= 1 {
-				want = n.chainIDs[n.finalized-1]
-			}
-			if b.Parent != want {
+			if b.Parent != n.finalHead() {
 				return false
 			}
 			break
@@ -1085,16 +1085,13 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 	// Commit from lowest slot upward.
 	for i := len(path) - 1; i >= 0; i-- {
 		s := k - types.Slot(i)
-		view := types.View(0)
-		if st := n.peekSlot(s); st != nil {
-			view = st.view
-		}
+		view, val := n.ViewOf(s), n.valueOf(s, path[i].id)
 		n.chain = append(n.chain, path[i].body)
 		n.chainIDs = append(n.chainIDs, path[i].id)
 		n.finalized = s
 		n.mFinalized.Inc()
 		n.emitB(env, "finalize", s, view, path[i].id)
-		env.Decide(s, path[i].id.Value())
+		env.Decide(s, val)
 		n.releaseSlot(s)
 	}
 	// The advanced watermark shrinks the persisted window; no message
@@ -1155,6 +1152,7 @@ func (n *Node) recycleView(vr *viewRec) {
 	vr.hasProposal = false
 	vr.proposal = types.Block{}
 	vr.proposalID = types.ZeroBlockID
+	vr.value = ""
 	vr.suggests = nil
 	vr.proofs = nil
 	vr.vcVotes.Clear()

@@ -297,7 +297,7 @@ func TestImplicitVoteRecording(t *testing.T) {
 	for _, b := range []types.Block{b1, b2, b3, b4} {
 		n.blocks[b.ID()] = b
 	}
-	n.recordImplicitVotes(4, 0, b4.ID(), b4)
+	n.recordImplicitVotes(4, 0, b4.ID().Value(), b4) // no proposal held: valueOf converts afresh
 	if got := n.slot(4).votes.Vote1; got != types.Vote(0, b4.ID().Value()) {
 		t.Errorf("slot 4 vote-1 = %v", got)
 	}

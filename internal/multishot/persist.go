@@ -150,10 +150,7 @@ func (n *Node) persistView() PersistentState {
 
 // snapshotInto captures the durable state, appending the slots to slots.
 func (n *Node) snapshotInto(slots []SlotPersist) PersistentState {
-	st := PersistentState{Finalized: n.finalized, Slots: slots}
-	if n.finalized >= 1 {
-		st.FinalHead = n.chainIDs[n.finalized-1]
-	}
+	st := PersistentState{Finalized: n.finalized, FinalHead: n.finalHead(), Slots: slots}
 	for s := n.finalized + 1; s <= n.maxSlot; s++ {
 		ss := n.peekSlot(s)
 		if ss == nil || !ss.started {

@@ -217,9 +217,9 @@ func TestEventQueueZeroAllocs(t *testing.T) {
 // TestMessagesNeverTakeFarPath pins the calendar queue's premise on the
 // workload it was built for: in an n=16 tetrabft-multi run with a constant
 // delay below W, base follows the clock and every message event lands in the
-// ring. Only the 9Δ view timers may use the far heap. With node 15 silent,
-// every slot it leads stalls until the ring is empty and a timer pops from
-// the far heap; the view change that follows must land in the ring too.
+// ring. With node 15 silent, every slot it leads stalls until the only
+// events left are view timers; the view change that follows must land in
+// the ring too.
 func TestMessagesNeverTakeFarPath(t *testing.T) {
 	for _, tc := range []struct {
 		delay  types.Duration
@@ -251,6 +251,84 @@ func TestMessagesNeverTakeFarPath(t *testing.T) {
 		if r.queue.farMsgs != 0 {
 			t.Errorf("%+v: %d of %d events were messages pushed to the far heap, want 0",
 				tc, r.queue.farMsgs, r.Events())
+		}
+	}
+}
+
+// TestDefaultViewTimersStayInRing pins where the view timers go: at the
+// default Δ = 10 a multishot view timer is 9Δ = 90 ticks ahead, inside the
+// W = 128-tick ring, so an n=16 run, fault-free or with a silent node forcing
+// view changes, pushes exactly 0 timers to the far heap (and so never puts
+// one in the coalescing map).
+func TestDefaultViewTimersStayInRing(t *testing.T) {
+	for _, silent := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		r := New(Config{Seed: 1, Metrics: reg})
+		for i := 0; i < 16; i++ {
+			if silent && i == 15 {
+				r.Add(&sink{id: 15})
+				continue
+			}
+			n, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: 16, MaxSlot: 103})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Add(n)
+		}
+		if err := r.Run(10000, nil); err != nil {
+			t.Fatal(err)
+		}
+		fired := reg.Counter("sim_timer_fires_total").Value()
+		if fired == 0 {
+			t.Fatalf("silent=%v: no view timer fired", silent)
+		}
+		if r.queue.farTimers != 0 || len(r.armed) != 0 {
+			t.Errorf("silent=%v: %d of %d timers went to the far heap (%d left in the map), want 0",
+				silent, r.queue.farTimers, fired, len(r.armed))
+		}
+	}
+}
+
+// entries counts the queue's entries: a fan-out entry is one however many
+// deliveries it holds.
+func (q *eventQueue) entries() int {
+	n := len(q.far.ev)
+	for i := range q.ring {
+		n += len(q.ring[i].ev) - q.ring[i].head
+	}
+	return n
+}
+
+// TestBroadcastOneQueueEntry pins the fan-out: an n=16 constant-delay
+// broadcast adds exactly 2 queue entries, the self-delivery and one entry
+// for the 15 remote deliveries, which pop in recipient order at the seqs
+// 16 separate pushes would have taken.
+func TestBroadcastOneQueueEntry(t *testing.T) {
+	for _, from := range []int{0, 7, 15} {
+		r, _ := newSinkRunner(16)
+		r.seq = 100
+		r.envs[from].Broadcast(types.Proposal{View: 1, Val: "val-0"})
+		if got := r.queue.entries(); got != 2 {
+			t.Fatalf("from %d: broadcast to 16 nodes added %d queue entries, want 2", from, got)
+		}
+		if got := r.queue.len(); got != 16 {
+			t.Fatalf("from %d: queue holds %d deliveries, want 16", from, got)
+		}
+		self := r.queue.pop()
+		if self.node != int32(from) || self.at != 0 || self.seq != 100+uint64(from) {
+			t.Fatalf("from %d: first pop is (node %d, at %d, seq %d), want the self-delivery", from, self.node, self.at, self.seq)
+		}
+		for to := 0; to < 16; to++ {
+			if to == from {
+				continue
+			}
+			e := r.queue.pop()
+			if e.node != int32(to) || e.at != 1 || e.seq != 100+uint64(to) || e.from != int32(from) || e.end != 0 {
+				t.Fatalf("from %d: delivery to %d popped as %+v", from, to, e)
+			}
+		}
+		if r.queue.len() != 0 || r.queue.entries() != 0 {
+			t.Fatalf("from %d: %d deliveries in %d entries left", from, r.queue.len(), r.queue.entries())
 		}
 	}
 }
@@ -365,7 +443,7 @@ func BenchmarkPingCluster(b *testing.B) {
 }
 
 // TestTimerCoalescingBoundsHeap pins the duplicate-arm invariant: arming the
-// same (id, instant) k times keeps exactly one heap entry, and the machine
+// same (id, instant) k times keeps exactly one queue entry, and the machine
 // receives exactly one Tick for it. Distinct ids or instants are unaffected.
 func TestTimerCoalescingBoundsHeap(t *testing.T) {
 	r, env := newSinkRunner(1)
@@ -393,25 +471,34 @@ func TestTimerCoalescingBoundsHeap(t *testing.T) {
 }
 
 // TestTimerZeroAllocs pins the steady-state arm/fire cycle at zero heap
-// allocations: the coalescing map reuses its buckets when the same key is
-// inserted and deleted.
+// allocations, for a timer in the ring (its bucket keeps its capacity) and
+// one on the far heap (the coalescing map reuses its buckets when the same
+// key is inserted and deleted).
 func TestTimerZeroAllocs(t *testing.T) {
-	r, env := newSinkRunner(1)
-	env.SetTimer(1, 10)
-	ev := r.queue.pop()
-	delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
-	allocs := testing.AllocsPerRun(1000, func() {
-		env.SetTimer(1, 10)
-		ev := r.queue.pop()
-		delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
-	})
-	if allocs != 0 {
-		t.Errorf("timer arm/fire cycle allocates %.2f times, want 0", allocs)
+	for _, d := range []types.Duration{10, 3 * nearTicks} {
+		r, env := newSinkRunner(1)
+		cycle := func() { // arm, then fire as Run does
+			env.SetTimer(1, d)
+			ev := r.queue.pop()
+			r.now = ev.at
+			delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("timer arm/fire cycle %d ticks ahead allocates %.2f times, want 0", d, allocs)
+		}
+		want := 0
+		if d >= nearTicks {
+			want = 1 + 1 + 1000 // the warm cycle, AllocsPerRun's warm-up, its runs
+		}
+		if r.queue.farTimers != want {
+			t.Errorf("%d ticks ahead: %d timers took the far heap, want %d", d, r.queue.farTimers, want)
+		}
 	}
 }
 
-// BenchmarkSetTimerDuplicate measures the duplicate-arm fast path (a map
-// lookup, no heap push).
+// BenchmarkSetTimerDuplicate measures the duplicate-arm fast path (a scan
+// of the timer's bucket, no push).
 func BenchmarkSetTimerDuplicate(b *testing.B) {
 	r, env := newSinkRunner(1)
 	env.SetTimer(1, 10)

@@ -8,12 +8,16 @@ import (
 	"tetrabft/internal/types"
 )
 
+// queueOps is the number of operations checkQueueOps knows; a schedule byte
+// b is operation b % queueOps with argument b / queueOps.
+const queueOps = 9
+
 // checkQueueOps runs one schedule of queue operations against eventQueue and
 // the heapQueue oracle and fails at the first pop, peek or length on which
-// they differ. Each byte is one operation: the low three bits pick it, the
-// high five are its argument a ∈ [0, 32). now is the clock as Run keeps it:
-// only op 5 advances it, so ops 6 and 7 (pops that leave it, as the
-// allocation tests do) make later pushes land behind the ring's base.
+// they differ. Each byte is one operation k with an argument a ∈ [0, 28]
+// (see queueOps). now is the clock as Run keeps it: only op 5 advances it,
+// so ops 6 and 7 (pops that leave it, as the allocation tests do) make later
+// pushes land behind the ring's base.
 //
 //	0  push a message at now + a%2 (same-tick bursts, unit delay)
 //	1  push a message at now + a (inside the ring)
@@ -23,6 +27,10 @@ import (
 //	5  pop, advancing now to the event's time (Run)
 //	6  pop, leaving now
 //	7  a%4 == 0: drain, advancing now (empty-ring jumps); else peek (horizon)
+//	8  broadcast to 2 + a%15 nodes from node 3a mod n, the remote copies at
+//	   now + a%3 (see broadcastSynced): a self-delivery plus one fan-out
+//	   entry when that instant is after now and in the ring, one push per
+//	   recipient otherwise. The oracle always gets one push per recipient.
 func checkQueueOps(t testing.TB, ops []byte) {
 	t.Helper()
 	var q eventQueue
@@ -35,6 +43,28 @@ func checkQueueOps(t testing.TB, ops []byte) {
 		q.push(e)
 		o.push(e)
 	}
+	broadcast := func(at types.Time, n, from int32) {
+		s0 := seq
+		seq += uint64(n)
+		fan := at > now && q.inRing(at)
+		for i := int32(0); i < n; i++ {
+			e := event{at: at, seq: s0 + uint64(i), node: i, from: from}
+			if i == from {
+				e.at = now
+			}
+			o.push(e)
+			if !fan || i == from {
+				q.push(e)
+			}
+		}
+		if fan {
+			first := int32(0)
+			if from == 0 {
+				first = 1
+			}
+			q.pushFanOut(event{at: at, seq: s0 + uint64(first), node: first, from: from, end: n}, int(n-1))
+		}
+	}
 	pop := func(i int) (event, bool) {
 		if q.len() != o.len() {
 			t.Fatalf("op %d: len %d, oracle %d", i, q.len(), o.len())
@@ -44,13 +74,14 @@ func checkQueueOps(t testing.TB, ops []byte) {
 		}
 		got, want := q.pop(), o.pop()
 		if got != want {
-			t.Fatalf("op %d: popped (at %d, seq %d), oracle (at %d, seq %d)", i, got.at, got.seq, want.at, want.seq)
+			t.Fatalf("op %d: popped (at %d, seq %d, node %d), oracle (at %d, seq %d, node %d)",
+				i, got.at, got.seq, got.node, want.at, want.seq, want.node)
 		}
 		return got, true
 	}
 	for i, b := range ops {
-		a := types.Time(b >> 3)
-		switch b & 7 {
+		a := types.Time(b / queueOps)
+		switch b % queueOps {
 		case 0:
 			push(now+a%2, false)
 		case 1:
@@ -77,6 +108,9 @@ func checkQueueOps(t testing.TB, ops []byte) {
 					t.Fatalf("op %d: peekAt %d, oracle %d", i, got, want)
 				}
 			}
+		case 8:
+			n := int32(2 + a%15)
+			broadcast(now+a%3, n, int32(3*a)%n)
 		}
 	}
 	for _, ok := pop(len(ops)); ok; _, ok = pop(len(ops)) {
@@ -85,7 +119,7 @@ func checkQueueOps(t testing.TB, ops []byte) {
 
 // queueSchedule draws a random schedule; weights[k] is the relative
 // frequency of op k.
-func queueSchedule(rng *rand.Rand, n int, weights [8]int) []byte {
+func queueSchedule(rng *rand.Rand, n int, weights [queueOps]int) []byte {
 	total := 0
 	for _, w := range weights {
 		total += w
@@ -97,21 +131,26 @@ func queueSchedule(rng *rand.Rand, n int, weights [8]int) []byte {
 			x -= weights[op]
 			op++
 		}
-		ops[i] = byte(op) | byte(rng.Intn(32))<<3
+		ops[i] = queueOp(op, rng.Intn(256/queueOps))
 	}
 	return ops
 }
 
+// queueOp encodes operation op with argument a as a schedule byte.
+func queueOp(op, a int) byte { return byte(op + queueOps*a) }
+
 // queueProfiles are the op mixes of the randomized differential: the
-// simulator's own shape (unit-delay traffic plus far timers, popped as Run
-// pops), same-tick bursts, a far-heavy mix, pops that leave the clock (so
-// pushes fall behind base), and everything at once.
-var queueProfiles = [][8]int{
-	{30, 5, 0, 2, 0, 30, 0, 1},
-	{40, 0, 0, 0, 0, 5, 0, 1},
-	{5, 5, 10, 20, 0, 20, 0, 3},
-	{10, 10, 2, 2, 10, 5, 20, 3},
-	{5, 5, 5, 5, 5, 5, 5, 5},
+// simulator's own shape (unit-delay traffic and broadcasts plus far timers,
+// popped as Run pops), same-tick bursts, a far-heavy mix, pops that leave
+// the clock (so pushes fall behind base), broadcasts popped partway by
+// interleaved pushes and peeks, and everything at once.
+var queueProfiles = [][queueOps]int{
+	{30, 5, 0, 2, 0, 30, 0, 1, 10},
+	{40, 0, 0, 0, 0, 5, 0, 1, 0},
+	{5, 5, 10, 20, 0, 20, 0, 3, 2},
+	{10, 10, 2, 2, 10, 5, 20, 3, 5},
+	{5, 2, 0, 2, 2, 15, 15, 6, 20},
+	{5, 5, 5, 5, 5, 5, 5, 5, 5},
 }
 
 // TestEventQueueDifferential compares eventQueue with the oracle on random
@@ -128,8 +167,11 @@ func TestEventQueueDifferential(t *testing.T) {
 
 // FuzzEventQueue runs the differential harness on arbitrary schedules.
 func FuzzEventQueue(f *testing.F) {
-	f.Add([]byte{0, 0, 8, 5, 5, 5})
-	f.Add([]byte{3, 3 | 31<<3, 0, 5, 6, 4, 7 | 1<<3, 5, 5, 7})
+	f.Add([]byte{queueOp(0, 0), queueOp(0, 0), queueOp(0, 1), queueOp(5, 0), queueOp(5, 0), queueOp(5, 0)})
+	f.Add([]byte{queueOp(3, 0), queueOp(3, 28), queueOp(0, 0), queueOp(5, 0), queueOp(6, 0), queueOp(4, 0),
+		queueOp(7, 1), queueOp(5, 0), queueOp(5, 0), queueOp(7, 0)})
+	f.Add([]byte{queueOp(8, 16), queueOp(5, 0), queueOp(5, 0), queueOp(0, 1), queueOp(8, 1),
+		queueOp(7, 1), queueOp(6, 0), queueOp(8, 4), queueOp(5, 0), queueOp(7, 0)})
 	for p, weights := range queueProfiles {
 		f.Add(queueSchedule(rand.New(rand.NewSource(int64(p))), 300, weights))
 	}

@@ -12,14 +12,14 @@
 // Runs are fully deterministic given a seed: events pop in (time, sequence
 // number) order and all randomness flows from one seeded source.
 //
-// The event queue is a calendar queue (see eventQueue): a ring of 64
+// The event queue is a calendar queue (see eventQueue): a ring of 128
 // per-tick FIFO buckets starting at the current tick, where nearly every
-// event lands, and a 4-ary heap for events 64 or more ticks ahead (long
-// timers, large delays, GST) or behind the ring. Push and pop are O(1) for
-// ring events; the pop order is exactly (time, sequence number), the order of
-// a single heap, so replacing the heap changed no simulation output. The
-// ring costs 2 KiB of bucket headers plus, per bucket, the capacity of the
-// busiest tick it has held.
+// event lands (messages and the default 9Δ view timers), and a 4-ary heap
+// for events 128 or more ticks ahead (long timers, large delays, GST) or
+// behind the ring. Push and pop are O(1) for ring events; the pop order is
+// exactly (time, sequence number), the order of a single heap, so replacing
+// the heap changed no simulation output. A broadcast whose remote deliveries
+// share one instant is one fan-out entry, not one entry per recipient.
 //
 // Nodes are indices inside and NodeIDs at the API. The runner keeps one slot
 // per machine in Add order, and an event names its destination by slot
@@ -152,12 +152,16 @@ type Runner struct {
 	events  int
 	started bool // machines Started (first Run call)
 
-	// armed tracks pending timer events so that re-arming the same timer
-	// for the same instant coalesces into one heap entry instead of
-	// growing the queue (see env.SetTimer). Keys are removed when the
-	// event fires.
+	// armed tracks the pending timer events pushed to the far heap, so
+	// that re-arming the same timer for the same instant coalesces into one
+	// queue entry instead of growing the queue (see env.SetTimer); a timer
+	// in the ring is found in its tick's bucket instead. Keys are removed
+	// when the event fires.
 	armed     map[timerKey]struct{}
 	coalesced int64
+
+	// delays is Broadcast's scratch: the delay drawn for each recipient.
+	delays []types.Duration
 
 	sentMsgs [256]int64 // by types.Kind
 	dropped  int64
@@ -244,15 +248,18 @@ func (r *Runner) Run(until types.Time, stop func() bool) error {
 		e := r.envs[ev.node]
 		r.mEvents.Inc()
 		if ev.timer {
-			delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
+			if len(r.armed) > 0 {
+				delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
+			}
 			r.mTimers.Inc()
 			e.m.Tick(e, ev.timerID)
 			continue
 		}
+		from := r.envs[ev.from].self
 		if r.Watch != nil {
-			r.Watch(ev.from, e.self, ev.msg, ev.at)
+			r.Watch(from, e.self, ev.msg, ev.at)
 		}
-		e.m.Deliver(e, ev.from, ev.msg)
+		e.m.Deliver(e, from, ev.msg)
 	}
 	return nil
 }
@@ -388,26 +395,40 @@ func (e *env) Broadcast(msg types.Message) {
 	// size, so a broadcast still costs n× on the wire (the paper's
 	// "communicated bits" accounting) without n serializations.
 	size := int64(types.EncodedSize(msg))
+	if e.r.cfg.Adversary == nil && e.r.now >= e.r.cfg.GST {
+		e.r.broadcastSynced(e, msg, size)
+		return
+	}
 	for _, to := range e.r.envs {
 		e.r.send(e, to, msg, size)
 	}
 }
 
 func (e *env) SetTimer(id types.TimerID, d types.Duration) {
-	at := e.r.now + types.Time(d)
+	r := e.r
+	at := r.now + types.Time(d)
 	// Coalesce duplicate arms: a timer already pending for this (node, id,
-	// instant) fires exactly once, so re-arming it must not grow the heap.
+	// instant) fires exactly once, so re-arming it must not grow the queue.
 	// Protocols that re-arm on every delivery (retransmission timers,
 	// per-view timers under message storms) stay O(live timers) instead of
-	// O(arms).
+	// O(arms). A pending timer is in its tick's bucket when that tick is in
+	// the ring, and in armed when it was pushed to the far heap (it may
+	// have been far when armed and be inside the ring now).
 	key := timerKey{node: e.idx, id: id, at: at}
-	if _, dup := e.r.armed[key]; dup {
-		e.r.coalesced++
-		e.r.mCoalesced.Inc()
+	near := r.queue.inRing(at)
+	dup := near && r.queue.holdsTimer(at, e.idx, id)
+	if !dup && len(r.armed) > 0 {
+		_, dup = r.armed[key]
+	}
+	if dup {
+		r.coalesced++
+		r.mCoalesced.Inc()
 		return
 	}
-	e.r.armed[key] = struct{}{}
-	e.r.push(event{at: at, node: e.idx, timer: true, timerID: id})
+	if !near {
+		r.armed[key] = struct{}{}
+	}
+	r.push(event{at: at, node: e.idx, timer: true, timerID: id})
 }
 
 func (e *env) Decide(slot types.Slot, val types.Value) {
@@ -537,7 +558,53 @@ func (r *Runner) send(from, to *env, msg types.Message, size int64) {
 	at += types.Time(extra)
 
 	to.recvBytes += size
-	r.push(event{at: at, node: to.idx, from: from.self, msg: msg})
+	r.push(event{at: at, node: to.idx, from: from.idx, msg: msg})
+}
+
+// broadcastSynced sends msg to every node when nothing can drop, rewrite or
+// hold it back: no adversary, and the clock at or past GST. It draws each
+// remote recipient's delay in recipient order and bills the bytes exactly as
+// n calls of send would. When every remote delivery lands on one instant
+// after the self-delivery's and inside the ring, those deliveries are one
+// fan-out entry that takes the seq block their pushes would have taken, so
+// the pop order, and with it the run, is the per-recipient one.
+func (r *Runner) broadcastSynced(from *env, msg types.Message, size int64) {
+	n := len(r.envs)
+	first := int32(0) // the first remote recipient
+	if from.idx == 0 {
+		first = 1
+	}
+	delays := r.delays[:0]
+	var d0 types.Duration // first's delay
+	uniform := true
+	for i, to := range r.envs {
+		var d types.Duration
+		if to != from { // self-delivery is immediate
+			d = r.cfg.Delay.Delay(r.rng, from.self, to.self)
+			if int32(i) == first {
+				d0 = d
+			}
+			uniform = uniform && d == d0
+		}
+		delays = append(delays, d)
+		to.recvBytes += size
+	}
+	r.delays = delays
+	from.sentBytes += int64(n) * size
+	r.sentMsgs[msg.Kind()] += int64(n)
+	r.mSent.Add(int64(n))
+
+	at := r.now + types.Time(d0)
+	if n < 2 || !uniform || at <= r.now || !r.queue.inRing(at) {
+		for i, to := range r.envs {
+			r.push(event{at: r.now + types.Time(delays[i]), node: to.idx, from: from.idx, msg: msg})
+		}
+		return
+	}
+	s0 := r.seq // recipient i's seq is s0+i
+	r.seq += uint64(n)
+	r.queue.push(event{at: r.now, seq: s0 + uint64(from.idx), node: from.idx, from: from.idx, msg: msg})
+	r.queue.pushFanOut(event{at: at, seq: s0 + uint64(first), node: first, from: from.idx, end: int32(n), msg: msg}, n-1)
 }
 
 func (r *Runner) drop() {
@@ -559,17 +626,24 @@ type timerKey struct {
 }
 
 // event is either a message delivery or a timer fire for one node, named by
-// its index in Runner.envs; from is the sender's NodeID, as Deliver takes it.
+// its index in Runner.envs; from is the sender's index.
+//
+// A fan-out entry (end > 0) is the remote deliveries of one broadcast, all
+// at the same instant: to node, then each later index below end except
+// from, whose self-delivery is an event of its own. node and seq name the
+// next delivery; recipient i's seq is seq + (i − node), the seq its own
+// push would have taken.
 type event struct {
 	at    types.Time
 	seq   uint64
 	node  int32
+	from  int32
+	end   int32
 	timer bool
 
 	timerID types.TimerID
 
-	from types.NodeID
-	msg  types.Message
+	msg types.Message
 }
 
 // before reports whether a pops ahead of b: the (at, seq) total order.
@@ -580,16 +654,28 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
+// nextRecipient is the recipient a fan-out entry hands out after node; the
+// entry is spent when it reaches end.
+func (a *event) nextRecipient() int32 {
+	i := a.node + 1
+	if i == a.from {
+		i++
+	}
+	return i
+}
+
 // nearTicks is W, the calendar ring's width in ticks. A power of two, so a
 // tick's bucket is at & (W-1). Under the unit delay model almost every event
-// lands 0 or 1 tick ahead, and delays up to Δ (10 ticks by default) stay well
-// inside the ring; 9Δ view timers and GST jumps go to the far heap.
-const nearTicks = 64
+// lands 0 or 1 tick ahead, delays up to Δ (10 ticks by default) stay well
+// inside the ring, and so do the default 9Δ = 90-tick view timers; longer
+// timers and GST jumps go to the far heap.
+const nearTicks = 128
 
 // eventQueue is a calendar queue ordered by (at, seq): a ring of nearTicks
 // per-tick FIFO buckets covering [base, base+W), plus a far heap for
-// everything else — long timers, delays of W or more, GST jumps, and pushes
-// behind base (a test that pops outside Run without advancing the clock).
+// everything else — timers W or more ticks ahead, delays of W or more, GST
+// jumps, and pushes behind base (a test that pops outside Run without
+// advancing the clock).
 //
 // The order is exactly (at, seq), the pop sequence of the single heap this
 // replaced, so every simulation is unchanged: a bucket holds one tick, and
@@ -601,21 +687,29 @@ const nearTicks = 64
 // message with delay < W is never pushed to the far heap. When the ring is
 // empty the far top is popped and base jumps to it.
 //
-// Memory: W bucket headers (32 B each) plus, per bucket, the capacity of the
-// busiest tick it has held; emptied buckets keep their capacity, so a steady
-// push/pop cycle allocates nothing. An n=16 multishot run (up to ≈ 350 events
-// in the ring, ≈ 1,440 timers in the far heap) retains about 1.1 MiB of
-// buckets (56-byte events); a single heap of its 1,791 events peaked at
-// 0.1 MiB.
+// A fan-out entry (see event) lives in the ring only. It holds a contiguous
+// seq block that no other push can fall inside, so handing its deliveries
+// out one pop at a time, in recipient order, keeps the (at, seq) order; len
+// counts deliveries, not entries.
+//
+// Memory: W bucket headers (32 B each, 4 KiB) plus, per bucket, the
+// capacity of the busiest tick it has held; emptied buckets keep their
+// capacity, so a steady push/pop cycle allocates nothing. An n=16 multishot
+// run of 2,100 slots (up to 1,791 deliveries and timers queued in at most
+// 1,479 entries, ≈ 1,440 of them view timers) retains 0.5 MiB of buckets, 73
+// 56-byte events per bucket; one entry per recipient in a 64-tick ring, with
+// the timers in the far heap, retained 1.0 MiB plus 0.1 MiB of heap.
 type eventQueue struct {
 	ring [nearTicks]bucket
 	base types.Time
-	near int // events in the ring
+	near int // deliveries and timers in the ring
 	far  farHeap
 
-	// farMsgs counts message (non-timer) events pushed to the far heap; the
-	// tests pin it at 0 for constant-delay runs.
-	farMsgs int
+	// farMsgs and farTimers count the message and timer events pushed to
+	// the far heap; the tests pin farMsgs at 0 for constant-delay runs and
+	// farTimers at 0 for default-Δ multishot runs.
+	farMsgs   int
+	farTimers int
 }
 
 // bucket is the FIFO of one tick: ev[head:] are pending.
@@ -626,17 +720,45 @@ type bucket struct {
 
 func (q *eventQueue) len() int { return q.near + len(q.far.ev) }
 
+// inRing reports whether an event at at would be pushed to the ring.
+func (q *eventQueue) inRing(at types.Time) bool {
+	return at >= q.base && at-q.base < nearTicks
+}
+
 func (q *eventQueue) push(e event) {
-	if e.at >= q.base && e.at-q.base < nearTicks {
+	if q.inRing(e.at) {
 		b := &q.ring[e.at&(nearTicks-1)]
 		b.ev = append(b.ev, e)
 		q.near++
 		return
 	}
-	if !e.timer {
+	if e.timer {
+		q.farTimers++
+	} else {
 		q.farMsgs++
 	}
 	q.far.push(e)
+}
+
+// pushFanOut queues a fan-out entry of deliveries deliveries. Its instant
+// must be inside the ring.
+func (q *eventQueue) pushFanOut(e event, deliveries int) {
+	b := &q.ring[e.at&(nearTicks-1)]
+	b.ev = append(b.ev, e)
+	q.near += deliveries
+}
+
+// holdsTimer reports whether the bucket of at, a tick inside the ring,
+// holds a pending timer id for node. A bucket holds one tick, so the timer
+// is at at.
+func (q *eventQueue) holdsTimer(at types.Time, node int32, id types.TimerID) bool {
+	b := &q.ring[at&(nearTicks-1)]
+	for i := b.head; i < len(b.ev); i++ {
+		if e := &b.ev[i]; e.timer && e.node == node && e.timerID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // next returns the bucket whose head is the next event, or nil when the next
@@ -664,7 +786,9 @@ func (q *eventQueue) peekAt() types.Time {
 	return q.far.ev[0].at
 }
 
-// pop removes and returns the next event. The queue must not be empty.
+// pop removes and returns the next event: a fan-out entry hands out its next
+// delivery as a plain message event and stays at its bucket's head until
+// spent. The queue must not be empty.
 func (q *eventQueue) pop() event {
 	b := q.next()
 	if b == nil {
@@ -674,14 +798,23 @@ func (q *eventQueue) pop() event {
 		}
 		return e
 	}
-	e := b.ev[b.head]
-	b.ev[b.head] = event{} // release the msg reference for the GC
+	h := &b.ev[b.head]
+	e := *h
+	q.near--
+	q.base = e.at
+	if e.end > 0 {
+		e.end = 0
+		if i := h.nextRecipient(); i < h.end {
+			h.seq += uint64(i - h.node)
+			h.node = i
+			return e
+		}
+	}
+	*h = event{} // release the msg reference for the GC
 	b.head++
 	if b.head == len(b.ev) {
 		b.ev, b.head = b.ev[:0], 0
 	}
-	q.near--
-	q.base = e.at
 	return e
 }
 
