@@ -55,15 +55,26 @@ func Throughput(batches []int) ([]ThroughputRow, error) {
 			BatchSize:  batch,
 			Window:     window,
 			DecidedTxs: res.DecidedTxs,
-			FinishedAt: res.FinishedAt,
+			FinishedAt: lastDecisionAt(res),
 			P50:        res.TxLatencyP50,
 			P99:        res.TxLatencyP99,
 		}
-		if res.FinishedAt > 0 {
-			row.TxPerKTicks = float64(res.DecidedTxs) * 1000 / float64(res.FinishedAt)
+		if row.FinishedAt > 0 {
+			row.TxPerKTicks = float64(res.DecidedTxs) * 1000 / float64(row.FinishedAt)
 		}
 		return row, nil
 	})
+}
+
+// lastDecisionAt is when the last replica finalized its last slot. The
+// run's own FinishedAt is when the event queue drained, which can trail the
+// last decision by pending view timers that change nothing.
+func lastDecisionAt(res *scenario.Result) int64 {
+	var last int64
+	for _, d := range res.Decisions {
+		last = max(last, d.At)
+	}
+	return last
 }
 
 // WriteThroughput renders the throughput experiment.

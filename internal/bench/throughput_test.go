@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"tetrabft/internal/scenario"
+)
 
 // TestThroughputBatchScaling pins the batching claim: with the slot budget
 // and offered load fixed, decided-tx throughput strictly increases with the
@@ -17,6 +21,18 @@ func TestThroughputBatchScaling(t *testing.T) {
 	for i, row := range rows {
 		if row.DecidedTxs == 0 || row.TxPerKTicks == 0 {
 			t.Fatalf("row %d decided nothing: %+v", i, row)
+		}
+		// Ticks is the last decision's instant, not the drain of the queue.
+		res, err := scenario.Run(throughputScenario(row.BatchSize, row.Window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last int64
+		for _, d := range res.Decisions {
+			last = max(last, d.At)
+		}
+		if row.FinishedAt != last {
+			t.Errorf("batch %d: FinishedAt %d, want the last decision's time %d", row.BatchSize, row.FinishedAt, last)
 		}
 		if i > 0 {
 			if row.TxPerKTicks <= rows[i-1].TxPerKTicks {
