@@ -143,6 +143,7 @@ type slotState struct {
 	view      types.View
 	votes     core.VoteState // implicit vote-1..4 history for this slot
 	highestVC types.View
+	deadline  types.Time // when this slot's 9Δ view timer expires (see Tick)
 
 	views     []*viewRec
 	notarized []notRec
@@ -221,8 +222,9 @@ type Node struct {
 	// block it missed (see onFinal).
 	claims map[types.Slot]map[types.NodeID]types.BlockID
 
-	timers    map[types.TimerID]timerRef
-	nextTimer types.TimerID
+	// wakeAt is when the node's one pending Env timer fires (0 = none
+	// pending); restartDeadline says why one timer serves every slot.
+	wakeAt types.Time
 
 	// freeSlots/freeViews recycle finalized slots' records so the pipeline
 	// reaches a steady state with no per-slot allocation.
@@ -279,11 +281,6 @@ const catchupWindow = 64
 // pipeline leader two ahead.
 const slotRingLen = catchupWindow + 8
 
-type timerRef struct {
-	slot types.Slot
-	view types.View
-}
-
 var _ types.Machine = (*Node)(nil)
 
 // NewNode builds a multi-shot node.
@@ -328,7 +325,6 @@ func NewNode(cfg Config) (*Node, error) {
 		ring:      make([]*slotState, slotRingLen),
 		blocks:    make(map[types.BlockID]types.Block),
 		claims:    make(map[types.Slot]map[types.NodeID]types.BlockID),
-		timers:    make(map[types.TimerID]timerRef),
 	}
 	n.out = n.outBuf[:0]
 	n.late = n.lateBuf[:0]
@@ -400,7 +396,7 @@ func (n *Node) bitsBlocking(b quorum.Bits) bool {
 }
 
 // Start implements types.Machine: slot 1 begins at time zero. A restored
-// node instead rejoins: it re-arms the timers of its recovered in-flight
+// node instead rejoins: it restarts the deadlines of its recovered in-flight
 // slots and immediately calls for a view change on the lowest unfinalized
 // slot, which doubles as the catch-up request — peers that already
 // finalized that slot answer with finality claims (onViewChange), and the
@@ -411,11 +407,9 @@ func (n *Node) Start(env types.Env) {
 		return
 	}
 	if n.restored {
-		for s := n.finalized + 1; s <= n.maxSlot; s++ {
-			if st := n.peekSlot(s); st != nil && st.started {
-				n.emit(env, "rejoin-slot", s, st.view)
-				n.armTimer(env, s, st.view)
-			}
+		for st := range n.inFlight {
+			n.emit(env, "rejoin-slot", st.slot, st.view)
+			n.restartDeadline(env, st)
 		}
 		// The finalized prefix was not persisted; slot 1 (or whatever is
 		// lowest) must be re-fetched from peers before anything above it
@@ -458,27 +452,36 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 	n.endTurn(env)
 }
 
-// Tick implements types.Machine: a per-slot view timer expired. If the slot
-// is still unfinalized in that view, call for the next view on the lowest
-// aborted slot (Algorithm 3 lines 6-8), then re-arm for retransmission.
-func (n *Node) Tick(env types.Env, id types.TimerID) {
-	if n.halted {
+// Tick implements types.Machine: the node's one wakeup fired. Each in-flight
+// slot whose deadline passed is an expired view timer: call for the next view
+// on the lowest aborted slot (Algorithm 3 lines 6-8) and restart the slot's
+// deadline for retransmission. Then arm once, for the earliest deadline. A
+// fire before wakeAt is not the pending wakeup (a restored node can receive
+// its predecessor's timers) and changes nothing.
+func (n *Node) Tick(env types.Env, _ types.TimerID) {
+	now := env.Now()
+	if n.halted || n.wakeAt == 0 || now < n.wakeAt {
 		return
 	}
-	ref, ok := n.timers[id]
-	if !ok {
-		return
-	}
-	delete(n.timers, id)
 	if n.cfg.MaxSlot > 0 && n.finalized >= n.cfg.MaxSlot-3 {
+		n.wakeAt = 0
 		return // bounded run complete: the tail slots can never finalize
 	}
-	st := n.peekSlot(ref.slot)
-	if st == nil || st.view != ref.view {
-		return // stale: the slot finalized or moved on
+	var next types.Time
+	for st := range n.inFlight {
+		if st.deadline <= now {
+			n.callForViewChange(env)
+			n.restartDeadline(env, st) // arms nothing: wakeAt is still set
+		}
+		if next == 0 || st.deadline < next {
+			next = st.deadline
+		}
 	}
-	n.callForViewChange(env)
-	n.armTimer(env, ref.slot, ref.view)
+	n.wakeAt = 0
+	if next > 0 {
+		n.wakeAt = next
+		env.SetTimer(1, types.Duration(next-now))
+	}
 	n.endTurn(env)
 }
 
@@ -486,12 +489,11 @@ func (n *Node) Tick(env types.Env, id types.TimerID) {
 // (Algorithm 3 lines 6-8), or retransmits the pending call. Shared by the
 // timer path and a restored node's rejoin.
 func (n *Node) callForViewChange(env types.Env) {
-	lowest := n.lowestAborted()
-	if lowest == 0 {
+	ls := n.lowestAborted()
+	if ls == nil {
 		return
 	}
-	ls := n.peekSlot(lowest)
-	want := ls.view + 1
+	lowest, want := ls.slot, ls.view+1
 	if want > ls.highestVC {
 		ls.highestVC = want
 		n.dirty = true
@@ -504,14 +506,21 @@ func (n *Node) callForViewChange(env types.Env) {
 	}
 }
 
-// lowestAborted returns the lowest started-but-unfinalized slot (0 = none).
-func (n *Node) lowestAborted() types.Slot {
+// lowestAborted returns the lowest started-but-unfinalized slot (nil = none).
+func (n *Node) lowestAborted() *slotState {
+	for st := range n.inFlight {
+		return st
+	}
+	return nil
+}
+
+// inFlight yields the started, unfinalized slots in slot order.
+func (n *Node) inFlight(yield func(*slotState) bool) {
 	for s := n.finalized + 1; s <= n.maxSlot; s++ {
-		if st := n.peekSlot(s); st != nil && st.started {
-			return s
+		if st := n.peekSlot(s); st != nil && st.started && !yield(st) {
+			return
 		}
 	}
-	return 0
 }
 
 func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
@@ -606,12 +615,12 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, idx int, m types.M
 }
 
 // applyViewChange moves every unfinalized slot in [s, maxSlot] to view v,
-// resets their timers, and broadcasts per-slot proof/suggest histories
+// restarts their deadlines, and broadcasts per-slot proof/suggest histories
 // (Algorithm 2 lines 7-11). Slots never started stay in view 0. However many
 // slots move, the turn writes them in one snapshot before any history leaves.
 func (n *Node) applyViewChange(env types.Env, s types.Slot, v types.View) {
-	// Two passes keep the event order: every slot enters the view and
-	// re-arms before the first history (or re-proposal) is issued.
+	// Two passes keep the event order: every slot enters the view and restarts
+	// its deadline before the first history (or re-proposal) is issued.
 	var moved []*slotState
 	for k := s; k <= n.maxSlot; k++ {
 		st := n.peekSlot(k)
@@ -621,7 +630,7 @@ func (n *Node) applyViewChange(env types.Env, s types.Slot, v types.View) {
 		st.view = v
 		n.dirty = true
 		n.emit(env, "enter-view", k, v)
-		n.armTimer(env, k, v)
+		n.restartDeadline(env, st)
 		moved = append(moved, st)
 	}
 	for _, st := range moved {
@@ -745,7 +754,7 @@ func (n *Node) blockingClaim(s types.Slot) (types.BlockID, bool) {
 	return types.ZeroBlockID, false
 }
 
-// startSlot begins slot s: it becomes in-flight with a fresh 9Δ timer.
+// startSlot begins slot s: it becomes in-flight with a fresh 9Δ deadline.
 func (n *Node) startSlot(env types.Env, s types.Slot) {
 	if !n.inWindow(s) || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
 		return
@@ -759,14 +768,21 @@ func (n *Node) startSlot(env types.Env, s types.Slot) {
 		n.maxSlot = s
 	}
 	n.emit(env, "start-slot", s, st.view)
-	n.armTimer(env, s, st.view)
+	n.restartDeadline(env, st)
 }
 
-func (n *Node) armTimer(env types.Env, s types.Slot, v types.View) {
-	n.nextTimer++
-	id := n.nextTimer
-	n.timers[id] = timerRef{slot: s, view: v}
-	env.SetTimer(id, types.Duration(n.cfg.TimeoutFactor)*n.cfg.Delta)
+// restartDeadline sets st's view timer to expire 9Δ from now. It arms the
+// node's one Env timer only when none is pending: every deadline is set to
+// now + 9Δ, so they only grow, and a pending wakeup, armed at most 9Δ ago
+// for the earliest deadline then, fires no later than this one. The timer's
+// id is unused: Tick goes by wakeAt and the deadlines.
+func (n *Node) restartDeadline(env types.Env, st *slotState) {
+	timeout := types.Duration(n.cfg.TimeoutFactor) * n.cfg.Delta
+	st.deadline = env.Now() + types.Time(timeout)
+	if n.wakeAt == 0 {
+		n.wakeAt = st.deadline
+		env.SetTimer(1, timeout)
+	}
 }
 
 // tryPropose proposes a block for slot s if this node leads (s, view) and
@@ -1133,33 +1149,18 @@ func (n *Node) releaseSlot(s types.Slot) {
 		}
 		n.recycleView(vr)
 	}
-	st.slot = 0
-	st.started = false
-	st.view = 0
-	st.highestVC = 0
-	st.votes = core.VoteState{}
-	st.views = st.views[:0]
-	st.notarized = st.notarized[:0]
+	*st = slotState{views: st.views[:0], notarized: st.notarized[:0]}
 	n.freeSlots = append(n.freeSlots, st)
 }
 
 // recycleView scrubs a view record and returns it to the free list. The
 // tally backing array keeps its bitsets — tallyOf clears them on reuse.
 func (n *Node) recycleView(vr *viewRec) {
-	vr.view = 0
-	vr.proposed = false
-	vr.sentVote = false
-	vr.hasProposal = false
-	vr.proposal = types.Block{}
-	vr.proposalID = types.ZeroBlockID
-	vr.value = ""
-	vr.suggests = nil
-	vr.proofs = nil
 	vr.vcVotes.Clear()
 	for i := range vr.tallies {
 		vr.tallies[i].block = types.ZeroBlockID
 	}
-	vr.tallies = vr.tallies[:0]
+	*vr = viewRec{vcVotes: vr.vcVotes, tallies: vr.tallies[:0]}
 	n.freeViews = append(n.freeViews, vr)
 }
 

@@ -151,13 +151,9 @@ func (n *Node) persistView() PersistentState {
 // snapshotInto captures the durable state, appending the slots to slots.
 func (n *Node) snapshotInto(slots []SlotPersist) PersistentState {
 	st := PersistentState{Finalized: n.finalized, FinalHead: n.finalHead(), Slots: slots}
-	for s := n.finalized + 1; s <= n.maxSlot; s++ {
-		ss := n.peekSlot(s)
-		if ss == nil || !ss.started {
-			continue
-		}
+	for ss := range n.inFlight {
 		st.Slots = append(st.Slots, SlotPersist{
-			Slot: s, View: ss.view, HighestVC: ss.highestVC, Votes: ss.votes,
+			Slot: ss.slot, View: ss.view, HighestVC: ss.highestVC, Votes: ss.votes,
 		})
 	}
 	return st
