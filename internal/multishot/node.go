@@ -507,11 +507,9 @@ func (n *Node) callForViewChange(env types.Env) {
 }
 
 // lowestAborted returns the lowest started-but-unfinalized slot (nil = none).
-func (n *Node) lowestAborted() *slotState {
-	for st := range n.inFlight {
-		return st
-	}
-	return nil
+func (n *Node) lowestAborted() (low *slotState) {
+	n.inFlight(func(st *slotState) bool { low = st; return false })
+	return low
 }
 
 // inFlight yields the started, unfinalized slots in slot order.
