@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"sync/atomic"
@@ -213,4 +214,54 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("a broadcast to 3 peers allocates %.1f times, want at most 1 (the shared frame)", allocs)
 	}
+}
+
+// frameSeeds are messages of every multishot kind plus the single-shot
+// proposal, for FuzzReadFrame's corpus and its round trip.
+func frameSeeds() []types.Message {
+	block := types.Block{Slot: 3, Parent: types.BlockID{1, 2}, Payload: []byte("payload"), Txs: [][]byte{[]byte("tx-a"), {}}}
+	ref := types.VoteRef{Valid: true, View: 2, Val: "v"}
+	return []types.Message{
+		types.MSPropose{View: 1, Block: block},
+		types.MSVote{Slot: 3, View: 1, Block: block.ID()},
+		types.MSViewChange{Slot: 4, View: 2},
+		types.MSSuggest{Slot: 4, View: 2, Vote2: ref, Vote3: ref},
+		types.MSProof{Slot: 4, View: 2, Vote1: ref, Vote4: ref},
+		types.MSFinal{Block: block},
+		types.Proposal{View: 0, Val: "val-0"},
+	}
+}
+
+// FuzzReadFrame feeds readFrame what a peer's socket could hand it. It must
+// never panic, never return more than maxFrame bytes or more than the header
+// announced, and read an encodeFrame frame back as exactly its message's
+// encoding, whatever bytes follow it on the stream.
+func FuzzReadFrame(f *testing.F) {
+	seeds := frameSeeds()
+	for i, m := range seeds {
+		frame := encodeFrame(m)
+		f.Add(frame, uint8(i))
+		f.Add(frame[:len(frame)/2], uint8(i))
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0}, uint8(0))
+	f.Add([]byte{0, 0x10, 0, 1}, uint8(0)) // one byte over maxFrame
+	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
+		// A reused buffer of any capacity, as the read loop keeps one.
+		got, err := readFrame(bytes.NewReader(data), make([]byte, int(pick)))
+		if err == nil {
+			size := binary.BigEndian.Uint32(data)
+			if len(got) > maxFrame || uint32(len(got)) != size || !bytes.Equal(got, data[frameHeader:frameHeader+len(got)]) {
+				t.Fatalf("read %d bytes from a frame announcing %d (limit %d)", len(got), size, maxFrame)
+			}
+		}
+		m := seeds[int(pick)%len(seeds)]
+		stream := append(encodeFrame(m), data...)
+		got, err = readFrame(bytes.NewReader(stream), nil)
+		if err != nil {
+			t.Fatalf("reading an encodeFrame frame of %T: %v", m, err)
+		}
+		if want := types.Encode(m); !bytes.Equal(got, want) {
+			t.Fatalf("read %x back from a %T frame, want %x", got, m, want)
+		}
+	})
 }
