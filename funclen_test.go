@@ -82,7 +82,7 @@ func TestFunctionLengthRatchet(t *testing.T) {
 // tracked, each at its count today. A cap may only go down: when a package
 // shrinks, lower its entry to the new count.
 var packageLines = map[string]int{
-	"internal/multishot": 1640,
+	"internal/multishot": 1639,
 	"internal/scenario":  3649,
 	"internal/sweep":     2207,
 }

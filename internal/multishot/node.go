@@ -477,9 +477,8 @@ func (n *Node) Tick(env types.Env, _ types.TimerID) {
 			next = st.deadline
 		}
 	}
-	n.wakeAt = 0
+	n.wakeAt = next
 	if next > 0 {
-		n.wakeAt = next
 		env.SetTimer(1, types.Duration(next-now))
 	}
 	n.endTurn(env)

@@ -12,7 +12,7 @@ import (
 // TestMultiShotHoldsOneTimer samples every replica's pending timers while a
 // multishot cluster grows an unbounded chain over loopback TCP for several
 // view timeouts (9Δ = 45 ms here). A replica holds at most one, its next
-// wakeup, however many slots it starts per 9Δ. A timer per slot held about
+// wakeup, however many slots it starts per 9Δ. A timer per slot would hold
 // one per slot started in the last 9Δ, each an AfterFunc, a map entry and,
 // on firing, a goroutine.
 func TestMultiShotHoldsOneTimer(t *testing.T) {
