@@ -454,10 +454,10 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 
 // Tick implements types.Machine: the node's one wakeup fired. Each in-flight
 // slot whose deadline passed is an expired view timer: call for the next view
-// on the lowest aborted slot (Algorithm 3 lines 6-8) and restart the slot's
-// deadline for retransmission. Then arm once, for the earliest deadline. A
-// fire before wakeAt is not the pending wakeup (a restored node can receive
-// its predecessor's timers) and changes nothing.
+// on the lowest aborted slot (Algorithm 3 lines 6-8) and restart its deadline
+// for retransmission. Then arm once, for the earliest deadline: deadlines only
+// grow, so that one wakeup comes in time for every slot. A fire before wakeAt
+// (a restored node can receive its predecessor's timers) changes nothing.
 func (n *Node) Tick(env types.Env, _ types.TimerID) {
 	now := env.Now()
 	if n.halted || n.wakeAt == 0 || now < n.wakeAt {
