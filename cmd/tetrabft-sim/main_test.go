@@ -57,7 +57,7 @@ func TestRunsGoodCaseSpec(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, out)
 	}
 	for id := range 4 {
-		want := fmt.Sprintf(`node %d decided "value-of-node-0" at t=5 (message delays)`, id)
+		want := fmt.Sprintf(`node %d decided "val-0" at t=5 (message delays)`, id)
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
