@@ -3,9 +3,9 @@
 //
 // Modes (exactly one):
 //
-//	-run FILE        run a JSON sweep spec (see internal/sweep and the
-//	                 EXPERIMENTS.md "Sweeps & fuzzing" section)
-//	-name NAME       run a bundled named sweep (-list shows them)
+//	-run S           run a sweep: S is a bundled sweep name (-list shows
+//	                 them) or a JSON sweep spec file (see internal/sweep and
+//	                 the EXPERIMENTS.md "Sweeps & fuzzing" section)
 //	-capacity P      run a capacity plan: bracket and bisect to the highest
 //	                 offered rate the SLOs sustain. P is a bundled plan name
 //	                 (-list shows them) or a JSON plan file; the snapshot is
@@ -40,8 +40,7 @@ import (
 
 func main() {
 	var (
-		runPath    = flag.String("run", "", "run the JSON sweep spec at this path")
-		name       = flag.String("name", "", "run the bundled named sweep")
+		runPath    = flag.String("run", "", "run a sweep (bundled name or JSON file)")
 		capacity   = flag.String("capacity", "", "run a capacity plan (bundled name or JSON file)")
 		fuzzRuns   = flag.Int("fuzz", 0, "sample and run this many random scenarios")
 		compare    = flag.Bool("compare", false, "diff the two snapshot files given as arguments")
@@ -63,7 +62,7 @@ func main() {
 		os.Exit(1)
 	}
 	code, err := run(options{
-		runPath: *runPath, name: *name, capacity: *capacity, fuzzRuns: *fuzzRuns, compare: *compare,
+		runPath: *runPath, capacity: *capacity, fuzzRuns: *fuzzRuns, compare: *compare,
 		list: *list, format: *format, jsonPath: *jsonPath, fuzzSeed: *fuzzSeed,
 		maxNodes: *maxNodes, protocols: *protocols, mutations: *mutations,
 		outDir: *outDir, args: flag.Args(),
@@ -82,7 +81,7 @@ func main() {
 }
 
 type options struct {
-	runPath, name    string
+	runPath          string
 	capacity         string
 	fuzzRuns         int
 	compare, list    bool
@@ -98,13 +97,13 @@ type options struct {
 // run executes one mode and returns the process exit code (0 pass, 1 fail).
 func run(opts options, stdout io.Writer) (int, error) {
 	modes := 0
-	for _, on := range []bool{opts.runPath != "", opts.name != "", opts.capacity != "", opts.fuzzRuns > 0, opts.compare, opts.list} {
+	for _, on := range []bool{opts.runPath != "", opts.capacity != "", opts.fuzzRuns > 0, opts.compare, opts.list} {
 		if on {
 			modes++
 		}
 	}
 	if modes != 1 {
-		return 1, fmt.Errorf("pick exactly one mode: -run FILE, -name NAME, -capacity PLAN, -fuzz N, -compare A B or -list")
+		return 1, fmt.Errorf("pick exactly one mode: -run SWEEP, -capacity PLAN, -fuzz N, -compare A B or -list")
 	}
 	switch opts.format {
 	case "md", "csv", "json":
@@ -132,21 +131,14 @@ func run(opts options, stdout io.Writer) (int, error) {
 		return runCapacity(opts, stdout)
 	}
 
-	var sw sweep.Sweep
-	if opts.runPath != "" {
+	sw, ok := sweep.ByName(opts.runPath)
+	if !ok {
 		data, err := os.ReadFile(opts.runPath)
 		if err != nil {
-			return 1, err
+			return 1, fmt.Errorf("-run %q is neither a bundled sweep (-list shows them) nor a readable file: %w", opts.runPath, err)
 		}
-		sw, err = sweep.Parse(data)
-		if err != nil {
+		if sw, err = sweep.Parse(data); err != nil {
 			return 1, err
-		}
-	} else {
-		var ok bool
-		sw, ok = sweep.ByName(opts.name)
-		if !ok {
-			return 1, fmt.Errorf("unknown named sweep %q (-list shows the library)", opts.name)
 		}
 	}
 	res, err := sweep.Run(sw)

@@ -93,13 +93,13 @@ func TestModeExclusivity(t *testing.T) {
 	if _, err := run(options{format: "md"}, &out); err == nil {
 		t.Error("no mode accepted")
 	}
-	if _, err := run(options{name: "n-scaling", fuzzRuns: 5, format: "md"}, &out); err == nil {
+	if _, err := run(options{runPath: "n-scaling", fuzzRuns: 5, format: "md"}, &out); err == nil {
 		t.Error("two modes accepted")
 	}
-	if _, err := run(options{name: "no-such-sweep", format: "md"}, &out); err == nil {
+	if _, err := run(options{runPath: "no-such-sweep", format: "md"}, &out); err == nil {
 		t.Error("unknown named sweep accepted")
 	}
-	if _, err := run(options{name: "n-scaling", format: "yaml"}, &out); err == nil {
+	if _, err := run(options{runPath: "n-scaling", format: "yaml"}, &out); err == nil {
 		t.Error("unknown format accepted")
 	}
 }

@@ -21,9 +21,7 @@ const maxFuncLines = 150
 // lower its entry, or delete the entry once the function fits the limit.
 // Keys are "file:Func", or "file:Recv.Method" for a method.
 var longFuncs = map[string]int{
-	"internal/sweep/named.go:Named":    216,
-	"internal/scenario/named.go:Named": 211,
-	"cmd/tetrabft-bench/main.go:run":   170,
+	"cmd/tetrabft-bench/main.go:run": 170,
 }
 
 // engineFuncLines is the longest function accepted in engineFiles, the
@@ -83,8 +81,8 @@ func TestFunctionLengthRatchet(t *testing.T) {
 // shrinks, lower its entry to the new count.
 var packageLines = map[string]int{
 	"internal/multishot": 1639,
-	"internal/scenario":  3649,
-	"internal/sweep":     2207,
+	"internal/scenario":  3438,
+	"internal/sweep":     1951,
 }
 
 // TestPackageLinesRatchet holds each package of packageLines to its cap,

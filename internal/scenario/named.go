@@ -1,222 +1,11 @@
 package scenario
 
-import "tetrabft/internal/types"
+import "tetrabft/examples"
 
-// Named returns the bundled scenario library: one ready-to-run spec per
-// regime of the paper's evaluation matrix, plus the scenario-diversity
-// additions (partition, fuzzer, asymmetric links). Each call returns fresh
-// values, safe to mutate.
-func Named() []Scenario {
-	return []Scenario{
-		{
-			// Table 1 good case: 4 nodes decide in exactly 5 message
-			// delays.
-			Name:     "good-case",
-			Protocol: TetraBFT,
-			Nodes:    4,
-		},
-		{
-			// Table 1 view-change case: the view-0 leader is crashed; the
-			// 9Δ timeout fires and the next view decides.
-			Name:     "crashed-leader",
-			Protocol: TetraBFT,
-			Nodes:    4,
-			Faults:   []FaultSpec{{Type: FaultSilent, Node: 0}},
-			Stop:     StopSpec{Horizon: 4000},
-		},
-		{
-			// A Fast-B4B-style attack: the leader equivocates to the two
-			// halves of the cluster, votes split, the view change recovers.
-			Name:     "equivocating-leader",
-			Protocol: TetraBFT,
-			Nodes:    4,
-			Faults: []FaultSpec{{
-				Type: FaultEquivocator, Node: 0, ValueA: "left", ValueB: "right",
-			}},
-			Stop: StopSpec{Horizon: 4000},
-		},
-		{
-			// One node runs the random fuzzer from internal/byz; the three
-			// honest nodes must still decide consistently.
-			Name:     "fuzzed",
-			Protocol: TetraBFT,
-			Nodes:    4,
-			Faults:   []FaultSpec{{Type: FaultRandom, Node: 3, Seed: 99}},
-			Stop:     StopSpec{Horizon: 4000},
-		},
-		{
-			// Timed partition: a 2-2 split leaves no quorum, nobody
-			// decides; the partition heals at t=200 and consensus follows.
-			Name:     "partition-heal",
-			Protocol: TetraBFT,
-			Nodes:    4,
-			Faults: []FaultSpec{{
-				Type:   FaultPartition,
-				Groups: [][]types.NodeID{{0, 1}, {2, 3}},
-				To:     200,
-			}},
-			Stop: StopSpec{Horizon: 5000},
-		},
-		{
-			// Partial synchrony: a lossy asynchronous prefix until
-			// GST = 150, then the Section 3.2 timeout machinery recovers.
-			Name:     "lossy-until-gst",
-			Protocol: TetraBFT,
-			Nodes:    4,
-			Network:  NetworkSpec{GST: 150, DropBeforeGST: 0.9},
-			Stop:     StopSpec{Horizon: 4000},
-		},
-		{
-			// Asymmetric network: node 3 sits 5 ticks away from a 1-tick
-			// cluster (the geographically skewed case PerLinkDelay models).
-			Name:     "far-replica",
-			Protocol: TetraBFT,
-			Nodes:    4,
-			Network: NetworkSpec{Delay: &DelaySpec{
-				Model:   DelayPerLink,
-				Default: 1,
-				Links: []LinkDelaySpec{
-					{From: 0, To: 3, D: 5}, {From: 3, To: 0, D: 5},
-					{From: 1, To: 3, D: 5}, {From: 3, To: 1, D: 5},
-					{From: 2, To: 3, D: 5}, {From: 3, To: 2, D: 5},
-				},
-			}},
-			Stop: StopSpec{Horizon: 4000},
-		},
-		{
-			// Figure 2 good case: the pipeline finalizes one block per
-			// message delay.
-			Name:     "pipeline",
-			Protocol: TetraBFTMulti,
-			Nodes:    4,
-			Workload: WorkloadSpec{Slots: 10},
-			Stop:     StopSpec{Horizon: 5000},
-			Collect:  CollectSpec{Chain: true},
-		},
-		{
-			// Figure 3: a crashed replica stalls its slots; per-slot view
-			// changes abort at most the 5 in-flight blocks and the chain
-			// keeps growing.
-			Name:     "pipeline-crashed-leader",
-			Protocol: TetraBFTMulti,
-			Nodes:    4,
-			Faults:   []FaultSpec{{Type: FaultSilent, Node: 3}},
-			Workload: WorkloadSpec{MaxSlot: 9},
-			Stop:     StopSpec{Horizon: 6000},
-			Collect:  CollectSpec{Chain: true},
-		},
-		{
-			// A replicated KV workload: transactions flow through mempools
-			// into finalized blocks.
-			Name:     "kv-workload",
-			Protocol: TetraBFTMulti,
-			Nodes:    4,
-			Workload: WorkloadSpec{
-				Slots: 8,
-				Transactions: []TxSpec{
-					{Node: 0, Op: "set", Key: "alice", Value: "100"},
-					{Node: 1, Op: "set", Key: "bob", Value: "200"},
-					{Node: 2, Op: "set", Key: "carol", Value: "300"},
-					{Node: 0, Op: "del", Key: "bob"},
-				},
-			},
-			Stop:    StopSpec{Horizon: 5000},
-			Collect: CollectSpec{Chain: true},
-		},
-		{
-			// Crash-recovery over real TCP (Section 3.1's constant-size
-			// persistent state in action): replica 2's process is
-			// hard-killed at 300ms mid-pipeline, restarted from its WAL at
-			// 900ms, and must catch up via finality claims so that all four
-			// replicas finalize the full chain.
-			Name:     "tcp-crash-restart",
-			Engine:   EngineTCP,
-			Protocol: TetraBFTMulti,
-			Nodes:    4,
-			Workload: WorkloadSpec{Slots: 5},
-			Faults: []FaultSpec{{
-				Type: FaultCrashRestart, Node: 2,
-				CrashAtMS: 300, RestartAtMS: 900,
-			}},
-			Stop:    StopSpec{WallClockMS: 30000},
-			Collect: CollectSpec{Chain: true},
-		},
-		{
-			// Chaos links over TCP: every frame may be duplicated or delayed
-			// (seeded, so the fault pattern repeats across runs); the
-			// transport's reconnect/retry machinery plus idempotent protocol
-			// handling must still finalize the chain.
-			Name:     "tcp-chaos",
-			Engine:   EngineTCP,
-			Protocol: TetraBFTMulti,
-			Nodes:    4,
-			Seed:     7,
-			Network: NetworkSpec{
-				Duplicate: 0.2,
-				Delay:     &DelaySpec{Model: DelayUniform, Min: 1, Max: 5},
-			},
-			Workload: WorkloadSpec{Slots: 5},
-			Stop:     StopSpec{WallClockMS: 30000},
-			Collect:  CollectSpec{Chain: true},
-		},
-		{
-			// Heterogeneous trust: a 3-org core with 2-of-3 slices plus two
-			// satellite orgs — the paper's Section 7 observation.
-			Name:     "fba-slices",
-			Protocol: TetraBFT,
-			Quorum: &QuorumSpec{Slices: []SliceSpec{
-				{Node: 0, Slices: [][]types.NodeID{{0, 1, 2}}},
-				{Node: 1, Slices: [][]types.NodeID{{0, 1, 2}}},
-				{Node: 2, Slices: [][]types.NodeID{{0, 1, 2}}},
-				{Node: 3, Slices: [][]types.NodeID{{3, 0, 1, 2}}},
-				{Node: 4, Slices: [][]types.NodeID{{4, 0, 1, 2}}},
-			}},
-			Seed: 3,
-			Stop: StopSpec{Horizon: 3000},
-		},
-		{
-			// Batched pipelined multishot: an offered-load stream of 300
-			// transactions arriving at 4/tick, proposed in batches of up to
-			// 16 with two slots in flight. Exercises the full throughput
-			// path: timed mempool, batch payloads, per-tx commit latency.
-			Name:     "batched-pipeline",
-			Protocol: TetraBFTMulti,
-			Nodes:    4,
-			Workload: WorkloadSpec{
-				Slots:     12,
-				BatchSize: 16,
-				TxRate:    400,
-				TxCount:   300,
-				Window:    2,
-			},
-			Stop:    StopSpec{Horizon: 5000},
-			Collect: CollectSpec{Chain: true},
-		},
-		{
-			// The sharded service layer: two 4-node shard clusters serve a
-			// split offered-load stream (one tx in five roams across shards
-			// via the gateway router) while each shard periodically commits
-			// its decided-prefix digest into a 4-node anchor cluster. The
-			// result folds per-shard throughput plus anchor-commit latency,
-			// and every anchored digest is verified against the shard's log.
-			Name:     "sharded-service",
-			Protocol: TetraBFTMulti,
-			Shards: &ShardsSpec{
-				Count:          2,
-				AnchorInterval: 40,
-				CrossMix:       0.2,
-			},
-			Workload: WorkloadSpec{
-				Slots:     10,
-				BatchSize: 16,
-				TxRate:    400,
-				TxCount:   100,
-				Window:    2,
-			},
-			Stop: StopSpec{Horizon: 6000},
-		},
-	}
-}
+// Named returns the bundled scenario library, one spec per file of
+// examples/scenarios in file-name order. Each call returns fresh values,
+// safe to mutate.
+func Named() []Scenario { return examples.Load("scenarios", Parse) }
 
 // ByName returns the bundled scenario with the given name.
 func ByName(name string) (Scenario, bool) {

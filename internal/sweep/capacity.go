@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"tetrabft/internal/scenario"
-	"tetrabft/internal/workload"
 )
 
 // CapacitySchema identifies the capacity result serialization format.
@@ -279,55 +278,4 @@ func RunCapacity(cp Capacity) (*CapacityResult, error) {
 	result.Pass = result.KneeRate > 0 &&
 		(cp.TargetRate == 0 || result.KneeRate >= cp.TargetRate)
 	return result, nil
-}
-
-// NamedCapacity returns the bundled capacity plans. Each call returns fresh
-// values, safe to mutate.
-func NamedCapacity() []Capacity {
-	return []Capacity{
-		{
-			// Where is the pipelined multishot's knee? A Poisson stream is
-			// offered for 500 ticks at increasing rates; "sustained" means
-			// the whole stream commits (no backlog) with p99 commit latency
-			// under 300 ticks. The slot budget (1500 over a 2000-tick
-			// horizon) is deliberately non-binding: the pipeline proposes on
-			// schedule whether or not transactions arrived, so a tight
-			// budget would burn out before the stream lands and fake a knee.
-			// Smoke-scale: the CI capacity job runs this exact plan and
-			// asserts the knee stays found (it bisects to ~2500 in six
-			// probes, ≈3 s).
-			Name: "tetrabft-multi-capacity",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFTMulti,
-				Nodes:    4,
-				Workload: scenario.WorkloadSpec{
-					Slots:     1500,
-					BatchSize: 16,
-					Window:    2,
-					Arrival:   &workload.ArrivalSpec{Process: workload.ProcessPoisson, Rate: 1},
-				},
-				Stop: scenario.StopSpec{Horizon: 2000},
-			},
-			MinRate:    10,
-			MaxRate:    8000,
-			LoadTicks:  500,
-			Tolerance:  0.25,
-			Replicates: 2,
-			Assert: []string{
-				"max_backlog <= 0",  // the whole offered stream commits
-				"max_tx_p99 <= 300", // commits track arrivals
-				"min_decided_txs >= 1",
-			},
-		},
-	}
-}
-
-// CapacityByName returns the bundled capacity plan with the given name.
-func CapacityByName(name string) (Capacity, bool) {
-	for _, cp := range NamedCapacity() {
-		if cp.Name == name {
-			return cp, true
-		}
-	}
-	return Capacity{}, false
 }

@@ -1,230 +1,11 @@
 package sweep
 
-import (
-	"tetrabft/internal/scenario"
-	"tetrabft/internal/workload"
-)
+import "tetrabft/examples"
 
-// Named returns the bundled sweep library: one ready-to-run grid per
-// question the paper's evaluation raises but answers only at a point —
-// each turns a single-seed table entry into a distribution over a regime.
-// Each call returns fresh values, safe to mutate.
-func Named() []Sweep {
-	return []Sweep{
-		{
-			// How does crash recovery scale with the conservative bound Δ?
-			// Actual delays are uniform in [1, 5] while Δ grows, so the
-			// recovery latency isolates the timeout's contribution
-			// (Section 3.2); replicate seeds vary the delay draws.
-			Name: "delta-sensitivity",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFT,
-				Nodes:    4,
-				Network: scenario.NetworkSpec{Delay: &scenario.DelaySpec{
-					Model: scenario.DelayUniform, Min: 1, Max: 5,
-				}},
-				Faults: []scenario.FaultSpec{{Type: scenario.FaultSilent, Node: 0}},
-				Stop:   scenario.StopSpec{Horizon: 20000, AllDecided: true},
-			},
-			Axes:       []Axis{{Field: "delta", Ints: []int64{10, 20, 40}}},
-			Replicates: 5,
-			Assert: []string{
-				"min_decided >= 3",   // every honest node recovers
-				"max_max_view <= 1",  // exactly one view change
-				"p99_latency <= 405", // 9Δmax timeout + 2Δmax sync + 7·max-delay
-			},
-		},
-		{
-			// Does the 5-message-delay good case survive cluster growth?
-			// (Table 1 is measured at one n; the paper's claim is for all.)
-			Name: "n-scaling",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFT,
-				Stop:     scenario.StopSpec{Horizon: 4000, AllDecided: true},
-			},
-			Axes: []Axis{{Field: "nodes", Ints: []int64{4, 7, 10, 13, 16}}},
-			Assert: []string{
-				"min_latency >= 5", "max_latency <= 5", // exactly 5 delays at every n
-				"min_decided >= 4",
-				"max_max_view <= 0", // no spurious view change
-			},
-		},
-		{
-			// How lossy can the asynchronous prefix get before the 9Δ
-			// machinery stops recovering within its analysis bound?
-			// (Section 3.2's timeout argument, across loss rates × seeds.)
-			Name: "loss-until-gst",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFT,
-				Nodes:    4,
-				Network: scenario.NetworkSpec{
-					Delay: &scenario.DelaySpec{Model: scenario.DelayConstant, D: 1},
-					GST:   150,
-				},
-				Stop: scenario.StopSpec{Horizon: 550, AllDecided: true},
-			},
-			Axes:       []Axis{{Field: "drop_before_gst", Floats: []float64{0.5, 0.9, 0.99}}},
-			Replicates: 8,
-			Assert: []string{
-				"min_decided >= 4",
-				"max_latency <= 267", // GST + 9Δ stale timer + 2Δ sync + 7δ
-			},
-		},
-		{
-			// The timeout-factor ablation as a grid: under realistic delay
-			// variance, factors below the 8Δ analysis bound livelock (the
-			// decided row drops to 0) while 9Δ and above stay live. No
-			// assertions — the livelock cells are the result.
-			Name: "timeout-factor",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFT,
-				Nodes:    4,
-				Network: scenario.NetworkSpec{Delay: &scenario.DelaySpec{
-					Model: scenario.DelayUniform, Min: 5, Max: 10,
-				}},
-				Stop: scenario.StopSpec{Horizon: 4000, AllDecided: true},
-			},
-			Axes:       []Axis{{Field: "timeout_factor", Ints: []int64{2, 5, 9, 18}}},
-			Replicates: 3,
-		},
-		{
-			// Crash-recovery over real TCP across timeout bounds: a replica
-			// is hard-killed mid-run and restarted from its WAL; every cell
-			// must converge with the full chain on all four replicas and a
-			// constant-size persistent footprint (Section 3.1 / Table 1).
-			Name: "tcp-crash-recovery",
-			Base: scenario.Scenario{
-				Engine:   scenario.EngineTCP,
-				Protocol: scenario.TetraBFTMulti,
-				Nodes:    4,
-				Workload: scenario.WorkloadSpec{Slots: 3},
-				Faults: []scenario.FaultSpec{{
-					Type: scenario.FaultCrashRestart, Node: 2,
-					CrashAtMS: 150, RestartAtMS: 400,
-				}},
-				Stop: scenario.StopSpec{WallClockMS: 30000},
-			},
-			Axes: []Axis{{Field: "delta", Ints: []int64{20, 40}}},
-			Assert: []string{
-				"min_finalized >= 3", // the recovered replica re-finalizes too
-				"min_storage >= 1",   // the WAL was actually written
-				"max_storage <= 2048",
-			},
-		},
-		{
-			// Every protocol over the same wire: good-case latency, bytes
-			// and storage side by side (Table 1 as one grid).
-			Name: "protocol-shootout",
-			Base: scenario.Scenario{
-				Nodes: 4,
-				Stop:  scenario.StopSpec{Horizon: 4000, AllDecided: true},
-			},
-			Axes: []Axis{{Field: "protocol", Strings: []string{
-				string(scenario.TetraBFT), string(scenario.ITHotStuff),
-				string(scenario.ITHotStuffBlog), string(scenario.PBFT),
-				string(scenario.LiConsensus),
-			}}},
-			Assert: []string{"min_decided >= 4"},
-		},
-		{
-			// Does batching buy throughput? An offered-load stream (600 txs)
-			// is pushed through 12 pipelined slots while the offered rate,
-			// the per-block batch cap and the cluster size vary. decided-tx/s
-			// must scale with the batch cap at the saturating rate — the
-			// multishot batching claim as a measurable grid.
-			Name: "throughput-scaling",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFTMulti,
-				Nodes:    4,
-				Workload: scenario.WorkloadSpec{
-					Slots:   12,
-					TxCount: 600,
-					Window:  2,
-				},
-				Stop: scenario.StopSpec{Horizon: 4000},
-			},
-			Axes: []Axis{
-				{Field: "tx_rate", Ints: []int64{100, 10000}},
-				{Field: "batch_size", Ints: []int64{1, 4, 16}},
-				{Field: "nodes", Ints: []int64{4, 7}},
-			},
-			Replicates: 2,
-			Assert: []string{
-				"min_finalized >= 12",   // the full chain lands everywhere
-				"min_decided_txs >= 12", // at least one tx per slot
-				"max_tx_p99 <= 400",     // commits track arrivals, no stall
-			},
-		},
-		{
-			// Every batching protocol against the same offered load: the
-			// pipelined multishot and both chained single-shot baselines
-			// (PBFT, IT-HotStuff) consume one Poisson stream — same seed,
-			// same arrivals — through the shared timed mempool, so the
-			// decided-tx/s and commit-p99 columns are directly comparable.
-			// This is the protocol-shootout at offered load rather than at
-			// a single slot. The base carries no window: the chained
-			// baselines run one consensus instance at a time, and a
-			// pipeline knob they cannot honor would skew the comparison.
-			Name: "offered-load-shootout",
-			Base: scenario.Scenario{
-				Nodes: 4,
-				Workload: scenario.WorkloadSpec{
-					Slots:     150,
-					BatchSize: 16,
-					TxCount:   100,
-					Arrival:   &workload.ArrivalSpec{Process: workload.ProcessPoisson, Rate: 100},
-				},
-				Stop: scenario.StopSpec{Horizon: 6000},
-			},
-			Axes: []Axis{{Field: "protocol", Strings: []string{
-				string(scenario.TetraBFTMulti), string(scenario.PBFTMulti),
-				string(scenario.ITHotStuffMulti),
-			}}},
-			Replicates: 3,
-			Assert: []string{
-				"min_offered_txs >= 100", // the full stream was offered
-				"max_backlog <= 0",       // every protocol drains it
-				"max_tx_p99 <= 100",      // even the slowest baseline keeps up
-			},
-		},
-		{
-			// Does sharding scale service throughput? Every cell offers the
-			// same per-shard load (100 txs, all available up front so the
-			// pipeline never starves) to S independent shard clusters that
-			// each anchor their decided prefix into the anchor cluster.
-			// Aggregate decided-tx/s must grow with S — near-linearly, since
-			// the shards share nothing but the anchor — while the anchor
-			// commit p99 stays bounded and every anchored digest verifies
-			// (digest checks run inside the fold; a mismatch is a replicate
-			// failure, which fails the cell). The cross-cell 3×-at-S=4 check
-			// lives in TestShardScalingThroughput.
-			Name: "shard-scaling",
-			Base: scenario.Scenario{
-				Protocol: scenario.TetraBFTMulti,
-				Shards: &scenario.ShardsSpec{
-					AnchorInterval: 40,
-					CrossMix:       0.2,
-				},
-				Workload: scenario.WorkloadSpec{
-					Slots:     10,
-					BatchSize: 16,
-					TxRate:    10000,
-					TxCount:   100,
-					Window:    2,
-				},
-				Stop: scenario.StopSpec{Horizon: 8000},
-			},
-			Axes:       []Axis{{Field: "shards", Ints: []int64{1, 2, 4}}},
-			Replicates: 3,
-			Assert: []string{
-				"min_finalized >= 10",    // every shard reaches its slot target
-				"min_decided_txs >= 100", // at least the per-shard load lands
-				"min_anchor_epochs >= 1", // every shard anchored at least once
-				"max_anchor_p99 <= 50",   // anchor commits track shard growth
-			},
-		},
-	}
-}
+// Named returns the bundled sweep library, one grid per file of
+// examples/sweeps in file-name order. Each call returns fresh values, safe
+// to mutate.
+func Named() []Sweep { return examples.Load("sweeps", Parse) }
 
 // ByName returns the bundled sweep with the given name.
 func ByName(name string) (Sweep, bool) {
@@ -234,4 +15,19 @@ func ByName(name string) (Sweep, bool) {
 		}
 	}
 	return Sweep{}, false
+}
+
+// NamedCapacity returns the bundled capacity plans, one per file of
+// examples/capacity in file-name order. Each call returns fresh values,
+// safe to mutate.
+func NamedCapacity() []Capacity { return examples.Load("capacity", ParseCapacity) }
+
+// CapacityByName returns the bundled capacity plan with the given name.
+func CapacityByName(name string) (Capacity, bool) {
+	for _, cp := range NamedCapacity() {
+		if cp.Name == name {
+			return cp, true
+		}
+	}
+	return Capacity{}, false
 }
