@@ -23,6 +23,7 @@ func TestValidation(t *testing.T) {
 		{"no cluster", Scenario{}, "scenario: cluster size missing (set nodes or a quorum spec)"},
 		{"negative seed", Scenario{Nodes: 4, Seed: -1}, "scenario: negative seed -1"},
 		{"bad drop", Scenario{Nodes: 4, Network: NetworkSpec{DropBeforeGST: 1.5}}, "scenario: drop_before_gst = 1.5 outside [0, 1]"},
+		{"drop without gst", Scenario{Nodes: 4, Network: NetworkSpec{DropBeforeGST: 0.9}}, "scenario: drop_before_gst = 0.9 without gst drops nothing (set network.gst)"},
 		{"bad delay model", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{Model: "warp"}}}, "scenario: unknown delay model \"warp\""},
 		{"negative delay", Scenario{Nodes: 4, Network: NetworkSpec{Delay: &DelaySpec{
 			Model: DelayConstant, D: -5,

@@ -583,6 +583,11 @@ func (p *plan) checkShared() error {
 	if nw.DropBeforeGST < 0 || nw.DropBeforeGST > 1 {
 		return fmt.Errorf("scenario: drop_before_gst = %v outside [0, 1]", nw.DropBeforeGST)
 	}
+	if nw.DropBeforeGST > 0 && nw.GST == 0 {
+		// Only messages sent before GST are dropped, so the rate alone
+		// would silently lose nothing.
+		return fmt.Errorf("scenario: drop_before_gst = %v without gst drops nothing (set network.gst)", nw.DropBeforeGST)
+	}
 	if nw.GST < 0 || nw.EventBudget < 0 {
 		return fmt.Errorf("scenario: negative gst or event_budget")
 	}
