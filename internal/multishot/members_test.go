@@ -153,8 +153,8 @@ func TestNonMembersLeaveNoState(t *testing.T) {
 		if st := n.peekSlot(1); st != nil {
 			t.Errorf("sender %d: created a slot record with %d views", from, len(st.views))
 		}
-		if len(n.claims) != 0 || len(n.blocks) != 0 {
-			t.Errorf("sender %d: %d claim slots and %d block bodies stored", from, len(n.claims), len(n.blocks))
+		if len(n.claims) != 0 {
+			t.Errorf("sender %d: %d claim slots stored", from, len(n.claims))
 		}
 		if env.sends != 0 || len(env.broadcasts) != 0 {
 			t.Errorf("sender %d: %d sends and %d broadcasts", from, env.sends, len(env.broadcasts))
@@ -182,7 +182,7 @@ func TestNonMembersLeaveNoState(t *testing.T) {
 
 // TestNotarizedParentCache: childNotarizedOf reads a notarized record's
 // parent from its body once and answers from the record afterwards, even
-// when the body has left the block store. A record whose body is unknown is
+// when the body has left the slot. A record whose body is unknown is
 // skipped, not taken for the end of the scan.
 func TestNotarizedParentCache(t *testing.T) {
 	n, err := NewNode(Config{ID: 0, Nodes: 4})
@@ -201,11 +201,11 @@ func TestNotarizedParentCache(t *testing.T) {
 	if _, ok := n.childNotarizedOf(2, b1.ID()); ok {
 		t.Fatal("found a child whose body never arrived")
 	}
-	n.blocks[b2.ID()] = b2
+	n.keepBody(2, b2.ID(), b2)
 	if id, ok := n.childNotarizedOf(2, b1.ID()); !ok || id != b2.ID() {
 		t.Fatal("child not found once its body arrived")
 	}
-	delete(n.blocks, b2.ID())
+	st.bodies = st.bodies[:0]
 	if id, ok := n.childNotarizedOf(2, b1.ID()); !ok || id != b2.ID() {
 		t.Fatal("cached parent not used")
 	}

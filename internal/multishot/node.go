@@ -22,6 +22,7 @@ package multishot
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -93,10 +94,10 @@ type tally struct {
 // (Go map iteration is randomized; see the note on slotState.notarized).
 //
 // parent caches the block's parent ID once childNotarizedOf has found the
-// body (hasParent), so the 4-chain scans of tryFinalize stop re-hashing
-// BlockID keys into the blocks map. It cannot go stale: an ID is the hash of
-// the whole block, parent included, so every body with this ID names this
-// parent. A record whose body has not arrived is looked up again next scan.
+// body (hasParent), so the 4-chain scans of tryFinalize stop searching the
+// slot's bodies. It cannot go stale: an ID is the hash of the whole block,
+// parent included, so every body with this ID names this parent. A record
+// whose body has not arrived is looked up again next scan.
 type notRec struct {
 	id        types.BlockID
 	view      types.View
@@ -131,6 +132,11 @@ type viewRec struct {
 // ever live; finalized slots move their block to the node's chain cache and
 // return their record to the free list.
 //
+// A slot stores the bodies of its blocks: proposals in their view records,
+// and in bodies those seen outside a proposal (a leader's own block before
+// its self-delivery, a block claimed final). Every lookup knows its slot (a
+// parent is at slot − 1), so bodies leave with the slot (see bodyAt).
+//
 // notarized is kept sorted by block ID bytes: chainAt, childNotarizedOf and
 // someNotarized all enumerate it in order, which preserves the fixed
 // iteration order the map-based implementation got from sorting its keys
@@ -147,6 +153,7 @@ type slotState struct {
 
 	views     []*viewRec
 	notarized []notRec
+	bodies    []blockEnt
 }
 
 // recIf returns the slot's record for view v, or nil.
@@ -175,9 +182,7 @@ func (st *slotState) noteNotarized(id types.BlockID, v types.View) {
 	for i < len(st.notarized) && bytes.Compare(st.notarized[i].id[:], id[:]) < 0 {
 		i++
 	}
-	st.notarized = append(st.notarized, notRec{})
-	copy(st.notarized[i+1:], st.notarized[i:])
-	st.notarized[i] = notRec{id: id, view: v}
+	st.notarized = slices.Insert(st.notarized, i, notRec{id: id, view: v})
 }
 
 // Node is a multi-shot TetraBFT node; it implements types.Machine.
@@ -203,17 +208,18 @@ type Node struct {
 	// slot number to disambiguate stale cells. extra spills records that
 	// Restore places beyond the window (a crashed node's persisted slots
 	// can sit far above its reset finalized watermark).
-	ring  []*slotState
+	ring  [slotRingLen]*slotState
 	extra map[types.Slot]*slotState
 
-	blocks    map[types.BlockID]types.Block
 	maxSlot   types.Slot // highest started slot
 	finalized types.Slot // highest finalized slot
+	// notarizedTop is the highest slot ever notarized (see highestChainStart).
+	notarizedTop types.Slot
 
 	// chain/chainIDs cache the finalized prefix incrementally: slot i+1 at
 	// index i. FinalizedChain returns chain without copying and the
-	// straggler-serving path reads bodies from it, so finalized slots need
-	// no entries in blocks.
+	// straggler-serving path reads bodies from it, so finalized slots keep
+	// no bodies. A capped node reserves both once (see chainReserve).
 	chain    []types.Block
 	chainIDs []types.BlockID
 
@@ -252,7 +258,7 @@ type Node struct {
 	persistSlots []SlotPersist
 	// path is finalizePrefix's scratch for the ancestry it walks; it is
 	// cleared after every call, so it pins no block bodies.
-	path []pathEnt
+	path []blockEnt
 
 	// halted is set when a Persist fails: a node that cannot write ahead
 	// must stop participating (see core.Persister).
@@ -276,10 +282,16 @@ type Node struct {
 // protocol retries on every view-change retransmission).
 const catchupWindow = 64
 
-// slotRingLen sizes the slot ring with headroom over the accept window:
-// a proposal at the window edge still starts the next slot and probes the
-// pipeline leader two ahead.
-const slotRingLen = catchupWindow + 8
+// liveWindow is how far above the finalized head a slot may live in the
+// ring: a proposal at the accept window's edge still starts the next slot
+// and probes the pipeline leader two ahead. The ring is a power of two
+// longer, so a slot's cell is a mask, not a division.
+const liveWindow, slotRingLen = catchupWindow + 4, 128
+
+// chainReserve bounds the finalized chain a capped node reserves up front:
+// it covers a 2,100-slot simulator run, so that node never re-copies its
+// prefix, while a far-off cap reserves at most ~0.5 MB (120 B a slot).
+const chainReserve = 4096
 
 var _ types.Machine = (*Node)(nil)
 
@@ -312,19 +324,18 @@ func NewNode(cfg Config) (*Node, error) {
 	if _, ok := idx.of(cfg.ID); !ok {
 		return nil, fmt.Errorf("multishot: node %d is not a member of the quorum system", cfg.ID)
 	}
-	window := types.Slot(cfg.Window)
-	if window < 1 {
-		window = 1
-	}
 	n := &Node{
 		cfg:       cfg,
 		qs:        cfg.Quorum,
 		members:   members,
 		memberIdx: idx,
-		window:    window,
-		ring:      make([]*slotState, slotRingLen),
-		blocks:    make(map[types.BlockID]types.Block),
+		window:    max(types.Slot(cfg.Window), 1),
 		claims:    make(map[types.Slot]map[types.NodeID]types.BlockID),
+	}
+	if cfg.MaxSlot > 0 {
+		reserve := min(int(cfg.MaxSlot), chainReserve)
+		n.chain = make([]types.Block, 0, reserve)
+		n.chainIDs = make([]types.BlockID, 0, reserve)
 	}
 	n.out = n.outBuf[:0]
 	n.late = n.lateBuf[:0]
@@ -365,8 +376,8 @@ func (n *Node) finalHead() types.BlockID {
 
 // FinalizedChain returns the finalized blocks in slot order. The slice is
 // the node's incrementally maintained cache — callers must treat it as
-// read-only.
-func (n *Node) FinalizedChain() []types.Block { return n.chain }
+// read-only; it is clipped to its length, so an append copies.
+func (n *Node) FinalizedChain() []types.Block { return n.chain[:len(n.chain):len(n.chain)] }
 
 // ViewOf returns the node's current view for a slot (0 for slots it holds
 // no live state for).
@@ -522,13 +533,7 @@ func (n *Node) inFlight(yield func(*slotState) bool) {
 
 func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
 	s := m.Block.Slot
-	if s < 1 || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) {
-		return
-	}
-	if from != n.Leader(s, m.View) {
-		return
-	}
-	if s <= n.finalized || s > n.finalized+catchupWindow {
+	if s <= n.finalized || s > n.finalized+catchupWindow || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) || from != n.Leader(s, m.View) {
 		return
 	}
 	st := n.slot(s)
@@ -543,11 +548,8 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
 	vr.proposal = m.Block
 	vr.proposalID = m.Block.ID()
 	vr.value = vr.proposalID.Value()
-	n.blocks[vr.proposalID] = m.Block
 	// Receiving the proposal for slot s starts slot s+1 (Section 6.2).
-	if !st.started {
-		n.startSlot(env, s)
-	}
+	n.startSlot(env, s)
 	n.startSlot(env, s+1)
 	n.tryVote(env, s)
 	// The pipeline leader of s+1 proposes on top of this block.
@@ -565,6 +567,7 @@ func (n *Node) onVote(env types.Env, idx int, m types.MSVote) {
 	set.Add(idx)
 	if !st.isNotarized(m.Block) && n.bitsQuorum(set) {
 		st.noteNotarized(m.Block, m.View)
+		n.notarizedTop = max(n.notarizedTop, m.Slot)
 		n.mNotarized.Inc()
 		n.emitB(env, "notarize", m.Slot, m.View, m.Block)
 		n.tryVote(env, m.Slot+1)    // child slot's parent condition may now hold
@@ -581,11 +584,7 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, idx int, m types.M
 	// A view-change for a slot we already finalized means the sender is a
 	// straggler: answer with finality claims so it can catch up.
 	if m.Slot <= n.finalized {
-		last := m.Slot + 3
-		if last > n.finalized {
-			last = n.finalized
-		}
-		for s := m.Slot; s <= last; s++ {
+		for s := m.Slot; s <= min(m.Slot+3, n.finalized); s++ {
 			n.send(from, types.MSFinal{Block: n.chain[s-1]})
 		}
 		return
@@ -693,32 +692,27 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 	}
 	id := m.Block.ID()
 	byNode[from] = id
-	n.blocks[id] = m.Block
+	n.keepBody(s, id, m.Block)
 	// Adopt sequentially from the finalized head.
-	adopted := false
+	before := n.finalized
 	for {
 		next := n.finalized + 1
 		candidate, ok := n.blockingClaim(next)
 		if !ok {
 			break
 		}
-		b, known := n.blocks[candidate]
-		if !known {
+		b, known := n.bodyAt(next, candidate)
+		if !known || b.Parent != n.finalHead() {
 			break
 		}
-		if b.Parent != n.finalHead() {
-			break
-		}
-		view := n.ViewOf(next)
+		n.emitB(env, "adopt-final", next, n.ViewOf(next), candidate)
 		n.chain = append(n.chain, b)
 		n.chainIDs = append(n.chainIDs, candidate)
 		n.finalized = next
-		n.emitB(env, "adopt-final", next, view, candidate)
 		env.Decide(next, candidate.Value())
 		n.releaseSlot(next)
-		adopted = true
 	}
-	if adopted {
+	if n.finalized > before {
 		n.dirty = true
 		// Keep the recovery loop alive: the next unfinalized slot needs a
 		// running timer to request the following catch-up window (or to
@@ -761,9 +755,7 @@ func (n *Node) startSlot(env types.Env, s types.Slot) {
 		return
 	}
 	st.started = true
-	if s > n.maxSlot {
-		n.maxSlot = s
-	}
+	n.maxSlot = max(n.maxSlot, s)
 	n.emit(env, "start-slot", s, st.view)
 	n.restartDeadline(env, st)
 }
@@ -817,7 +809,7 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 			if !idOK {
 				return // a forged suggest smuggled a non-block value; wait for honest quorum
 			}
-			body, known := n.blocks[id]
+			body, known := n.bodyAt(s, id)
 			if !known {
 				return // cannot re-propose a block whose body we never saw
 			}
@@ -830,9 +822,8 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 		n.proposeFresh(s, v, parent) // assembled when the turn releases it
 		return
 	}
-	// A re-proposed body is known already: nothing to bind late.
+	// A re-proposed body is known already, and kept: nothing to bind late.
 	id := block.ID()
-	n.blocks[id] = block
 	n.emitB(env, "propose", s, v, id)
 	n.broadcast(types.MSPropose{View: v, Block: block})
 }
@@ -908,22 +899,13 @@ func (n *Node) someNotarized(st *slotState) (types.BlockID, bool) {
 	if len(st.notarized) == 0 {
 		return types.ZeroBlockID, false
 	}
-	best := 0
-	for i := 1; i < len(st.notarized); i++ {
-		if st.notarized[i].view > st.notarized[best].view {
-			best = i
-		}
-	}
-	return st.notarized[best].id, true
+	return slices.MaxFunc(st.notarized, func(a, b notRec) int { return cmp.Compare(a.view, b.view) }).id, true
 }
 
 // tryVote broadcasts this node's vote for slot s's current proposal once
 // the Section 6.1 conditions hold: the parent is notarized, the block
 // extends it, and (past view 0) Rule 3 accepts the value.
 func (n *Node) tryVote(env types.Env, s types.Slot) {
-	if s < 1 {
-		return
-	}
 	st := n.peekSlot(s)
 	if st == nil {
 		return
@@ -967,7 +949,7 @@ func (n *Node) recordImplicitVotes(s types.Slot, v types.View, val types.Value, 
 		if prevSlot < 1 || prevSlot <= n.finalized || cur.Parent == types.ZeroBlockID {
 			return
 		}
-		parent, known := n.blocks[cur.Parent]
+		parent, known := n.bodyAt(prevSlot, cur.Parent)
 		if !known {
 			return // cannot attribute deeper phases without the body
 		}
@@ -980,14 +962,47 @@ func (n *Node) recordImplicitVotes(s types.Slot, v types.View, val types.Value, 
 // proposal holds, so a block converts its ID once per node and not once per
 // vote phase, or a fresh id.Value() when the slot holds no such proposal.
 func (n *Node) valueOf(s types.Slot, id types.BlockID) types.Value {
+	if vr := n.proposalAt(s, id); vr != nil {
+		return vr.value
+	}
+	return id.Value()
+}
+
+// proposalAt returns slot s's view record whose proposal is id, or nil.
+func (n *Node) proposalAt(s types.Slot, id types.BlockID) *viewRec {
 	if st := n.peekSlot(s); st != nil {
 		for _, vr := range st.views {
 			if vr.hasProposal && vr.proposalID == id {
-				return vr.value
+				return vr
 			}
 		}
 	}
-	return id.Value()
+	return nil
+}
+
+// bodyAt returns the body of block id if slot s holds it: as a view
+// record's proposal, or kept beside them.
+func (n *Node) bodyAt(s types.Slot, id types.BlockID) (types.Block, bool) {
+	if vr := n.proposalAt(s, id); vr != nil {
+		return vr.proposal, true
+	}
+	if st := n.peekSlot(s); st != nil {
+		for _, e := range st.bodies {
+			if e.id == id {
+				return e.body, true
+			}
+		}
+	}
+	return types.Block{}, false
+}
+
+// keepBody keeps a body seen outside a proposal on its slot, once. A
+// finalized slot keeps nothing: no lookup reads below the finalized head.
+func (n *Node) keepBody(s types.Slot, id types.BlockID, b types.Block) {
+	if _, known := n.bodyAt(s, id); !known && s > n.finalized {
+		st := n.slot(s)
+		st.bodies = append(st.bodies, blockEnt{id: id, body: b})
+	}
 }
 
 // tryFinalize finalizes the longest provable prefix: the first block of any
@@ -995,25 +1010,23 @@ func (n *Node) valueOf(s types.Slot, id types.BlockID) types.Value {
 // its ancestors (Section 6.1).
 func (n *Node) tryFinalize(env types.Env) {
 	for {
-		best, ok := n.highestChainStart()
-		if !ok {
-			return
-		}
-		if !n.finalizePrefix(env, best) {
+		k, head, ok := n.highestChainStart()
+		if !ok || !n.finalizePrefix(env, k, head) {
 			return
 		}
 	}
 }
 
 // highestChainStart finds the highest slot k > finalized that starts a
-// notarized 4-chain.
-func (n *Node) highestChainStart() (types.Slot, bool) {
-	for k := n.maxSlot; k > n.finalized; k-- {
-		if _, ok := n.chainAt(k); ok {
-			return k, true
+// notarized 4-chain, and the block starting it. Only slots up to
+// notarizedTop−3 can: the chain's last block is notarized at k+3.
+func (n *Node) highestChainStart() (types.Slot, types.BlockID, bool) {
+	for k := min(n.maxSlot, n.notarizedTop-3); k > n.finalized; k-- {
+		if head, ok := n.chainAt(k); ok {
+			return k, head, true
 		}
 	}
-	return 0, false
+	return 0, types.ZeroBlockID, false
 }
 
 // chainAt reports the block starting a notarized, parent-linked 4-chain at
@@ -1051,7 +1064,7 @@ func (n *Node) childNotarizedOf(s types.Slot, id types.BlockID) (types.BlockID, 
 	for i := range st.notarized {
 		r := &st.notarized[i]
 		if !r.hasParent {
-			b, known := n.blocks[r.id]
+			b, known := n.bodyAt(s, r.id)
 			if !known {
 				continue
 			}
@@ -1064,14 +1077,10 @@ func (n *Node) childNotarizedOf(s types.Slot, id types.BlockID) (types.BlockID, 
 	return types.ZeroBlockID, false
 }
 
-// finalizePrefix finalizes slot k and its entire ancestry back to the
-// current finalized head, emitting one decision per slot. Returns false if
-// ancestor bodies are missing (retry later).
-func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
-	head, ok := n.chainAt(k)
-	if !ok {
-		return false
-	}
+// finalizePrefix finalizes block head at slot k and its entire ancestry back
+// to the current finalized head, emitting one decision per slot. Returns
+// false if ancestor bodies are missing (retry later).
+func (n *Node) finalizePrefix(env types.Env, k types.Slot, head types.BlockID) bool {
 	// Walk ancestors down to the finalized boundary, keeping the bodies:
 	// the commit loop below recycles each slot's state as it goes.
 	path := n.path[:0]
@@ -1081,11 +1090,11 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 	}()
 	cur := head
 	for s := k; s > n.finalized; s-- {
-		b, known := n.blocks[cur]
+		b, known := n.bodyAt(s, cur)
 		if !known {
 			return false
 		}
-		path = append(path, pathEnt{id: cur, body: b})
+		path = append(path, blockEnt{id: cur, body: b})
 		if s == n.finalized+1 {
 			// Must anchor on the previous final block (or genesis).
 			if b.Parent != n.finalHead() {
@@ -1113,40 +1122,34 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot) bool {
 	return true
 }
 
-// pathEnt is one block of the ancestry finalizePrefix commits.
-type pathEnt struct {
+// blockEnt is a block body with its ID: one block of the ancestry
+// finalizePrefix commits, or one a slot keeps outside its proposals.
+type blockEnt struct {
 	id   types.BlockID
 	body types.Block
 }
 
-// releaseSlot retires a just-finalized slot: its claim and proposal bodies
-// leave the block store (the finalized body now lives in the chain cache)
-// and its records return to the free lists, keeping the node's live
-// footprint bounded by the in-flight window — the multi-shot analogue of
-// the constant-storage property.
+// releaseSlot retires a just-finalized slot: its claims and the bodies it
+// holds go (the finalized body now lives in the chain cache) and its records
+// return to the free lists, keeping the node's live footprint bounded by the
+// in-flight window — the multi-shot analogue of the constant-storage
+// property.
 func (n *Node) releaseSlot(s types.Slot) {
-	for _, id := range n.claims[s] {
-		delete(n.blocks, id)
-	}
 	delete(n.claims, s)
-	var st *slotState
-	if c := n.ring[int(s)%len(n.ring)]; c != nil && c.slot == s {
-		st = c
-		n.ring[int(s)%len(n.ring)] = nil
-	} else if c := n.extra[s]; c != nil {
-		st = c
+	i := uint64(s) % slotRingLen
+	st := n.ring[i]
+	if st != nil && st.slot == s {
+		n.ring[i] = nil
+	} else if st = n.extra[s]; st != nil {
 		delete(n.extra, s)
-	}
-	if st == nil {
+	} else {
 		return
 	}
 	for _, vr := range st.views {
-		if vr.hasProposal {
-			delete(n.blocks, vr.proposalID)
-		}
 		n.recycleView(vr)
 	}
-	*st = slotState{views: st.views[:0], notarized: st.notarized[:0]}
+	clear(st.bodies)
+	*st = slotState{views: st.views[:0], notarized: st.notarized[:0], bodies: st.bodies[:0]}
 	n.freeSlots = append(n.freeSlots, st)
 }
 
@@ -1163,7 +1166,7 @@ func (n *Node) recycleView(vr *viewRec) {
 
 // inWindow reports whether slot s may hold live state in the ring.
 func (n *Node) inWindow(s types.Slot) bool {
-	return s > n.finalized && s <= n.finalized+types.Slot(slotRingLen)-4
+	return s > n.finalized && s <= n.finalized+liveWindow
 }
 
 // peekSlot returns slot s's live state, or nil. Finalized slots have none.
@@ -1171,7 +1174,7 @@ func (n *Node) peekSlot(s types.Slot) *slotState {
 	if s < 1 || s <= n.finalized {
 		return nil
 	}
-	if st := n.ring[int(s)%len(n.ring)]; st != nil && st.slot == s {
+	if st := n.ring[uint64(s)%slotRingLen]; st != nil && st.slot == s {
 		return st
 	}
 	if len(n.extra) > 0 {
@@ -1187,15 +1190,9 @@ func (n *Node) slot(s types.Slot) *slotState {
 	if st := n.peekSlot(s); st != nil {
 		return st
 	}
-	var st *slotState
-	if k := len(n.freeSlots); k > 0 {
-		st = n.freeSlots[k-1]
-		n.freeSlots = n.freeSlots[:k-1]
-	} else {
-		st = new(slotState)
-	}
+	st := reuse(&n.freeSlots)
 	st.slot = s
-	if i := int(s) % len(n.ring); n.inWindow(s) && n.ring[i] == nil {
+	if i := uint64(s) % slotRingLen; n.inWindow(s) && n.ring[i] == nil {
 		n.ring[i] = st
 	} else {
 		// Out-of-window slots (a restored node's far-ahead persisted state)
@@ -1213,16 +1210,21 @@ func (n *Node) rec(st *slotState, v types.View) *viewRec {
 	if vr := st.recIf(v); vr != nil {
 		return vr
 	}
-	var vr *viewRec
-	if k := len(n.freeViews); k > 0 {
-		vr = n.freeViews[k-1]
-		n.freeViews = n.freeViews[:k-1]
-	} else {
-		vr = new(viewRec)
-	}
+	vr := reuse(&n.freeViews)
 	vr.view = v
 	st.views = append(st.views, vr)
 	return vr
+}
+
+// reuse pops a record off a free list, or makes a new one.
+func reuse[T any](free *[]*T) *T {
+	k := len(*free)
+	if k == 0 {
+		return new(T)
+	}
+	r := (*free)[k-1]
+	*free = (*free)[:k-1]
+	return r
 }
 
 // tallyOf returns the vote bitset for block id in the view record, creating
@@ -1236,17 +1238,17 @@ func (n *Node) tallyOf(vr *viewRec, id types.BlockID) quorum.Bits {
 	}
 	if len(vr.tallies) < cap(vr.tallies) {
 		vr.tallies = vr.tallies[:len(vr.tallies)+1]
-		t := &vr.tallies[len(vr.tallies)-1]
-		t.block = id
-		if t.votes == nil {
-			t.votes = quorum.NewBits(len(n.members))
-		} else {
-			t.votes.Clear()
-		}
-		return t.votes
+	} else {
+		vr.tallies = append(vr.tallies, tally{})
 	}
-	vr.tallies = append(vr.tallies, tally{block: id, votes: quorum.NewBits(len(n.members))})
-	return vr.tallies[len(vr.tallies)-1].votes
+	t := &vr.tallies[len(vr.tallies)-1]
+	t.block = id
+	if t.votes == nil {
+		t.votes = quorum.NewBits(len(n.members))
+	} else {
+		t.votes.Clear()
+	}
+	return t.votes
 }
 
 // emit reports a protocol event with no block note.

@@ -295,7 +295,7 @@ func TestImplicitVoteRecording(t *testing.T) {
 	b3 := types.Block{Slot: 3, Parent: b2.ID(), Payload: []byte("b3")}
 	b4 := types.Block{Slot: 4, Parent: b3.ID(), Payload: []byte("b4")}
 	for _, b := range []types.Block{b1, b2, b3, b4} {
-		n.blocks[b.ID()] = b
+		n.keepBody(b.Slot, b.ID(), b)
 	}
 	n.recordImplicitVotes(4, 0, b4.ID().Value(), b4) // no proposal held: valueOf converts afresh
 	if got := n.slot(4).votes.Vote1; got != types.Vote(0, b4.ID().Value()) {

@@ -184,9 +184,7 @@ func Restore(cfg Config, state PersistentState) (*Node, error) {
 		st.view = s.View
 		st.highestVC = s.HighestVC
 		st.votes = s.Votes
-		if s.Slot > n.maxSlot {
-			n.maxSlot = s.Slot
-		}
+		n.maxSlot = max(n.maxSlot, s.Slot)
 	}
 	n.restored = true
 	return n, nil

@@ -85,7 +85,7 @@ func (n *Node) writeAndRelease(env types.Env) {
 	for _, p := range n.late {
 		block := n.freshBlock(env, p.slot, p.parent)
 		id := block.ID()
-		n.blocks[id] = block
+		n.keepBody(p.slot, id, block)
 		n.emitB(env, "propose", p.slot, p.view, id)
 		n.out[p.at].msg = types.MSPropose{View: p.view, Block: block}
 	}

@@ -21,6 +21,13 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(`{"nodes": 4, "faults": [{"type": "starve-decision", "to": 50}]}`))
 	f.Add([]byte(`{"nodes": 4, "mutation": "skip-rule-3"}`))
 	f.Add([]byte(`{`))
+	// The size bounds, at and past each edge.
+	f.Add([]byte(`{"nodes": 4096}`))
+	f.Add([]byte(`{"nodes": 4097}`))
+	f.Add([]byte(`{"nodes": 1000000000}`))
+	f.Add([]byte(`{"protocol": "tetrabft-multi", "shards": {"count": 16, "nodes_per_shard": 255, "anchor_nodes": 16}, "workload": {"slots": 1}, "stop": {"horizon": 1}}`))
+	f.Add([]byte(`{"protocol": "tetrabft-multi", "shards": {"count": 16, "nodes_per_shard": 256}, "workload": {"slots": 1}, "stop": {"horizon": 1}}`))
+	f.Add([]byte(`{"protocol": "tetrabft-multi", "shards": {"count": 2, "nodes_per_shard": 1000000000, "anchor_nodes": 1000000000}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Parse(data)
 		if err != nil {

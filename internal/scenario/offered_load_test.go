@@ -430,3 +430,42 @@ func TestUnshardedStreamAllocs(t *testing.T) {
 	}
 	streamSink = nil
 }
+
+// TestSimPipelineAllocsBound pins what a simulated slot allocates, on the
+// benchmark's sim-pipeline shape (16 multishot nodes, a Poisson stream of
+// 3,000 transactions per 100 ticks in batches of 64) at 800 slots: at most
+// 0.15 allocations per simulator event, run set-up, schedule and report
+// included. The collector is off while it counts, so that its own
+// allocations do not blur the count.
+func TestSimPipelineAllocsBound(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations blur the count")
+	}
+	const slots = 800
+	sc := Scenario{
+		Name: "sim-pipeline", Protocol: TetraBFTMulti, Nodes: 16, Seed: 1,
+		Workload: WorkloadSpec{
+			Slots: slots, TxCount: slots * 3000 / 100 / 2, BatchSize: 64,
+			Arrival: &workload.ArrivalSpec{Process: workload.ProcessPoisson, Rate: 3000},
+		},
+		Stop: StopSpec{AllDecided: true},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var events int
+	allocs := testing.AllocsPerRun(2, func() {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DecidedTxs != sc.Workload.TxCount {
+			t.Fatalf("decided %d of %d transactions", res.DecidedTxs, sc.Workload.TxCount)
+		}
+		events = res.Events
+	})
+	perEvent := allocs / float64(events)
+	t.Logf("%.0f allocations over %d events: %.3f per event", allocs, events, perEvent)
+	const bound = 0.15
+	if perEvent > bound {
+		t.Errorf("a sim-pipeline run allocates %.3f times per event, budget %.2f", perEvent, bound)
+	}
+}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,13 +58,22 @@ type Descriptor struct {
 	single    func(nodeConfig) (singleNode, error)
 	Chains    Protocol
 	// The capabilities: the engine, spec knobs and faults the row accepts.
-	// ForgedHistory: the forged-history leader forges the row's traffic.
 	// StarveDecision: starve-decision drops its decision phase. Views:
 	// timeout_factor scales its view timeout, and a faulty leader costs a
-	// view change rather than liveness.
-	TCP, Slices, Shards, Mutations       bool
-	ForgedHistory, StarveDecision, Views bool
+	// view change rather than liveness. byzantine lists the Byzantine node
+	// faults whose messages the row's nodes read (see Byzantine).
+	TCP, Slices, Shards, Mutations bool
+	StarveDecision, Views          bool
+	byzantine                      []FaultType
 }
+
+// byzantineFaults are the node faults that replace a node with an adversary
+// speaking one row's dialect: single-shot TetraBFT's, today.
+var byzantineFaults = []FaultType{FaultEquivocator, FaultRandom, FaultForgedHistory}
+
+// Byzantine reports whether the row accepts Byzantine node fault t: one that
+// moves its runs off a silent node's (TestByzantineFaultsMoveRuns).
+func (d Descriptor) Byzantine(t FaultType) bool { return slices.Contains(d.byzantine, t) }
 
 // nodeConfig is what a single-shot builder gets: one honest member of one
 // cluster and the spec's knobs.
@@ -88,7 +98,7 @@ type singleNode interface {
 // table is every runnable protocol, in the order error texts list them.
 // Adding a protocol is one row here plus its package.
 var table = []Descriptor{
-	{Name: TetraBFT, Label: "TetraBFT", single: coreNode, Slices: true, Mutations: true, ForgedHistory: true, StarveDecision: true, Views: true},
+	{Name: TetraBFT, Label: "TetraBFT", single: coreNode, Slices: true, Mutations: true, StarveDecision: true, Views: true, byzantine: byzantineFaults},
 	{Name: TetraBFTMulti, Multishot: true, TCP: true, Slices: true, Shards: true, Views: true},
 	{Name: ITHotStuff, Label: "IT-HS", single: itHotStuffNode(ithotstuff.Full), Views: true},
 	{Name: ITHotStuffBlog, Label: "IT-HS (blog)", single: itHotStuffNode(ithotstuff.Blog), Views: true},

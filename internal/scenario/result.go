@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"sort"
+	"slices"
 
 	"tetrabft/internal/obs"
 	"tetrabft/internal/trace"
@@ -181,20 +181,17 @@ type NodeTransport struct {
 
 // Decision returns node's decision for slot, if any.
 func (r *Result) Decision(node types.NodeID, slot types.Slot) (NodeDecision, bool) {
-	for _, d := range r.Decisions {
-		if d.Node == node && d.Slot == slot {
-			return d, true
-		}
+	i := slices.IndexFunc(r.Decisions, func(d NodeDecision) bool { return d.Node == node && d.Slot == slot })
+	if i < 0 {
+		return NodeDecision{}, false
 	}
-	return NodeDecision{}, false
+	return r.Decisions[i], true
 }
 
 // FinalizedSlot returns node's finalized slot (multi-shot), 0 if unknown.
 func (r *Result) FinalizedSlot(node types.NodeID) types.Slot {
-	for _, f := range r.Finalized {
-		if f.Node == node {
-			return f.Slot
-		}
+	if i := slices.IndexFunc(r.Finalized, func(f NodeSlot) bool { return f.Node == node }); i >= 0 {
+		return r.Finalized[i].Slot
 	}
 	return 0
 }
@@ -207,6 +204,9 @@ func (r *Result) FinalizedSlot(node types.NodeID) types.Slot {
 func txLatencies(chain []types.Block, commitAt map[types.Slot]int64, load *offered) (txs int, lats []int64) {
 	for _, b := range chain {
 		txs += b.NumTxs()
+	}
+	lats = make([]int64, 0, txs) // at most one sample a transaction
+	for _, b := range chain {
 		if c, ok := commitAt[b.Slot]; ok {
 			lats = load.latencies(lats, b.Txs, c)
 		}
@@ -221,13 +221,9 @@ func latencyPercentiles(lats []int64) (p50, p99 int64) {
 	if len(lats) == 0 {
 		return 0, 0
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	rank := func(q int) int64 {
-		k := (q*len(lats) + 99) / 100 // ceil(q/100 * n), nearest rank
-		if k < 1 {
-			k = 1
-		}
-		return lats[k-1]
+		return lats[max((q*len(lats)+99)/100, 1)-1] // ceil(q/100 * n), nearest rank
 	}
 	return rank(50), rank(99)
 }
@@ -264,20 +260,17 @@ func stageDists(samples map[string][]int64) []StageDist {
 
 // StageDist returns the named stage's distribution, if the run observed it.
 func (r *Result) StageDist(stage string) (StageDist, bool) {
-	for _, d := range r.Stages {
-		if d.Stage == stage {
-			return d, true
-		}
+	i := slices.IndexFunc(r.Stages, func(d StageDist) bool { return d.Stage == stage })
+	if i < 0 {
+		return StageDist{}, false
 	}
-	return StageDist{}, false
+	return r.Stages[i], true
 }
 
 // Metric returns the named metric sample's value, 0 if absent.
 func (r *Result) Metric(name string) int64 {
-	for _, s := range r.Metrics {
-		if s.Name == name {
-			return s.Value
-		}
+	if i := slices.IndexFunc(r.Metrics, func(s obs.Sample) bool { return s.Name == name }); i >= 0 {
+		return r.Metrics[i].Value
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -241,6 +242,9 @@ func (cl *simCluster) report(p *plan, res *Result) {
 	r := cl.r
 	res.FinishedAt = int64(r.Now())
 	res.DecidedCount = r.DecidedCount(0)
+	if n := r.DecisionCount(); n > 0 {
+		res.Decisions = make([]NodeDecision, 0, n)
+	}
 	for _, m := range cl.members {
 		for s, d := range r.NodeDecisions(m) {
 			res.Decisions = append(res.Decisions, NodeDecision{Node: m, Slot: s, Value: d.Val, At: int64(d.At)})
@@ -308,32 +312,15 @@ func buildByz(c *cluster, f *FaultSpec) types.Machine {
 				peers = append(peers, m)
 			}
 		}
-		valA, valB := f.ValueA, f.ValueB
-		if valA == "" {
-			valA = "byz-a"
-		}
-		if valB == "" {
-			valB = "byz-b"
-		}
+		valA, valB := cmp.Or(f.ValueA, "byz-a"), cmp.Or(f.ValueB, "byz-b")
 		return byz.Equivocator{NodeID: f.Node, Peers: peers, ValA: types.Value(valA), ValB: types.Value(valB)}
 	case FaultRandom:
-		seed := f.Seed
-		if seed == 0 {
-			seed = c.seed
-		}
 		return &byz.Random{
-			NodeID: f.Node, Seed: seed, Burst: f.Burst, Budget: f.Budget,
+			NodeID: f.Node, Seed: cmp.Or(f.Seed, c.seed), Burst: f.Burst, Budget: f.Budget,
 			MaxView: types.View(f.MaxView),
 		}
 	case FaultForgedHistory:
-		v := types.View(f.View)
-		if v == 0 {
-			v = 1
-		}
-		val := f.ValueA
-		if val == "" {
-			val = "byz-b"
-		}
+		v, val := cmp.Or(types.View(f.View), 1), cmp.Or(f.ValueA, "byz-b")
 		// The Lemma 8 leader: echo the view change so the new view starts,
 		// then answer the first proof with a conflicting proposal, a forged
 		// clean history and a full set of votes for it.

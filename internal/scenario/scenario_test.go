@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,14 @@ func TestValidation(t *testing.T) {
 		{"unknown protocol", Scenario{Protocol: "raft", Nodes: 4}, "scenario: unknown protocol \"raft\""},
 		{"unknown engine", Scenario{Nodes: 4, Engine: "quantum"}, "scenario: unknown engine \"quantum\""},
 		{"no cluster", Scenario{}, "scenario: cluster size missing (set nodes or a quorum spec)"},
+		{"nodes above the bound", Scenario{Nodes: 4097}, "scenario: nodes = 4097 above the 4096-node bound"},
+		{"nodes near 1e9", Scenario{Nodes: 999_999_999}, "scenario: nodes = 999999999 above the 4096-node bound"},
+		{"shards above the bound", Scenario{Protocol: TetraBFTMulti, Shards: &ShardsSpec{Count: 16, NodesPerShard: 256}},
+			"scenario: shards.count × nodes_per_shard + anchor_nodes = 16 × 256 + 4 exceeds the 4096-node bound"},
+		{"shard size near 1e9", Scenario{Protocol: TetraBFTMulti, Shards: &ShardsSpec{Count: 2, NodesPerShard: 999_999_999}},
+			"scenario: shards.count × nodes_per_shard + anchor_nodes = 2 × 999999999 + 4 exceeds the 4096-node bound"},
+		{"anchor size near 1e9", Scenario{Protocol: TetraBFTMulti, Shards: &ShardsSpec{Count: 1, AnchorNodes: 999_999_999}},
+			"scenario: shards.count × nodes_per_shard + anchor_nodes = 1 × 4 + 999999999 exceeds the 4096-node bound"},
 		{"negative seed", Scenario{Nodes: 4, Seed: -1}, "scenario: negative seed -1"},
 		{"bad drop", Scenario{Nodes: 4, Network: NetworkSpec{DropBeforeGST: 1.5}}, "scenario: drop_before_gst = 1.5 outside [0, 1]"},
 		{"drop without gst", Scenario{Nodes: 4, Network: NetworkSpec{DropBeforeGST: 0.9}}, "scenario: drop_before_gst = 0.9 without gst drops nothing (set network.gst)"},
@@ -128,6 +137,12 @@ func TestValidation(t *testing.T) {
 		{"forged-history on pbft", Scenario{Protocol: PBFT, Nodes: 4,
 			Faults: []FaultSpec{{Type: FaultForgedHistory, Node: 1}}},
 			"scenario: forged-history applies only to protocol \"tetrabft\""},
+		{"equivocator on tetrabft-multi", Scenario{Protocol: TetraBFTMulti, Nodes: 4,
+			Faults: []FaultSpec{{Type: FaultEquivocator, Node: 0}}},
+			"scenario: equivocator applies only to protocol \"tetrabft\""},
+		{"random on pbft", Scenario{Protocol: PBFT, Nodes: 4,
+			Faults: []FaultSpec{{Type: FaultRandom, Node: 0}}},
+			"scenario: random applies only to protocol \"tetrabft\""},
 		{"quorum without slices", Scenario{Quorum: &QuorumSpec{}}, "scenario: quorum spec declares no slices"},
 		{"suppress-proposals negative view", Scenario{Nodes: 4, Faults: []FaultSpec{{
 			Type: FaultSuppressProposals, BelowView: -1,
@@ -169,6 +184,49 @@ func TestParseStrict(t *testing.T) {
 	}
 	if sc.Nodes != 4 {
 		t.Errorf("nodes = %d, want 4", sc.Nodes)
+	}
+}
+
+// TestByzantineFaultsMoveRuns: every Byzantine fault a row accepts changes
+// the run — some decision or decision time differs from the same spec with
+// the faulty node silent — so no accepted fault is a crash under another
+// name. The equivocator and the babbler replace the view-0 leader. The
+// forged-history leader attacks view 1 behind a starved view-0 decision, as
+// the fuzzer schedules it; a correct protocol rejects its forged history
+// and decides as it would around a silent node, so its run skips Rule 3.
+func TestByzantineFaultsMoveRuns(t *testing.T) {
+	accepted := 0
+	for _, d := range table {
+		for _, ft := range byzantineFaults {
+			if !d.Byzantine(ft) {
+				continue
+			}
+			accepted++
+			t.Run(string(d.Name)+"/"+string(ft), func(t *testing.T) {
+				base := Scenario{Protocol: d.Name, Nodes: 4, Stop: StopSpec{Horizon: 2000}}
+				node := types.NodeID(0)
+				if ft == FaultForgedHistory {
+					base.Mutation, node = MutationSkipRule3, 1
+					base.Faults = []FaultSpec{{Type: FaultStarveDecision, Node: 0, To: 50}}
+				}
+				run := func(f FaultSpec) string {
+					sc := base
+					sc.Faults = append(slices.Clip(base.Faults), f)
+					res, err := Run(sc) // an agreement violation is a difference too
+					if res == nil {
+						t.Fatal(err)
+					}
+					return fmt.Sprint(res.Decisions, err)
+				}
+				silent := run(FaultSpec{Type: FaultSilent, Node: node})
+				if faulty := run(FaultSpec{Type: ft, Node: node, View: 1, ValueA: "byz-b"}); faulty == silent {
+					t.Errorf("with a %s node the run decides what it decides with a silent one, at the same times", ft)
+				}
+			})
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no row accepts a Byzantine fault")
 	}
 }
 

@@ -549,7 +549,7 @@ func (sc Scenario) compile() (*plan, error) {
 	if sc.Shards != nil {
 		deploy = p.deploySharded
 	}
-	for _, step := range []func() error{p.checkShared, deploy, p.placeFaults, p.checkWorkload} {
+	for _, step := range []func() error{p.checkShared, deploy, p.placeFaults, p.checkWorkload, p.checkByzantine} {
 		if err := step(); err != nil {
 			return nil, err
 		}
@@ -557,11 +557,21 @@ func (sc Scenario) compile() (*plan, error) {
 	return p, nil
 }
 
+// maxNodes bounds a flat cluster, and a sharded run's clusters together,
+// before validation sizes anything by n: a broadcast round among n nodes is
+// n² deliveries, so at 4,096 nodes one multishot slot is 1.7·10⁷ simulator
+// events, and the TCP engine would open as many connections.
+const maxNodes = 4096
+
 // checkShared checks what flat and sharded specs have in common: the
-// engine, seed and delta, the network regime, the knobs the TCP engine
-// cannot honor, the workload's counts and offered load, and the stop bounds.
+// cluster size, the engine, seed and delta, the network regime, the knobs
+// the TCP engine cannot honor, the workload's counts and offered load, and
+// the stop bounds.
 func (p *plan) checkShared() error {
 	sc := p.sc
+	if sc.Nodes > maxNodes {
+		return fmt.Errorf("scenario: nodes = %d above the %d-node bound", sc.Nodes, maxNodes)
+	}
 	switch sc.Engine {
 	case "", EngineSim:
 	case EngineTCP:
@@ -737,6 +747,10 @@ func (p *plan) deploySharded() error {
 	if sh.AnchorNodes != 0 && sh.AnchorNodes < 4 {
 		return fmt.Errorf("scenario: shards.anchor_nodes = %d below the n ≥ 3f+1 minimum of 4", sh.AnchorNodes)
 	}
+	// Each factor is bounded first, so the sum cannot overflow.
+	if n, a := sh.nodesPerShard(), sh.anchorNodes(); n > maxNodes || a > maxNodes || sh.Count*n+a > maxNodes {
+		return fmt.Errorf("scenario: shards.count × nodes_per_shard + anchor_nodes = %d × %d + %d exceeds the %d-node bound", sh.Count, n, a, maxNodes)
+	}
 	if sh.AnchorInterval < 0 {
 		return fmt.Errorf("scenario: negative shards.anchor_interval")
 	}
@@ -815,16 +829,8 @@ func (p *plan) placeFaults() error {
 		}
 		switch f.Type {
 		case FaultSilent, FaultEquivocator, FaultRandom, FaultForgedHistory, FaultCrashRestart:
-			if f.Type == FaultForgedHistory {
-				if f.View < 0 {
-					return fmt.Errorf("scenario: forged-history view is negative")
-				}
-				// The forged messages are single-shot TetraBFT traffic;
-				// against any other protocol the attack would silently be
-				// a crashed node, a misleading experiment.
-				if !p.proto.ForgedHistory {
-					return fmt.Errorf("scenario: forged-history applies only to %s", rowNames(func(d Descriptor) bool { return d.ForgedHistory }))
-				}
+			if f.Type == FaultForgedHistory && f.View < 0 {
+				return fmt.Errorf("scenario: forged-history view is negative")
 			}
 			if !slices.Contains(c.members, f.Node) {
 				return fmt.Errorf("scenario: %s fault targets non-member node %d", f.Type, f.Node)
@@ -952,6 +958,18 @@ func (p *plan) checkWorkload() error {
 	return nil
 }
 
+// checkByzantine refuses a Byzantine node fault on a row whose nodes do not
+// read its messages: there it would silently be a crashed node, a misleading
+// experiment. It runs last, so the engine, shard and chained-row texts win.
+func (p *plan) checkByzantine() error {
+	for _, f := range p.sc.Faults {
+		if slices.Contains(byzantineFaults, f.Type) && !p.proto.Byzantine(f.Type) {
+			return fmt.Errorf("scenario: %s applies only to %s", f.Type, rowNames(func(d Descriptor) bool { return d.Byzantine(f.Type) }))
+		}
+	}
+	return nil
+}
+
 // Defaulted parameters.
 
 // streams is how many clusters carry the offered load and the faults: the
@@ -1003,12 +1021,6 @@ func (p *plan) proposalCap() types.Slot {
 	return types.Slot(w.MaxSlot)
 }
 
-// offeredTx is the i-th offered transaction's deterministic opaque payload
-// (the legacy tx_rate stream; arrival-process streams carry their own).
-func offeredTx(i int) []byte {
-	return []byte(fmt.Sprintf("otx-%08d", i))
-}
-
 // validateOfferedLoad checks the offered-load knob interactions: pacing
 // without a count is ErrRateWithoutCount, arrival replaces (not composes
 // with) tx_rate, and cohorts/phases only shape an arrival-process stream.
@@ -1048,7 +1060,7 @@ func (p *plan) offeredSchedule(count, scale int) []workload.Arrival {
 			if r := w.TxRate; r > 0 {
 				at = types.Time(int64(i) * 100 / (r * int64(scale)))
 			}
-			out[i] = workload.Arrival{At: at, Key: fmt.Sprintf("acct-%08d", i), Payload: offeredTx(i)}
+			out[i] = workload.Arrival{At: at, Key: fmt.Sprintf("acct-%08d", i), Payload: fmt.Appendf(nil, "otx-%08d", i)}
 		}
 		return out
 	}

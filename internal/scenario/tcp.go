@@ -600,16 +600,9 @@ func (cl *tcpCluster) report(res *Result) {
 // by the transport tick duration. Returns nil when the links are clean.
 func buildChaos(p *plan, tick time.Duration) *transport.Chaos {
 	nw := p.sc.Network
-	ch := &transport.Chaos{Seed: uint64(p.seed())}
-	used := false
-	if nw.Duplicate > 0 {
-		ch.DupRate = nw.Duplicate
-		used = true
-	}
+	ch := &transport.Chaos{Seed: uint64(p.seed()), DupRate: nw.Duplicate, Partitioned: buildPartitionFn(p.netwk, tick)}
 	if nw.GST > 0 && nw.DropBeforeGST > 0 {
-		ch.DropUntil = time.Duration(nw.GST) * tick
-		ch.DropUntilRate = nw.DropBeforeGST
-		used = true
+		ch.DropUntil, ch.DropUntilRate = time.Duration(nw.GST)*tick, nw.DropBeforeGST
 	}
 	if d := nw.Delay; d != nil {
 		switch d.Model {
@@ -620,15 +613,8 @@ func buildChaos(p *plan, tick time.Duration) *transport.Chaos {
 			ch.DelayMin = time.Duration(d.D) * tick
 			ch.DelayMax = ch.DelayMin
 		}
-		if ch.DelayMax > 0 {
-			used = true
-		}
 	}
-	if fn := buildPartitionFn(p.netwk, tick); fn != nil {
-		ch.Partitioned = fn
-		used = true
-	}
-	if !used {
+	if ch.DupRate == 0 && ch.DropUntil == 0 && ch.DelayMax == 0 && ch.Partitioned == nil {
 		return nil
 	}
 	return ch

@@ -283,6 +283,16 @@ func (r *Runner) NodeDecisions(node types.NodeID) iter.Seq2[types.Slot, Decision
 	return r.slotOf(node).decisions.all
 }
 
+// DecisionCount returns how many decisions the nodes recorded in all: what
+// NodeDecisions yields, summed over every node.
+func (r *Runner) DecisionCount() int {
+	n := 0
+	for _, e := range r.envs {
+		n += e.decisions.len()
+	}
+	return n
+}
+
 // Decision returns node's decision for slot, if any.
 func (r *Runner) Decision(node types.NodeID, slot types.Slot) (Decision, bool) {
 	return r.slotOf(node).decisions.get(slot)

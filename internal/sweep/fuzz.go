@@ -231,11 +231,7 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 		// Asymmetric links: one far replica sits d ticks from a 1-tick
 		// core (d stays within Δ/2, like the uniform case's maximum).
 		far := types.NodeID(rng.Intn(sc.Nodes))
-		span := sc.Delta/2 - 1
-		if span < 1 {
-			span = 1
-		}
-		d := 2 + rng.Int63n(span)
+		d := 2 + rng.Int63n(max(sc.Delta/2-1, 1))
 		var links []scenario.LinkDelaySpec
 		for n := 0; n < sc.Nodes; n++ {
 			if types.NodeID(n) == far {
@@ -260,7 +256,7 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 	// bound f, so a correct protocol must tolerate whatever is scheduled.
 	budget := f
 	var partitionEnd int64
-	if d.ForgedHistory && d.StarveDecision && budget > 0 && rng.Intn(4) == 0 {
+	if d.Byzantine(scenario.FaultForgedHistory) && d.StarveDecision && budget > 0 && rng.Intn(4) == 0 {
 		// The Lemma 8 cross-view attack pattern: starve everyone but one
 		// honest node of the view-0 decision, then the Byzantine leader of
 		// view 1 pushes a conflicting value with a forged history. A
@@ -281,17 +277,17 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 		}
 		perm := rng.Perm(sc.Nodes)
 		for i := 0; i < nodeFaults; i++ {
-			node := types.NodeID(perm[i])
-			switch rng.Intn(3) {
-			case 0:
-				sc.Faults = append(sc.Faults, scenario.FaultSpec{Type: scenario.FaultSilent, Node: node})
-			case 1:
-				sc.Faults = append(sc.Faults, scenario.FaultSpec{Type: scenario.FaultEquivocator, Node: node})
-			default:
-				sc.Faults = append(sc.Faults, scenario.FaultSpec{
-					Type: scenario.FaultRandom, Node: node, Seed: 1 + rng.Int63n(1<<20),
-				})
+			kind := []scenario.FaultType{scenario.FaultSilent, scenario.FaultEquivocator, scenario.FaultRandom}[rng.Intn(3)]
+			fault := scenario.FaultSpec{Type: kind, Node: types.NodeID(perm[i])}
+			if kind == scenario.FaultRandom {
+				fault.Seed = 1 + rng.Int63n(1<<20)
 			}
+			// A fault the row does not hear is a silent node: it maps to
+			// silent with no second draw, so every later draw stays put.
+			if !d.Byzantine(kind) {
+				fault = scenario.FaultSpec{Type: scenario.FaultSilent, Node: fault.Node}
+			}
+			sc.Faults = append(sc.Faults, fault)
 		}
 		// One message-level adversary, some of the time.
 		switch rng.Intn(3) {

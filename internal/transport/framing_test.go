@@ -3,7 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
+	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -262,6 +266,118 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if want := types.Encode(m); !bytes.Equal(got, want) {
 			t.Fatalf("read %x back from a %T frame, want %x", got, m, want)
+		}
+	})
+}
+
+// helloSink records every delivery with its sender.
+type helloSink struct {
+	mu   sync.Mutex
+	from []types.NodeID
+	got  []types.Message
+}
+
+func (m *helloSink) ID() types.NodeID              { return 9 }
+func (m *helloSink) Start(types.Env)               {}
+func (m *helloSink) Tick(types.Env, types.TimerID) {}
+func (m *helloSink) Deliver(_ types.Env, from types.NodeID, msg types.Message) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.from = append(m.from, from)
+	m.got = append(m.got, msg)
+}
+
+// parseHello is what a connection carrying data should deliver, worked out
+// without the read loop: the hello's sender, the decodable messages of the
+// well-formed frames before the first malformed one (a length above
+// maxFrame), and whether there is one. A short hello or a cut-off last
+// frame is not malformed: the stream may still go on.
+func parseHello(data []byte) (from types.NodeID, msgs []types.Message, malformed bool) {
+	if len(data) < 8 {
+		return 0, nil, false
+	}
+	from, data = types.NodeID(binary.BigEndian.Uint64(data)), data[8:]
+	for len(data) >= frameHeader {
+		size := binary.BigEndian.Uint32(data)
+		if size > maxFrame {
+			return from, msgs, true
+		}
+		if uint32(len(data)-frameHeader) < size {
+			break
+		}
+		if m, err := types.Decode(data[frameHeader : frameHeader+size]); err == nil {
+			msgs = append(msgs, m)
+		}
+		data = data[frameHeader+size:]
+	}
+	return from, msgs, false
+}
+
+// FuzzHello writes arbitrary bytes into a runtime's accepted connection, as
+// a hello and the stream after it. The runtime must not panic; it closes the
+// connection at the first malformed frame (or, on a stream that only stops,
+// at its end) and delivers nothing after that frame; every message it
+// delivers is the hello's sender's, in stream order; and no goroutine of it
+// outlives Close.
+func FuzzHello(f *testing.F) {
+	hello := func(id uint64, frames ...types.Message) []byte {
+		b := binary.BigEndian.AppendUint64(nil, id)
+		for _, m := range frames {
+			b = append(b, encodeFrame(m)...)
+		}
+		return b
+	}
+	seeds := frameSeeds()
+	f.Add(hello(1, seeds[1], seeds[0]))             // a valid hello plus frames
+	f.Add([]byte{0, 0, 0, 1})                       // a short hello
+	f.Add(hello(1_000_000, seeds[2]))               // an ID outside any membership
+	f.Add(append(hello(2), 0, 0x10, 0, 1, 0, 0, 0)) // an oversize frame, then bytes
+	f.Add(append(hello(3, seeds[3]), 0, 0, 0, 2, 0xff, 0xfe))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := runtime.NumGoroutine()
+		sink := &helloSink{}
+		rt, err := New(sink, Config{ListenAddr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Run()
+		conn, err := net.Dial("tcp", rt.Addr())
+		if err != nil {
+			rt.Close()
+			t.Fatal(err)
+		}
+		from, want, malformed := parseHello(data)
+		conn.Write(data) // the runtime may close mid-write after a malformed frame
+		if !malformed {
+			conn.(*net.TCPConn).CloseWrite() // the stream ends here: the runtime reads EOF
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = io.Copy(io.Discard, conn)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("the runtime kept the connection open (malformed frame: %v)", malformed)
+		}
+		conn.Close()
+		// The read loop queued every delivery before it closed the
+		// connection, so the event loop has run them all once it runs this.
+		rt.Do(func() {})
+		rt.Close()
+		sink.mu.Lock()
+		got, senders := sink.got, sink.from
+		sink.mu.Unlock()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("delivered %d messages %v, want the %d before the first malformed frame %v", len(got), got, len(want), want)
+		}
+		for _, s := range senders {
+			if s != from {
+				t.Fatalf("a message was delivered from %d on a connection whose hello said %d", s, from)
+			}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines outlive Close, %d before New", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"tetrabft/internal/types"
 )
@@ -180,6 +181,12 @@ func cohortKeys(c CohortSpec) int {
 // order. The schedule is a pure function of (spec, count, seed): sequential
 // splitmix64 draws, no global state, no parallelism — byte-identical across
 // runs, engines and GOMAXPROCS values.
+//
+// It allocates by the slab, not by the arrival: keys are written into one
+// string as they are drawn, and once every arrival is drawn and its payload
+// sized, all payloads into one byte slab (each clipped to its own length, so
+// an append to one copies it). Holding any payload or key keeps its whole
+// slab alive.
 func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -191,15 +198,23 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 	weights := make([]float64, len(cohorts))
 	names := make([]string, len(cohorts))
 	totalW := 0.0
+	maxKey := 0
 	for i, c := range cohorts {
 		weights[i] = cohortWeight(c)
 		names[i] = cohortName(i, c)
 		totalW += weights[i]
+		maxKey = max(maxKey, len(names[i])+len("-k")+max(digits(cohortKeys(c)-1), 4))
 	}
 
+	// Payload "wtx-<i, 8 digits>|<key>|" padded with '.' to TxBytes, key
+	// "<cohort>-k<n, 4 digits>" (both widths are minimums). No key is longer
+	// than maxKey, so the key string never grows.
 	r := newRNG(seed)
 	out := make([]Arrival, 0, count)
-	var buf []byte // one arrival's payload prefix, reused
+	var keys strings.Builder
+	keys.Grow(count * maxKey)
+	var num [24]byte
+	payloadBytes := 0
 	t := 0.0
 	for i := 0; i < count; i++ {
 		dt, ok := s.interArrival(r, t)
@@ -218,23 +233,35 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 				}
 			}
 		}
-		c := cohorts[ci]
-		// Payload "wtx-<i, 8 digits>|<key>|" padded with '.' to TxBytes, key
-		// "<cohort>-k<n, 4 digits>" (both widths are minimums).
-		buf = appendZeroPad(append(buf[:0], "wtx-"...), i, 8)
-		buf = append(buf, '|')
-		keyAt := len(buf)
-		buf = append(append(buf, names[ci]...), "-k"...)
-		buf = appendZeroPad(buf, r.intn(cohortKeys(c)), 4)
-		key := string(buf[keyAt:])
-		buf = append(buf, '|')
-		payload := make([]byte, max(len(buf), c.TxBytes))
-		for j := copy(payload, buf); j < len(payload); j++ {
-			payload[j] = '.'
+		at := keys.Len()
+		keys.WriteString(names[ci])
+		keys.WriteString("-k")
+		keys.Write(appendZeroPad(num[:0], r.intn(cohortKeys(cohorts[ci])), 4))
+		key := keys.String()[at:]
+		payloadBytes += max(len("wtx-")+max(digits(i), 8)+len("||")+len(key), cohorts[ci].TxBytes)
+		out = append(out, Arrival{At: types.Time(t), Cohort: ci, Key: key})
+	}
+	slab := make([]byte, 0, payloadBytes)
+	for i := range out {
+		a := &out[i]
+		start := len(slab)
+		slab = appendZeroPad(append(slab, "wtx-"...), i, 8)
+		slab = append(append(append(slab, '|'), a.Key...), '|')
+		for len(slab)-start < cohorts[a.Cohort].TxBytes {
+			slab = append(slab, '.')
 		}
-		out = append(out, Arrival{At: types.Time(t), Cohort: ci, Key: key, Payload: payload})
+		a.Payload = slab[start:len(slab):len(slab)]
 	}
 	return out, nil
+}
+
+// digits is the number of decimal digits of v ≥ 0.
+func digits(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // appendZeroPad appends the decimal form of v ≥ 0, left-padded with zeros to

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -405,4 +406,27 @@ func ExampleSpec_Schedule() {
 	// 10 wtx-00000000|c0-k0038|
 	// 20 wtx-00000001|c0-k0042|
 	// 30 wtx-00000002|c0-k0034|
+}
+
+// TestScheduleAllocsFlat pins that Schedule allocates by the slab: the
+// count is the same for 1,000 arrivals as for 60,000, across two cohorts
+// (one padded), so no allocation is made per arrival. The collector is off
+// while it counts, so that its own allocations do not blur the counts.
+func TestScheduleAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := Spec{
+		Arrival: ArrivalSpec{Rate: 3000},
+		Cohorts: []CohortSpec{{Weight: 3}, {Name: "wide", Keys: 100000, TxBytes: 64}},
+	}
+	allocs := func(count int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if arr, err := s.Schedule(count, 1); err != nil || len(arr) != count {
+				t.Fatalf("Schedule(%d): %d arrivals, %v", count, len(arr), err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(60000)
+	if small != large || large > 10 {
+		t.Fatalf("Schedule: %.0f allocations for 1,000 arrivals, %.0f for 60,000; want equal and <= 10", small, large)
+	}
 }
