@@ -71,8 +71,8 @@ type Descriptor struct {
 // speaking one row's dialect: single-shot TetraBFT's, today.
 var byzantineFaults = []FaultType{FaultEquivocator, FaultRandom, FaultForgedHistory}
 
-// Byzantine reports whether the row accepts Byzantine node fault t: one that
-// moves its runs off a silent node's (TestByzantineFaultsMoveRuns).
+// Byzantine reports whether the row accepts Byzantine node fault t: one
+// whose messages its honest nodes act on (TestByzantineFaultsMoveRuns).
 func (d Descriptor) Byzantine(t FaultType) bool { return slices.Contains(d.byzantine, t) }
 
 // nodeConfig is what a single-shot builder gets: one honest member of one
