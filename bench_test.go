@@ -1,186 +1,42 @@
 package tetrabft_test
 
-// This file regenerates every table and figure of the paper as Go
-// benchmarks (go test -bench=. -benchmem). Each benchmark reports the
-// paper's observables as custom metrics so the comparison with Table 1 and
-// Figures 2-3 can be read straight from the benchmark output; the
-// assertions themselves live in internal/bench's tests and EXPERIMENTS.md
-// records paper-vs-measured values.
+// This file regenerates the paper's experiments as Go benchmarks (go test
+// -bench=. -benchmem): one sub-benchmark per paper-* sweep of the spec
+// library, which fails when a claim of the paper does not hold. The claims
+// themselves are the sweeps' assert clauses; examples/README.md maps each
+// to the paper. The microbenchmarks below time the hot paths.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
-	"tetrabft/internal/bench"
 	"tetrabft/internal/core"
 	"tetrabft/internal/quorum"
+	"tetrabft/internal/scenario"
 	"tetrabft/internal/sim"
+	"tetrabft/internal/sweep"
 	"tetrabft/internal/types"
 )
 
-// BenchmarkTable1Latency regenerates Table 1's latency columns (E1): the
-// good-case and view-change latency of TetraBFT and every baseline, in
-// message delays.
-func BenchmarkTable1Latency(b *testing.B) {
-	var rows []bench.Table1Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Table1(4)
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkPaperSweeps runs every paper-* sweep (E1–E6, E8, the timeout
+// ablation, E10 and E11) and fails on a FAIL verdict.
+func BenchmarkPaperSweeps(b *testing.B) {
+	for _, sw := range sweep.Named() {
+		if !strings.HasPrefix(sw.Name, "paper-") {
+			continue
 		}
-	}
-	for _, row := range rows {
-		name := metricName(string(row.Protocol))
-		b.ReportMetric(float64(row.GoodCaseDelays), name+"_good_delays")
-		if row.ViewChangeDelays >= 0 {
-			b.ReportMetric(float64(row.ViewChangeDelays), name+"_vc_delays")
-		}
-	}
-}
-
-// BenchmarkTable1Communication regenerates Table 1's communication column
-// (E2): total bytes per instance as n grows — TetraBFT O(n²) vs PBFT's
-// O(n³) view change.
-func BenchmarkTable1Communication(b *testing.B) {
-	var rows []bench.CommRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.CommunicationSweep([]int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range rows {
-		key := fmt.Sprintf("%s_%s_n%d_bytes", metricName(string(row.Protocol)), metricName(row.Scenario), row.N)
-		b.ReportMetric(float64(row.TotalBytes), key)
-	}
-}
-
-// BenchmarkTable1Storage regenerates Table 1's storage column (E3):
-// persistent bytes after repeated failed views.
-func BenchmarkTable1Storage(b *testing.B) {
-	var rows []bench.StorageRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.StorageSweep(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range rows {
-		b.ReportMetric(float64(row.Bytes), metricName(string(row.Protocol))+"_storage_bytes")
-	}
-}
-
-// BenchmarkResponsiveness regenerates the responsiveness column (E4):
-// post-timeout recovery as the conservative bound Δ grows while the actual
-// delay stays δ = 1.
-func BenchmarkResponsiveness(b *testing.B) {
-	var rows []bench.RespRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Responsiveness([]types.Duration{10, 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range rows {
-		key := fmt.Sprintf("%s_delta%d_recovery", metricName(string(row.Protocol)), row.Delta)
-		b.ReportMetric(float64(row.Recovery), key)
-	}
-}
-
-// BenchmarkFig2Pipeline regenerates Figure 2 (E5): one finalized block per
-// message delay, 5× single-shot throughput.
-func BenchmarkFig2Pipeline(b *testing.B) {
-	var res bench.Fig2Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.Fig2Pipeline(20)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.MeanInterval, "delays_per_block")
-	b.ReportMetric(res.ThroughputSpeedup, "speedup_vs_singleshot")
-}
-
-// BenchmarkFig3ViewChange regenerates Figure 3 (E6/E9): ≤5 aborted blocks
-// and post-view-change notarization within 5Δ.
-func BenchmarkFig3ViewChange(b *testing.B) {
-	var res bench.Fig3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.Fig3ViewChange()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.AbortedSlots), "aborted_slots")
-	b.ReportMetric(float64(res.RecoveryDelta), "recovery_ticks")
-	b.ReportMetric(float64(res.DeltaBound), "bound_5delta_ticks")
-}
-
-// BenchmarkFormalVerification regenerates the Section 5 reproduction (E7):
-// model-checking throughput over the abstract spec.
-func BenchmarkFormalVerification(b *testing.B) {
-	var res bench.VerificationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.Verification(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Violations != 0 {
-			b.Fatalf("verification found %d violations", res.Violations)
-		}
-	}
-	b.ReportMetric(float64(res.BFSStates), "bfs_states")
-	b.ReportMetric(float64(res.WalkStates), "walk_states")
-	b.ReportMetric(float64(res.InductionSteps), "induction_steps")
-}
-
-// BenchmarkTimeoutBound regenerates the Section 3.2 timeout analysis (E8):
-// worst-case post-GST recovery against the 9Δ+2Δ+7δ bound.
-func BenchmarkTimeoutBound(b *testing.B) {
-	var res bench.TimeoutBoundResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.TimeoutBound(10, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllDecided || !res.AllAgreed {
-			b.Fatal("timeout-bound run failed to decide or agree")
-		}
-	}
-	b.ReportMetric(float64(res.WorstRecovery), "worst_recovery_ticks")
-	b.ReportMetric(float64(res.PaperBound), "paper_bound_ticks")
-}
-
-// BenchmarkAblationTimeout sweeps the view-timeout factor around the
-// paper's 9Δ choice (Section 3.2): too small livelocks, too large slows
-// crash recovery.
-func BenchmarkAblationTimeout(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.AblationTimeout([]int{2, 9, 18})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range rows {
-		prefix := fmt.Sprintf("factor%d", row.Factor)
-		good := float64(-1)
-		if row.GoodDecided {
-			good = float64(row.GoodDecideAt)
-		}
-		b.ReportMetric(good, prefix+"_good_decide_at")
-		if row.SilentDecided {
-			b.ReportMetric(float64(row.SilentDecideAt), prefix+"_crash_decide_at")
-		}
+		b.Run(sw.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := sweep.Run(sw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Pass {
+					b.Fatalf("%s: verdict FAIL (%d cells)", sw.Name, res.FailedCells)
+				}
+			}
+		})
 	}
 }
 
@@ -260,34 +116,28 @@ func BenchmarkEncodeDecode(b *testing.B) {
 }
 
 // BenchmarkPipelineBlocks measures end-to-end multi-shot throughput in
-// finalized blocks per second of wall time.
+// finalized blocks per second of wall time, on Figure 2's shape: four nodes,
+// Δ = 10, unit delays.
 func BenchmarkPipelineBlocks(b *testing.B) {
 	const slots = 50
+	sc := scenario.Scenario{
+		Protocol: scenario.TetraBFTMulti,
+		Nodes:    4,
+		Delta:    10,
+		Workload: scenario.WorkloadSpec{Slots: slots},
+		Stop:     scenario.StopSpec{Horizon: 20*slots + 2000},
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig2Pipeline(slots)
+		res, err := scenario.Run(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Slots != slots {
-			b.Fatal("short pipeline run")
+		for _, f := range res.Finalized {
+			if f.Slot < slots {
+				b.Fatalf("node %d finalized %d of %d slots", f.Node, f.Slot, slots)
+			}
 		}
 	}
-	blocksPerOp := float64(slots)
-	b.ReportMetric(blocksPerOp, "blocks/op")
-}
-
-func metricName(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+('a'-'A'))
-		case r == ' ', r == '-', r == '.':
-			out = append(out, '_')
-		}
-	}
-	return string(out)
+	b.ReportMetric(slots, "blocks/op")
 }

@@ -1,74 +1,68 @@
-// Command tetrabft-bench regenerates the paper's tables and figures on the
-// deterministic simulator and prints paper-style rows next to the paper's
-// published values. See EXPERIMENTS.md for the recorded comparison.
+// Command tetrabft-bench reproduces the paper's evaluation on the
+// deterministic simulator. It runs every paper-* sweep of the spec library
+// (examples/sweeps), whose assert clauses state the paper's claims next to
+// today's measured values, and prints each as a markdown table. Then it runs
+// E7, the Section 5 model-checking reproduction. It exits 1 when a claim
+// fails or E7 finds a violation. examples/README.md maps each claim to its
+// clause; `tetrabft-sweep -run paper-e4` runs one experiment alone.
 //
-// With -json FILE the command additionally writes a machine-readable perf
-// snapshot (schema "tetrabft-bench/v1"): every experiment's rows plus its
-// wall-clock duration and the host shape. Snapshots are the BENCH_*.json
-// artifacts the ROADMAP's perf methodology compares across commits.
+// With -json FILE the command also writes a perf snapshot (schema
+// "tetrabft-bench/v2"): the host shape, each experiment's wall-clock
+// duration, each sweep's tetrabft-sweep/v1 result and E7's result. The
+// results object is byte-identical at any GOMAXPROCS.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
-	"tetrabft/internal/bench"
+	"tetrabft/internal/checker"
 	"tetrabft/internal/obs"
-	"tetrabft/internal/types"
+	"tetrabft/internal/sweep"
 )
 
 func main() {
 	var (
-		table1     = flag.Bool("table1", false, "reproduce Table 1 latency columns (E1)")
-		comm       = flag.Bool("comm", false, "reproduce the communication column (E2)")
-		storage    = flag.Bool("storage", false, "reproduce the storage column (E3)")
-		resp       = flag.Bool("resp", false, "reproduce the responsiveness comparison (E4)")
-		fig2       = flag.Bool("fig2", false, "reproduce Figure 2: pipelining (E5)")
-		fig3       = flag.Bool("fig3", false, "reproduce Figure 3: multi-shot view change (E6)")
-		verify     = flag.Bool("verify", false, "reproduce Section 5: formal verification (E7)")
-		timeout    = flag.Bool("timeout", false, "reproduce the 9Δ timeout analysis (E8)")
-		ablation   = flag.Bool("ablation", false, "timeout-factor ablation around the 9Δ choice")
-		throughput = flag.Bool("throughput", false, "batched-pipeline throughput across batch caps (E10)")
-		stages     = flag.Bool("stages", false, "stage-level latency decomposition of the pipelined good case and a crashed leader (E11)")
-		all        = flag.Bool("all", false, "run every experiment")
-		n          = flag.Int("n", 4, "cluster size for Table 1")
-		effort     = flag.Int("effort", 1, "verification effort multiplier")
-		jsonPath   = flag.String("json", "", "write a BENCH_*.json-compatible perf snapshot to this path")
+		effort     = flag.Int("effort", 1, "E7 verification effort multiplier (1 = CI sizing)")
+		jsonPath   = flag.String("json", "", "write a tetrabft-bench/v2 perf snapshot to this path")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
 	flag.Parse()
-	opts := options{
-		table1: *table1, comm: *comm, storage: *storage, resp: *resp,
-		fig2: *fig2, fig3: *fig3, verify: *verify, timeout: *timeout,
-		ablation: *ablation, throughput: *throughput, stages: *stages,
-		all: *all, n: *n, effort: *effort, jsonPath: *jsonPath,
-	}
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tetrabft-bench:", err)
 		os.Exit(1)
 	}
-	runErr := run(opts)
-	if err := stopProfiles(); err != nil {
+	code, err := run(os.Stdout, paperSweeps(), *effort, *jsonPath)
+	// The profile stop must land before os.Exit or the CPU profile is
+	// truncated and the heap profile never written.
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintln(os.Stderr, "tetrabft-bench:", perr)
+		os.Exit(1)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tetrabft-bench:", err)
 		os.Exit(1)
 	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "tetrabft-bench:", runErr)
-		os.Exit(1)
-	}
+	os.Exit(code)
 }
 
-type options struct {
-	table1, comm, storage, resp, fig2, fig3, verify, timeout, ablation, throughput, stages, all bool
-
-	n, effort int
-	jsonPath  string
+// paperSweeps returns the library's paper-* sweeps in file-name order.
+func paperSweeps() []sweep.Sweep {
+	var out []sweep.Sweep
+	for _, sw := range sweep.Named() {
+		if strings.HasPrefix(sw.Name, "paper-") {
+			out = append(out, sw)
+		}
+	}
+	return out
 }
 
 // snapshot is the perf record serialized by -json.
@@ -89,9 +83,12 @@ type hostInfo struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-func newSnapshot(opts options) *snapshot {
-	return &snapshot{
-		Schema:      "tetrabft-bench/v1",
+// run executes the sweeps and E7, prints their reports to w, writes the
+// snapshot when jsonPath is set, and returns the exit code: 0 when every
+// claim holds, 1 otherwise.
+func run(w io.Writer, sweeps []sweep.Sweep, effort int, jsonPath string) (int, error) {
+	snap := snapshot{
+		Schema:      "tetrabft-bench/v2",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Host: hostInfo{
 			GoVersion:  runtime.Version(),
@@ -100,202 +97,100 @@ func newSnapshot(opts options) *snapshot {
 			NumCPU:     runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
-		Params:    map[string]int{"n": opts.n, "effort": opts.effort},
+		Params:    map[string]int{"effort": effort},
 		TimingsMS: make(map[string]float64),
 		Results:   make(map[string]any),
 	}
-}
+	pass := true
+	for _, sw := range sweeps {
+		start := time.Now()
+		res, err := sweep.Run(sw)
+		if err != nil {
+			return 1, err
+		}
+		snap.TimingsMS[sw.Name] = msSince(start)
+		snap.Results[sw.Name] = res
+		sweep.WriteMarkdown(w, res)
+		fmt.Fprintln(w)
+		pass = pass && res.Pass
+	}
 
-// record times one experiment, stores its rows under name, and returns the
-// experiment's error unchanged.
-func (s *snapshot) record(name string, fn func() (any, error)) (any, error) {
 	start := time.Now()
-	rows, err := fn()
+	v, err := Verification(effort)
 	if err != nil {
-		return nil, err
+		return 1, err
 	}
-	if s != nil {
-		s.TimingsMS[name] = float64(time.Since(start).Microseconds()) / 1000
-		s.Results[name] = rows
+	snap.TimingsMS["e7"] = msSince(start)
+	snap.Results["e7"] = v
+	fmt.Fprintln(w, "## E7: Section 5 — formal verification reproduction")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "bounded BFS states:        %d (truncated: %v)\n", v.BFSStates, v.BFSTruncated)
+	fmt.Fprintf(w, "guided-walk states:        %d (paper config: 4 nodes, 1 Byz, 3 values, 5 views)\n", v.WalkStates)
+	fmt.Fprintf(w, "induction samples/steps:   %d / %d\n", v.InductionSamples, v.InductionSteps)
+	fmt.Fprintf(w, "liveness fixpoint runs:    %d\n", v.LivenessRuns)
+	fmt.Fprintf(w, "violations:                %d (expected: 0)\n", v.Violations)
+	pass = pass && v.Violations == 0
+
+	if jsonPath != "" {
+		data, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
+			return 1, err
+		}
+		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+			return 1, fmt.Errorf("writing perf snapshot: %w", err)
+		}
+		fmt.Fprintf(w, "\nperf snapshot written to %s\n", jsonPath)
 	}
-	return rows, nil
+	if !pass {
+		fmt.Fprintln(w, "\nverdict: FAIL (a paper claim does not hold)")
+		return 1, nil
+	}
+	fmt.Fprintln(w, "\nverdict: PASS")
+	return 0, nil
 }
 
-func (s *snapshot) write(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
 }
 
-func run(opts options) error {
-	anySelected := opts.table1 || opts.comm || opts.storage || opts.resp || opts.fig2 ||
-		opts.fig3 || opts.verify || opts.timeout || opts.ablation || opts.throughput || opts.stages
-	if !anySelected {
-		opts.all = true
+// VerificationResult summarizes the Section 5 reproduction.
+type VerificationResult struct {
+	BFSStates        int
+	BFSTruncated     bool
+	WalkStates       int
+	InductionSamples int
+	InductionSteps   int
+	LivenessRuns     int
+	Violations       int
+}
+
+// Verification runs the model-checking reproduction of Section 5 (E7) at
+// the given effort (1 = quick CI sizing, larger = deeper): a bounded BFS of
+// a small configuration, then guided walks, sampled induction and the
+// liveness fixpoint on the paper's configuration.
+func Verification(effort int) (VerificationResult, error) {
+	effort = max(effort, 1)
+	var res VerificationResult
+	small, err := checker.NewSpec(checker.Config{Nodes: 4, Faulty: 1, Values: 2, Rounds: 2, GoodRound: -1})
+	if err != nil {
+		return res, err
 	}
-	if opts.all {
-		opts.table1, opts.comm, opts.storage, opts.resp = true, true, true, true
-		opts.fig2, opts.fig3, opts.verify, opts.timeout, opts.ablation = true, true, true, true, true
-		opts.throughput, opts.stages = true, true
+	bfs := small.BFS(20000*effort, 10+effort)
+	res.BFSStates, res.BFSTruncated = bfs.StatesExplored, bfs.Truncated
+	paper, err := checker.NewSpec(checker.PaperConfig())
+	if err != nil {
+		return res, err
 	}
-	var snap *snapshot
-	if opts.jsonPath != "" {
-		snap = newSnapshot(opts)
+	walks := paper.GuidedWalks(30*effort, 80, 1)
+	res.WalkStates = walks.StatesExplored
+	ind := paper.InductionSample(60*effort, 2)
+	res.InductionSamples, res.InductionSteps = ind.SamplesAccepted, ind.StepsChecked
+	live := paper.LivenessFixpoint(10*effort, 20, 3)
+	res.LivenessRuns = live.Runs
+	for _, violated := range []bool{bfs.Violation != nil, walks.Violation != nil, ind.Violation != nil, live.Violation != nil} {
+		if violated {
+			res.Violations++
+		}
 	}
-	if opts.table1 {
-		fmt.Printf("── E1: Table 1 latency columns (n=%d, unit delay) ──\n", opts.n)
-		res, err := snap.record("table1", func() (any, error) { return bench.Table1(opts.n) })
-		if err != nil {
-			return err
-		}
-		bench.WriteTable1(os.Stdout, res.([]bench.Table1Row))
-		fmt.Println()
-	}
-	if opts.comm {
-		fmt.Println("── E2: communicated bytes per instance (Table 1 communication column) ──")
-		res, err := snap.record("comm", func() (any, error) {
-			return bench.CommunicationSweep([]int{4, 7, 10, 13, 16})
-		})
-		if err != nil {
-			return err
-		}
-		bench.WriteComm(os.Stdout, res.([]bench.CommRow))
-		fmt.Println("shape: TetraBFT/IT-HS total ≈ O(n²); PBFT view change ≈ O(n³)")
-		fmt.Println()
-	}
-	if opts.storage {
-		fmt.Println("── E3: persistent storage after 6 failed views (Table 1 storage column) ──")
-		res, err := snap.record("storage", func() (any, error) { return bench.StorageSweep(6) })
-		if err != nil {
-			return err
-		}
-		for _, row := range res.([]bench.StorageRow) {
-			fmt.Printf("%-18s %6d bytes\n", row.Protocol, row.Bytes)
-		}
-		fmt.Println("shape: constant for TetraBFT/IT-HS/bounded PBFT; growing for unbounded PBFT")
-		fmt.Println()
-	}
-	if opts.resp {
-		fmt.Println("── E4: post-timeout recovery vs Δ (responsiveness column; δ = 1) ──")
-		res, err := snap.record("resp", func() (any, error) {
-			return bench.Responsiveness([]types.Duration{10, 20, 50})
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-18s %6s %18s\n", "Protocol", "Δ", "Recovery (ticks)")
-		for _, row := range res.([]bench.RespRow) {
-			fmt.Printf("%-18s %6d %18d\n", row.Protocol, row.Delta, row.Recovery)
-		}
-		fmt.Println("shape: responsive protocols are flat in Δ; the blog IT-HS pays Δ")
-		fmt.Println()
-	}
-	if opts.fig2 {
-		fmt.Println("── E5: Figure 2 — pipelined good case ──")
-		r, err := snap.record("fig2", func() (any, error) { return bench.Fig2Pipeline(20) })
-		if err != nil {
-			return err
-		}
-		res := r.(bench.Fig2Result)
-		fmt.Printf("slots finalized:        %d (first at t=%d, last at t=%d)\n", res.Slots, res.FirstFinalizeAt, res.LastFinalizeAt)
-		fmt.Printf("delays per block:       %.2f (paper: 1)\n", res.MeanInterval)
-		fmt.Printf("single-shot latency:    %d delays (paper: 5)\n", res.SingleShotLatency)
-		fmt.Printf("throughput speedup:     %.2f× (paper: 5×)\n", res.ThroughputSpeedup)
-		fmt.Println()
-	}
-	if opts.fig3 {
-		fmt.Println("── E6/E9: Figure 3 — multi-shot view change ──")
-		r, err := snap.record("fig3", func() (any, error) { return bench.Fig3ViewChange() })
-		if err != nil {
-			return err
-		}
-		res := r.(bench.Fig3Result)
-		fmt.Printf("aborted in-flight slots:  %d (paper bound: 5)\n", res.AbortedSlots)
-		fmt.Printf("view-change broadcast at: t=%d\n", res.ViewChangeAt)
-		fmt.Printf("new-view notarization at: t=%d (recovery %d ticks ≤ 5Δ = %d)\n",
-			res.RecoveryNotarizeAt, res.RecoveryDelta, res.DeltaBound)
-		fmt.Printf("slots finalized overall:  %d\n", res.FinalizedSlots)
-		fmt.Println()
-	}
-	if opts.verify {
-		fmt.Println("── E7: Section 5 — formal verification reproduction ──")
-		r, err := snap.record("verify", func() (any, error) { return bench.Verification(opts.effort) })
-		if err != nil {
-			return err
-		}
-		res := r.(bench.VerificationResult)
-		fmt.Printf("bounded BFS states:        %d (truncated: %v)\n", res.BFSStates, res.BFSTruncated)
-		fmt.Printf("guided-walk states:        %d (paper config: 4 nodes, 1 Byz, 3 values, 5 views)\n", res.WalkStates)
-		fmt.Printf("induction samples/steps:   %d / %d\n", res.InductionSamples, res.InductionSteps)
-		fmt.Printf("liveness fixpoint runs:    %d\n", res.LivenessRuns)
-		fmt.Printf("violations:                %d (expected: 0)\n", res.Violations)
-		fmt.Println()
-	}
-	if opts.timeout {
-		fmt.Println("── E8: Section 3.2 — 9Δ timeout analysis ──")
-		r, err := snap.record("timeout", func() (any, error) { return bench.TimeoutBound(10, 10) })
-		if err != nil {
-			return err
-		}
-		res := r.(bench.TimeoutBoundResult)
-		fmt.Printf("seeds: %d, Δ = %d, lossy asynchrony until GST\n", res.Seeds, res.Delta)
-		fmt.Printf("worst post-GST recovery:  %d ticks\n", res.WorstRecovery)
-		fmt.Printf("analysis bound:           %d ticks (9Δ stale timer + 2Δ sync + 7δ view)\n", res.PaperBound)
-		fmt.Printf("all decided: %v, all agreed: %v\n", res.AllDecided, res.AllAgreed)
-		fmt.Println()
-	}
-	if opts.ablation {
-		fmt.Println("── Ablation: view-timeout factor around the paper's 9Δ ──")
-		r, err := snap.record("ablation", func() (any, error) {
-			return bench.AblationTimeout([]int{2, 5, 9, 18})
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8s %-28s %-22s\n", "factor", "good case (variance delays)", "crashed-leader case")
-		for _, row := range r.([]bench.AblationRow) {
-			good := "LIVELOCK (views churn, safety holds)"
-			if row.GoodDecided {
-				good = fmt.Sprintf("decided t=%d (max view %d)", row.GoodDecideAt, row.GoodMaxView)
-			}
-			crash := "no decision"
-			if row.SilentDecided {
-				crash = fmt.Sprintf("decided t=%d", row.SilentDecideAt)
-			}
-			fmt.Printf("%-8d %-28s %-22s\n", row.Factor, good, crash)
-		}
-		fmt.Println("shape: below 8Δ liveness dies; 9Δ is safe; larger only delays crash recovery")
-		fmt.Println()
-	}
-	if opts.throughput {
-		fmt.Println("── E10: batched-pipeline throughput (30 slots, saturating offered load) ──")
-		r, err := snap.record("throughput", func() (any, error) {
-			return bench.Throughput([]int{1, 4, 16, 64})
-		})
-		if err != nil {
-			return err
-		}
-		bench.WriteThroughput(os.Stdout, r.([]bench.ThroughputRow))
-		fmt.Println("shape: tx/tick scales with the batch cap; consensus ticks stay flat")
-		fmt.Println()
-	}
-	if opts.stages {
-		fmt.Println("── E11: stage-level latency decomposition (pipelined multishot) ──")
-		r, err := snap.record("stages", func() (any, error) { return bench.StageDecomposition() })
-		if err != nil {
-			return err
-		}
-		bench.WriteStages(os.Stdout, r.(bench.StagesResult))
-		fmt.Println("shape: good-case finalize ≈ 3δ behind the propose; the crash adds view-change dwell")
-		fmt.Println()
-	}
-	if snap != nil {
-		if err := snap.write(opts.jsonPath); err != nil {
-			return fmt.Errorf("writing perf snapshot: %w", err)
-		}
-		fmt.Printf("perf snapshot written to %s\n", opts.jsonPath)
-	}
-	return nil
+	return res, nil
 }

@@ -8,6 +8,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"tetrabft"
 )
@@ -64,8 +66,9 @@ func run() error {
 	fmt.Printf("\nchain height: %d blocks (one finalized per message delay after warm-up)\n", store.Height())
 
 	fmt.Println("\nreplicated key-value state:")
-	for k, v := range kv.Snapshot() {
-		fmt.Printf("  %-6s = %s\n", k, v)
+	state := kv.Snapshot()
+	for _, k := range slices.Sorted(maps.Keys(state)) {
+		fmt.Printf("  %-6s = %s\n", k, state[k])
 	}
 
 	// Every replica finalized the same slot count (Definition 2's

@@ -13,16 +13,9 @@ import (
 )
 
 // maxFuncLines is the longest function the module accepts, counted from the
-// func keyword to the closing brace.
+// func keyword to the closing brace. It holds every function, with no
+// exceptions, and may only go down.
 const maxFuncLines = 150
-
-// longFuncs are the functions already longer than maxFuncLines, each capped
-// at its length today. A cap may only go down: shorten the function and
-// lower its entry, or delete the entry once the function fits the limit.
-// Keys are "file:Func", or "file:Recv.Method" for a method.
-var longFuncs = map[string]int{
-	"cmd/tetrabft-bench/main.go:run": 170,
-}
 
 // engineFuncLines is the longest function accepted in engineFiles, the
 // files of the scenario engines' runners (runSim, runSeq, runTCP) and
@@ -36,8 +29,7 @@ var engineFiles = map[string]bool{
 }
 
 // TestFunctionLengthRatchet holds each function of the module to
-// maxFuncLines, or to its cap in longFuncs, and each function of engineFiles
-// to engineFuncLines.
+// maxFuncLines, and each function of engineFiles to engineFuncLines.
 func TestFunctionLengthRatchet(t *testing.T) {
 	fset := token.NewFileSet()
 	seen := make(map[string]bool)
@@ -50,25 +42,14 @@ func TestFunctionLengthRatchet(t *testing.T) {
 			}
 			key := file + ":" + funcName(fn)
 			lines := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
-			limit, capped := longFuncs[key]
-			seen[key] = capped
 			switch {
 			case engineFiles[file] && lines > engineFuncLines:
 				t.Errorf("%s is %d lines, over the %d-line limit of the engine files", key, lines, engineFuncLines)
-			case !capped && lines > maxFuncLines:
+			case lines > maxFuncLines:
 				t.Errorf("%s is %d lines, over the %d-line limit", key, lines, maxFuncLines)
-			case capped && lines > limit:
-				t.Errorf("%s is %d lines, over its cap of %d", key, lines, limit)
-			case capped && lines < limit:
-				t.Errorf("%s is down to %d lines: lower its cap from %d (or drop it at %d or fewer)", key, lines, limit, maxFuncLines)
 			}
 		}
 	})
-	for key := range longFuncs {
-		if !seen[key] {
-			t.Errorf("%s is capped but no longer exists: drop its entry", key)
-		}
-	}
 	for file := range engineFiles {
 		if !seen[file] {
 			t.Errorf("engine file %s no longer exists: drop its entry", file)
@@ -82,7 +63,7 @@ func TestFunctionLengthRatchet(t *testing.T) {
 var packageLines = map[string]int{
 	"internal/multishot": 1639,
 	"internal/scenario":  3431,
-	"internal/sweep":     1947,
+	"internal/sweep":     1946,
 }
 
 // TestPackageLinesRatchet holds each package of packageLines to its cap,

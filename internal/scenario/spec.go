@@ -6,8 +6,8 @@
 // The paper's evaluation is a matrix of exactly such scenarios (protocol ×
 // cluster size × fault behavior × network regime, Table 1 and Figures 2-3),
 // and every assembly site in the repository builds on this package: the
-// experiment sweeps in internal/bench, the tetrabft-sim command (whose only
-// input is a -scenario file.json spec), and the examples/ programs.
+// sweeps of internal/sweep, the tetrabft-sim command (whose only input is
+// a -scenario file.json spec), and the examples/ programs.
 // Because a spec plus its seed pins the entire run, sharing the JSON is
 // sharing the experiment: anyone can reproduce the numbers byte for byte.
 package scenario

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 
@@ -140,13 +141,9 @@ func ParseCapacityResult(data []byte) (*CapacityResult, error) {
 	return &r, nil
 }
 
-// tolerance returns the effective stop tolerance.
-func (cp Capacity) tolerance() float64 {
-	if cp.Tolerance <= 0 {
-		return 0.25
-	}
-	return cp.Tolerance
-}
+// tolerance returns the effective stop tolerance (Validate refuses a
+// negative one).
+func (cp Capacity) tolerance() float64 { return cmp.Or(cp.Tolerance, 0.25) }
 
 // Validate checks the plan without running it: the bracket is ordered, the
 // assertions parse, and a probe at MinRate compiles to a valid sweep.
@@ -175,11 +172,7 @@ func (cp Capacity) Validate() error {
 // probeSweep builds the one-cell sweep measuring the plan at one rate.
 func (cp Capacity) probeSweep(rate int64) Sweep {
 	sc := cp.Base
-	count := int(rate * cp.LoadTicks / 100)
-	if count < 1 {
-		count = 1
-	}
-	sc.Workload.TxCount = count
+	sc.Workload.TxCount = max(int(rate*cp.LoadTicks/100), 1)
 	if cp.Base.Workload.Arrival != nil {
 		a := *cp.Base.Workload.Arrival
 		a.Rate = float64(rate)

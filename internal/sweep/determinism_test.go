@@ -3,63 +3,68 @@ package sweep
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"tetrabft/internal/scenario"
 )
 
-// TestRunTwiceByteIdentical marshals two runs of the same sweep and
-// requires byte equality — the snapshot-regression methodology depends on
-// identical runs producing identical files. The sweep draws every message
-// delay from the replicate's seed, so a run that drifted from its seed shows
-// in the snapshot; smallSweep's constant unit delay depends on no seed and
-// would hide it.
-func TestRunTwiceByteIdentical(t *testing.T) {
+// determinismInputs are the sweeps the determinism tests run: a seeded-delay
+// variant of smallSweep (every message delay drawn from the replicate's
+// seed, so a run that drifted from its seed shows in the snapshot;
+// smallSweep's constant unit delay depends on no seed and would hide it),
+// delta-sensitivity, and every paper-* sweep.
+func determinismInputs() []Sweep {
 	sw := smallSweep()
 	sw.Base.Network.Delay = &scenario.DelaySpec{Model: scenario.DelayUniform, Min: 1, Max: 5}
 	sw.Assert = []string{"min_decided >= 4"}
-	run := func() []byte {
-		res, err := Run(sw)
-		if err != nil {
-			t.Fatal(err)
+	out := []Sweep{sw}
+	for _, named := range Named() {
+		if named.Name == "delta-sensitivity" || strings.HasPrefix(named.Name, "paper-") {
+			out = append(out, named)
 		}
-		data, err := res.MarshalIndent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
 	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
-		t.Errorf("two runs of the same sweep marshal differently:\n%s\nvs\n%s", a, b)
+	return out
+}
+
+// marshalRun runs sw and returns its snapshot bytes.
+func marshalRun(t *testing.T, sw Sweep) []byte {
+	t.Helper()
+	res, err := Run(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRunTwiceByteIdentical marshals two runs of the same sweep and
+// requires byte equality — the snapshot-regression methodology depends on
+// identical runs producing identical files.
+func TestRunTwiceByteIdentical(t *testing.T) {
+	for _, sw := range determinismInputs() {
+		if a, b := marshalRun(t, sw), marshalRun(t, sw); !bytes.Equal(a, b) {
+			t.Errorf("%s: two runs of the same sweep marshal differently:\n%s\nvs\n%s", sw.Name, a, b)
+		}
 	}
 }
 
-// TestGOMAXPROCSInvariant runs the same sweep at 1 and N cores and requires
-// byte-identical snapshots: the parallel fan-out folds in input order, so
-// core count must never leak into the output.
+// TestGOMAXPROCSInvariant runs the same sweeps at 1 and N cores and
+// requires byte-identical snapshots: the parallel fan-out folds in input
+// order, so core count must never leak into the output.
 func TestGOMAXPROCSInvariant(t *testing.T) {
-	sw, ok := ByName("delta-sensitivity")
-	if !ok {
-		t.Fatal("delta-sensitivity sweep missing")
-	}
-	run := func() []byte {
-		res, err := Run(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := res.MarshalIndent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	prev := runtime.GOMAXPROCS(1)
-	seq := run()
-	runtime.GOMAXPROCS(4)
-	parl := run()
-	runtime.GOMAXPROCS(prev)
-	if !bytes.Equal(seq, parl) {
-		t.Error("GOMAXPROCS leaked into the sweep snapshot")
+	defer runtime.GOMAXPROCS(prev)
+	for _, sw := range determinismInputs() {
+		runtime.GOMAXPROCS(1)
+		seq := marshalRun(t, sw)
+		runtime.GOMAXPROCS(4)
+		if parl := marshalRun(t, sw); !bytes.Equal(seq, parl) {
+			t.Errorf("%s: GOMAXPROCS leaked into the sweep snapshot", sw.Name)
+		}
 	}
 }
 

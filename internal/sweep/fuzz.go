@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"tetrabft/internal/par"
 	"tetrabft/internal/scenario"
@@ -92,20 +94,14 @@ const FuzzSchema = "tetrabft-fuzz/v1"
 // source, runs are folded in generation order, and shrinking tries a fixed
 // candidate order.
 func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
+	cfg.Seed = cmp.Or(cfg.Seed, 1)
+	cfg.Runs = cmp.Or(cfg.Runs, 25)
+	cfg.MaxNodes = cmp.Or(cfg.MaxNodes, 7)
 	if cfg.Seed < 0 {
 		return nil, fmt.Errorf("sweep: negative fuzz seed %d", cfg.Seed)
 	}
-	if cfg.Runs == 0 {
-		cfg.Runs = 25
-	}
 	if cfg.Runs < 0 {
 		return nil, fmt.Errorf("sweep: negative fuzz runs %d", cfg.Runs)
-	}
-	if cfg.MaxNodes == 0 {
-		cfg.MaxNodes = 7
 	}
 	if cfg.MaxNodes < 4 {
 		return nil, fmt.Errorf("sweep: max_nodes %d below the minimum cluster of 4", cfg.MaxNodes)
@@ -317,8 +313,8 @@ func generate(rng *rand.Rand, cfg FuzzConfig) scenario.Scenario {
 						}
 						groups[g] = append(groups[g], types.NodeID(p))
 					}
-					sortNodeIDs(groups[0])
-					sortNodeIDs(groups[1])
+					slices.Sort(groups[0])
+					slices.Sort(groups[1])
 					partitionEnd = from + 5*sc.Delta + rng.Int63n(10*sc.Delta)
 					sc.Faults = append(sc.Faults, scenario.FaultSpec{
 						Type: scenario.FaultPartition, Groups: groups, From: from, To: partitionEnd,
@@ -396,14 +392,4 @@ func generateSharded(rng *rand.Rand, proto scenario.Protocol) scenario.Scenario 
 	sc.Stop.Horizon = 9*sc.Delta*(8+6*int64(len(sc.Faults))+4*sc.Workload.Slots) +
 		8*anchorInterval
 	return sc
-}
-
-// sortNodeIDs is a tiny insertion sort for partition groups (rng.Perm
-// output); a spec should read the same no matter the draw order.
-func sortNodeIDs(ids []types.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -5,34 +5,23 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
-// reportMetrics orders the metric columns of the human-readable reports.
-var reportMetrics = []struct {
-	metric string
-	agg    string
-}{
-	{"latency", "mean"},
-	{"latency", "p99"},
-	{"decided", "min"},
-	{"max_view", "max"},
-	{"traffic", "mean"},
-	{"storage", "max"},
-	{"finalized", "min"},
-	{"decided_txs", "min"},
-	{"tx_p99", "max"},
-	{"tx_throughput", "mean"},
-}
+// column is one markdown report column: a metric and an aggregate.
+type column struct{ metric, agg string }
 
 // columns returns the report columns that actually carry data somewhere in
 // the result, so single-shot sweeps do not render an empty finalized column.
-func columns(r *Result) []struct{ metric, agg string } {
-	var out []struct{ metric, agg string }
-	for _, col := range reportMetrics {
-		for _, c := range r.Cells {
-			if d, ok := c.Stats[col.metric]; ok && d.Count > 0 && (d.Max != 0 || col.metric == "latency" || col.metric == "decided") {
-				out = append(out, struct{ metric, agg string }{col.metric, col.agg})
-				break
+func columns(r *Result) []column {
+	var out []column
+	for _, m := range metrics {
+		for _, agg := range m.report {
+			for _, c := range r.Cells {
+				if d, ok := c.Stats[m.name]; ok && d.Count > 0 && (d.Max != 0 || m.name == "latency" || m.name == "decided") {
+					out = append(out, column{m.name, agg})
+					break
+				}
 			}
 		}
 	}
@@ -154,11 +143,7 @@ func joinOrNone(clauses []string) string {
 	if len(clauses) == 0 {
 		return "(none)"
 	}
-	out := clauses[0]
-	for _, c := range clauses[1:] {
-		out += " && " + c
-	}
-	return out
+	return strings.Join(clauses, " && ")
 }
 
 // WriteCSV renders the result in long form — one row per (cell, metric) —
@@ -166,13 +151,13 @@ func joinOrNone(clauses []string) string {
 func WriteCSV(w io.Writer, r *Result) {
 	fmt.Fprintln(w, "cell,labels,metric,count,mean,stddev,min,max,p50,p99")
 	for _, cell := range r.Cells {
-		for _, m := range metricNames {
-			d, ok := cell.Stats[m]
+		for _, m := range metrics {
+			d, ok := cell.Stats[m.name]
 			if !ok {
 				continue
 			}
 			fmt.Fprintf(w, "%d,%q,%s,%d,%s,%s,%s,%s,%s,%s\n",
-				cell.Index, cell.LabelString(), m, d.Count,
+				cell.Index, cell.LabelString(), m.name, d.Count,
 				fmtG(d.Mean), fmtG(d.Stddev), fmtG(d.Min), fmtG(d.Max), fmtG(d.P50), fmtG(d.P99))
 		}
 	}

@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"cmp"
 	"encoding/json"
 
 	"tetrabft/internal/par"
 	"tetrabft/internal/scenario"
 	"tetrabft/internal/trace"
+	"tetrabft/internal/types"
 )
 
 // Result is what a sweep run measured: one CellResult per grid cell, in
@@ -80,11 +82,17 @@ func (c CellResult) LabelString() string { return labelString(c.Labels) }
 //	backlog     — offered_txs − decided_txs: transactions the run left
 //	            uncommitted, the capacity planner's saturation signal
 //	tx_p50, tx_p99 — offered-load commit-latency percentiles, in ticks
-//	tx_throughput  — decided transactions per 1000 ticks of run time
+//	tx_throughput  — decided transactions per 1000 ticks to last_decision
 //	anchor_epochs — anchor epochs committed across shards (sharded runs)
 //	anchor_p99    — anchor-commit latency p99 (sharded runs)
 //	stage_e2e_p50, stage_e2e_p99 — propose→finalize stage-span percentiles,
 //	            present only when the cell's spec sets collect.stages
+//	last_decision — the latest recorded decision, over every node and slot
+//	            (absent in sharded and TCP runs, which record none)
+//	aborted_slots — the most slots the probe, the first honest multi-shot
+//	            replica, moved to view ≥ 1 at one instant (collect.trace)
+//	vc_recovery — the first notarization in view ≥ 1 minus the first
+//	            view-change broadcast (collect.trace)
 type RepResult struct {
 	Seed         int64   `json:"seed"`
 	Latency      int64   `json:"latency"`
@@ -105,11 +113,15 @@ type RepResult struct {
 	AnchorP99    int64   `json:"anchor_p99,omitempty"`
 	StageE2EP50  int64   `json:"stage_e2e_p50,omitempty"`
 	StageE2EP99  int64   `json:"stage_e2e_p99,omitempty"`
+	LastDecision int64   `json:"last_decision,omitempty"`
+	AbortedSlots int64   `json:"aborted_slots,omitempty"`
+	VCRecovery   int64   `json:"vc_recovery,omitempty"`
 	Error        string  `json:"error,omitempty"`
 
-	// stageObserved marks that the replicate carried a stage breakdown at
-	// all, so a legitimate zero percentile still becomes a sample.
-	stageObserved bool
+	// stageObserved and traced mark a replicate that carried the stage
+	// breakdown or the trace, so a legitimate zero still becomes a sample
+	// (last_decision and vc_recovery are never 0: each needs a message).
+	stageObserved, traced bool
 }
 
 // repOf extracts the replicate metrics from a scenario result (res may be
@@ -122,84 +134,99 @@ func repOf(seed int64, res *scenario.Result, err error) RepResult {
 	if res == nil {
 		return rep
 	}
-	rep.Latency = res.FirstDecisionAt
-	rep.Decided = res.DecidedCount
-	rep.Traffic = res.TotalSentBytes
-	rep.Storage = res.MaxStorageBytes
-	rep.MaxView = res.MaxView
-	rep.Events = res.Events
-	rep.Dropped = res.Dropped
+	rep = RepResult{
+		Seed: seed, Latency: res.FirstDecisionAt, Decided: res.DecidedCount,
+		Traffic: res.TotalSentBytes, Storage: res.MaxStorageBytes, MaxView: res.MaxView,
+		Events: res.Events, Dropped: res.Dropped,
+		DecidedTxs: res.DecidedTxs, OfferedTxs: res.OfferedTxs,
+		Backlog: max(res.OfferedTxs-res.DecidedTxs, 0),
+		TxP50:   res.TxLatencyP50, TxP99: res.TxLatencyP99,
+		AnchorEpochs: res.AnchorEpochs, AnchorP99: res.AnchorLatencyP99,
+		Error: rep.Error,
+	}
 	for i, f := range res.Finalized {
 		if i == 0 || int64(f.Slot) < rep.Finalized {
 			rep.Finalized = int64(f.Slot)
 		}
 	}
 	// Sharded runs fold per-shard: res.Finalized is empty, so take the
-	// laggard shard's finalized slot instead, plus the anchor metrics.
+	// laggard shard's finalized slot instead.
 	for i, s := range res.Shards {
 		if i == 0 || s.Finalized < rep.Finalized {
 			rep.Finalized = s.Finalized
 		}
 	}
-	rep.AnchorEpochs = res.AnchorEpochs
-	rep.AnchorP99 = res.AnchorLatencyP99
-	rep.DecidedTxs = res.DecidedTxs
-	rep.OfferedTxs = res.OfferedTxs
-	if b := res.OfferedTxs - res.DecidedTxs; b > 0 {
-		rep.Backlog = b
+	for _, d := range res.Decisions {
+		rep.LastDecision = max(rep.LastDecision, d.At)
 	}
-	rep.TxP50 = res.TxLatencyP50
-	rep.TxP99 = res.TxLatencyP99
-	if res.FinishedAt > 0 && res.DecidedTxs > 0 {
-		rep.TxThroughput = float64(res.DecidedTxs) * 1000 / float64(res.FinishedAt)
+	// Throughput runs to the last decision: the queue can drain up to 9Δ
+	// later, on stale timers that change nothing. Runs that record no
+	// decisions (sharded, TCP) fall back to the run's end.
+	if end := cmp.Or(rep.LastDecision, res.FinishedAt); end > 0 && res.DecidedTxs > 0 {
+		rep.TxThroughput = float64(res.DecidedTxs) * 1000 / float64(end)
 	}
 	if d, ok := res.StageDist(trace.StageProposeToFinalize); ok {
 		rep.StageE2EP50, rep.StageE2EP99 = d.P50, d.P99
 		rep.stageObserved = true
 	}
+	if len(res.Trace) > 0 && len(res.Finalized) > 0 {
+		rep.foldTrace(res.Trace, res.Finalized[0].Node)
+	}
 	return rep
 }
 
-// Observer sees every replicate's full scenario result in grid order
-// (cell-major, then seed order), after the parallel fan-out has been folded
-// back — so observation order is deterministic at any GOMAXPROCS. res can
-// carry partial measurements even when err is non-nil, and is nil only when
-// the run failed before producing any.
-type Observer func(cell, rep int, res *scenario.Result, err error)
+// foldTrace reads Figure 3's view change off a multi-shot trace: the most
+// slots the probe moved to view ≥ 1 at one instant (each such batch is one
+// view change's aborted in-flight blocks), and the time from the first
+// view-change broadcast to the first notarization in a new view.
+func (rep *RepResult) foldTrace(events []trace.Event, probe types.NodeID) {
+	rep.traced = true
+	// The trace is in time order, so one instant's events are adjacent.
+	var aborted map[types.Slot]bool
+	at, vcAt, notarizedAt := types.Time(-1), types.Time(-1), types.Time(-1)
+	for _, ev := range events {
+		switch {
+		case ev.Type == "enter-view" && ev.View >= 1 && ev.Node == probe:
+			if ev.Time != at {
+				at, aborted = ev.Time, make(map[types.Slot]bool)
+			}
+			aborted[ev.Slot] = true
+			rep.AbortedSlots = max(rep.AbortedSlots, int64(len(aborted)))
+		case ev.Type == "view-change" && vcAt < 0:
+			vcAt = ev.Time
+		case ev.Type == "notarize" && ev.View >= 1 && notarizedAt < 0:
+			notarizedAt = ev.Time
+		}
+	}
+	if vcAt >= 0 && notarizedAt >= 0 {
+		rep.VCRecovery = int64(notarizedAt - vcAt)
+	}
+}
 
 // Run executes the sweep grid — cells × replicates, in parallel — and
 // aggregates per-cell statistics and the assertion verdict. Replicate-level
 // run errors (agreement violations, exhausted budgets) do not abort the
 // sweep; they fail the affected cell. Only an invalid spec is an error.
-func Run(sw Sweep) (*Result, error) { return RunObserved(sw, nil) }
-
-// RunObserved is Run with an observer that receives every replicate's full
-// scenario result — the hook the bench experiments use to read metrics the
-// aggregated stats do not carry (per-node decision times).
-func RunObserved(sw Sweep, observe Observer) (*Result, error) {
+func Run(sw Sweep) (*Result, error) {
 	p, err := sw.compile()
 	if err != nil {
 		return nil, err
 	}
 
-	type job struct {
-		cell, rep int
-		sc        scenario.Scenario
-	}
-	jobs := make([]job, 0, len(p.cells)*p.replicates)
-	for c, cell := range p.cells {
-		for r := 0; r < p.replicates; r++ {
+	jobs := make([]scenario.Scenario, 0, len(p.cells)*p.replicates)
+	for _, cell := range p.cells {
+		for r := range p.replicates {
 			sc := cell.sc
 			sc.Seed = p.seedBase + int64(r)
-			jobs = append(jobs, job{cell: c, rep: r, sc: sc})
+			jobs = append(jobs, sc)
 		}
 	}
 	type out struct {
 		res *scenario.Result
 		err error
 	}
-	outs, _ := par.Map(jobs, func(_ int, j job) (out, error) {
-		res, err := scenario.Run(j.sc)
+	outs, _ := par.Map(jobs, func(_ int, sc scenario.Scenario) (out, error) {
+		res, err := scenario.Run(sc)
 		return out{res: res, err: err}, nil
 	})
 
@@ -211,19 +238,11 @@ func RunObserved(sw Sweep, observe Observer) (*Result, error) {
 		Pass:       true,
 	}
 	for c, cell := range p.cells {
-		cr := CellResult{
-			Index:    c,
-			Labels:   cell.labels,
-			Scenario: cell.sc,
-			Pass:     true,
-		}
+		cr := CellResult{Index: c, Labels: cell.labels, Scenario: cell.sc}
 		cr.Scenario.Seed = p.seedBase
-		samples := make(map[string][]float64, len(metricNames))
+		samples := make(map[string][]float64, len(metrics))
 		for r := 0; r < p.replicates; r++ {
 			o := outs[c*p.replicates+r]
-			if observe != nil {
-				observe(c, r, o.res, o.err)
-			}
 			rep := repOf(p.seedBase+int64(r), o.res, o.err)
 			cr.Reps = append(cr.Reps, rep)
 			if rep.Error != "" {
@@ -233,37 +252,21 @@ func RunObserved(sw Sweep, observe Observer) (*Result, error) {
 				}
 				continue
 			}
-			if rep.Latency >= 0 {
-				samples["latency"] = append(samples["latency"], float64(rep.Latency))
-			}
-			samples["decided"] = append(samples["decided"], float64(rep.Decided))
-			samples["traffic"] = append(samples["traffic"], float64(rep.Traffic))
-			samples["storage"] = append(samples["storage"], float64(rep.Storage))
-			samples["max_view"] = append(samples["max_view"], float64(rep.MaxView))
-			samples["events"] = append(samples["events"], float64(rep.Events))
-			samples["dropped"] = append(samples["dropped"], float64(rep.Dropped))
-			samples["finalized"] = append(samples["finalized"], float64(rep.Finalized))
-			samples["decided_txs"] = append(samples["decided_txs"], float64(rep.DecidedTxs))
-			samples["offered_txs"] = append(samples["offered_txs"], float64(rep.OfferedTxs))
-			samples["backlog"] = append(samples["backlog"], float64(rep.Backlog))
-			samples["tx_p50"] = append(samples["tx_p50"], float64(rep.TxP50))
-			samples["tx_p99"] = append(samples["tx_p99"], float64(rep.TxP99))
-			samples["tx_throughput"] = append(samples["tx_throughput"], rep.TxThroughput)
-			samples["anchor_epochs"] = append(samples["anchor_epochs"], float64(rep.AnchorEpochs))
-			samples["anchor_p99"] = append(samples["anchor_p99"], float64(rep.AnchorP99))
-			if rep.stageObserved {
-				samples["stage_e2e_p50"] = append(samples["stage_e2e_p50"], float64(rep.StageE2EP50))
-				samples["stage_e2e_p99"] = append(samples["stage_e2e_p99"], float64(rep.StageE2EP99))
+			for _, m := range metrics {
+				if v, ok := m.value(&rep); ok {
+					samples[m.name] = append(samples[m.name], v)
+				}
 			}
 		}
 		cr.Stats = make(map[string]Dist, len(samples))
 		for name, vals := range samples {
 			cr.Stats[name] = dist(vals)
 		}
-		if cr.Failures > 0 {
-			cr.Pass = false
-		}
+		cr.Pass = cr.Failures == 0
 		for _, as := range p.asserts {
+			if !as.selects(cr.Labels) {
+				continue
+			}
 			if err := as.eval(cr.Stats); err != nil {
 				cr.FailedAsserts = append(cr.FailedAsserts, err.Error())
 				cr.Pass = false

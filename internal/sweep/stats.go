@@ -59,21 +59,11 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[rank-1]
 }
 
-// agg extracts one aggregate from a Dist by name.
+// agg extracts one aggregate from a Dist by name ("count" is the sample
+// count; parseAssertion admits no other name).
 func (d Dist) agg(name string) float64 {
-	switch name {
-	case "mean":
-		return d.Mean
-	case "stddev":
-		return d.Stddev
-	case "min":
-		return d.Min
-	case "max":
-		return d.Max
-	case "p50":
-		return d.P50
-	case "p99":
-		return d.P99
-	}
-	return float64(d.Count) // "count": parseAssertion admits nothing else
+	return map[string]float64{
+		"mean": d.Mean, "stddev": d.Stddev, "min": d.Min, "max": d.Max,
+		"p50": d.P50, "p99": d.P99, "count": float64(d.Count),
+	}[name]
 }

@@ -20,6 +20,7 @@ package sweep
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -48,8 +49,12 @@ type Sweep struct {
 	Replicates int `json:"replicates,omitempty"`
 	// Assert lists SLO assertions evaluated against every cell's stats,
 	// e.g. "p99_latency <= 9" or "min_decided >= 4". Grammar:
-	// <agg>_<metric> <op> <number> with agg ∈ mean|stddev|min|max|p50|
-	// p99|count, metric a Metrics key, op ∈ <= < >= > == !=.
+	// [<field>=<value> ...:] <agg>_<metric> <op> <number> with agg ∈
+	// mean|stddev|min|max|p50|p99|count, metric a RepResult key, op ∈
+	// <= < >= > == !=. The optional selector of axis labels limits the
+	// clause to the cells carrying all of them ("protocol=pbft:
+	// max_latency == 3"); a selector that names no axis or matches no
+	// cell is a spec error.
 	Assert []string `json:"assert,omitempty"`
 }
 
@@ -145,69 +150,43 @@ func (a Axis) values() ([]axisValue, error) {
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown axis field %q", a.Field)
 	}
-	lists := 0
-	if len(a.Ints) > 0 {
-		lists++
+	lists := [...][]axisValue{
+		kindInt:    valuesOf(a.Ints, func(v int64) axisValue { return axisValue{i: v, label: strconv.FormatInt(v, 10)} }),
+		kindFloat:  valuesOf(a.Floats, func(v float64) axisValue { return axisValue{f: v, label: strconv.FormatFloat(v, 'g', -1, 64)} }),
+		kindString: valuesOf(a.Strings, func(v string) axisValue { return axisValue{s: v, label: v} }),
+		kindFaults: valuesOf(a.Faults, func(v []scenario.FaultSpec) axisValue { return axisValue{faults: v, label: faultsLabel(v)} }),
+		kindDelay:  valuesOf(a.Delays, func(v scenario.DelaySpec) axisValue { return axisValue{delay: v, label: delayLabel(v)} }),
 	}
-	if len(a.Floats) > 0 {
-		lists++
+	set := 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			set++
+		}
 	}
-	if len(a.Strings) > 0 {
-		lists++
-	}
-	if len(a.Faults) > 0 {
-		lists++
-	}
-	if len(a.Delays) > 0 {
-		lists++
-	}
-	if lists != 1 {
+	if set != 1 {
 		return nil, fmt.Errorf("sweep: axis %q must set exactly one non-empty value list", a.Field)
 	}
-	var out []axisValue
-	switch spec.kind {
-	case kindInt:
-		for _, v := range a.Ints {
-			out = append(out, axisValue{i: v, label: strconv.FormatInt(v, 10)})
-		}
-	case kindFloat:
-		for _, v := range a.Floats {
-			out = append(out, axisValue{f: v, label: strconv.FormatFloat(v, 'g', -1, 64)})
-		}
-	case kindString:
-		for _, v := range a.Strings {
-			out = append(out, axisValue{s: v, label: v})
-		}
-	case kindFaults:
-		for _, v := range a.Faults {
-			out = append(out, axisValue{faults: v, label: faultsLabel(v)})
-		}
-	case kindDelay:
-		for _, v := range a.Delays {
-			out = append(out, axisValue{delay: v, label: delayLabel(v)})
-		}
-	}
+	out := lists[spec.kind]
 	if len(out) == 0 {
-		return nil, fmt.Errorf("sweep: axis %q has values of the wrong type (field wants %s)", a.Field, kindName(spec.kind))
+		return nil, fmt.Errorf("sweep: axis %q has values of the wrong type (field wants %s)", a.Field, kindNames[spec.kind])
 	}
 	return out, nil
 }
 
-func kindName(k axisKind) string {
-	switch k {
-	case kindInt:
-		return "ints"
-	case kindFloat:
-		return "floats"
-	case kindString:
-		return "strings"
-	case kindFaults:
-		return "faults"
+// valuesOf converts one typed value list.
+func valuesOf[T any](vs []T, value func(T) axisValue) []axisValue {
+	out := make([]axisValue, len(vs))
+	for i, v := range vs {
+		out[i] = value(v)
 	}
-	return "delays"
+	return out
 }
 
-// faultsLabel renders a fault schedule compactly: "silent@0+partition".
+// kindNames names each axisKind's value list.
+var kindNames = [...]string{kindInt: "ints", kindFloat: "floats", kindString: "strings", kindFaults: "faults", kindDelay: "delays"}
+
+// faultsLabel renders a fault schedule compactly: "silent@0+partition", or
+// "suppress-proposals<6" for proposals suppressed below view 6.
 func faultsLabel(faults []scenario.FaultSpec) string {
 	if len(faults) == 0 {
 		return "none"
@@ -218,6 +197,8 @@ func faultsLabel(faults []scenario.FaultSpec) string {
 		case scenario.FaultSilent, scenario.FaultEquivocator, scenario.FaultRandom,
 			scenario.FaultForgedHistory, scenario.FaultStarveDecision:
 			parts = append(parts, fmt.Sprintf("%s@%d", f.Type, f.Node))
+		case scenario.FaultSuppressProposals:
+			parts = append(parts, fmt.Sprintf("%s<%d", f.Type, f.BelowView))
 		default:
 			parts = append(parts, string(f.Type))
 		}
@@ -284,15 +265,9 @@ type plan struct {
 const maxCells = 10000
 
 func (sw Sweep) compile() (*plan, error) {
-	p := &plan{replicates: sw.Replicates, seedBase: sw.Base.Seed}
-	if p.replicates == 0 {
-		p.replicates = 1
-	}
+	p := &plan{replicates: cmp.Or(sw.Replicates, 1), seedBase: cmp.Or(sw.Base.Seed, 1)}
 	if p.replicates < 0 {
 		return nil, fmt.Errorf("sweep: negative replicates %d", sw.Replicates)
-	}
-	if p.seedBase == 0 {
-		p.seedBase = 1
 	}
 	for _, a := range sw.Assert {
 		as, err := parseAssertion(a)
@@ -341,6 +316,11 @@ func (sw Sweep) compile() (*plan, error) {
 		}
 		if i < 0 {
 			break
+		}
+	}
+	for _, as := range p.asserts {
+		if err := as.checkSelector(sw.Axes, p.cells); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil

@@ -90,6 +90,11 @@ func TestSweepValidation(t *testing.T) {
 			Workload: scenario.WorkloadSpec{Slots: 2},
 			Faults:   []scenario.FaultSpec{{Type: scenario.FaultCrashRestart, Node: 0, CrashAtMS: 100, RestartAtMS: 50}},
 		}}, "before its crash"},
+		{"selector names no axis", Sweep{Base: base, Axes: []Axis{{Field: "delta", Ints: []int64{10}}},
+			Assert: []string{"nodes=4: max_latency <= 5"}}, `selector field "nodes" is not an axis`},
+		{"selector matches no cell", Sweep{Base: base, Axes: []Axis{{Field: "delta", Ints: []int64{10, 20}}},
+			Assert: []string{"delta=30: max_latency <= 5"}}, "selector matches no cell"},
+		{"selector without a pair", Sweep{Base: base, Assert: []string{"pbft: max_latency <= 5"}}, "selector wants field=value pairs"},
 		{"grid explosion", Sweep{Base: base, Axes: []Axis{
 			{Field: "delta", Ints: make([]int64, 200)},
 			{Field: "gst", Ints: make([]int64, 200)},

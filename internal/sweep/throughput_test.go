@@ -3,6 +3,8 @@ package sweep
 import (
 	"strings"
 	"testing"
+
+	"tetrabft/internal/scenario"
 )
 
 // TestThroughputScalingBatchMonotonic runs the bundled throughput-scaling
@@ -89,5 +91,42 @@ func TestThroughputAxes(t *testing.T) {
 	}
 	if wp.cells[1].sc.Workload.Window != 3 {
 		t.Fatalf("window axis not applied: %+v", wp.cells[1].sc.Workload)
+	}
+}
+
+// TestTxThroughputToLastDecision pins tx_throughput's divisor: decided
+// transactions per 1000 ticks up to the last decision, not up to the run's
+// end, which trails it by the stale timers still pending when the queue
+// drains.
+func TestTxThroughputToLastDecision(t *testing.T) {
+	sw := Sweep{
+		Base: scenario.Scenario{
+			Protocol: scenario.TetraBFTMulti,
+			Nodes:    4,
+			Workload: scenario.WorkloadSpec{Slots: 30, TxCount: 4000, TxRate: 10000, Window: 2},
+			Stop:     scenario.StopSpec{Horizon: 6000},
+		},
+		Axes: []Axis{{Field: "batch_size", Ints: []int64{1, 16}}},
+	}
+	res, err := Run(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Cells {
+		rep := c.Reps[0]
+		standalone, err := scenario.Run(c.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last int64
+		for _, d := range standalone.Decisions {
+			last = max(last, d.At)
+		}
+		if last == 0 || last >= standalone.FinishedAt {
+			t.Fatalf("cell %s: last decision %d, run end %d: the cell does not separate the two", c.LabelString(), last, standalone.FinishedAt)
+		}
+		if want := float64(rep.DecidedTxs) * 1000 / float64(last); rep.TxThroughput != want {
+			t.Errorf("cell %s: tx_throughput %g, want decided_txs × 1000 / last decision = %g", c.LabelString(), rep.TxThroughput, want)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,33 +50,43 @@ func TestTimersPrunedAfterFire(t *testing.T) {
 
 // TestHeldFrameSurvivesReconnect: a frame sent while the peer is down must
 // ride across the failed dials and arrive once the peer comes up — the
-// regression test for writeLoop's silent frame loss.
+// regression test for writeLoop's silent frame loss. The peer's listener is
+// held for the whole test (a freed port can be taken by a concurrent dial);
+// the dialer refuses until the frame has ridden two failed dials.
 func TestHeldFrameSurvivesReconnect(t *testing.T) {
-	// Reserve an address, then free it so the first dials fail.
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := probe.Addr().String()
-	probe.Close()
+	defer ln.Close()
 
 	rt, err := New(&idleMachine{id: 0}, Config{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	rt.SetPeers(map[types.NodeID]string{1: addr})
+	var up atomic.Bool
+	var failed atomic.Int32
+	rt.dial = func(network, addr string) (net.Conn, error) {
+		if !up.Load() {
+			failed.Add(1)
+			return nil, errors.New("peer down")
+		}
+		return net.Dial(network, addr)
+	}
+	rt.SetPeers(map[types.NodeID]string{1: ln.Addr().String()})
 	rt.Run()
 
 	want := types.MSViewChange{Slot: 3, View: 7}
 	(&env{r: rt}).Send(1, want)
-	time.Sleep(150 * time.Millisecond) // several dial failures happen here
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", addr, err)
+	held := failed.Load() + 2
+	for deadline := time.Now().Add(5 * time.Second); failed.Load() < held; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d dials failed; the writer stopped retrying", failed.Load())
+		}
 	}
-	defer ln.Close()
+	up.Store(true)
+
 	ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
 	conn, err := ln.Accept()
 	if err != nil {

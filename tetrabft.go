@@ -42,13 +42,13 @@
 // event queue is an inlined value-typed 4-ary heap, so a send or an
 // n-receiver broadcast costs zero heap allocations (pinned by
 // testing.AllocsPerRun regression tests in internal/sim). The experiment
-// sweeps in internal/bench and the model-checker exploration in
+// sweeps in internal/sweep and the model-checker exploration in
 // internal/checker fan independent runs out over a GOMAXPROCS-bounded
 // worker pool while staying byte-identical with sequential execution: same
 // seed, same decisions, same byte counts, same explored-state counts,
 // regardless of core count. `tetrabft-bench -json FILE` records a perf
-// snapshot (experiment rows plus wall-clock timings) for tracking the
-// trajectory across commits.
+// snapshot (every paper sweep's result plus wall-clock timings) for
+// tracking the trajectory across commits.
 package tetrabft
 
 import (
