@@ -19,9 +19,9 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
+	"tetrabft/internal/bench"
 	"tetrabft/internal/checker"
 	"tetrabft/internal/obs"
 	"tetrabft/internal/sweep"
@@ -40,7 +40,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tetrabft-bench:", err)
 		os.Exit(1)
 	}
-	code, err := run(os.Stdout, paperSweeps(), *effort, *jsonPath)
+	code, err := run(os.Stdout, bench.Sweeps(), *effort, *jsonPath)
 	// The profile stop must land before os.Exit or the CPU profile is
 	// truncated and the heap profile never written.
 	if perr := stopProfiles(); perr != nil {
@@ -52,17 +52,6 @@ func main() {
 		os.Exit(1)
 	}
 	os.Exit(code)
-}
-
-// paperSweeps returns the library's paper-* sweeps in file-name order.
-func paperSweeps() []sweep.Sweep {
-	var out []sweep.Sweep
-	for _, sw := range sweep.Named() {
-		if strings.HasPrefix(sw.Name, "paper-") {
-			out = append(out, sw)
-		}
-	}
-	return out
 }
 
 // snapshot is the perf record serialized by -json.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"tetrabft/internal/bench"
 	"tetrabft/internal/scenario"
 	"tetrabft/internal/sweep"
 	"tetrabft/internal/types"
@@ -73,8 +74,8 @@ func TestPaperClaimsBite(t *testing.T) {
 	}
 }
 
-// bench is the driver's -json snapshot, decoded.
-type bench struct {
+// benchSnapshot is the driver's -json snapshot, decoded.
+type benchSnapshot struct {
 	Schema  string                     `json:"schema"`
 	Results map[string]json.RawMessage `json:"results"`
 
@@ -83,7 +84,7 @@ type bench struct {
 }
 
 // cell returns the named sweep's cell whose labels read exactly labels.
-func (b *bench) cell(t *testing.T, name, labels string) sweep.CellResult {
+func (b *benchSnapshot) cell(t *testing.T, name, labels string) sweep.CellResult {
 	t.Helper()
 	res := b.sweeps[name]
 	if res == nil {
@@ -99,7 +100,7 @@ func (b *bench) cell(t *testing.T, name, labels string) sweep.CellResult {
 }
 
 // stat reads "<agg>_<metric>" off one cell, as an assertion does.
-func (b *bench) stat(t *testing.T, name, labels, clause string) float64 {
+func (b *benchSnapshot) stat(t *testing.T, name, labels, clause string) float64 {
 	t.Helper()
 	c := b.cell(t, name, labels)
 	for _, agg := range []string{"mean", "min", "max", "count"} {
@@ -119,7 +120,7 @@ func (b *bench) stat(t *testing.T, name, labels, clause string) float64 {
 
 // bound returns the number of the sweep's assert clause that starts with
 // prefix: a bound the paper states, kept as data.
-func (b *bench) bound(t *testing.T, name, prefix string) float64 {
+func (b *benchSnapshot) bound(t *testing.T, name, prefix string) float64 {
 	t.Helper()
 	for _, a := range b.sweeps[name].Asserts {
 		if rest, ok := strings.CutPrefix(a, prefix); ok {
@@ -137,7 +138,7 @@ func (b *bench) bound(t *testing.T, name, prefix string) float64 {
 // replay reruns a cell's stored scenario: the few numbers of the old output
 // that no sweep metric carries are reproduced from the spec the snapshot
 // records.
-func (b *bench) replay(t *testing.T, name, labels string) *scenario.Result {
+func (b *benchSnapshot) replay(t *testing.T, name, labels string) *scenario.Result {
 	t.Helper()
 	res, err := scenario.Run(b.cell(t, name, labels).Scenario)
 	if err != nil {
@@ -163,14 +164,14 @@ func firstTrace(res *scenario.Result, typ string, minView types.View) float64 {
 // metric carries are reproduced from the cell's stored scenario.
 func TestParentOutputCarried(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if code, err := run(io.Discard, paperSweeps(), 1, path); code != 0 || err != nil {
+	if code, err := run(io.Discard, bench.Sweeps(), 1, path); code != 0 || err != nil {
 		t.Fatalf("driver exit %d, err %v", code, err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &bench{sweeps: make(map[string]*sweep.Result)}
+	b := &benchSnapshot{sweeps: make(map[string]*sweep.Result)}
 	if err := json.Unmarshal(data, b); err != nil {
 		t.Fatal(err)
 	}

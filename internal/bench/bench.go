@@ -1,598 +1,21 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation on the deterministic simulator:
-//
-//   - Table1Latency     — good-case and view-change latency in message
-//     delays for TetraBFT and all baselines (Table 1, latency columns);
-//   - CommunicationSweep — total communicated bytes vs n (Table 1,
-//     communication column: O(n²) vs PBFT's O(n³) view change);
-//   - StorageSweep      — persistent bytes after repeated view changes
-//     (Table 1, storage column: constant vs unbounded);
-//   - Responsiveness    — post-view-change recovery time as Δ grows
-//     (the responsiveness column: responsive protocols recover in O(δ),
-//     non-responsive ones pay Δ);
-//   - Fig2Pipeline      — multi-shot good case: one block per message
-//     delay, ≈5× the throughput of repeated single-shot (Figure 2);
-//   - Fig3ViewChange    — multi-shot leader failure: ≤5 aborted slots and
-//     recovery within 5Δ (Figure 3, Section 6.3);
-//   - Verification      — the Section 5 model-checking reproduction.
-//
-// Every measurement is a declarative internal/scenario spec: the sweep
-// builds Scenario values (protocol × cluster size × fault schedule ×
-// network regime) and reads the numbers off the ScenarioResult, so each row
-// of the emitted tables is a spec anyone can rerun verbatim.
-//
-// See EXPERIMENTS.md for paper-vs-measured values.
+// Package bench names the paper's evaluation on the simulator: the paper-*
+// sweeps of the spec library (examples/sweeps), one per experiment, whose
+// assert clauses state the paper's claims. cmd/tetrabft-bench runs them.
 package bench
 
 import (
-	"errors"
-	"fmt"
-	"io"
+	"strings"
 
-	"tetrabft/internal/checker"
-	"tetrabft/internal/par"
-	"tetrabft/internal/scenario"
 	"tetrabft/internal/sweep"
-	"tetrabft/internal/types"
 )
 
-// Every sweep in this package is embarrassingly parallel: each measurement
-// is an independent seeded scenario run sharing no state. The sweeps fan
-// their runs out over par.Map's GOMAXPROCS-bounded pool and assemble rows
-// by job index, which keeps the emitted tables byte-identical with a
-// sequential execution (asserted by TestSweepsDeterministic).
-
-// label is protocol p's Table 1 label, the name every table here prints.
-func label(p scenario.Protocol) string {
-	d, _ := scenario.Lookup(p)
-	return d.Label
-}
-
-// Table1Row is one measured protocol row. (The storage column has its own
-// experiment: StorageSweep.)
-type Table1Row struct {
-	Protocol         string
-	Responsive       string
-	GoodCaseDelays   int64
-	ViewChangeDelays int64 // -1 when the protocol has no view-change path
-	PaperGoodCase    int64
-	PaperViewChange  int64
-}
-
-// Table1 measures the latency columns of Table 1 at the given cluster size
-// with unit message delay. View-change latency is measured from the 9Δ
-// timeout to the decision, matching the paper's "latency of a view starting
-// with a view-change".
-func Table1(n int) ([]Table1Row, error) {
-	const delta = types.Duration(10)
-	specs := []struct {
-		proto      scenario.Protocol
-		responsive string
-		paperGood  int64
-		paperVC    int64
-		// deadWait is non-message waiting baked into the protocol's view
-		// change (the blog IT-HS leader's fixed Δ). The paper's latency
-		// column counts message delays only, so the wait is subtracted
-		// here; the Responsiveness experiment measures it explicitly.
-		deadWait int64
-	}{
-		{proto: scenario.ITHotStuffBlog, responsive: "non-responsive", paperGood: 4, paperVC: 5, deadWait: int64(delta)},
-		{proto: scenario.ITHotStuff, responsive: "responsive", paperGood: 6, paperVC: 9},
-		{proto: scenario.PBFT, responsive: "responsive", paperGood: 3, paperVC: 7},
-		{proto: scenario.LiConsensus, responsive: "non-responsive", paperGood: 6, paperVC: 6},
-		{proto: scenario.TetraBFT, responsive: "responsive", paperGood: 5, paperVC: 7},
-	}
-	// One job per (protocol, scenario) measurement so the slow view-change
-	// runs overlap with the good-case runs; a protocol without views has no
-	// view-change run.
-	type job struct {
-		specIdx int
-		silent  bool
-	}
-	var jobs []job
-	for i, spec := range specs {
-		jobs = append(jobs, job{specIdx: i})
-		if d, _ := scenario.Lookup(spec.proto); d.Views {
-			jobs = append(jobs, job{specIdx: i, silent: true})
+// Sweeps returns the library's paper-* sweeps in file-name order.
+func Sweeps() []sweep.Sweep {
+	var out []sweep.Sweep
+	for _, sw := range sweep.Named() {
+		if strings.HasPrefix(sw.Name, "paper-") {
+			out = append(out, sw)
 		}
 	}
-	times, err := par.Map(jobs, func(_ int, j job) (int64, error) {
-		spec := specs[j.specIdx]
-		at, err := decideTime(spec.proto, n, delta, j.silent)
-		if err != nil {
-			scenarioName := "good case"
-			if j.silent {
-				scenarioName = "view change"
-			}
-			return 0, fmt.Errorf("bench: %s %s: %w", label(spec.proto), scenarioName, err)
-		}
-		return at, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table1Row, len(specs))
-	for i, spec := range specs {
-		rows[i] = Table1Row{
-			Protocol:         label(spec.proto),
-			Responsive:       spec.responsive,
-			ViewChangeDelays: -1,
-			PaperGoodCase:    spec.paperGood,
-			PaperViewChange:  spec.paperVC,
-		}
-	}
-	for k, j := range jobs {
-		if j.silent {
-			timeout := int64(9 * delta)
-			rows[j.specIdx].ViewChangeDelays = times[k] - timeout - specs[j.specIdx].deadWait
-		} else {
-			rows[j.specIdx].GoodCaseDelays = times[k]
-		}
-	}
-	return rows, nil
-}
-
-// latencyScenario is the Table 1 measurement spec: one protocol instance
-// at cluster size n, optionally with a crashed view-0 leader.
-func latencyScenario(proto scenario.Protocol, n int, delta types.Duration, silentLeader bool) scenario.Scenario {
-	sc := scenario.Scenario{
-		Protocol: proto,
-		Nodes:    n,
-		Seed:     1,
-		Delta:    int64(delta),
-		Stop:     scenario.StopSpec{Horizon: 40 * int64(delta) * 9},
-	}
-	if silentLeader {
-		sc.Faults = []scenario.FaultSpec{{Type: scenario.FaultSilent, Node: 0}}
-	}
-	return sc
-}
-
-// decideTime runs one instance and returns the earliest honest decision
-// time (ticks = message delays under unit delay).
-func decideTime(proto scenario.Protocol, n int, delta types.Duration, silentLeader bool) (int64, error) {
-	res, err := scenario.Run(latencyScenario(proto, n, delta, silentLeader))
-	if err != nil {
-		return 0, err
-	}
-	if res.FirstDecisionAt < 0 {
-		return 0, fmt.Errorf("no node decided")
-	}
-	return res.FirstDecisionAt, nil
-}
-
-// CommRow is one point of the communication sweep.
-type CommRow struct {
-	Protocol     string
-	N            int
-	Scenario     string // "good-case" or "view-change"
-	TotalBytes   int64
-	PerNodeBytes int64
-}
-
-// CommunicationSweep measures total communicated bytes per consensus
-// instance across cluster sizes, in the good case for every protocol and
-// additionally through a view change for PBFT (whose evidence-carrying
-// view-change messages produce the O(n³) worst case).
-func CommunicationSweep(sizes []int) ([]CommRow, error) {
-	type job struct {
-		proto    scenario.Protocol
-		n        int
-		scenario string
-	}
-	var jobs []job
-	for _, n := range sizes {
-		for _, proto := range []scenario.Protocol{scenario.TetraBFT, scenario.ITHotStuff, scenario.PBFT} {
-			jobs = append(jobs, job{proto: proto, n: n, scenario: "good-case"})
-		}
-		// Worst-case view change: the view-0 instance reaches the prepared
-		// state (so PBFT view-change messages carry full O(n) evidence)
-		// but the final phase is suppressed, forcing the view change.
-		for _, proto := range []scenario.Protocol{scenario.TetraBFT, scenario.PBFT} {
-			jobs = append(jobs, job{proto: proto, n: n, scenario: "view-change"})
-		}
-	}
-	return par.Map(jobs, func(_ int, j job) (CommRow, error) {
-		sc := scenario.Scenario{
-			Protocol: j.proto,
-			Nodes:    j.n,
-			Seed:     1,
-			Delta:    10,
-			Stop:     scenario.StopSpec{Horizon: 4000},
-		}
-		if j.scenario == "view-change" {
-			sc.Faults = []scenario.FaultSpec{{Type: scenario.FaultSuppressFinalPhase}}
-		}
-		res, err := scenario.Run(sc)
-		if err != nil {
-			return CommRow{}, err
-		}
-		return CommRow{
-			Protocol:     label(j.proto),
-			N:            j.n,
-			Scenario:     j.scenario,
-			TotalBytes:   res.TotalSentBytes,
-			PerNodeBytes: res.TotalSentBytes / int64(j.n),
-		}, nil
-	})
-}
-
-// StorageRow is one protocol's storage measurement.
-type StorageRow struct {
-	Protocol string
-	Views    int
-	Bytes    int64
-}
-
-// StorageSweep drives each protocol through repeated leader failures (an
-// adversary suppresses every proposal before the target view) and reports
-// the maximum persistent footprint — constant for TetraBFT/IT-HS/bounded
-// PBFT, growing for the unbounded PBFT row.
-func StorageSweep(failedViews int) ([]StorageRow, error) {
-	protos := []scenario.Protocol{scenario.TetraBFT, scenario.ITHotStuff, scenario.PBFT, scenario.PBFTUnbounded}
-	return par.Map(protos, func(_ int, proto scenario.Protocol) (StorageRow, error) {
-		sc := scenario.Scenario{
-			Protocol: proto,
-			Nodes:    4,
-			Seed:     1,
-			Delta:    10,
-			Faults: []scenario.FaultSpec{{
-				Type: scenario.FaultSuppressProposals, BelowView: int64(failedViews),
-			}},
-			Stop: scenario.StopSpec{Horizon: int64((failedViews + 4) * 9 * 10 * 4)},
-		}
-		res, err := scenario.Run(sc)
-		if err != nil {
-			return StorageRow{}, err
-		}
-		return StorageRow{Protocol: label(proto), Views: failedViews, Bytes: res.MaxStorageBytes}, nil
-	})
-}
-
-// RespRow is one point of the responsiveness experiment.
-type RespRow struct {
-	Delta    types.Duration
-	Protocol string
-	Recovery int64 // ticks from the view-change timeout to decision
-	Delays   int64 // pure message count for reference (paper's currency)
-}
-
-// Responsiveness measures how post-timeout recovery scales with the
-// conservative bound Δ while the actual delay stays δ = 1: responsive
-// protocols (TetraBFT, IT-HS, PBFT) recover in a constant number of
-// message delays; the non-responsive blog IT-HS pays a full Δ of dead
-// waiting (Section 1.2's practical argument for responsiveness).
-func Responsiveness(deltas []types.Duration) ([]RespRow, error) {
-	type job struct {
-		delta  types.Duration
-		proto  scenario.Protocol
-		delays int64
-	}
-	var jobs []job
-	for _, delta := range deltas {
-		for _, spec := range []struct {
-			proto  scenario.Protocol
-			delays int64
-		}{
-			{scenario.TetraBFT, 7},
-			{scenario.ITHotStuff, 9},
-			{scenario.ITHotStuffBlog, 5},
-			{scenario.PBFT, 7},
-		} {
-			jobs = append(jobs, job{delta: delta, proto: spec.proto, delays: spec.delays})
-		}
-	}
-	return par.Map(jobs, func(_ int, j job) (RespRow, error) {
-		at, err := decideTime(j.proto, 4, j.delta, true)
-		if err != nil {
-			return RespRow{}, fmt.Errorf("bench: responsiveness %s Δ=%d: %w", label(j.proto), j.delta, err)
-		}
-		return RespRow{
-			Delta:    j.delta,
-			Protocol: label(j.proto),
-			Recovery: at - int64(9*j.delta),
-			Delays:   j.delays,
-		}, nil
-	})
-}
-
-// Fig2Result summarizes the pipelining experiment.
-type Fig2Result struct {
-	Slots             int
-	FirstFinalizeAt   int64
-	LastFinalizeAt    int64
-	MeanInterval      float64 // delays between consecutive finalizations
-	SingleShotLatency int64   // single-shot decision latency (5)
-	ThroughputSpeedup float64 // SingleShotLatency / MeanInterval (paper: 5×)
-}
-
-// Fig2Pipeline reproduces Figure 2: the good-case pipeline finalizes one
-// block per message delay, a 5× throughput improvement over repeating
-// single-shot TetraBFT.
-func Fig2Pipeline(slots int) (Fig2Result, error) {
-	res, err := scenario.Run(scenario.Scenario{
-		Protocol: scenario.TetraBFTMulti,
-		Nodes:    4,
-		Seed:     1,
-		Delta:    10,
-		Workload: scenario.WorkloadSpec{Slots: int64(slots)},
-		Stop:     scenario.StopSpec{Horizon: int64(20*slots + 2000)},
-	})
-	if err != nil {
-		return Fig2Result{}, err
-	}
-	var first, last int64
-	count := 0
-	for s := types.Slot(1); s <= types.Slot(slots); s++ {
-		d, ok := res.Decision(0, s)
-		if !ok {
-			return Fig2Result{}, fmt.Errorf("bench: slot %d never finalized", s)
-		}
-		if count == 0 {
-			first = d.At
-		}
-		last = d.At
-		count++
-	}
-	mean := float64(last-first) / float64(count-1)
-	single, err := decideTime(scenario.TetraBFT, 4, 10, false)
-	if err != nil {
-		return Fig2Result{}, err
-	}
-	return Fig2Result{
-		Slots:             slots,
-		FirstFinalizeAt:   first,
-		LastFinalizeAt:    last,
-		MeanInterval:      mean,
-		SingleShotLatency: single,
-		ThroughputSpeedup: float64(single) / mean,
-	}, nil
-}
-
-// Fig3Result summarizes the multi-shot view-change experiment.
-type Fig3Result struct {
-	FinalizedSlots     int64
-	AbortedSlots       int   // distinct slots that entered view ≥ 1
-	ViewChangeAt       int64 // first view-change broadcast
-	RecoveryNotarizeAt int64 // first notarization in the new view
-	RecoveryDelta      int64 // difference; §6.3 bounds it by 5Δ
-	DeltaBound         int64 // 5Δ for reference
-}
-
-// Fig3ViewChange reproduces Figure 3: a silent leader stalls its slots;
-// after the 9Δ timeout the per-slot view change aborts at most the 5
-// in-flight blocks, and a new block is notarized within 5Δ (Section 6.3's
-// liveness accounting: 2Δ view change + 3Δ suggest/propose/vote).
-func Fig3ViewChange() (Fig3Result, error) {
-	const delta = types.Duration(10)
-	r, err := scenario.Run(scenario.Scenario{
-		Protocol: scenario.TetraBFTMulti,
-		Nodes:    4,
-		Seed:     1,
-		Delta:    int64(delta),
-		Faults:   []scenario.FaultSpec{{Type: scenario.FaultSilent, Node: 3}},
-		Workload: scenario.WorkloadSpec{MaxSlot: 9},
-		Stop:     scenario.StopSpec{Horizon: 6000},
-		Collect:  scenario.CollectSpec{Trace: true},
-	})
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	// The probe is the first honest node (node 0).
-	const probe = types.NodeID(0)
-	res := Fig3Result{FinalizedSlots: int64(r.FinalizedSlot(probe)), DeltaBound: int64(5 * delta)}
-
-	// Aborted blocks per episode: every slot moved to a higher view by one
-	// view-change application happens in the same instant on the same
-	// node. The paper bounds each such batch by the 5-block in-flight
-	// window (multiple episodes occur because the silent node leads every
-	// 4th slot).
-	perEpisode := make(map[types.Time]map[types.Slot]bool)
-	for _, ev := range r.TraceFilter("enter-view") {
-		if ev.View < 1 || ev.Node != probe {
-			continue
-		}
-		set := perEpisode[ev.Time]
-		if set == nil {
-			set = make(map[types.Slot]bool)
-			perEpisode[ev.Time] = set
-		}
-		set[ev.Slot] = true
-	}
-	for _, set := range perEpisode {
-		if len(set) > res.AbortedSlots {
-			res.AbortedSlots = len(set)
-		}
-	}
-
-	vcs := r.TraceFilter("view-change")
-	if len(vcs) == 0 {
-		return Fig3Result{}, fmt.Errorf("bench: no view change occurred")
-	}
-	res.ViewChangeAt = int64(vcs[0].Time)
-	for _, ev := range r.TraceFilter("notarize") {
-		if ev.View >= 1 {
-			res.RecoveryNotarizeAt = int64(ev.Time)
-			break
-		}
-	}
-	if res.RecoveryNotarizeAt == 0 {
-		return Fig3Result{}, fmt.Errorf("bench: no post-view-change notarization")
-	}
-	res.RecoveryDelta = res.RecoveryNotarizeAt - res.ViewChangeAt
-	return res, nil
-}
-
-// TimeoutBoundResult summarizes the E8 experiment.
-type TimeoutBoundResult struct {
-	Seeds         int
-	Delta         types.Duration
-	WorstRecovery int64 // max over seeds of (decision time − GST)
-	PaperBound    int64 // 9Δ (stale timer) + 2Δ (view sync) + 7δ (view run)
-	AllDecided    bool
-	AllAgreed     bool
-}
-
-// TimeoutBound validates the Section 3.2 timeout analysis: with a 9Δ view
-// timeout, once the network turns synchronous every honest node decides
-// within one stale timeout plus the 2Δ view-change spread plus the 7-delay
-// view run. The experiment runs lossy asynchronous prefixes across seeds
-// and reports the worst observed recovery time after GST.
-func TimeoutBound(seeds int, delta types.Duration) (TimeoutBoundResult, error) {
-	const gst = int64(150)
-	res := TimeoutBoundResult{
-		Seeds:      seeds,
-		Delta:      delta,
-		PaperBound: int64(9*delta) + int64(2*delta) + 7,
-		AllDecided: true,
-		AllAgreed:  true,
-	}
-	if seeds <= 0 {
-		return res, nil
-	}
-	// Each seed is an independent run: a single-cell sweep with one
-	// replicate per seed. The sweep engine fans the runs out in parallel
-	// and the observer folds them back in seed order, so the reported
-	// worst case and first error are those a sequential loop would
-	// produce.
-	type seedOut struct {
-		worst      int64
-		allDecided bool
-		runErr     error
-		agreeErr   error
-	}
-	outs := make([]seedOut, seeds)
-	_, swErr := sweep.RunObserved(sweep.Sweep{
-		Base: scenario.Scenario{
-			Protocol: scenario.TetraBFT,
-			Nodes:    4,
-			Seed:     1, // replicate r runs at seed 1+r
-			Delta:    int64(delta),
-			Network: scenario.NetworkSpec{
-				Delay:         &scenario.DelaySpec{Model: scenario.DelayConstant, D: 1},
-				GST:           gst,
-				DropBeforeGST: 0.9,
-			},
-			Stop: scenario.StopSpec{Horizon: gst + 40*int64(delta)},
-		},
-		Replicates: seeds,
-	}, func(_, rep int, sr *scenario.Result, err error) {
-		out := &seedOut{allDecided: true}
-		defer func() { outs[rep] = *out }()
-		if err != nil {
-			if errors.Is(err, scenario.ErrAgreement) {
-				out.agreeErr = err
-			} else {
-				out.runErr = err
-			}
-			return
-		}
-		for n := types.NodeID(0); n < 4; n++ {
-			d, ok := sr.Decision(n, 0)
-			if !ok {
-				out.allDecided = false
-				continue
-			}
-			rec := d.At - gst
-			if rec < 0 {
-				rec = 0 // decided during asynchrony: lucky delivery
-			}
-			if rec > out.worst {
-				out.worst = rec
-			}
-		}
-	})
-	if swErr != nil {
-		return res, swErr
-	}
-	for _, out := range outs {
-		if out.runErr != nil {
-			return res, out.runErr
-		}
-		if out.agreeErr != nil {
-			res.AllAgreed = false
-			return res, out.agreeErr
-		}
-		if !out.allDecided {
-			res.AllDecided = false
-		}
-		if out.worst > res.WorstRecovery {
-			res.WorstRecovery = out.worst
-		}
-	}
-	return res, nil
-}
-
-// VerificationResult summarizes the Section 5 reproduction.
-type VerificationResult struct {
-	BFSStates        int
-	BFSTruncated     bool
-	WalkStates       int
-	InductionSamples int
-	InductionSteps   int
-	LivenessRuns     int
-	Violations       int
-}
-
-// Verification runs the model-checking reproduction of Section 5 at the
-// given effort (1 = quick CI sizing, larger = deeper).
-func Verification(effort int) (VerificationResult, error) {
-	if effort < 1 {
-		effort = 1
-	}
-	var res VerificationResult
-	small, err := checker.NewSpec(checker.Config{Nodes: 4, Faulty: 1, Values: 2, Rounds: 2, GoodRound: -1})
-	if err != nil {
-		return res, err
-	}
-	bfs := small.BFS(20000*effort, 10+effort)
-	res.BFSStates = bfs.StatesExplored
-	res.BFSTruncated = bfs.Truncated
-	if bfs.Violation != nil {
-		res.Violations++
-	}
-	paper, err := checker.NewSpec(checker.PaperConfig())
-	if err != nil {
-		return res, err
-	}
-	walks := paper.GuidedWalks(30*effort, 80, 1)
-	res.WalkStates = walks.StatesExplored
-	if walks.Violation != nil {
-		res.Violations++
-	}
-	ind := paper.InductionSample(60*effort, 2)
-	res.InductionSamples = ind.SamplesAccepted
-	res.InductionSteps = ind.StepsChecked
-	if ind.Violation != nil {
-		res.Violations++
-	}
-	live := paper.LivenessFixpoint(10*effort, 20, 3)
-	res.LivenessRuns = live.Runs
-	if live.Violation != nil {
-		res.Violations++
-	}
-	return res, nil
-}
-
-// WriteTable1 renders Table 1 rows like the paper's table.
-func WriteTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintf(w, "%-18s %-16s %24s %26s\n", "Protocol", "Responsiveness", "Good-case (msg delays)", "View-change (msg delays)")
-	for _, row := range rows {
-		vc := fmt.Sprintf("%d (paper: %d)", row.ViewChangeDelays, row.PaperViewChange)
-		if row.ViewChangeDelays < 0 {
-			vc = fmt.Sprintf("n/a (paper: %d)", row.PaperViewChange)
-		}
-		fmt.Fprintf(w, "%-18s %-16s %24s %26s\n",
-			row.Protocol, row.Responsive,
-			fmt.Sprintf("%d (paper: %d)", row.GoodCaseDelays, row.PaperGoodCase),
-			vc)
-	}
-}
-
-// WriteComm renders the communication sweep.
-func WriteComm(w io.Writer, rows []CommRow) {
-	fmt.Fprintf(w, "%-18s %-12s %4s %14s %14s\n", "Protocol", "Scenario", "n", "Total bytes", "Bytes/node")
-	for _, row := range rows {
-		fmt.Fprintf(w, "%-18s %-12s %4d %14d %14d\n", row.Protocol, row.Scenario, row.N, row.TotalBytes, row.PerNodeBytes)
-	}
+	return out
 }

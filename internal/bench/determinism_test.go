@@ -1,112 +1,75 @@
 package bench
 
 import (
-	"reflect"
+	"bytes"
 	"runtime"
 	"testing"
 
-	"tetrabft/internal/types"
+	"tetrabft/internal/sweep"
 )
 
-// TestSweepsSequentialParallelEquivalent asserts the sweeps emit identical
-// rows on the sequential GOMAXPROCS=1 path and the parallel pool — the
-// cross-core-count half of the determinism contract.
-func TestSweepsSequentialParallelEquivalent(t *testing.T) {
-	type all struct {
-		t1   []Table1Row
-		comm []CommRow
-		tb   TimeoutBoundResult
+// experiments names each paper-* sweep after the experiment it reproduces;
+// the names are the subtests of TestSweepsDeterministic.
+var experiments = map[string]string{
+	"paper-e1":       "Table1",
+	"paper-e2":       "CommunicationSweep",
+	"paper-e3":       "StorageSweep",
+	"paper-e4":       "Responsiveness",
+	"paper-e5":       "Fig2Pipeline",
+	"paper-e6":       "Fig3ViewChange",
+	"paper-e8":       "TimeoutAnalysis",
+	"paper-ablation": "TimeoutBound",
+	"paper-e10":      "ThroughputBatchScaling",
+	"paper-e11":      "StageDecomposition",
+}
+
+// marshalRun runs sw and returns its snapshot bytes.
+func marshalRun(t *testing.T, sw sweep.Sweep) []byte {
+	t.Helper()
+	res, err := sweep.Run(sw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect := func() (r all, err error) {
-		if r.t1, err = Table1(4); err != nil {
-			return
+	data, err := res.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSweepsDeterministic runs every paper sweep twice and requires
+// byte-identical snapshots: fanning the independent runs over the worker
+// pool must not perturb cell order or any measured number.
+func TestSweepsDeterministic(t *testing.T) {
+	sweeps := Sweeps()
+	if len(sweeps) != len(experiments) {
+		t.Fatalf("%d paper sweeps, %d experiment names", len(sweeps), len(experiments))
+	}
+	for _, sw := range sweeps {
+		name, ok := experiments[sw.Name]
+		if !ok {
+			t.Fatalf("%s: no experiment name", sw.Name)
 		}
-		if r.comm, err = CommunicationSweep([]int{4, 7}); err != nil {
-			return
-		}
-		r.tb, err = TimeoutBound(6, 10)
-		return
-	}
-	prev := runtime.GOMAXPROCS(1)
-	seq, err := collect()
-	runtime.GOMAXPROCS(4)
-	parl, perr := collect()
-	runtime.GOMAXPROCS(prev)
-	if err != nil || perr != nil {
-		t.Fatal(err, perr)
-	}
-	if !reflect.DeepEqual(seq, parl) {
-		t.Errorf("sequential and parallel sweeps differ:\nseq: %+v\npar: %+v", seq, parl)
+		t.Run(name, func(t *testing.T) {
+			if a, b := marshalRun(t, sw), marshalRun(t, sw); !bytes.Equal(a, b) {
+				t.Errorf("%s: two runs marshal differently:\n%s\nvs\n%s", sw.Name, a, b)
+			}
+		})
 	}
 }
 
-// TestSweepsDeterministic runs every parallelized sweep twice and asserts
-// identical rows: fanning the independent runs over the worker pool must
-// not perturb row order or any measured number.
-func TestSweepsDeterministic(t *testing.T) {
-	t.Run("Table1", func(t *testing.T) {
-		a, err := Table1(4)
-		if err != nil {
-			t.Fatal(err)
+// TestSweepsSequentialParallelEquivalent runs every paper sweep at 1 and 4
+// cores and requires byte-identical snapshots: the parallel fan-out folds
+// in input order, so core count must never leak into the output.
+func TestSweepsSequentialParallelEquivalent(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	for _, sw := range Sweeps() {
+		runtime.GOMAXPROCS(1)
+		seq := marshalRun(t, sw)
+		runtime.GOMAXPROCS(4)
+		if parl := marshalRun(t, sw); !bytes.Equal(seq, parl) {
+			t.Errorf("%s: GOMAXPROCS leaked into the sweep snapshot", sw.Name)
 		}
-		b, err := Table1(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Table1 rows differ across runs:\n%+v\n%+v", a, b)
-		}
-	})
-	t.Run("CommunicationSweep", func(t *testing.T) {
-		a, err := CommunicationSweep([]int{4, 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := CommunicationSweep([]int{4, 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("CommunicationSweep rows differ across runs:\n%+v\n%+v", a, b)
-		}
-	})
-	t.Run("StorageSweep", func(t *testing.T) {
-		a, err := StorageSweep(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := StorageSweep(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("StorageSweep rows differ across runs:\n%+v\n%+v", a, b)
-		}
-	})
-	t.Run("Responsiveness", func(t *testing.T) {
-		a, err := Responsiveness([]types.Duration{10, 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Responsiveness([]types.Duration{10, 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Responsiveness rows differ across runs:\n%+v\n%+v", a, b)
-		}
-	})
-	t.Run("TimeoutBound", func(t *testing.T) {
-		a, err := TimeoutBound(6, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := TimeoutBound(6, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("TimeoutBound results differ across runs:\n%+v\n%+v", a, b)
-		}
-	})
+	}
 }

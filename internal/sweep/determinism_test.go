@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"runtime"
-	"strings"
 	"testing"
 
 	"tetrabft/internal/scenario"
@@ -12,19 +11,15 @@ import (
 // determinismInputs are the sweeps the determinism tests run: a seeded-delay
 // variant of smallSweep (every message delay drawn from the replicate's
 // seed, so a run that drifted from its seed shows in the snapshot;
-// smallSweep's constant unit delay depends on no seed and would hide it),
-// delta-sensitivity, and every paper-* sweep.
+// smallSweep's constant unit delay depends on no seed and would hide it)
+// and delta-sensitivity. internal/bench holds the same checks over the
+// paper-* sweeps.
 func determinismInputs() []Sweep {
 	sw := smallSweep()
 	sw.Base.Network.Delay = &scenario.DelaySpec{Model: scenario.DelayUniform, Min: 1, Max: 5}
 	sw.Assert = []string{"min_decided >= 4"}
-	out := []Sweep{sw}
-	for _, named := range Named() {
-		if named.Name == "delta-sensitivity" || strings.HasPrefix(named.Name, "paper-") {
-			out = append(out, named)
-		}
-	}
-	return out
+	delta, _ := ByName("delta-sensitivity")
+	return []Sweep{sw, delta}
 }
 
 // marshalRun runs sw and returns its snapshot bytes.
