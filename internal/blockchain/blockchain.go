@@ -151,12 +151,19 @@ type TimedMempool struct {
 
 // NewTimedMempool creates a timed mempool holding at most limit pending
 // transactions (limit <= 0 means 65536 — offered-load streams are bursty).
+// A caller that sizes the pool gets its queue reserved up front, up to
+// maxReserve entries, so a backlog admitted at once is never re-copied; the
+// default pool grows on demand, since open-loop streams rarely fill it.
 func NewTimedMempool(limit int) *TimedMempool {
 	if limit <= 0 {
-		limit = 65536
+		return &TimedMempool{limit: 65536}
 	}
-	return &TimedMempool{limit: limit}
+	return &TimedMempool{limit: limit, queue: make([]TimedTx, 0, min(limit, maxReserve))}
 }
+
+// maxReserve caps the queue a sized pool reserves: 2^18 entries of 32 bytes,
+// 8 MiB.
+const maxReserve = 1 << 18
 
 // Submit enqueues a transaction arriving at the given time; it reports
 // false when the pool is full. Arrivals must be submitted in time order

@@ -338,6 +338,34 @@ func TestTimedMempoolGatesOnArrival(t *testing.T) {
 	}
 }
 
+// TestTimedMempoolReservesSizedQueue: a pool sized for N admits N
+// transactions without reallocating its queue (tcp-saturate's backlog is
+// 200k), a pool sized past the reserve cap reserves the cap, and the default
+// pool reserves nothing, so open-loop pools cost what they hold.
+func TestTimedMempoolReservesSizedQueue(t *testing.T) {
+	for _, n := range []int{1, 1000, 200_000} {
+		m := NewTimedMempool(n)
+		if cap(m.queue) < n {
+			t.Fatalf("a pool sized for %d reserves %d entries", n, cap(m.queue))
+		}
+		base := &m.queue[:1][0]
+		for i := 0; i < n; i++ {
+			if !m.Submit(0, Tx("tx")) {
+				t.Fatalf("submit %d of %d rejected", i, n)
+			}
+			if &m.queue[0] != base {
+				t.Fatalf("a pool sized for %d reallocated its queue at submit %d", n, i)
+			}
+		}
+	}
+	if got := cap(NewTimedMempool(4 * maxReserve).queue); got != maxReserve {
+		t.Errorf("a pool sized for %d reserves %d entries, want the cap %d", 4*maxReserve, got, maxReserve)
+	}
+	if got := cap(NewTimedMempool(0).queue); got != 0 {
+		t.Errorf("the default pool reserves %d entries, want 0", got)
+	}
+}
+
 func TestTimedMempoolRespectsCap(t *testing.T) {
 	m := NewTimedMempool(2)
 	if !m.Submit(1, Tx("a")) || !m.Submit(1, Tx("b")) {

@@ -115,7 +115,7 @@ type viewRec struct {
 	sentVote    bool
 	hasProposal bool
 	proposal    types.Block
-	proposalID  types.BlockID // proposal.ID(), hashed once on arrival
+	proposalID  types.BlockID // the arriving MSPropose's BlockID(): its leader's hash when sealed
 	value       types.Value   // proposalID.Value(), converted once on arrival (see valueOf)
 
 	// suggests and proofs stay as lazily allocated maps: they are only
@@ -546,7 +546,7 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
 	}
 	vr.hasProposal = true
 	vr.proposal = m.Block
-	vr.proposalID = m.Block.ID()
+	vr.proposalID = m.BlockID()
 	vr.value = vr.proposalID.Value()
 	// Receiving the proposal for slot s starts slot s+1 (Section 6.2).
 	n.startSlot(env, s)
@@ -823,9 +823,9 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 		return
 	}
 	// A re-proposed body is known already, and kept: nothing to bind late.
-	id := block.ID()
-	n.emitB(env, "propose", s, v, id)
-	n.broadcast(types.MSPropose{View: v, Block: block})
+	msg := types.NewMSPropose(v, block)
+	n.emitB(env, "propose", s, v, msg.BlockID())
+	n.broadcast(msg)
 }
 
 // parentFor returns the parent block ID a slot-s proposal must extend, and

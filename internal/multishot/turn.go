@@ -83,11 +83,11 @@ func (n *Node) writeAndRelease(env types.Env) {
 	// Every body is bound before the first send leaves, so the turn's vote
 	// and proposal still reach a peer's writer together.
 	for _, p := range n.late {
-		block := n.freshBlock(env, p.slot, p.parent)
-		id := block.ID()
-		n.keepBody(p.slot, id, block)
+		msg := types.NewMSPropose(p.view, n.freshBlock(env, p.slot, p.parent))
+		id := msg.BlockID()
+		n.keepBody(p.slot, id, msg.Block)
 		n.emitB(env, "propose", p.slot, p.view, id)
-		n.out[p.at].msg = types.MSPropose{View: p.view, Block: block}
+		n.out[p.at].msg = msg
 	}
 	n.late = n.late[:0]
 	// durable is only non-zero while the release loop below runs, so finding

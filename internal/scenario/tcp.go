@@ -65,7 +65,7 @@ func newTCPRun(p *plan) (*tcpRun, error) {
 	}
 	r := &tcpRun{
 		p: p, walRoot: walRoot, start: time.Now(),
-		chaos: buildChaos(p, time.Millisecond), // the transport's default tick
+		chaos: buildChaos(p),
 		kick:  make(chan struct{}, 1), errCh: make(chan error, 1),
 	}
 	if p.sc.Collect.Metrics {
@@ -597,20 +597,20 @@ func (cl *tcpCluster) report(res *Result) {
 
 // buildChaos maps the spec's network regime and partition faults onto the
 // transport's deterministic frame-level chaos policy. Virtual ticks scale
-// by the transport tick duration. Returns nil when the links are clean.
-func buildChaos(p *plan, tick time.Duration) *transport.Chaos {
+// by transport.Tick. Returns nil when the links are clean.
+func buildChaos(p *plan) *transport.Chaos {
 	nw := p.sc.Network
-	ch := &transport.Chaos{Seed: uint64(p.seed()), DupRate: nw.Duplicate, Partitioned: buildPartitionFn(p.netwk, tick)}
+	ch := &transport.Chaos{Seed: uint64(p.seed()), DupRate: nw.Duplicate, Partitioned: buildPartitionFn(p.netwk)}
 	if nw.GST > 0 && nw.DropBeforeGST > 0 {
-		ch.DropUntil, ch.DropUntilRate = time.Duration(nw.GST)*tick, nw.DropBeforeGST
+		ch.DropUntil, ch.DropUntilRate = time.Duration(nw.GST)*transport.Tick, nw.DropBeforeGST
 	}
 	if d := nw.Delay; d != nil {
 		switch d.Model {
 		case DelayUniform:
-			ch.DelayMin = time.Duration(d.Min) * tick
-			ch.DelayMax = time.Duration(d.Max) * tick
+			ch.DelayMin = time.Duration(d.Min) * transport.Tick
+			ch.DelayMax = time.Duration(d.Max) * transport.Tick
 		default: // DelayConstant (per-link is rejected at compile)
-			ch.DelayMin = time.Duration(d.D) * tick
+			ch.DelayMin = time.Duration(d.D) * transport.Tick
 			ch.DelayMax = ch.DelayMin
 		}
 	}
@@ -623,7 +623,7 @@ func buildChaos(p *plan, tick time.Duration) *transport.Chaos {
 // buildPartitionFn compiles the partition faults into one link predicate,
 // mirroring sim.Partition: cross-group frames drop during [From, To)
 // (To = 0 never heals); unlisted nodes are unaffected.
-func buildPartitionFn(netwk []FaultSpec, tick time.Duration) func(from, to types.NodeID, elapsed time.Duration) bool {
+func buildPartitionFn(netwk []FaultSpec) func(from, to types.NodeID, elapsed time.Duration) bool {
 	type window struct {
 		group      map[types.NodeID]int
 		start, end time.Duration // end 0 = never heals
@@ -635,8 +635,8 @@ func buildPartitionFn(netwk []FaultSpec, tick time.Duration) func(from, to types
 		}
 		w := window{
 			group: make(map[types.NodeID]int),
-			start: time.Duration(f.From) * tick,
-			end:   time.Duration(f.To) * tick,
+			start: time.Duration(f.From) * transport.Tick,
+			end:   time.Duration(f.To) * transport.Tick,
 		}
 		for i, g := range f.Groups {
 			for _, n := range g {

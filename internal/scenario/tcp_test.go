@@ -332,14 +332,14 @@ func TestTCPChaosCompiledTwiceIdentical(t *testing.T) {
 		}
 		return p
 	}
-	a := buildChaos(build(sc), time.Millisecond)
-	b := buildChaos(build(sc), time.Millisecond)
+	a := buildChaos(build(sc))
+	b := buildChaos(build(sc))
 	if a == nil || b == nil {
 		t.Fatal("chaos spec compiled to a clean network")
 	}
 	scOther := sc
 	scOther.Seed = sc.Seed + 1
-	c := buildChaos(build(scOther), time.Millisecond)
+	c := buildChaos(build(scOther))
 	same := true
 	for from := types.NodeID(0); from < 4; from++ {
 		for to := types.NodeID(0); to < 4; to++ {

@@ -400,6 +400,11 @@ func (e *env) Send(to types.NodeID, msg types.Message) {
 	e.r.send(e, e.r.byID[to], msg, int64(types.EncodedSize(msg)))
 }
 
+// Broadcast hands every receiver the one msg: nothing is copied per
+// receiver, so a sent message's bytes (a block's payload and transactions
+// included) must never be written again. The sender keeps that rule, and
+// MSPropose's seal relies on it: all receivers read the ID the leader
+// hashed.
 func (e *env) Broadcast(msg types.Message) {
 	// Size the message once; send bills each of the n receivers at this
 	// size, so a broadcast still costs n× on the wire (the paper's

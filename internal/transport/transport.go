@@ -58,14 +58,14 @@ const (
 	maxBackoff     = time.Second
 )
 
+// Tick is the wall time of one virtual tick (the types.Duration unit): a
+// node configured with Δ = 10 ticks times out after 90ms of real time.
+const Tick = time.Millisecond
+
 // Config parameterizes a runtime.
 type Config struct {
 	// ListenAddr is the TCP address to listen on (e.g. "127.0.0.1:0").
 	ListenAddr string
-	// TickDuration maps one virtual tick (types.Duration unit) to wall
-	// time. Default 1ms: a node configured with Δ = 10 ticks times out
-	// after 90ms of real time.
-	TickDuration time.Duration
 	// OnDecide observes decisions (called from the event loop goroutine).
 	OnDecide func(slot types.Slot, val types.Value)
 	// Chaos optionally intercepts outbound frames with seeded
@@ -190,9 +190,6 @@ type PeerStats struct {
 
 // New creates a runtime and starts listening; call SetPeers then Run.
 func New(machine types.Machine, cfg Config) (*Runtime, error) {
-	if cfg.TickDuration <= 0 {
-		cfg.TickDuration = time.Millisecond
-	}
 	if cfg.HeldFrameTTL <= 0 {
 		cfg.HeldFrameTTL = 5 * time.Second
 	}
@@ -579,7 +576,7 @@ type env struct {
 }
 
 func (e *env) Now() types.Time {
-	return types.Time(time.Since(e.r.started) / e.r.cfg.TickDuration)
+	return types.Time(time.Since(e.r.started) / Tick)
 }
 
 func (e *env) Send(to types.NodeID, msg types.Message) {
@@ -647,7 +644,7 @@ func (e *env) SetTimer(id types.TimerID, d types.Duration) {
 	}
 	r.timerSeq++
 	seq := r.timerSeq
-	timer := time.AfterFunc(time.Duration(d)*r.cfg.TickDuration, func() {
+	timer := time.AfterFunc(time.Duration(d)*Tick, func() {
 		// Prune first: a fired timer must not linger in the set whether or
 		// not the event can still be delivered.
 		r.mu.Lock()

@@ -276,8 +276,9 @@ func TestDecodeCopiesBytesOnce(t *testing.T) {
 // FuzzDecode faces Decode with the bytes a peer may put on the socket. It
 // never panics, and whatever it accepts is a well-formed message: the
 // analytic size matches the encoding, the encoding decodes to the same
-// message, and the message shares nothing with the frame it was read from
-// (transport's readLoop reuses that buffer for the next frame).
+// message, the message shares nothing with the frame it was read from
+// (transport's readLoop reuses that buffer for the next frame), and a
+// decoded proposal carries no seal: its BlockID is its block's own hash.
 func FuzzDecode(f *testing.F) {
 	seeds := append(roundTripMsgs(), truncationMsgs()...)
 	seeds = append(seeds, batchProposal(128))
@@ -291,6 +292,9 @@ func FuzzDecode(f *testing.F) {
 		m, err := Decode(frame)
 		if err != nil {
 			return
+		}
+		if p, ok := m.(MSPropose); ok && (p.seal != (blockSeal{}) || p.BlockID() != p.Block.ID()) {
+			t.Fatalf("decoded proposal %#v carries a seal", p)
 		}
 		enc := Encode(m)
 		if EncodedSize(m) != len(enc) {

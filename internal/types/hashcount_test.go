@@ -1,0 +1,77 @@
+package types_test
+
+import (
+	"testing"
+
+	"tetrabft/internal/multishot"
+	"tetrabft/internal/sim"
+	"tetrabft/internal/types"
+)
+
+// proposalCounter wraps a machine and counts the proposals it broadcasts.
+type proposalCounter struct {
+	types.Machine
+	sent *int
+}
+
+func (p proposalCounter) Start(env types.Env) { p.Machine.Start(countingEnv{env, p.sent}) }
+
+func (p proposalCounter) Deliver(env types.Env, from types.NodeID, msg types.Message) {
+	p.Machine.Deliver(countingEnv{env, p.sent}, from, msg)
+}
+
+func (p proposalCounter) Tick(env types.Env, id types.TimerID) {
+	p.Machine.Tick(countingEnv{env, p.sent}, id)
+}
+
+type countingEnv struct {
+	types.Env
+	sent *int
+}
+
+func (e countingEnv) Broadcast(msg types.Message) {
+	if _, ok := msg.(types.MSPropose); ok {
+		*e.sent++
+	}
+	e.Env.Broadcast(msg)
+}
+
+// TestOneHashPerProposedBlock: on the simulator a proposed block is hashed
+// once per run, by its leader, however many replicas receive it. Every
+// receiver shares the leader's sealed message, so the 15 peers and the
+// leader's self-delivery read the sealed ID instead of hashing 16 more times.
+func TestOneHashPerProposedBlock(t *testing.T) {
+	const n, slots = 16, 240
+	r := sim.New(sim.Config{Seed: 1})
+	nodes := make([]*multishot.Node, n)
+	proposals := 0
+	for i := range nodes {
+		node, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: n, Delta: 10, MaxSlot: slots + 3,
+			Batch: func(s types.Slot, _ types.Time) [][]byte { return [][]byte{[]byte("tx"), {byte(s)}} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+		r.Add(proposalCounter{node, &proposals})
+	}
+	stop := types.CountHashes()
+	err := r.Run(0, func() bool {
+		for _, node := range nodes {
+			if node.FinalizedSlot() < slots {
+				return false
+			}
+		}
+		return true
+	})
+	hashes := stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proposals < slots {
+		t.Fatalf("%d proposals for %d finalized slots", proposals, slots)
+	}
+	t.Logf("%d proposals, %d block hashes, %d ticks", proposals, hashes, r.Now())
+	if hashes != proposals {
+		t.Errorf("%d block hashes for %d proposed blocks at n = %d, want exactly one per block", hashes, proposals, n)
+	}
+}

@@ -130,9 +130,72 @@ type ViewChange struct {
 func (ViewChange) Kind() Kind { return KindViewChange }
 
 // MSPropose is the multi-shot leader proposal of a block for (Slot, View).
+//
+// A proposal built by NewMSPropose carries a seal: its block's ID, hashed
+// once by the constructor, and what identifies the block it was hashed from
+// (slot, parent, and the backing array and length of Payload and of Txs).
+// BlockID returns the sealed ID while the carried block is still that exact
+// block, and hashes otherwise. So every receiver of one sent message (the
+// simulator's fan-out shares it, a runtime's self-delivery passes it back)
+// reads the ID its leader paid for, while a copy whose block was edited in
+// a sealed field, a decoded message (Decode never seals) and a literal all
+// hash the block they carry.
+//
+// The seal is a value inside the message: only NewMSPropose writes it and
+// nothing changes it afterwards, so it needs no map, cache or lock. It
+// trusts one rule that the simulator's fan-out already relies on: the bytes
+// of a sent message, its payload and transactions included, are never
+// written again.
 type MSPropose struct {
 	View  View
 	Block Block
+	seal  blockSeal
+}
+
+// blockSeal records a block's ID with the identity of the block hashed: a
+// block with another slot, another parent, or another Payload or Txs slice
+// (new or shortened) no longer matches it.
+type blockSeal struct {
+	id       BlockID
+	parent   BlockID
+	slot     Slot
+	payload  *byte
+	nPayload int
+	txs      *[]byte
+	nTxs     int
+	set      bool
+}
+
+// NewMSPropose builds the proposal of b for view v, sealed with b's ID: the
+// one hash the proposal costs in this process (see MSPropose).
+func NewMSPropose(v View, b Block) MSPropose {
+	return MSPropose{View: v, Block: b, seal: blockSeal{
+		id: b.ID(), parent: b.Parent, slot: b.Slot,
+		payload: first(b.Payload), nPayload: len(b.Payload),
+		txs: first(b.Txs), nTxs: len(b.Txs),
+		set: true,
+	}}
+}
+
+// BlockID returns m.Block.ID(): the sealed ID while m carries the block
+// NewMSPropose hashed, a fresh hash otherwise.
+func (m MSPropose) BlockID() BlockID {
+	s, b := &m.seal, &m.Block
+	if s.set && b.Slot == s.slot && b.Parent == s.parent &&
+		len(b.Payload) == s.nPayload && first(b.Payload) == s.payload &&
+		len(b.Txs) == s.nTxs && first(b.Txs) == s.txs {
+		return s.id
+	}
+	return b.ID()
+}
+
+// first returns the address of s's first element, nil when s is empty: with
+// the length, it names the bytes a slice covers.
+func first[T any](s []T) *T {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
 }
 
 // Kind implements Message: a proposal carrying a transaction batch travels

@@ -122,8 +122,13 @@ func (b Block) NumTxs() int { return len(b.Txs) }
 // field produces, so no ID depends on the staging (TestBlockIDKnownAnswers,
 // FuzzBlockID), and ID allocates nothing (TestBlockIDZeroAllocs). It is one
 // hash per call, never cached: the SHA-256 work is what a hash-pointer chain
-// costs, only the per-Write overhead is gone.
+// costs, only the per-Write overhead is gone. A proposal pays it once per
+// process, not once per receiver, through MSPropose's seal (NewMSPropose,
+// MSPropose.BlockID).
 func (b Block) ID() BlockID {
+	if hashed != nil {
+		hashed()
+	}
 	h := sha256.New()
 	var buf [idChunk]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(b.Slot))
@@ -167,6 +172,10 @@ func (b Block) ID() BlockID {
 // idChunk is the size of Block.ID's staging chunk, a multiple of SHA-256's
 // 64-byte block.
 const idChunk = 1024
+
+// hashed, when set, is called by every Block.ID. It is nil outside tests,
+// which count block hashes through it (export_test.go).
+var hashed func()
 
 // Env is the effect interface protocol cores use to act on the world.
 // Implementations: the discrete-event simulator and the TCP runtime.

@@ -4,8 +4,9 @@
 //
 // Because the state is constant-size, the log is not append-only: each
 // Persist atomically replaces the previous snapshot (write temp + fsync +
-// rename), which keeps the on-disk footprint constant across any number of
-// views — the storage column of Table 1, measurable via Size.
+// rename + directory fsync), which keeps the on-disk footprint constant
+// across any number of views — the storage column of Table 1, measurable
+// via Size.
 //
 // Snapshots carry a CRC32 (IEEE) prefix so a torn or partial write — a
 // crash mid-write, a bit flip, a truncation — surfaces as a "corrupt
@@ -118,11 +119,31 @@ func open(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("wal: open: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return "", fmt.Errorf("wal: sync dir: %w", err)
+	}
 	return filepath.Join(dir, "state.bin"), nil
 }
 
+// syncDir makes dir's entries durable: a rename is only on disk once its
+// directory is synced. A variable so tests can count and fail the syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeSnapshot atomically replaces the snapshot at path with a
-// CRC32-prefixed encoding of data (write temp + fsync + rename).
+// CRC32-prefixed encoding of data (write temp + fsync + rename + fsync of
+// the directory). Without the last step a power loss after Persist returned
+// could bring back the previous snapshot, and a restored node could vote
+// twice in one view.
 func writeSnapshot(path string, data []byte) error {
 	framed := make([]byte, 4+len(data))
 	binary.BigEndian.PutUint32(framed, crc32.ChecksumIEEE(data))
@@ -145,6 +166,9 @@ func writeSnapshot(path string, data []byte) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("wal: rename: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tetrabft/internal/core"
@@ -160,27 +161,101 @@ func TestBitFlipRejected(t *testing.T) {
 	}
 }
 
-// TestTruncationRejected: every strict prefix of a snapshot is corrupt.
+// stores opens each kind of store in a directory, with one snapshot to
+// persist and a load that reports only its error.
+var stores = []struct {
+	name string
+	open func(dir string) (persist, load func() error, err error)
+}{
+	{"WAL", func(dir string) (func() error, func() error, error) {
+		w, err := Open(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func() error { return w.Persist(core.PersistentState{View: 3, HighestVC: 4}) },
+			func() error { _, _, err := w.Load(); return err }, nil
+	}},
+	{"MultiWAL", func(dir string) (func() error, func() error, error) {
+		w, err := OpenMulti(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		st := multishot.PersistentState{Finalized: 2, FinalHead: types.Block{Slot: 2}.ID(),
+			Slots: []multishot.SlotPersist{{Slot: 3, View: 1, HighestVC: 1}}}
+		return func() error { return w.Persist(st) },
+			func() error { _, _, err := w.Load(); return err }, nil
+	}},
+}
+
+// TestTruncationRejected: every strict prefix of a snapshot is corrupt, for
+// either kind of store.
 func TestTruncationRejected(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Persist(core.PersistentState{View: 3, HighestVC: 4}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "state.bin")
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(orig); cut++ {
-		if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
+	for _, s := range stores {
+		dir := t.TempDir()
+		persist, load, err := s.open(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := w.Load(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncated to %d bytes: got err=%v, want ErrCorrupt", cut, err)
+		if err := persist(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "state.bin")
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(orig); cut++ {
+			if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := load(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s truncated to %d bytes: got err=%v, want ErrCorrupt", s.name, cut, err)
+			}
+		}
+	}
+}
+
+// TestDirectorySynced: opening a store syncs its directory once and every
+// Persist syncs it again after the rename, so a returned Persist survives a
+// power loss; a failed directory sync fails the Open or the Persist, which
+// halts a node as any failed write does.
+func TestDirectorySynced(t *testing.T) {
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	for _, s := range stores {
+		dir := t.TempDir()
+		var synced []string
+		fail := false
+		syncDir = func(d string) error {
+			synced = append(synced, d)
+			if fail {
+				return errors.New("injected")
+			}
+			return orig(d)
+		}
+		persist, _, err := s.open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := persist(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(synced) != 4 {
+			t.Errorf("%s: %d directory syncs for an open and 3 persists, want 4", s.name, len(synced))
+		}
+		for _, d := range synced {
+			if d != dir {
+				t.Errorf("%s: synced %s, want the store's directory %s", s.name, d, dir)
+			}
+		}
+		fail = true
+		if err := persist(); err == nil || !strings.HasPrefix(err.Error(), "wal: sync dir: ") {
+			t.Errorf("%s: Persist with a failing directory sync returned %v, want a wal: sync dir error", s.name, err)
+		}
+		if _, _, err := s.open(t.TempDir()); err == nil || !strings.HasPrefix(err.Error(), "wal: sync dir: ") {
+			t.Errorf("%s: Open with a failing directory sync returned %v, want a wal: sync dir error", s.name, err)
 		}
 	}
 }
