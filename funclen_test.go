@@ -61,8 +61,8 @@ func TestFunctionLengthRatchet(t *testing.T) {
 // tracked, each at its count today. A cap may only go down: when a package
 // shrinks, lower its entry to the new count.
 var packageLines = map[string]int{
-	"internal/multishot": 1639,
-	"internal/scenario":  3431,
+	"internal/multishot": 1638,
+	"internal/scenario":  3430,
 	"internal/sweep":     1946,
 }
 

@@ -116,7 +116,7 @@ type viewRec struct {
 	hasProposal bool
 	proposal    types.Block
 	proposalID  types.BlockID // the arriving MSPropose's BlockID(): its leader's hash when sealed
-	value       types.Value   // proposalID.Value(), converted once on arrival (see valueOf)
+	value       types.Value   // proposalID.Value(): its leader's string when sealed (see valueOf)
 
 	// suggests and proofs stay as lazily allocated maps: they are only
 	// populated on the view-change path, and core.LeaderSafeValue /
@@ -546,8 +546,7 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
 	}
 	vr.hasProposal = true
 	vr.proposal = m.Block
-	vr.proposalID = m.BlockID()
-	vr.value = vr.proposalID.Value()
+	vr.proposalID, vr.value = m.BlockValue()
 	// Receiving the proposal for slot s starts slot s+1 (Section 6.2).
 	n.startSlot(env, s)
 	n.startSlot(env, s+1)

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"tetrabft/internal/types"
-	"tetrabft/internal/workload"
 )
 
 // offered is one cluster's offered-load stream: the seeded arrival schedule,
@@ -36,14 +35,16 @@ type offered struct {
 	index map[string]int
 }
 
-func newOffered(sched []workload.Arrival) *offered {
-	n := len(sched)
-	o := &offered{at: make([]types.Time, n), payloads: make([][]byte, n), batches: make(map[string]int)}
-	for i, a := range sched {
-		o.at[i], o.payloads[i] = a.At, a.Payload
-	}
-	return o
+// newOffered returns an empty stream with room for n arrivals. A plan
+// generates its schedule straight into the stream's columns: Arrive and
+// Payload make it a workload.Sink.
+func newOffered(n int) *offered {
+	return &offered{at: make([]types.Time, 0, n), payloads: make([][]byte, 0, n), batches: make(map[string]int)}
 }
+
+func (o *offered) Arrive(at types.Time, _ int, _ string) { o.at = append(o.at, at) }
+
+func (o *offered) Payload(_ int, p []byte) { o.payloads = append(o.payloads, p) }
 
 // drain hands out up to max transactions that had arrived by now (max <= 0:
 // all of them), nil when there are none, and records the batch's first

@@ -39,7 +39,7 @@ type shardCluster interface {
 // buildShardWorkload builds the offered-load stream of every cluster that
 // carries one. A flat plan's one cluster takes the whole schedule as it is.
 // A sharded plan's Workload.TxCount and TxRate (or Arrival.Rate) are per
-// shard, so its service-wide stream is S × both — one plan.offeredSchedule
+// shard, so its service-wide stream is S × both — one plan.offeredStream
 // call either way — split across the shards. Legacy tx_rate streams pin
 // transaction j round-robin (j mod S, exactly equal per-shard rate) unless
 // the cross-mix says it roams — then its synthetic account key is placed by
@@ -49,26 +49,26 @@ type shardCluster interface {
 // cross-mix knob is subsumed by key placement. Each shard's stream stays in
 // arrival order.
 func buildShardWorkload(p *plan) []*offered {
-	s := p.streams()
-	sched := p.offeredSchedule(s*p.sc.Workload.TxCount, s)
+	s, count := p.streams(), p.streams()*p.sc.Workload.TxCount
 	if s == 1 {
-		return []*offered{newOffered(sched)}
+		o := newOffered(count)
+		p.offeredStream(count, 1, o)
+		return []*offered{o}
 	}
-	scheds := make([][]workload.Arrival, s)
+	loads, parts := make([]*offered, s), make([]workload.Sink, s)
+	for i := range loads {
+		loads[i] = newOffered(0)
+		parts[i] = loads[i]
+	}
 	router := shard.Router{Shards: s}
 	roamPct := int(p.sc.Shards.CrossMix*100 + 0.5)
 	byKey := p.sc.Workload.Arrival != nil
-	for j, a := range sched {
-		home := j % s
+	p.offeredStream(count, s, workload.Split(parts, func(j int, key string) int {
 		if byKey || j%100 < roamPct {
-			home = router.Shard(a.Key)
+			return router.Shard(key)
 		}
-		scheds[home] = append(scheds[home], a)
-	}
-	loads := make([]*offered, s)
-	for i, sched := range scheds {
-		loads[i] = newOffered(sched)
-	}
+		return j % s
+	}))
 	return loads
 }
 

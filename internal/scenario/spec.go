@@ -1043,35 +1043,33 @@ func validateOfferedLoad(w WorkloadSpec) error {
 	return nil
 }
 
-// offeredSchedule materializes the offered-load stream: count arrivals in
-// arrival order, each with its payload and routing key. Every engine (sim,
-// TCP, sharded) consumes this one schedule, so the stream is byte-identical
+// offeredStream generates the offered-load stream into dst: count arrivals
+// in arrival order, each with its payload and routing key. Every engine
+// (sim, TCP, sharded) consumes this one stream, so it is byte-identical
 // across engines and GOMAXPROCS values. scale multiplies the offered rate
 // for sharded runs (tx_count and tx_rate are per shard; the service-wide
 // stream is scale × both).
-func (p *plan) offeredSchedule(count, scale int) []workload.Arrival {
+func (p *plan) offeredStream(count, scale int, dst workload.Sink) {
 	w := p.sc.Workload
 	if w.Arrival == nil {
 		// Legacy deterministic pacing: TxRate per 100 ticks, synthetic
 		// account keys for the shard router.
-		out := make([]workload.Arrival, count)
-		for i := range out {
+		for i := 0; i < count; i++ {
 			var at types.Time
 			if r := w.TxRate; r > 0 {
 				at = types.Time(int64(i) * 100 / (r * int64(scale)))
 			}
-			out[i] = workload.Arrival{At: at, Key: fmt.Sprintf("acct-%08d", i), Payload: fmt.Appendf(nil, "otx-%08d", i)}
+			dst.Arrive(at, 0, fmt.Sprintf("acct-%08d", i))
+			dst.Payload(i, fmt.Appendf(nil, "otx-%08d", i))
 		}
-		return out
+		return
 	}
 	a := *w.Arrival
 	a.Rate *= float64(scale)
-	arr, err := workload.Spec{Arrival: a, Cohorts: w.Cohorts, Phases: w.Phases}.Schedule(count, p.seed())
-	if err != nil {
+	if err := (workload.Spec{Arrival: a, Cohorts: w.Cohorts, Phases: w.Phases}).Generate(count, p.seed(), dst); err != nil {
 		// compile() validated the spec; a failure here is a programming error.
 		panic(fmt.Sprintf("scenario: offered schedule: %v", err))
 	}
-	return arr
 }
 
 // initialValue resolves node's single-shot consensus input.

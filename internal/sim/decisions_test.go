@@ -98,7 +98,7 @@ func TestDecisionsMatchMapOracle(t *testing.T) {
 			case k == 3:
 				// At or just past the dense bound of node i right now.
 				l := &r.envs[i].decisions
-				return types.Slot(max(len(l.dense), 2*l.count+denseSlack) + rng.Intn(3) - 1)
+				return types.Slot((2*l.count/pageCells+1)*pageCells + rng.Intn(3) - 1)
 			case k == 4:
 				return types.Slot(100 + rng.Intn(200)) // far ahead of a young log
 			default:
@@ -156,8 +156,8 @@ func TestDecisionsMatchMapOracle(t *testing.T) {
 			t.Fatalf("seed %d: AgreementViolation() = %v, oracle %v", seed, got, want)
 		}
 		for i := range ids {
-			if l := &r.envs[i].decisions; len(l.dense) > 2*l.count+denseSlack {
-				t.Fatalf("seed %d: node %d keeps %d dense cells for %d decisions", seed, ids[i], len(l.dense), l.count)
+			if l := &r.envs[i].decisions; len(l.dense)*pageCells > 2*l.count+denseSlack {
+				t.Fatalf("seed %d: node %d keeps %d dense cells for %d decisions", seed, ids[i], len(l.dense)*pageCells, l.count)
 			}
 		}
 	}
@@ -182,5 +182,29 @@ func TestNodeDecisionsStopsEarly(t *testing.T) {
 		if want := []types.Slot{-4, -2, 1, 2, 3, 1 << 50, 1 << 51}[:n]; !slices.Equal(got, want) {
 			t.Fatalf("stop after %d: got %v, want %v", n, got, want)
 		}
+	}
+}
+
+// TestDecisionLogNeverMovesACell: a node logging a 2,100-slot multishot
+// run's decisions, slot by slot, never copies a decided cell (every cell
+// stays at the address it was written to), and keeps them in at most
+// 2,100 + pageCells cells.
+func TestDecisionLogNeverMovesACell(t *testing.T) {
+	const slots = 2100
+	var l decisionLog
+	cells := make([]*denseDecision, slots+1)
+	for s := types.Slot(1); s <= slots; s++ {
+		l.put(s, Decision{Val: "v", At: types.Time(s)})
+		if cells[s] = l.cell(s); cells[s] == nil || !cells[s].set {
+			t.Fatalf("slot %d is not in the dense pages", s)
+		}
+	}
+	for s := types.Slot(1); s <= slots; s++ {
+		if c := l.cell(s); c != cells[s] || c.At != types.Time(s) {
+			t.Fatalf("slot %d's cell moved, or changed, after it was decided", s)
+		}
+	}
+	if len(l.sparse) != 0 || len(l.dense)*pageCells > slots+pageCells {
+		t.Fatalf("%d sparse decisions, %d dense cells for %d slots", len(l.sparse), len(l.dense)*pageCells, slots)
 	}
 }

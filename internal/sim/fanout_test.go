@@ -123,13 +123,21 @@ func runFanOutCase(t *testing.T, tc fanOutCase, adv Adversary, h halt, budgets [
 	}
 	// The queue is empty until the first Run call starts the machines.
 	pending := func() bool { return !r.started || r.queue.len() > 0 && r.queue.peekAt() <= tc.horizon }
+	// every stops the run after k more events. The stop is exact: a Run
+	// call the predicate ends must end at the target, mid-fan-out too.
+	target := -1
 	every := func(k int) func() bool {
-		target := r.Events() + k
+		target = r.Events() + k
 		return func() bool {
 			if e := r.queue.nextEntry(); e != nil && e.end > 0 {
 				st.fanOuts++
 			}
 			return r.Events() >= target
+		}
+	}
+	overran := func() {
+		if r.Events() > target {
+			t.Fatalf("%s: the stop predicate held at event %d, but the run went on to event %d", tc.name, target, r.Events())
 		}
 	}
 	var err error
@@ -139,6 +147,7 @@ func runFanOutCase(t *testing.T, tc fanOutCase, adv Adversary, h halt, budgets [
 	case haltStop:
 		for err == nil && pending() {
 			err = r.Run(tc.horizon, every(7))
+			overran()
 			if r.queue.midFanOut() {
 				st.midAt = append(st.midAt, r.Events())
 			}
@@ -146,6 +155,7 @@ func runFanOutCase(t *testing.T, tc fanOutCase, adv Adversary, h halt, budgets [
 	case haltHorizon:
 		for at := types.Time(1); err == nil && at <= tc.horizon && pending(); {
 			err = r.Run(at, every(5))
+			overran()
 			if r.queue.midFanOut() {
 				st.midAt = append(st.midAt, r.Events())
 				// A horizon before the entry's instant delivers nothing.
@@ -228,6 +238,73 @@ func TestBroadcastFanOutMatchesPerRecipient(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// broadcastCounter wraps a machine and counts the broadcasts it makes.
+type broadcastCounter struct {
+	types.Machine
+	sent *int
+}
+
+func (m broadcastCounter) Start(env types.Env) { m.Machine.Start(countingEnv{env, m.sent}) }
+
+func (m broadcastCounter) Deliver(env types.Env, from types.NodeID, msg types.Message) {
+	m.Machine.Deliver(countingEnv{env, m.sent}, from, msg)
+}
+
+func (m broadcastCounter) Tick(env types.Env, id types.TimerID) {
+	m.Machine.Tick(countingEnv{env, m.sent}, id)
+}
+
+type countingEnv struct {
+	types.Env
+	sent *int
+}
+
+func (e countingEnv) Broadcast(msg types.Message) {
+	*e.sent++
+	e.Env.Broadcast(msg)
+}
+
+// TestFanOutOnePopPerEntry pins the in-place fan-out on the n = 16
+// multishot pipeline, with Watch set: every broadcast is a self-delivery and
+// one fan-out entry of 15 deliveries, and the queue's head is taken at most
+// once per entry, not once per recipient (entries that follow each other at
+// one tick share one), so a run of E events and B broadcasts pops at most
+// E − 14·B times. Watch still sees every delivery.
+func TestFanOutOnePopPerEntry(t *testing.T) {
+	const n = 16
+	r := New(Config{Seed: 1})
+	broadcasts := 0
+	for i := 0; i < n; i++ {
+		node, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: n, Delta: 10, MaxSlot: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Add(broadcastCounter{node, &broadcasts})
+	}
+	watched := 0
+	r.Watch = func(types.NodeID, types.NodeID, types.Message, types.Time) { watched++ }
+	pops := 0
+	popped = func() { pops++ }
+	defer func() { popped = nil }()
+	if err := r.Run(2000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.DecidedCount(50) != n {
+		t.Fatalf("%d of %d nodes decided slot 50", r.DecidedCount(50), n)
+	}
+	var sent int64
+	for k := range r.sentMsgs {
+		sent += r.sentMsgs[k]
+	}
+	if sent != int64(n*broadcasts) || watched+r.queue.len() != int(sent) {
+		t.Fatalf("%d broadcasts, %d messages sent, %d watched and %d queued: not all broadcasts", broadcasts, sent, watched, r.queue.len())
+	}
+	t.Logf("%d events, %d broadcasts, %d pops", r.Events(), broadcasts, pops)
+	if most := r.Events() - (n-2)*broadcasts; pops > most {
+		t.Errorf("%d events and %d broadcasts took %d pops, want at most %d (one per fan-out entry)", r.Events(), broadcasts, pops, most)
 	}
 }
 

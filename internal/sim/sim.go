@@ -19,7 +19,8 @@
 // behind the ring. Push and pop are O(1) for ring events; the pop order is
 // exactly (time, sequence number), the order of a single heap, so replacing
 // the heap changed no simulation output. A broadcast whose remote deliveries
-// share one instant is one fan-out entry, not one entry per recipient.
+// share one instant is one fan-out entry, not one entry per recipient, and
+// Run hands its deliveries out in place, without a pop per recipient.
 //
 // Nodes are indices inside and NodeIDs at the API. The runner keeps one slot
 // per machine in Add order, and an event names its destination by slot
@@ -162,6 +163,9 @@ type Runner struct {
 
 	// delays is Broadcast's scratch: the delay drawn for each recipient.
 	delays []types.Duration
+	// recvAll is the bytes every node received in synced broadcasts (see
+	// broadcastSynced and RecvBytes).
+	recvAll int64
 
 	sentMsgs [256]int64 // by types.Kind
 	dropped  int64
@@ -236,17 +240,22 @@ func (r *Runner) Run(until types.Time, stop func() bool) error {
 		if stop != nil && stop() {
 			return nil
 		}
-		if until > 0 && r.queue.peekAt() > until {
+		b := r.queue.next()
+		if until > 0 && r.queue.headAt(b) > until {
 			return nil
 		}
-		ev := r.queue.pop()
+		if b != nil && b.ev[b.head].end > 0 {
+			if stopped, err := r.fanOut(b, stop); stopped || err != nil {
+				return err
+			}
+			continue
+		}
+		ev := r.queue.take(b)
 		r.now = ev.at
-		r.events++
-		if r.events > r.cfg.EventBudget {
-			return fmt.Errorf("%w (%d events)", ErrEventBudget, r.events)
+		if !r.count() {
+			return r.budgetErr()
 		}
 		e := r.envs[ev.node]
-		r.mEvents.Inc()
 		if ev.timer {
 			if len(r.armed) > 0 {
 				delete(r.armed, timerKey{node: ev.node, id: ev.timerID, at: ev.at})
@@ -255,13 +264,69 @@ func (r *Runner) Run(until types.Time, stop func() bool) error {
 			e.m.Tick(e, ev.timerID)
 			continue
 		}
-		from := r.envs[ev.from].self
-		if r.Watch != nil {
-			r.Watch(from, e.self, ev.msg, ev.at)
-		}
-		e.m.Deliver(e, from, ev.msg)
+		r.deliver(e, ev.from, ev.msg)
 	}
 	return nil
+}
+
+// count counts one event taken off the queue, and reports whether it is
+// inside the event budget.
+func (r *Runner) count() bool {
+	r.events++
+	if r.events > r.cfg.EventBudget {
+		return false
+	}
+	r.mEvents.Inc()
+	return true
+}
+
+// budgetErr is the error of a run whose event budget ran out.
+func (r *Runner) budgetErr() error {
+	return fmt.Errorf("%w (%d events)", ErrEventBudget, r.events)
+}
+
+// deliver hands msg, sent by the node at index from, to e, past Watch.
+func (r *Runner) deliver(e *env, from int32, msg types.Message) {
+	src := r.envs[from].self
+	if r.Watch != nil {
+		r.Watch(src, e.self, msg, r.now)
+	}
+	e.m.Deliver(e, src, msg)
+}
+
+// fanOut hands out, in place, the deliveries of the fan-out entries at the
+// head of b, the bucket of the next event: no pop and no event copy per
+// recipient. It stops when the head is anything else, or when the far heap's
+// top comes first (see eventQueue for why it never does). Before each
+// delivery it does what Run does before one: the stop predicate (Run has
+// asked it for the first), the event budget and Watch. Every delivery is at
+// the tick Run's horizon check admitted, so there is no horizon to check.
+// It reports whether the stop predicate ended the run.
+func (r *Runner) fanOut(b *bucket, stop func() bool) (stopped bool, err error) {
+	if popped != nil {
+		popped()
+	}
+	q := &r.queue
+	r.now = b.ev[b.head].at
+	q.base = r.now
+	for first := true; ; first = false {
+		if !first && stop != nil && stop() {
+			return true, nil
+		}
+		// Deliver may append to b, so the head is re-read every time.
+		h := &b.ev[b.head]
+		to, from, msg := r.envs[h.node], h.from, h.msg
+		q.near--
+		b.advance()
+		if !r.count() {
+			return false, r.budgetErr()
+		}
+		r.deliver(to, from, msg)
+		if b.head == len(b.ev) || b.ev[b.head].end == 0 ||
+			len(q.far.ev) > 0 && q.far.ev[0].before(&b.ev[b.head]) {
+			return false, nil
+		}
+	}
 }
 
 // Decisions returns a copy of every recorded decision, keyed by the NodeIDs
@@ -353,8 +418,15 @@ func (r *Runner) AgreementViolation() error {
 // "communicated bits" accounting).
 func (r *Runner) SentBytes(node types.NodeID) int64 { return r.slotOf(node).sentBytes }
 
-// RecvBytes returns the bytes delivered to node.
-func (r *Runner) RecvBytes(node types.NodeID) int64 { return r.slotOf(node).recvBytes }
+// RecvBytes returns the bytes delivered to node: its own count (sends,
+// and broadcasts that were not synced) plus recvAll, the bytes of the synced
+// broadcasts that every node received. A NodeID never added received none.
+func (r *Runner) RecvBytes(node types.NodeID) int64 {
+	if e := r.byID[node]; e != nil {
+		return e.recvBytes + r.recvAll
+	}
+	return 0
+}
 
 // TotalSentBytes sums SentBytes over all nodes.
 func (r *Runner) TotalSentBytes() int64 {
@@ -452,13 +524,16 @@ func (e *env) Decide(slot types.Slot, val types.Value) {
 }
 
 // decisionLog is one node's decisions. Slots 0, 1, 2, … — a single-shot
-// decision and a multi-shot log — are indices into dense, which grows with
-// the slots decided: it never exceeds 2·count + denseSlack cells, so a stray
-// huge slot cannot allocate beyond what the node's real decisions justify.
-// Every other slot (negative, or past that bound when decided) lives in
-// sparse. A slot is in at most one of the two.
+// decision and a multi-shot log — are cells of dense, a list of pages of
+// pageCells cells each that grows with the slots decided: a page, once made,
+// never moves, so growing the log never copies a decided cell. A slot is
+// dense if its page ends at or below 2·count + denseSlack, so dense never
+// exceeds 2·count + denseSlack cells and a stray huge slot cannot allocate
+// beyond what the node's real decisions justify. Every other slot (negative,
+// or past that bound when decided) lives in sparse. A slot is in at most one
+// of the two.
 type decisionLog struct {
-	dense  []denseDecision
+	dense  [][]denseDecision
 	count  int // decided cells in dense
 	sparse map[types.Slot]Decision
 }
@@ -473,13 +548,23 @@ type denseDecision struct {
 // that starts at slot 1, or skips a few slots, stays dense.
 const denseSlack = 64
 
+// pageCells is the size of a dense page: denseSlack, so that an empty log's
+// first page is inside the bound.
+const pageCells = denseSlack
+
 func (l *decisionLog) len() int { return l.count + len(l.sparse) }
 
+// cell returns slot's dense cell, nil when slot is outside the pages made.
+func (l *decisionLog) cell(slot types.Slot) *denseDecision {
+	if slot < 0 || slot >= types.Slot(len(l.dense)*pageCells) {
+		return nil
+	}
+	return &l.dense[slot/pageCells][slot%pageCells]
+}
+
 func (l *decisionLog) get(slot types.Slot) (Decision, bool) {
-	if slot >= 0 && slot < types.Slot(len(l.dense)) {
-		if c := l.dense[slot]; c.set {
-			return c.Decision, true
-		}
+	if c := l.cell(slot); c != nil && c.set {
+		return c.Decision, true
 	}
 	d, ok := l.sparse[slot]
 	return d, ok
@@ -490,18 +575,20 @@ func (l *decisionLog) put(slot types.Slot, d Decision) {
 	if _, ok := l.get(slot); ok {
 		return
 	}
-	if slot < 0 || slot >= types.Slot(max(len(l.dense), 2*l.count+denseSlack)) {
+	// Page k ends at (k+1)·pageCells, within the bound while k·pageCells
+	// <= 2·count; this form cannot overflow.
+	page := int(slot / pageCells)
+	if slot < 0 || page > 2*l.count/pageCells {
 		if l.sparse == nil {
 			l.sparse = make(map[types.Slot]Decision)
 		}
 		l.sparse[slot] = d
 		return
 	}
-	i := int(slot)
-	if i >= len(l.dense) {
-		l.dense = append(l.dense, make([]denseDecision, i+1-len(l.dense))...)
+	for len(l.dense) <= page {
+		l.dense = append(l.dense, make([]denseDecision, pageCells))
 	}
-	l.dense[i] = denseDecision{Decision: d, set: true}
+	l.dense[page][slot%pageCells] = denseDecision{Decision: d, set: true}
 	l.count++
 }
 
@@ -509,15 +596,18 @@ func (l *decisionLog) put(slot types.Slot, d Decision) {
 // slots (sorted on each call; they are rare) around the dense ones.
 func (l *decisionLog) all(yield func(types.Slot, Decision) bool) {
 	keys := slices.Sorted(maps.Keys(l.sparse))
-	k := 0
-	for i, c := range l.dense {
-		for ; k < len(keys) && keys[k] < types.Slot(i); k++ {
-			if !yield(keys[k], l.sparse[keys[k]]) {
+	k, i := 0, 0
+	for _, page := range l.dense {
+		for _, c := range page {
+			for ; k < len(keys) && keys[k] < types.Slot(i); k++ {
+				if !yield(keys[k], l.sparse[keys[k]]) {
+					return
+				}
+			}
+			if c.set && !yield(types.Slot(i), c.Decision) {
 				return
 			}
-		}
-		if c.set && !yield(types.Slot(i), c.Decision) {
-			return
+			i++
 		}
 	}
 	for _, s := range keys[k:] {
@@ -577,42 +667,53 @@ func (r *Runner) send(from, to *env, msg types.Message, size int64) {
 }
 
 // broadcastSynced sends msg to every node when nothing can drop, rewrite or
-// hold it back: no adversary, and the clock at or past GST. It draws each
-// remote recipient's delay in recipient order and bills the bytes exactly as
-// n calls of send would. When every remote delivery lands on one instant
-// after the self-delivery's and inside the ring, those deliveries are one
-// fan-out entry that takes the seq block their pushes would have taken, so
-// the pop order, and with it the run, is the per-recipient one.
+// hold it back: no adversary, and the clock at or past GST. Every node, self
+// included, receives it, so its bytes go to recvAll once instead of to each
+// node. It draws each remote recipient's delay in recipient order, the draws
+// n calls of send would make; a ConstantDelay draws nothing, so it skips the
+// calls. When every remote delivery lands on one instant after the
+// self-delivery's and inside the ring, those deliveries are one fan-out
+// entry that takes the seq block their pushes would have taken, so the pop
+// order, and with it the run, is the per-recipient one.
 func (r *Runner) broadcastSynced(from *env, msg types.Message, size int64) {
 	n := len(r.envs)
+	r.recvAll += size
+	from.sentBytes += int64(n) * size
+	r.sentMsgs[msg.Kind()] += int64(n)
+	r.mSent.Add(int64(n))
 	first := int32(0) // the first remote recipient
 	if from.idx == 0 {
 		first = 1
 	}
-	delays := r.delays[:0]
-	var d0 types.Duration // first's delay
-	uniform := true
-	for i, to := range r.envs {
-		var d types.Duration
-		if to != from { // self-delivery is immediate
-			d = r.cfg.Delay.Delay(r.rng, from.self, to.self)
-			if int32(i) == first {
-				d0 = d
+	c, uniform := r.cfg.Delay.(ConstantDelay)
+	d0 := c.D // first's delay
+	if !uniform {
+		uniform = true
+		delays := r.delays[:0]
+		for i, to := range r.envs {
+			var d types.Duration
+			if to != from { // self-delivery is immediate
+				d = r.cfg.Delay.Delay(r.rng, from.self, to.self)
+				if int32(i) == first {
+					d0 = d
+				}
+				uniform = uniform && d == d0
 			}
-			uniform = uniform && d == d0
+			delays = append(delays, d)
 		}
-		delays = append(delays, d)
-		to.recvBytes += size
+		r.delays = delays
 	}
-	r.delays = delays
-	from.sentBytes += int64(n) * size
-	r.sentMsgs[msg.Kind()] += int64(n)
-	r.mSent.Add(int64(n))
 
 	at := r.now + types.Time(d0)
 	if n < 2 || !uniform || at <= r.now || !r.queue.inRing(at) {
 		for i, to := range r.envs {
-			r.push(event{at: r.now + types.Time(delays[i]), node: to.idx, from: from.idx, msg: msg})
+			d := d0
+			if !uniform {
+				d = r.delays[i]
+			} else if to == from {
+				d = 0
+			}
+			r.push(event{at: r.now + types.Time(d), node: to.idx, from: from.idx, msg: msg})
 		}
 		return
 	}
@@ -707,6 +808,16 @@ const nearTicks = 128
 // out one pop at a time, in recipient order, keeps the (at, seq) order; len
 // counts deliveries, not entries.
 //
+// Run hands a fan-out entry's deliveries out in place (Runner.fanOut), not
+// one pop at a time: once the head of the queue is a fan-out entry, Run
+// delivers from the head of its bucket until the head is anything else.
+// That is the pop order. Anything a recipient's Deliver pushes, a delay-0
+// self-delivery at the same tick included, takes a larger seq than the
+// entry's block, so the entry's remaining recipients are still next; the
+// next entry in the bucket, if it is one, follows them in seq order; and the
+// bucket holds only the current tick, since base is the clock. The far
+// heap's top is compared anyway, as next does.
+//
 // Memory: W bucket headers (32 B each, 4 KiB) plus, per bucket, the
 // capacity of the busiest tick it has held; emptied buckets keep their
 // capacity, so a steady push/pop cycle allocates nothing. An n=16 multishot
@@ -794,8 +905,11 @@ func (q *eventQueue) next() *bucket {
 }
 
 // peekAt returns the time of the next event. The queue must not be empty.
-func (q *eventQueue) peekAt() types.Time {
-	if b := q.next(); b != nil {
+func (q *eventQueue) peekAt() types.Time { return q.headAt(q.next()) }
+
+// headAt returns the time of the next event, given b = next().
+func (q *eventQueue) headAt(b *bucket) types.Time {
+	if b != nil {
 		return b.ev[b.head].at
 	}
 	return q.far.ev[0].at
@@ -804,8 +918,13 @@ func (q *eventQueue) peekAt() types.Time {
 // pop removes and returns the next event: a fan-out entry hands out its next
 // delivery as a plain message event and stays at its bucket's head until
 // spent. The queue must not be empty.
-func (q *eventQueue) pop() event {
-	b := q.next()
+func (q *eventQueue) pop() event { return q.take(q.next()) }
+
+// take is pop given b = next().
+func (q *eventQueue) take(b *bucket) event {
+	if popped != nil {
+		popped()
+	}
 	if b == nil {
 		e := q.far.pop()
 		if e.at > q.base {
@@ -813,16 +932,28 @@ func (q *eventQueue) pop() event {
 		}
 		return e
 	}
-	h := &b.ev[b.head]
-	e := *h
+	e := b.ev[b.head]
+	e.end = 0
 	q.near--
 	q.base = e.at
-	if e.end > 0 {
-		e.end = 0
+	b.advance()
+	return e
+}
+
+// popped, when set, is called each time the next event is taken off the
+// queue's head: by every pop, and once when Run starts handing out a
+// fan-out entry in place (a test hook: nil in production).
+var popped func()
+
+// advance moves b past its head's next delivery: a fan-out entry with
+// recipients left moves on to the next one, anything else leaves the bucket.
+func (b *bucket) advance() {
+	h := &b.ev[b.head]
+	if h.end > 0 {
 		if i := h.nextRecipient(); i < h.end {
 			h.seq += uint64(i - h.node)
 			h.node = i
-			return e
+			return
 		}
 	}
 	*h = event{} // release the msg reference for the GC
@@ -830,7 +961,6 @@ func (q *eventQueue) pop() event {
 	if b.head == len(b.ev) {
 		b.ev, b.head = b.ev[:0], 0
 	}
-	return e
 }
 
 // farHeap is an inlined, value-typed 4-ary min-heap ordered by (at, seq).

@@ -131,3 +131,37 @@ func TestChaosDuplicateDelivers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestChaosDelayedFramesStopAtClose: a frame the chaos policy holds back is
+// a pending timer of the runtime. ActiveTimers counts it, Close stops it,
+// and once Close has returned no held frame lands in a link queue, however
+// long past its delay. The runtime is never Run, so no writer drains the
+// queues and any late frame would stay in one.
+func TestChaosDelayedFramesStopAtClose(t *testing.T) {
+	const delay, frames = 20 * time.Millisecond, 5
+	rt, err := New(&idleMachine{id: 0}, Config{
+		ListenAddr: "127.0.0.1:0",
+		Chaos:      &Chaos{Seed: 3, DelayMin: delay, DelayMax: delay},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetPeers(map[types.NodeID]string{0: rt.Addr(), 1: "127.0.0.1:1", 2: "127.0.0.1:2"})
+	e := &env{r: rt}
+	for i := 0; i < frames; i++ {
+		e.Broadcast(types.MSViewChange{Slot: types.Slot(i), View: 1})
+	}
+	if got, want := rt.ActiveTimers(), frames*len(rt.links); got != want {
+		t.Errorf("%d pending timers with %d frames held on each of %d links, want %d", got, frames, len(rt.links), want)
+	}
+	rt.Close()
+	time.Sleep(5 * delay)
+	for _, p := range rt.links {
+		if n := len(p.queue); n != 0 {
+			t.Errorf("link to %d holds %d frames that were delayed past Close", p.id, n)
+		}
+	}
+	if got := rt.ActiveTimers(); got != 0 {
+		t.Errorf("%d timers still pending after Close", got)
+	}
+}

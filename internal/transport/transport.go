@@ -101,7 +101,7 @@ type Runtime struct {
 	dial func(network, addr string) (net.Conn, error)
 
 	mu       sync.Mutex
-	timers   map[uint64]*time.Timer
+	timers   map[uint64]*time.Timer // the machine's timers and delayed frames
 	timerSeq uint64
 	conns    map[net.Conn]struct{}
 	closed   bool
@@ -312,8 +312,9 @@ func (r *Runtime) Stats() map[types.NodeID]PeerStats {
 	return out
 }
 
-// ActiveTimers reports the number of pending (unfired) timers; fired and
-// stopped timers are pruned, so this stays bounded over long runs.
+// ActiveTimers reports the number of pending (unfired) timers: the hosted
+// machine's, and the chaos policy's delayed frames. Fired and stopped timers
+// are pruned, so this stays bounded over long runs.
 func (r *Runtime) ActiveTimers() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -617,11 +618,33 @@ func (r *Runtime) post(p *peer, frame []byte) {
 			r.enqueue(p, frame)
 		}
 		if act.Delay > 0 {
-			time.AfterFunc(act.Delay, func() { r.enqueue(p, frame) })
+			r.delay(p, frame, act.Delay)
 			return
 		}
 	}
 	r.enqueue(p, frame)
+}
+
+// delay puts frame on p's queue after d, unless the runtime closes first.
+// The timer sits in timers like a machine's until it fires, so Close stops
+// it, and a fire that races Close enqueues nothing once closed is set: no
+// frame lands in a link queue after Close returns.
+func (r *Runtime) delay(p *peer, frame []byte, d time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	r.timerSeq++
+	seq := r.timerSeq
+	r.timers[seq] = time.AfterFunc(d, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if !r.closed {
+			delete(r.timers, seq)
+			r.enqueue(p, frame)
+		}
+	})
 }
 
 // enqueue hands a frame to the peer's writer, dropping (and counting) on

@@ -2,6 +2,7 @@ package types_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"tetrabft/internal/multishot"
 	"tetrabft/internal/sim"
@@ -73,5 +74,39 @@ func TestOneHashPerProposedBlock(t *testing.T) {
 	t.Logf("%d proposals, %d block hashes, %d ticks", proposals, hashes, r.Now())
 	if hashes != proposals {
 		t.Errorf("%d block hashes for %d proposed blocks at n = %d, want exactly one per block", hashes, proposals, n)
+	}
+}
+
+// TestOneValueStringPerProposedBlock: on the simulator a proposed block's
+// value string is made once per run, by its leader's NewMSPropose. Every
+// receiver shares the leader's sealed message and takes its string, so all
+// 16 replicas decide each slot with the same string, not 16 copies of it.
+func TestOneValueStringPerProposedBlock(t *testing.T) {
+	const n, slots = 16, 240
+	r := sim.New(sim.Config{Seed: 1})
+	for i := 0; i < n; i++ {
+		node, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: n, Delta: 10, MaxSlot: slots + 3,
+			Batch: func(s types.Slot, _ types.Time) [][]byte { return [][]byte{[]byte("tx"), {byte(s)}} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Add(node)
+	}
+	if err := r.Run(0, func() bool { return r.DecidedCount(slots) == n }); err != nil {
+		t.Fatal(err)
+	}
+	strs := make(map[types.Slot]map[*byte]bool)
+	for i := 0; i < n; i++ {
+		for s, d := range r.NodeDecisions(types.NodeID(i)) {
+			if strs[s] == nil {
+				strs[s] = make(map[*byte]bool)
+			}
+			strs[s][unsafe.StringData(string(d.Val))] = true
+		}
+	}
+	for s := types.Slot(1); s <= slots; s++ {
+		if got := len(strs[s]); got != 1 {
+			t.Fatalf("slot %d: the %d replicas decided it with %d distinct value strings, want 1", s, n, got)
+		}
 	}
 }

@@ -132,14 +132,15 @@ func (ViewChange) Kind() Kind { return KindViewChange }
 // MSPropose is the multi-shot leader proposal of a block for (Slot, View).
 //
 // A proposal built by NewMSPropose carries a seal: its block's ID, hashed
-// once by the constructor, and what identifies the block it was hashed from
-// (slot, parent, and the backing array and length of Payload and of Txs).
-// BlockID returns the sealed ID while the carried block is still that exact
-// block, and hashes otherwise. So every receiver of one sent message (the
+// once by the constructor, the ID's value string, and what identifies the
+// block it was hashed from (slot, parent, and the backing array and length
+// of Payload and of Txs). BlockID and BlockValue return the sealed ID and
+// string while the carried block is still that exact block, and hash (and
+// convert) otherwise. So every receiver of one sent message (the
 // simulator's fan-out shares it, a runtime's self-delivery passes it back)
-// reads the ID its leader paid for, while a copy whose block was edited in
-// a sealed field, a decoded message (Decode never seals) and a literal all
-// hash the block they carry.
+// reads the ID and the string its leader paid for, while a copy whose block
+// was edited in a sealed field, a decoded message (Decode never seals) and a
+// literal all hash the block they carry.
 //
 // The seal is a value inside the message: only NewMSPropose writes it and
 // nothing changes it afterwards, so it needs no map, cache or lock. It
@@ -152,11 +153,12 @@ type MSPropose struct {
 	seal  blockSeal
 }
 
-// blockSeal records a block's ID with the identity of the block hashed: a
-// block with another slot, another parent, or another Payload or Txs slice
-// (new or shortened) no longer matches it.
+// blockSeal records a block's ID, and its value string, with the identity
+// of the block hashed: a block with another slot, another parent, or another
+// Payload or Txs slice (new or shortened) no longer matches it.
 type blockSeal struct {
 	id       BlockID
+	val      Value
 	parent   BlockID
 	slot     Slot
 	payload  *byte
@@ -166,11 +168,13 @@ type blockSeal struct {
 	set      bool
 }
 
-// NewMSPropose builds the proposal of b for view v, sealed with b's ID: the
-// one hash the proposal costs in this process (see MSPropose).
+// NewMSPropose builds the proposal of b for view v, sealed with b's ID and
+// its value string: the one hash and the one conversion the proposal costs
+// in this process (see MSPropose).
 func NewMSPropose(v View, b Block) MSPropose {
+	id := b.ID()
 	return MSPropose{View: v, Block: b, seal: blockSeal{
-		id: b.ID(), parent: b.Parent, slot: b.Slot,
+		id: id, val: id.Value(), parent: b.Parent, slot: b.Slot,
 		payload: first(b.Payload), nPayload: len(b.Payload),
 		txs: first(b.Txs), nTxs: len(b.Txs),
 		set: true,
@@ -180,13 +184,29 @@ func NewMSPropose(v View, b Block) MSPropose {
 // BlockID returns m.Block.ID(): the sealed ID while m carries the block
 // NewMSPropose hashed, a fresh hash otherwise.
 func (m MSPropose) BlockID() BlockID {
-	s, b := &m.seal, &m.Block
-	if s.set && b.Slot == s.slot && b.Parent == s.parent &&
-		len(b.Payload) == s.nPayload && first(b.Payload) == s.payload &&
-		len(b.Txs) == s.nTxs && first(b.Txs) == s.txs {
-		return s.id
+	if m.sealed() {
+		return m.seal.id
 	}
-	return b.ID()
+	return m.Block.ID()
+}
+
+// BlockValue returns BlockID() and its value string: the sealed string
+// while m carries the block NewMSPropose hashed, so that every receiver of
+// one sent message shares one string, and a fresh conversion otherwise.
+func (m MSPropose) BlockValue() (BlockID, Value) {
+	if m.sealed() {
+		return m.seal.id, m.seal.val
+	}
+	id := m.Block.ID()
+	return id, id.Value()
+}
+
+// sealed reports whether m carries the block its seal was made from.
+func (m *MSPropose) sealed() bool {
+	s, b := &m.seal, &m.Block
+	return s.set && b.Slot == s.slot && b.Parent == s.parent &&
+		len(b.Payload) == s.nPayload && first(b.Payload) == s.payload &&
+		len(b.Txs) == s.nTxs && first(b.Txs) == s.txs
 }
 
 // first returns the address of s's first element, nil when s is empty: with

@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 // sealedBlock is a batched block with a payload and transactions long
@@ -23,6 +24,14 @@ func TestSealedBlockIDMatchesHash(t *testing.T) {
 		}
 		if want := b.ID(); got != want {
 			t.Errorf("slot %d: sealed BlockID = %s, Block.ID = %s", b.Slot, got, want)
+		}
+		stop = CountHashes()
+		id, val := m.BlockValue()
+		if n := stop(); n != 0 || id != got || val != got.Value() {
+			t.Errorf("slot %d: sealed BlockValue hashed %d times and returned (%s, %q), want (%s, its value)", b.Slot, n, id, val, got)
+		}
+		if _, again := m.BlockValue(); unsafe.StringData(string(again)) != unsafe.StringData(string(val)) {
+			t.Errorf("slot %d: two BlockValue calls on one sealed proposal returned two strings", b.Slot)
 		}
 	}
 }
@@ -60,6 +69,9 @@ func TestSealedCopyEditedRehashes(t *testing.T) {
 		}
 		if got == honest.BlockID() {
 			t.Errorf("%s: the edited copy borrowed the honest ID %s", e.name, got)
+		}
+		if id, val := forged.BlockValue(); id != got || val != got.Value() {
+			t.Errorf("%s: BlockValue = (%s, %q), want the edited block's own ID and value", e.name, id, val)
 		}
 	}
 	// The same bytes behind a fresh slice are another block to the seal: it

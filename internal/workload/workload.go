@@ -16,7 +16,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"tetrabft/internal/types"
@@ -178,18 +177,74 @@ func cohortKeys(c CohortSpec) int {
 }
 
 // Schedule generates the first count arrivals of the stream, in arrival
-// order. The schedule is a pure function of (spec, count, seed): sequential
-// splitmix64 draws, no global state, no parallelism — byte-identical across
-// runs, engines and GOMAXPROCS values.
+// order: Generate into an []Arrival.
+func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
+	// Validate first, so that an invalid spec sizes nothing by count.
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	out := Arrivals(make([]Arrival, 0, count))
+	if err := s.Generate(count, seed, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Arrivals is a Sink that keeps a stream as Schedule returns it.
+type Arrivals []Arrival
+
+func (a *Arrivals) Arrive(at types.Time, cohort int, key string) {
+	*a = append(*a, Arrival{At: at, Cohort: cohort, Key: key})
+}
+
+func (a *Arrivals) Payload(i int, p []byte) { (*a)[i].Payload = p }
+
+// Sink receives a stream as it is drawn: Arrive once per arrival, in
+// arrival order, and Payload once per arrival (i counts from 0), in the same
+// order, each after its arrival's Arrive; Generate makes every Payload call
+// after the last Arrive, once the payloads are laid out. A consumer that
+// keeps only some of an arrival's fields stores them straight into its own
+// columns, with no []Arrival in between.
+type Sink interface {
+	Arrive(at types.Time, cohort int, key string)
+	Payload(i int, p []byte)
+}
+
+// Split returns a Sink that hands arrival j, and its payload, to
+// dsts[home(j, key)]: one stream split across consumers, each part in
+// arrival order. The payload indices the parts see are the stream's.
+func Split(dsts []Sink, home func(j int, key string) int) Sink {
+	return &split{dsts: dsts, home: home}
+}
+
+type split struct {
+	dsts  []Sink
+	home  func(j int, key string) int
+	homes []int // each arrival's consumer, in arrival order
+}
+
+func (s *split) Arrive(at types.Time, cohort int, key string) {
+	h := s.home(len(s.homes), key)
+	s.homes = append(s.homes, h)
+	s.dsts[h].Arrive(at, cohort, key)
+}
+
+func (s *split) Payload(i int, p []byte) { s.dsts[s.homes[i]].Payload(i, p) }
+
+// Generate draws the first count arrivals of the stream into dst. The
+// stream is a pure function of (spec, count, seed): sequential splitmix64
+// draws, no global state, no parallelism — byte-identical across runs,
+// engines and GOMAXPROCS values.
 //
 // It allocates by the slab, not by the arrival: keys are written into one
 // string as they are drawn, and once every arrival is drawn and its payload
 // sized, all payloads into one byte slab (each clipped to its own length, so
 // an append to one copies it). Holding any payload or key keeps its whole
-// slab alive.
-func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
+// slab alive. Between the two passes it keeps 8 bytes per arrival, its key's
+// length and its payload's.
+func (s Spec) Generate(count int, seed int64, dst Sink) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	cohorts := s.Cohorts
 	if len(cohorts) == 0 {
@@ -210,7 +265,8 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 	// "<cohort>-k<n, 4 digits>" (both widths are minimums). No key is longer
 	// than maxKey, so the key string never grows.
 	r := newRNG(seed)
-	out := make([]Arrival, 0, count)
+	type lengths struct{ key, payload uint32 }
+	laid := make([]lengths, 0, count)
 	var keys strings.Builder
 	keys.Grow(count * maxKey)
 	var num [24]byte
@@ -238,21 +294,24 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 		keys.WriteString("-k")
 		keys.Write(appendZeroPad(num[:0], r.intn(cohortKeys(cohorts[ci])), 4))
 		key := keys.String()[at:]
-		payloadBytes += max(len("wtx-")+max(digits(i), 8)+len("||")+len(key), cohorts[ci].TxBytes)
-		out = append(out, Arrival{At: types.Time(t), Cohort: ci, Key: key})
+		size := max(len("wtx-")+max(digits(i), 8)+len("||")+len(key), cohorts[ci].TxBytes)
+		payloadBytes += size
+		laid = append(laid, lengths{uint32(len(key)), uint32(size)})
+		dst.Arrive(types.Time(t), ci, key)
 	}
 	slab := make([]byte, 0, payloadBytes)
-	for i := range out {
-		a := &out[i]
+	all, next := keys.String(), 0 // the keys, and where the next one starts
+	for i, l := range laid {
 		start := len(slab)
 		slab = appendZeroPad(append(slab, "wtx-"...), i, 8)
-		slab = append(append(append(slab, '|'), a.Key...), '|')
-		for len(slab)-start < cohorts[a.Cohort].TxBytes {
+		slab = append(append(append(slab, '|'), all[next:next+int(l.key)]...), '|')
+		next += int(l.key)
+		for len(slab)-start < int(l.payload) {
 			slab = append(slab, '.')
 		}
-		a.Payload = slab[start:len(slab):len(slab)]
+		dst.Payload(i, slab[start:len(slab):len(slab)])
 	}
-	return out, nil
+	return nil
 }
 
 // digits is the number of decimal digits of v ≥ 0.
@@ -265,14 +324,16 @@ func digits(v int) int {
 }
 
 // appendZeroPad appends the decimal form of v ≥ 0, left-padded with zeros to
-// at least width digits: fmt's %0<width>d without fmt.
+// at least width digits: fmt's %0<width>d without fmt. It writes the digits
+// in place, last first, with no intermediate buffer to copy from.
 func appendZeroPad(b []byte, v, width int) []byte {
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], int64(v), 10)
-	for i := len(d); i < width; i++ {
-		b = append(b, '0')
+	n := max(digits(v), width)
+	b = append(b, make([]byte, n)...)
+	for i := len(b) - 1; i >= len(b)-n; i-- {
+		b[i] = byte('0' + v%10)
+		v /= 10
 	}
-	return append(b, d...)
+	return b
 }
 
 // interArrival samples the gap to the next arrival at time t, honoring the
@@ -280,7 +341,7 @@ func appendZeroPad(b []byte, v, width int) []byte {
 // a zero-rate window fast-forwards to the next phase boundary, and a gap
 // that lands inside a silent window is deferred to that window's end (so
 // silent windows really are silent).
-func (s Spec) interArrival(r *rng, t float64) (float64, bool) {
+func (s *Spec) interArrival(r *rng, t float64) (float64, bool) {
 	base := t
 	for hops := 0; hops <= len(s.Phases)+1; hops++ {
 		factor := s.factorAt(t)
@@ -299,7 +360,7 @@ func (s Spec) interArrival(r *rng, t float64) (float64, bool) {
 }
 
 // sample draws one inter-arrival gap with the given mean.
-func (s Spec) sample(r *rng, mean float64) float64 {
+func (s *Spec) sample(r *rng, mean float64) float64 {
 	shape := s.Arrival.Shape
 	if shape == 0 {
 		shape = 1
@@ -318,7 +379,7 @@ func (s Spec) sample(r *rng, mean float64) float64 {
 
 // factorAt returns the rate factor of the phase covering tick t (phases
 // cycle; no phases = 1).
-func (s Spec) factorAt(t float64) float64 {
+func (s *Spec) factorAt(t float64) float64 {
 	if len(s.Phases) == 0 {
 		return 1
 	}
@@ -338,7 +399,7 @@ func (s Spec) factorAt(t float64) float64 {
 
 // nextBoundary returns the start of the phase window after the one covering
 // t.
-func (s Spec) nextBoundary(t float64) float64 {
+func (s *Spec) nextBoundary(t float64) float64 {
 	cycle := int64(0)
 	for _, ph := range s.Phases {
 		cycle += ph.Duration
