@@ -61,9 +61,12 @@ func TestFunctionLengthRatchet(t *testing.T) {
 // tracked, each at its count today. A cap may only go down: when a package
 // shrinks, lower its entry to the new count.
 var packageLines = map[string]int{
-	"internal/multishot": 1638,
-	"internal/scenario":  3430,
-	"internal/sweep":     1946,
+	"internal/core":       1229,
+	"internal/ithotstuff": 399,
+	"internal/multishot":  1632,
+	"internal/pbft":       352,
+	"internal/scenario":   3424,
+	"internal/sweep":      1946,
 }
 
 // TestPackageLinesRatchet holds each package of packageLines to its cap,

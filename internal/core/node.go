@@ -11,9 +11,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tetrabft/internal/quorum"
 	"tetrabft/internal/trace"
@@ -94,11 +95,18 @@ type Node struct {
 	proposals map[types.View]types.Proposal
 	suggests  map[types.View]map[types.NodeID]types.SuggestMsg
 	proofs    map[types.View]map[types.NodeID]types.ProofMsg
-	tallies   map[uint8]map[types.View]map[types.Value]quorum.Set
-	vcSets    map[types.View]quorum.Set
+	tallies   quorum.Tally[bucket]
+	vcSets    quorum.Tally[types.View]
 
 	sentVote [5]bool // indices 1..4; reset on view entry
 	proposed bool    // leader has proposed in the current view
+}
+
+// bucket names the votes tallied together: one phase, view and value.
+type bucket struct {
+	phase uint8
+	view  types.View
+	val   types.Value
 }
 
 var _ types.Machine = (*Node)(nil)
@@ -165,8 +173,8 @@ func newNode(cfg Config) (*Node, error) {
 		proposals: make(map[types.View]types.Proposal),
 		suggests:  make(map[types.View]map[types.NodeID]types.SuggestMsg),
 		proofs:    make(map[types.View]map[types.NodeID]types.ProofMsg),
-		tallies:   make(map[uint8]map[types.View]map[types.Value]quorum.Set),
-		vcSets:    make(map[types.View]quorum.Set),
+		tallies:   make(quorum.Tally[bucket]),
+		vcSets:    make(quorum.Tally[types.View]),
 	}, nil
 }
 
@@ -268,8 +276,7 @@ func (n *Node) onVote(env types.Env, from types.NodeID, m types.VoteMsg) {
 	if m.Phase != 4 && m.View < n.view {
 		return
 	}
-	set := n.tally(m.Phase, m.View, m.Val)
-	set.Add(from)
+	n.tallies.Add(bucket{m.Phase, m.View, m.Val}, from)
 	if m.Phase == 4 {
 		n.tryDecide(env, m.View, m.Val)
 		return
@@ -319,12 +326,7 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.ViewChange
 	if m.View <= 0 {
 		return
 	}
-	set := n.vcSets[m.View]
-	if set == nil {
-		set = quorum.NewSet()
-		n.vcSets[m.View] = set
-	}
-	set.Add(from)
+	set := n.vcSets.Add(m.View, from)
 	// Echo on a blocking set (f+1), unless we already called for this view
 	// or a higher one (Section 3.2).
 	if m.View > n.highestVC && n.qs.IsBlocking(n.cfg.ID, set) {
@@ -425,8 +427,7 @@ func (n *Node) tryAdvance(env types.Env, phase uint8, val types.Value) {
 	if phase < 2 || phase > 4 || n.sentVote[phase] {
 		return
 	}
-	prev := n.tallies[phase-1][n.view][val]
-	if prev == nil || !n.qs.IsQuorum(prev) {
+	if !n.qs.IsQuorum(n.tallies[bucket{phase - 1, n.view, val}]) {
 		return
 	}
 	n.doVote(env, phase, val)
@@ -437,31 +438,25 @@ func (n *Node) tryAdvance(env types.Env, phase uint8, val types.Value) {
 // Iteration is sorted so runs stay deterministic.
 func (n *Node) rescanTallies(env types.Env) {
 	for phase := uint8(1); phase <= 3; phase++ {
-		for _, val := range sortedTallyValues(n.tallies[phase][n.view]) {
-			n.tryAdvance(env, phase+1, val)
+		for _, b := range n.sortedBuckets(func(b bucket) bool { return b.phase == phase && b.view == n.view }) {
+			n.tryAdvance(env, phase+1, b.val)
 		}
 	}
-	views := make([]types.View, 0, len(n.tallies[4]))
-	for v := range n.tallies[4] {
-		views = append(views, v)
-	}
-	sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
-	for _, v := range views {
-		for _, val := range sortedTallyValues(n.tallies[4][v]) {
-			n.tryDecide(env, v, val)
-		}
+	for _, b := range n.sortedBuckets(func(b bucket) bool { return b.phase == 4 }) {
+		n.tryDecide(env, b.view, b.val)
 	}
 }
 
-func sortedTallyValues(byVal map[types.Value]quorum.Set) []types.Value {
-	if len(byVal) == 0 {
-		return nil
+// sortedBuckets returns the tallied buckets that keep selects, ordered by
+// view and then by value.
+func (n *Node) sortedBuckets(keep func(bucket) bool) []bucket {
+	var out []bucket
+	for b := range n.tallies {
+		if keep(b) {
+			out = append(out, b)
+		}
 	}
-	out := make([]types.Value, 0, len(byVal))
-	for val := range byVal {
-		out = append(out, val)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, func(a, b bucket) int { return cmp.Or(cmp.Compare(a.view, b.view), cmp.Compare(a.val, b.val)) })
 	return out
 }
 
@@ -506,8 +501,7 @@ func (n *Node) tryDecide(env types.Env, v types.View, val types.Value) {
 	if n.decided {
 		return
 	}
-	set := n.tallies[4][v][val]
-	if set == nil || !n.qs.IsQuorum(set) {
+	if !n.qs.IsQuorum(n.tallies[bucket{4, v, val}]) {
 		return
 	}
 	n.decided = true
@@ -516,36 +510,14 @@ func (n *Node) tryDecide(env types.Env, v types.View, val types.Value) {
 	env.Decide(0, val)
 }
 
-// tally returns (allocating if needed) the sender set for a vote bucket.
-func (n *Node) tally(phase uint8, v types.View, val types.Value) quorum.Set {
-	byView := n.tallies[phase]
-	if byView == nil {
-		byView = make(map[types.View]map[types.Value]quorum.Set)
-		n.tallies[phase] = byView
-	}
-	byVal := byView[v]
-	if byVal == nil {
-		byVal = make(map[types.Value]quorum.Set)
-		byView[v] = byVal
-	}
-	set := byVal[val]
-	if set == nil {
-		set = quorum.NewSet()
-		byVal[val] = set
-	}
-	return set
-}
-
 // prune discards transient state that can no longer matter once the node is
 // in view v: phase 1-3 tallies, proposals, suggests and proofs below v, and
 // view-change sets at or below v. Phase-4 tallies are kept (a quorum of
 // vote-4 in any view is a decision).
 func (n *Node) prune(v types.View) {
-	for phase := uint8(1); phase <= 3; phase++ {
-		for view := range n.tallies[phase] {
-			if view < v {
-				delete(n.tallies[phase], view)
-			}
+	for b := range n.tallies {
+		if b.phase <= 3 && b.view < v {
+			delete(n.tallies, b)
 		}
 	}
 	for view := range n.proposals {

@@ -84,11 +84,23 @@ type Node struct {
 	lock types.VoteRef
 
 	proposals map[types.View]types.Value
-	tallies   map[uint8]map[types.View]map[types.Value]quorum.Set
+	tallies   quorum.Tally[bucket] // senders per phase, view and value
 	suggests  map[types.View]map[types.NodeID]types.VoteRef
-	vcSets    map[types.View]quorum.Set
-	sent      map[uint8]map[types.View]bool
-	proposed  map[types.View]bool
+	sent      map[step]bool
+}
+
+// bucket names the messages tallied together: one phase, view and value.
+// View-change calls and suggests are tallied per view, under "".
+type bucket struct {
+	phase uint8
+	view  types.View
+	val   types.Value
+}
+
+// step names a message a node sends at most once: one phase in one view.
+type step struct {
+	phase uint8
+	view  types.View
 }
 
 var _ types.Machine = (*Node)(nil)
@@ -117,11 +129,9 @@ func NewNode(cfg Config) (*Node, error) {
 		qs:        qs,
 		proto:     proto,
 		proposals: make(map[types.View]types.Value),
-		tallies:   make(map[uint8]map[types.View]map[types.Value]quorum.Set),
+		tallies:   make(quorum.Tally[bucket]),
 		suggests:  make(map[types.View]map[types.NodeID]types.VoteRef),
-		vcSets:    make(map[types.View]quorum.Set),
-		sent:      make(map[uint8]map[types.View]bool),
-		proposed:  make(map[types.View]bool),
+		sent:      make(map[step]bool),
 	}, nil
 }
 
@@ -210,13 +220,13 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m types.GenericVote) 
 // higher (highest-lock rule).
 func (n *Node) tryEcho(env types.Env) {
 	val, ok := n.proposals[n.view]
-	if !ok || n.hasSent(phaseEcho, n.view) {
+	if !ok || n.sent[step{phaseEcho, n.view}] {
 		return
 	}
 	if n.lock.Valid && n.view > 0 && n.lock.View >= n.view {
 		return // stale leader; our lock is newer
 	}
-	n.markSent(phaseEcho, n.view)
+	n.sent[step{phaseEcho, n.view}] = true
 	env.Broadcast(n.msg(phaseEcho, n.view, val))
 }
 
@@ -242,9 +252,7 @@ func (n *Node) onVote(env types.Env, from types.NodeID, m types.GenericVote) {
 	if idx < 0 {
 		return
 	}
-	n.tally(m.Phase, m.View, m.Val).Add(from)
-	set := n.tally(m.Phase, m.View, m.Val)
-	if !n.qs.IsQuorum(set) {
+	if !n.qs.IsQuorum(n.tallies.Add(bucket{m.Phase, m.View, m.Val}, from)) {
 		return
 	}
 	if m.Phase == phaseLock {
@@ -260,10 +268,10 @@ func (n *Node) onVote(env types.Env, from types.NodeID, m types.GenericVote) {
 		return
 	}
 	next := chain[idx+1]
-	if n.hasSent(next, m.View) {
+	if n.sent[step{next, m.View}] {
 		return
 	}
-	n.markSent(next, m.View)
+	n.sent[step{next, m.View}] = true
 	if next == phaseLock {
 		n.lock = types.Vote(m.View, m.Val) // persistent lock update
 	}
@@ -274,12 +282,7 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.GenericVot
 	if m.View <= 0 {
 		return
 	}
-	set := n.vcSets[m.View]
-	if set == nil {
-		set = quorum.NewSet()
-		n.vcSets[m.View] = set
-	}
-	set.Add(from)
+	set := n.tallies.Add(bucket{phaseViewChange, m.View, ""}, from)
 	if m.View > n.highestVC && n.qs.IsBlocking(n.cfg.ID, set) {
 		n.sendViewChange(env, m.View)
 	}
@@ -301,7 +304,7 @@ func (n *Node) enterView(env types.Env, v types.View) {
 	env.SetTimer(types.TimerID(v), types.Duration(n.cfg.TimeoutFactor)*n.cfg.Delta)
 	if v == 0 {
 		if n.Leader(0) == n.cfg.ID {
-			n.proposed[0] = true
+			n.sent[step{phasePropose, 0}] = true
 			env.Broadcast(n.msg(phasePropose, 0, n.cfg.InitialValue))
 		}
 		return
@@ -353,26 +356,23 @@ func (n *Node) onSuggest(env types.Env, from types.NodeID, m types.GenericVote) 
 		ref = types.Vote(types.View(m.Slot), m.Val)
 	}
 	perView[from] = ref
-	if m.View != n.view || n.proposed[m.View] {
+	set := n.tallies.Add(bucket{phaseSuggest, m.View, ""}, from)
+	if m.View != n.view || n.sent[step{phasePropose, m.View}] {
 		return
 	}
 	// Responsive: propose as soon as a quorum of suggests arrives.
-	set := quorum.NewSet()
-	for id := range perView {
-		set.Add(id)
-	}
 	if n.qs.IsQuorum(set) {
-		n.proposed[m.View] = true
+		n.sent[step{phasePropose, m.View}] = true
 		env.Broadcast(n.msg(phasePropose, m.View, n.pickValue(perView)))
 	}
 }
 
 // blogPropose fires after the Blog leader's fixed Δ wait.
 func (n *Node) blogPropose(env types.Env, v types.View) {
-	if v != n.view || n.proposed[v] || n.Leader(v) != n.cfg.ID {
+	if v != n.view || n.sent[step{phasePropose, v}] || n.Leader(v) != n.cfg.ID {
 		return
 	}
-	n.proposed[v] = true
+	n.sent[step{phasePropose, v}] = true
 	env.Broadcast(n.msg(phasePropose, v, n.pickValue(n.suggests[v])))
 }
 
@@ -396,36 +396,4 @@ func (n *Node) pickValue(suggests map[types.NodeID]types.VoteRef) types.Value {
 
 func (n *Node) msg(phase uint8, v types.View, val types.Value) types.GenericVote {
 	return types.GenericVote{Proto: n.proto, Phase: phase, View: v, Val: val}
-}
-
-func (n *Node) tally(phase uint8, v types.View, val types.Value) quorum.Set {
-	byView := n.tallies[phase]
-	if byView == nil {
-		byView = make(map[types.View]map[types.Value]quorum.Set)
-		n.tallies[phase] = byView
-	}
-	byVal := byView[v]
-	if byVal == nil {
-		byVal = make(map[types.Value]quorum.Set)
-		byView[v] = byVal
-	}
-	set := byVal[val]
-	if set == nil {
-		set = quorum.NewSet()
-		byVal[val] = set
-	}
-	return set
-}
-
-func (n *Node) hasSent(phase uint8, v types.View) bool {
-	return n.sent[phase][v]
-}
-
-func (n *Node) markSent(phase uint8, v types.View) {
-	byView := n.sent[phase]
-	if byView == nil {
-		byView = make(map[types.View]bool)
-		n.sent[phase] = byView
-	}
-	byView[v] = true
 }

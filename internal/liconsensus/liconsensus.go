@@ -32,7 +32,7 @@ type Node struct {
 	qs     quorum.Threshold
 	engine *rbc.Engine
 
-	votes   map[types.Value]quorum.Set
+	votes   quorum.Tally[types.Value]
 	decided bool
 
 	// logBytes models the protocol's unbounded storage (Table 1): every
@@ -52,7 +52,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("liconsensus: %w", err)
 	}
-	return &Node{cfg: cfg, qs: qs, votes: make(map[types.Value]quorum.Set)}, nil
+	return &Node{cfg: cfg, qs: qs, votes: make(quorum.Tally[types.Value])}, nil
 }
 
 // ID implements types.Machine.
@@ -84,13 +84,7 @@ func (n *Node) onDeliver(env types.Env, d rbc.Delivery) {
 		return
 	}
 	// A vote instance delivered: count it.
-	set := n.votes[d.Val]
-	if set == nil {
-		set = quorum.NewSet()
-		n.votes[d.Val] = set
-	}
-	set.Add(d.Sender)
-	if !n.decided && n.qs.IsQuorum(set) {
+	if set := n.votes.Add(d.Val, d.Sender); !n.decided && n.qs.IsQuorum(set) {
 		n.decided = true
 		env.Decide(0, d.Val)
 	}

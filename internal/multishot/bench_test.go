@@ -48,20 +48,6 @@ func recordDeliveries(tb testing.TB, nodes int, maxSlot types.Slot) []recordedMs
 	return msgs
 }
 
-// replayEnv feeds a node's own broadcasts back to it (the simulator's
-// immediate self-delivery) and swallows everything else.
-type replayEnv struct {
-	node *Node
-}
-
-func (e *replayEnv) Now() types.Time                  { return 0 }
-func (e *replayEnv) Send(types.NodeID, types.Message) {}
-func (e *replayEnv) Broadcast(m types.Message) {
-	e.node.Deliver(e, e.node.ID(), m)
-}
-func (e *replayEnv) SetTimer(types.TimerID, types.Duration) {}
-func (e *replayEnv) Decide(types.Slot, types.Value)         {}
-
 // replay drives a fresh node through the recorded stream and returns it.
 func replay(tb testing.TB, nodes int, maxSlot types.Slot, msgs []recordedMsg) *Node {
 	tb.Helper()
@@ -69,7 +55,7 @@ func replay(tb testing.TB, nodes int, maxSlot types.Slot, msgs []recordedMsg) *N
 	if err != nil {
 		tb.Fatal(err)
 	}
-	env := &replayEnv{node: n}
+	env := &recordEnv{loopback: n}
 	n.Start(env)
 	for _, m := range msgs {
 		n.Deliver(env, m.from, m.msg)
@@ -172,7 +158,7 @@ func TestObsDisabledDeliverZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := &replayEnv{node: n}
+			env := &recordEnv{loopback: n}
 			n.Start(env)
 			for _, m := range msgs {
 				n.Deliver(env, m.from, m.msg)

@@ -156,8 +156,8 @@ func TestNonMembersLeaveNoState(t *testing.T) {
 		if len(n.claims) != 0 {
 			t.Errorf("sender %d: %d claim slots stored", from, len(n.claims))
 		}
-		if env.sends != 0 || len(env.broadcasts) != 0 {
-			t.Errorf("sender %d: %d sends and %d broadcasts", from, env.sends, len(env.broadcasts))
+		if env.sends() != 0 || len(env.broadcasts()) != 0 {
+			t.Errorf("sender %d: %d sends and %d broadcasts", from, env.sends(), len(env.broadcasts()))
 		}
 	}
 

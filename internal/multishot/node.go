@@ -446,7 +446,7 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 	}
 	switch m := msg.(type) {
 	case types.MSPropose:
-		n.onPropose(env, from, m)
+		n.onPropose(env, from, &m)
 	case types.MSVote:
 		n.onVote(env, idx, m)
 	case types.MSViewChange:
@@ -531,7 +531,7 @@ func (n *Node) inFlight(yield func(*slotState) bool) {
 	}
 }
 
-func (n *Node) onPropose(env types.Env, from types.NodeID, m types.MSPropose) {
+func (n *Node) onPropose(env types.Env, from types.NodeID, m *types.MSPropose) {
 	s := m.Block.Slot
 	if s <= n.finalized || s > n.finalized+catchupWindow || (n.cfg.MaxSlot > 0 && s > n.cfg.MaxSlot) || from != n.Leader(s, m.View) {
 		return
@@ -724,15 +724,9 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 // blockingClaim returns a block claimed final for slot s by a blocking set
 // (f+1 senders), if any.
 func (n *Node) blockingClaim(s types.Slot) (types.BlockID, bool) {
-	byNode := n.claims[s]
-	counts := make(map[types.BlockID]quorum.Set)
-	for sender, id := range byNode {
-		set := counts[id]
-		if set == nil {
-			set = quorum.NewSet()
-			counts[id] = set
-		}
-		set.Add(sender)
+	counts := make(quorum.Tally[types.BlockID])
+	for sender, id := range n.claims[s] {
+		counts.Add(id, sender)
 	}
 	// Go randomizes map iteration; trying the candidates in ID byte order
 	// keeps same-seed runs identical.

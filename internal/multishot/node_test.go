@@ -319,7 +319,7 @@ func TestBlockingClaimRequiresFPlusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &nullEnv{}
+	env := &recordEnv{}
 	blk := types.Block{Slot: 1, Parent: types.ZeroBlockID, Payload: []byte("x")}
 	n.onFinal(env, 3, types.MSFinal{Block: blk})
 	if n.FinalizedSlot() != 0 {
@@ -347,7 +347,7 @@ func TestClaimMustExtendFinalHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &nullEnv{}
+	env := &recordEnv{}
 	bogusParent := types.Block{Slot: 0, Payload: []byte("nope")}.ID()
 	blk := types.Block{Slot: 1, Parent: bogusParent, Payload: []byte("x")}
 	n.onFinal(env, 1, types.MSFinal{Block: blk})
@@ -363,25 +363,25 @@ func TestVoteRejectedWithoutNotarizedParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &nullEnv{}
+	env := &recordEnv{}
 	n.Start(env)
 	b1 := types.Block{Slot: 1, Parent: types.ZeroBlockID, Payload: []byte("b1")}
 	b2 := types.Block{Slot: 2, Parent: b1.ID(), Payload: []byte("b2")}
 	// Proposal for slot 2 arrives before slot 1 is notarized.
 	n.Deliver(env, n.Leader(2, 0), types.MSPropose{View: 0, Block: b2})
-	if env.votes != 0 {
-		t.Fatalf("voted for a block with an unnotarized parent (%d votes)", env.votes)
+	if countVotes(env) != 0 {
+		t.Fatalf("voted for a block with an unnotarized parent (%d votes)", countVotes(env))
 	}
 	// Slot 1 proposal arrives and gets a quorum of votes → slot 2 unblocks.
 	n.Deliver(env, n.Leader(1, 0), types.MSPropose{View: 0, Block: b1})
-	if env.votes != 1 {
-		t.Fatalf("did not vote for slot 1 (%d votes)", env.votes)
+	if countVotes(env) != 1 {
+		t.Fatalf("did not vote for slot 1 (%d votes)", countVotes(env))
 	}
 	for _, from := range []types.NodeID{0, 2, 3} {
 		n.Deliver(env, from, types.MSVote{Slot: 1, View: 0, Block: b1.ID()})
 	}
-	if env.votes != 2 {
-		t.Fatalf("did not vote for slot 2 after parent notarization (%d votes)", env.votes)
+	if countVotes(env) != 2 {
+		t.Fatalf("did not vote for slot 2 after parent notarization (%d votes)", countVotes(env))
 	}
 }
 
@@ -404,21 +404,6 @@ func TestMaxSlotStopsProposals(t *testing.T) {
 		}
 	}
 }
-
-// nullEnv is a no-op Env that counts votes for unit tests.
-type nullEnv struct {
-	votes int
-}
-
-func (e *nullEnv) Now() types.Time                  { return 0 }
-func (e *nullEnv) Send(types.NodeID, types.Message) {}
-func (e *nullEnv) Broadcast(m types.Message) {
-	if _, ok := m.(types.MSVote); ok {
-		e.votes++
-	}
-}
-func (e *nullEnv) SetTimer(types.TimerID, types.Duration) {}
-func (e *nullEnv) Decide(types.Slot, types.Value)         {}
 
 type adversaryFunc func(from, to types.NodeID, msg types.Message, now types.Time) sim.Verdict
 

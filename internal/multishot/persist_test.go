@@ -163,7 +163,7 @@ func TestRestoreRejoinsAndCatchesUp(t *testing.T) {
 	// The rejoin must broadcast a view-change (the catch-up request): the
 	// finalized prefix is not persisted, so it targets slot 1.
 	foundVC := false
-	for _, m := range env.broadcasts {
+	for _, m := range env.broadcasts() {
 		if vc, ok := m.(types.MSViewChange); ok {
 			foundVC = true
 			if vc.Slot != 1 {
@@ -256,8 +256,8 @@ func TestHaltOnPersistFailure(t *testing.T) {
 	}
 	// Nothing of the failing turn reaches the Env — the slot-2 proposal it
 	// buffered behind the vote is dropped with it.
-	if len(env.broadcasts) != 0 || env.sends != 0 {
-		t.Fatalf("the failing turn released %d broadcasts and %d sends, want none", len(env.broadcasts), env.sends)
+	if len(env.broadcasts()) != 0 || env.sends() != 0 {
+		t.Fatalf("the failing turn released %d broadcasts and %d sends, want none", len(env.broadcasts()), env.sends())
 	}
 	if drawn != 0 {
 		t.Fatalf("the failing turn drew %d batches for a proposal it never sent", drawn)
@@ -267,7 +267,7 @@ func TestHaltOnPersistFailure(t *testing.T) {
 	node.Deliver(env, 1, types.MSPropose{View: 0, Block: b})
 	node.Deliver(env, 0, types.MSViewChange{Slot: 1, View: 1})
 	node.Tick(env, 1)
-	if len(env.broadcasts) != 0 || env.sends != 0 || len(store.states) != 0 || drawn != 0 {
+	if len(env.broadcasts()) != 0 || env.sends() != 0 || len(store.states) != 0 || drawn != 0 {
 		t.Error("halted node still emits messages, writes or draws batches")
 	}
 }
@@ -284,30 +284,6 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		t.Error("Restore accepted a negative view")
 	}
 }
-
-func countVotes(e *recordEnv) int {
-	n := 0
-	for _, m := range e.broadcasts {
-		if _, ok := m.(types.MSVote); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// recordEnv captures broadcasts and counts sends for unit tests; its clock
-// stands where the test puts it.
-type recordEnv struct {
-	broadcasts []types.Message
-	sends      int
-	now        types.Time
-}
-
-func (e *recordEnv) Now() types.Time                        { return e.now }
-func (e *recordEnv) Send(types.NodeID, types.Message)       { e.sends++ }
-func (e *recordEnv) Broadcast(m types.Message)              { e.broadcasts = append(e.broadcasts, m) }
-func (e *recordEnv) SetTimer(types.TimerID, types.Duration) {}
-func (e *recordEnv) Decide(types.Slot, types.Value)         {}
 
 // referenceMarshal is the encoding as it was written before AppendBinary
 // existed — grown from nil, one temporary slice per slot — kept as the

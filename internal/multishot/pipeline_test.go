@@ -8,25 +8,6 @@ import (
 	"tetrabft/internal/types"
 )
 
-// captureEnv records the proposals and votes a node broadcasts.
-type captureEnv struct {
-	proposals []types.MSPropose
-	votes     []types.MSVote
-}
-
-func (e *captureEnv) Now() types.Time                  { return 0 }
-func (e *captureEnv) Send(types.NodeID, types.Message) {}
-func (e *captureEnv) Broadcast(m types.Message) {
-	switch v := m.(type) {
-	case types.MSPropose:
-		e.proposals = append(e.proposals, v)
-	case types.MSVote:
-		e.votes = append(e.votes, v)
-	}
-}
-func (e *captureEnv) SetTimer(types.TimerID, types.Duration) {}
-func (e *captureEnv) Decide(types.Slot, types.Value)         {}
-
 // TestWindowGatesOptimisticProposals pins the Window semantics at the unit
 // level. The leader of slot 3 holds proposals for slots 1 and 2 but no
 // votes: slot 2's proposal is unnotarized. Window=1 (the paper's rule)
@@ -46,14 +27,14 @@ func TestWindowGatesOptimisticProposals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := &captureEnv{}
+		env := &recordEnv{}
 		n.Start(env)
 		b1 := types.Block{Slot: 1, Parent: types.ZeroBlockID, Payload: []byte("b1")}
 		b2 := types.Block{Slot: 2, Parent: b1.ID(), Payload: []byte("b2")}
 		n.Deliver(env, n.Leader(1, 0), types.MSPropose{View: 0, Block: b1})
 		n.Deliver(env, n.Leader(2, 0), types.MSPropose{View: 0, Block: b2})
 		proposed3 := false
-		for _, p := range env.proposals {
+		for _, p := range broadcastsOf[types.MSPropose](env) {
 			if p.Block.Slot == 3 {
 				proposed3 = true
 				if p.Block.Parent != b2.ID() {
@@ -66,7 +47,7 @@ func TestWindowGatesOptimisticProposals(t *testing.T) {
 		}
 		// Safety invariant: votes never outrun notarization, whatever the
 		// window. Node 3 votes for slot 1 (genesis anchor) only.
-		for _, v := range env.votes {
+		for _, v := range broadcastsOf[types.MSVote](env) {
 			if v.Slot > 1 {
 				t.Errorf("window=%d: voted for slot %d with an unnotarized parent", tc.window, v.Slot)
 			}

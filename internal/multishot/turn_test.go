@@ -315,10 +315,10 @@ func TestViewChangeTurnWritesOnce(t *testing.T) {
 	// f+1 calls make the node echo; the quorum-completing one moves all three.
 	node.Deliver(env, 1, types.MSViewChange{Slot: 1, View: 1})
 	node.Deliver(env, 2, types.MSViewChange{Slot: 1, View: 1})
-	writes, sent := len(store.states), len(env.broadcasts)
+	writes, sent := len(store.states), len(env.broadcasts())
 	node.Deliver(env, 3, types.MSViewChange{Slot: 1, View: 1})
 	proofs := 0
-	for _, m := range env.broadcasts[sent:] {
+	for _, m := range env.broadcasts()[sent:] {
 		if _, ok := m.(types.MSProof); ok {
 			proofs++
 		}
@@ -336,24 +336,12 @@ func TestViewChangeTurnWritesOnce(t *testing.T) {
 	}
 }
 
-// loopEnv hands a node's broadcasts straight back to it inside the call, as
-// the replay harnesses do (the simulator and the TCP runtime queue them).
-type loopEnv struct {
-	recordEnv
-	to types.Machine
-}
-
-func (e *loopEnv) Broadcast(m types.Message) {
-	e.recordEnv.Broadcast(m)
-	e.to.Deliver(e, e.to.ID(), m)
-}
-
 // TestNestedTurnWritesAhead: when a released broadcast re-enters Deliver and
 // that nested turn votes, the vote is written before it leaves and takes its
 // place in line behind what the outer turn still has to release.
 func TestNestedTurnWritesAhead(t *testing.T) {
 	a := newAudited(t, Config{ID: 2, Nodes: 4}, false) // node 2 leads slot 2
-	env := &loopEnv{to: a}
+	env := &recordEnv{loopback: a}
 	a.Start(env)
 	b1 := types.Block{Slot: 1, Parent: types.ZeroBlockID, Payload: []byte("b1")}
 	a.Deliver(env, 0, types.MSVote{Slot: 1, View: 0, Block: b1.ID()})
@@ -364,7 +352,7 @@ func TestNestedTurnWritesAhead(t *testing.T) {
 	// turn with a write of its own.
 	a.Deliver(env, 1, types.MSPropose{View: 0, Block: b1})
 	var got []string
-	for _, m := range env.broadcasts {
+	for _, m := range env.broadcasts() {
 		switch v := m.(type) {
 		case types.MSVote:
 			got = append(got, fmt.Sprintf("vote-%d", v.Slot))

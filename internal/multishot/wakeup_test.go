@@ -7,17 +7,6 @@ import (
 	"tetrabft/internal/types"
 )
 
-// countViewChanges counts the MSViewChange broadcasts e recorded.
-func countViewChanges(e *recordEnv) int {
-	k := 0
-	for _, m := range e.broadcasts {
-		if _, ok := m.(types.MSViewChange); ok {
-			k++
-		}
-	}
-	return k
-}
-
 // TestTickBeforeDeadlineIsIgnored: a timer fire before the node's pending
 // wakeup — a restored node receiving its predecessor's queued timers, say —
 // must not expire a slot early. Slot 1 starts at t = 0 with its 9Δ deadline
@@ -40,7 +29,7 @@ func TestTickBeforeDeadlineIsIgnored(t *testing.T) {
 	if k := countViewChanges(env); k != 1 {
 		t.Fatalf("the fire at the deadline broadcast %d view changes, want 1", k)
 	}
-	if got, want := env.broadcasts[0], (types.MSViewChange{Slot: 1, View: 1}); got != want {
+	if got, want := env.broadcasts()[0], (types.MSViewChange{Slot: 1, View: 1}); got != want {
 		t.Errorf("broadcast %v, want %v", got, want)
 	}
 }

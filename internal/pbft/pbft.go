@@ -58,16 +58,27 @@ type Node struct {
 	prepared types.VoteRef
 
 	proposals map[types.View]types.Value
-	tallies   map[uint8]map[types.View]map[types.Value]quorum.Set
-	vcSets    map[types.View]quorum.Set
-	ackSets   map[types.View]quorum.Set
+	tallies   quorum.Tally[bucket]         // senders per phase, view and value
 	vcBest    map[types.View]types.VoteRef // best prepared cert seen in VCs
-	sent      map[uint8]map[types.View]bool
-	proposed  map[types.View]bool
+	sent      map[step]bool
 	pendingNV map[types.View]types.Value // value to pre-prepare after new-view
 	vcAttempt types.View                 // consecutive timeouts in the current view
 
 	logBytes int64 // unbounded variant: total bytes retained
+}
+
+// bucket names the messages tallied together: one phase, view and value.
+// The request, view-change and ack phases are tallied per view, under "".
+type bucket struct {
+	phase uint8
+	view  types.View
+	val   types.Value
+}
+
+// step names a message a node sends at most once: one phase in one view.
+type step struct {
+	phase uint8
+	view  types.View
 }
 
 // prePrepareTimerBase offsets the leader's deferred pre-prepare timers so
@@ -94,12 +105,9 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		qs:        qs,
 		proposals: make(map[types.View]types.Value),
-		tallies:   make(map[uint8]map[types.View]map[types.Value]quorum.Set),
-		vcSets:    make(map[types.View]quorum.Set),
-		ackSets:   make(map[types.View]quorum.Set),
+		tallies:   make(quorum.Tally[bucket]),
 		vcBest:    make(map[types.View]types.VoteRef),
-		sent:      make(map[uint8]map[types.View]bool),
-		proposed:  make(map[types.View]bool),
+		sent:      make(map[step]bool),
 		pendingNV: make(map[types.View]types.Value),
 	}, nil
 }
@@ -146,8 +154,8 @@ func (n *Node) Tick(env types.Env, id types.TimerID) {
 	// (e.g. its new-view was lost), request v+2 next, as PBFT does.
 	n.vcAttempt++
 	target := n.view + n.vcAttempt
-	if !n.hasSent(phaseRequest, target) {
-		n.markSent(phaseRequest, target)
+	if !n.sent[step{phaseRequest, target}] {
+		n.sent[step{phaseRequest, target}] = true
 		env.Broadcast(types.GenericVote{Proto: types.ProtoPBFT, Phase: phaseRequest, View: target})
 	}
 	env.SetTimer(id, types.Duration(n.cfg.TimeoutFactor)*n.cfg.Delta)
@@ -204,10 +212,10 @@ func (n *Node) onPrePrepare(env types.Env, from types.NodeID, v types.View, val 
 
 func (n *Node) tryPrepare(env types.Env) {
 	val, ok := n.proposals[n.view]
-	if !ok || n.hasSent(phasePrepare, n.view) {
+	if !ok || n.sent[step{phasePrepare, n.view}] {
 		return
 	}
-	n.markSent(phasePrepare, n.view)
+	n.sent[step{phasePrepare, n.view}] = true
 	env.Broadcast(types.GenericVote{Proto: types.ProtoPBFT, Phase: phasePrepare, View: n.view, Val: val})
 }
 
@@ -215,18 +223,16 @@ func (n *Node) onVote(env types.Env, from types.NodeID, m types.GenericVote) {
 	if m.View < n.view && m.Phase != phaseCommit {
 		return
 	}
-	set := n.tally(m.Phase, m.View, m.Val)
-	set.Add(from)
-	if !n.qs.IsQuorum(set) {
+	if !n.qs.IsQuorum(n.tallies.Add(bucket{m.Phase, m.View, m.Val}, from)) {
 		return
 	}
 	switch m.Phase {
 	case phasePrepare:
-		if m.View != n.view || n.hasSent(phaseCommit, m.View) {
+		if m.View != n.view || n.sent[step{phaseCommit, m.View}] {
 			return
 		}
 		n.prepared = types.Vote(m.View, m.Val) // prepared certificate
-		n.markSent(phaseCommit, m.View)
+		n.sent[step{phaseCommit, m.View}] = true
 		env.Broadcast(types.GenericVote{Proto: types.ProtoPBFT, Phase: phaseCommit, View: m.View, Val: m.Val})
 	case phaseCommit:
 		if !n.decided {
@@ -241,12 +247,11 @@ func (n *Node) onRequest(env types.Env, from types.NodeID, m types.GenericVote) 
 	if m.View <= n.view {
 		return
 	}
-	set := n.tally(phaseRequest, m.View, "")
-	set.Add(from)
-	if !n.qs.IsBlocking(n.cfg.ID, set) || n.hasSent(phaseViewChange, m.View) {
+	set := n.tallies.Add(bucket{phaseRequest, m.View, ""}, from)
+	if !n.qs.IsBlocking(n.cfg.ID, set) || n.sent[step{phaseViewChange, m.View}] {
 		return
 	}
-	n.markSent(phaseViewChange, m.View)
+	n.sent[step{phaseViewChange, m.View}] = true
 	// The view-change carries O(n) prepare evidence: one VoteRef per
 	// quorum member that backed this node's prepared certificate. This is
 	// the O(n)-sized message that makes PBFT's worst case O(n³) total.
@@ -276,12 +281,7 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.Evidence) 
 	if m.View <= n.view {
 		return
 	}
-	set := n.vcSets[m.View]
-	if set == nil {
-		set = quorum.NewSet()
-		n.vcSets[m.View] = set
-	}
-	set.Add(from)
+	set := n.tallies.Add(bucket{phaseViewChange, m.View, ""}, from)
 	// Track the best (highest-view) prepared certificate among VCs.
 	if len(m.Evidence) >= n.qs.QuorumSize() {
 		ref := m.Evidence[0]
@@ -290,8 +290,8 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, m types.Evidence) 
 			n.vcBest[m.View] = ref
 		}
 	}
-	if n.qs.IsQuorum(set) && !n.hasSent(phaseAck, m.View) {
-		n.markSent(phaseAck, m.View)
+	if n.qs.IsQuorum(set) && !n.sent[step{phaseAck, m.View}] {
+		n.sent[step{phaseAck, m.View}] = true
 		env.Send(n.Leader(m.View), types.Evidence{Proto: types.ProtoPBFT, Phase: phaseAck, View: m.View})
 	}
 }
@@ -300,16 +300,10 @@ func (n *Node) onAck(env types.Env, from types.NodeID, m types.Evidence) {
 	if m.View <= n.view || n.Leader(m.View) != n.cfg.ID {
 		return
 	}
-	set := n.ackSets[m.View]
-	if set == nil {
-		set = quorum.NewSet()
-		n.ackSets[m.View] = set
-	}
-	set.Add(from)
-	if !n.qs.IsQuorum(set) || n.hasSent(phaseNewView, m.View) {
+	if !n.qs.IsQuorum(n.tallies.Add(bucket{phaseAck, m.View, ""}, from)) || n.sent[step{phaseNewView, m.View}] {
 		return
 	}
-	n.markSent(phaseNewView, m.View)
+	n.sent[step{phaseNewView, m.View}] = true
 	val := n.cfg.InitialValue
 	if best := n.vcBest[m.View]; best.Valid {
 		val = best.Val
@@ -331,10 +325,10 @@ func (n *Node) onAck(env types.Env, from types.NodeID, m types.Evidence) {
 
 func (n *Node) firePrePrepare(env types.Env, v types.View) {
 	val, ok := n.pendingNV[v]
-	if !ok || n.proposed[v] || n.Leader(v) != n.cfg.ID {
+	if !ok || n.sent[step{phasePrePrepare, v}] || n.Leader(v) != n.cfg.ID {
 		return
 	}
-	n.proposed[v] = true
+	n.sent[step{phasePrePrepare, v}] = true
 	env.Broadcast(types.GenericVote{Proto: types.ProtoPBFT, Phase: phasePrePrepare, View: v, Val: val})
 }
 
@@ -352,37 +346,7 @@ func (n *Node) enterView(env types.Env, v types.View) {
 	n.view = v
 	env.SetTimer(types.TimerID(v), types.Duration(n.cfg.TimeoutFactor)*n.cfg.Delta)
 	if v == 0 && n.Leader(0) == n.cfg.ID {
-		n.proposed[0] = true
+		n.sent[step{phasePrePrepare, 0}] = true
 		env.Broadcast(types.GenericVote{Proto: types.ProtoPBFT, Phase: phasePrePrepare, View: 0, Val: n.cfg.InitialValue})
 	}
-}
-
-func (n *Node) tally(phase uint8, v types.View, val types.Value) quorum.Set {
-	byView := n.tallies[phase]
-	if byView == nil {
-		byView = make(map[types.View]map[types.Value]quorum.Set)
-		n.tallies[phase] = byView
-	}
-	byVal := byView[v]
-	if byVal == nil {
-		byVal = make(map[types.Value]quorum.Set)
-		byView[v] = byVal
-	}
-	set := byVal[val]
-	if set == nil {
-		set = quorum.NewSet()
-		byVal[val] = set
-	}
-	return set
-}
-
-func (n *Node) hasSent(phase uint8, v types.View) bool { return n.sent[phase][v] }
-
-func (n *Node) markSent(phase uint8, v types.View) {
-	byView := n.sent[phase]
-	if byView == nil {
-		byView = make(map[types.View]bool)
-		n.sent[phase] = byView
-	}
-	byView[v] = true
 }

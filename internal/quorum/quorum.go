@@ -52,6 +52,24 @@ func (s Set) Sorted() []types.NodeID {
 	return out
 }
 
+// Tally gathers the distinct senders behind each key: a (phase, view, value)
+// vote bucket, the view-change calls for one view, the finality claims for
+// one block. Whether a key's set is a quorum or a blocking set is a System's
+// question; every protocol asks it of a Tally's sets.
+type Tally[K comparable] map[K]Set
+
+// Add records from as a sender for k, making k's set on first use, and
+// returns that set.
+func (t Tally[K]) Add(k K, from types.NodeID) Set {
+	s := t[k]
+	if s == nil {
+		s = NewSet()
+		t[k] = s
+	}
+	s.Add(from)
+	return s
+}
+
 // System answers quorum and blocking-set questions for a fixed membership.
 type System interface {
 	// Members lists every node in ascending order.

@@ -264,3 +264,55 @@ func TestMustThresholdPanics(t *testing.T) {
 	}()
 	MustThreshold(0)
 }
+
+// TestTally: a key's set holds each distinct sender once, keys never share
+// a set, and the returned set is the one the tally keeps, so its quorum and
+// blocking answers follow every later Add.
+func TestTally(t *testing.T) {
+	type key struct {
+		phase uint8
+		val   types.Value
+	}
+	qs := MustThreshold(4) // quorum 3, blocking 2
+	tests := []struct {
+		name         string
+		adds         []types.NodeID // senders for key{1, "a"}, in order
+		others       []types.NodeID // senders for key{2, "a"}, interleaved
+		wantLen      int
+		wantQuorum   bool
+		wantBlocking bool
+	}{
+		{name: "one sender", adds: []types.NodeID{0}, wantLen: 1},
+		{name: "repeats count once", adds: []types.NodeID{2, 2, 2}, wantLen: 1},
+		{name: "blocking set", adds: []types.NodeID{0, 3}, wantLen: 2, wantBlocking: true},
+		{name: "quorum", adds: []types.NodeID{0, 1, 0, 3}, wantLen: 3, wantQuorum: true, wantBlocking: true},
+		{name: "keys stay apart", adds: []types.NodeID{1}, others: []types.NodeID{0, 2, 3}, wantLen: 1},
+		{name: "foreign IDs never count", adds: []types.NodeID{0, 9, -1}, wantLen: 3},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tally := make(Tally[key])
+			var set Set
+			for i := range max(len(tt.adds), len(tt.others)) {
+				if i < len(tt.adds) {
+					set = tally.Add(key{1, "a"}, tt.adds[i])
+				}
+				if i < len(tt.others) {
+					tally.Add(key{2, "a"}, tt.others[i])
+				}
+			}
+			if got := tally[key{1, "a"}]; got.Len() != tt.wantLen || set.Len() != tt.wantLen {
+				t.Fatalf("kept set has %d senders and returned set %d, want %d", got.Len(), set.Len(), tt.wantLen)
+			}
+			if got := tally[key{2, "a"}].Len(); got != len(tt.others) {
+				t.Errorf("the other key holds %d senders, want %d", got, len(tt.others))
+			}
+			if got := qs.IsQuorum(set); got != tt.wantQuorum {
+				t.Errorf("IsQuorum = %v, want %v", got, tt.wantQuorum)
+			}
+			if got := qs.IsBlocking(0, set); got != tt.wantBlocking {
+				t.Errorf("IsBlocking = %v, want %v", got, tt.wantBlocking)
+			}
+		})
+	}
+}

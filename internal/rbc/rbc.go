@@ -36,6 +36,7 @@ type Engine struct {
 	deliver func(env types.Env, d Delivery)
 
 	instances map[instanceKey]*instance
+	tallies   quorum.Tally[bucket]
 }
 
 type instanceKey struct {
@@ -47,8 +48,14 @@ type instance struct {
 	echoed    bool
 	readied   bool
 	delivered bool
-	echoes    map[types.Value]quorum.Set
-	readies   map[types.Value]quorum.Set
+}
+
+// bucket names the echoes or readies tallied together: one phase of one
+// instance, for one value.
+type bucket struct {
+	instanceKey
+	phase uint8
+	val   types.Value
 }
 
 // NewEngine builds an engine for n nodes. deliver is invoked exactly once
@@ -64,6 +71,7 @@ func NewEngine(self types.NodeID, n int, proto types.Proto, deliver func(env typ
 		proto:     proto,
 		deliver:   deliver,
 		instances: make(map[instanceKey]*instance),
+		tallies:   make(quorum.Tally[bucket]),
 	}, nil
 }
 
@@ -83,10 +91,7 @@ func (e *Engine) Handle(env types.Env, from types.NodeID, m types.GenericVote) {
 	key := instanceKey{inst: m.Slot, sender: origin}
 	st := e.instances[key]
 	if st == nil {
-		st = &instance{
-			echoes:  make(map[types.Value]quorum.Set),
-			readies: make(map[types.Value]quorum.Set),
-		}
+		st = &instance{}
 		e.instances[key] = st
 	}
 	switch m.Phase {
@@ -98,15 +103,13 @@ func (e *Engine) Handle(env types.Env, from types.NodeID, m types.GenericVote) {
 		st.echoed = true
 		env.Broadcast(e.msg(PhaseEcho, m.Slot, origin, m.Val))
 	case PhaseEcho:
-		set := tallyOf(st.echoes, m.Val)
-		set.Add(from)
+		set := e.tallies.Add(bucket{key, PhaseEcho, m.Val}, from)
 		if !st.readied && e.qs.IsQuorum(set) {
 			st.readied = true
 			env.Broadcast(e.msg(PhaseReady, m.Slot, origin, m.Val))
 		}
 	case PhaseReady:
-		set := tallyOf(st.readies, m.Val)
-		set.Add(from)
+		set := e.tallies.Add(bucket{key, PhaseReady, m.Val}, from)
 		// Amplification: f+1 readys prove an honest node saw an echo
 		// quorum, so it is safe to join.
 		if !st.readied && e.qs.IsBlocking(e.self, set) {
@@ -122,15 +125,6 @@ func (e *Engine) Handle(env types.Env, from types.NodeID, m types.GenericVote) {
 
 func (e *Engine) msg(phase uint8, inst types.Slot, origin types.NodeID, val types.Value) types.GenericVote {
 	return types.GenericVote{Proto: e.proto, Phase: phase, View: types.View(origin), Slot: inst, Val: val}
-}
-
-func tallyOf(m map[types.Value]quorum.Set, val types.Value) quorum.Set {
-	set := m[val]
-	if set == nil {
-		set = quorum.NewSet()
-		m[val] = set
-	}
-	return set
 }
 
 // Node wraps a single-instance Engine as a types.Machine: node Sender

@@ -379,9 +379,7 @@ func buildAdversary(p *plan) sim.Adversary {
 		case FaultSuppressProposals:
 			advs = append(advs, suppressProposals{below: types.View(f.BelowView)})
 		case FaultPartition:
-			advs = append(advs, &sim.Partition{
-				Groups: f.Groups, From: types.Time(f.From), To: types.Time(f.To),
-			})
+			advs = append(advs, partitionOf(f))
 		}
 	}
 	switch len(advs) {
@@ -391,6 +389,11 @@ func buildAdversary(p *plan) sim.Adversary {
 		return advs[0]
 	}
 	return chainAdversary(advs)
+}
+
+// partitionOf is the simulator's partition for a partition fault.
+func partitionOf(f FaultSpec) *sim.Partition {
+	return &sim.Partition{Groups: f.Groups, From: types.Time(f.From), To: types.Time(f.To)}
 }
 
 // chainAdversary applies adversaries in schedule order: the first Drop

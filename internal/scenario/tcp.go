@@ -14,6 +14,7 @@ import (
 	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
 	"tetrabft/internal/shard"
+	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
 	"tetrabft/internal/transport"
 	"tetrabft/internal/types"
@@ -211,6 +212,10 @@ func (cl *tcpCluster) replica(id types.NodeID) *tcpReplica {
 	return nil
 }
 
+// newRuntime is transport.New, a variable so tests can see every runtime a
+// run makes.
+var newRuntime = transport.New
+
 // start opens rep's WAL and builds a runtime for it, restoring the node
 // from the WAL's snapshot if there is one (none at launch or after a
 // wipe). A relaunch rebinds rep's address, so peers' reconnect loops find
@@ -246,7 +251,7 @@ func (cl *tcpCluster) start(rep *tcpReplica) (incarnation, error) {
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	rt, err := transport.New(node, transport.Config{
+	rt, err := newRuntime(node, transport.Config{
 		ListenAddr: listen,
 		Chaos:      cl.run.chaos,
 		Metrics:    cl.run.reg,
@@ -620,42 +625,28 @@ func buildChaos(p *plan) *transport.Chaos {
 	return ch
 }
 
-// buildPartitionFn compiles the partition faults into one link predicate,
-// mirroring sim.Partition: cross-group frames drop during [From, To)
-// (To = 0 never heals); unlisted nodes are unaffected.
+// buildPartitionFn compiles the partition faults into one link predicate
+// over the simulator's own rule, sim.Partition, at now = elapsed / Tick:
+// exact for the [From, To) bounds, which are whole ticks.
 func buildPartitionFn(netwk []FaultSpec) func(from, to types.NodeID, elapsed time.Duration) bool {
-	type window struct {
-		group      map[types.NodeID]int
-		start, end time.Duration // end 0 = never heals
-	}
-	var windows []window
+	var parts []*sim.Partition
 	for _, f := range netwk {
-		if f.Type != FaultPartition {
-			continue
+		if f.Type == FaultPartition {
+			p := partitionOf(f)
+			// One policy serves every replica's event loop, so the group map
+			// Intercept builds on its first call inside [From, To) is built
+			// here, before they share it.
+			p.Intercept(0, 0, nil, p.From)
+			parts = append(parts, p)
 		}
-		w := window{
-			group: make(map[types.NodeID]int),
-			start: time.Duration(f.From) * transport.Tick,
-			end:   time.Duration(f.To) * transport.Tick,
-		}
-		for i, g := range f.Groups {
-			for _, n := range g {
-				w.group[n] = i
-			}
-		}
-		windows = append(windows, w)
 	}
-	if len(windows) == 0 {
+	if len(parts) == 0 {
 		return nil
 	}
 	return func(from, to types.NodeID, elapsed time.Duration) bool {
-		for _, w := range windows {
-			if elapsed < w.start || (w.end != 0 && elapsed >= w.end) {
-				continue
-			}
-			gf, okf := w.group[from]
-			gt, okt := w.group[to]
-			if okf && okt && gf != gt {
+		now := types.Time(elapsed / transport.Tick)
+		for _, p := range parts {
+			if p.Intercept(from, to, nil, now).Drop {
 				return true
 			}
 		}

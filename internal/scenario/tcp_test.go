@@ -7,23 +7,46 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"tetrabft/internal/transport"
 	"tetrabft/internal/types"
 )
 
-// noLeaks fails t unless the goroutine count, once t has finished, falls
-// back within 2 s to what it was when noLeaks was called. Idle HTTP
-// keep-alive connections are closed first: they belong to the test's
-// client, not to the run.
+// noLeaks fails t unless, once t has finished, the goroutine count falls
+// back within 2 s to what it was when noLeaks was called, and every replica
+// runtime t made holds no pending timer. Idle HTTP keep-alive connections
+// are closed first: they belong to the test's client, not to the run.
 func noLeaks(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
+	var mu sync.Mutex
+	var made []*transport.Runtime
+	orig := newRuntime
+	newRuntime = func(m types.Machine, cfg transport.Config) (*transport.Runtime, error) {
+		rt, err := orig(m, cfg)
+		if err == nil {
+			mu.Lock()
+			made = append(made, rt)
+			mu.Unlock()
+		}
+		return rt, err
+	}
 	t.Cleanup(func() {
+		newRuntime = orig
 		http.DefaultClient.CloseIdleConnections()
 		if err := goroutinesBack(before, 2*time.Second); err != nil {
 			t.Error(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i, rt := range made {
+			if n := rt.ActiveTimers(); n != 0 {
+				t.Errorf("runtime %d of %d (%s) holds %d pending timers after the run", i+1, len(made), rt.Addr(), n)
+			}
 		}
 	})
 }
@@ -282,6 +305,51 @@ func TestTCPPartitionHeals(t *testing.T) {
 	}
 	if res.FinishedAt < 250 {
 		t.Errorf("run finished at %dms, inside the 300ms partition window — the partition did not bite", res.FinishedAt)
+	}
+}
+
+// TestTCPPartitionBounds: the TCP link predicate drops a cross-group frame
+// exactly while elapsed wall-clock time is in [From, To) ticks of some
+// partition fault (To = 0 never heals), to the nanosecond at each bound,
+// and never drops a frame within a group or to an unlisted node.
+func TestTCPPartitionBounds(t *testing.T) {
+	faults := []FaultSpec{
+		{Type: FaultPartition, Groups: [][]types.NodeID{{0, 1}, {2, 3}}, From: 5, To: 9},
+		{Type: FaultPartition, Groups: [][]types.NodeID{{0}, {1, 2}}, From: 20},
+		{Type: FaultCrashRestart, Node: 3, From: 1, To: 2},
+	}
+	dropped := buildPartitionFn(faults)
+	split := func(f FaultSpec, a, b types.NodeID) bool {
+		side := func(n types.NodeID) int {
+			for i, g := range f.Groups {
+				if slices.Contains(g, n) {
+					return i
+				}
+			}
+			return -1
+		}
+		return side(a) >= 0 && side(b) >= 0 && side(a) != side(b)
+	}
+	for tick := time.Duration(1); tick <= 25; tick++ {
+		for _, elapsed := range []time.Duration{tick*transport.Tick - 1, tick * transport.Tick, tick*transport.Tick + transport.Tick/2} {
+			for from := types.NodeID(0); from < 5; from++ {
+				for to := types.NodeID(0); to < 5; to++ {
+					want := false
+					for _, f := range faults[:2] {
+						start, end := time.Duration(f.From)*transport.Tick, time.Duration(f.To)*transport.Tick
+						if elapsed >= start && (end == 0 || elapsed < end) && split(f, from, to) {
+							want = true
+						}
+					}
+					if got := dropped(from, to, elapsed); got != want {
+						t.Errorf("%d→%d at %v: dropped %v, want %v", from, to, elapsed, got, want)
+					}
+				}
+			}
+		}
+	}
+	if buildPartitionFn(faults[2:]) != nil {
+		t.Error("a spec without partition faults built a link predicate")
 	}
 }
 

@@ -193,7 +193,7 @@ func (m MSPropose) BlockID() BlockID {
 // BlockValue returns BlockID() and its value string: the sealed string
 // while m carries the block NewMSPropose hashed, so that every receiver of
 // one sent message shares one string, and a fresh conversion otherwise.
-func (m MSPropose) BlockValue() (BlockID, Value) {
+func (m *MSPropose) BlockValue() (BlockID, Value) {
 	if m.sealed() {
 		return m.seal.id, m.seal.val
 	}

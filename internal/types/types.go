@@ -189,8 +189,11 @@ type Env interface {
 	// the paper's quorum counting).
 	Broadcast(msg Message)
 	// SetTimer schedules a Tick(id) after d. Timers are one-shot and are
-	// never cancelled; cores ignore stale fires. Re-arming the same id for
-	// the same instant coalesces into one fire.
+	// never cancelled; cores ignore stale fires. What a re-arm does depends
+	// on the engine: the simulator coalesces a re-arm of the same id for the
+	// same instant into one fire, while the TCP runtime fires every arm,
+	// and each arm stays a pending timer until it fires or the runtime
+	// closes.
 	SetTimer(id TimerID, d Duration)
 	// Decide reports a decision for a slot (slot 0 for single-shot).
 	Decide(slot Slot, val Value)

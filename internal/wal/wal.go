@@ -14,6 +14,7 @@
 package wal
 
 import (
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,69 +29,39 @@ import (
 // ErrCorrupt marks a snapshot whose checksum or encoding failed validation.
 var ErrCorrupt = errors.New("wal: corrupt snapshot")
 
-// WAL stores one single-shot node's durable state in a directory.
-type WAL struct {
+// Store keeps one node's durable state S in a directory: each Persist
+// atomically replaces the one snapshot, so the footprint stays constant
+// however long the node runs. P is *S, through which Load decodes.
+type Store[S encoding.BinaryMarshaler, P decoder[S]] struct {
 	path string
 }
 
-var _ core.Persister = (*WAL)(nil)
-
-// Open creates (or reuses) the durable store rooted at dir.
-func Open(dir string) (*WAL, error) {
-	path, err := open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &WAL{path: path}, nil
+type decoder[S any] interface {
+	*S
+	encoding.BinaryUnmarshaler
 }
 
-// Persist implements core.Persister: atomically replace the snapshot.
-func (w *WAL) Persist(state core.PersistentState) error {
-	data, err := state.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("wal: encode: %w", err)
-	}
-	return writeSnapshot(w.path, data)
-}
-
-// Load reads the last persisted state. The boolean reports whether a
-// snapshot existed.
-func (w *WAL) Load() (core.PersistentState, bool, error) {
-	var state core.PersistentState
-	data, found, err := readSnapshot(w.path)
-	if err != nil || !found {
-		return state, false, err
-	}
-	if err := state.UnmarshalBinary(data); err != nil {
-		return state, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return state, true, nil
-}
-
-// Size returns the on-disk footprint in bytes (0 if nothing persisted).
-func (w *WAL) Size() (int64, error) { return size(w.path) }
+// WAL stores one single-shot node's durable state.
+type WAL = Store[core.PersistentState, *core.PersistentState]
 
 // MultiWAL stores one multi-shot node's durable state: the finalized
-// watermark plus the ≤5-slot in-flight pipeline window. Like WAL, each
-// Persist atomically replaces the snapshot, so the footprint stays constant
-// no matter how long the finalized chain grows.
-type MultiWAL struct {
-	path string
-}
+// watermark plus the ≤5-slot in-flight pipeline window.
+type MultiWAL = Store[multishot.PersistentState, *multishot.PersistentState]
 
-var _ multishot.Persister = (*MultiWAL)(nil)
+var (
+	_ core.Persister      = (*WAL)(nil)
+	_ multishot.Persister = (*MultiWAL)(nil)
+)
+
+// Open creates (or reuses) a single-shot durable store rooted at dir.
+func Open(dir string) (*WAL, error) { return open[core.PersistentState](dir) }
 
 // OpenMulti creates (or reuses) a multi-shot durable store rooted at dir.
-func OpenMulti(dir string) (*MultiWAL, error) {
-	path, err := open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiWAL{path: path}, nil
-}
+func OpenMulti(dir string) (*MultiWAL, error) { return open[multishot.PersistentState](dir) }
 
-// Persist implements multishot.Persister.
-func (w *MultiWAL) Persist(state multishot.PersistentState) error {
+// Persist implements core.Persister and multishot.Persister: atomically
+// replace the snapshot.
+func (w *Store[S, P]) Persist(state S) error {
 	data, err := state.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("wal: encode: %w", err)
@@ -100,29 +71,38 @@ func (w *MultiWAL) Persist(state multishot.PersistentState) error {
 
 // Load reads the last persisted state. The boolean reports whether a
 // snapshot existed.
-func (w *MultiWAL) Load() (multishot.PersistentState, bool, error) {
-	var state multishot.PersistentState
+func (w *Store[S, P]) Load() (S, bool, error) {
+	var state S
 	data, found, err := readSnapshot(w.path)
 	if err != nil || !found {
 		return state, false, err
 	}
-	if err := state.UnmarshalBinary(data); err != nil {
+	if err := P(&state).UnmarshalBinary(data); err != nil {
 		return state, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return state, true, nil
 }
 
 // Size returns the on-disk footprint in bytes (0 if nothing persisted).
-func (w *MultiWAL) Size() (int64, error) { return size(w.path) }
+func (w *Store[S, P]) Size() (int64, error) {
+	info, err := os.Stat(w.path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: stat: %w", err)
+	}
+	return info.Size(), nil
+}
 
-func open(dir string) (string, error) {
+func open[S encoding.BinaryMarshaler, P decoder[S]](dir string) (*Store[S, P], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("wal: open: %w", err)
+		return nil, fmt.Errorf("wal: open: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
-		return "", fmt.Errorf("wal: sync dir: %w", err)
+		return nil, fmt.Errorf("wal: sync dir: %w", err)
 	}
-	return filepath.Join(dir, "state.bin"), nil
+	return &Store[S, P]{path: filepath.Join(dir, "state.bin")}, nil
 }
 
 // syncDir makes dir's entries durable: a rename is only on disk once its
@@ -196,15 +176,4 @@ func readSnapshot(path string) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
 	}
 	return data, true, nil
-}
-
-func size(path string) (int64, error) {
-	info, err := os.Stat(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: stat: %w", err)
-	}
-	return info.Size(), nil
 }
