@@ -4,8 +4,15 @@
 // message delays and no optimistic responsiveness. The paper characterizes
 // it by exactly those observables (6/6 delays, non-responsive, unbounded
 // storage); this reproduction implements the two-RBC good-case pipeline in
-// the homogeneous model (the original is stated for heterogeneous quorum
-// systems — see DESIGN.md for the substitution note).
+// the homogeneous model.
+//
+// The substitution: the original is stated for heterogeneous quorum
+// systems, where each node names its own quorums. Here every node uses the
+// same threshold system over n = 3f+1 nodes (quorum.Threshold: any n−f
+// nodes are a quorum, any f+1 a blocking set). That is the heterogeneous
+// model's special case in which all nodes' quorums coincide, so the three
+// observables above are unchanged; what the reproduction cannot show is
+// behaviour that depends on nodes disagreeing about their quorums.
 package liconsensus
 
 import (

@@ -122,14 +122,14 @@ func TestOneValueStringPerBlock(t *testing.T) {
 	for s := n.FinalizedSlot() + 1; s <= maxSlot; s++ {
 		st := n.peekSlot(s)
 		vr := st.recIf(0)
-		if vr == nil || !vr.hasProposal {
+		if vr == nil || vr.prop == nil {
 			t.Fatalf("slot %d holds no view-0 proposal", s)
 		}
 		for phase, v := range []types.VoteRef{st.votes.Vote1, st.votes.Vote2, st.votes.Vote3, st.votes.Vote4} {
 			if !v.Valid {
 				continue
 			}
-			if v.Val != vr.value || unsafe.StringData(string(v.Val)) != unsafe.StringData(string(vr.value)) {
+			if v.Val != vr.prop.value || unsafe.StringData(string(v.Val)) != unsafe.StringData(string(vr.prop.value)) {
 				t.Errorf("slot %d vote-%d does not share the proposal's value string", s, phase+1)
 			}
 			checked++

@@ -107,9 +107,12 @@ func TestSparseMemberIDs(t *testing.T) {
 	}
 	counts := func() (votes, vcs int) {
 		st := n.peekSlot(1)
-		if vr := st.recIf(0); vr != nil {
-			for _, tl := range vr.tallies {
-				votes += tl.votes.Count()
+		for _, b := range st.blocks {
+			if b.voted {
+				votes += n.votesOf(b, b.view0).Count()
+			}
+			for _, tl := range b.votes {
+				votes += tl.bits.Count()
 			}
 		}
 		if vr := st.recIf(1); vr != nil {
@@ -180,10 +183,11 @@ func TestNonMembersLeaveNoState(t *testing.T) {
 	}
 }
 
-// TestNotarizedParentCache: childNotarizedOf reads a notarized record's
-// parent from its body once and answers from the record afterwards, even
-// when the body has left the slot. A record whose body is unknown is
-// skipped, not taken for the end of the scan.
+// TestNotarizedParentCache: a body's entry links to its parent's entry once
+// both are known, whichever arrives second, and childNotarizedOf answers from
+// that handle. A notarized entry whose body is unknown is skipped, not taken
+// for the end of the scan; releasing the parent's slot drops the handles
+// into it.
 func TestNotarizedParentCache(t *testing.T) {
 	n, err := NewNode(Config{ID: 0, Nodes: 4})
 	if err != nil {
@@ -193,23 +197,31 @@ func TestNotarizedParentCache(t *testing.T) {
 	b2 := types.Block{Slot: 2, Parent: b1.ID(), Payload: []byte("b2")}
 	unseen := types.Block{Slot: 2, Parent: b1.ID(), Payload: []byte("b2'")}
 	for i := 0; unseen.ID().Value() > b2.ID().Value(); i++ {
-		unseen.Payload = append(unseen.Payload, byte(i)) // the unseen record must be scanned first
+		unseen.Payload = append(unseen.Payload, byte(i)) // the unseen entry must be scanned first
 	}
-	st := n.slot(2)
-	st.noteNotarized(b2.ID(), 0)
-	st.noteNotarized(unseen.ID(), 0)
-	if _, ok := n.childNotarizedOf(2, b1.ID()); ok {
-		t.Fatal("found a child whose body never arrived")
+	st2 := n.slot(2)
+	for _, id := range []types.BlockID{b2.ID(), unseen.ID()} {
+		n.entry(st2, id).notarized = true
 	}
-	n.keepBody(2, b2.ID(), b2)
-	if id, ok := n.childNotarizedOf(2, b1.ID()); !ok || id != b2.ID() {
-		t.Fatal("child not found once its body arrived")
+	n.keepBody(b2.ID(), "", &b2) // the child's body first: slot 1 holds nothing yet
+	e1 := n.entry(n.slot(1), b1.ID())
+	if got := n.childNotarizedOf(2, e1); got == nil || got.id != b2.ID() {
+		t.Fatal("child not found once its parent's entry arrived")
 	}
-	st.bodies = st.bodies[:0]
-	if id, ok := n.childNotarizedOf(2, b1.ID()); !ok || id != b2.ID() {
-		t.Fatal("cached parent not used")
-	}
-	if _, ok := n.childNotarizedOf(2, b2.ID()); ok {
+	if other := n.entry(n.slot(1), types.Block{Slot: 1, Payload: []byte("b1'")}.ID()); n.childNotarizedOf(2, other) != nil {
 		t.Fatal("matched a parent the block does not name")
+	}
+	if st2.lookup(unseen.ID()).parent != nil {
+		t.Fatal("an entry without a body has a parent")
+	}
+	b3 := types.Block{Slot: 3, Parent: b2.ID(), Payload: []byte("b3")}
+	n.keepBody(b3.ID(), "", &b3) // the parent's entry first
+	if e2 := st2.lookup(b2.ID()); n.childNotarizedOf(3, e2) != nil || n.slot(3).lookup(b3.ID()).parent != e2 {
+		t.Fatal("a body arriving after its parent's entry was not linked to it, or an unnotarized child was found")
+	}
+	n.finalized = 1
+	n.releaseSlot(1)
+	if st2.lookup(b2.ID()).parent != nil {
+		t.Fatal("releasing slot 1 left a handle into it")
 	}
 }

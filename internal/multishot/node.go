@@ -13,16 +13,17 @@
 // suggest/proof messages and Rules 1/3 (Figure 3, Algorithms 2-3).
 //
 // Storage layout: the per-slot consensus state lives in a fixed-size ring
-// of slot records indexed by slot number modulo the window, not in a
-// map-of-maps. Vote tallies are dense bitsets over member indices, view
-// records are small flat structs found by linear scan (a slot sees one or
-// two views in practice), and finalized slots recycle their records through
-// free lists — the steady-state deliver path allocates nothing.
+// of slot records indexed by slot number modulo the window. Each slot keeps
+// a small table of the blocks named there, whose entries the node walks
+// once a message's block ID has been looked up. Vote tallies are dense
+// bitsets over member indices, view records are found by linear scan, and
+// finalized slots recycle their records through free lists — the
+// steady-state deliver path allocates nothing.
 package multishot
 
 import (
 	"bytes"
-	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -82,41 +83,42 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// tally counts the votes one block gathered in one (slot, view).
-type tally struct {
-	block types.BlockID
-	votes quorum.Bits
+// blockRec is one entry of a slot's block table: a block some proposal,
+// vote or finality claim named at the slot, maybe before its body arrived.
+// parent is the entry of its parent at slot − 1, set once both are known
+// (keepBody or entry links them, whichever comes second) and dropped when
+// slot − 1 finalizes; it cannot go stale, as an ID hashes the whole block.
+// The fields a vote reads share a cache line (see votesOf).
+type blockRec struct {
+	id        types.BlockID
+	view0     types.View // the first view it got votes in, once voted
+	words     [2]uint64  // its voters in view0, up to 128 members
+	voted     bool
+	notarized bool
+	hasBody   bool
+
+	votes   []viewVotes // its voters in other views
+	notView types.View  // the view it first reached a quorum in
+	parent  *blockRec
+	value   types.Value // id's value string, made once (see valueOf)
+	body    types.Block
 }
 
-// notRec is one notarized block at a slot, tagged with the view it first
-// reached a quorum in. The per-slot list is kept sorted by block ID bytes
-// so every "pick some notarized block" site enumerates deterministically
-// (Go map iteration is randomized; see the note on slotState.notarized).
-//
-// parent caches the block's parent ID once childNotarizedOf has found the
-// body (hasParent), so the 4-chain scans of tryFinalize stop searching the
-// slot's bodies. It cannot go stale: an ID is the hash of the whole block,
-// parent included, so every body with this ID names this parent. A record
-// whose body has not arrived is looked up again next scan.
-type notRec struct {
-	id        types.BlockID
-	view      types.View
-	parent    types.BlockID
-	hasParent bool
+// viewVotes holds the votes one block gathered in one view.
+type viewVotes struct {
+	view types.View
+	bits quorum.Bits
 }
 
 // viewRec is the consensus state of one (slot, view): the flat replacement
 // for the per-view inner maps. A slot sees view 0 plus at most a few
-// recovery views, so records are found by linear scan and recycled through
-// the node's free list when the slot finalizes.
+// recovery views, so records are found by linear scan; the first lives in
+// the slot's record, and the others are dropped when the slot finalizes.
 type viewRec struct {
-	view        types.View
-	proposed    bool // this node (as leader) proposed in this view
-	sentVote    bool
-	hasProposal bool
-	proposal    types.Block
-	proposalID  types.BlockID // the arriving MSPropose's BlockID(): its leader's hash when sealed
-	value       types.Value   // proposalID.Value(): its leader's string when sealed (see valueOf)
+	view     types.View
+	proposed bool      // this node (as leader) proposed in this view
+	sentVote bool      // this node voted in this view
+	prop     *blockRec // the view's first proposal (nil = none yet)
 
 	// suggests and proofs stay as lazily allocated maps: they are only
 	// populated on the view-change path, and core.LeaderSafeValue /
@@ -125,39 +127,39 @@ type viewRec struct {
 	proofs   map[types.NodeID]types.ProofMsg
 
 	vcVotes quorum.Bits // view-change senders, lazily sized to the membership
-	tallies []tally     // per-block vote tallies, backing array recycled
 }
 
 // slotState is the per-slot consensus state. Only the in-flight window is
 // ever live; finalized slots move their block to the node's chain cache and
 // return their record to the free list.
 //
-// A slot stores the bodies of its blocks: proposals in their view records,
-// and in bodies those seen outside a proposal (a leader's own block before
-// its self-delivery, a block claimed final). Every lookup knows its slot (a
-// parent is at slot − 1), so bodies leave with the slot (see bodyAt).
-//
-// notarized is kept sorted by block ID bytes: chainAt, childNotarizedOf and
-// someNotarized all enumerate it in order, which preserves the fixed
-// iteration order the map-based implementation got from sorting its keys
-// (observable as a flaky TestBlockEquivocatingLeader otherwise: with an
-// equivocating leader several notarized blocks coexist at a slot and the
-// picked one steers the run).
+// blocks, the slot's block table, is kept sorted by ID bytes: chainHead,
+// childNotarizedOf and someNotarized enumerate its notarized entries in
+// that order, the fixed order the map-based implementation got from sorting
+// its keys (with an equivocating leader several notarized blocks coexist at
+// a slot and the picked one steers the run: TestBlockEquivocatingLeader).
+// A good-case slot is one object: it holds its first entry and view record
+// itself, and the fields a delivery reads come first.
 type slotState struct {
 	slot      types.Slot
-	started   bool
 	view      types.View
-	votes     core.VoteState // implicit vote-1..4 history for this slot
+	cur       *viewRec // the record of view, once made
+	blocks    []*blockRec
+	tab       [2]*blockRec
+	entry0    blockRec
+	started   bool
 	highestVC types.View
 	deadline  types.Time // when this slot's 9Δ view timer expires (see Tick)
-
 	views     []*viewRec
-	notarized []notRec
-	bodies    []blockEnt
+	rec0      viewRec
+	votes     core.VoteState // implicit vote-1..4 history for this slot
 }
 
 // recIf returns the slot's record for view v, or nil.
 func (st *slotState) recIf(v types.View) *viewRec {
+	if st.cur != nil && st.cur.view == v {
+		return st.cur
+	}
 	for _, vr := range st.views {
 		if vr.view == v {
 			return vr
@@ -166,41 +168,82 @@ func (st *slotState) recIf(v types.View) *viewRec {
 	return nil
 }
 
-// isNotarized reports whether id is notarized at this slot.
-func (st *slotState) isNotarized(id types.BlockID) bool {
-	for i := range st.notarized {
-		if st.notarized[i].id == id {
-			return true
+// lookup returns the slot's entry for id, or nil: once per message that
+// names a block, and once per body, for its parent's entry.
+func (st *slotState) lookup(id types.BlockID) *blockRec {
+	if looked != nil {
+		looked(id)
+	}
+	for _, b := range st.blocks {
+		if sameID(&b.id, &id) {
+			return b
 		}
 	}
-	return false
+	return nil
 }
 
-// noteNotarized inserts id keeping the list sorted by ID bytes.
-func (st *slotState) noteNotarized(id types.BlockID, v types.View) {
-	i := 0
-	for i < len(st.notarized) && bytes.Compare(st.notarized[i].id[:], id[:]) < 0 {
-		i++
-	}
-	st.notarized = slices.Insert(st.notarized, i, notRec{id: id, view: v})
+// sameID is a == b in four word compares: == on the arrays calls memequal.
+func sameID(a, b *types.BlockID) bool {
+	le := binary.LittleEndian
+	return le.Uint64(a[:]) == le.Uint64(b[:]) && le.Uint64(a[8:]) == le.Uint64(b[8:]) &&
+		le.Uint64(a[16:]) == le.Uint64(b[16:]) && le.Uint64(a[24:]) == le.Uint64(b[24:])
 }
 
-// Node is a multi-shot TetraBFT node; it implements types.Machine.
+// looked, when set, is called by every lookup. It is nil outside tests.
+var looked func(types.BlockID)
+
+// Node is a multi-shot TetraBFT node; it implements types.Machine. The
+// fields every delivery reads come first.
 type Node struct {
-	cfg     Config
-	qs      quorum.System
-	members []types.NodeID
+	// out buffers the sends of the current turn in call order, and dirty
+	// records that durable state changed since the last successful write;
+	// endTurn writes once and then releases them (see turn.go). durable is
+	// the length of the prefix of out that a write already covers: zero
+	// between turns, and only ever consulted when an Env hands a released
+	// broadcast straight back to Deliver. outBuf backs out for the usual
+	// vote-plus-proposal turn, so a fresh node allocates nothing for it. late
+	// lists the fresh proposals among out whose bodies the release still has
+	// to draw (see turn.go); a turn rarely decides on more than one, which
+	// lateBuf holds.
+	out     []outMsg
+	durable int
+	dirty   bool
+	// halted is set when a Persist fails: a node that cannot write ahead
+	// must stop participating (see core.Persister).
+	halted bool
+	// restored marks a node rebuilt by Restore: Start rejoins instead of
+	// beginning slot 1.
+	restored bool
+	// thrQuorum/thrBlocking cache the threshold cardinalities so the hot
+	// path answers quorum questions with a popcount; isThr is false for
+	// heterogeneous systems (Slices), which fall back to materialized Sets.
+	isThr       bool
+	thrQuorum   int
+	thrBlocking int
+	words       int // a vote bitset's length in words
+
+	finalized types.Slot // highest finalized slot
+	maxSlot   types.Slot // highest started slot
+	// notarizedTop is the highest slot ever notarized (see chainStart).
+	notarizedTop types.Slot
 	// memberIdx maps identities to dense indices for the bitset tallies.
 	// Deliver drops non-members (forged senders) before any handler runs,
 	// so they neither move a tally nor leave an entry behind.
 	memberIdx memberIndex
-	// thrQuorum/thrBlocking cache the threshold cardinalities so the hot
-	// path answers quorum questions with a popcount; isThr is false for
-	// heterogeneous systems (Slices), which fall back to materialized Sets.
-	thrQuorum   int
-	thrBlocking int
-	isThr       bool
-	window      types.Slot // pipeline depth, ≥1
+
+	// Pre-resolved metric instruments (nil and free when Config.Metrics
+	// is nil).
+	mDeliver     *obs.Counter
+	mProposals   *obs.Counter
+	mVotes       *obs.Counter
+	mNotarized   *obs.Counter
+	mFinalized   *obs.Counter
+	mViewChanges *obs.Counter
+
+	cfg     Config
+	qs      quorum.System
+	members []types.NodeID
+	window  types.Slot // pipeline depth, ≥1
 
 	// ring holds the in-flight slot records, indexed by slot % len(ring).
 	// Live slots span at most the catch-up window, which is smaller than
@@ -210,11 +253,6 @@ type Node struct {
 	// can sit far above its reset finalized watermark).
 	ring  [slotRingLen]*slotState
 	extra map[types.Slot]*slotState
-
-	maxSlot   types.Slot // highest started slot
-	finalized types.Slot // highest finalized slot
-	// notarizedTop is the highest slot ever notarized (see highestChainStart).
-	notarizedTop types.Slot
 
 	// chain/chainIDs cache the finalized prefix incrementally: slot i+1 at
 	// index i. FinalizedChain returns chain without copying and the
@@ -232,49 +270,19 @@ type Node struct {
 	// pending); restartDeadline says why one timer serves every slot.
 	wakeAt types.Time
 
-	// freeSlots/freeViews recycle finalized slots' records so the pipeline
-	// reaches a steady state with no per-slot allocation.
+	// freeSlots recycles finalized slots' records so the pipeline reaches a
+	// steady state with no per-slot allocation.
 	freeSlots []*slotState
-	freeViews []*viewRec
 
-	// out buffers the sends of the current turn in call order, and dirty
-	// records that durable state changed since the last successful write;
-	// endTurn writes once and then releases them (see turn.go). durable is
-	// the length of the prefix of out that a write already covers: zero
-	// between turns, and only ever consulted when an Env hands a released
-	// broadcast straight back to Deliver. outBuf backs out for the usual
-	// vote-plus-proposal turn, so a fresh node allocates nothing for it. late
-	// lists the fresh proposals among out whose bodies the release still has
-	// to draw (see turn.go); a turn rarely decides on more than one, which
-	// lateBuf holds.
-	out     []outMsg
 	outBuf  [4]outMsg
 	late    []lateProposal
 	lateBuf [1]lateProposal
-	durable int
-	dirty   bool
 	// persistSlots is the scratch the per-turn write fills in place of a
 	// fresh Slots slice (Snapshot keeps returning an independent copy).
 	persistSlots []SlotPersist
 	// path is finalizePrefix's scratch for the ancestry it walks; it is
-	// cleared after every call, so it pins no block bodies.
-	path []blockEnt
-
-	// halted is set when a Persist fails: a node that cannot write ahead
-	// must stop participating (see core.Persister).
-	halted bool
-	// restored marks a node rebuilt by Restore: Start rejoins instead of
-	// beginning slot 1.
-	restored bool
-
-	// Pre-resolved metric instruments (nil and free when Config.Metrics
-	// is nil).
-	mDeliver     *obs.Counter
-	mProposals   *obs.Counter
-	mVotes       *obs.Counter
-	mNotarized   *obs.Counter
-	mFinalized   *obs.Counter
-	mViewChanges *obs.Counter
+	// cleared after every call, so it pins no block entry.
+	path []*blockRec
 }
 
 // catchupWindow bounds how far ahead of the local finalized head messages
@@ -337,6 +345,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.chain = make([]types.Block, 0, reserve)
 		n.chainIDs = make([]types.BlockID, 0, reserve)
 	}
+	n.words = (len(members) + 63) / 64
 	n.out = n.outBuf[:0]
 	n.late = n.lateBuf[:0]
 	if t, ok := cfg.Quorum.(quorum.Threshold); ok {
@@ -445,10 +454,10 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 		return // a forged identity moves nothing and leaves no state behind
 	}
 	switch m := msg.(type) {
+	case types.MSVote: // most messages are votes
+		n.onVote(env, idx, m)
 	case types.MSPropose:
 		n.onPropose(env, from, &m)
-	case types.MSVote:
-		n.onVote(env, idx, m)
 	case types.MSViewChange:
 		n.onViewChange(env, from, idx, m)
 	case types.MSSuggest:
@@ -541,16 +550,15 @@ func (n *Node) onPropose(env types.Env, from types.NodeID, m *types.MSPropose) {
 		return
 	}
 	vr := n.rec(st, m.View)
-	if vr.hasProposal {
+	if vr.prop != nil {
 		return // first proposal per (slot, view) wins
 	}
-	vr.hasProposal = true
-	vr.proposal = m.Block
-	vr.proposalID, vr.value = m.BlockValue()
+	id, val := m.BlockValue()
+	vr.prop = n.keepBody(id, val, &m.Block)
 	// Receiving the proposal for slot s starts slot s+1 (Section 6.2).
 	n.startSlot(env, s)
 	n.startSlot(env, s+1)
-	n.tryVote(env, s)
+	n.tryVote(env, st)
 	// The pipeline leader of s+1 proposes on top of this block.
 	n.tryPropose(env, s+1)
 }
@@ -560,16 +568,17 @@ func (n *Node) onVote(env types.Env, idx int, m types.MSVote) {
 	if m.Slot < 1 || m.Slot <= n.finalized || m.Slot > n.finalized+catchupWindow {
 		return
 	}
-	st := n.slot(m.Slot)
-	vr := n.rec(st, m.View)
-	set := n.tallyOf(vr, m.Block)
+	b := n.entry(n.slot(m.Slot), m.Block)
+	set := n.votesOf(b, m.View)
 	set.Add(idx)
-	if !st.isNotarized(m.Block) && n.bitsQuorum(set) {
-		st.noteNotarized(m.Block, m.View)
+	if !b.notarized && n.bitsQuorum(set) {
+		b.notarized, b.notView = true, m.View
 		n.notarizedTop = max(n.notarizedTop, m.Slot)
 		n.mNotarized.Inc()
 		n.emitB(env, "notarize", m.Slot, m.View, m.Block)
-		n.tryVote(env, m.Slot+1)    // child slot's parent condition may now hold
+		if child := n.peekSlot(m.Slot + 1); child != nil {
+			n.tryVote(env, child) // its parent condition may now hold
+		}
 		n.tryPropose(env, m.Slot+2) // pipeline leader two ahead may be unblocked
 		n.tryFinalize(env)
 	}
@@ -622,7 +631,7 @@ func (n *Node) applyViewChange(env types.Env, s types.Slot, v types.View) {
 		if st == nil || !st.started || st.view >= v {
 			continue
 		}
-		st.view = v
+		st.view, st.cur = v, st.recIf(v)
 		n.dirty = true
 		n.emit(env, "enter-view", k, v)
 		n.restartDeadline(env, st)
@@ -672,7 +681,7 @@ func (n *Node) onProof(env types.Env, from types.NodeID, m types.MSProof) {
 		return
 	}
 	vr.proofs[from] = types.ProofMsg{View: m.View, Vote1: m.Vote1, PrevVote1: m.PrevVote1, Vote4: m.Vote4}
-	n.tryVote(env, m.Slot)
+	n.tryVote(env, st)
 }
 
 // onFinal processes a finality claim. Claims are buffered per (slot,
@@ -691,7 +700,7 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 	}
 	id := m.Block.ID()
 	byNode[from] = id
-	n.keepBody(s, id, m.Block)
+	n.keepBody(id, "", &m.Block)
 	// Adopt sequentially from the finalized head.
 	before := n.finalized
 	for {
@@ -700,12 +709,15 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 		if !ok {
 			break
 		}
-		b, known := n.bodyAt(next, candidate)
-		if !known || b.Parent != n.finalHead() {
+		var b *blockRec
+		if st := n.peekSlot(next); st != nil {
+			b = st.lookup(candidate)
+		}
+		if b == nil || !b.hasBody || b.body.Parent != n.finalHead() {
 			break
 		}
 		n.emitB(env, "adopt-final", next, n.ViewOf(next), candidate)
-		n.chain = append(n.chain, b)
+		n.chain = append(n.chain, b.body)
 		n.chainIDs = append(n.chainIDs, candidate)
 		n.finalized = next
 		env.Decide(next, candidate.Value())
@@ -783,7 +795,7 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 	if vr.proposed {
 		return
 	}
-	parent, ok := n.parentFor(s, v)
+	parent, ok := n.parentFor(s)
 	if !ok {
 		return
 	}
@@ -802,11 +814,11 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 			if !idOK {
 				return // a forged suggest smuggled a non-block value; wait for honest quorum
 			}
-			body, known := n.bodyAt(s, id)
-			if !known {
+			b := st.lookup(id)
+			if b == nil || !b.hasBody {
 				return // cannot re-propose a block whose body we never saw
 			}
-			block = body
+			block = b.body
 		}
 	}
 	vr.proposed = true
@@ -826,7 +838,7 @@ func (n *Node) tryPropose(env types.Env, s types.Slot) {
 // slot's (possibly still unnotarized) proposal — that is the pipelining; the
 // grandparent chain must be notarized within the configured window beneath
 // it (Section 6.1 with Window=1).
-func (n *Node) parentFor(s types.Slot, v types.View) (types.BlockID, bool) {
+func (n *Node) parentFor(s types.Slot) (types.BlockID, bool) {
 	if s == 1 {
 		return types.ZeroBlockID, true
 	}
@@ -839,46 +851,40 @@ func (n *Node) parentFor(s types.Slot, v types.View) (types.BlockID, bool) {
 	}
 	// Prefer the previous slot's proposal in its current view, provided the
 	// ancestor chain is notarized within the pipeline window beneath it.
-	if vr := prev.recIf(prev.view); vr != nil && vr.hasProposal && n.pipelineAnchored(vr.proposal, n.window-1) {
-		return vr.proposalID, true
+	if vr := prev.cur; vr != nil && vr.prop != nil && n.pipelineAnchored(vr.prop, n.window-1) {
+		return vr.prop.id, true
 	}
 	// Otherwise any notarized block at s−1 can anchor a new proposal
 	// (view-change recovery path).
-	if id, ok := n.someNotarized(prev); ok {
-		return id, true
+	if b := someNotarized(prev); b != nil {
+		return b.id, true
 	}
 	return types.ZeroBlockID, false
 }
 
-// pipelineAnchored checks the pipeline precondition for building on block b:
-// b's ancestor chain reaches a notarized (or finalized) block within budget
-// optimistic hops, where each hop may ride an unnotarized current-view
-// proposal. budget 0 is exactly the paper's rule — b's direct parent must be
-// notarized.
-func (n *Node) pipelineAnchored(b types.Block, budget types.Slot) bool {
+// pipelineAnchored checks the pipeline precondition for building on b, a
+// proposal: its ancestor chain reaches a notarized (or finalized) block
+// within budget optimistic hops, where each hop may ride an unnotarized
+// current-view proposal. budget 0 is exactly the paper's rule — b's direct
+// parent must be notarized.
+func (n *Node) pipelineAnchored(b *blockRec, budget types.Slot) bool {
 	for {
-		if b.Slot <= 1 {
-			return b.Parent == types.ZeroBlockID
+		s := b.body.Slot
+		if s <= 1 {
+			return b.body.Parent == types.ZeroBlockID
 		}
-		if b.Slot-1 <= n.finalized {
-			return n.chainIDs[b.Slot-2] == b.Parent
+		if s-1 <= n.finalized {
+			return n.chainIDs[s-2] == b.body.Parent
 		}
-		prev := n.peekSlot(b.Slot - 1)
-		if prev == nil {
-			return false
+		p := b.parent // a notarized parent, or the proposal a hop rides, has an entry
+		if p == nil || p.notarized || budget <= 0 {
+			return p != nil && p.notarized
 		}
-		if prev.isNotarized(b.Parent) {
-			return true
-		}
-		if budget <= 0 {
-			return false
-		}
-		vr := prev.recIf(prev.view)
-		if vr == nil || !vr.hasProposal || vr.proposalID != b.Parent {
+		if vr := n.peekSlot(s - 1).cur; vr == nil || vr.prop != p {
 			return false
 		}
 		budget--
-		b = vr.proposal
+		b = p
 	}
 }
 
@@ -888,24 +894,23 @@ func compareIDs(a, b types.BlockID) int { return bytes.Compare(a[:], b[:]) }
 // someNotarized returns a deterministic notarized block at the slot, if
 // any: the first in ID byte order among those notarized in the highest view
 // (latest recovery).
-func (n *Node) someNotarized(st *slotState) (types.BlockID, bool) {
-	if len(st.notarized) == 0 {
-		return types.ZeroBlockID, false
+func someNotarized(st *slotState) *blockRec {
+	var best *blockRec
+	for _, b := range st.blocks {
+		if b.notarized && (best == nil || b.notView > best.notView) {
+			best = b
+		}
 	}
-	return slices.MaxFunc(st.notarized, func(a, b notRec) int { return cmp.Compare(a.view, b.view) }).id, true
+	return best
 }
 
-// tryVote broadcasts this node's vote for slot s's current proposal once
-// the Section 6.1 conditions hold: the parent is notarized, the block
-// extends it, and (past view 0) Rule 3 accepts the value.
-func (n *Node) tryVote(env types.Env, s types.Slot) {
-	st := n.peekSlot(s)
-	if st == nil {
-		return
-	}
+// tryVote broadcasts this node's vote for st's current proposal once the
+// Section 6.1 conditions hold: the parent is notarized, the block extends
+// it, and (past view 0) Rule 3 accepts the value.
+func (n *Node) tryVote(env types.Env, st *slotState) {
 	v := st.view
-	vr := st.recIf(v)
-	if vr == nil || vr.sentVote || !vr.hasProposal {
+	vr := st.cur
+	if vr == nil || vr.sentVote || vr.prop == nil {
 		return
 	}
 	// The durable vote history survives crashes where sentVote does not: a
@@ -915,87 +920,92 @@ func (n *Node) tryVote(env types.Env, s types.Slot) {
 	if st.votes.Vote1.Valid && st.votes.Vote1.View >= v {
 		return
 	}
-	if !n.pipelineAnchored(vr.proposal, 0) {
+	if !n.pipelineAnchored(vr.prop, 0) {
 		return
 	}
-	if v > 0 && !core.ProposalSafe(n.qs, n.cfg.ID, vr.proofs, v, vr.value) {
+	if v > 0 && !core.ProposalSafe(n.qs, n.cfg.ID, vr.proofs, v, valueOf(vr.prop)) {
 		return
 	}
 	vr.sentVote = true
-	n.recordImplicitVotes(s, v, vr.value, vr.proposal)
+	n.recordImplicitVotes(st, v, vr.prop)
 	n.dirty = true
 	n.mVotes.Inc()
-	n.emitB(env, "vote", s, v, vr.proposalID)
-	n.broadcast(types.MSVote{Slot: s, View: v, Block: vr.proposalID})
+	n.emitB(env, "vote", st.slot, v, vr.prop.id)
+	n.broadcast(types.MSVote{Slot: st.slot, View: v, Block: vr.prop.id})
 }
 
 // recordImplicitVotes updates the per-slot vote histories for the four
-// phases a single multi-shot vote represents (Section 6.3: "every vote
-// serves multiple purposes"). Phases landing on already-finalized slots are
-// skipped: their state is recycled and never persisted or consulted again.
-// val is b's value, converted when the proposal arrived.
-func (n *Node) recordImplicitVotes(s types.Slot, v types.View, val types.Value, b types.Block) {
-	n.slot(s).votes.Record(1, v, val)
-	cur := b
+// phases a single multi-shot vote for b at slot st represents (Section 6.3:
+// "every vote serves multiple purposes"), along b's parent handles. Phases
+// landing on already-finalized slots are skipped: their state is recycled
+// and never persisted or consulted again.
+func (n *Node) recordImplicitVotes(st *slotState, v types.View, b *blockRec) {
+	st.votes.Record(1, v, valueOf(b))
 	for phase := uint8(2); phase <= 4; phase++ {
-		prevSlot := s - types.Slot(phase) + 1
-		if prevSlot < 1 || prevSlot <= n.finalized || cur.Parent == types.ZeroBlockID {
+		prevSlot := st.slot - types.Slot(phase) + 1
+		if prevSlot < 1 || prevSlot <= n.finalized {
 			return
 		}
-		parent, known := n.bodyAt(prevSlot, cur.Parent)
-		if !known {
+		if b = b.parent; b == nil || !b.hasBody {
 			return // cannot attribute deeper phases without the body
 		}
-		n.slot(prevSlot).votes.Record(phase, v, n.valueOf(prevSlot, cur.Parent))
-		cur = parent
+		n.peekSlot(prevSlot).votes.Record(phase, v, valueOf(b))
 	}
 }
 
-// valueOf returns id's consensus value: the string slot s's record of id's
-// proposal holds, so a block converts its ID once per node and not once per
-// vote phase, or a fresh id.Value() when the slot holds no such proposal.
-func (n *Node) valueOf(s types.Slot, id types.BlockID) types.Value {
-	if vr := n.proposalAt(s, id); vr != nil {
-		return vr.value
+// valueOf returns b's consensus value: the string its proposal brought (a
+// sealed proposal's is its leader's, shared by every replica), or else the
+// ID converted once per entry and not once per vote phase.
+func valueOf(b *blockRec) types.Value {
+	if b.value == "" {
+		b.value = b.id.Value()
 	}
-	return id.Value()
+	return b.value
 }
 
-// proposalAt returns slot s's view record whose proposal is id, or nil.
-func (n *Node) proposalAt(s types.Slot, id types.BlockID) *viewRec {
-	if st := n.peekSlot(s); st != nil {
-		for _, vr := range st.views {
-			if vr.hasProposal && vr.proposalID == id {
-				return vr
+// entry returns the slot's entry for id, adding an ID-only one in ID order
+// if there is none. A new entry is the parent of the bodies at slot + 1
+// that name it.
+func (n *Node) entry(st *slotState, id types.BlockID) *blockRec {
+	if b := st.lookup(id); b != nil {
+		return b
+	}
+	b := &st.entry0
+	if len(st.blocks) > 0 {
+		b = new(blockRec)
+	}
+	b.id = id
+	i, _ := slices.BinarySearchFunc(st.blocks, id, func(e *blockRec, id types.BlockID) int { return compareIDs(e.id, id) })
+	st.blocks = slices.Insert(st.blocks, i, b)
+	if next := n.peekSlot(st.slot + 1); next != nil {
+		for _, c := range next.blocks {
+			if c.hasBody && c.parent == nil && c.body.Parent == id {
+				c.parent = b
 			}
 		}
 	}
-	return nil
+	return b
 }
 
-// bodyAt returns the body of block id if slot s holds it: as a view
-// record's proposal, or kept beside them.
-func (n *Node) bodyAt(s types.Slot, id types.BlockID) (types.Block, bool) {
-	if vr := n.proposalAt(s, id); vr != nil {
-		return vr.proposal, true
+// keepBody gives the entry for id at body's slot that body, once, and the
+// value string the caller has for it (a proposal's; "" = none), and links
+// the entry to its parent's at slot − 1 if that is known. A finalized slot
+// keeps nothing (nil): no lookup reads below the finalized head.
+func (n *Node) keepBody(id types.BlockID, val types.Value, body *types.Block) *blockRec {
+	if body.Slot <= n.finalized {
+		return nil
 	}
-	if st := n.peekSlot(s); st != nil {
-		for _, e := range st.bodies {
-			if e.id == id {
-				return e.body, true
-			}
+	b := n.entry(n.slot(body.Slot), id)
+	if b.value == "" {
+		b.value = val
+	}
+	if !b.hasBody {
+		b.body, b.hasBody = *body, true
+		if prev := n.peekSlot(body.Slot - 1); prev != nil {
+			b.parent = prev.lookup(body.Parent)
 		}
 	}
-	return types.Block{}, false
-}
-
-// keepBody keeps a body seen outside a proposal on its slot, once. A
-// finalized slot keeps nothing: no lookup reads below the finalized head.
-func (n *Node) keepBody(s types.Slot, id types.BlockID, b types.Block) {
-	if _, known := n.bodyAt(s, id); !known && s > n.finalized {
-		st := n.slot(s)
-		st.bodies = append(st.bodies, blockEnt{id: id, body: b})
-	}
+	return b
 }
 
 // tryFinalize finalizes the longest provable prefix: the first block of any
@@ -1003,128 +1013,95 @@ func (n *Node) keepBody(s types.Slot, id types.BlockID, b types.Block) {
 // its ancestors (Section 6.1).
 func (n *Node) tryFinalize(env types.Env) {
 	for {
-		k, head, ok := n.highestChainStart()
-		if !ok || !n.finalizePrefix(env, k, head) {
+		k, head := n.chainStart()
+		if head == nil || !n.finalizePrefix(env, k, head) {
 			return
 		}
 	}
 }
 
-// highestChainStart finds the highest slot k > finalized that starts a
-// notarized 4-chain, and the block starting it. Only slots up to
-// notarizedTop−3 can: the chain's last block is notarized at k+3.
-func (n *Node) highestChainStart() (types.Slot, types.BlockID, bool) {
+// chainStart finds the highest slot k > finalized that starts a notarized
+// 4-chain, and the entry starting it. Only slots up to notarizedTop−3 can:
+// the chain's last block is notarized at k+3.
+func (n *Node) chainStart() (types.Slot, *blockRec) {
 	for k := min(n.maxSlot, n.notarizedTop-3); k > n.finalized; k-- {
-		if head, ok := n.chainAt(k); ok {
-			return k, head, true
+		if head := n.chainHead(k); head != nil {
+			return k, head
 		}
 	}
-	return 0, types.ZeroBlockID, false
+	return 0, nil
 }
 
-// chainAt reports the block starting a notarized, parent-linked 4-chain at
-// slots k..k+3.
-func (n *Node) chainAt(k types.Slot) (types.BlockID, bool) {
-	st := n.peekSlot(k)
-	if st == nil {
-		return types.ZeroBlockID, false
-	}
-	for i := range st.notarized {
-		cur := st.notarized[i].id
-		ok := true
-		for step := types.Slot(1); step <= 3; step++ {
-			next, found := n.childNotarizedOf(k+step, cur)
-			if !found {
-				ok = false
-				break
+// chainHead returns the entry starting a notarized, parent-linked 4-chain
+// at slots k..k+3, or nil.
+func (n *Node) chainHead(k types.Slot) *blockRec {
+	if st := n.peekSlot(k); st != nil {
+		for _, head := range st.blocks {
+			cur := head
+			for step := types.Slot(1); step <= 3 && cur != nil && head.notarized; step++ {
+				cur = n.childNotarizedOf(k+step, cur)
 			}
-			cur = next
-		}
-		if ok {
-			return st.notarized[i].id, true
-		}
-	}
-	return types.ZeroBlockID, false
-}
-
-// childNotarizedOf finds a notarized block at slot s whose parent is id. A
-// record's parent is read from its body once and cached on the record.
-func (n *Node) childNotarizedOf(s types.Slot, id types.BlockID) (types.BlockID, bool) {
-	st := n.peekSlot(s)
-	if st == nil {
-		return types.ZeroBlockID, false
-	}
-	for i := range st.notarized {
-		r := &st.notarized[i]
-		if !r.hasParent {
-			b, known := n.bodyAt(s, r.id)
-			if !known {
-				continue
+			if cur != nil && head.notarized {
+				return head
 			}
-			r.parent, r.hasParent = b.Parent, true
-		}
-		if r.parent == id {
-			return r.id, true
 		}
 	}
-	return types.ZeroBlockID, false
+	return nil
 }
 
-// finalizePrefix finalizes block head at slot k and its entire ancestry back
+// childNotarizedOf finds a notarized entry at slot s whose parent is p.
+func (n *Node) childNotarizedOf(s types.Slot, p *blockRec) *blockRec {
+	if st := n.peekSlot(s); st != nil {
+		for _, b := range st.blocks {
+			if b.notarized && b.parent == p {
+				return b
+			}
+		}
+	}
+	return nil
+}
+
+// finalizePrefix finalizes entry head at slot k and its entire ancestry back
 // to the current finalized head, emitting one decision per slot. Returns
 // false if ancestor bodies are missing (retry later).
-func (n *Node) finalizePrefix(env types.Env, k types.Slot, head types.BlockID) bool {
-	// Walk ancestors down to the finalized boundary, keeping the bodies:
-	// the commit loop below recycles each slot's state as it goes.
+func (n *Node) finalizePrefix(env types.Env, k types.Slot, head *blockRec) bool {
+	// Walk ancestors down to the finalized boundary: the commit loop below
+	// recycles each slot's entries as it goes, lowest first.
 	path := n.path[:0]
-	defer func() {
-		clear(path)
-		n.path = path[:0]
-	}()
-	cur := head
-	for s := k; s > n.finalized; s-- {
-		b, known := n.bodyAt(s, cur)
-		if !known {
+	for s, cur := k, head; ; s, cur = s-1, cur.parent {
+		// The anchor must be the previous final block (or genesis).
+		if cur == nil || !cur.hasBody || (s == n.finalized+1 && cur.body.Parent != n.finalHead()) {
+			clear(path)
+			n.path = path
 			return false
 		}
-		path = append(path, blockEnt{id: cur, body: b})
-		if s == n.finalized+1 {
-			// Must anchor on the previous final block (or genesis).
-			if b.Parent != n.finalHead() {
-				return false
-			}
+		if path = append(path, cur); s == n.finalized+1 {
 			break
 		}
-		cur = b.Parent
 	}
 	// Commit from lowest slot upward.
 	for i := len(path) - 1; i >= 0; i-- {
-		s := k - types.Slot(i)
-		view, val := n.ViewOf(s), n.valueOf(s, path[i].id)
-		n.chain = append(n.chain, path[i].body)
-		n.chainIDs = append(n.chainIDs, path[i].id)
+		s, b := k-types.Slot(i), path[i]
+		view := n.ViewOf(s)
+		n.chain = append(n.chain, b.body)
+		n.chainIDs = append(n.chainIDs, b.id)
 		n.finalized = s
 		n.mFinalized.Inc()
-		n.emitB(env, "finalize", s, view, path[i].id)
-		env.Decide(s, val)
+		n.emitB(env, "finalize", s, view, b.id)
+		env.Decide(s, valueOf(b))
 		n.releaseSlot(s)
 	}
+	clear(path)
+	n.path = path[:0]
 	// The advanced watermark shrinks the persisted window; no message
 	// depends on it, so it rides on the next turn that has something to send.
 	n.dirty = true
 	return true
 }
 
-// blockEnt is a block body with its ID: one block of the ancestry
-// finalizePrefix commits, or one a slot keeps outside its proposals.
-type blockEnt struct {
-	id   types.BlockID
-	body types.Block
-}
-
 // releaseSlot retires a just-finalized slot: its claims and the bodies it
-// holds go (the finalized body now lives in the chain cache) and its records
-// return to the free lists, keeping the node's live footprint bounded by the
+// holds go (the finalized body now lives in the chain cache) and its record
+// returns to the free list, keeping the node's live footprint bounded by the
 // in-flight window — the multi-shot analogue of the constant-storage
 // property.
 func (n *Node) releaseSlot(s types.Slot) {
@@ -1138,23 +1115,18 @@ func (n *Node) releaseSlot(s types.Slot) {
 	} else {
 		return
 	}
-	for _, vr := range st.views {
-		n.recycleView(vr)
+	// Nothing reads below the finalized head: the entries above lose their
+	// parents, and the slot's bodies, the finalized one now in the chain, are
+	// let go. slot resets the rest when it reuses the record.
+	if next := n.peekSlot(s + 1); next != nil {
+		for _, b := range next.blocks {
+			b.parent = nil
+		}
 	}
-	clear(st.bodies)
-	*st = slotState{views: st.views[:0], notarized: st.notarized[:0], bodies: st.bodies[:0]}
+	for _, b := range st.blocks {
+		b.body.Payload, b.body.Txs = nil, nil
+	}
 	n.freeSlots = append(n.freeSlots, st)
-}
-
-// recycleView scrubs a view record and returns it to the free list. The
-// tally backing array keeps its bitsets — tallyOf clears them on reuse.
-func (n *Node) recycleView(vr *viewRec) {
-	vr.vcVotes.Clear()
-	for i := range vr.tallies {
-		vr.tallies[i].block = types.ZeroBlockID
-	}
-	*vr = viewRec{vcVotes: vr.vcVotes, tallies: vr.tallies[:0]}
-	n.freeViews = append(n.freeViews, vr)
 }
 
 // inWindow reports whether slot s may hold live state in the ring.
@@ -1183,8 +1155,26 @@ func (n *Node) slot(s types.Slot) *slotState {
 	if st := n.peekSlot(s); st != nil {
 		return st
 	}
-	st := reuse(&n.freeSlots)
-	st.slot = s
+	// A recycled record is reset here, where the writes that follow touch it
+	// anyway. It keeps its arrays and its own entry's and view record's
+	// bitsets; other entries and view records are dropped.
+	var st *slotState
+	if k := len(n.freeSlots); k > 0 {
+		st, n.freeSlots = n.freeSlots[k-1], n.freeSlots[:k-1]
+	} else {
+		st = new(slotState)
+	}
+	b, vr := &st.entry0, &st.rec0
+	b.hasBody, b.value, b.parent, b.voted, b.notarized, b.notView, b.votes = false, "", nil, false, false, 0, b.votes[:0]
+	vr.vcVotes.Clear()
+	vr.view, vr.proposed, vr.sentVote, vr.prop, vr.suggests, vr.proofs = 0, false, false, nil, nil, nil
+	clear(st.views)
+	clear(st.blocks)
+	st.slot, st.started, st.view, st.votes, st.highestVC, st.deadline, st.cur = s, false, 0, core.VoteState{}, 0, 0, nil
+	st.views, st.blocks = st.views[:0], st.blocks[:0]
+	if st.blocks == nil {
+		st.blocks = st.tab[:0]
+	}
 	if i := uint64(s) % slotRingLen; n.inWindow(s) && n.ring[i] == nil {
 		n.ring[i] = st
 	} else {
@@ -1203,45 +1193,46 @@ func (n *Node) rec(st *slotState, v types.View) *viewRec {
 	if vr := st.recIf(v); vr != nil {
 		return vr
 	}
-	vr := reuse(&n.freeViews)
+	vr := &st.rec0
+	if len(st.views) > 0 {
+		vr = new(viewRec)
+	}
 	vr.view = v
 	st.views = append(st.views, vr)
+	if v == st.view {
+		st.cur = vr
+	}
 	return vr
 }
 
-// reuse pops a record off a free list, or makes a new one.
-func reuse[T any](free *[]*T) *T {
-	k := len(*free)
-	if k == 0 {
-		return new(T)
+// votesOf returns the vote bitset of entry b in view v, creating it if
+// needed: the entry's own words for the first view (up to 128 members),
+// else a bitset that a recycled entry keeps and re-extension clears.
+func (n *Node) votesOf(b *blockRec, v types.View) quorum.Bits {
+	if n.words <= len(b.words) && (!b.voted || b.view0 == v) {
+		if !b.voted {
+			b.voted, b.view0, b.words = true, v, [2]uint64{}
+		}
+		return b.words[:n.words]
 	}
-	r := (*free)[k-1]
-	*free = (*free)[:k-1]
-	return r
-}
-
-// tallyOf returns the vote bitset for block id in the view record, creating
-// it if needed. Recycled tally entries keep their bitsets; re-extension
-// clears them instead of allocating.
-func (n *Node) tallyOf(vr *viewRec, id types.BlockID) quorum.Bits {
-	for i := range vr.tallies {
-		if vr.tallies[i].block == id {
-			return vr.tallies[i].votes
+	for i := range b.votes {
+		if b.votes[i].view == v {
+			return b.votes[i].bits
 		}
 	}
-	if len(vr.tallies) < cap(vr.tallies) {
-		vr.tallies = vr.tallies[:len(vr.tallies)+1]
+	if len(b.votes) < cap(b.votes) {
+		b.votes = b.votes[:len(b.votes)+1]
 	} else {
-		vr.tallies = append(vr.tallies, tally{})
+		b.votes = append(b.votes, viewVotes{})
 	}
-	t := &vr.tallies[len(vr.tallies)-1]
-	t.block = id
-	if t.votes == nil {
-		t.votes = quorum.NewBits(len(n.members))
+	t := &b.votes[len(b.votes)-1]
+	t.view = v
+	if t.bits == nil {
+		t.bits = quorum.NewBits(len(n.members))
 	} else {
-		t.votes.Clear()
+		t.bits.Clear()
 	}
-	return t.votes
+	return t.bits
 }
 
 // emit reports a protocol event with no block note.

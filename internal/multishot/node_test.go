@@ -94,7 +94,8 @@ func TestGoodCasePipeline(t *testing.T) {
 
 // TestFinalizePathPinsNothing: finalizePrefix reuses one scratch for the
 // ancestry it walks, and leaves it cleared, so no finalized or abandoned
-// block body stays reachable through it.
+// block body stays reachable through it, nor through the records that
+// finalized slots returned to the free lists.
 func TestFinalizePathPinsNothing(t *testing.T) {
 	r := sim.New(sim.Config{Seed: 1})
 	nodes := make([]*Node, 4)
@@ -109,8 +110,15 @@ func TestFinalizePathPinsNothing(t *testing.T) {
 			t.Fatalf("node %d never used the path scratch", n.ID())
 		}
 		for i, e := range n.path[:cap(n.path)] {
-			if e.body.Payload != nil || e.body.Txs != nil || e.id != (types.BlockID{}) {
+			if e != nil {
 				t.Fatalf("node %d: path scratch cell %d still holds block %v", n.ID(), i, e.id)
+			}
+		}
+		for i, st := range n.freeSlots {
+			for _, e := range st.blocks {
+				if e.body.Payload != nil || e.body.Txs != nil {
+					t.Fatalf("node %d: free slot record %d still holds block %v", n.ID(), i, e.id)
+				}
 			}
 		}
 	}
@@ -295,9 +303,9 @@ func TestImplicitVoteRecording(t *testing.T) {
 	b3 := types.Block{Slot: 3, Parent: b2.ID(), Payload: []byte("b3")}
 	b4 := types.Block{Slot: 4, Parent: b3.ID(), Payload: []byte("b4")}
 	for _, b := range []types.Block{b1, b2, b3, b4} {
-		n.keepBody(b.Slot, b.ID(), b)
+		n.keepBody(b.ID(), "", &b) // no proposal held: valueOf converts afresh
 	}
-	n.recordImplicitVotes(4, 0, b4.ID().Value(), b4) // no proposal held: valueOf converts afresh
+	n.recordImplicitVotes(n.slot(4), 0, n.slot(4).lookup(b4.ID()))
 	if got := n.slot(4).votes.Vote1; got != types.Vote(0, b4.ID().Value()) {
 		t.Errorf("slot 4 vote-1 = %v", got)
 	}

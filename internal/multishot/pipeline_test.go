@@ -163,3 +163,111 @@ func TestBatchedWindowedPipeline(t *testing.T) {
 		}
 	}
 }
+
+// lookupAudit runs its node's turns one at a time (the simulator does) and
+// checks the block-table lookups each turn makes against what the turn can
+// justify; countLookups records every node's into looked.
+type lookupAudit struct {
+	*Node
+	t                   *testing.T
+	looked              *[]types.BlockID
+	lookups, deliveries *int
+}
+
+func (a lookupAudit) Start(env types.Env) { a.turn(env, nil, func(e types.Env) { a.Node.Start(e) }) }
+
+func (a lookupAudit) Tick(env types.Env, id types.TimerID) {
+	a.turn(env, nil, func(e types.Env) { a.Node.Tick(e, id) })
+}
+
+func (a lookupAudit) Deliver(env types.Env, from types.NodeID, msg types.Message) {
+	*a.deliveries++
+	a.turn(env, msg, func(e types.Env) { a.Node.Deliver(e, from, msg) })
+}
+
+// turn runs one turn. The delivered message's block ID is resolved at most
+// once, except that a fresh proposal built on that block links to it once
+// more. A vote makes one lookup and a proposal two (its ID and its parent's);
+// each fresh proposal the turn broadcasts makes two more.
+func (a lookupAudit) turn(env types.Env, msg types.Message, run func(types.Env)) {
+	*a.looked = (*a.looked)[:0]
+	out := &proposalsOut{Env: env}
+	run(out)
+	var id types.BlockID
+	budget := 2 * len(out.props)
+	switch m := msg.(type) {
+	case types.MSVote:
+		id, budget = m.Block, budget+1
+	case types.MSPropose:
+		id, budget = m.BlockID(), budget+2
+	}
+	same := 0
+	for _, l := range *a.looked {
+		if msg != nil && l == id {
+			same++
+		}
+	}
+	for _, p := range out.props {
+		if msg != nil && p.Block.Parent == id {
+			same--
+		}
+	}
+	if same > 1 {
+		a.t.Errorf("node %d resolved the block of a delivered %T %d times", a.ID(), msg, same)
+	}
+	if len(*a.looked) > budget {
+		a.t.Errorf("node %d made %d lookups in a turn that justifies %d (%T, %d fresh proposals)", a.ID(), len(*a.looked), budget, msg, len(out.props))
+	}
+	*a.lookups += len(*a.looked)
+}
+
+// proposalsOut records the proposals a turn broadcasts.
+type proposalsOut struct {
+	types.Env
+	props []types.MSPropose
+}
+
+func (e *proposalsOut) Broadcast(msg types.Message) {
+	if p, ok := msg.(types.MSPropose); ok {
+		e.props = append(e.props, p)
+	}
+	e.Env.Broadcast(msg)
+}
+
+// TestOneLookupPerMessage pins the block table on the n = 16, 240-slot
+// pipeline of TestOneHashPerProposedBlock: a delivered message compares its
+// block ID against a slot's table once, and everything after walks entries.
+// The vote phases, the notarization, the 4-chain search and the finalized
+// ancestry look nothing up; a body links to its parent's entry once.
+func TestOneLookupPerMessage(t *testing.T) {
+	const n, slots = 16, 240
+	var looked []types.BlockID
+	lookups, deliveries := 0, 0
+	defer countLookups(func(id types.BlockID) { looked = append(looked, id) })()
+	r := sim.New(sim.Config{Seed: 1})
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		node, err := NewNode(Config{ID: types.NodeID(i), Nodes: n, Delta: 10, MaxSlot: slots + 3,
+			Batch: func(s types.Slot, _ types.Time) [][]byte { return [][]byte{[]byte("tx"), {byte(s)}} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+		r.Add(lookupAudit{Node: node, t: t, looked: &looked, lookups: &lookups, deliveries: &deliveries})
+	}
+	err := r.Run(0, func() bool {
+		for _, node := range nodes {
+			if node.FinalizedSlot() < slots {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d lookups over %d deliveries: %.3f per delivery", lookups, deliveries, float64(lookups)/float64(deliveries))
+	if lookups < slots*n*n {
+		t.Fatalf("%d lookups, fewer than the %d votes of %d slots: the count misses lookups", lookups, slots*n*n, slots)
+	}
+}

@@ -84,8 +84,8 @@ func (n *Node) writeAndRelease(env types.Env) {
 	// and proposal still reach a peer's writer together.
 	for _, p := range n.late {
 		msg := types.NewMSPropose(p.view, n.freshBlock(env, p.slot, p.parent))
-		id := msg.BlockID()
-		n.keepBody(p.slot, id, msg.Block)
+		id, val := msg.BlockValue()
+		n.keepBody(id, val, &msg.Block)
 		n.emitB(env, "propose", p.slot, p.view, id)
 		n.out[p.at].msg = msg
 	}

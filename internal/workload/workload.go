@@ -16,6 +16,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 
 	"tetrabft/internal/types"
@@ -166,7 +168,7 @@ func cohortName(i int, c CohortSpec) string {
 	if c.Name != "" {
 		return c.Name
 	}
-	return fmt.Sprintf("c%d", i)
+	return "c" + strconv.Itoa(i) // not fmt: its printer pool misses at random under -race
 }
 
 func cohortKeys(c CohortSpec) int {
@@ -325,10 +327,11 @@ func digits(v int) int {
 
 // appendZeroPad appends the decimal form of v ≥ 0, left-padded with zeros to
 // at least width digits: fmt's %0<width>d without fmt. It writes the digits
-// in place, last first, with no intermediate buffer to copy from.
+// in place, last first, with no intermediate buffer to copy from, into b
+// grown in place (append(b, make([]byte, n)...) allocates under -race).
 func appendZeroPad(b []byte, v, width int) []byte {
 	n := max(digits(v), width)
-	b = append(b, make([]byte, n)...)
+	b = slices.Grow(b, n)[:len(b)+n]
 	for i := len(b) - 1; i >= len(b)-n; i-- {
 		b[i] = byte('0' + v%10)
 		v /= 10
