@@ -1,7 +1,9 @@
 package tetrabft_test
 
 import (
+	"path/filepath"
 	"testing"
+	"time"
 
 	"tetrabft"
 )
@@ -65,6 +67,53 @@ func TestFacadeRuntime(t *testing.T) {
 	}
 	rt.Run()
 	rt.Close()
+}
+
+// TestFacadeReplicaHost runs four replicas through the façade, each on a
+// ChainWAL, kills one and relaunches it from its WAL, and checks that it
+// finalizes again and agrees with the others.
+func TestFacadeReplicaHost(t *testing.T) {
+	hosts := make([]*tetrabft.ReplicaHost, 4)
+	addrs := make(map[tetrabft.NodeID]string)
+	for i := range hosts {
+		dir := filepath.Join(t.TempDir(), "wal")
+		h, err := tetrabft.LaunchReplica(tetrabft.ReplicaConfig{
+			Node: tetrabft.ChainConfig{ID: tetrabft.NodeID(i), Nodes: 4, Delta: 10},
+			Open: func() (tetrabft.ReplicaStore, error) { return tetrabft.OpenChainWAL(dir) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		hosts[i], addrs[tetrabft.NodeID(i)] = h, h.Addr()
+	}
+	for _, h := range hosts {
+		h.Start(addrs)
+	}
+	reach := func(h *tetrabft.ReplicaHost, slot int64) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); h.Watermark() < slot; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica at %s stuck at slot %d, want %d", h.Addr(), h.Watermark(), slot)
+			}
+		}
+	}
+	reach(hosts[3], 3)
+	hosts[3].Kill()
+	reach(hosts[0], 6)
+	if err := hosts[3].Relaunch(); err != nil {
+		t.Fatal(err)
+	}
+	reach(hosts[3], 6)
+	for _, h := range hosts {
+		h.Close()
+	}
+	ref := hosts[0].Node().FinalizedChain()
+	for i, b := range hosts[3].Node().FinalizedChain() {
+		if i < len(ref) && b.ID() != ref[i].ID() {
+			t.Fatalf("the relaunched replica diverges at slot %d", b.Slot)
+		}
+	}
 }
 
 // TestFacadeChainStore exercises the chain-store wrapper.

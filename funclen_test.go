@@ -65,7 +65,8 @@ var packageLines = map[string]int{
 	"internal/ithotstuff": 399,
 	"internal/multishot":  1623,
 	"internal/pbft":       352,
-	"internal/scenario":   3424,
+	"internal/replica":    253,
+	"internal/scenario":   3291,
 	"internal/sweep":      1946,
 }
 

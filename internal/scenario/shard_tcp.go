@@ -64,7 +64,7 @@ func (b *tcpGatewayBackend) Submit(shardIdx int, key, value string) error {
 	first := int(h.Sum32() % uint32(n))
 	for i := range n {
 		rep := cl.replicas[(first+i)%n]
-		if _, rt := cl.live(rep); rt == nil {
+		if !rep.host.Live() {
 			continue
 		}
 		if !rep.mempool.Submit(blockchain.SetTx(key, value)) {

@@ -519,6 +519,106 @@ func TestGatewaySkipsDeadReplica(t *testing.T) {
 	}
 }
 
+// TestGatewayReadsNeverGoBack: once a key reads "found" through the
+// gateway, every later answer for it must be "found" too, while replica 0
+// of the key's shard crashes and is relaunched from its WAL. A relaunched
+// replica restores no finalized prefix and re-finalizes from slot 1, so a
+// gateway that read it during its catch-up would lose keys committed long
+// before the crash. The test queries the keys in a tight loop until the run
+// ends.
+func TestGatewayReadsNeverGoBack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP runtimes in -short mode")
+	}
+	noLeaks(t)
+	sc := Scenario{
+		Name:     "gateway-monotone-reads",
+		Protocol: TetraBFTMulti,
+		Engine:   EngineTCP,
+		Shards:   &ShardsSpec{Count: 2, AnchorInterval: 30},
+		// A shard proposes up to slot Slots+3 and finalizes up to Slots, so
+		// a key that rides one of the last three blocks never commits (the
+		// sharded never-committed family); 40 slots keep the keys, submitted
+		// at the start, well below them.
+		Workload: WorkloadSpec{Slots: 40, Window: 2},
+		Faults:   []FaultSpec{{Type: FaultCrashRestart, Shard: 0, Node: 0, CrashAtMS: 300, RestartAtMS: 600}},
+		Stop:     StopSpec{WallClockMS: 30000},
+	}
+	// Keys of shard 0 whose submissions go to a replica other than 0 (hash
+	// mod 4), so none waits in the mempool of the replica that crashes.
+	var keys []string
+	for i := 0; len(keys) < 4; i++ {
+		key := fmt.Sprintf("acct-%d", i)
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if (shard.Router{Shards: 2}).Shard(key) == 0 && h.Sum32()%4 != 0 {
+			keys = append(keys, key)
+		}
+	}
+	var (
+		submitErr, goneBack error
+		answers             int
+		found               = make(map[string]bool)
+		queried             = make(chan struct{})
+	)
+	_, err := RunWithGateway(sc, func(base string) {
+		for _, key := range keys {
+			resp, err := http.PostForm(base+"/submit", url.Values{"key": {key}, "value": {"v-" + key}})
+			if err != nil {
+				submitErr = err
+				close(queried)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				submitErr = fmt.Errorf("submit %s: %s", key, resp.Status)
+				close(queried)
+				return
+			}
+		}
+		go func() {
+			defer close(queried)
+			for goneBack == nil {
+				for _, key := range keys {
+					resp, err := http.Get(base + "/query?key=" + url.QueryEscape(key))
+					if err != nil {
+						return // the gateway closed: the run is over
+					}
+					var q struct {
+						Found bool `json:"found"`
+					}
+					err = json.NewDecoder(resp.Body).Decode(&q)
+					resp.Body.Close()
+					if err != nil {
+						continue // a 503 while every replica is down
+					}
+					answers++
+					if found[key] && !q.Found {
+						goneBack = fmt.Errorf("key %s read found, then not found (answer %d)", key, answers)
+						break
+					}
+					found[key] = found[key] || q.Found
+				}
+			}
+		}()
+	})
+	<-queried
+	if err != nil {
+		t.Fatal(err)
+	}
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
+	if goneBack != nil {
+		t.Fatal(goneBack)
+	}
+	for _, key := range keys {
+		if !found[key] {
+			t.Errorf("key %s never read found in %d answers", key, answers)
+		}
+	}
+}
+
 // TestShortfallSharded checks that the progress rule reads a sharded result
 // by its shards: each shard must reach workload.slots and commit an anchor
 // epoch. A sharded result has no per-node finalized slots, so a rule that

@@ -13,6 +13,7 @@ import (
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/multishot"
 	"tetrabft/internal/obs"
+	"tetrabft/internal/replica"
 	"tetrabft/internal/shard"
 	"tetrabft/internal/sim"
 	"tetrabft/internal/trace"
@@ -22,23 +23,11 @@ import (
 )
 
 // The TCP runner, runTCP, drives one cluster type: a tcpCluster of
-// WAL-backed multishot replicas on localhost ports, one per cluster of the
-// plan — the flat run's one, or a sharded run's S shard clusters plus the
-// anchor cluster. The simulator keeps the same contract with simCluster
-// (run.go).
-// add builds one from the plan's cluster, a batch source and a trace log
-// (nil = untraced): one replica per honest member. launch starts every
-// replica (WAL open → restored or fresh node → runtime) and wires the
-// peers, and a launch that fails closes whatever it started; begin runs
-// them and arms the crash-restart timers. kill hard-stops a replica the way
-// a crashing process dies; relaunch brings it back on its old address from
-// its WAL, or from nothing when the WAL is wiped. close stops the timers,
-// waits for a fault callback already running and closes every runtime; a
-// relaunch that finds the cluster closed closes what it started. fold,
-// after close, checks shared-prefix agreement among the required replicas
-// and sums the cluster up. What the clusters of one run share — WAL root,
-// chaos policy, metrics, the pending-fault count and the completion wait —
-// is a tcpRun.
+// WAL-backed multishot replicas on localhost ports, one replica.Host per
+// honest member, one cluster per cluster of the plan — the flat run's one,
+// or a sharded run's S shard clusters plus the anchor cluster. The
+// simulator keeps the same contract with simCluster (run.go). A tcpRun
+// holds what the clusters of one run share.
 
 // tcpRun is the plumbing every cluster of one TCP run shares.
 type tcpRun struct {
@@ -77,6 +66,7 @@ func newTCPRun(p *plan) (*tcpRun, error) {
 
 // add registers cluster c with the run: one replica per honest member (a
 // silent member never runs), each with its own mempool and WAL directory.
+// launch launches its hosts and begin starts them.
 func (r *tcpRun) add(c *cluster, batch func(types.Slot, types.Time) [][]byte, log *trace.Log) *tcpCluster {
 	cl := &tcpCluster{cluster: c, batch: batch, log: log, run: r, commitAt: make(map[types.Slot]int64)}
 	dir := filepath.Join(r.walRoot, fmt.Sprintf("cluster-%d", len(r.clusters)))
@@ -89,7 +79,8 @@ func (r *tcpRun) add(c *cluster, batch func(types.Slot, types.Time) [][]byte, lo
 		})
 	}
 	for _, f := range c.crashes {
-		cl.replica(f.Node).required = f.RestartAtMS > 0
+		rep := cl.replica(f.Node)
+		rep.required, rep.wipe = f.RestartAtMS > 0, f.WipeWAL
 	}
 	r.clusters = append(r.clusters, cl)
 	return cl
@@ -129,7 +120,7 @@ func (r *tcpRun) wait(done func() bool, what string) error {
 			var marks []string
 			for _, cl := range r.clusters {
 				for _, rep := range cl.replicas {
-					marks = append(marks, fmt.Sprintf("%s:%d", cl.label("replica", rep.id), rep.watermark.Load()))
+					marks = append(marks, fmt.Sprintf("%s:%d", cl.label("replica", rep.id), rep.host.Watermark()))
 				}
 			}
 			return fmt.Errorf("scenario %q: timed out before %s (watermarks %v)", r.p.sc.Name, what, marks)
@@ -160,19 +151,15 @@ type tcpCluster struct {
 
 	run      *tcpRun
 	replicas []*tcpReplica
-	addrs    map[types.NodeID]string // pinned listen addresses, reused across restarts
+	addrs    map[types.NodeID]string // every replica's address, for its peers
 
 	// commitAt records each slot's earliest wall-clock commit across every
 	// replica and incarnation, feeding the per-transaction latency fold.
 	commitMu sync.Mutex
 	commitAt map[types.Slot]int64
 
-	// mu guards closed, timers and every replica's incarnation; running
-	// counts the fault callbacks in flight, which close waits out.
-	mu      sync.Mutex
-	closed  bool
-	timers  []*time.Timer
-	running sync.WaitGroup
+	timers []*time.Timer // the fault timers, armed by begin
+	served atomic.Int64  // the longest chain refChain has returned
 }
 
 type tcpReplica struct {
@@ -180,26 +167,12 @@ type tcpReplica struct {
 	walDir  string
 	mempool *blockchain.Mempool
 	// required is false for a replica that crashes and never restarts: it
-	// cannot reach the target and the run must not wait for it.
-	required bool
+	// cannot reach the target and the run must not wait for it. wipe
+	// relaunches it from an empty WAL.
+	required, wipe bool
 
-	incarnation // runtime is nil while the replica is down
-	// prior accumulates the link counters of killed runtimes so the fold
-	// reports the whole replica lifetime, not just the last incarnation.
-	// kill writes it; the fold reads it after close.
-	prior transport.PeerStats
-
-	// watermark is the highest finalized slot observed via OnDecide. A
-	// restarted replica re-finalizes from slot 1, so completion tracks the
-	// maximum rather than counting decision events.
-	watermark atomic.Int64
-}
-
-// incarnation is one launch of a replica.
-type incarnation struct {
-	node    *multishot.Node
-	runtime *transport.Runtime
-	store   *wal.MultiWAL
+	host  *replica.Host // its watermark is what completion tracks
+	store *wal.MultiWAL // the latest incarnation's, sized by the fold
 }
 
 // replica returns the replica with id, nil for a member that never runs.
@@ -212,122 +185,86 @@ func (cl *tcpCluster) replica(id types.NodeID) *tcpReplica {
 	return nil
 }
 
-// newRuntime is transport.New, a variable so tests can see every runtime a
-// run makes.
-var newRuntime = transport.New
+// launchHost is replica.Launch, a variable so tests can see every host a
+// run launches.
+var launchHost = replica.Launch
 
-// start opens rep's WAL and builds a runtime for it, restoring the node
-// from the WAL's snapshot if there is one (none at launch or after a
-// wipe). A relaunch rebinds rep's address, so peers' reconnect loops find
-// it again.
-func (cl *tcpCluster) start(rep *tcpReplica) (incarnation, error) {
-	store, err := wal.OpenMulti(rep.walDir)
-	if err != nil {
-		return incarnation{}, err
-	}
-	state, found, err := store.Load()
-	if err != nil {
-		return incarnation{}, fmt.Errorf("%s: %w", cl.label("replica", rep.id), err)
-	}
-	p := cl.run.p
-	cfg := multishot.Config{
-		ID: rep.id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),
-		TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
-		Window:  p.sc.Workload.Window,
-		Payload: rep.mempool.PayloadSource(p.txsPerBlock()), Persist: store,
-		Batch:  cl.batch,
-		Tracer: traced(cl.log), Metrics: cl.run.reg,
-	}
-	var node *multishot.Node
-	if found {
-		node, err = multishot.Restore(cfg, state)
-	} else {
-		node, err = multishot.NewNode(cfg)
-	}
-	if err != nil {
-		return incarnation{}, fmt.Errorf("%s: %w", cl.label("replica", rep.id), err)
-	}
-	listen := cl.addrs[rep.id]
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	rt, err := newRuntime(node, transport.Config{
-		ListenAddr: listen,
-		Chaos:      cl.run.chaos,
-		Metrics:    cl.run.reg,
-		OnDecide: func(slot types.Slot, _ types.Value) {
-			ms := time.Since(cl.run.start).Milliseconds()
-			cl.commitMu.Lock()
-			if c, ok := cl.commitAt[slot]; !ok || ms < c {
-				cl.commitAt[slot] = ms
-			}
-			cl.commitMu.Unlock()
-			for {
-				cur := rep.watermark.Load()
-				if int64(slot) <= cur || rep.watermark.CompareAndSwap(cur, int64(slot)) {
-					break
-				}
-			}
-			cl.run.wake()
-		},
-	})
-	if err != nil {
-		return incarnation{}, err
-	}
-	return incarnation{node: node, runtime: rt, store: store}, nil
-}
-
-// launch starts every replica and wires the peers. On an error it closes
-// whatever it had started.
+// launch launches every replica's host, restored from its WAL's snapshot if
+// there is one; on an error it closes the hosts it had launched.
 func (cl *tcpCluster) launch() error {
+	p := cl.run.p
 	cl.addrs = make(map[types.NodeID]string, len(cl.replicas))
 	for _, rep := range cl.replicas {
-		inc, err := cl.start(rep)
+		h, err := launchHost(replica.Config{
+			Node: multishot.Config{
+				ID: rep.id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),
+				TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
+				Window:  p.sc.Workload.Window,
+				Payload: rep.mempool.PayloadSource(p.txsPerBlock()),
+				Batch:   cl.batch,
+				Tracer:  traced(cl.log), Metrics: cl.run.reg,
+			},
+			Runtime: transport.Config{Chaos: cl.run.chaos, Metrics: cl.run.reg},
+			Open: func() (replica.Store, error) {
+				if rep.wipe && rep.store != nil {
+					if err := os.RemoveAll(rep.walDir); err != nil {
+						return nil, err
+					}
+				}
+				store, err := wal.OpenMulti(rep.walDir)
+				if err == nil {
+					rep.store = store
+				}
+				return store, err
+			},
+			OnDecide: func(_ *multishot.Node, slot types.Slot) {
+				ms := time.Since(cl.run.start).Milliseconds()
+				cl.commitMu.Lock()
+				if c, ok := cl.commitAt[slot]; !ok || ms < c {
+					cl.commitAt[slot] = ms
+				}
+				cl.commitMu.Unlock()
+				cl.run.wake()
+			},
+		})
 		if err != nil {
 			cl.close()
 			return fmt.Errorf("scenario: launch %s: %w", cl.label("replica", rep.id), err)
 		}
-		rep.incarnation = inc
-		cl.addrs[rep.id] = inc.runtime.Addr()
-	}
-	for _, rep := range cl.replicas {
-		rep.runtime.SetPeers(cl.addrs)
+		rep.host = h
+		cl.addrs[rep.id] = h.Addr()
 	}
 	return nil
 }
 
-// begin runs every replica and arms the crash-restart faults.
+// begin starts every replica and arms the crash-restart faults.
 func (cl *tcpCluster) begin() {
 	for _, rep := range cl.replicas {
-		rep.runtime.Run()
+		rep.host.Start(cl.addrs)
 	}
 	for _, c := range cl.crashes {
 		rep := cl.replica(c.Node)
 		cl.after(c.CrashAtMS, func() error {
-			cl.kill(rep)
+			rep.host.Kill()
 			return nil
 		})
 		if c.RestartAtMS > 0 {
-			cl.after(c.RestartAtMS, func() error { return cl.relaunch(rep, c.WipeWAL) })
+			cl.after(c.RestartAtMS, func() error {
+				if err := rep.host.Relaunch(); err != nil {
+					return fmt.Errorf("scenario: restart %s: %w", cl.label("replica", rep.id), err)
+				}
+				return nil
+			})
 		}
 	}
 }
 
 // after runs fn as a fault callback ms milliseconds from now. The fault is
-// pending until fn has succeeded; a failure ends the run. Once the cluster
-// is closed the callback does nothing, and close waits for one already
-// running.
+// pending until fn has succeeded; a failure ends the run. Once the hosts
+// are closed, a late callback does nothing.
 func (cl *tcpCluster) after(ms int64, fn func() error) {
 	cl.run.pending.Add(1)
-	t := time.AfterFunc(time.Duration(ms)*time.Millisecond, func() {
-		cl.mu.Lock()
-		if cl.closed {
-			cl.mu.Unlock()
-			return
-		}
-		cl.running.Add(1)
-		cl.mu.Unlock()
-		defer cl.running.Done()
+	cl.timers = append(cl.timers, time.AfterFunc(time.Duration(ms)*time.Millisecond, func() {
 		if err := fn(); err != nil {
 			select {
 			case cl.run.errCh <- err:
@@ -337,157 +274,143 @@ func (cl *tcpCluster) after(ms int64, fn func() error) {
 		}
 		cl.run.pending.Add(-1)
 		cl.run.wake()
-	})
-	cl.mu.Lock()
-	cl.timers = append(cl.timers, t)
-	cl.mu.Unlock()
+	}))
 }
 
-// kill hard-stops rep the way a crashing process dies: its listener
-// vanishes and its connections are reset mid-stream.
-func (cl *tcpCluster) kill(rep *tcpReplica) {
-	cl.mu.Lock()
-	rt := rep.runtime
-	rep.runtime = nil
-	cl.mu.Unlock()
-	rt.Kill()
-	rep.prior = addStats(rep.prior, aggregateStats(rt.Stats()))
-}
-
-// relaunch brings rep back, restored from its WAL, or from nothing when
-// wipe discards the WAL first.
-func (cl *tcpCluster) relaunch(rep *tcpReplica, wipe bool) error {
-	if wipe {
-		if err := os.RemoveAll(rep.walDir); err != nil {
-			return fmt.Errorf("scenario: wipe wal of %s: %w", cl.label("replica", rep.id), err)
-		}
-	}
-	inc, err := cl.start(rep)
-	if err != nil {
-		return fmt.Errorf("scenario: restart %s: %w", cl.label("replica", rep.id), err)
-	}
-	inc.runtime.SetPeers(cl.addrs)
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.closed {
-		inc.runtime.Close()
-		return nil
-	}
-	rep.incarnation = inc
-	// The recovered incarnation must re-prove the watermark itself (restore
-	// + catch-up re-finalizes from slot 1); pre-crash progress doesn't count.
-	rep.watermark.Store(0)
-	inc.runtime.Run()
-	return nil
-}
-
-// close stops the fault timers, waits for a fault callback already running,
-// and closes every runtime, joining its goroutines. It may be called more
-// than once.
+// close stops the fault timers and closes every host, joining its
+// goroutines. It may be called more than once.
 func (cl *tcpCluster) close() {
-	cl.mu.Lock()
-	cl.closed = true
 	for _, t := range cl.timers {
 		t.Stop()
 	}
-	cl.mu.Unlock()
-	cl.running.Wait()
 	for _, rep := range cl.replicas {
-		if _, rt := cl.live(rep); rt != nil {
-			rt.Close()
+		if rep.host != nil {
+			rep.host.Close()
 		}
 	}
 }
 
-// live returns rep's current node and runtime; the runtime is nil while rep
-// is down.
-func (cl *tcpCluster) live(rep *tcpReplica) (*multishot.Node, *transport.Runtime) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return rep.node, rep.runtime
+// refChain snapshots, through its event loop (the only safe way to read
+// machine state mid-run), the finalized chain of the first live replica
+// whose watermark has reached the longest chain refChain has returned,
+// and when none has, of the live replica with the highest watermark. A
+// relaunched replica restores no finalized prefix and re-finalizes from
+// slot 1, so this keeps the chain from going back in time, and it keeps
+// the reads on one replica while that one keeps up. It reports false when
+// every replica is down — distinct from a live replica whose chain is
+// still empty (early in a run nothing has finalized yet, and conflating
+// the two made the gateway 503 transiently).
+func (cl *tcpCluster) refChain() ([]types.Block, bool) {
+	for {
+		served := cl.served.Load()
+		var pick *tcpReplica
+		for _, rep := range cl.replicas {
+			if !rep.host.Live() {
+				continue
+			}
+			if w := rep.host.Watermark(); w >= served {
+				pick = rep
+				break
+			} else if pick == nil || w > pick.host.Watermark() {
+				pick = rep
+			}
+		}
+		if pick == nil {
+			return nil, false
+		}
+		// A fresh snapshot per try: a loop that dies while Do waits may
+		// still run fn after Do has returned false.
+		var snap []types.Block
+		if pick.host.Do(func(n *multishot.Node) { snap = append([]types.Block(nil), n.FinalizedChain()...) }) {
+			for n := int64(len(snap)); n > served; served = cl.served.Load() {
+				if cl.served.CompareAndSwap(served, n) {
+					break
+				}
+			}
+			return snap, true
+		}
+	}
 }
 
-// refChain snapshots the first live replica's finalized chain through its
-// event loop (the only safe way to read machine state mid-run). ok is false
-// when every replica is down — distinct from a live replica whose chain is
-// still empty (early in a run nothing has finalized yet, and conflating the
-// two made the gateway 503 transiently).
-func (cl *tcpCluster) refChain() (chain []types.Block, ok bool) {
+// minFinalized is the lowest watermark across required replicas, 0 when
+// none is required.
+func (cl *tcpCluster) minFinalized() (low int64) {
+	first := true
 	for _, rep := range cl.replicas {
-		node, rt := cl.live(rep)
-		if rt != nil && rt.Do(func() { chain = append([]types.Block(nil), node.FinalizedChain()...) }) {
-			return chain, true
+		if w := rep.host.Watermark(); rep.required && (first || w < low) {
+			low, first = w, false
 		}
 	}
-	return nil, false
-}
-
-// minFinalized is the lowest finalized watermark across required replicas.
-func (cl *tcpCluster) minFinalized() int64 {
-	min := int64(-1)
-	for _, rep := range cl.replicas {
-		if !rep.required {
-			continue
-		}
-		if w := rep.watermark.Load(); min < 0 || w < min {
-			min = w
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
+	return low
 }
 
 // fold closes the cluster — its event loops may still be delivering slots
 // past the target, and multishot nodes have no internal locking — and sums
-// it up, with the largest WAL beside the sum. Chains may disagree in
-// length (stragglers keep catching up) but never in content: each required
-// replica's chain is checked against the first one's over their shared
-// prefix, like the simulator's agreement monitor does per slot, and a
-// divergence comes back labelled with the scenario and cluster names. A
-// replica that crashed for good is skipped there: its node was abandoned
-// mid-run.
-func (cl *tcpCluster) fold() (in foldInput, maxWAL int64, err error) {
+// it up into in and res, adding a flat run's per-replica fields, in node
+// order: link health, the finalized slots and chains of the required
+// replicas, and the trace. The reference chain is the longest, as the
+// chain reads mid-run are. Chains may disagree in length (stragglers keep
+// catching up) but never in content: each required replica's chain is
+// checked against the reference over their shared prefix, like the
+// simulator's agreement monitor does per slot, and a divergence comes back
+// labelled with the scenario and cluster names. A replica that crashed for
+// good is skipped there: its node was abandoned mid-run.
+func (cl *tcpCluster) fold(res *Result, flat bool) (in foldInput, err error) {
 	cl.close()
+	collect := cl.run.p.sc.Collect
 	in = foldInput{commitAt: cl.commitAt, finalized: -1}
 	if cl.log != nil {
 		in.stages = stageSamples(cl.log.Events())
 	}
 	var ref *tcpReplica
 	for _, rep := range cl.replicas {
-		stats := rep.stats()
+		if chain := rep.host.Node().FinalizedChain(); rep.required && (ref == nil || len(chain) > len(in.chain)) {
+			ref, in.chain = rep, chain
+		}
+	}
+	for _, rep := range cl.replicas {
+		stats := rep.host.Stats()
 		in.reconnects += stats.Reconnects
 		in.droppedFrames += stats.DroppedFrames
-		if size, err := rep.store.Size(); err == nil && size > maxWAL {
-			maxWAL = size
+		if size, err := rep.store.Size(); err == nil {
+			res.MaxStorageBytes = max(res.MaxStorageBytes, size)
+		}
+		if flat {
+			res.Transport = append(res.Transport, NodeTransport{
+				Node: rep.id, Reconnects: stats.Reconnects, DroppedFrames: stats.DroppedFrames,
+				ChaosDropped: stats.ChaosDropped, ChaosDuplicated: stats.ChaosDuplicated,
+			})
 		}
 		if !rep.required {
 			continue
 		}
-		chain := rep.node.FinalizedChain()
-		if ref == nil {
-			ref, in.chain = rep, chain
-		}
+		node := rep.host.Node()
+		chain := node.FinalizedChain()
 		for i := range chain {
-			if rep != ref && i < len(in.chain) && chain[i].ID() != in.chain[i].ID() {
-				return in, maxWAL, cl.run.p.fail(cl.cluster, agreementError{fmt.Errorf("replicas %d and %d diverge at slot %d", ref.id, rep.id, chain[i].Slot)})
+			if rep != ref && chain[i].ID() != in.chain[i].ID() {
+				return in, cl.run.p.fail(cl.cluster, agreementError{fmt.Errorf("replicas %d and %d diverge at slot %d", ref.id, rep.id, chain[i].Slot)})
 			}
 		}
-		if s := int64(rep.node.FinalizedSlot()); in.finalized < 0 || s < in.finalized {
+		if s := int64(node.FinalizedSlot()); in.finalized < 0 || s < in.finalized {
 			in.finalized = s
 		}
+		if flat {
+			res.Finalized = append(res.Finalized, NodeSlot{Node: rep.id, Slot: node.FinalizedSlot()})
+			if collect.Chain {
+				res.Chains = append(res.Chains, NodeChain{Node: rep.id, Blocks: chain})
+			}
+		}
 	}
-	return in, maxWAL, nil
-}
-
-// stats sums rep's link counters over every incarnation; read it after the
-// fold.
-func (rep *tcpReplica) stats() transport.PeerStats {
-	if rep.runtime == nil {
-		return rep.prior
+	if flat && collect.Trace {
+		// Event-loop interleaving makes the raw append order nondeterministic;
+		// sort by (time, node, type, slot) for a stable artifact.
+		events := cl.log.Events()
+		slices.SortStableFunc(events, func(a, b trace.Event) int {
+			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Type, b.Type), cmp.Compare(a.Slot, b.Slot))
+		})
+		res.Trace = events
 	}
-	return addStats(rep.prior, aggregateStats(rep.runtime.Stats()))
+	return in, nil
 }
 
 // runTCP executes a scenario over real TCP runtimes on localhost — the
@@ -554,50 +477,11 @@ func runTCP(p *plan, onReady func(url string)) (*Result, error) {
 
 	inputs := make([]foldInput, len(r.clusters))
 	for i, cl := range r.clusters {
-		in, size, err := cl.fold()
-		if err != nil {
+		if inputs[i], err = cl.fold(res, !dep.anchored()); err != nil {
 			return nil, err
 		}
-		inputs[i] = in
-		res.MaxStorageBytes = max(res.MaxStorageBytes, size)
-	}
-	if !dep.anchored() {
-		r.clusters[0].report(res)
 	}
 	return res, dep.fold(res, inputs, r.reg, nil)
-}
-
-// report adds a flat run's per-replica fields to res: link health, the
-// finalized slots and chains of the required replicas, and the trace.
-// Replicas are in member order, which is node order.
-func (cl *tcpCluster) report(res *Result) {
-	collect := cl.run.p.sc.Collect
-	for _, rep := range cl.replicas {
-		stats := rep.stats()
-		res.Transport = append(res.Transport, NodeTransport{
-			Node:            rep.id,
-			Reconnects:      stats.Reconnects,
-			DroppedFrames:   stats.DroppedFrames,
-			ChaosDropped:    stats.ChaosDropped,
-			ChaosDuplicated: stats.ChaosDuplicated,
-		})
-		if !rep.required {
-			continue
-		}
-		res.Finalized = append(res.Finalized, NodeSlot{Node: rep.id, Slot: rep.node.FinalizedSlot()})
-		if collect.Chain {
-			res.Chains = append(res.Chains, NodeChain{Node: rep.id, Blocks: rep.node.FinalizedChain()})
-		}
-	}
-	if collect.Trace {
-		// Event-loop interleaving makes the raw append order nondeterministic;
-		// sort by (time, node, type, slot) for a stable artifact.
-		events := cl.log.Events()
-		slices.SortStableFunc(events, func(a, b trace.Event) int {
-			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Type, b.Type), cmp.Compare(a.Slot, b.Slot))
-		})
-		res.Trace = events
-	}
 }
 
 // buildChaos maps the spec's network regime and partition faults onto the
@@ -651,22 +535,5 @@ func buildPartitionFn(netwk []FaultSpec) func(from, to types.NodeID, elapsed tim
 			}
 		}
 		return false
-	}
-}
-
-func aggregateStats(per map[types.NodeID]transport.PeerStats) transport.PeerStats {
-	var out transport.PeerStats
-	for _, s := range per {
-		out = addStats(out, s)
-	}
-	return out
-}
-
-func addStats(a, b transport.PeerStats) transport.PeerStats {
-	return transport.PeerStats{
-		Reconnects:      a.Reconnects + b.Reconnects,
-		DroppedFrames:   a.DroppedFrames + b.DroppedFrames,
-		ChaosDropped:    a.ChaosDropped + b.ChaosDropped,
-		ChaosDuplicated: a.ChaosDuplicated + b.ChaosDuplicated,
 	}
 }

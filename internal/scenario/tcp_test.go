@@ -12,40 +12,42 @@ import (
 	"testing"
 	"time"
 
+	"tetrabft/internal/replica"
 	"tetrabft/internal/transport"
 	"tetrabft/internal/types"
 )
 
 // noLeaks fails t unless, once t has finished, the goroutine count falls
 // back within 2 s to what it was when noLeaks was called, and every replica
-// runtime t made holds no pending timer. Idle HTTP keep-alive connections
-// are closed first: they belong to the test's client, not to the run.
+// runtime t made — every incarnation of every host — holds no pending timer.
+// Idle HTTP keep-alive connections are closed first: they belong to the
+// test's client, not to the run.
 func noLeaks(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	var mu sync.Mutex
-	var made []*transport.Runtime
-	orig := newRuntime
-	newRuntime = func(m types.Machine, cfg transport.Config) (*transport.Runtime, error) {
-		rt, err := orig(m, cfg)
+	var made []*replica.Host
+	orig := launchHost
+	launchHost = func(cfg replica.Config) (*replica.Host, error) {
+		h, err := orig(cfg)
 		if err == nil {
 			mu.Lock()
-			made = append(made, rt)
+			made = append(made, h)
 			mu.Unlock()
 		}
-		return rt, err
+		return h, err
 	}
 	t.Cleanup(func() {
-		newRuntime = orig
+		launchHost = orig
 		http.DefaultClient.CloseIdleConnections()
 		if err := goroutinesBack(before, 2*time.Second); err != nil {
 			t.Error(err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		for i, rt := range made {
-			if n := rt.ActiveTimers(); n != 0 {
-				t.Errorf("runtime %d of %d (%s) holds %d pending timers after the run", i+1, len(made), rt.Addr(), n)
+		for i, h := range made {
+			if n := h.ActiveTimers(); n != 0 {
+				t.Errorf("replica %d of %d (%s) holds %d pending timers after the run", i+1, len(made), h.Addr(), n)
 			}
 		}
 	})
@@ -116,8 +118,7 @@ func TestLaunchFailureClosesLaunched(t *testing.T) {
 }
 
 // TestRelaunchAfterClose: a restart that fires while the run shuts down
-// must not outlive it. A relaunch invoked after close closes the runtime it
-// started; and a cluster closed while its crash and restart timers are due
+// must not outlive it. A relaunch invoked after close starts nothing; and a cluster closed while its crash and restart timers are due
 // leaves nothing listening, whichever way the callbacks interleave.
 func TestRelaunchAfterClose(t *testing.T) {
 	noLeaks(t)
@@ -126,13 +127,13 @@ func TestRelaunchAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := cl.replicas[1]
-	cl.kill(rep)
+	rep.host.Kill()
 	cl.close()
-	if err := cl.relaunch(rep, false); err != nil {
+	if err := rep.host.Relaunch(); err != nil {
 		t.Fatal(err)
 	}
 	refuses(t, cl.addrs[rep.id], "replica relaunched after close")
-	if _, rt := cl.live(rep); rt != nil {
+	if rep.host.Live() {
 		t.Error("a relaunch after close installed a runtime")
 	}
 

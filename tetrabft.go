@@ -20,6 +20,8 @@
 //   - NewSim — the deterministic discrete-event network simulator used by
 //     the paper-reproduction experiments;
 //   - NewRuntime — a real TCP runtime for deployments;
+//   - LaunchReplica — a multi-shot node on a TCP runtime across crashes:
+//     kill it, relaunch it on its address from what its store persisted;
 //   - OpenWAL — crash-durable storage of the constant-size node state;
 //   - NewMempool / NewKV / NewChainStore — ledger substrate.
 //
@@ -55,7 +57,9 @@ import (
 	"tetrabft/internal/blockchain"
 	"tetrabft/internal/core"
 	"tetrabft/internal/multishot"
+	"tetrabft/internal/obs"
 	"tetrabft/internal/quorum"
+	"tetrabft/internal/replica"
 	"tetrabft/internal/scenario"
 	"tetrabft/internal/shard"
 	"tetrabft/internal/sim"
@@ -92,6 +96,25 @@ type (
 	Block = types.Block
 	// BlockID is a block's hash-pointer identity.
 	BlockID = types.BlockID
+	// TimerID names a timer a machine sets through its Env.
+	TimerID = types.TimerID
+)
+
+// Multi-shot wire messages (Section 6).
+type (
+	// MSPropose is a leader's proposal of a block for a slot's view.
+	MSPropose = types.MSPropose
+	// MSVote is a vote for a block in a slot's view; it also votes along
+	// the block's ancestor chain.
+	MSVote = types.MSVote
+	// MSViewChange aborts a view from its lowest aborted slot on.
+	MSViewChange = types.MSViewChange
+	// MSSuggest is the per-slot suggest sent after a view change.
+	MSSuggest = types.MSSuggest
+	// MSProof is the per-slot proof broadcast after a view change.
+	MSProof = types.MSProof
+	// MSFinal is a finality claim for a straggler's catch-up.
+	MSFinal = types.MSFinal
 )
 
 // Single-shot consensus (the paper's primary contribution, Section 3).
@@ -120,10 +143,20 @@ type (
 	ChainConfig = multishot.Config
 	// ChainNode is a pipelined multi-shot TetraBFT node.
 	ChainNode = multishot.Node
+	// ChainState is the durable state of a multi-shot node.
+	ChainState = multishot.PersistentState
+	// ChainPersister stores a multi-shot node's durable state.
+	ChainPersister = multishot.Persister
 )
 
 // NewChain builds a multi-shot (blockchain) TetraBFT node.
 func NewChain(cfg ChainConfig) (*ChainNode, error) { return multishot.NewNode(cfg) }
+
+// RestoreChain rebuilds a multi-shot node from persisted state after a
+// crash; it re-fetches its finalized prefix from its peers.
+func RestoreChain(cfg ChainConfig, state ChainState) (*ChainNode, error) {
+	return multishot.Restore(cfg, state)
+}
 
 // Deterministic simulation.
 type (
@@ -159,6 +192,8 @@ type (
 	RuntimeConfig = transport.Config
 	// Runtime hosts one Machine over TCP.
 	Runtime = transport.Runtime
+	// PeerStats is one link's counters (reconnects, dropped frames).
+	PeerStats = transport.PeerStats
 )
 
 // NewRuntime creates a TCP runtime hosting machine; call SetPeers then Run.
@@ -166,14 +201,34 @@ func NewRuntime(machine Machine, cfg RuntimeConfig) (*Runtime, error) {
 	return transport.New(machine, cfg)
 }
 
+// Recoverable replicas.
+type (
+	// ReplicaHost is one multi-shot replica on a TCP runtime across its
+	// incarnations: Kill, Relaunch on the same address, Do on the live one.
+	ReplicaHost = replica.Host
+	// ReplicaConfig is what every incarnation of a replica is built from.
+	ReplicaConfig = replica.Config
+	// ReplicaStore is what an incarnation persists to and restores from.
+	ReplicaStore = replica.Store
+)
+
+// LaunchReplica builds a replica's first incarnation, restored from its
+// store when the store holds a state; call Start to run it.
+func LaunchReplica(cfg ReplicaConfig) (*ReplicaHost, error) { return replica.Launch(cfg) }
+
 // Durable storage.
 type (
 	// WAL stores a node's constant-size durable state on disk.
 	WAL = wal.WAL
+	// ChainWAL stores a multi-shot node's durable state on disk.
+	ChainWAL = wal.MultiWAL
 )
 
 // OpenWAL creates (or reuses) the durable store rooted at dir.
 func OpenWAL(dir string) (*WAL, error) { return wal.Open(dir) }
+
+// OpenChainWAL creates (or reuses) the multi-shot store rooted at dir.
+func OpenChainWAL(dir string) (*ChainWAL, error) { return wal.OpenMulti(dir) }
 
 // Ledger substrate.
 type (
@@ -181,6 +236,9 @@ type (
 	Tx = blockchain.Tx
 	// Mempool is a bounded FIFO of pending transactions.
 	Mempool = blockchain.Mempool
+	// TimedMempool is a FIFO whose drain at time t sees only what had
+	// arrived by t.
+	TimedMempool = blockchain.TimedMempool
 	// ChainStore validates and records the finalized chain.
 	ChainStore = blockchain.Store
 	// KV is the replicated key-value state machine.
@@ -189,6 +247,9 @@ type (
 
 // NewMempool creates a mempool (limit <= 0 means 4096).
 func NewMempool(limit int) *Mempool { return blockchain.NewMempool(limit) }
+
+// NewTimedMempool creates a timed mempool (limit <= 0 means 65536).
+func NewTimedMempool(limit int) *TimedMempool { return blockchain.NewTimedMempool(limit) }
 
 // NewChainStore creates an empty chain store.
 func NewChainStore() *ChainStore { return blockchain.NewStore() }
@@ -468,6 +529,16 @@ func NamedCapacityPlans() []CapacityPlan { return sweep.NamedCapacity() }
 
 // CapacityPlanByName returns the bundled capacity plan with the given name.
 func CapacityPlanByName(name string) (CapacityPlan, bool) { return sweep.CapacityByName(name) }
+
+// Metrics.
+type (
+	// MetricsRegistry holds named counters, gauges and histograms; nil is
+	// the disabled registry.
+	MetricsRegistry = obs.Registry
+)
+
+// NewMetricsRegistry returns an empty enabled registry.
+func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Tracing.
 type (
