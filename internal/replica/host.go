@@ -208,8 +208,8 @@ func (h *Host) Live() bool {
 }
 
 // Do runs fn with the live node on its running event loop, the one safe way
-// to read a node mid-run, and reports whether fn ran. When the incarnation
-// dies meanwhile, fn may still run after Do has returned false.
+// to read a node mid-run, and reports whether fn ran: false means fn never
+// ran and never will.
 func (h *Host) Do(fn func(*multishot.Node)) bool {
 	h.mu.Lock()
 	node, rt := h.node, h.live

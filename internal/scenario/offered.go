@@ -5,63 +5,48 @@ import (
 	"sync"
 
 	"tetrabft/internal/types"
+	"tetrabft/internal/workload"
 )
 
-// offered is one cluster's offered-load stream: the seeded arrival schedule,
-// complete before the run starts and never modified, handed out through a
-// cursor. Semantics are those of blockchain.TimedMempool (the type for
-// transactions submitted during a run, and the reference offered is tested
-// against): a drain at time t sees only what had arrived by t, in schedule
-// order, and hands each transaction out at most once — whoever leads a slot
-// takes the arrived transactions as its block's batch. A drain costs
-// O(batch) whatever the backlog: batches are sub-slices of payloads.
-//
-// The latency folds find a committed transaction's arrival through batches,
-// one entry per batch handed out (latencies): building the stream costs the
-// same few allocations whatever its length. Payloads are unique in every
-// schedule the plan builds — each carries its index — so a payload names
-// one arrival.
+// offered is one cluster's offered-load stream: its column of the seeded
+// arrival schedule, generated beside the run by a workload.Producer, handed
+// out through a cursor. Semantics are those of blockchain.TimedMempool (the
+// type for transactions submitted during a run, and the reference offered
+// is tested against): a drain at time t sees only what had arrived by t, in
+// schedule order, once the producer has got that far, and hands each
+// transaction out at most once — whoever leads a slot takes the arrived
+// transactions as its block's batch. A drain costs O(batch) whatever the
+// backlog: batches are sub-slices of payloads, and nothing is recorded per
+// batch: the latency fold finds a committed transaction's arrival where the
+// chain's order puts it. Payloads are unique in every schedule the plan
+// builds — each carries its index — so a payload names one arrival.
 type offered struct {
-	at       []types.Time // arrival ticks, schedule order (non-decreasing)
-	payloads [][]byte     // payloads[i] arrived at at[i]
-	mu       sync.Mutex   // the TCP engines drain from several event loops
-	head     int          // payloads[:head] have been handed out
-	// batches maps the first payload of every batch drain handed out to
-	// its schedule index.
-	batches map[string]int
+	mu sync.Mutex // the TCP engines drain from several event loops
+	// The column as far as synced: arrival ticks At in schedule order
+	// (non-decreasing), Payloads[i] arrived at At[i].
+	workload.Reader
+	head int // Payloads[:head] have been handed out
 	// index maps every payload to its schedule index. It is built only when
-	// a committed transaction is neither where its block's batch puts it
-	// nor a batch's first (latencies), which no honest run produces.
+	// a chain's transaction is not within scanAhead past the one before it
+	// (latencies), which no run whose proposals all commit produces.
 	index map[string]int
 }
 
-// newOffered returns an empty stream with room for n arrivals. A plan
-// generates its schedule straight into the stream's columns: Arrive and
-// Payload make it a workload.Sink.
-func newOffered(n int) *offered {
-	return &offered{at: make([]types.Time, 0, n), payloads: make([][]byte, 0, n), batches: make(map[string]int)}
-}
-
-func (o *offered) Arrive(at types.Time, _ int, _ string) { o.at = append(o.at, at) }
-
-func (o *offered) Payload(_ int, p []byte) { o.payloads = append(o.payloads, p) }
-
 // drain hands out up to max transactions that had arrived by now (max <= 0:
-// all of them), nil when there are none, and records the batch's first
-// payload against its schedule index. The result's capacity is clipped, so
-// appending to it cannot reach the next batch.
+// all of them), nil when there are none. The result's capacity is clipped,
+// so appending to it cannot reach the next batch.
 func (o *offered) drain(now types.Time, max int) [][]byte {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.Sync(now)
 	end := o.head
-	for end < len(o.at) && o.at[end] <= now && (max <= 0 || end-o.head < max) {
+	for end < len(o.At) && o.At[end] <= now && (max <= 0 || end-o.head < max) {
 		end++
 	}
 	if end == o.head {
 		return nil
 	}
-	out := o.payloads[o.head:end:end]
-	o.batches[string(out[0])] = o.head
+	out := o.Payloads[o.head:end:end]
 	o.head = end
 	return out
 }
@@ -72,40 +57,47 @@ func (o *offered) batchSource(txPerBlock int) func(types.Slot, types.Time) [][]b
 	return func(_ types.Slot, now types.Time) [][]byte { return o.drain(now, txPerBlock) }
 }
 
-// latencies appends commit − arrival for each of txs the stream holds, in
-// order, skipping the ones it does not. A block that is a drained batch, or
-// a run of consecutive ones, is matched position by position from its first
-// transaction's batch entry, each payload checked byte for byte; a
-// transaction that matches neither its position nor a batch's start is
-// looked up in the full index.
-func (o *offered) latencies(lats []int64, txs [][]byte, commit int64) []int64 {
+// latencies waits for the whole stream, then returns chain's transaction
+// count and commit − arrival for each transaction of its committed blocks
+// that the stream holds, in chain order.
+func (o *offered) latencies(chain []types.Block, commitAt commits) (txs int, lats []int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	next := -1 // schedule index the next transaction sits at in a batch
-	for _, tx := range txs {
-		i, ok := next, next >= 0 && next < len(o.payloads) && bytes.Equal(o.payloads[next], tx)
-		if !ok {
-			i, ok = o.batches[string(tx)]
+	o.SyncAll()
+	lats = make([]int64, 0, len(o.At)) // a sample an arrival, unless one commits twice
+	next := 0                          // where the next transaction most likely sits
+	for _, b := range chain {
+		txs += b.NumTxs()
+		commit := commitAt.at(b.Slot)
+		for _, tx := range b.Txs {
+			if i, ok := o.find(tx, next); ok {
+				if next = i + 1; commit >= 0 {
+					lats = append(lats, commit-int64(o.At[i]))
+				}
+			}
 		}
-		if !ok {
-			i, ok = o.lookup(tx)
-		}
-		if !ok {
-			next = -1
-			continue
-		}
-		lats = append(lats, commit-int64(o.at[i]))
-		next = i + 1
 	}
-	return lats
+	return txs, lats
 }
 
-// lookup finds tx anywhere in the schedule through the full index, building
-// it on first use. The caller holds mu.
-func (o *offered) lookup(tx []byte) (int, bool) {
+// scanAhead is how far from next find looks before it turns to the full
+// index: four lost batches of 64, or 32 of the default 8.
+const scanAhead = 256
+
+// find returns tx's schedule index. A chain takes the drained batches in
+// drain order, less any whose proposal was lost, so tx is looked for first
+// among the scanAhead payloads from next on (next: the index after the
+// previous transaction's), byte for byte, and only then in the full index,
+// built on first use. The caller holds mu.
+func (o *offered) find(tx []byte, next int) (int, bool) {
+	for i := next; i < min(next+scanAhead, len(o.Payloads)); i++ {
+		if bytes.Equal(o.Payloads[i], tx) {
+			return i, true
+		}
+	}
 	if o.index == nil {
-		o.index = make(map[string]int, len(o.payloads))
-		for i, p := range o.payloads {
+		o.index = make(map[string]int, len(o.Payloads))
+		for i, p := range o.Payloads {
 			o.index[string(p)] = i
 		}
 	}

@@ -196,24 +196,6 @@ func (r *Result) FinalizedSlot(node types.NodeID) types.Slot {
 	return 0
 }
 
-// txLatencies walks a finalized chain and returns its transaction count
-// plus the commit latency of every transaction whose arrival is known. The
-// fold (deployment.fold) calls it per stream and pools the samples for the
-// aggregate percentiles, so the sim's tick-based and TCP's
-// millisecond-based latencies use one percentile definition.
-func txLatencies(chain []types.Block, commitAt map[types.Slot]int64, load *offered) (txs int, lats []int64) {
-	for _, b := range chain {
-		txs += b.NumTxs()
-	}
-	lats = make([]int64, 0, txs) // at most one sample a transaction
-	for _, b := range chain {
-		if c, ok := commitAt[b.Slot]; ok {
-			lats = load.latencies(lats, b.Txs, c)
-		}
-	}
-	return txs, lats
-}
-
 // latencyPercentiles returns the nearest-rank p50 and p99 of lats, sorting
 // it in place; zeros for an empty sample. Matches the sweep package's Dist
 // definition so scenario results and sweep aggregates agree.

@@ -137,12 +137,10 @@ func (cl *simCluster) reached(target types.Slot) bool {
 // A violation comes back labelled with the scenario and cluster names.
 func (cl *simCluster) fold(p *plan) (foldInput, error) {
 	chain, _ := cl.refChain()
-	in := foldInput{chain: chain, commitAt: make(map[types.Slot]int64, len(chain)), finalized: cl.minFinalized()}
+	in := foldInput{chain: chain, commitAt: make(commits, 0, len(chain)+1), finalized: cl.minFinalized()}
 	for _, id := range cl.honest {
 		for s, d := range cl.r.NodeDecisions(id) {
-			if c, ok := in.commitAt[s]; !ok || int64(d.At) < c {
-				in.commitAt[s] = int64(d.At)
-			}
+			in.commitAt.note(s, int64(d.At))
 		}
 	}
 	if cl.log != nil {
@@ -164,18 +162,20 @@ func traced(log *trace.Log) trace.Tracer {
 }
 
 // runSim drives every cluster of the plan on the simulator, each on a
-// runner of its own and all on one goroutine. A sharded plan advances them
-// in lockstep quanta of shards.anchor_interval ticks: every runner to the
-// same instant t, then the anchoring round at t and the completion check,
-// and the run finishes at the last quantum boundary. A flat plan's one
-// cluster runs one quantum, the whole horizon, ended early by
-// stop.all_decided, and finishes at its runner's clock.
+// runner of its own and all on one goroutine, while the offered load is
+// generated beside them. A sharded plan advances them in lockstep quanta of
+// shards.anchor_interval ticks: every runner to the same instant t, then
+// the anchoring round at t and the completion check, and the run finishes
+// at the last quantum boundary. A flat plan's one cluster runs one quantum,
+// the whole horizon, ended early by stop.all_decided, and finishes at its
+// runner's clock.
 func runSim(p *plan) (*Result, error) {
 	var reg *obs.Registry
 	if p.sc.Collect.Metrics {
 		reg = obs.NewRegistry()
 	}
 	dep := newDeployment(p)
+	defer dep.stream.Close()
 	clusters := make([]*simCluster, len(p.clusters))
 	for i, c := range p.clusters {
 		batch, log := dep.feed(i)
@@ -218,6 +218,13 @@ loop:
 	}
 
 	res := &Result{Name: p.sc.Name, FinishedAt: int64(t), FirstDecisionAt: -1}
+	reported := make(chan struct{}) // a flat run's report fills its own fields, beside the fold
+	go func() {
+		if !dep.anchored() {
+			clusters[0].report(p, res)
+		}
+		close(reported)
+	}()
 	inputs := make([]foldInput, len(clusters))
 	for i, cl := range clusters {
 		in, err := cl.fold(p)
@@ -229,10 +236,9 @@ loop:
 		res.TotalSentBytes += cl.r.TotalSentBytes()
 		res.Dropped += cl.r.DroppedMessages()
 	}
-	if !dep.anchored() {
-		clusters[0].report(p, res)
-	}
-	return res, dep.fold(res, inputs, reg, runErr)
+	err := dep.fold(res, inputs, reg, runErr)
+	<-reported
+	return res, err
 }
 
 // report adds a flat run's per-node fields to res: its finish time on the

@@ -28,13 +28,15 @@ import (
 func runSeq(p *plan) (*Result, error) {
 	c := p.clusters[0]
 	dep := newDeployment(p)
+	defer dep.stream.Close()
 	load := dep.loads[0]
-	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.at)}
+	load.SyncAll() // runSeq alone reads the stream: its length, lock-free
+	res := &Result{Name: p.sc.Name, FirstDecisionAt: -1, OfferedTxs: len(load.At)}
 	for _, m := range c.members {
 		res.Traffic = append(res.Traffic, NodeTraffic{Node: m})
 	}
 	horizon := types.Time(p.sc.Stop.Horizon)
-	commitAt := make(map[types.Slot]int64)
+	var commitAt commits
 	var chain []types.Block
 	var offset types.Time
 
@@ -76,7 +78,7 @@ func runSeq(p *plan) (*Result, error) {
 		if s == 0 {
 			res.FirstDecisionAt = slot.FirstDecisionAt
 		}
-		commitAt[types.Slot(s)] = int64(offset) + slot.FirstDecisionAt
+		commitAt.note(types.Slot(s), int64(offset)+slot.FirstDecisionAt)
 		// Txs is never nil here: an empty slot marshals as [], not null.
 		chain = append(chain, types.Block{Slot: types.Slot(s), Payload: []byte(payload), Txs: append([][]byte{}, txs...)})
 

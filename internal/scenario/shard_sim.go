@@ -36,41 +36,42 @@ type shardCluster interface {
 	minFinalized() int64
 }
 
-// buildShardWorkload builds the offered-load stream of every cluster that
-// carries one. A flat plan's one cluster takes the whole schedule as it is.
-// A sharded plan's Workload.TxCount and TxRate (or Arrival.Rate) are per
-// shard, so its service-wide stream is S × both — one plan.offeredStream
-// call either way — split across the shards. Legacy tx_rate streams pin
-// transaction j round-robin (j mod S, exactly equal per-shard rate) unless
-// the cross-mix says it roams — then its synthetic account key is placed by
-// the gateway's own router, modeling realistic imbalance. Arrival-process
-// streams route every transaction by its cohort key instead: small cohort
-// key spaces concentrate on few shards (hot-shard workloads) and the
-// cross-mix knob is subsumed by key placement. Each shard's stream stays in
-// arrival order.
-func buildShardWorkload(p *plan) []*offered {
+// buildShardWorkload starts the producer of every cluster's offered-load
+// stream and returns it with the streams. A flat plan's one cluster takes
+// the whole schedule as it is. A sharded plan's Workload.TxCount and TxRate
+// (or Arrival.Rate) are per shard, so its service-wide stream is S × both —
+// one plan.offeredStream call either way — split across the shards. Legacy
+// tx_rate streams pin transaction j round-robin (j mod S, exactly equal
+// per-shard rate) unless the cross-mix says it roams — then its synthetic
+// account key is placed by the gateway's own router, modeling realistic
+// imbalance. Arrival-process streams route every transaction by its cohort
+// key instead: small cohort key spaces concentrate on few shards (hot-shard
+// workloads) and the cross-mix knob is subsumed by key placement. Each
+// shard's stream stays in arrival order.
+func buildShardWorkload(p *plan) (*workload.Producer, []*offered) {
 	s, count := p.streams(), p.streams()*p.sc.Workload.TxCount
-	if s == 1 {
-		o := newOffered(count)
-		p.offeredStream(count, 1, o)
-		return []*offered{o}
-	}
-	loads, parts := make([]*offered, s), make([]workload.Sink, s)
-	for i := range loads {
-		loads[i] = newOffered(0)
-		parts[i] = loads[i]
-	}
-	router := shard.Router{Shards: s}
-	roamPct := int(p.sc.Shards.CrossMix*100 + 0.5)
-	byKey := p.sc.Workload.Arrival != nil
-	p.offeredStream(count, s, workload.Split(parts, func(j int, key string) int {
-		if byKey || j%100 < roamPct {
-			return router.Shard(key)
+	var home func(j int, key string) int
+	if s > 1 {
+		router := shard.Router{Shards: s}
+		roamPct := int(p.sc.Shards.CrossMix*100 + 0.5)
+		byKey := p.sc.Workload.Arrival != nil
+		home = func(j int, key string) int {
+			if byKey || j%100 < roamPct {
+				return router.Shard(key)
+			}
+			return j % s
 		}
-		return j % s
-	}))
-	return loads
+	}
+	feed := produce(count, s, home, func(dst workload.Sink) { p.offeredStream(count, s, dst) })
+	loads := make([]*offered, s)
+	for i := range loads {
+		loads[i] = &offered{Reader: feed.Reader(i)}
+	}
+	return feed, loads
 }
+
+// produce is workload.Produce, a variable so tests can slow the producer.
+var produce = workload.Produce
 
 // deployment is the protocol on top of a run's clusters, the same on both
 // engines. The anchoring state — pool to epochs — exists only for a
@@ -78,6 +79,7 @@ func buildShardWorkload(p *plan) []*offered {
 type deployment struct {
 	p        *plan
 	clusters []shardCluster           // the stream clusters in order, then the anchor cluster
+	stream   *workload.Producer       // the offered load's; every runner Closes it
 	loads    []*offered               // each stream cluster's part of the offered load
 	pool     *blockchain.TimedMempool // the anchor cluster's arrival-gated pool
 	last     []int                    // decided-log length last digested per shard
@@ -91,7 +93,8 @@ type deployment struct {
 }
 
 func newDeployment(p *plan) *deployment {
-	dep := &deployment{p: p, loads: buildShardWorkload(p)}
+	dep := &deployment{p: p}
+	dep.stream, dep.loads = buildShardWorkload(p)
 	if s := len(dep.loads); p.sc.Shards != nil {
 		dep.pool, dep.last, dep.epochs = blockchain.NewTimedMempool(0), make([]int, s), make([]int64, s)
 		dep.submitAt = make(map[string]types.Time)
@@ -181,10 +184,31 @@ func anchorProgress(anchorChain []types.Block, s int) (epochs, slots []int64) {
 	return epochs, slots
 }
 
+// commits is each slot's earliest commit, indexed by slot (-1: none).
+type commits []int64
+
+// at is slot s's earliest commit, -1 when there is none.
+func (c commits) at(s types.Slot) int64 {
+	if s < 0 || s >= types.Slot(len(c)) {
+		return -1
+	}
+	return c[s]
+}
+
+// note records a commit of slot s at t unless an earlier one is recorded.
+func (c *commits) note(s types.Slot, t int64) {
+	for s >= types.Slot(len(*c)) {
+		*c = append(*c, -1)
+	}
+	if s >= 0 && ((*c)[s] < 0 || t < (*c)[s]) {
+		(*c)[s] = t
+	}
+}
+
 // foldInput is what the fold needs from one cluster, engine-neutral.
 type foldInput struct {
 	chain    []types.Block
-	commitAt map[types.Slot]int64
+	commitAt commits
 	// finalized is the min finalized slot across the cluster's honest
 	// replicas.
 	finalized int64
@@ -209,8 +233,8 @@ func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, 
 	var lats []int64
 	pooled := make(map[string][]int64)
 	for i, in := range streams {
-		txs, own := txLatencies(in.chain, in.commitAt, dep.loads[i])
-		offered += len(dep.loads[i].at)
+		txs, own := dep.loads[i].latencies(in.chain, in.commitAt)
+		offered += len(dep.loads[i].At) // latencies synced the whole stream
 		decided += txs
 		if dep.anchored() {
 			p50, p99 := latencyPercentiles(own)
@@ -251,8 +275,8 @@ func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, 
 	anchorIn := inputs[len(dep.loads)]
 	var anchorLats []int64
 	for _, b := range anchorIn.chain {
-		c, ok := anchorIn.commitAt[b.Slot]
-		if !ok {
+		c := anchorIn.commitAt.at(b.Slot)
+		if c < 0 {
 			continue
 		}
 		for _, tx := range b.Txs {

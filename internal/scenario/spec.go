@@ -1054,14 +1054,7 @@ func (p *plan) offeredStream(count, scale int, dst workload.Sink) {
 	if w.Arrival == nil {
 		// Legacy deterministic pacing: TxRate per 100 ticks, synthetic
 		// account keys for the shard router.
-		for i := 0; i < count; i++ {
-			var at types.Time
-			if r := w.TxRate; r > 0 {
-				at = types.Time(int64(i) * 100 / (r * int64(scale)))
-			}
-			dst.Arrive(at, 0, fmt.Sprintf("acct-%08d", i))
-			dst.Payload(i, fmt.Appendf(nil, "otx-%08d", i))
-		}
+		workload.Paced(count, w.TxRate*int64(scale), dst)
 		return
 	}
 	a := *w.Arrival

@@ -68,7 +68,7 @@ func newTCPRun(p *plan) (*tcpRun, error) {
 // silent member never runs), each with its own mempool and WAL directory.
 // launch launches its hosts and begin starts them.
 func (r *tcpRun) add(c *cluster, batch func(types.Slot, types.Time) [][]byte, log *trace.Log) *tcpCluster {
-	cl := &tcpCluster{cluster: c, batch: batch, log: log, run: r, commitAt: make(map[types.Slot]int64)}
+	cl := &tcpCluster{cluster: c, batch: batch, log: log, run: r}
 	dir := filepath.Join(r.walRoot, fmt.Sprintf("cluster-%d", len(r.clusters)))
 	for _, id := range c.honest {
 		cl.replicas = append(cl.replicas, &tcpReplica{
@@ -156,7 +156,7 @@ type tcpCluster struct {
 	// commitAt records each slot's earliest wall-clock commit across every
 	// replica and incarnation, feeding the per-transaction latency fold.
 	commitMu sync.Mutex
-	commitAt map[types.Slot]int64
+	commitAt commits
 
 	timers []*time.Timer // the fault timers, armed by begin
 	served atomic.Int64  // the longest chain refChain has returned
@@ -220,9 +220,7 @@ func (cl *tcpCluster) launch() error {
 			OnDecide: func(_ *multishot.Node, slot types.Slot) {
 				ms := time.Since(cl.run.start).Milliseconds()
 				cl.commitMu.Lock()
-				if c, ok := cl.commitAt[slot]; !ok || ms < c {
-					cl.commitAt[slot] = ms
-				}
+				cl.commitAt.note(slot, ms)
 				cl.commitMu.Unlock()
 				cl.run.wake()
 			},
@@ -318,8 +316,6 @@ func (cl *tcpCluster) refChain() ([]types.Block, bool) {
 		if pick == nil {
 			return nil, false
 		}
-		// A fresh snapshot per try: a loop that dies while Do waits may
-		// still run fn after Do has returned false.
 		var snap []types.Block
 		if pick.host.Do(func(n *multishot.Node) { snap = append([]types.Block(nil), n.FinalizedChain()...) }) {
 			for n := int64(len(snap)); n > served; served = cl.served.Load() {
@@ -425,6 +421,8 @@ func (cl *tcpCluster) fold(res *Result, flat bool) (in foldInput, err error) {
 // serves clients until every shard has finalized the target and anchored.
 // Either fails after Stop.WallClockMS real milliseconds.
 func runTCP(p *plan, onReady func(url string)) (*Result, error) {
+	dep := newDeployment(p)
+	defer dep.stream.Close() // after r.close: no event loop drains then
 	r, err := newTCPRun(p)
 	if err != nil {
 		return nil, err
@@ -436,7 +434,6 @@ func runTCP(p *plan, onReady func(url string)) (*Result, error) {
 	// feed it concurrently. Event times and arrival times are transport
 	// ticks ≈ milliseconds, so the folds downstream are the ones the
 	// simulator uses, just in a different unit.
-	dep := newDeployment(p)
 	for i, c := range p.clusters {
 		batch, log := dep.feed(i)
 		dep.clusters = append(dep.clusters, r.add(c, batch, log))

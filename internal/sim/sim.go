@@ -390,27 +390,57 @@ func (r *Runner) DecidedCount(slot types.Slot) int {
 // The report is deterministic: the lowest divergent slot, its first decider
 // in member order, and the first member after it that decided otherwise.
 func (r *Runner) AgreementViolation() error {
-	chosen := make(map[types.Slot]types.Value)
-	owner := make(map[types.Slot]types.NodeID)
-	var err error
-	var low types.Slot
+	// Walk the slots in ascending order, each across every node: the
+	// sparse slots below the dense pages, the pages cell by cell, then the
+	// sparse slots past them. A sparse slot inside the pages' range is
+	// checked with its cell.
+	cells := 0
+	var sparse []types.Slot
 	for _, e := range r.envs {
-		// Keep the lowest divergent slot over all nodes; nodes come in
-		// member order, so the first node to differ at a slot is the one
-		// reported.
-		for slot, d := range e.decisions.all {
-			prev, ok := chosen[slot]
-			switch {
-			case !ok:
-				chosen[slot], owner[slot] = d.Val, e.self
-			case prev != d.Val && (err == nil || slot < low):
-				low = slot
-				err = fmt.Errorf("sim: agreement violated in slot %d: node %d decided %q, node %d decided %q",
-					slot, owner[slot], prev, e.self, d.Val)
+		cells = max(cells, len(e.decisions.dense)*pageCells)
+		for s := range e.decisions.sparse {
+			sparse = append(sparse, s)
+		}
+	}
+	slices.Sort(sparse)
+	k := 0
+	for ; k < len(sparse) && sparse[k] < 0; k++ {
+		if err := r.disagreement(sparse[k]); err != nil {
+			return err
+		}
+	}
+	for s := types.Slot(0); s < types.Slot(cells); s++ {
+		if err := r.disagreement(s); err != nil {
+			return err
+		}
+	}
+	for ; k < len(sparse); k++ {
+		if s := sparse[k]; s >= types.Slot(cells) {
+			if err := r.disagreement(s); err != nil {
+				return err
 			}
 		}
 	}
-	return err
+	return nil
+}
+
+// disagreement reports slot's first decider in member order and the first
+// member after it that decided otherwise, or nil.
+func (r *Runner) disagreement(slot types.Slot) error {
+	var first *env
+	var val types.Value
+	for _, e := range r.envs {
+		d, ok := e.decisions.get(slot)
+		switch {
+		case !ok:
+		case first == nil:
+			first, val = e, d.Val
+		case d.Val != val:
+			return fmt.Errorf("sim: agreement violated in slot %d: node %d decided %q, node %d decided %q",
+				slot, first.self, val, e.self, d.Val)
+		}
+	}
+	return nil
 }
 
 // SentBytes returns the bytes node put on the wire (per receiver: a

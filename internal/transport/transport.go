@@ -90,6 +90,9 @@ type Runtime struct {
 
 	events chan event
 	done   chan struct{}
+	// exited is closed once no event will run any more: when the event
+	// loop returns, or by Close when the loop never started.
+	exited chan struct{}
 	wg     sync.WaitGroup
 
 	// peers and links are the same outbound links by id and in id order.
@@ -104,6 +107,7 @@ type Runtime struct {
 	timers   map[uint64]*time.Timer // the machine's timers and delayed frames
 	timerSeq uint64
 	conns    map[net.Conn]struct{}
+	running  bool // Run has started the goroutines
 	closed   bool
 	killed   bool
 
@@ -134,8 +138,9 @@ type event struct {
 // Machine has no internal locking, so this is the only safe way to read
 // its state (finalized chain, watermark) while the runtime is live; the
 // sharded scenario engine's anchoring loop and HTTP gateway snapshot
-// replica chains through it. It reports false, without running fn, when
-// the runtime is closed or killed first.
+// replica chains through it. It reports whether fn ran: when the runtime is
+// closed or killed first, Do waits for the event loop to exit and reports
+// false only if fn never ran, and then it never will.
 func (r *Runtime) Do(fn func()) bool {
 	ran := make(chan struct{})
 	ev := event{fn: func() { fn(); close(ran) }}
@@ -148,8 +153,9 @@ func (r *Runtime) Do(fn func()) bool {
 	case <-ran:
 		return true
 	case <-r.done:
-		// The loop may still drain the event between our enqueue and its
-		// shutdown; only report success if fn actually ran.
+		// The loop may take the event after done has closed, until it
+		// exits; once it has, fn has run or never will.
+		<-r.exited
 		select {
 		case <-ran:
 			return true
@@ -203,6 +209,7 @@ func New(machine types.Machine, cfg Config) (*Runtime, error) {
 		ln:      ln,
 		events:  make(chan event, 4096),
 		done:    make(chan struct{}),
+		exited:  make(chan struct{}),
 		peers:   make(map[types.NodeID]*peer),
 		dial:    net.Dial,
 		timers:  make(map[uint64]*time.Timer),
@@ -239,8 +246,14 @@ func (r *Runtime) SetPeers(addrs map[types.NodeID]string) {
 }
 
 // Run starts the accept loop, peer writers and the event loop. It returns
-// immediately; Close shuts everything down.
+// immediately; Close shuts everything down. Run after Close does nothing.
 func (r *Runtime) Run() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	r.running = true
 	r.started = time.Now()
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -259,6 +272,9 @@ func (r *Runtime) Close() {
 		r.ln.Close()
 		r.mu.Lock()
 		r.closed = true
+		if !r.running {
+			close(r.exited) // events is buffered: a Do may have queued one
+		}
 		for _, t := range r.timers {
 			t.Stop()
 		}
@@ -344,6 +360,7 @@ func (r *Runtime) untrack(conn net.Conn) {
 
 func (r *Runtime) eventLoop() {
 	defer r.wg.Done()
+	defer close(r.exited)
 	env := &env{r: r}
 	r.machine.Start(env)
 	env.drainSelf()

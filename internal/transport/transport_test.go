@@ -193,3 +193,43 @@ func TestCloseIsIdempotentAndJoins(t *testing.T) {
 		t.Fatal("Close did not return")
 	}
 }
+
+// TestDoReportsWhetherFnRan races Do against Close, against Kill and, on a
+// runtime that never ran, against Close alone: over a few hundred rounds,
+// the functions that ran must be exactly the ones whose Do returned true.
+// A Do that returned false while its function ran, or before it ran, fails
+// the count (and, under -race, the function's write races the reader's).
+func TestDoReportsWhetherFnRan(t *testing.T) {
+	const rounds, callers = 300, 4
+	for round := 0; round < rounds; round++ {
+		rt, err := New(&idleMachine{id: 0}, Config{ListenAddr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round%3 != 2 {
+			rt.Run()
+		}
+		var ran, reported [callers]int
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					if rt.Do(func() { ran[c]++ }) {
+						reported[c]++
+					}
+				}
+			}()
+		}
+		if round%3 == 1 {
+			rt.Kill()
+		} else {
+			rt.Close()
+		}
+		wg.Wait()
+		if ran != reported {
+			t.Fatalf("round %d: functions ran %v times, Do reported %v", round, ran, reported)
+		}
+	}
+}

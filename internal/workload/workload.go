@@ -4,7 +4,10 @@
 // time-varying rate windows (ramp, spike, diurnal). A spec plus a seed pins
 // the whole schedule — generation is sequential and engine-independent, so
 // the simulator, the TCP runtime and every sharded cluster consume exactly
-// the same byte-identical arrival stream through the timed-mempool path.
+// the same byte-identical arrival stream through the timed-mempool path. A
+// Producer generates a stream on a goroutine of its own while the run that
+// consumes it starts; since arrivals come in tick order, the run sees the
+// same stream whether the producer is ahead of it or behind.
 //
 // Closed-loop workloads (a fixed transaction list, a gated drain) can never
 // push a pipeline past saturation: the next request waits for the previous
@@ -195,55 +198,34 @@ func (s Spec) Schedule(count int, seed int64) ([]Arrival, error) {
 // Arrivals is a Sink that keeps a stream as Schedule returns it.
 type Arrivals []Arrival
 
-func (a *Arrivals) Arrive(at types.Time, cohort int, key string) {
-	*a = append(*a, Arrival{At: at, Cohort: cohort, Key: key})
+func (a *Arrivals) Arrive(at types.Time, cohort int, key string, payload []byte) {
+	*a = append(*a, Arrival{At: at, Cohort: cohort, Key: key, Payload: payload})
 }
-
-func (a *Arrivals) Payload(i int, p []byte) { (*a)[i].Payload = p }
 
 // Sink receives a stream as it is drawn: Arrive once per arrival, in
-// arrival order, and Payload once per arrival (i counts from 0), in the same
-// order, each after its arrival's Arrive; Generate makes every Payload call
-// after the last Arrive, once the payloads are laid out. A consumer that
-// keeps only some of an arrival's fields stores them straight into its own
-// columns, with no []Arrival in between.
+// arrival order, with the arrival's payload, which Generate writes right
+// after it draws the arrival. A consumer that keeps only some of an
+// arrival's fields stores them straight into its own columns, with no
+// []Arrival in between; one that runs on another goroutine takes the stream
+// from a Producer.
 type Sink interface {
-	Arrive(at types.Time, cohort int, key string)
-	Payload(i int, p []byte)
+	Arrive(at types.Time, cohort int, key string, payload []byte)
 }
-
-// Split returns a Sink that hands arrival j, and its payload, to
-// dsts[home(j, key)]: one stream split across consumers, each part in
-// arrival order. The payload indices the parts see are the stream's.
-func Split(dsts []Sink, home func(j int, key string) int) Sink {
-	return &split{dsts: dsts, home: home}
-}
-
-type split struct {
-	dsts  []Sink
-	home  func(j int, key string) int
-	homes []int // each arrival's consumer, in arrival order
-}
-
-func (s *split) Arrive(at types.Time, cohort int, key string) {
-	h := s.home(len(s.homes), key)
-	s.homes = append(s.homes, h)
-	s.dsts[h].Arrive(at, cohort, key)
-}
-
-func (s *split) Payload(i int, p []byte) { s.dsts[s.homes[i]].Payload(i, p) }
 
 // Generate draws the first count arrivals of the stream into dst. The
 // stream is a pure function of (spec, count, seed): sequential splitmix64
 // draws, no global state, no parallelism — byte-identical across runs,
 // engines and GOMAXPROCS values.
 //
-// It allocates by the slab, not by the arrival: keys are written into one
-// string as they are drawn, and once every arrival is drawn and its payload
-// sized, all payloads into one byte slab (each clipped to its own length, so
-// an append to one copies it). Holding any payload or key keeps its whole
-// slab alive. Between the two passes it keeps 8 bytes per arrival, its key's
-// length and its payload's.
+// It allocates by the slab, not by the arrival, in one pass: each key is
+// written into one string and each payload into one byte slab right after
+// its arrival is drawn (each payload clipped to its own length, so an append
+// to one copies it). Holding any payload or key keeps its whole slab alive.
+// Both are sized up front from the largest key and payload any cohort can
+// draw, so neither grows; a mix whose cohorts pad to different sizes
+// reserves the largest payload for every arrival (a 3:1 mix of 21-byte and
+// 64-byte payloads reserves 64 bytes an arrival where it fills 32 on
+// average).
 func (s Spec) Generate(count int, seed int64, dst Sink) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -255,24 +237,24 @@ func (s Spec) Generate(count int, seed int64, dst Sink) error {
 	weights := make([]float64, len(cohorts))
 	names := make([]string, len(cohorts))
 	totalW := 0.0
-	maxKey := 0
+	maxKey, maxPayload := 0, 0
 	for i, c := range cohorts {
 		weights[i] = cohortWeight(c)
 		names[i] = cohortName(i, c)
 		totalW += weights[i]
-		maxKey = max(maxKey, len(names[i])+len("-k")+max(digits(cohortKeys(c)-1), 4))
+		key := len(names[i]) + len("-k") + max(digits(cohortKeys(c)-1), 4)
+		maxKey = max(maxKey, key)
+		maxPayload = max(maxPayload, len("wtx-")+max(digits(count-1), 8)+len("||")+key, c.TxBytes)
 	}
 
 	// Payload "wtx-<i, 8 digits>|<key>|" padded with '.' to TxBytes, key
 	// "<cohort>-k<n, 4 digits>" (both widths are minimums). No key is longer
-	// than maxKey, so the key string never grows.
+	// than maxKey and no payload than maxPayload, so neither slab grows.
 	r := newRNG(seed)
-	type lengths struct{ key, payload uint32 }
-	laid := make([]lengths, 0, count)
 	var keys strings.Builder
 	keys.Grow(count * maxKey)
+	slab := make([]byte, 0, count*maxPayload)
 	var num [24]byte
-	payloadBytes := 0
 	t := 0.0
 	for i := 0; i < count; i++ {
 		dt, ok := s.interArrival(r, t)
@@ -296,24 +278,29 @@ func (s Spec) Generate(count int, seed int64, dst Sink) error {
 		keys.WriteString("-k")
 		keys.Write(appendZeroPad(num[:0], r.intn(cohortKeys(cohorts[ci])), 4))
 		key := keys.String()[at:]
-		size := max(len("wtx-")+max(digits(i), 8)+len("||")+len(key), cohorts[ci].TxBytes)
-		payloadBytes += size
-		laid = append(laid, lengths{uint32(len(key)), uint32(size)})
-		dst.Arrive(types.Time(t), ci, key)
-	}
-	slab := make([]byte, 0, payloadBytes)
-	all, next := keys.String(), 0 // the keys, and where the next one starts
-	for i, l := range laid {
 		start := len(slab)
 		slab = appendZeroPad(append(slab, "wtx-"...), i, 8)
-		slab = append(append(append(slab, '|'), all[next:next+int(l.key)]...), '|')
-		next += int(l.key)
-		for len(slab)-start < int(l.payload) {
+		slab = append(append(append(slab, '|'), key...), '|')
+		for len(slab)-start < cohorts[ci].TxBytes {
 			slab = append(slab, '.')
 		}
-		dst.Payload(i, slab[start:len(slab):len(slab)])
+		dst.Arrive(types.Time(t), ci, key, slab[start:len(slab):len(slab)])
 	}
 	return nil
+}
+
+// Paced generates the deterministically paced stream into dst: count
+// arrivals, arrival i at tick i·100/rate (every one at tick 0 when rate is
+// 0), each with the synthetic account key "acct-<i>" and the payload
+// "otx-<i>", i in at least 8 digits.
+func Paced(count int, rate int64, dst Sink) {
+	for i := 0; i < count; i++ {
+		var at types.Time
+		if rate > 0 {
+			at = types.Time(int64(i) * 100 / rate)
+		}
+		dst.Arrive(at, 0, fmt.Sprintf("acct-%08d", i), fmt.Appendf(nil, "otx-%08d", i))
+	}
 }
 
 // digits is the number of decimal digits of v ≥ 0.
