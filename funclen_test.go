@@ -66,7 +66,7 @@ var packageLines = map[string]int{
 	"internal/multishot":  1623,
 	"internal/pbft":       352,
 	"internal/replica":    253,
-	"internal/scenario":   3287,
+	"internal/scenario":   3248,
 	"internal/sweep":      1946,
 }
 

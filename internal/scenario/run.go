@@ -55,10 +55,9 @@ func Run(sc Scenario) (*Result, error) {
 // seed, one machine per member in member order, a Byzantine machine where
 // the plan replaces one, every honest multi-shot replica drawing batches
 // from the one source the runner hands in. The runner advances it to a
-// virtual instant t (r.Run); refChain, minFinalized and reached read its
-// progress between instants; fold, once the run is over, checks agreement
-// and sums the cluster up into the foldInput the TCP cluster's fold returns
-// too.
+// virtual instant t (r.Run); minFinalized and reached read its progress
+// between instants; fold, once the run is over, checks agreement and sums
+// the cluster up into the foldInput the TCP cluster's fold returns too.
 type simCluster struct {
 	*cluster
 	r         *sim.Runner
@@ -98,16 +97,6 @@ func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]b
 	return cl, nil
 }
 
-// refChain is the first honest replica's finalized chain (read-only: it is
-// the node's own cache); ok is false when the cluster runs no multi-shot
-// replica.
-func (cl *simCluster) refChain() (chain []types.Block, ok bool) {
-	if len(cl.chains) == 0 {
-		return nil, false
-	}
-	return cl.chains[0].FinalizedChain(), true
-}
-
 // minFinalized is the finalized slot every honest replica has reached.
 func (cl *simCluster) minFinalized() int64 {
 	var min int64
@@ -136,7 +125,10 @@ func (cl *simCluster) reached(target types.Slot) bool {
 // every honest replica has finalized and, when traced, the stage samples.
 // A violation comes back labelled with the scenario and cluster names.
 func (cl *simCluster) fold(p *plan) (foldInput, error) {
-	chain, _ := cl.refChain()
+	var chain []types.Block // the first honest replica's, the node's own cache
+	if len(cl.chains) > 0 {
+		chain = cl.chains[0].FinalizedChain()
+	}
 	in := foldInput{chain: chain, commitAt: make(commits, 0, len(chain)+1), finalized: cl.minFinalized()}
 	for _, id := range cl.honest {
 		for s, d := range cl.r.NodeDecisions(id) {
@@ -165,7 +157,8 @@ func traced(log *trace.Log) trace.Tracer {
 // runner of its own and all on one goroutine, while the offered load is
 // generated beside them. A sharded plan advances them in lockstep quanta of
 // shards.anchor_interval ticks: every runner to the same instant t, then
-// the anchoring round at t and the completion check, and the run finishes
+// each cluster's applied log to its first honest replica's chain, the
+// anchoring round at t and the completion check, and the run finishes
 // at the last quantum boundary. A flat plan's one cluster runs one quantum,
 // the whole horizon, ended early by stop.all_decided, and finishes at its
 // runner's clock.
@@ -184,7 +177,6 @@ func runSim(p *plan) (*Result, error) {
 			return nil, err
 		}
 		clusters[i] = cl
-		dep.clusters = append(dep.clusters, cl)
 	}
 
 	horizon := types.Time(p.sc.Stop.Horizon)
@@ -207,8 +199,11 @@ loop:
 			}
 		}
 		if dep.anchored() {
+			for i, cl := range clusters {
+				dep.logs[i].extend(cl.chains[0].FinalizedChain())
+			}
 			dep.round(t)
-			if dep.done() {
+			if dep.done(func(i int) int64 { return clusters[i].minFinalized() }) {
 				break
 			}
 		}

@@ -15,25 +15,51 @@ import (
 // A run deploys the plan's clusters (plan.clusters) with one protocol on
 // top, written here once for both engines: the offered-load streams
 // (buildShardWorkload), the fold that sums a run up (deployment.fold) and,
-// for a sharded plan, the anchoring round and the completion rule. A flat
-// run is the one-stream case: its only cluster carries the whole stream,
-// and there is no anchor cluster, round or completion rule. Each engine has
-// one runner that drives every cluster of the plan, runSim (run.go) and
-// runTCP (tcp.go); each adds only its own measurements to what the fold
-// fills in, and per-node ones only for a flat run.
+// for a sharded plan, each cluster's applied log, the anchoring round and
+// the completion rule. A flat run is the one-stream case: its only cluster
+// carries the whole stream, and there is no log, anchor cluster, round or
+// completion rule. Each engine has one runner that drives every cluster of
+// the plan, runSim (run.go) and runTCP (tcp.go); each adds only its own
+// measurements to what the fold fills in, and per-node ones only for a flat
+// run.
 //
 // On the simulator a sharded run advances its S+1 runners in lockstep on
-// one goroutine, so it is exactly as deterministic as a flat one: same
-// spec + same seed = byte-identical result at any GOMAXPROCS. The TCP
-// engine runs the round from a ticker goroutine (shard_tcp.go) and the
-// completion check from its wait loop.
+// one goroutine, so same spec + same seed = byte-identical result at any
+// GOMAXPROCS. The TCP engine runs the round from a ticker goroutine
+// (shard_tcp.go) and the completion check from its wait loop.
 
-// shardCluster is what the sharded protocol reads from a cluster of either
-// engine: its reference finalized chain and the slot every required
-// replica has finalized.
-type shardCluster interface {
-	refChain() ([]types.Block, bool)
-	minFinalized() int64
+// appliedLog is one cluster's finalized log as an application applies it:
+// each finalized block once, in slot order, into the height and running
+// digest the anchors carry, the KV that gateway writes build, the decided
+// transactions and, on the anchor cluster, each shard's highest committed
+// epoch and longest anchored prefix (the fold rejects malformed anchors).
+// The simulator feeds it from the cluster's first honest replica at every
+// quantum; on TCP the replica that finalizes a slot first feeds it, from its
+// event loop, while the ticker and the gateway read it.
+type appliedLog struct {
+	mu               sync.Mutex
+	digest           *shard.Digest // its Len is the height
+	kv               *blockchain.KV
+	txs              int64
+	epochs, anchored []int64 // per shard on the anchor cluster, nil elsewhere
+}
+
+// extend applies the blocks of chain, a replica's finalized chain, past the
+// log's height: none while a relaunched replica catches up.
+func (l *appliedLog) extend(chain []types.Block) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, b := range chain[min(l.digest.Len(), len(chain)):] {
+		l.digest.Add(b)
+		l.kv.ApplyBlock(b)
+		l.txs += int64(b.NumTxs())
+		for j := 0; l.epochs != nil && j < len(b.Txs); j++ {
+			if a, ok := shard.DecodeAnchor(b.Txs[j]); ok && a.Shard < len(l.epochs) {
+				l.epochs[a.Shard] = max(l.epochs[a.Shard], a.Epoch)
+				l.anchored[a.Shard] = max(l.anchored[a.Shard], a.Slots)
+			}
+		}
+	}
 }
 
 // buildShardWorkload starts the producer of every cluster's offered-load
@@ -78,16 +104,15 @@ var produce = workload.Produce
 // sharded plan.
 type deployment struct {
 	p        *plan
-	clusters []shardCluster           // the stream clusters in order, then the anchor cluster
 	stream   *workload.Producer       // the offered load's; every runner Closes it
 	loads    []*offered               // each stream cluster's part of the offered load
+	logs     []*appliedLog            // each cluster's applied log, in clusters' order
 	pool     *blockchain.TimedMempool // the anchor cluster's arrival-gated pool
-	last     []int                    // decided-log length last digested per shard
+	last     []int                    // log height last anchored per shard
 	submitAt map[string]types.Time    // anchor transaction → submit time
 
 	// mu guards epochs, the anchors submitted per shard: on TCP the
 	// completion check reads them while the ticker goroutine runs rounds.
-	// Chain reads, which block on a replica's event loop, stay outside it.
 	mu     sync.Mutex
 	epochs []int64
 }
@@ -97,6 +122,10 @@ func newDeployment(p *plan) *deployment {
 	dep.stream, dep.loads = buildShardWorkload(p)
 	if s := len(dep.loads); p.sc.Shards != nil {
 		dep.pool, dep.last, dep.epochs = blockchain.NewTimedMempool(0), make([]int, s), make([]int64, s)
+		for range s + 1 {
+			dep.logs = append(dep.logs, &appliedLog{digest: shard.NewDigest(), kv: blockchain.NewKV()})
+		}
+		dep.logs[s].epochs, dep.logs[s].anchored = make([]int64, s), make([]int64, s)
 		dep.submitAt = make(map[string]types.Time)
 	}
 	return dep
@@ -123,65 +152,50 @@ func (dep *deployment) feed(i int) (func(types.Slot, types.Time) [][]byte, *trac
 	return dep.loads[i].batchSource(dep.p.batchSize()), log
 }
 
-// round is one anchoring round at time at: each shard whose decided log
-// grew since the last round gets its next epoch, whose anchor — the digest
-// of the whole log — is submitted into the anchor pool. One caller at a
-// time, in time order (the pool's contract).
+// round is one anchoring round at time at: each shard whose applied log
+// grew since the last round gets its next epoch, whose anchor — the height
+// and digest of the whole log — is submitted into the anchor pool. One
+// caller at a time, in time order (the pool's contract).
 func (dep *deployment) round(at types.Time) {
-	for i, cl := range dep.clusters[:len(dep.loads)] {
-		chain, _ := cl.refChain()
-		if len(chain) <= dep.last[i] {
+	for i, l := range dep.logs[:len(dep.loads)] {
+		l.mu.Lock()
+		height, digest := l.digest.Len(), l.digest.Sum()
+		l.mu.Unlock()
+		if height <= dep.last[i] {
 			continue
 		}
 		dep.mu.Lock()
 		dep.epochs[i]++
 		dep.mu.Unlock()
-		a := shard.Anchor{Shard: i, Epoch: dep.epochs[i], Slots: int64(len(chain)),
-			Digest: shard.PrefixDigest(chain, len(chain))}
-		tx := a.Encode()
+		tx := shard.Anchor{Shard: i, Epoch: dep.epochs[i], Slots: int64(height), Digest: digest}.Encode()
 		dep.pool.Submit(at, tx)
 		dep.submitAt[string(tx)] = at
-		dep.last[i] = len(chain)
+		dep.last[i] = height
 	}
 }
 
-// done is the completion rule: every shard has finalized the slot target
-// and — only then worth the anchor-log scan — the anchor cluster has
-// committed every anchor submitted so far, at least one per shard.
-func (dep *deployment) done() bool {
+// done is the completion rule: every shard has finalized the slot target —
+// minFinalized(i) is the slot every required replica of shard i has — and
+// the anchor cluster has committed every anchor submitted so far, at least
+// one per shard.
+func (dep *deployment) done(minFinalized func(i int) int64) bool {
 	s := len(dep.loads)
-	for _, cl := range dep.clusters[:s] {
-		if cl.minFinalized() < dep.p.sc.Workload.Slots {
+	for i := range s {
+		if minFinalized(i) < dep.p.sc.Workload.Slots {
 			return false
 		}
 	}
-	chain, _ := dep.clusters[s].refChain()
-	committed, _ := anchorProgress(chain, s)
+	anchor := dep.logs[s]
 	dep.mu.Lock()
 	defer dep.mu.Unlock()
+	anchor.mu.Lock()
+	defer anchor.mu.Unlock()
 	for i, e := range dep.epochs {
-		if e == 0 || committed[i] < e {
+		if e == 0 || anchor.epochs[i] < e {
 			return false
 		}
 	}
 	return true
-}
-
-// anchorProgress scans the anchor cluster's decided log and returns, per
-// shard, the highest epoch committed and the longest prefix anchored
-// (well-formedness is checked at fold time; here malformed transactions
-// are simply not progress).
-func anchorProgress(anchorChain []types.Block, s int) (epochs, slots []int64) {
-	epochs, slots = make([]int64, s), make([]int64, s)
-	for _, b := range anchorChain {
-		for _, tx := range b.Txs {
-			if a, ok := shard.DecodeAnchor(tx); ok && a.Shard < s {
-				epochs[a.Shard] = max(epochs[a.Shard], a.Epoch)
-				slots[a.Shard] = max(slots[a.Shard], a.Slots)
-			}
-		}
-	}
-	return epochs, slots
 }
 
 // commits is each slot's earliest commit, indexed by slot (-1: none).
@@ -289,16 +303,10 @@ func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, 
 	if runErr != nil {
 		return runErr
 	}
-	return verifyShardAnchors(p, res, streams, anchorIn)
-}
-
-// verifyShardAnchors runs the cross-shard consistency check and writes the
-// verified per-shard anchor progress into the result. A violation — any
-// anchored digest that does not match a prefix of its shard's decided log —
-// is reported as an agreement error.
-func verifyShardAnchors(p *plan, res *Result, inputs []foldInput, anchorIn foldInput) error {
-	chains := make([][]types.Block, len(inputs))
-	for i, in := range inputs {
+	// The cross-shard consistency check: an anchored digest that matches no
+	// prefix of its shard's decided log is an agreement violation.
+	chains := make([][]types.Block, len(streams))
+	for i, in := range streams {
 		chains[i] = in.chain
 	}
 	epochs, anchored, err := shard.VerifyAnchors(anchorIn.chain, chains)

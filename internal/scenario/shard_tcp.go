@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,8 +44,8 @@ func startAnchoring(r *tcpRun, dep *deployment, interval time.Duration) (stop fu
 
 // tcpGatewayBackend adapts the live clusters to the gateway's Backend
 // interface. Submissions ride a shard replica's ordinary mempool (the next
-// block it proposes carries them); queries replay the shard's decided log
-// into a fresh KV.
+// block it proposes carries them); queries and status read the clusters'
+// applied logs, which never go back, whichever replicas are up.
 type tcpGatewayBackend struct {
 	shards []*tcpCluster
 	anchor *tcpCluster
@@ -58,10 +58,8 @@ type tcpGatewayBackend struct {
 // next live replica instead.
 func (b *tcpGatewayBackend) Submit(shardIdx int, key, value string) error {
 	cl := b.shards[shardIdx]
-	h := fnv.New32a()
-	h.Write([]byte(key))
 	n := len(cl.replicas)
-	first := int(h.Sum32() % uint32(n))
+	first := shard.Router{Shards: n}.Shard(key)
 	for i := range n {
 		rep := cl.replicas[(first+i)%n]
 		if !rep.host.Live() {
@@ -75,37 +73,31 @@ func (b *tcpGatewayBackend) Submit(shardIdx int, key, value string) error {
 	return fmt.Errorf("shard %d: no live replica", shardIdx)
 }
 
-// Query implements shard.Backend: snapshot the shard's decided log and
-// replay the block payloads (gateway submissions) into a KV.
+// Query implements shard.Backend: the key's value in the KV of the shard's
+// applied log, answered while any replica of the shard is up.
 func (b *tcpGatewayBackend) Query(shardIdx int, key string) (string, bool, error) {
-	chain, live := b.shards[shardIdx].refChain()
-	if !live {
+	cl := b.shards[shardIdx]
+	if !slices.ContainsFunc(cl.replicas, func(rep *tcpReplica) bool { return rep.host.Live() }) {
 		return "", false, fmt.Errorf("shard %d: no live replica", shardIdx)
 	}
-	kv := blockchain.NewKV()
-	for _, blk := range chain {
-		kv.ApplyBlock(blk)
-	}
-	v, ok := kv.Get(key)
+	v, ok := cl.applied.kv.Get(key)
 	return v, ok, nil
 }
 
 // Status implements shard.Backend.
 func (b *tcpGatewayBackend) Status() shard.Status {
 	st := shard.Status{AnchorFinalized: b.anchor.minFinalized()}
-	anchorChain, _ := b.anchor.refChain()
-	epochs, anchored := anchorProgress(anchorChain, len(b.shards))
+	anchor := b.anchor.applied
+	anchor.mu.Lock()
+	defer anchor.mu.Unlock()
 	for i, cl := range b.shards {
-		var txs int64
-		chain, _ := cl.refChain()
-		for _, blk := range chain {
-			txs += int64(blk.NumTxs())
-		}
+		cl.applied.mu.Lock()
 		st.Shards = append(st.Shards, shard.ShardStatus{
-			Shard: i, Finalized: cl.minFinalized(), DecidedTxs: txs,
-			AnchoredSlots: anchored[i],
+			Shard: i, Finalized: cl.minFinalized(), DecidedTxs: cl.applied.txs,
+			AnchoredSlots: anchor.anchored[i],
 		})
-		st.AnchorEpochs += epochs[i]
+		cl.applied.mu.Unlock()
+		st.AnchorEpochs += anchor.epochs[i]
 	}
 	return st
 }

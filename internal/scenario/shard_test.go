@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"tetrabft/internal/blockchain"
 	"tetrabft/internal/shard"
+	"tetrabft/internal/types"
 	"tetrabft/internal/workload"
 )
 
@@ -280,6 +282,48 @@ func TestShardedSimProgress(t *testing.T) {
 	}
 }
 
+// TestAppliedLogMatchesPrefixDigest is the applied log's differential
+// check against the oracle: fed a decided chain a block at a time, or many
+// at once, and interleaved with the shorter chain of a replica that is
+// catching up, its height and running digest equal PrefixDigest of the
+// chain at every height, and its transaction count the chain's. The chain
+// is one shard's of the bundled sharded scenario, run as a flat cluster (a
+// sharded result carries no chain). Within a sharded run the fold checks
+// the same equality at every anchored height.
+func TestAppliedLogMatchesPrefixDigest(t *testing.T) {
+	sc, ok := ByName("sharded-service")
+	if !ok {
+		t.Fatal("sharded-service scenario missing from the bundle")
+	}
+	sc.Shards, sc.Nodes, sc.Workload.Slots, sc.Collect.Chain = nil, 4, 60, true
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := res.Chain
+	if int64(len(chain)) < sc.Workload.Slots || res.DecidedTxs == 0 {
+		t.Fatalf("the run decided %d blocks and %d transactions, want %d blocks and some transactions", len(chain), res.DecidedTxs, sc.Workload.Slots)
+	}
+	for _, step := range []int{1, 7} {
+		log, txs := &appliedLog{digest: shard.NewDigest(), kv: blockchain.NewKV()}, int64(0)
+		for h := 0; h < len(chain); {
+			log.extend(chain[:h/2]) // a relaunched replica's shorter chain
+			next := min(h+step, len(chain))
+			for _, b := range chain[h:next] {
+				txs += int64(b.NumTxs())
+			}
+			h = next
+			log.extend(chain[:h])
+			if got := log.digest.Len(); got != h || log.digest.Sum() != shard.PrefixDigest(chain, h) {
+				t.Fatalf("step %d: the log at height %d (want %d) digests differently from PrefixDigest", step, got, h)
+			}
+			if log.txs != txs {
+				t.Fatalf("step %d, height %d: %d decided transactions, want %d", step, h, log.txs, txs)
+			}
+		}
+	}
+}
+
 // TestShardFaultIsolationTCP crash-restarts one replica inside shard 0
 // mid-run over real TCP and checks the blast radius: shard 1 and the
 // anchor cluster never notice (no reconnects outside the faulted shard),
@@ -520,32 +564,24 @@ func TestGatewaySkipsDeadReplica(t *testing.T) {
 }
 
 // TestGatewayReadsNeverGoBack: once a key reads "found" through the
-// gateway, every later answer for it must be "found" too, while replica 0
-// of the key's shard crashes and is relaunched from its WAL. A relaunched
+// gateway, every later answer for it must be "found" too, while replicas of
+// the key's shard crash and are relaunched from their WALs. A relaunched
 // replica restores no finalized prefix and re-finalizes from slot 1, so a
 // gateway that read it during its catch-up would lose keys committed long
 // before the crash. The test queries the keys in a tight loop until the run
 // ends.
+//
+// In the second case every replica that holds the shard's chain is down at
+// once (replicas 1–3 crash for good), and then replica 0 is relaunched: the
+// only live replica is one that has finalized nothing and never will, since
+// no peer is left to catch up from. The shard cannot reach its target again,
+// so that run ends at its wall-clock limit.
 func TestGatewayReadsNeverGoBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP runtimes in -short mode")
 	}
-	noLeaks(t)
-	sc := Scenario{
-		Name:     "gateway-monotone-reads",
-		Protocol: TetraBFTMulti,
-		Engine:   EngineTCP,
-		Shards:   &ShardsSpec{Count: 2, AnchorInterval: 30},
-		// A shard proposes up to slot Slots+3 and finalizes up to Slots, so
-		// a key that rides one of the last three blocks never commits (the
-		// sharded never-committed family); 40 slots keep the keys, submitted
-		// at the start, well below them.
-		Workload: WorkloadSpec{Slots: 40, Window: 2},
-		Faults:   []FaultSpec{{Type: FaultCrashRestart, Shard: 0, Node: 0, CrashAtMS: 300, RestartAtMS: 600}},
-		Stop:     StopSpec{WallClockMS: 30000},
-	}
 	// Keys of shard 0 whose submissions go to a replica other than 0 (hash
-	// mod 4), so none waits in the mempool of the replica that crashes.
+	// mod 4), so none waits in the mempool of the replica that crashes first.
 	var keys []string
 	for i := 0; len(keys) < 4; i++ {
 		key := fmt.Sprintf("acct-%d", i)
@@ -555,67 +591,117 @@ func TestGatewayReadsNeverGoBack(t *testing.T) {
 			keys = append(keys, key)
 		}
 	}
-	var (
-		submitErr, goneBack error
-		answers             int
-		found               = make(map[string]bool)
-		queried             = make(chan struct{})
-	)
-	_, err := RunWithGateway(sc, func(base string) {
-		for _, key := range keys {
-			resp, err := http.PostForm(base+"/submit", url.Values{"key": {key}, "value": {"v-" + key}})
-			if err != nil {
-				submitErr = err
-				close(queried)
-				return
+	crash := func(node int, at, restart int64) FaultSpec {
+		return FaultSpec{Type: FaultCrashRestart, Shard: 0, Node: types.NodeID(node), CrashAtMS: at, RestartAtMS: restart}
+	}
+	for _, tc := range []struct {
+		name   string
+		faults []FaultSpec
+		// lagging is the instant (ms) from which the only live replica of
+		// shard 0 is the relaunched replica 0 with nothing finalized, and
+		// the run's wall-clock limit is lagging+1500; 0 means the run
+		// must complete.
+		lagging int64
+	}{
+		{name: "one replica relaunched", faults: []FaultSpec{crash(0, 300, 600)}},
+		{
+			name:    "every caught-up replica down",
+			faults:  []FaultSpec{crash(0, 300, 1000), crash(1, 900, 0), crash(2, 900, 0), crash(3, 900, 0)},
+			lagging: 1000,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			noLeaks(t)
+			sc := Scenario{
+				Name:     "gateway-monotone-reads",
+				Protocol: TetraBFTMulti,
+				Engine:   EngineTCP,
+				Shards:   &ShardsSpec{Count: 2, AnchorInterval: 30},
+				// A shard proposes up to slot Slots+3 and finalizes up to
+				// Slots, so a key that rides one of the last three blocks
+				// never commits (the sharded never-committed family); 40
+				// slots keep the keys, submitted at the start, well below
+				// them.
+				Workload: WorkloadSpec{Slots: 40, Window: 2},
+				Faults:   tc.faults,
+				Stop:     StopSpec{WallClockMS: 30000},
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				submitErr = fmt.Errorf("submit %s: %s", key, resp.Status)
-				close(queried)
-				return
+			if tc.lagging > 0 {
+				sc.Stop.WallClockMS = tc.lagging + 1500
 			}
-		}
-		go func() {
-			defer close(queried)
-			for goneBack == nil {
+			var (
+				submitErr, goneBack error
+				answers, lagged     int
+				found               = make(map[string]bool)
+				queried             = make(chan struct{})
+			)
+			_, err := RunWithGateway(sc, func(base string) {
+				start := time.Now()
 				for _, key := range keys {
-					resp, err := http.Get(base + "/query?key=" + url.QueryEscape(key))
+					resp, err := http.PostForm(base+"/submit", url.Values{"key": {key}, "value": {"v-" + key}})
 					if err != nil {
-						return // the gateway closed: the run is over
+						submitErr = err
+						close(queried)
+						return
 					}
-					var q struct {
-						Found bool `json:"found"`
-					}
-					err = json.NewDecoder(resp.Body).Decode(&q)
 					resp.Body.Close()
-					if err != nil {
-						continue // a 503 while every replica is down
+					if resp.StatusCode != http.StatusOK {
+						submitErr = fmt.Errorf("submit %s: %s", key, resp.Status)
+						close(queried)
+						return
 					}
-					answers++
-					if found[key] && !q.Found {
-						goneBack = fmt.Errorf("key %s read found, then not found (answer %d)", key, answers)
-						break
+				}
+				go func() {
+					defer close(queried)
+					for goneBack == nil {
+						for _, key := range keys {
+							asked := time.Since(start).Milliseconds()
+							resp, err := http.Get(base + "/query?key=" + url.QueryEscape(key))
+							if err != nil {
+								return // the gateway closed: the run is over
+							}
+							var q struct {
+								Found bool `json:"found"`
+							}
+							err = json.NewDecoder(resp.Body).Decode(&q)
+							resp.Body.Close()
+							if err != nil {
+								continue // a 503 while every replica is down
+							}
+							answers++
+							if tc.lagging > 0 && asked > tc.lagging+100 {
+								lagged++
+							}
+							if found[key] && !q.Found {
+								goneBack = fmt.Errorf("key %s read found, then not found (answer %d)", key, answers)
+								break
+							}
+							found[key] = found[key] || q.Found
+						}
 					}
-					found[key] = found[key] || q.Found
+				}()
+			})
+			<-queried
+			if submitErr != nil {
+				t.Fatal(submitErr)
+			}
+			if goneBack != nil {
+				t.Fatal(goneBack)
+			}
+			switch {
+			case tc.lagging == 0 && err != nil:
+				t.Fatal(err)
+			case tc.lagging > 0 && (err == nil || !strings.Contains(err.Error(), "timed out before")):
+				t.Fatalf("run ended with %v, want the wall-clock timeout of a shard that cannot finalize", err)
+			case tc.lagging > 0 && lagged == 0:
+				t.Fatalf("no answer while only the relaunched replica was live (%d answers)", answers)
+			}
+			for _, key := range keys {
+				if !found[key] {
+					t.Errorf("key %s never read found in %d answers", key, answers)
 				}
 			}
-		}()
-	})
-	<-queried
-	if err != nil {
-		t.Fatal(err)
-	}
-	if submitErr != nil {
-		t.Fatal(submitErr)
-	}
-	if goneBack != nil {
-		t.Fatal(goneBack)
-	}
-	for _, key := range keys {
-		if !found[key] {
-			t.Errorf("key %s never read found in %d answers", key, answers)
-		}
+		})
 	}
 }
 

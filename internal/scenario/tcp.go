@@ -158,8 +158,8 @@ type tcpCluster struct {
 	commitMu sync.Mutex
 	commitAt commits
 
-	timers []*time.Timer // the fault timers, armed by begin
-	served atomic.Int64  // the longest chain refChain has returned
+	timers  []*time.Timer // the fault timers, armed by begin
+	applied *appliedLog   // a sharded run's applied log, nil in a flat run
 }
 
 type tcpReplica struct {
@@ -217,11 +217,14 @@ func (cl *tcpCluster) launch() error {
 				}
 				return store, err
 			},
-			OnDecide: func(_ *multishot.Node, slot types.Slot) {
+			OnDecide: func(node *multishot.Node, slot types.Slot) {
 				ms := time.Since(cl.run.start).Milliseconds()
 				cl.commitMu.Lock()
 				cl.commitAt.note(slot, ms)
 				cl.commitMu.Unlock()
+				if cl.applied != nil {
+					cl.applied.extend(node.FinalizedChain())
+				}
 				cl.run.wake()
 			},
 		})
@@ -288,46 +291,6 @@ func (cl *tcpCluster) close() {
 	}
 }
 
-// refChain snapshots, through its event loop (the only safe way to read
-// machine state mid-run), the finalized chain of the first live replica
-// whose watermark has reached the longest chain refChain has returned,
-// and when none has, of the live replica with the highest watermark. A
-// relaunched replica restores no finalized prefix and re-finalizes from
-// slot 1, so this keeps the chain from going back in time, and it keeps
-// the reads on one replica while that one keeps up. It reports false when
-// every replica is down — distinct from a live replica whose chain is
-// still empty (early in a run nothing has finalized yet, and conflating
-// the two made the gateway 503 transiently).
-func (cl *tcpCluster) refChain() ([]types.Block, bool) {
-	for {
-		served := cl.served.Load()
-		var pick *tcpReplica
-		for _, rep := range cl.replicas {
-			if !rep.host.Live() {
-				continue
-			}
-			if w := rep.host.Watermark(); w >= served {
-				pick = rep
-				break
-			} else if pick == nil || w > pick.host.Watermark() {
-				pick = rep
-			}
-		}
-		if pick == nil {
-			return nil, false
-		}
-		var snap []types.Block
-		if pick.host.Do(func(n *multishot.Node) { snap = append([]types.Block(nil), n.FinalizedChain()...) }) {
-			for n := int64(len(snap)); n > served; served = cl.served.Load() {
-				if cl.served.CompareAndSwap(served, n) {
-					break
-				}
-			}
-			return snap, true
-		}
-	}
-}
-
 // minFinalized is the lowest watermark across required replicas, 0 when
 // none is required.
 func (cl *tcpCluster) minFinalized() (low int64) {
@@ -344,13 +307,13 @@ func (cl *tcpCluster) minFinalized() (low int64) {
 // past the target, and multishot nodes have no internal locking — and sums
 // it up into in and res, adding a flat run's per-replica fields, in node
 // order: link health, the finalized slots and chains of the required
-// replicas, and the trace. The reference chain is the longest, as the
-// chain reads mid-run are. Chains may disagree in length (stragglers keep
-// catching up) but never in content: each required replica's chain is
-// checked against the reference over their shared prefix, like the
-// simulator's agreement monitor does per slot, and a divergence comes back
-// labelled with the scenario and cluster names. A replica that crashed for
-// good is skipped there: its node was abandoned mid-run.
+// replicas, and the trace. The reference chain is the longest. Chains may
+// disagree in length (stragglers keep catching up) but never in content:
+// each required replica's chain is checked against the reference over their
+// shared prefix, like the simulator's agreement monitor does per slot, and a
+// divergence comes back labelled with the scenario and cluster names. A
+// replica that crashed for good is skipped there: its node was abandoned
+// mid-run.
 func (cl *tcpCluster) fold(res *Result, flat bool) (in foldInput, err error) {
 	cl.close()
 	collect := cl.run.p.sc.Collect
@@ -436,7 +399,9 @@ func runTCP(p *plan, onReady func(url string)) (*Result, error) {
 	// simulator uses, just in a different unit.
 	for i, c := range p.clusters {
 		batch, log := dep.feed(i)
-		dep.clusters = append(dep.clusters, r.add(c, batch, log))
+		if cl := r.add(c, batch, log); dep.anchored() {
+			cl.applied = dep.logs[i]
+		}
 	}
 	for _, tx := range p.sc.Workload.Transactions {
 		r.clusters[0].replica(tx.Node).mempool.Submit(buildTx(tx))
@@ -450,7 +415,8 @@ func runTCP(p *plan, onReady func(url string)) (*Result, error) {
 	what := fmt.Sprintf("all replicas finalized slot %d", target)
 	stop := func() {}
 	if dep.anchored() {
-		done, what = dep.done, fmt.Sprintf("all shards finalized slot %d and anchored", target)
+		done = func() bool { return dep.done(func(i int) int64 { return r.clusters[i].minFinalized() }) }
+		what = fmt.Sprintf("all shards finalized slot %d and anchored", target)
 		stop = startAnchoring(r, dep, time.Duration(p.sc.Shards.anchorInterval())*time.Millisecond)
 		defer stop()
 		// The gateway, when requested: clients route through it while the

@@ -12,13 +12,12 @@ import (
 
 // Backend is the running sharded deployment a Gateway fronts: the TCP
 // scenario engine implements it over live clusters. Calls arrive from
-// http.Server goroutines, so implementations must be safe for concurrent
-// use (the engine serializes machine access via transport.Runtime.Do).
+// http.Server goroutines, so implementations must be safe for concurrent use.
 type Backend interface {
 	// Submit enqueues a set(key, value) transaction on the given shard.
 	Submit(shardIdx int, key, value string) error
-	// Query reads the current value of key on the given shard, from that
-	// shard's decided log.
+	// Query reads the current value of key on the given shard, from the
+	// state its decided log has applied.
 	Query(shardIdx int, key string) (value string, found bool, err error)
 	// Status snapshots per-shard and anchor progress.
 	Status() Status
@@ -40,8 +39,8 @@ type ShardStatus struct {
 	// Finalized is the shard's decided-log length (min across required
 	// replicas).
 	Finalized int64 `json:"finalized"`
-	// DecidedTxs counts the transactions on the shard's reference decided
-	// log (client submissions that have committed).
+	// DecidedTxs counts the transactions on the shard's decided log
+	// (client submissions that have committed).
 	DecidedTxs int64 `json:"decided_txs"`
 	// AnchoredSlots is the longest decided prefix the anchor cluster has
 	// committed a digest for.

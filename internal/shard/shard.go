@@ -17,6 +17,7 @@ package shard
 
 import (
 	"crypto/sha256"
+	"hash"
 	"hash/fnv"
 
 	"tetrabft/internal/types"
@@ -43,9 +44,9 @@ func (r Router) Shard(key string) int {
 
 // PrefixDigest hashes the first k blocks of a decided log: SHA-256 over
 // the concatenated block IDs of slots 1..k. Both ends of the anchoring
-// loop use it — a shard digests its own finalized chain before committing
-// the digest to the anchor cluster, and the result fold recomputes it from
-// the shard's final chain to verify every anchored claim. Because block
+// loop compute it, kept running by a Digest — a shard commits the digest of
+// its finalized log to the anchor cluster, and the result fold recomputes it
+// from the shard's final chain to verify every anchored claim. Because block
 // IDs already commit to slot, parent, payload and the transaction batch,
 // equal digests mean byte-equal prefixes.
 func PrefixDigest(chain []types.Block, k int) [32]byte {
@@ -61,3 +62,31 @@ func PrefixDigest(chain []types.Block, k int) [32]byte {
 	h.Sum(out[:0])
 	return out
 }
+
+// blockID is types.Block.ID, a variable so tests can count the hashes a
+// Digest takes.
+var blockID = types.Block.ID
+
+// Digest is PrefixDigest kept running: fed a decided log's blocks in slot
+// order, one SHA-256 write each, its Sum after k blocks is
+// PrefixDigest(chain, k). A prefix that grows costs only its new blocks.
+type Digest struct {
+	h hash.Hash
+	n int
+}
+
+// NewDigest returns the digest of the empty prefix.
+func NewDigest() *Digest { return &Digest{h: sha256.New()} }
+
+// Add extends the digested prefix by its next block.
+func (d *Digest) Add(b types.Block) {
+	id := blockID(b)
+	d.h.Write(id[:])
+	d.n++
+}
+
+// Len is the number of blocks digested.
+func (d *Digest) Len() int { return d.n }
+
+// Sum is the digest of the blocks added so far.
+func (d *Digest) Sum() [32]byte { return [32]byte(d.h.Sum(nil)) }

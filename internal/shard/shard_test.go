@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -96,6 +98,105 @@ func TestVerifyAnchors(t *testing.T) {
 	} {
 		if _, _, err := VerifyAnchors(chain, chains); err == nil {
 			t.Errorf("%s: VerifyAnchors accepted a bad anchor chain", name)
+		}
+	}
+}
+
+// verifyAnchorsOracle is VerifyAnchors as it stood before its digests ran:
+// every anchor re-hashes its prefix from slot 1 with PrefixDigest.
+func verifyAnchorsOracle(anchorChain []types.Block, shardChains [][]types.Block) (epochs, anchoredSlots []int64, err error) {
+	epochs = make([]int64, len(shardChains))
+	anchoredSlots = make([]int64, len(shardChains))
+	for _, b := range anchorChain {
+		for _, tx := range b.Txs {
+			if !bytes.HasPrefix(tx, []byte(anchorPrefix)) {
+				continue
+			}
+			a, ok := DecodeAnchor(tx)
+			if !ok {
+				return nil, nil, fmt.Errorf("shard: anchor slot %d carries a malformed anchor transaction %q", b.Slot, tx)
+			}
+			if a.Shard >= len(shardChains) {
+				return nil, nil, fmt.Errorf("shard: anchor names unknown shard %d (have %d)", a.Shard, len(shardChains))
+			}
+			if a.Epoch != epochs[a.Shard]+1 {
+				return nil, nil, fmt.Errorf("shard: shard %d anchored epoch %d after epoch %d (epochs must advance by one)", a.Shard, a.Epoch, epochs[a.Shard])
+			}
+			chain := shardChains[a.Shard]
+			if a.Slots > int64(len(chain)) {
+				return nil, nil, fmt.Errorf("shard: shard %d anchored %d slots but decided only %d", a.Shard, a.Slots, len(chain))
+			}
+			if got := PrefixDigest(chain, int(a.Slots)); got != a.Digest {
+				return nil, nil, fmt.Errorf("shard: shard %d epoch %d digest mismatch over %d slots (anchored history diverges from the decided log)", a.Shard, a.Epoch, a.Slots)
+			}
+			epochs[a.Shard] = a.Epoch
+			if a.Slots > anchoredSlots[a.Shard] {
+				anchoredSlots[a.Shard] = a.Slots
+			}
+		}
+	}
+	return epochs, anchoredSlots, nil
+}
+
+// TestVerifyAnchorsMatchesOracle: on random anchor chains — prefixes that
+// grow, shrink or repeat, skipped and repeated epochs, wrong digests,
+// claims past the decided log, unknown shards and malformed anchors —
+// VerifyAnchors, which digests each shard's chain forward, gives the
+// re-hashing oracle's verdict, results and error text.
+func TestVerifyAnchorsMatchesOracle(t *testing.T) {
+	chains := [][]types.Block{testChain(40), testChain(25), testChain(3)}
+	rng := rand.New(rand.NewPCG(1, 2))
+	verdicts := make(map[string]int)
+	for trial := range 3000 {
+		next := make([]int64, len(chains)+1) // the epoch each shard claims next
+		var anchorChain []types.Block
+		for slot := range 1 + rng.IntN(6) {
+			b := types.Block{Slot: types.Slot(slot + 1)}
+			for range rng.IntN(4) {
+				switch rng.IntN(100) {
+				case 0:
+					b.Txs = append(b.Txs, []byte("anchor|s=x"))
+					continue
+				case 1, 2, 3, 4, 5:
+					b.Txs = append(b.Txs, []byte("otx-1"))
+					continue
+				}
+				s := rng.IntN(len(chains))
+				if rng.IntN(100) == 0 {
+					s = len(chains)
+				}
+				next[s]++
+				a := Anchor{Shard: s, Epoch: next[s], Slots: 1 + rng.Int64N(int64(len(chains[s%len(chains)])))}
+				if rng.IntN(100) == 0 {
+					a.Epoch++
+				}
+				if rng.IntN(100) == 0 {
+					a.Slots += 2
+				}
+				a.Digest = PrefixDigest(chains[s%len(chains)], int(a.Slots))
+				if rng.IntN(100) == 0 {
+					a.Digest[0] ^= 1
+				}
+				b.Txs = append(b.Txs, a.Encode())
+			}
+			anchorChain = append(anchorChain, b)
+		}
+		epochs, anchored, err := VerifyAnchors(anchorChain, chains)
+		wantEpochs, wantAnchored, wantErr := verifyAnchorsOracle(anchorChain, chains)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(epochs, anchored) != fmt.Sprint(wantEpochs, wantAnchored) {
+			t.Fatalf("trial %d: VerifyAnchors = %v %v %v, oracle %v %v %v", trial, epochs, anchored, err, wantEpochs, wantAnchored, wantErr)
+		}
+		verdict := "ok"
+		for _, v := range []string{"malformed", "unknown", "epochs must", "decided only", "mismatch"} {
+			if err != nil && strings.Contains(err.Error(), v) {
+				verdict = v
+			}
+		}
+		verdicts[verdict]++
+	}
+	for _, v := range []string{"ok", "malformed", "unknown", "epochs must", "decided only", "mismatch"} {
+		if verdicts[v] == 0 {
+			t.Errorf("no trial reached the %q verdict: %v", v, verdicts)
 		}
 	}
 }

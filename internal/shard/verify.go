@@ -11,7 +11,9 @@ import (
 // time: every anchor transaction on the anchor cluster's decided log must be
 // well-formed, name a known shard, advance that shard's epoch by exactly one,
 // and carry the digest of a prefix the shard actually decided. shardChains
-// holds each shard's reference finalized chain, indexed by shard.
+// holds each shard's reference finalized chain, indexed by shard. An honest
+// shard anchors ever longer prefixes, so its digest only runs forward: a
+// shorter claim than the last starts it over.
 //
 // It returns the per-shard committed-epoch counts and the longest anchored
 // prefix per shard (both indexed by shard), or the first violation found. A
@@ -21,6 +23,7 @@ import (
 func VerifyAnchors(anchorChain []types.Block, shardChains [][]types.Block) (epochs, anchoredSlots []int64, err error) {
 	epochs = make([]int64, len(shardChains))
 	anchoredSlots = make([]int64, len(shardChains))
+	digests := make([]*Digest, len(shardChains))
 	for _, b := range anchorChain {
 		for _, tx := range b.Txs {
 			if !bytes.HasPrefix(tx, []byte(anchorPrefix)) {
@@ -40,13 +43,19 @@ func VerifyAnchors(anchorChain []types.Block, shardChains [][]types.Block) (epoc
 			if a.Slots > int64(len(chain)) {
 				return nil, nil, fmt.Errorf("shard: shard %d anchored %d slots but decided only %d", a.Shard, a.Slots, len(chain))
 			}
-			if got := PrefixDigest(chain, int(a.Slots)); got != a.Digest {
+			d := digests[a.Shard]
+			if d == nil || int64(d.Len()) > a.Slots {
+				d = NewDigest()
+				digests[a.Shard] = d
+			}
+			for int64(d.Len()) < a.Slots {
+				d.Add(chain[d.Len()])
+			}
+			if d.Sum() != a.Digest {
 				return nil, nil, fmt.Errorf("shard: shard %d epoch %d digest mismatch over %d slots (anchored history diverges from the decided log)", a.Shard, a.Epoch, a.Slots)
 			}
 			epochs[a.Shard] = a.Epoch
-			if a.Slots > anchoredSlots[a.Shard] {
-				anchoredSlots[a.Shard] = a.Slots
-			}
+			anchoredSlots[a.Shard] = max(anchoredSlots[a.Shard], a.Slots)
 		}
 	}
 	return epochs, anchoredSlots, nil
