@@ -277,7 +277,7 @@ func (s *Store) Chain() []types.Block {
 func (s *Store) Get(slot types.Slot) (types.Block, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if slot < 1 || int(slot) > len(s.chain) {
+	if slot < 1 || slot > types.Slot(len(s.chain)) {
 		return types.Block{}, false
 	}
 	return s.chain[slot-1], true

@@ -1,6 +1,7 @@
 package multishot
 
 import (
+	"math"
 	"testing"
 
 	"tetrabft/internal/quorum"
@@ -8,16 +9,19 @@ import (
 	"tetrabft/internal/types"
 )
 
+// hugeID is 1<<40, or the largest NodeID where int is 32 bits wide.
+const hugeID = types.NodeID(min(1<<40, math.MaxInt))
+
 // forgedSenders are identities outside a {5, 17, 42, 1000} membership: a
 // negative one, a huge one, and one between two members.
-var forgedSenders = []types.NodeID{-1, 1 << 40, 20}
+var forgedSenders = []types.NodeID{-1, hugeID, 20}
 
 func TestMemberIndex(t *testing.T) {
 	dense := newMemberIndex([]types.NodeID{0, 1, 2, 3})
 	if dense.idx != nil {
 		t.Error("members 0..n−1 built a lookup map")
 	}
-	for id, want := range map[types.NodeID]bool{0: true, 3: true, -1: false, 4: false, 1 << 40: false} {
+	for id, want := range map[types.NodeID]bool{0: true, 3: true, -1: false, 4: false, hugeID: false} {
 		if pos, ok := dense.of(id); ok != want || (ok && pos != int(id)) {
 			t.Errorf("dense.of(%d) = %d, %v", id, pos, ok)
 		}

@@ -341,7 +341,7 @@ func NewNode(cfg Config) (*Node, error) {
 		claims:    make(map[types.Slot]map[types.NodeID]types.BlockID),
 	}
 	if cfg.MaxSlot > 0 {
-		reserve := min(int(cfg.MaxSlot), chainReserve)
+		reserve := min(cfg.MaxSlot, chainReserve)
 		n.chain = make([]types.Block, 0, reserve)
 		n.chainIDs = make([]types.BlockID, 0, reserve)
 	}

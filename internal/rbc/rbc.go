@@ -87,7 +87,10 @@ func (e *Engine) Handle(env types.Env, from types.NodeID, m types.GenericVote) {
 	if m.Proto != e.proto {
 		return
 	}
-	origin := types.NodeID(m.View)
+	origin, ok := originOf(m.View)
+	if !ok {
+		return
+	}
 	key := instanceKey{inst: m.Slot, sender: origin}
 	st := e.instances[key]
 	if st == nil {
@@ -125,6 +128,14 @@ func (e *Engine) Handle(env types.Env, from types.NodeID, m types.GenericVote) {
 
 func (e *Engine) msg(phase uint8, inst types.Slot, origin types.NodeID, val types.Value) types.GenericVote {
 	return types.GenericVote{Proto: e.proto, Phase: phase, View: types.View(origin), Slot: inst, Val: val}
+}
+
+// originOf is the broadcast's origin a message carries in its View field,
+// false when the value is no NodeID: where int is 32 bits wide, converting a
+// wider View would alias a member's ID.
+func originOf(v types.View) (types.NodeID, bool) {
+	id := types.NodeID(v)
+	return id, types.View(id) == v
 }
 
 // Node wraps a single-instance Engine as a types.Machine: node Sender

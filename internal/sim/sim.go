@@ -606,16 +606,17 @@ func (l *decisionLog) put(slot types.Slot, d Decision) {
 		return
 	}
 	// Page k ends at (k+1)·pageCells, within the bound while k·pageCells
-	// <= 2·count; this form cannot overflow.
-	page := int(slot / pageCells)
-	if slot < 0 || page > 2*l.count/pageCells {
+	// <= 2·count; this form cannot overflow. The page stays a Slot: an int
+	// may be too narrow for it.
+	page := slot / pageCells
+	if slot < 0 || page > types.Slot(2*l.count/pageCells) {
 		if l.sparse == nil {
 			l.sparse = make(map[types.Slot]Decision)
 		}
 		l.sparse[slot] = d
 		return
 	}
-	for len(l.dense) <= page {
+	for types.Slot(len(l.dense)) <= page {
 		l.dense = append(l.dense, make([]denseDecision, pageCells))
 	}
 	l.dense[page][slot%pageCells] = denseDecision{Decision: d, set: true}

@@ -374,7 +374,7 @@ func TestScheduleMatchesFmtFormula(t *testing.T) {
 // schedule test can reach (arrival indices of 9+ digits).
 func TestAppendZeroPad(t *testing.T) {
 	for _, width := range []int{4, 8} {
-		for _, v := range []int{0, 7, 42, 999, 1000, 9999, 10000, 12345678, 99999999, 100000000, 1 << 40} {
+		for _, v := range []int{0, 7, 42, 999, 1000, 9999, 10000, 12345678, 99999999, 100000000, min(1<<40, math.MaxInt)} {
 			if got, want := string(appendZeroPad([]byte("p"), v, width)), fmt.Sprintf("p%0*d", width, v); got != want {
 				t.Errorf("appendZeroPad(%d, %d) = %q, want %q", v, width, got, want)
 			}
