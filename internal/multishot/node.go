@@ -49,8 +49,8 @@ type Config struct {
 	Delta types.Duration
 	// TimeoutFactor scales the per-slot view timeout (default 9 → 9Δ).
 	TimeoutFactor int
-	// Payload produces the block body this node proposes for a slot.
-	// Nil yields a deterministic placeholder payload. Called where Batch is.
+	// Payload produces the block body this node proposes for a slot (nil: a
+	// placeholder). Like Batch, it is never called for a slot above MaxSlot−3.
 	Payload func(slot types.Slot) []byte
 	// Batch produces the ordered transaction batch a proposal for the slot
 	// carries (nil = headers only). Batching changes only what rides inside
@@ -321,12 +321,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.TimeoutFactor <= 0 {
 		cfg.TimeoutFactor = core.DefaultTimeoutFactor
 	}
-	if cfg.Payload == nil {
-		id := cfg.ID
-		cfg.Payload = func(slot types.Slot) []byte {
-			return []byte("payload-" + strconv.FormatInt(int64(slot), 10) + "-by-" + strconv.Itoa(int(id)))
-		}
-	}
 	members := cfg.Quorum.Members()
 	idx := newMemberIndex(members)
 	if _, ok := idx.of(cfg.ID); !ok {
@@ -470,6 +464,22 @@ func (n *Node) Deliver(env types.Env, from types.NodeID, msg types.Message) {
 		// Foreign message kinds are ignored.
 	}
 	n.endTurn(env)
+}
+
+// freshBlock assembles a new proposal body from the sources at env.Now(),
+// drawing nothing into a bounded run's tail slots: they never finalize (Tick).
+func (n *Node) freshBlock(env types.Env, s types.Slot, parent types.BlockID) types.Block {
+	b, draw := types.Block{Slot: s, Parent: parent}, n.cfg.MaxSlot == 0 || s <= n.cfg.MaxSlot-3
+	switch {
+	case n.cfg.Payload == nil:
+		b.Payload = []byte("payload-" + strconv.FormatInt(int64(s), 10) + "-by-" + strconv.Itoa(int(n.cfg.ID)))
+	case draw:
+		b.Payload = n.cfg.Payload(s)
+	}
+	if n.cfg.Batch != nil && draw {
+		b.Txs = n.cfg.Batch(s, env.Now())
+	}
+	return b
 }
 
 // Tick implements types.Machine: the node's one wakeup fired. Each in-flight

@@ -110,16 +110,6 @@ func (n *Node) writeAndRelease(env types.Env) {
 	n.dropOut()
 }
 
-// freshBlock assembles a new proposal body: the payload header plus the
-// transaction batch the configured source offers for this slot at env.Now().
-func (n *Node) freshBlock(env types.Env, s types.Slot, parent types.BlockID) types.Block {
-	b := types.Block{Slot: s, Parent: parent, Payload: n.cfg.Payload(s)}
-	if n.cfg.Batch != nil {
-		b.Txs = n.cfg.Batch(s, env.Now())
-	}
-	return b
-}
-
 // dropOut empties the send buffer, letting go of the messages it held and of
 // the proposals that were never assembled.
 func (n *Node) dropOut() {

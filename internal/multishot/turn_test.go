@@ -382,7 +382,9 @@ func sameBatch(a, b [][]byte) bool {
 // order is Persist → Batch → Broadcast(MSPropose); the proposal carries
 // exactly the batch that call returned; and the source is asked once per
 // fresh proposal, never for a body Rule 1 makes a new leader re-propose
-// (lost-proposal). The CI perf job runs this by name.
+// (lost-proposal), nor — like the payload source — for a tail slot above
+// MaxSlot − 3, which can never finalize: its block carries no batch. The CI
+// perf job runs this by name.
 func TestBatchDrawnAfterWrite(t *testing.T) {
 	for _, scenario := range []string{"good-case", "lost-proposal"} {
 		t.Run(scenario, func(t *testing.T) {
@@ -393,9 +395,21 @@ func TestBatchDrawnAfterWrite(t *testing.T) {
 				calls++
 				return [][]byte{[]byte(fmt.Sprintf("call-%d-slot-%d", calls, s))}
 			}
-			hosts := auditRun(t, scenario, 4, false, func(c *Config) { c.Batch = source })
+			var asked []types.Slot // the slots the payload source was asked for
+			hosts := auditRun(t, scenario, 4, false, func(c *Config) {
+				c.Batch = source
+				c.Payload = func(s types.Slot) []byte {
+					asked = append(asked, s)
+					return []byte("p")
+				}
+			})
+			for _, s := range asked {
+				if s > hosts[0].cfg.MaxSlot-3 {
+					t.Errorf("the payload source was asked for tail slot %d", s)
+				}
+			}
 
-			wroteAndProposed, reproposed, proposals := 0, 0, 0
+			wroteAndProposed, reproposed, proposals, tail := 0, 0, 0, 0
 			for _, a := range hosts {
 				for _, v := range a.violations {
 					t.Error(v)
@@ -425,6 +439,11 @@ func TestBatchDrawnAfterWrite(t *testing.T) {
 							i++
 						}
 						switch {
+						case st.slot > a.cfg.MaxSlot-3:
+							tail++
+							if len(st.txs) != 0 {
+								t.Errorf("node %d turn %d: proposal for tail slot %d carries a batch", a.cfg.ID, turn, st.slot)
+							}
 						case i < len(open): // fresh: assembled in this turn
 							open = append(open[:i], open[i+1:]...)
 							if wrote {
@@ -441,8 +460,11 @@ func TestBatchDrawnAfterWrite(t *testing.T) {
 			if wroteAndProposed == 0 {
 				t.Fatal("no turn both wrote and proposed: the ordering was never exercised")
 			}
-			if calls != proposals-reproposed {
-				t.Errorf("%d batch calls for %d proposals of which %d re-proposed a known body, want one per fresh proposal", calls, proposals, reproposed)
+			if tail == 0 {
+				t.Error("no tail slot was proposed")
+			}
+			if calls != proposals-reproposed-tail {
+				t.Errorf("%d batch calls for %d proposals of which %d re-proposed a known body and %d are in the tail, want one per fresh proposal below the tail", calls, proposals, reproposed, tail)
 			}
 			if (scenario == "lost-proposal") != (reproposed > 0) {
 				t.Errorf("%s: %d proposals re-proposed a known body", scenario, reproposed)
