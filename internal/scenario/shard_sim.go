@@ -100,7 +100,7 @@ func buildShardWorkload(p *plan) (*workload.Producer, []*offered) {
 var produce = workload.Produce
 
 // deployment is the protocol on top of a run's clusters, the same on both
-// engines. The anchoring state — pool to epochs — exists only for a
+// engines. The anchoring state — logs to epochs — exists only for a
 // sharded plan.
 type deployment struct {
 	p        *plan
