@@ -1,6 +1,7 @@
 package rbc
 
 import (
+	"math"
 	"testing"
 
 	"tetrabft/internal/sim"
@@ -191,3 +192,14 @@ func (d *dualNode) Deliver(env types.Env, from types.NodeID, msg types.Message) 
 }
 
 func (d *dualNode) Tick(types.Env, types.TimerID) {}
+
+// TestOriginOfRejectsWideViews: an origin is read from a View only when the
+// value is a NodeID. 1<<32+1 would alias member 1 where int is 32 bits wide.
+func TestOriginOfRejectsWideViews(t *testing.T) {
+	wide := math.MaxInt == math.MaxInt64
+	for v, want := range map[types.View]bool{0: true, 3: true, -1: true, 1<<31 - 1: true, 1<<32 + 1: wide, math.MaxInt64: wide} {
+		if id, ok := originOf(v); ok != want || (ok && types.View(id) != v) {
+			t.Errorf("originOf(%d) = %d, %v, want ok %v", v, id, ok, want)
+		}
+	}
+}
