@@ -30,8 +30,7 @@ func run() error {
 		Nodes:    4,
 		Seed:     42,
 		Workload: tetrabft.WorkloadSpec{
-			Slots:       12, // finalized blocks to produce
-			TxsPerBlock: 8,
+			Slots: 12, // finalized blocks to produce
 			Transactions: []tetrabft.TxSpec{
 				{Node: 0, Op: "set", Key: "alice", Value: "100 coins"},
 				{Node: 1, Op: "set", Key: "bob", Value: "200 coins"},

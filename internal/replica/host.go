@@ -38,9 +38,9 @@ type Config struct {
 	// It may wrap cfg's Persist and Batch, and returns what turns the node
 	// into the machine the runtime hosts (nil = the node itself).
 	Wrap func(cfg *multishot.Config) func(*multishot.Node) types.Machine
-	// OnDecide, when set, observes each decision on the incarnation's
-	// event loop, after the watermark has risen.
-	OnDecide func(node *multishot.Node, slot types.Slot)
+	// OnDecide, when set, observes each decision and its value on the
+	// incarnation's event loop, after the watermark has risen.
+	OnDecide func(node *multishot.Node, slot types.Slot, val types.Value)
 }
 
 // Host is one replica across its incarnations. Its methods are safe for
@@ -116,10 +116,10 @@ func (h *Host) incarnate() error {
 	}
 	rcfg := h.cfg.Runtime
 	rcfg.ListenAddr = h.addr
-	rcfg.OnDecide = func(slot types.Slot, _ types.Value) {
+	rcfg.OnDecide = func(slot types.Slot, val types.Value) {
 		h.watermark.Store(max(h.watermark.Load(), int64(slot)))
 		if h.cfg.OnDecide != nil {
-			h.cfg.OnDecide(node, slot)
+			h.cfg.OnDecide(node, slot, val)
 		}
 	}
 	rt, err := transport.New(machine, rcfg)

@@ -30,6 +30,7 @@ type goldenRun struct {
 	Dropped   int64    `json:"dropped"`
 	MaxView   int64    `json:"max_view"`
 	Decided   int      `json:"decided"`
+	Last      int64    `json:"last_decision_at,omitempty"`
 	Finalized []int64  `json:"finalized,omitempty"`
 	Decisions []string `json:"decisions,omitempty"`
 	Chains    []string `json:"chains,omitempty"`
@@ -338,6 +339,7 @@ func goldenOf(sc Scenario, res *Result) goldenRun {
 		Dropped:  res.Dropped,
 		MaxView:  res.MaxView,
 		Decided:  res.DecidedCount,
+		Last:     res.LastDecisionAt,
 	}
 	for _, f := range res.Finalized {
 		g.Finalized = append(g.Finalized, int64(f.Slot))

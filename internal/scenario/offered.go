@@ -60,7 +60,7 @@ func (o *offered) batchSource(txPerBlock int) func(types.Slot, types.Time) [][]b
 // latencies waits for the whole stream, then returns chain's transaction
 // count and commit − arrival for each transaction of its committed blocks
 // that the stream holds, in chain order.
-func (o *offered) latencies(chain []types.Block, commitAt commits) (txs int, lats []int64) {
+func (o *offered) latencies(chain []types.Block, commits *commitRecord) (txs int, lats []int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.SyncAll()
@@ -68,7 +68,7 @@ func (o *offered) latencies(chain []types.Block, commitAt commits) (txs int, lat
 	next := 0                          // where the next transaction most likely sits
 	for _, b := range chain {
 		txs += b.NumTxs()
-		commit := commitAt.at(b.Slot)
+		commit := commits.at(b.Slot)
 		for _, tx := range b.Txs {
 			if i, ok := o.find(tx, next); ok {
 				if next = i + 1; commit >= 0 {

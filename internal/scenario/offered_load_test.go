@@ -126,12 +126,14 @@ func TestResultTxStats(t *testing.T) {
 		{Slot: 1, Txs: [][]byte{[]byte("a"), []byte("b")}},
 		{Slot: 2, Txs: [][]byte{[]byte("c")}},
 	}
-	commit := commits{-1, 10, 30}
+	commit := &commitRecord{}
+	commit.decide(0, 1, "", 10)
+	commit.decide(0, 2, "", 30)
 	load := offeredFrom([]workload.Arrival{{At: 0, Payload: []byte("a")}, {At: 5, Payload: []byte("b")}, {At: 10, Payload: []byte("c")}})
-	fold := func(chain []types.Block, commitAt commits, load *offered) Result {
+	fold := func(chain []types.Block, commits *commitRecord, load *offered) Result {
 		var r Result
 		dep := &deployment{p: &plan{}, loads: []*offered{load}}
-		if err := dep.fold(&r, []foldInput{{chain: chain, commitAt: commitAt}}, nil, nil); err != nil {
+		if err := dep.fold(&r, []foldInput{{chain: chain, commits: commits}}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return r
@@ -375,9 +377,9 @@ func TestTxLatenciesMatchArrivalMap(t *testing.T) {
 			mixed = append(mixed, types.Block{Slot: slot, Txs: txs})
 		}
 
-		var committed commits
+		committed := &commitRecord{}
 		for slot, c := range commitAt {
-			committed.note(slot, c)
+			committed.decide(0, slot, "", types.Time(c))
 		}
 		gotTxs, gotLats := load.latencies(honest, committed)
 		wantTxs, wantLats := mapTxLatencies(honest, commitAt, sched)
@@ -487,14 +489,15 @@ func TestUnshardedStreamAllocs(t *testing.T) {
 // TestSimPipelineAllocsBound pins what a simulated slot allocates, on the
 // benchmark's sim-pipeline shape (16 multishot nodes, a Poisson stream of
 // 3,000 transactions per 100 ticks in batches of 64) at 800 slots: at most
-// 0.082 allocations and 23.3 bytes per simulator event, run set-up,
-// schedule and report included (0.081 and 22.9 measured with the map-free
-// fold and drain; 0.083 and 24.0 with one block table per multishot slot, a
-// batch map and a commit map; 0.085 and 24.1 before it, 27.0 bytes with a
-// flat decision log; 0.140 and 31.3 before the stream was generated into
-// its columns, the decision log was paged and the proposal's value string
-// was sealed). The collector is off while it counts, so that its own
-// allocations do not blur the count.
+// 0.079 allocations and 18.6 bytes per simulator event, run set-up,
+// schedule and report included (0.079 and 18.6 measured with one commit
+// record per cluster and no per-node decisions; 0.081 and 22.9 with the
+// paged decision log, the map-free fold and drain; 0.083 and 24.0 with one
+// block table per multishot slot, a batch map and a commit map; 0.085 and
+// 24.1 before it, 27.0 bytes with a flat decision log; 0.140 and 31.3
+// before the stream was generated into its columns, the decision log was
+// paged and the proposal's value string was sealed). The collector is off
+// while it counts, so that its own allocations do not blur the count.
 func TestSimPipelineAllocsBound(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations blur the count")
@@ -522,7 +525,7 @@ func TestSimPipelineAllocsBound(t *testing.T) {
 	})
 	perEvent, bytesPerEvent := float64(allocs)/float64(events), float64(bytes)/float64(events)
 	t.Logf("%d allocations and %d bytes over %d events: %.3f and %.1f B per event", allocs, bytes, events, perEvent, bytesPerEvent)
-	const bound, bytesBound = 0.082, 23.3
+	const bound, bytesBound = 0.079, 18.6
 	if perEvent > bound {
 		t.Errorf("a sim-pipeline run allocates %.3f times per event, budget %.2f", perEvent, bound)
 	}

@@ -20,12 +20,15 @@ type Result struct {
 	// Events is the number of processed simulator events (EngineSim).
 	Events int `json:"events,omitempty"`
 
-	// Decisions lists every recorded decision, sorted by (node, slot).
-	// At is in virtual ticks — message delays under the unit delay model.
+	// Decisions lists a single-shot run's decisions by node, At in virtual
+	// ticks; multi-shot and chained runs report Finalized and Chain instead.
 	Decisions []NodeDecision `json:"decisions,omitempty"`
 	// FirstDecisionAt is the earliest decision time for slot 0
 	// (single-shot latency, the paper's currency), -1 if nobody decided.
 	FirstDecisionAt int64 `json:"first_decision_at"`
+	// LastDecisionAt is the latest decision of a flat simulator or chained
+	// run, in ticks (0 on a sharded or TCP run).
+	LastDecisionAt int64 `json:"last_decision_at,omitempty"`
 	// DecidedCount is how many nodes decided slot 0.
 	DecidedCount int `json:"decided_count"`
 	// Finalized reports each honest node's finalized slot (multi-shot).

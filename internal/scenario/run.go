@@ -62,13 +62,13 @@ type simCluster struct {
 	*cluster
 	r         *sim.Runner
 	log       *trace.Log        // nil = untraced
+	record    commitRecord      // a multi-shot row's decisions; a single-shot row's stay in r
 	chains    []*multishot.Node // honest multi-shot nodes, member order
 	reporters []singleNode      // honest single-shot nodes
-	mempools  map[types.NodeID]*blockchain.Mempool
 }
 
 func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]byte, log *trace.Log, reg *obs.Registry) (*simCluster, error) {
-	cl := &simCluster{cluster: c, log: log, r: sim.New(sim.Config{
+	cfg := sim.Config{
 		Seed:          c.seed,
 		Delay:         buildDelay(p.sc.Network.Delay),
 		GST:           types.Time(p.sc.Network.GST),
@@ -76,10 +76,12 @@ func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]b
 		Adversary:     buildAdversary(p),
 		EventBudget:   p.sc.Network.EventBudget,
 		Metrics:       reg,
-	})}
-	if len(p.sc.Workload.Transactions) > 0 || p.sc.Workload.TxsPerBlock > 0 {
-		cl.mempools = make(map[types.NodeID]*blockchain.Mempool, len(c.honest))
 	}
+	cl := &simCluster{cluster: c, log: log}
+	if p.proto.Multishot {
+		cfg.OnDecide = cl.record.decide
+	}
+	cl.r = sim.New(cfg)
 	for _, id := range c.members {
 		if f := c.byzByID[id]; f != nil {
 			cl.r.Add(buildByz(c, f))
@@ -90,9 +92,6 @@ func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]b
 			return nil, err
 		}
 		cl.r.Add(m)
-	}
-	for _, tx := range p.sc.Workload.Transactions {
-		cl.mempools[tx.Node].Submit(buildTx(tx))
 	}
 	return cl, nil
 }
@@ -121,24 +120,21 @@ func (cl *simCluster) reached(target types.Slot) bool {
 }
 
 // fold checks the cluster's agreement and sums it up: the reference chain,
-// each slot's earliest honest commit among the runner's decisions, the slot
-// every honest replica has finalized and, when traced, the stage samples.
-// A violation comes back labelled with the scenario and cluster names.
+// each slot's earliest commit, the slot every honest replica has finalized
+// and, when traced, the stage samples. A violation comes back labelled with
+// the scenario and cluster names.
 func (cl *simCluster) fold(p *plan) (foldInput, error) {
-	var chain []types.Block // the first honest replica's, the node's own cache
-	if len(cl.chains) > 0 {
-		chain = cl.chains[0].FinalizedChain()
-	}
-	in := foldInput{chain: chain, commitAt: make(commits, 0, len(chain)+1), finalized: cl.minFinalized()}
-	for _, id := range cl.honest {
-		for s, d := range cl.r.NodeDecisions(id) {
-			in.commitAt.note(s, int64(d.At))
-		}
-	}
+	in := foldInput{finalized: cl.minFinalized(), commits: &cl.record}
 	if cl.log != nil {
 		in.stages = stageSamples(cl.log.Events())
 	}
-	if err := cl.r.AgreementViolation(); err != nil {
+	err := cl.record.err
+	if len(cl.chains) > 0 {
+		in.chain = cl.chains[0].FinalizedChain() // the first honest replica's, the node's own cache
+	} else {
+		err = cl.r.AgreementViolation() // a single-shot row's decisions stay in the runner
+	}
+	if err != nil {
 		return in, p.fail(cl.cluster, agreementError{err})
 	}
 	return in, nil
@@ -213,13 +209,9 @@ loop:
 	}
 
 	res := &Result{Name: p.sc.Name, FinishedAt: int64(t), FirstDecisionAt: -1}
-	reported := make(chan struct{}) // a flat run's report fills its own fields, beside the fold
-	go func() {
-		if !dep.anchored() {
-			clusters[0].report(p, res)
-		}
-		close(reported)
-	}()
+	if !dep.anchored() {
+		clusters[0].report(p, res)
+	}
 	inputs := make([]foldInput, len(clusters))
 	for i, cl := range clusters {
 		in, err := cl.fold(p)
@@ -231,27 +223,23 @@ loop:
 		res.TotalSentBytes += cl.r.TotalSentBytes()
 		res.Dropped += cl.r.DroppedMessages()
 	}
-	err := dep.fold(res, inputs, reg, runErr)
-	<-reported
-	return res, err
+	return res, dep.fold(res, inputs, reg, runErr)
 }
 
 // report adds a flat run's per-node fields to res: its finish time on the
-// runner's clock, every decision, the traffic, the finalized slots, the
-// storage and views of the single-shot nodes, and the trace.
+// runner's clock, a single-shot row's decisions, the latest decision, the
+// traffic, finalized slots, single-shot storage and views, and the trace.
 func (cl *simCluster) report(p *plan, res *Result) {
 	r := cl.r
 	res.FinishedAt = int64(r.Now())
-	res.DecidedCount = r.DecidedCount(0)
-	if n := r.DecisionCount(); n > 0 {
-		res.Decisions = make([]NodeDecision, 0, n)
-	}
+	res.DecidedCount, res.LastDecisionAt = r.DecidedCount(0), cl.record.last
 	for _, m := range cl.members {
-		for s, d := range r.NodeDecisions(m) {
-			res.Decisions = append(res.Decisions, NodeDecision{Node: m, Slot: s, Value: d.Val, At: int64(d.At)})
-			if s == 0 && (res.FirstDecisionAt < 0 || int64(d.At) < res.FirstDecisionAt) {
+		if d, ok := r.Decision(m, 0); ok {
+			res.Decisions = append(res.Decisions, NodeDecision{Node: m, Value: d.Val, At: int64(d.At)})
+			if res.FirstDecisionAt < 0 || int64(d.At) < res.FirstDecisionAt {
 				res.FirstDecisionAt = int64(d.At)
 			}
+			res.LastDecisionAt = max(res.LastDecisionAt, int64(d.At))
 		}
 		res.Traffic = append(res.Traffic, NodeTraffic{Node: m, Sent: r.SentBytes(m), Recv: r.RecvBytes(m)})
 	}
@@ -285,10 +273,14 @@ func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slo
 		return node, nil
 	}
 	var payload func(types.Slot) []byte
-	if cl.mempools != nil {
+	if txs := p.sc.Workload.Transactions; len(txs) > 0 {
 		mp := blockchain.NewMempool(0)
-		cl.mempools[id] = mp
-		payload = mp.PayloadSource(p.txsPerBlock())
+		for _, tx := range txs {
+			if tx.Node == id {
+				mp.Submit(buildTx(tx))
+			}
+		}
+		payload = mp.PayloadSource(txsPerBlock)
 	}
 	chain, err := multishot.NewNode(multishot.Config{
 		ID: id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),

@@ -208,10 +208,10 @@ func TestByzantineFaultsMoveRuns(t *testing.T) {
 				sent = append(sent, n.Sent)
 			}
 		}
-		return fmt.Sprint(res.Decisions, sent, err)
+		return fmt.Sprint(res.Decisions, res.Chain, res.LastDecisionAt, sent, err)
 	}
 	heard := func(row Protocol, ft FaultType) bool {
-		sc := Scenario{Protocol: row, Nodes: 4, Stop: StopSpec{Horizon: 2000}}
+		sc := Scenario{Protocol: row, Nodes: 4, Stop: StopSpec{Horizon: 2000}, Collect: CollectSpec{Chain: true}}
 		fault := FaultSpec{Type: ft, Node: 0}
 		if ft == FaultForgedHistory {
 			fault.Node, fault.View, sc.Mutation = 1, 1, MutationSkipRule3

@@ -36,7 +36,7 @@ func runSeq(p *plan) (*Result, error) {
 		res.Traffic = append(res.Traffic, NodeTraffic{Node: m})
 	}
 	horizon := types.Time(p.sc.Stop.Horizon)
-	var commitAt commits
+	var record commitRecord
 	var chain []types.Block
 	var offset types.Time
 
@@ -73,12 +73,9 @@ func runSeq(p *plan) (*Result, error) {
 		}
 
 		for _, d := range slot.Decisions {
-			res.Decisions = append(res.Decisions, NodeDecision{Node: d.Node, Slot: types.Slot(s), Value: d.Value, At: int64(offset) + d.At})
+			record.decide(d.Node, types.Slot(s), d.Value, offset+types.Time(d.At))
 		}
-		if s == 0 {
-			res.FirstDecisionAt = slot.FirstDecisionAt
-		}
-		commitAt.note(types.Slot(s), int64(offset)+slot.FirstDecisionAt)
+		res.FirstDecisionAt = record.at(0)
 		// Txs is never nil here: an empty slot marshals as [], not null.
 		chain = append(chain, types.Block{Slot: types.Slot(s), Payload: []byte(payload), Txs: append([][]byte{}, txs...)})
 
@@ -88,14 +85,14 @@ func runSeq(p *plan) (*Result, error) {
 		offset += max(types.Time(slot.FinishedAt), 1)
 	}
 
-	res.FinishedAt = int64(offset)
+	res.FinishedAt, res.LastDecisionAt = int64(offset), record.last
 	if len(chain) > 0 {
 		res.DecidedCount = len(c.honest)
 	}
 	for _, m := range c.honest {
 		res.Finalized = append(res.Finalized, NodeSlot{Node: m, Slot: types.Slot(len(chain))})
 	}
-	return res, dep.fold(res, []foldInput{{chain: chain, commitAt: commitAt}}, nil, nil)
+	return res, dep.fold(res, []foldInput{{chain: chain, commits: &record}}, nil, nil)
 }
 
 // slotScenario is global slot s of a chained baseline as an ordinary

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -198,31 +199,58 @@ func (dep *deployment) done(minFinalized func(i int) int64) bool {
 	return true
 }
 
-// commits is each slot's earliest commit, indexed by slot (-1: none).
-type commits []int64
-
-// at is slot s's earliest commit, -1 when there is none.
-func (c commits) at(s types.Slot) int64 {
-	if s < 0 || s >= types.Slot(len(c)) {
-		return -1
-	}
-	return c[s]
+// commitRecord is a multishot cluster's decisions for both engines, fed by
+// the simulator's and the TCP hosts' OnDecide and a chained row's slot runs:
+// per slot the earliest commit and first value, the first value to differ
+// (an agreement violation), and the latest decision, which a node's repeat
+// of a slot at or below its highest (it decides in slot order) cannot move.
+type commitRecord struct {
+	slots []slotCommit // by slot
+	high  map[types.NodeID]types.Slot
+	last  int64
+	err   error
 }
 
-// note records a commit of slot s at t unless an earlier one is recorded.
-func (c *commits) note(s types.Slot, t int64) {
-	for s >= types.Slot(len(*c)) {
-		*c = append(*c, -1)
+// slotCommit is a slot's earliest commit (-1: none) and first decision.
+type slotCommit struct {
+	at   int64
+	node types.NodeID
+	val  types.Value
+}
+
+// at is slot s's earliest commit, -1 when there is none (or no record).
+func (r *commitRecord) at(s types.Slot) int64 {
+	if r == nil || s < 0 || s >= types.Slot(len(r.slots)) {
+		return -1
 	}
-	if s >= 0 && ((*c)[s] < 0 || t < (*c)[s]) {
-		(*c)[s] = t
+	return r.slots[s].at
+}
+
+// decide records node's decision of val for slot at time at.
+func (r *commitRecord) decide(node types.NodeID, slot types.Slot, val types.Value, at types.Time) {
+	for slot >= types.Slot(len(r.slots)) {
+		r.slots = append(r.slots, slotCommit{at: -1})
 	}
+	c := &r.slots[slot]
+	if c.at < 0 {
+		*c = slotCommit{int64(at), node, val}
+	} else if val != c.val && r.err == nil {
+		r.err = fmt.Errorf("agreement violated in slot %d: node %d decided %q, node %d decided %q", slot, c.node, c.val, node, val)
+	}
+	c.at = min(c.at, int64(at))
+	if h, ok := r.high[node]; ok && slot <= h {
+		return
+	}
+	if r.high == nil {
+		r.high = make(map[types.NodeID]types.Slot)
+	}
+	r.high[node], r.last = slot, max(r.last, int64(at))
 }
 
 // foldInput is what the fold needs from one cluster, engine-neutral.
 type foldInput struct {
-	chain    []types.Block
-	commitAt commits
+	chain   []types.Block
+	commits *commitRecord
 	// finalized is the min finalized slot across the cluster's honest
 	// replicas.
 	finalized int64
@@ -247,7 +275,7 @@ func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, 
 	var lats []int64
 	pooled := make(map[string][]int64)
 	for i, in := range streams {
-		txs, own := dep.loads[i].latencies(in.chain, in.commitAt)
+		txs, own := dep.loads[i].latencies(in.chain, in.commits)
 		offered += len(dep.loads[i].At) // latencies synced the whole stream
 		decided += txs
 		if dep.anchored() {
@@ -289,12 +317,9 @@ func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, 
 	anchorIn := inputs[len(dep.loads)]
 	var anchorLats []int64
 	for _, b := range anchorIn.chain {
-		c := anchorIn.commitAt.at(b.Slot)
-		if c < 0 {
-			continue
-		}
+		c := anchorIn.commits.at(b.Slot)
 		for _, tx := range b.Txs {
-			if at, ok := dep.submitAt[string(tx)]; ok {
+			if at, ok := dep.submitAt[string(tx)]; ok && c >= 0 {
 				anchorLats = append(anchorLats, c-int64(at))
 			}
 		}
@@ -304,14 +329,18 @@ func (dep *deployment) fold(res *Result, inputs []foldInput, reg *obs.Registry, 
 		return runErr
 	}
 	// The cross-shard consistency check: an anchored digest that matches no
-	// prefix of its shard's decided log is an agreement violation.
+	// prefix of its shard's decided log is an agreement violation. A lost
+	// anchor fails the run too, but diverges from nothing.
 	chains := make([][]types.Block, len(streams))
 	for i, in := range streams {
 		chains[i] = in.chain
 	}
 	epochs, anchored, err := shard.VerifyAnchors(anchorIn.chain, chains)
 	if err != nil {
-		return fmt.Errorf("scenario %q: %w", p.sc.Name, agreementError{err})
+		if !errors.Is(err, shard.ErrAnchorLost) {
+			err = agreementError{err}
+		}
+		return fmt.Errorf("scenario %q: %w", p.sc.Name, err)
 	}
 	for i := range res.Shards {
 		res.Shards[i].AnchorEpochs = epochs[i]

@@ -168,7 +168,7 @@ func TestValidationParity(t *testing.T) {
 		{"duplicate 1.5 on tcp", EngineTCP, func(sc *Scenario) { sc.Network.Duplicate = 1.5 }, "scenario: network.duplicate = 1.5 outside [0, 1)"},
 		{"negative wall_clock_ms", EngineSim, func(sc *Scenario) { sc.Stop.WallClockMS = -1 }, "scenario: negative stop bound"},
 		{"tx_rate without tx_count", EngineSim, func(sc *Scenario) { sc.Workload.TxRate = 100 }, ErrRateWithoutCount.Error()},
-		{"negative txs_per_block", EngineSim, func(sc *Scenario) { sc.Workload.TxsPerBlock = -1 }, "scenario: negative slots, max_slot or txs_per_block"},
+		{"negative max_slot", EngineSim, func(sc *Scenario) { sc.Workload.MaxSlot = -1 }, "scenario: negative slots or max_slot"},
 		{"negative batch_size", EngineSim, func(sc *Scenario) { sc.Workload.BatchSize = -1 }, "scenario: negative tx_count, tx_rate, batch_size or window"},
 		{"tx_count with transactions", EngineSim, func(sc *Scenario) {
 			sc.Workload.TxCount = 10
@@ -320,6 +320,42 @@ func TestAppliedLogMatchesPrefixDigest(t *testing.T) {
 			if log.txs != txs {
 				t.Fatalf("step %d, height %d: %d decided transactions, want %d", step, h, log.txs, txs)
 			}
+		}
+	}
+}
+
+// TestLostAnchorIsNoAgreementViolation: the fold fails a run whose anchor
+// log skips an epoch with shard.ErrAnchorLost and not ErrAgreement — the
+// anchors between were lost, no history diverged — and still fails a digest
+// mismatch with ErrAgreement.
+func TestLostAnchorIsNoAgreementViolation(t *testing.T) {
+	sc, err := Parse([]byte(shardedBase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sc.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []types.Block{{Slot: 1, Payload: []byte("a")}, {Slot: 2, Payload: []byte("b")}}
+	anchorLog := func(epoch int64, digest [32]byte) foldInput {
+		tx := shard.Anchor{Shard: 0, Epoch: epoch, Slots: 2, Digest: digest}.Encode()
+		return foldInput{chain: []types.Block{{Slot: 1, Txs: [][]byte{tx}}}}
+	}
+	for _, c := range []struct {
+		name   string
+		anchor foldInput
+		lost   bool
+	}{
+		{"epoch gap", anchorLog(2, shard.PrefixDigest(chain, 2)), true},
+		{"digest mismatch", anchorLog(1, [32]byte{1}), false},
+	} {
+		dep := newDeployment(p)
+		err := dep.fold(&Result{}, []foldInput{{chain: chain}, {chain: chain}, c.anchor}, nil, nil)
+		dep.stream.Close()
+		if err == nil || errors.Is(err, shard.ErrAnchorLost) != c.lost || errors.Is(err, ErrAgreement) == c.lost {
+			t.Errorf("%s: fold = %v: ErrAnchorLost %v, ErrAgreement %v; want lost = %v", c.name, err,
+				errors.Is(err, shard.ErrAnchorLost), errors.Is(err, ErrAgreement), c.lost)
 		}
 	}
 }

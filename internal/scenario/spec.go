@@ -321,13 +321,10 @@ type WorkloadSpec struct {
 	Slots int64 `json:"slots,omitempty"`
 	// MaxSlot explicitly caps proposals (0 = derive from Slots).
 	MaxSlot int64 `json:"max_slot,omitempty"`
-	// TxsPerBlock bounds transactions per proposed block (default 8 when
-	// Transactions are given).
-	TxsPerBlock int `json:"txs_per_block,omitempty"`
 	// Transactions are key-value transactions submitted to the named
-	// node's mempool before the run; leaders pack them into blocks.
-	// Setting any gives every honest node a mempool-backed payload
-	// source.
+	// node's mempool before the run; leaders pack them into blocks, at most
+	// txsPerBlock a block. Setting any gives every honest node a
+	// mempool-backed payload source.
 	Transactions []TxSpec `json:"transactions,omitempty"`
 	// TxCount switches on the offered-load stream: this many opaque
 	// transactions are submitted to a cluster-shared arrival-gated pool,
@@ -637,8 +634,8 @@ func (p *plan) checkShared() error {
 
 	// Workload.
 	w := sc.Workload
-	if w.Slots < 0 || w.MaxSlot < 0 || w.TxsPerBlock < 0 {
-		return fmt.Errorf("scenario: negative slots, max_slot or txs_per_block")
+	if w.Slots < 0 || w.MaxSlot < 0 {
+		return fmt.Errorf("scenario: negative slots or max_slot")
 	}
 	if w.TxCount < 0 || w.TxRate < 0 || w.BatchSize < 0 || w.Window < 0 {
 		return fmt.Errorf("scenario: negative tx_count, tx_rate, batch_size or window")
@@ -777,7 +774,7 @@ func (p *plan) deploySharded() error {
 	if w.MaxSlot != 0 {
 		return fmt.Errorf("scenario: shards derive the proposal cap from workload.slots; max_slot must be 0")
 	}
-	if len(w.Transactions) != 0 || w.TxsPerBlock != 0 {
+	if len(w.Transactions) != 0 {
 		return fmt.Errorf("scenario: shards support only the offered-load stream (tx_count), not explicit transactions")
 	}
 
@@ -906,7 +903,7 @@ func (p *plan) placeFaults() error {
 func (p *plan) checkWorkload() error {
 	sc, row, c := p.sc, p.proto, p.clusters[0]
 	w := sc.Workload
-	if !row.multiSlot() && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 || w.TxsPerBlock != 0 ||
+	if !row.multiSlot() && (w.Slots != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 ||
 		w.TxCount != 0 || w.TxRate != 0 || w.BatchSize != 0 || w.Window != 0 ||
 		w.Arrival != nil || len(w.Cohorts) != 0 || len(w.Phases) != 0) {
 		return fmt.Errorf("scenario: slots/max_slot/transactions/tx_count/arrival/window require a multi-shot protocol")
@@ -937,7 +934,7 @@ func (p *plan) checkWorkload() error {
 		if sc.Stop.Horizon <= 0 {
 			return fmt.Errorf("scenario: protocol %q needs stop.horizon (the shared clock's budget)", sc.Protocol)
 		}
-		if w.Window != 0 || w.MaxSlot != 0 || w.TxsPerBlock != 0 || len(w.Transactions) != 0 {
+		if w.Window != 0 || w.MaxSlot != 0 || len(w.Transactions) != 0 {
 			return fmt.Errorf("scenario: protocol %q supports only the offered-load workload (no window/max_slot/transactions)", sc.Protocol)
 		}
 		if nw := sc.Network; nw.GST != 0 || nw.DropBeforeGST != 0 || nw.EventBudget != 0 {
@@ -1004,12 +1001,7 @@ func (p *plan) batchSize() int {
 }
 
 // txsPerBlock is the per-block cap on a replica's own mempool transactions.
-func (p *plan) txsPerBlock() int {
-	if n := p.sc.Workload.TxsPerBlock; n > 0 {
-		return n
-	}
-	return 8
-}
+const txsPerBlock = 8
 
 // proposalCap is the multi-shot proposal cap: workload.max_slot, or else
 // slots + 3, which keeps the ≤5-deep pipeline from overshooting the target.

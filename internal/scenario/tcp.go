@@ -153,10 +153,8 @@ type tcpCluster struct {
 	replicas []*tcpReplica
 	addrs    map[types.NodeID]string // every replica's address, for its peers
 
-	// commitAt records each slot's earliest wall-clock commit across every
-	// replica and incarnation, feeding the per-transaction latency fold.
 	commitMu sync.Mutex
-	commitAt commits
+	record   commitRecord // every incarnation's decisions, in wall-clock ms, under commitMu
 
 	timers  []*time.Timer // the fault timers, armed by begin
 	applied *appliedLog   // a sharded run's applied log, nil in a flat run
@@ -200,7 +198,7 @@ func (cl *tcpCluster) launch() error {
 				ID: rep.id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),
 				TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
 				Window:  p.sc.Workload.Window,
-				Payload: rep.mempool.PayloadSource(p.txsPerBlock()),
+				Payload: rep.mempool.PayloadSource(txsPerBlock),
 				Batch:   cl.batch,
 				Tracer:  traced(cl.log), Metrics: cl.run.reg,
 			},
@@ -217,10 +215,9 @@ func (cl *tcpCluster) launch() error {
 				}
 				return store, err
 			},
-			OnDecide: func(node *multishot.Node, slot types.Slot) {
-				ms := time.Since(cl.run.start).Milliseconds()
+			OnDecide: func(node *multishot.Node, slot types.Slot, val types.Value) {
 				cl.commitMu.Lock()
-				cl.commitAt.note(slot, ms)
+				cl.record.decide(node.ID(), slot, val, types.Time(time.Since(cl.run.start).Milliseconds()))
 				cl.commitMu.Unlock()
 				if cl.applied != nil {
 					cl.applied.extend(node.FinalizedChain())
@@ -307,25 +304,17 @@ func (cl *tcpCluster) minFinalized() (low int64) {
 // past the target, and multishot nodes have no internal locking — and sums
 // it up into in and res, adding a flat run's per-replica fields, in node
 // order: link health, the finalized slots and chains of the required
-// replicas, and the trace. The reference chain is the longest. Chains may
-// disagree in length (stragglers keep catching up) but never in content:
-// each required replica's chain is checked against the reference over their
-// shared prefix, like the simulator's agreement monitor does per slot, and a
-// divergence comes back labelled with the scenario and cluster names. A
-// replica that crashed for good is skipped there: its node was abandoned
-// mid-run.
+// replicas, and the trace. The reference chain is the longest required
+// replica's (stragglers keep catching up). A decision the commit record
+// found to differ comes back labelled with the scenario and cluster names.
 func (cl *tcpCluster) fold(res *Result, flat bool) (in foldInput, err error) {
 	cl.close()
-	collect := cl.run.p.sc.Collect
-	in = foldInput{commitAt: cl.commitAt, finalized: -1}
+	in = foldInput{commits: &cl.record, finalized: -1}
+	if cl.record.err != nil {
+		return in, cl.run.p.fail(cl.cluster, agreementError{cl.record.err})
+	}
 	if cl.log != nil {
 		in.stages = stageSamples(cl.log.Events())
-	}
-	var ref *tcpReplica
-	for _, rep := range cl.replicas {
-		if chain := rep.host.Node().FinalizedChain(); rep.required && (ref == nil || len(chain) > len(in.chain)) {
-			ref, in.chain = rep, chain
-		}
 	}
 	for _, rep := range cl.replicas {
 		stats := rep.host.Stats()
@@ -344,23 +333,20 @@ func (cl *tcpCluster) fold(res *Result, flat bool) (in foldInput, err error) {
 			continue
 		}
 		node := rep.host.Node()
-		chain := node.FinalizedChain()
-		for i := range chain {
-			if rep != ref && chain[i].ID() != in.chain[i].ID() {
-				return in, cl.run.p.fail(cl.cluster, agreementError{fmt.Errorf("replicas %d and %d diverge at slot %d", ref.id, rep.id, chain[i].Slot)})
-			}
+		if chain := node.FinalizedChain(); len(chain) > len(in.chain) {
+			in.chain = chain
 		}
 		if s := int64(node.FinalizedSlot()); in.finalized < 0 || s < in.finalized {
 			in.finalized = s
 		}
 		if flat {
 			res.Finalized = append(res.Finalized, NodeSlot{Node: rep.id, Slot: node.FinalizedSlot()})
-			if collect.Chain {
-				res.Chains = append(res.Chains, NodeChain{Node: rep.id, Blocks: chain})
+			if cl.run.p.sc.Collect.Chain {
+				res.Chains = append(res.Chains, NodeChain{Node: rep.id, Blocks: node.FinalizedChain()})
 			}
 		}
 	}
-	if flat && collect.Trace {
+	if flat && cl.run.p.sc.Collect.Trace {
 		// Event-loop interleaving makes the raw append order nondeterministic;
 		// sort by (time, node, type, slot) for a stable artifact.
 		events := cl.log.Events()

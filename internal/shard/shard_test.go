@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -96,8 +97,12 @@ func TestVerifyAnchors(t *testing.T) {
 		"unknown shard":   {{Slot: 1, Txs: [][]byte{Anchor{Shard: 5, Epoch: 1, Slots: 1, Digest: PrefixDigest(chains[0], 1)}.Encode()}}},
 		"malformed":       {{Slot: 1, Txs: [][]byte{[]byte("anchor|garbage")}}},
 	} {
-		if _, _, err := VerifyAnchors(chain, chains); err == nil {
+		_, _, err := VerifyAnchors(chain, chains)
+		switch lost := errors.Is(err, ErrAnchorLost); {
+		case err == nil:
 			t.Errorf("%s: VerifyAnchors accepted a bad anchor chain", name)
+		case lost != (name == "epoch skip"):
+			t.Errorf("%s: errors.Is(%q, ErrAnchorLost) = %v: only an epoch gap is a lost anchor", name, err, lost)
 		}
 	}
 }

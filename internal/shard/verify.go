@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"tetrabft/internal/types"
@@ -19,7 +20,7 @@ import (
 // prefix per shard (both indexed by shard), or the first violation found. A
 // violation means a shard's advertised history diverged from its decided log
 // — the sharded analogue of an agreement violation, and the engines report
-// it as one.
+// it as one — except an epoch gap, which is ErrAnchorLost.
 func VerifyAnchors(anchorChain []types.Block, shardChains [][]types.Block) (epochs, anchoredSlots []int64, err error) {
 	epochs = make([]int64, len(shardChains))
 	anchoredSlots = make([]int64, len(shardChains))
@@ -37,7 +38,11 @@ func VerifyAnchors(anchorChain []types.Block, shardChains [][]types.Block) (epoc
 				return nil, nil, fmt.Errorf("shard: anchor names unknown shard %d (have %d)", a.Shard, len(shardChains))
 			}
 			if a.Epoch != epochs[a.Shard]+1 {
-				return nil, nil, fmt.Errorf("shard: shard %d anchored epoch %d after epoch %d (epochs must advance by one)", a.Shard, a.Epoch, epochs[a.Shard])
+				err := fmt.Errorf("shard: shard %d anchored epoch %d after epoch %d (epochs must advance by one)", a.Shard, a.Epoch, epochs[a.Shard])
+				if a.Epoch > epochs[a.Shard]+1 {
+					err = lostAnchor{err}
+				}
+				return nil, nil, err
 			}
 			chain := shardChains[a.Shard]
 			if a.Slots > int64(len(chain)) {
@@ -60,3 +65,16 @@ func VerifyAnchors(anchorChain []types.Block, shardChains [][]types.Block) (epoc
 	}
 	return epochs, anchoredSlots, nil
 }
+
+// ErrAnchorLost tags VerifyAnchors' verdict on an epoch gap: a shard's
+// anchor of epoch e committed while its last committed epoch is below e−1.
+// A shard submits its anchors in epoch order, so the ones between never
+// reached the anchor log — drawn, say, into an anchor-cluster proposal that
+// never finalized — and no history diverged.
+var ErrAnchorLost = errors.New("shard: anchor lost")
+
+// lostAnchor is an epoch gap's verdict: its own text, tagged ErrAnchorLost.
+type lostAnchor struct{ err error }
+
+func (e lostAnchor) Error() string        { return e.err.Error() }
+func (e lostAnchor) Is(target error) bool { return target == ErrAnchorLost }

@@ -2,19 +2,18 @@ package sim
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
+	"tetrabft/internal/multishot"
 	"tetrabft/internal/types"
 )
 
-// mapDecisions is the decision store the runner kept before decisionLog —
-// one map per node, in member order — with its getters and its agreement
-// check verbatim: the oracle TestDecisionsMatchMapOracle holds the runner to.
+// mapDecisions is a map-backed decision store — one map per node, in member
+// order — with the runner's getters and an agreement check written
+// independently of the runner's slot walk: the oracle
+// TestDecisionsMatchMapOracle holds the runner to.
 type mapDecisions struct {
 	ids []types.NodeID
 	m   []map[types.Slot]Decision
@@ -28,16 +27,6 @@ func (o *mapDecisions) decide(i int, slot types.Slot, d Decision) {
 		return
 	}
 	o.m[i][slot] = d
-}
-
-func (o *mapDecisions) decisions() map[types.NodeID]map[types.Slot]Decision {
-	out := make(map[types.NodeID]map[types.Slot]Decision, len(o.ids))
-	for i, id := range o.ids {
-		if o.m[i] != nil {
-			out[id] = maps.Clone(o.m[i])
-		}
-	}
-	return out
 }
 
 func (o *mapDecisions) decidedCount(slot types.Slot) int {
@@ -72,12 +61,11 @@ func (o *mapDecisions) agreementViolation() error {
 }
 
 // TestDecisionsMatchMapOracle replays seeded random Decide sequences into a
-// runner and into the map-backed store it replaced, and requires the same
-// answers from Decision, DecidedCount, Decisions and AgreementViolation (its
-// text included), and the oracle's slots, sorted, from NodeDecisions. The
-// slots mix slot 0, a dense multi-shot log with gaps, repeats (the first
-// decision must win), negative slots, huge slots far past the dense bound,
-// and slots decided while past the bound that the dense range later covers.
+// runner and into the map-backed oracle, and requires the same answers from
+// Decision, DecidedCount and AgreementViolation (its text included: the
+// lowest divergent slot, its first decider in member order). The slots mix
+// slot 0, a multi-shot log with gaps, repeats (the first decision must win),
+// negative slots and huge slots.
 func TestDecisionsMatchMapOracle(t *testing.T) {
 	ids := []types.NodeID{42, 7, 3, 11}
 	for seed := int64(1); seed <= 200; seed++ {
@@ -87,7 +75,7 @@ func TestDecisionsMatchMapOracle(t *testing.T) {
 		for _, id := range ids {
 			r.Add(&sink{id: id})
 		}
-		slot := func(i int) types.Slot {
+		slot := func() types.Slot {
 			switch k := rng.Intn(20); {
 			case k == 0:
 				return 0
@@ -96,10 +84,6 @@ func TestDecisionsMatchMapOracle(t *testing.T) {
 			case k == 2:
 				return []types.Slot{math.MaxInt64, math.MinInt64, 1 << 40, 1 << 31, 1<<31 - 1}[rng.Intn(5)]
 			case k == 3:
-				// At or just past the dense bound of node i right now.
-				l := &r.envs[i].decisions
-				return types.Slot((2*l.count/pageCells+1)*pageCells + rng.Intn(3) - 1)
-			case k == 4:
 				return types.Slot(100 + rng.Intn(200)) // far ahead of a young log
 			default:
 				return types.Slot(1 + rng.Intn(1+int(seed%7)*40))
@@ -109,7 +93,7 @@ func TestDecisionsMatchMapOracle(t *testing.T) {
 		steps := rng.Intn(400)
 		for step := 0; step < steps; step++ {
 			i := rng.Intn(len(ids))
-			s := slot(i)
+			s := slot()
 			probes = append(probes, s)
 			val := types.Value([]string{"a", "a", "a", "b", ""}[rng.Intn(5)])
 			if seed%3 == 0 {
@@ -136,75 +120,70 @@ func TestDecisionsMatchMapOracle(t *testing.T) {
 				t.Fatalf("seed %d: unregistered node 99 decided %+v in slot %d", seed, d, s)
 			}
 		}
-		if got, want := r.Decisions(), o.decisions(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Decisions() = %v, oracle %v", seed, got, want)
-		}
-		for i, id := range ids {
-			var got []types.Slot
-			for s, d := range r.NodeDecisions(id) {
-				if d != o.m[i][s] {
-					t.Fatalf("seed %d: NodeDecisions(%d) yields %+v for slot %d, oracle %+v", seed, id, d, s, o.m[i][s])
-				}
-				got = append(got, s)
-			}
-			if want := slices.Sorted(maps.Keys(o.m[i])); !slices.Equal(got, want) {
-				t.Fatalf("seed %d: NodeDecisions(%d) slots %v, want %v", seed, id, got, want)
-			}
-		}
 		got, want := r.AgreementViolation(), o.agreementViolation()
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("seed %d: AgreementViolation() = %v, oracle %v", seed, got, want)
 		}
-		for i := range ids {
-			if l := &r.envs[i].decisions; len(l.dense)*pageCells > 2*l.count+denseSlack {
-				t.Fatalf("seed %d: node %d keeps %d dense cells for %d decisions", seed, ids[i], len(l.dense)*pageCells, l.count)
-			}
-		}
 	}
 }
 
-// TestNodeDecisionsStopsEarly: breaking out of the iteration stops it, in the
-// dense and in the sparse part.
-func TestNodeDecisionsStopsEarly(t *testing.T) {
-	r := New(Config{Seed: 1})
-	r.Add(&sink{id: 5})
-	for _, s := range []types.Slot{-4, -2, 1, 2, 3, 1 << 50, 1 << 51} {
-		r.envs[0].Decide(s, "v")
+// TestOnDecideTakesEveryDecision: with Config.OnDecide set, the hook sees
+// every finalization of the n = 16, 240-slot pipeline — each replica's
+// slots once each, in order, with its chain's values, at the runner's clock
+// — and the runner records none: its getters report no decision.
+func TestOnDecideTakesEveryDecision(t *testing.T) {
+	const n, slots = 16, 240
+	type seen struct {
+		slot types.Slot
+		val  types.Value
 	}
-	for n := 0; n <= 7; n++ {
-		var got []types.Slot
-		for s := range r.NodeDecisions(5) {
-			if len(got) == n {
-				break
+	hooked := make(map[types.NodeID][]seen)
+	var r *Runner
+	r = New(Config{Seed: 1, OnDecide: func(node types.NodeID, slot types.Slot, val types.Value, at types.Time) {
+		if at != r.Now() {
+			t.Fatalf("node %d decided slot %d at %d, the clock reads %d", node, slot, at, r.Now())
+		}
+		hooked[node] = append(hooked[node], seen{slot, val})
+	}})
+	var nodes []*multishot.Node
+	for i := 0; i < n; i++ {
+		node, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: n, Delta: 10, MaxSlot: slots + 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+		r.Add(node)
+	}
+	if err := r.Run(0, func() bool {
+		for _, node := range nodes {
+			if node.FinalizedSlot() < slots {
+				return false
 			}
-			got = append(got, s)
 		}
-		if want := []types.Slot{-4, -2, 1, 2, 3, 1 << 50, 1 << 51}[:n]; !slices.Equal(got, want) {
-			t.Fatalf("stop after %d: got %v, want %v", n, got, want)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range nodes {
+		chain, got := node.FinalizedChain(), hooked[node.ID()]
+		if len(got) != len(chain) {
+			t.Fatalf("node %d finalized %d slots, the hook saw %d", node.ID(), len(chain), len(got))
+		}
+		for i, b := range chain {
+			if want := (seen{b.Slot, b.ID().Value()}); got[i] != want {
+				t.Fatalf("node %d: decision %d is %+v, its chain says %+v", node.ID(), i, got[i], want)
+			}
+		}
+		for s := types.Slot(0); s <= slots; s++ {
+			if d, ok := r.Decision(node.ID(), s); ok {
+				t.Fatalf("the runner recorded node %d's decision %+v of slot %d", node.ID(), d, s)
+			}
 		}
 	}
-}
-
-// TestDecisionLogNeverMovesACell: a node logging a 2,100-slot multishot
-// run's decisions, slot by slot, never copies a decided cell (every cell
-// stays at the address it was written to), and keeps them in at most
-// 2,100 + pageCells cells.
-func TestDecisionLogNeverMovesACell(t *testing.T) {
-	const slots = 2100
-	var l decisionLog
-	cells := make([]*denseDecision, slots+1)
-	for s := types.Slot(1); s <= slots; s++ {
-		l.put(s, Decision{Val: "v", At: types.Time(s)})
-		if cells[s] = l.cell(s); cells[s] == nil || !cells[s].set {
-			t.Fatalf("slot %d is not in the dense pages", s)
-		}
+	if got := r.DecidedCount(slots); got != 0 {
+		t.Errorf("DecidedCount(%d) = %d with OnDecide set, want 0", slots, got)
 	}
-	for s := types.Slot(1); s <= slots; s++ {
-		if c := l.cell(s); c != cells[s] || c.At != types.Time(s) {
-			t.Fatalf("slot %d's cell moved, or changed, after it was decided", s)
-		}
-	}
-	if len(l.sparse) != 0 || len(l.dense)*pageCells > slots+pageCells {
-		t.Fatalf("%d sparse decisions, %d dense cells for %d slots", len(l.sparse), len(l.dense)*pageCells, slots)
+	if err := r.AgreementViolation(); err != nil {
+		t.Errorf("AgreementViolation() = %v with OnDecide set, want nil", err)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,7 +40,12 @@ type runRecord struct {
 }
 
 func record(r *Runner, n int, watched []delivery, err error) runRecord {
-	rec := runRecord{watched: watched, events: r.Events(), dropped: r.DroppedMessages(), decisions: r.Decisions()}
+	rec := runRecord{watched: watched, events: r.Events(), dropped: r.DroppedMessages(), decisions: make(map[types.NodeID]map[types.Slot]Decision)}
+	for _, e := range r.envs {
+		if len(e.decisions) > 0 {
+			rec.decisions[e.self] = maps.Clone(e.decisions)
+		}
+	}
 	if err != nil {
 		rec.err = err.Error()
 	}
@@ -440,8 +446,8 @@ func TestTimerCoalescingMatchesMap(t *testing.T) {
 		if !reflect.DeepEqual(fires, ref.fires) {
 			t.Fatalf("seed %d: %d fires, map rule %d; they first differ at %d", seed, len(fires), len(ref.fires), firstDiff(fires, ref.fires))
 		}
-		if r.CoalescedTimers() != ref.coalesced {
-			t.Fatalf("seed %d: coalesced %d, map rule %d", seed, r.CoalescedTimers(), ref.coalesced)
+		if r.coalesced != ref.coalesced {
+			t.Fatalf("seed %d: coalesced %d, map rule %d", seed, r.coalesced, ref.coalesced)
 		}
 		if rearms == 0 || ref.coalesced == 0 {
 			t.Fatalf("seed %d: %d in-ring re-arms of far timers, %d coalesced: the sequence covers too little", seed, rearms, ref.coalesced)

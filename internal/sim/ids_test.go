@@ -102,21 +102,19 @@ func TestNodeIDsAtTheAPI(t *testing.T) {
 		t.Errorf("TotalSentBytes = %d, want %d", got, want)
 	}
 	// The unregistered destination is billed to the sender and dropped.
-	if got := r.SentMessages(types.KindViewChange); got != 1 {
-		t.Errorf("SentMessages(view-change) = %d, want 1", got)
+	if got := r.sentMsgs[types.KindViewChange]; got != 1 {
+		t.Errorf("view-change messages sent = %d, want 1", got)
 	}
 	if got := r.DroppedMessages(); got != 1 {
 		t.Errorf("DroppedMessages = %d, want 1", got)
 	}
 
-	decisions := r.Decisions()
-	if len(decisions) != 1 || len(decisions[42]) != 3 {
-		t.Fatalf("Decisions = %v, want node 42 alone with three slots", decisions)
+	for _, e := range r.envs {
+		if want := map[types.NodeID]int{42: 3}[e.self]; len(e.decisions) != want {
+			t.Fatalf("node %d decided %d slots, want %d: node 42 alone, three slots", e.self, len(e.decisions), want)
+		}
 	}
 	for _, from := range []types.NodeID{42, 7, 3} {
-		if _, ok := decisions[42][types.Slot(from)]; !ok {
-			t.Errorf("Decisions()[42] lacks slot %d", from)
-		}
 		if _, ok := r.Decision(42, types.Slot(from)); !ok {
 			t.Errorf("Decision(42, %d) missing", from)
 		}

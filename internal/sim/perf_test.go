@@ -453,8 +453,8 @@ func TestTimerCoalescingBoundsHeap(t *testing.T) {
 	if got := r.queue.len(); got != 1 {
 		t.Fatalf("1000 duplicate arms grew the heap to %d entries, want 1", got)
 	}
-	if got := r.CoalescedTimers(); got != 999 {
-		t.Fatalf("CoalescedTimers = %d, want 999", got)
+	if got := r.coalesced; got != 999 {
+		t.Fatalf("coalesced %d timer arms, want 999", got)
 	}
 	env.SetTimer(8, 10) // different id: new entry
 	env.SetTimer(7, 11) // different instant: new entry

@@ -32,8 +32,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"iter"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -127,6 +125,13 @@ type Config struct {
 	// per event: the send/broadcast/timer paths stay 0 allocs/op, which
 	// the perf tests pin with obs compiled in.
 	Metrics *obs.Registry
+	// OnDecide, when set, receives every Decide — the deciding node, the
+	// slot, the value and the virtual time — in place of the runner's own
+	// record: the simulator's counterpart of transport.Config.OnDecide. The
+	// runner then records nothing, so Decision, DecidedCount and
+	// AgreementViolation see no decision. Nil keeps the record, one map per
+	// node, which ignores a repeated Decide for a decided slot.
+	OnDecide func(node types.NodeID, slot types.Slot, val types.Value, at types.Time)
 }
 
 // Decision records one node's decision for one slot.
@@ -329,38 +334,10 @@ func (r *Runner) fanOut(b *bucket, stop func() bool) (stopped bool, err error) {
 	}
 }
 
-// Decisions returns a copy of every recorded decision, keyed by the NodeIDs
-// of the nodes that decided something.
-func (r *Runner) Decisions() map[types.NodeID]map[types.Slot]Decision {
-	out := make(map[types.NodeID]map[types.Slot]Decision, len(r.envs))
-	for _, e := range r.envs {
-		if e.decisions.len() > 0 {
-			out[e.self] = maps.Collect(e.decisions.all)
-		}
-	}
-	return out
-}
-
-// NodeDecisions iterates over node's decisions in ascending slot order; a
-// NodeID never added has none. It copies nothing, so the run folds read
-// decisions through it rather than through Decisions.
-func (r *Runner) NodeDecisions(node types.NodeID) iter.Seq2[types.Slot, Decision] {
-	return r.slotOf(node).decisions.all
-}
-
-// DecisionCount returns how many decisions the nodes recorded in all: what
-// NodeDecisions yields, summed over every node.
-func (r *Runner) DecisionCount() int {
-	n := 0
-	for _, e := range r.envs {
-		n += e.decisions.len()
-	}
-	return n
-}
-
 // Decision returns node's decision for slot, if any.
 func (r *Runner) Decision(node types.NodeID, slot types.Slot) (Decision, bool) {
-	return r.slotOf(node).decisions.get(slot)
+	d, ok := r.slotOf(node).decisions[slot]
+	return d, ok
 }
 
 // unregistered is the empty slot the getters read for a NodeID never added.
@@ -377,7 +354,7 @@ func (r *Runner) slotOf(node types.NodeID) *env {
 func (r *Runner) DecidedCount(slot types.Slot) int {
 	count := 0
 	for _, e := range r.envs {
-		if _, ok := e.decisions.get(slot); ok {
+		if _, ok := e.decisions[slot]; ok {
 			count++
 		}
 	}
@@ -390,35 +367,16 @@ func (r *Runner) DecidedCount(slot types.Slot) int {
 // The report is deterministic: the lowest divergent slot, its first decider
 // in member order, and the first member after it that decided otherwise.
 func (r *Runner) AgreementViolation() error {
-	// Walk the slots in ascending order, each across every node: the
-	// sparse slots below the dense pages, the pages cell by cell, then the
-	// sparse slots past them. A sparse slot inside the pages' range is
-	// checked with its cell.
-	cells := 0
-	var sparse []types.Slot
+	var slots []types.Slot
 	for _, e := range r.envs {
-		cells = max(cells, len(e.decisions.dense)*pageCells)
-		for s := range e.decisions.sparse {
-			sparse = append(sparse, s)
+		for s := range e.decisions {
+			slots = append(slots, s)
 		}
 	}
-	slices.Sort(sparse)
-	k := 0
-	for ; k < len(sparse) && sparse[k] < 0; k++ {
-		if err := r.disagreement(sparse[k]); err != nil {
-			return err
-		}
-	}
-	for s := types.Slot(0); s < types.Slot(cells); s++ {
+	slices.Sort(slots)
+	for _, s := range slices.Compact(slots) {
 		if err := r.disagreement(s); err != nil {
 			return err
-		}
-	}
-	for ; k < len(sparse); k++ {
-		if s := sparse[k]; s >= types.Slot(cells) {
-			if err := r.disagreement(s); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -430,7 +388,7 @@ func (r *Runner) disagreement(slot types.Slot) error {
 	var first *env
 	var val types.Value
 	for _, e := range r.envs {
-		d, ok := e.decisions.get(slot)
+		d, ok := e.decisions[slot]
 		switch {
 		case !ok:
 		case first == nil:
@@ -467,22 +425,15 @@ func (r *Runner) TotalSentBytes() int64 {
 	return total
 }
 
-// SentMessages returns how many messages of the given kind were sent.
-func (r *Runner) SentMessages(kind types.Kind) int64 { return r.sentMsgs[kind] }
-
 // DroppedMessages returns how many messages the network or adversary dropped.
 func (r *Runner) DroppedMessages() int64 { return r.dropped }
 
 // Events returns the number of processed events.
 func (r *Runner) Events() int { return r.events }
 
-// CoalescedTimers returns how many duplicate timer arms were coalesced into
-// an already-pending heap entry.
-func (r *Runner) CoalescedTimers() int64 { return r.coalesced }
-
 // env is one node's slot in the runner and the types.Env its machine sees:
 // the machine, its NodeID and its index in Runner.envs, the bytes it sent
-// and received, and its decisions, indexed by slot (see decisionLog).
+// and received, and its decisions by slot (none with Config.OnDecide set).
 type env struct {
 	r    *Runner
 	m    types.Machine
@@ -491,7 +442,7 @@ type env struct {
 
 	sentBytes int64
 	recvBytes int64
-	decisions decisionLog
+	decisions map[types.Slot]Decision
 }
 
 func (e *env) Now() types.Time { return e.r.now }
@@ -549,103 +500,18 @@ func (e *env) SetTimer(id types.TimerID, d types.Duration) {
 }
 
 func (e *env) Decide(slot types.Slot, val types.Value) {
-	// Decisions are final: put ignores a repeated Decide for a slot.
-	e.decisions.put(slot, Decision{Val: val, At: e.r.now})
-}
-
-// decisionLog is one node's decisions. Slots 0, 1, 2, … — a single-shot
-// decision and a multi-shot log — are cells of dense, a list of pages of
-// pageCells cells each that grows with the slots decided: a page, once made,
-// never moves, so growing the log never copies a decided cell. A slot is
-// dense if its page ends at or below 2·count + denseSlack, so dense never
-// exceeds 2·count + denseSlack cells and a stray huge slot cannot allocate
-// beyond what the node's real decisions justify. Every other slot (negative,
-// or past that bound when decided) lives in sparse. A slot is in at most one
-// of the two.
-type decisionLog struct {
-	dense  [][]denseDecision
-	count  int // decided cells in dense
-	sparse map[types.Slot]Decision
-}
-
-// denseDecision is one cell of decisionLog.dense; set marks a decided slot.
-type denseDecision struct {
-	Decision
-	set bool
-}
-
-// denseSlack is how far past twice its decided count dense may grow: a log
-// that starts at slot 1, or skips a few slots, stays dense.
-const denseSlack = 64
-
-// pageCells is the size of a dense page: denseSlack, so that an empty log's
-// first page is inside the bound.
-const pageCells = denseSlack
-
-func (l *decisionLog) len() int { return l.count + len(l.sparse) }
-
-// cell returns slot's dense cell, nil when slot is outside the pages made.
-func (l *decisionLog) cell(slot types.Slot) *denseDecision {
-	if slot < 0 || slot >= types.Slot(len(l.dense)*pageCells) {
-		return nil
-	}
-	return &l.dense[slot/pageCells][slot%pageCells]
-}
-
-func (l *decisionLog) get(slot types.Slot) (Decision, bool) {
-	if c := l.cell(slot); c != nil && c.set {
-		return c.Decision, true
-	}
-	d, ok := l.sparse[slot]
-	return d, ok
-}
-
-// put records d for slot unless slot is already decided.
-func (l *decisionLog) put(slot types.Slot, d Decision) {
-	if _, ok := l.get(slot); ok {
+	if f := e.r.cfg.OnDecide; f != nil {
+		f(e.self, slot, val, e.r.now)
 		return
 	}
-	// Page k ends at (k+1)·pageCells, within the bound while k·pageCells
-	// <= 2·count; this form cannot overflow. The page stays a Slot: an int
-	// may be too narrow for it.
-	page := slot / pageCells
-	if slot < 0 || page > types.Slot(2*l.count/pageCells) {
-		if l.sparse == nil {
-			l.sparse = make(map[types.Slot]Decision)
-		}
-		l.sparse[slot] = d
+	// Decisions are final: a repeated Decide for a slot is ignored.
+	if _, ok := e.decisions[slot]; ok {
 		return
 	}
-	for types.Slot(len(l.dense)) <= page {
-		l.dense = append(l.dense, make([]denseDecision, pageCells))
+	if e.decisions == nil {
+		e.decisions = make(map[types.Slot]Decision)
 	}
-	l.dense[page][slot%pageCells] = denseDecision{Decision: d, set: true}
-	l.count++
-}
-
-// all yields every decision in ascending slot order, merging the sparse
-// slots (sorted on each call; they are rare) around the dense ones.
-func (l *decisionLog) all(yield func(types.Slot, Decision) bool) {
-	keys := slices.Sorted(maps.Keys(l.sparse))
-	k, i := 0, 0
-	for _, page := range l.dense {
-		for _, c := range page {
-			for ; k < len(keys) && keys[k] < types.Slot(i); k++ {
-				if !yield(keys[k], l.sparse[keys[k]]) {
-					return
-				}
-			}
-			if c.set && !yield(types.Slot(i), c.Decision) {
-				return
-			}
-			i++
-		}
-	}
-	for _, s := range keys[k:] {
-		if !yield(s, l.sparse[s]) {
-			return
-		}
-	}
+	e.decisions[slot] = Decision{Val: val, At: e.r.now}
 }
 
 // send routes one message with a precomputed encoded size (callers size a

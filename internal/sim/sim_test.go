@@ -338,7 +338,7 @@ func TestByteAccounting(t *testing.T) {
 	if got := r.TotalSentBytes(); got != wantRoot+3*voteSize {
 		t.Errorf("total sent %d, want %d", got, wantRoot+3*voteSize)
 	}
-	if got := r.SentMessages(types.KindVote); got != 4 {
+	if got := r.sentMsgs[types.KindVote]; got != 4 {
 		t.Errorf("vote count = %d, want 4", got)
 	}
 }

@@ -156,12 +156,10 @@ func repOf(seed int64, res *scenario.Result, err error) RepResult {
 			rep.Finalized = s.Finalized
 		}
 	}
-	for _, d := range res.Decisions {
-		rep.LastDecision = max(rep.LastDecision, d.At)
-	}
 	// Throughput runs to the last decision: the queue can drain up to 9Δ
-	// later, on stale timers that change nothing. Runs that record no
-	// decisions (sharded, TCP) fall back to the run's end.
+	// later, on stale timers that change nothing. Runs that report no last
+	// decision (sharded, TCP) fall back to the run's end.
+	rep.LastDecision = res.LastDecisionAt
 	if end := cmp.Or(rep.LastDecision, res.FinishedAt); end > 0 && res.DecidedTxs > 0 {
 		rep.TxThroughput = float64(res.DecidedTxs) * 1000 / float64(end)
 	}

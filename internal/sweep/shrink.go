@@ -110,11 +110,10 @@ func shrink(sc scenario.Scenario, kind string) (scenario.Scenario, int) {
 				break
 			}
 		}
-		if sc.Workload.MaxSlot != 0 || len(sc.Workload.Transactions) > 0 || sc.Workload.TxsPerBlock != 0 {
+		if sc.Workload.MaxSlot != 0 || len(sc.Workload.Transactions) > 0 {
 			cand := sc
 			cand.Workload.MaxSlot = 0
 			cand.Workload.Transactions = nil
-			cand.Workload.TxsPerBlock = 0
 			attempt(cand)
 		}
 		// Drop the offered-load stream (batching and all) if the failure

@@ -114,13 +114,20 @@ func TestTxThroughputToLastDecision(t *testing.T) {
 	}
 	for _, c := range res.Cells {
 		rep := c.Reps[0]
-		standalone, err := scenario.Run(c.Scenario)
+		traced := c.Scenario
+		traced.Collect.Trace = true // the latest finalization, read apart from the commit record
+		standalone, err := scenario.Run(traced)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var last int64
-		for _, d := range standalone.Decisions {
-			last = max(last, d.At)
+		for _, e := range standalone.Trace {
+			if e.Type == "finalize" || e.Type == "adopt-final" {
+				last = max(last, int64(e.Time))
+			}
+		}
+		if last != standalone.LastDecisionAt {
+			t.Fatalf("cell %s: last_decision_at %d, the trace's last finalization %d", c.LabelString(), standalone.LastDecisionAt, last)
 		}
 		if last == 0 || last >= standalone.FinishedAt {
 			t.Fatalf("cell %s: last decision %d, run end %d: the cell does not separate the two", c.LabelString(), last, standalone.FinishedAt)

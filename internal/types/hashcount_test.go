@@ -83,7 +83,17 @@ func TestOneHashPerProposedBlock(t *testing.T) {
 // 16 replicas decide each slot with the same string, not 16 copies of it.
 func TestOneValueStringPerProposedBlock(t *testing.T) {
 	const n, slots = 16, 240
-	r := sim.New(sim.Config{Seed: 1})
+	strs := make(map[types.Slot]map[*byte]bool)
+	last := 0 // replicas that decided the last slot
+	r := sim.New(sim.Config{Seed: 1, OnDecide: func(_ types.NodeID, s types.Slot, val types.Value, _ types.Time) {
+		if strs[s] == nil {
+			strs[s] = make(map[*byte]bool)
+		}
+		strs[s][unsafe.StringData(string(val))] = true
+		if s == slots {
+			last++
+		}
+	}})
 	for i := 0; i < n; i++ {
 		node, err := multishot.NewNode(multishot.Config{ID: types.NodeID(i), Nodes: n, Delta: 10, MaxSlot: slots + 3,
 			Batch: func(s types.Slot, _ types.Time) [][]byte { return [][]byte{[]byte("tx"), {byte(s)}} }})
@@ -92,17 +102,8 @@ func TestOneValueStringPerProposedBlock(t *testing.T) {
 		}
 		r.Add(node)
 	}
-	if err := r.Run(0, func() bool { return r.DecidedCount(slots) == n }); err != nil {
+	if err := r.Run(0, func() bool { return last == n }); err != nil {
 		t.Fatal(err)
-	}
-	strs := make(map[types.Slot]map[*byte]bool)
-	for i := 0; i < n; i++ {
-		for s, d := range r.NodeDecisions(types.NodeID(i)) {
-			if strs[s] == nil {
-				strs[s] = make(map[*byte]bool)
-			}
-			strs[s][unsafe.StringData(string(d.Val))] = true
-		}
 	}
 	for s := types.Slot(1); s <= slots; s++ {
 		if got := len(strs[s]); got != 1 {
