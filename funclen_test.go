@@ -66,7 +66,7 @@ var packageLines = map[string]int{
 	"internal/multishot":  1623,
 	"internal/pbft":       352,
 	"internal/replica":    253,
-	"internal/scenario":   3247,
+	"internal/scenario":   3245,
 	"internal/sim":        961,
 	"internal/sweep":      1943,
 }

@@ -74,6 +74,10 @@ type Config struct {
 	MaxSlot types.Slot
 	// Persist optionally stores durable state (nil = in-memory only).
 	Persist Persister
+	// Chain keeps the node's finalized prefix (nil: a chain of its own,
+	// NewChain(MaxSlot)). Nodes that run on one goroutine, as a simulated
+	// cluster's do, may share one: see Chain.
+	Chain *Chain
 	// Tracer optionally observes protocol events.
 	Tracer trace.Tracer
 	// Metrics optionally counts protocol activity (deliveries, proposals,
@@ -254,12 +258,9 @@ type Node struct {
 	ring  [slotRingLen]*slotState
 	extra map[types.Slot]*slotState
 
-	// chain/chainIDs cache the finalized prefix incrementally: slot i+1 at
-	// index i. FinalizedChain returns chain without copying and the
-	// straggler-serving path reads bodies from it, so finalized slots keep
-	// no bodies. A capped node reserves both once (see chainReserve).
-	chain    []types.Block
-	chainIDs []types.BlockID
+	// chain holds the finalized prefix, which FinalizedChain returns without
+	// copying and stragglers are served from: finalized slots keep no bodies.
+	chain *Chain
 
 	// claims tracks MSFinal finality claims per slot: last claimed block
 	// per sender. f+1 matching claims let a straggler adopt a finalized
@@ -296,10 +297,26 @@ const catchupWindow = 64
 // longer, so a slot's cell is a mask, not a division.
 const liveWindow, slotRingLen = catchupWindow + 4, 128
 
-// chainReserve bounds the finalized chain a capped node reserves up front:
-// it covers a 2,100-slot simulator run, so that node never re-copies its
-// prefix, while a far-off cap reserves at most ~0.5 MB (120 B a slot).
-const chainReserve = 4096
+const chainReserve = 4096 // the most blocks NewChain reserves
+
+// A Chain is a finalized prefix, the block and ID of slot i+1 at index i.
+// Nodes that share one keep one copy of the blocks they agree on: the first
+// to finalize a slot appends it, a later one only checks its ID, and each
+// reads the prefix up to its own finalized slot. A node that finalizes a
+// different block goes on with a private copy of the prefix below it.
+type Chain struct {
+	blocks []types.Block
+	ids    []types.BlockID
+}
+
+// NewChain reserves a chain for nodes capped at maxSlot (0 = uncapped):
+// min(maxSlot, chainReserve) blocks. chainReserve covers a 2,100-slot
+// simulator run, so that chain never re-copies its prefix, while a far-off
+// cap reserves at most ~0.5 MB (120 B a slot).
+func NewChain(maxSlot types.Slot) *Chain {
+	r := min(max(maxSlot, 0), chainReserve)
+	return &Chain{make([]types.Block, 0, r), make([]types.BlockID, 0, r)}
+}
 
 var _ types.Machine = (*Node)(nil)
 
@@ -334,10 +351,8 @@ func NewNode(cfg Config) (*Node, error) {
 		window:    max(types.Slot(cfg.Window), 1),
 		claims:    make(map[types.Slot]map[types.NodeID]types.BlockID),
 	}
-	if cfg.MaxSlot > 0 {
-		reserve := min(cfg.MaxSlot, chainReserve)
-		n.chain = make([]types.Block, 0, reserve)
-		n.chainIDs = make([]types.BlockID, 0, reserve)
+	if n.chain = cfg.Chain; n.chain == nil {
+		n.chain = NewChain(cfg.MaxSlot)
 	}
 	n.words = (len(members) + 63) / 64
 	n.out = n.outBuf[:0]
@@ -374,13 +389,24 @@ func (n *Node) finalHead() types.BlockID {
 	if n.finalized < 1 {
 		return types.ZeroBlockID
 	}
-	return n.chainIDs[n.finalized-1]
+	return n.chain.ids[n.finalized-1]
 }
 
-// FinalizedChain returns the finalized blocks in slot order. The slice is
-// the node's incrementally maintained cache — callers must treat it as
-// read-only; it is clipped to its length, so an append copies.
-func (n *Node) FinalizedChain() []types.Block { return n.chain[:len(n.chain):len(n.chain)] }
+// FinalizedChain returns the finalized blocks in slot order: the node's
+// Chain up to its finalized slot, which callers must treat as read-only.
+// It is clipped to its length, so an append copies.
+func (n *Node) FinalizedChain() []types.Block { return n.chain.blocks[:n.finalized:n.finalized] }
+
+// commit makes b, whose ID is id, the node's finalized block at slot s, one
+// above its finalized head (see Chain).
+func (n *Node) commit(s types.Slot, b *types.Block, id types.BlockID) {
+	if c := n.chain; types.Slot(len(c.ids)) < s {
+		c.blocks, c.ids = append(c.blocks, *b), append(c.ids, id)
+	} else if !sameID(&c.ids[s-1], &id) {
+		n.chain = &Chain{append(slices.Clip(c.blocks[:s-1]), *b), append(slices.Clip(c.ids[:s-1]), id)}
+	}
+	n.finalized = s
+}
 
 // ViewOf returns the node's current view for a slot (0 for slots it holds
 // no live state for).
@@ -518,27 +544,15 @@ func (n *Node) Tick(env types.Env, _ types.TimerID) {
 // (Algorithm 3 lines 6-8), or retransmits the pending call. Shared by the
 // timer path and a restored node's rejoin.
 func (n *Node) callForViewChange(env types.Env) {
-	ls := n.lowestAborted()
-	if ls == nil {
+	for ls := range n.inFlight { // the lowest aborted slot, if any
+		if want := ls.view + 1; want > ls.highestVC {
+			ls.highestVC, n.dirty = want, true
+			n.mViewChanges.Inc()
+			n.emit(env, "view-change", ls.slot, want)
+		} // else the call is pending: retransmit it (it may have been lost pre-GST)
+		n.broadcast(types.MSViewChange{Slot: ls.slot, View: ls.highestVC})
 		return
 	}
-	lowest, want := ls.slot, ls.view+1
-	if want > ls.highestVC {
-		ls.highestVC = want
-		n.dirty = true
-		n.mViewChanges.Inc()
-		n.emit(env, "view-change", lowest, want)
-		n.broadcast(types.MSViewChange{Slot: lowest, View: want})
-	} else {
-		// Retransmit the pending call (it may have been lost pre-GST).
-		n.broadcast(types.MSViewChange{Slot: lowest, View: ls.highestVC})
-	}
-}
-
-// lowestAborted returns the lowest started-but-unfinalized slot (nil = none).
-func (n *Node) lowestAborted() (low *slotState) {
-	n.inFlight(func(st *slotState) bool { low = st; return false })
-	return low
 }
 
 // inFlight yields the started, unfinalized slots in slot order.
@@ -603,7 +617,7 @@ func (n *Node) onViewChange(env types.Env, from types.NodeID, idx int, m types.M
 	// straggler: answer with finality claims so it can catch up.
 	if m.Slot <= n.finalized {
 		for s := m.Slot; s <= min(m.Slot+3, n.finalized); s++ {
-			n.send(from, types.MSFinal{Block: n.chain[s-1]})
+			n.send(from, types.MSFinal{Block: n.chain.blocks[s-1]})
 		}
 		return
 	}
@@ -648,8 +662,9 @@ func (n *Node) applyViewChange(env types.Env, s types.Slot, v types.View) {
 		moved = append(moved, st)
 	}
 	for _, st := range moved {
-		n.broadcast(msProof(st.slot, v, st.votes))
-		n.send(n.Leader(st.slot, v), msSuggest(st.slot, v, st.votes))
+		h := &st.votes
+		n.broadcast(types.MSProof{Slot: st.slot, View: v, Vote1: h.Vote1, PrevVote1: h.PrevVote1, Vote4: h.Vote4})
+		n.send(n.Leader(st.slot, v), types.MSSuggest{Slot: st.slot, View: v, Vote2: h.Vote2, PrevVote2: h.PrevVote2, Vote3: h.Vote3})
 		if n.Leader(st.slot, v) == n.cfg.ID {
 			n.tryPropose(env, st.slot)
 		}
@@ -727,9 +742,7 @@ func (n *Node) onFinal(env types.Env, from types.NodeID, m types.MSFinal) {
 			break
 		}
 		n.emitB(env, "adopt-final", next, n.ViewOf(next), candidate)
-		n.chain = append(n.chain, b.body)
-		n.chainIDs = append(n.chainIDs, candidate)
-		n.finalized = next
+		n.commit(next, &b.body, candidate)
 		env.Decide(next, candidate.Value())
 		n.releaseSlot(next)
 	}
@@ -853,7 +866,7 @@ func (n *Node) parentFor(s types.Slot) (types.BlockID, bool) {
 		return types.ZeroBlockID, true
 	}
 	if s-1 <= n.finalized {
-		return n.chainIDs[s-2], true
+		return n.chain.ids[s-2], true
 	}
 	prev := n.peekSlot(s - 1)
 	if prev == nil {
@@ -884,7 +897,7 @@ func (n *Node) pipelineAnchored(b *blockRec, budget types.Slot) bool {
 			return b.body.Parent == types.ZeroBlockID
 		}
 		if s-1 <= n.finalized {
-			return n.chainIDs[s-2] == b.body.Parent
+			return n.chain.ids[s-2] == b.body.Parent
 		}
 		p := b.parent // a notarized parent, or the proposal a hop rides, has an entry
 		if p == nil || p.notarized || budget <= 0 {
@@ -1093,9 +1106,7 @@ func (n *Node) finalizePrefix(env types.Env, k types.Slot, head *blockRec) bool 
 	for i := len(path) - 1; i >= 0; i-- {
 		s, b := k-types.Slot(i), path[i]
 		view := n.ViewOf(s)
-		n.chain = append(n.chain, b.body)
-		n.chainIDs = append(n.chainIDs, b.id)
-		n.finalized = s
+		n.commit(s, &b.body, b.id)
 		n.mFinalized.Inc()
 		n.emitB(env, "finalize", s, view, b.id)
 		env.Decide(s, valueOf(b))
@@ -1160,7 +1171,7 @@ func (n *Node) peekSlot(s types.Slot) *slotState {
 
 // slot returns slot s's state, creating it if needed. Callers must not ask
 // for finalized slots — their state is recycled, and finalized facts live
-// in chain/chainIDs instead.
+// in the chain instead.
 func (n *Node) slot(s types.Slot) *slotState {
 	if st := n.peekSlot(s); st != nil {
 		return st
@@ -1260,12 +1271,4 @@ func (n *Node) emitB(env types.Env, typ string, s types.Slot, v types.View, id t
 		return
 	}
 	n.cfg.Tracer.Emit(trace.Event{Time: env.Now(), Node: n.cfg.ID, Type: typ, View: v, Slot: s, Note: id.String(), Multi: true})
-}
-
-func msSuggest(s types.Slot, v types.View, votes core.VoteState) types.MSSuggest {
-	return types.MSSuggest{Slot: s, View: v, Vote2: votes.Vote2, PrevVote2: votes.PrevVote2, Vote3: votes.Vote3}
-}
-
-func msProof(s types.Slot, v types.View, votes core.VoteState) types.MSProof {
-	return types.MSProof{Slot: s, View: v, Vote1: votes.Vote1, PrevVote1: votes.PrevVote1, Vote4: votes.Vote4}
 }

@@ -180,10 +180,7 @@ func Restore(cfg Config, state PersistentState) (*Node, error) {
 		}
 		prev = s.Slot
 		st := n.slot(s.Slot)
-		st.started = true
-		st.view = s.View
-		st.highestVC = s.HighestVC
-		st.votes = s.Votes
+		st.started, st.view, st.highestVC, st.votes = true, s.View, s.HighestVC, s.Votes
 		n.maxSlot = max(n.maxSlot, s.Slot)
 	}
 	n.restored = true

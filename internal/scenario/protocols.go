@@ -147,12 +147,13 @@ func (d Descriptor) multiSlot() bool { return d.Multishot || d.Chains != "" }
 // has decided slot 0. A sharded run has progressed once every shard has
 // finalized workload.slots and committed at least one anchor epoch.
 // allDecided is the flat rule as runSim's stop.all_decided predicate. It
-// runs on every event, so on a multishot row it is cl.reached: no
-// allocation, and it stops at the first replica short of the target.
+// runs on every event, so on a multishot row it reads one count, the
+// decisions of the target slot: only honest replicas decide, each one every
+// slot once, in slot order, so they number the replicas that finalized it.
 func (d Descriptor) allDecided(p *plan, cl *simCluster) func() bool {
 	if d.multiSlot() {
 		target := types.Slot(p.sc.Workload.Slots)
-		return func() bool { return cl.reached(target) }
+		return func() bool { return cl.record.decided(target) >= len(cl.chains) }
 	}
 	honest := len(cl.honest)
 	return func() bool { return cl.r.DecidedCount(0) >= honest }

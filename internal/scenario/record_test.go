@@ -97,6 +97,24 @@ func TestDisagreementFailsTheRun(t *testing.T) {
 	})
 }
 
+// TestRepeatGuardAtAnyID: the record ignores a repeat of a node whose ID it
+// cannot index directly — negative, or at or past maxNodes, as a
+// quorum-slice spec may name — as it does node 0's, and keeps such nodes
+// apart.
+func TestRepeatGuardAtAnyID(t *testing.T) {
+	for _, id := range []types.NodeID{0, -7, maxNodes, 1 << 30} {
+		var rec commitRecord
+		rec.decide(id, 1, "v", 2)
+		rec.decide(id, 2, "w", 5)
+		rec.decide(id, 1, "v", 9) // a relaunched node decides its prefix again
+		rec.decide(id+1, 1, "v", 7)
+		rec.decide(id, 2, "w", 11)
+		if rec.err != nil || rec.at(1) != 2 || rec.at(2) != 5 || rec.last != 7 {
+			t.Fatalf("node %d: commits %d and %d, latest %d, error %v: want slot 1 at 2, slot 2 at 5, latest 7, no error", id, rec.at(1), rec.at(2), rec.last, rec.err)
+		}
+	}
+}
+
 // TestRepeatedDecideMovesNothing: a node that decides a slot again moves
 // neither the slot's commit time nor the latest decision, on a record fed
 // through the simulator's OnDecide — as the runner's own record ignores a

@@ -54,15 +54,17 @@ func Run(sc Scenario) (*Result, error) {
 // (tcp.go). newSimCluster builds it: one runner seeded with the cluster's
 // seed, one machine per member in member order, a Byzantine machine where
 // the plan replaces one, every honest multi-shot replica drawing batches
-// from the one source the runner hands in. The runner advances it to a
-// virtual instant t (r.Run); minFinalized and reached read its progress
-// between instants; fold, once the run is over, checks agreement and sums
-// the cluster up into the foldInput the TCP cluster's fold returns too.
+// from the one source the runner hands in and keeping its finalized blocks
+// in the one chain of the cluster. The runner advances it to a virtual
+// instant t (r.Run); minFinalized and the record read its progress between
+// instants; fold, once the run is over, checks agreement and sums the
+// cluster up into the foldInput the TCP cluster's fold returns too.
 type simCluster struct {
 	*cluster
 	r         *sim.Runner
 	log       *trace.Log        // nil = untraced
 	record    commitRecord      // a multi-shot row's decisions; a single-shot row's stay in r
+	chain     *multishot.Chain  // the finalized chain every honest multi-shot node shares
 	chains    []*multishot.Node // honest multi-shot nodes, member order
 	reporters []singleNode      // honest single-shot nodes
 }
@@ -79,7 +81,7 @@ func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]b
 	}
 	cl := &simCluster{cluster: c, log: log}
 	if p.proto.Multishot {
-		cfg.OnDecide = cl.record.decide
+		cfg.OnDecide, cl.chain = cl.record.decide, multishot.NewChain(c.maxSlot)
 	}
 	cl.r = sim.New(cfg)
 	for _, id := range c.members {
@@ -97,26 +99,13 @@ func newSimCluster(p *plan, c *cluster, batch func(types.Slot, types.Time) [][]b
 }
 
 // minFinalized is the finalized slot every honest replica has reached.
-func (cl *simCluster) minFinalized() int64 {
-	var min int64
+func (cl *simCluster) minFinalized() (low int64) {
 	for i, node := range cl.chains {
-		if s := int64(node.FinalizedSlot()); i == 0 || s < min {
-			min = s
+		if s := int64(node.FinalizedSlot()); i == 0 || s < low {
+			low = s
 		}
 	}
-	return min
-}
-
-// reached reports whether every honest replica has finalized target. It
-// stops at the first replica below it and allocates nothing: it is the
-// stop predicate, run on every event.
-func (cl *simCluster) reached(target types.Slot) bool {
-	for _, node := range cl.chains {
-		if node.FinalizedSlot() < target {
-			return false
-		}
-	}
-	return true
+	return low
 }
 
 // fold checks the cluster's agreement and sums it up: the reference chain,
@@ -130,7 +119,7 @@ func (cl *simCluster) fold(p *plan) (foldInput, error) {
 	}
 	err := cl.record.err
 	if len(cl.chains) > 0 {
-		in.chain = cl.chains[0].FinalizedChain() // the first honest replica's, the node's own cache
+		in.chain = cl.chains[0].FinalizedChain() // the first honest replica's prefix of the cluster's chain
 	} else {
 		err = cl.r.AgreementViolation() // a single-shot row's decisions stay in the runner
 	}
@@ -247,9 +236,7 @@ func (cl *simCluster) report(p *plan, res *Result) {
 		res.Finalized = append(res.Finalized, NodeSlot{Node: node.ID(), Slot: node.FinalizedSlot()})
 	}
 	for _, rep := range cl.reporters {
-		if b := rep.StorageBytes(); b > res.MaxStorageBytes {
-			res.MaxStorageBytes = b
-		}
+		res.MaxStorageBytes = max(res.MaxStorageBytes, rep.StorageBytes())
 		if v, ok := rep.(interface{ View() types.View }); ok {
 			res.MaxView = max(res.MaxView, int64(v.View()))
 		}
@@ -285,7 +272,7 @@ func (cl *simCluster) buildHonest(p *plan, id types.NodeID, batch func(types.Slo
 	chain, err := multishot.NewNode(multishot.Config{
 		ID: id, Quorum: cl.qs, Nodes: len(cl.members), Delta: p.delta(),
 		TimeoutFactor: p.sc.TimeoutFactor, MaxSlot: cl.maxSlot,
-		Window:  p.sc.Workload.Window,
+		Window: p.sc.Workload.Window, Chain: cl.chain,
 		Payload: payload, Batch: batch,
 		Tracer: traced(cl.log), Metrics: reg,
 	})

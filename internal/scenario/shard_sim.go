@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tetrabft/internal/blockchain"
@@ -201,21 +202,27 @@ func (dep *deployment) done(minFinalized func(i int) int64) bool {
 
 // commitRecord is a multishot cluster's decisions for both engines, fed by
 // the simulator's and the TCP hosts' OnDecide and a chained row's slot runs:
-// per slot the earliest commit and first value, the first value to differ
-// (an agreement violation), and the latest decision, which a node's repeat
-// of a slot at or below its highest (it decides in slot order) cannot move.
+// per slot the earliest commit, first value and number of decisions, the
+// first value to differ (an agreement violation), and the latest decision,
+// which a node's repeat of a slot at or below its highest (it decides in
+// slot order) cannot move. next holds one past each node's highest decided
+// slot (0: none), at its ID; farNext holds it for farIDs, the IDs outside
+// [0, maxNodes) that a quorum-slice spec may name.
 type commitRecord struct {
-	slots []slotCommit // by slot
-	high  map[types.NodeID]types.Slot
-	last  int64
-	err   error
+	slots         []slotCommit // by slot
+	next, farNext []types.Slot
+	farIDs        []types.NodeID
+	last          int64
+	err           error
 }
 
-// slotCommit is a slot's earliest commit (-1: none) and first decision.
+// slotCommit is a slot's earliest commit (-1: none), first decision and
+// decision count.
 type slotCommit struct {
-	at   int64
-	node types.NodeID
-	val  types.Value
+	at    int64
+	node  types.NodeID
+	val   types.Value
+	count int
 }
 
 // at is slot s's earliest commit, -1 when there is none (or no record).
@@ -226,6 +233,14 @@ func (r *commitRecord) at(s types.Slot) int64 {
 	return r.slots[s].at
 }
 
+// decided is how many decisions of slot s ≥ 0 the record holds.
+func (r *commitRecord) decided(s types.Slot) int {
+	if s >= types.Slot(len(r.slots)) {
+		return 0
+	}
+	return r.slots[s].count
+}
+
 // decide records node's decision of val for slot at time at.
 func (r *commitRecord) decide(node types.NodeID, slot types.Slot, val types.Value, at types.Time) {
 	for slot >= types.Slot(len(r.slots)) {
@@ -233,18 +248,29 @@ func (r *commitRecord) decide(node types.NodeID, slot types.Slot, val types.Valu
 	}
 	c := &r.slots[slot]
 	if c.at < 0 {
-		*c = slotCommit{int64(at), node, val}
+		*c = slotCommit{int64(at), node, val, 0}
 	} else if val != c.val && r.err == nil {
 		r.err = fmt.Errorf("agreement violated in slot %d: node %d decided %q, node %d decided %q", slot, c.node, c.val, node, val)
 	}
-	c.at = min(c.at, int64(at))
-	if h, ok := r.high[node]; ok && slot <= h {
-		return
+	c.at, c.count = min(c.at, int64(at)), c.count+1
+	if next := r.nextOf(node); slot >= *next {
+		*next, r.last = slot+1, max(r.last, int64(at))
 	}
-	if r.high == nil {
-		r.high = make(map[types.NodeID]types.Slot)
+}
+
+// nextOf is where node's one-past-highest decided slot is kept.
+func (r *commitRecord) nextOf(node types.NodeID) *types.Slot {
+	if uint(node) < maxNodes {
+		for int(node) >= len(r.next) {
+			r.next = append(r.next, 0)
+		}
+		return &r.next[node]
 	}
-	r.high[node], r.last = slot, max(r.last, int64(at))
+	i := slices.Index(r.farIDs, node)
+	if i < 0 {
+		i, r.farIDs, r.farNext = len(r.farIDs), append(r.farIDs, node), append(r.farNext, 0)
+	}
+	return &r.farNext[i]
 }
 
 // foldInput is what the fold needs from one cluster, engine-neutral.

@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -978,19 +979,9 @@ func (p *plan) streams() int {
 	return p.sc.Shards.Count
 }
 
-func (p *plan) seed() int64 {
-	if p.sc.Seed == 0 {
-		return 1
-	}
-	return p.sc.Seed
-}
+func (p *plan) seed() int64 { return cmp.Or(p.sc.Seed, 1) }
 
-func (p *plan) delta() types.Duration {
-	if p.sc.Delta == 0 {
-		return 10
-	}
-	return types.Duration(p.sc.Delta)
-}
+func (p *plan) delta() types.Duration { return types.Duration(cmp.Or(p.sc.Delta, 10)) }
 
 // batchSize is the offered-load stream's per-block transaction cap.
 func (p *plan) batchSize() int {
@@ -1063,10 +1054,7 @@ func (p *plan) initialValue(node types.NodeID) types.Value {
 	if int(node) >= 0 && int(node) < len(w.InitialValues) {
 		return types.Value(w.InitialValues[node])
 	}
-	pattern := w.ValuePattern
-	if pattern == "" {
-		pattern = "val-%d"
-	}
+	pattern := cmp.Or(w.ValuePattern, "val-%d")
 	if strings.Contains(pattern, "%d") {
 		return types.Value(fmt.Sprintf(pattern, node))
 	}

@@ -106,11 +106,7 @@ func (r *tcpRun) launch() error {
 // default) has passed, an error naming what it waited for and every
 // replica's watermark.
 func (r *tcpRun) wait(done func() bool, what string) error {
-	wallClock := time.Duration(r.p.sc.Stop.WallClockMS) * time.Millisecond
-	if wallClock == 0 {
-		wallClock = 30 * time.Second
-	}
-	deadline := time.After(wallClock)
+	deadline := time.After(time.Duration(cmp.Or(r.p.sc.Stop.WallClockMS, 30_000)) * time.Millisecond)
 	for r.pending.Load() != 0 || !done() {
 		select {
 		case <-r.kick:
